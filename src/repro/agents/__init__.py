@@ -10,7 +10,7 @@ from .prompts import (
 )
 from .react import DEFAULT_MAX_ITERATIONS, AgentResult, ReActAgent
 from .simfix import SimDebugAgent, SimFixResult
-from .transcript import Transcript, Turn
+from ..repair.transcript import Transcript, Turn
 
 __all__ = [
     "AgentResult",

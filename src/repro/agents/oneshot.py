@@ -14,7 +14,7 @@ from ..diagnostics import Compiler
 from ..llm.base import RepairModel
 from ..rag.retrievers import Retriever
 from .react import AgentResult, record_rule_fix
-from .transcript import Transcript
+from ..repair.transcript import Transcript
 
 
 class OneShotAgent:

@@ -37,7 +37,7 @@ from ..repair import (
     record_rule_fix,  # re-exported: OneShotAgent shares the pre-pass  # noqa: F401
 )
 from ..repair.base import _head  # noqa: F401  (compat re-export)
-from .transcript import Transcript, Turn
+from ..repair.transcript import Transcript, Turn
 
 DEFAULT_MAX_ITERATIONS = 10
 

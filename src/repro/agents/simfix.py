@@ -34,29 +34,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..diagnostics import Compiler
-from ..repair import (
-    EngineConfig,
-    LogicModelProposer,
-    RepairEngine,
-    SimOracle,
-)
-from .transcript import Transcript, Turn
-
-#: The simulation flavor of the engine loop: Simulator action, 2-line
-#: action input, improving-only (hill-climbing) acceptance, no Finish
-#: turns on success, an explicit give-up turn, and the loop keeps
-#: consulting the proposer after a declared-done step that changed the
-#: code (exactly the legacy loop's shape).
-_SIMFIX_CONFIG = EngineConfig(
-    action="Simulator",
-    head_lines=2,
-    accept="improving",
-    finish_thought=None,
-    initial_finish=None,
-    stop_after_done=False,
-    give_up_turn=True,
-    deadline_stage="sim-iteration",
-)
+from ..repair import LogicModelProposer, RepairEngine, SimOracle
+from ..repair.functional import FUNCTIONAL_CONFIG, default_logic_model
+from ..repair.transcript import Transcript, Turn
 
 
 @dataclass
@@ -67,18 +47,6 @@ class SimFixResult:
     initial_mismatches: int = 0
     final_mismatches: int = 0
     transcript: Transcript = field(default_factory=Transcript)
-
-
-def default_logic_model():
-    """The agent's model when none is injected: direct simulated
-    debugger, or the pool-routed variant under ambient LLM routing."""
-    from ..llm.pool import get_default_llm_routing
-    from ..llm.simfix import PooledLogicModel, SimulatedLogicDebugger
-
-    routing = get_default_llm_routing()
-    if routing is not None:
-        return PooledLogicModel(routing)
-    return SimulatedLogicDebugger()
 
 
 class SimDebugAgent:
@@ -117,7 +85,7 @@ class SimDebugAgent:
                 samples=self.sim_samples, sim_limits=self.sim_limits,
             ),
             proposer=LogicModelProposer(self.model, difficulty),
-            config=replace(_SIMFIX_CONFIG, max_iterations=self.max_iterations),
+            config=replace(FUNCTIONAL_CONFIG, max_iterations=self.max_iterations),
             on_turn=self.on_turn,
         )
         outcome = engine.run(code)

@@ -3,9 +3,9 @@
 Wires together the compiler facade, the RAG database + retriever, the
 (simulated or API-backed) LLM, and the chosen prompting strategy.  When
 ``config.max_retries > 0`` (the default) the model and compiler handed
-to the agent are wrapped in the runtime's retry layer, so transient
-faults (timeouts, injected chaos, API hiccups) are retried with
-deterministic backoff instead of killing the whole debugging run.
+to the agent each sit behind a retrying :class:`~repro.runtime.Guard`,
+so transient faults (timeouts, injected chaos, API hiccups) are retried
+with deterministic backoff instead of killing the whole debugging run.
 
 >>> from repro.core import RTLFixer
 >>> fixer = RTLFixer()                       # ReAct + RAG + Quartus
@@ -27,7 +27,7 @@ from ..llm.simulated import SimulatedLLM
 from ..rag.database import GuidanceDatabase
 from ..rag.guidance_data import build_default_database
 from ..rag.retrievers import Retriever, make_retriever
-from ..runtime.retry import RetryingCompiler, RetryingRepairModel, RetryPolicy
+from ..runtime.retry import Guard, RetryPolicy
 from ..service.deadline import Deadline, use_deadline
 from .config import RTLFixerConfig
 
@@ -68,8 +68,8 @@ class RTLFixer:
                 timeout=config.step_timeout,
                 seed=config.seed,
             )
-            agent_model = RetryingRepairModel(agent_model, policy)
-            agent_compiler = RetryingCompiler(agent_compiler, policy)
+            agent_model = Guard(agent_model, policy)
+            agent_compiler = Guard(agent_compiler, policy)
 
         self.retriever: Optional[Retriever] = None
         if config.use_rag:

@@ -2,7 +2,8 @@
 
 Every backend implements the :class:`repro.llm.base.LLMClient` protocol
 so the pool (:mod:`repro.llm.pool`) can treat them interchangeably and
-wrap each one in the existing ``Retrying*`` / ``Chaos*`` runtime layers:
+put each one behind the runtime's retry/chaos
+:class:`~repro.runtime.retry.Guard`:
 
 * :class:`SimulatedChatClient` -- the offline stand-in: a raw-client
   adapter that drives :class:`repro.llm.SimulatedLLM` through the real

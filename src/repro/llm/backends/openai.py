@@ -8,9 +8,9 @@ any network I/O, when they do not (this reproduction's CI environment
 is offline by design; the simulated adapter carries those runs).
 
 Transient transport faults (HTTP 408/409/429/5xx, socket errors) are
-raised as :class:`repro.errors.LLMTimeoutError` so the pool's existing
-``Retrying*`` wrapper and failover chain handle them exactly like an
-injected chaos outage.
+raised as :class:`repro.errors.LLMTimeoutError` so the pool's retry
+guard and failover chain handle them exactly like an injected chaos
+outage.
 """
 
 from __future__ import annotations

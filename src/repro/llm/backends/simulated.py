@@ -33,7 +33,6 @@ same text, which is all the simulated session reads.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import threading
 from collections import OrderedDict
@@ -65,10 +64,6 @@ _GUIDANCE_RE = re.compile(
 _REPLY_CODE_RE = re.compile(r"```verilog\n(.*)\n```\s*\Z", re.DOTALL)
 _USED_GUIDANCE_RE = re.compile(r"Used-Guidance:\s*(\d+)")
 _THOUGHT_RE = re.compile(r"Thought:\s*(.*)")
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def build_pool_messages(

@@ -7,10 +7,9 @@ The pool puts N configured chat backends behind the single
 * **members** -- an ordered escalation ladder of named backends
   (:class:`BackendSpec`), weakest/cheapest first.  Each member is a raw
   :class:`~repro.llm.base.LLMClient` (simulated or OpenAI, see
-  :mod:`repro.llm.backends`) wrapped by the existing runtime layers --
-  optional :class:`~repro.runtime.faults.ChaosLLMClient` (offline outage
-  testing) under a :class:`~repro.runtime.retry.RetryingLLMClient` --
-  plus a deterministic :class:`~repro.runtime.limiter.TokenBucket` rate
+  :mod:`repro.llm.backends`) behind a :class:`~repro.runtime.retry.Guard`
+  (retries, plus optional fault injection for offline outage testing),
+  with a deterministic :class:`~repro.runtime.limiter.TokenBucket` rate
   limiter and a :class:`~repro.runtime.limiter.ConcurrencyGate`;
 * **routing** -- a session starts on the member matching the requested
   tier and *escalates* one rung after every ``escalate_after`` failed
@@ -38,7 +37,6 @@ simulated members is therefore bit-identical to the direct
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from contextlib import contextmanager
@@ -51,10 +49,12 @@ from ..runtime.accounting import (
     TokenCounter,
     estimate_tokens,
     get_active_token_counter,
+    tier_family,
 )
-from ..runtime.faults import ChaosLLMClient, FaultInjector, FaultSpec
+from ..runtime.checkpoint import content_digest
+from ..runtime.faults import FaultInjector, FaultSpec, stable_unit
 from ..runtime.limiter import ConcurrencyGate, TokenBucket
-from ..runtime.retry import RetryingLLMClient, RetryPolicy, messages_key
+from ..runtime.retry import Guard, RetryPolicy, messages_key
 from .base import ChatMessage, RepairStep
 from .backends.openai import OpenAIChatClient
 from .backends.simulated import (
@@ -73,20 +73,6 @@ TIER_PRICES: dict[str, tuple[float, float]] = {
     "gpt-3.5": (0.0005, 0.0015),
     "gpt-4": (0.03, 0.06),
 }
-
-
-def _tier_family(tier: str) -> str:
-    return "gpt-4" if tier.startswith("gpt-4") else "gpt-3.5"
-
-
-def _stable_unit(key: str) -> float:
-    """Deterministic uniform(0,1) draw from a string key."""
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ class BackendSpec:
 
     @property
     def prices(self) -> tuple[float, float]:
-        return TIER_PRICES[_tier_family(self.tier)]
+        return TIER_PRICES[tier_family(self.tier)]
 
 
 @dataclass(frozen=True)
@@ -134,7 +120,7 @@ class RoutingSpec:
     rate: float = 0.0
     #: Per-member in-flight call cap (0 = unlimited).
     concurrency: int = 0
-    #: Retry budget of each member's RetryingLLMClient wrapper.
+    #: Retry budget of each member's guard.
     max_retries: int = 2
     #: name -> FaultSpec chaos injection per member (offline testing).
     chaos: Optional[dict] = field(default=None, compare=False)
@@ -191,6 +177,18 @@ class RoutingSpec:
             max_retries=max_retries,
         )
 
+    def base_index(self, tier: str) -> int:
+        """The ladder rung a session of ``tier`` starts on: the first
+        member of that exact tier, else of the same family, else 0."""
+        for i, member in enumerate(self.members):
+            if member.tier == tier:
+                return i
+        family = tier_family(tier)
+        for i, member in enumerate(self.members):
+            if tier_family(member.tier) == family:
+                return i
+        return 0
+
     def describe(self) -> str:
         """One-line summary for logs and the ``# llm:`` CLI line."""
         ladder = " -> ".join(f"{m.name}={m.tier}" for m in self.members)
@@ -228,20 +226,16 @@ class PoolMember:
         self.raw = raw_client if raw_client is not None else _make_raw_client(
             spec, seed
         )
-        client = self.raw
         self.injector: Optional[FaultInjector] = None
         chaos: Optional[FaultSpec] = (routing.chaos or {}).get(spec.name)
         if chaos is not None:
             self.injector = FaultInjector(seed=seed, client=chaos)
-            client = ChaosLLMClient(client, self.injector)
+        policy: Optional[RetryPolicy] = None
         if routing.max_retries > 0:
-            client = RetryingLLMClient(
-                client,
-                RetryPolicy(max_retries=routing.max_retries, seed=seed),
-                sleep=sleep,
-                clock=clock,
-            )
-        self.client = client
+            policy = RetryPolicy(max_retries=routing.max_retries, seed=seed)
+        self.client = Guard(
+            self.raw, policy, self.injector, sleep=sleep, clock=clock
+        )
         self.limiter = TokenBucket(
             routing.rate, burst=max(1, routing.concurrency or 1),
             clock=clock, sleep=sleep,
@@ -315,18 +309,6 @@ class LLMPool:
             for spec in routing.members
         ]
 
-    def base_index(self, tier: str) -> int:
-        """The ladder rung a session of ``tier`` starts on: the first
-        member of that exact tier, else of the same family, else 0."""
-        for i, member in enumerate(self.members):
-            if member.spec.tier == tier:
-                return i
-        family = _tier_family(tier)
-        for i, member in enumerate(self.members):
-            if _tier_family(member.spec.tier) == family:
-                return i
-        return 0
-
     def _call_member(
         self,
         index: int,
@@ -384,7 +366,7 @@ class LLMPool:
         if (
             self.routing.hedge_rate > 0.0
             and hedge_index < len(self.members)
-            and _stable_unit(f"hedge|{self.seed}|{call_key}")
+            and stable_unit(f"hedge|{self.seed}|{call_key}")
             < self.routing.hedge_rate
         ):
             hedge = _HedgeCall(self, hedge_index, messages, temperature, counter)
@@ -445,8 +427,8 @@ class PooledRepairModel:
 
     @property
     def name(self) -> str:
-        # The pool is an implementation detail (like the Retrying*
-        # wrappers): reports see the requested tier, so pooled and
+        # The pool is an implementation detail (like the retry
+        # guard): reports see the requested tier, so pooled and
         # direct runs label identically.
         return self.tier
 
@@ -489,32 +471,17 @@ class PooledRepairModel:
         )
 
 
-class PooledRepairSession:
-    """One debugging conversation routed through the pool.
+class EscalatingSession:
+    """Tier-escalation state shared by the pooled sessions.
 
-    Holds the escalation state: the agent reports every iteration's
-    compile outcome via :meth:`observe`, and after each block of
-    ``escalate_after`` failures the session climbs one ladder rung.
+    The agent reports every iteration's outcome via :meth:`observe`;
+    after each block of ``routing.escalate_after`` failures the session
+    climbs one rung up ``routing.members`` from its ``base`` rung.
     """
 
-    def __init__(self, model: PooledRepairModel, code: str, flavor: str,
-                 use_rag: bool, ordinal: int):
-        self.pool = model.pool
-        self.routing = model.routing
-        self.temperature = model.temperature
-        self.seed = model.seed
-        self.flavor = flavor
-        self.use_rag = use_rag
-        self.base = self.pool.base_index(model.tier)
-        self.failed_rounds = 0
-        # The token ties this conversation's turns together across raw
-        # complete() calls; the start ordinal keeps two conversations
-        # about the same code distinct (a fresh session per start, like
-        # the direct path).
-        self.token = (
-            f"{model.seed}.{ordinal}.{model.tier}."
-            f"{flavor}.{int(use_rag)}.{_digest(code)}"
-        )
+    routing: RoutingSpec
+    base: int
+    failed_rounds: int = 0
 
     def observe(self, success: bool) -> None:
         """The agent's per-iteration outcome (escalation signal)."""
@@ -527,7 +494,29 @@ class PooledRepairSession:
         if self.routing.escalate_after <= 0:
             return self.base
         climb = self.failed_rounds // self.routing.escalate_after
-        return min(self.base + climb, len(self.pool.members) - 1)
+        return min(self.base + climb, len(self.routing.members) - 1)
+
+
+class PooledRepairSession(EscalatingSession):
+    """One debugging conversation routed through the pool."""
+
+    def __init__(self, model: PooledRepairModel, code: str, flavor: str,
+                 use_rag: bool, ordinal: int):
+        self.pool = model.pool
+        self.routing = model.routing
+        self.temperature = model.temperature
+        self.seed = model.seed
+        self.flavor = flavor
+        self.use_rag = use_rag
+        self.base = self.routing.base_index(model.tier)
+        # The token ties this conversation's turns together across raw
+        # complete() calls; the start ordinal keeps two conversations
+        # about the same code distinct (a fresh session per start, like
+        # the direct path).
+        self.token = (
+            f"{model.seed}.{ordinal}.{model.tier}."
+            f"{flavor}.{int(use_rag)}.{content_digest(code)}"
+        )
 
     def step(self, code: str, feedback: str,
              guidance: list[GuidanceEntry]) -> RepairStep:
@@ -599,6 +588,7 @@ def routing_from_config(config) -> Optional[RoutingSpec]:
 
 __all__ = [
     "BackendSpec",
+    "EscalatingSession",
     "LLMPool",
     "PoolMember",
     "PooledRepairModel",

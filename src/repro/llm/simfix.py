@@ -18,9 +18,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..runtime.accounting import (
+    estimate_tokens,
+    get_active_token_counter,
+    tier_family,
+)
+from ..runtime.faults import stable_unit
 from .base import RepairStep
+from .pool import EscalatingSession
 from .repair.logic_strategies import enumerate_logic_edits
-from .simulated import _stable_unit, _tier_key
 
 #: Probability that a sample's logic bug is within the model's reach,
 #: by (tier, difficulty).  Calibrated to the paper's qualitative claim:
@@ -51,11 +57,11 @@ class SimulatedLogicDebugger:
 class LogicDebugSession:
     """One logic-debugging conversation; walks candidate edits."""
     def __init__(self, model: SimulatedLogicDebugger, code: str, difficulty: str):
-        tier = _tier_key(model.tier)
+        tier = tier_family(model.tier)
         key = f"logic|{model.seed}|{tier}|{difficulty}|{code}"
         self.rng = random.Random(key)
         ceiling = LOGIC_CAPABILITY[(tier, "easy" if difficulty == "easy" else "hard")]
-        self.capable = _stable_unit("cap|" + key) < ceiling
+        self.capable = stable_unit("cap|" + key) < ceiling
         self._candidates = enumerate_logic_edits(code) if self.capable else []
         self.rng.shuffle(self._candidates)
         self._cursor = 0
@@ -92,8 +98,8 @@ class PooledLogicModel:
 
     The functional-repair counterpart of
     :class:`~repro.llm.pool.PooledRepairModel`: the session starts on
-    the ladder rung matching ``tier`` (same exact-tier / family / first
-    resolution as :meth:`~repro.llm.pool.LLMPool.base_index`) and climbs
+    the ladder rung matching ``tier``
+    (:meth:`~repro.llm.pool.RoutingSpec.base_index`) and climbs
     one rung after every ``escalate_after`` failed iterations reported
     through the duck-typed ``observe`` seam.  Every step is booked
     against the active :class:`~repro.runtime.TokenCounter` at the
@@ -121,52 +127,22 @@ class PooledLogicModel:
     def with_seed(self, seed: int) -> "PooledLogicModel":
         return PooledLogicModel(self.routing, tier=self.tier, seed=seed)
 
-    def base_index(self) -> int:
-        """The ladder rung sessions start on: first member of the exact
-        tier, else of the same family, else 0."""
-        from .pool import _tier_family
-
-        for index, member in enumerate(self.routing.members):
-            if member.tier == self.tier:
-                return index
-        family = _tier_family(self.tier)
-        for index, member in enumerate(self.routing.members):
-            if _tier_family(member.tier) == family:
-                return index
-        return 0
-
     def start(self, code: str, difficulty: str = "hard") -> "PooledLogicSession":
         return PooledLogicSession(self, code, difficulty)
 
 
-class PooledLogicSession:
+class PooledLogicSession(EscalatingSession):
     """One logic-debugging conversation with tier escalation."""
 
     def __init__(self, model: PooledLogicModel, code: str, difficulty: str):
         self.model = model
         self.routing = model.routing
         self.difficulty = difficulty
-        self.base = model.base_index()
-        self.failed_rounds = 0
+        self.base = model.routing.base_index(model.tier)
         self._rung: int | None = None
         self._session: LogicDebugSession | None = None
 
-    def observe(self, success: bool) -> None:
-        """The engine's per-iteration outcome (escalation signal)."""
-        if not success:
-            self.failed_rounds += 1
-
-    @property
-    def member_index(self) -> int:
-        """The ladder rung the next step will run on."""
-        if self.routing.escalate_after <= 0:
-            return self.base
-        climb = self.failed_rounds // self.routing.escalate_after
-        return min(self.base + climb, len(self.routing.members) - 1)
-
     def step(self, code: str, feedback: str) -> RepairStep:
-        from ..runtime.accounting import estimate_tokens, get_active_token_counter
-
         index = self.member_index
         escalated = False
         if self._session is None or self._rung != index:

@@ -30,11 +30,12 @@ knobs* -- the gate, not the knowledge, is what the experiments measure.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 from ..diagnostics import ErrorCategory, compile_source
 from ..rag.database import GuidanceEntry
+from ..runtime.accounting import tier_family
+from ..runtime.faults import stable_unit
 from .base import RepairStep
 from .repair.diagnosis import ParsedError, detect_flavor, parse_feedback
 from .repair.strategies import STRATEGIES, apply_strategy
@@ -99,16 +100,6 @@ CATEGORY_DELTA: dict[ErrorCategory, float] = {
 }
 
 
-def _stable_unit(key: str) -> float:
-    """Deterministic uniform(0,1) from a string key."""
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-def _tier_key(tier: str) -> str:
-    return "gpt-4" if tier.startswith("gpt-4") else "gpt-3.5"
-
-
 class SimulatedLLM:
     """RepairModel implementation with tier personas."""
 
@@ -138,7 +129,7 @@ class SimulatedRepairSession:
         self.model = model
         self.flavor = flavor
         self.use_rag = use_rag
-        tier = _tier_key(model.tier)
+        tier = tier_family(model.tier)
         key = f"{model.seed}|{tier}|{flavor}|{use_rag}|{code}"
         self.rng = random.Random(key)
 
@@ -149,7 +140,7 @@ class SimulatedRepairSession:
         ceiling += self._difficulty_delta(code) * min(1.0, 2.5 * (1.0 - ceiling))
         # Temperature around the paper's 0.4 mildly widens/narrows skill.
         ceiling -= (model.temperature - 0.4) * 0.10
-        self.capable = _stable_unit("cap|" + key) < max(0.01, min(0.995, ceiling))
+        self.capable = stable_unit("cap|" + key) < max(0.01, min(0.995, ceiling))
         self.round_p = ROUND_SUCCESS[tier][(flavor, use_rag)]
         self.attempt = 0
 

@@ -22,9 +22,12 @@ from .oracles import SimOracle
 from .proposers import FallbackProposer, LogicModelProposer
 from .templates import TemplateProposer
 
-#: The functional workload's engine knobs: Simulator action, 2-line
-#: action input, hill-climbing acceptance, keep going while any
-#: proposer in the chain has candidates, give-up turn on exhaustion.
+#: The simulation flavor of the engine loop, shared with
+#: :class:`~repro.agents.simfix.SimDebugAgent`: Simulator action, 2-line
+#: action input, improving-only (hill-climbing) acceptance, no Finish
+#: turns on success, keep going after a declared-done step that changed
+#: the code (or while any proposer in the chain has candidates), and an
+#: explicit give-up turn on exhaustion.
 FUNCTIONAL_CONFIG = EngineConfig(
     action="Simulator",
     head_lines=2,
@@ -37,7 +40,7 @@ FUNCTIONAL_CONFIG = EngineConfig(
 )
 
 
-def _default_logic_model():
+def default_logic_model():
     """Direct simulated debugger, or the pool-routed variant when an
     ambient :func:`~repro.llm.pool.get_default_llm_routing` spec is in
     scope (tier escalation + token accounting for the workload)."""
@@ -68,7 +71,7 @@ def build_functional_engine(
         sim_limits=sim_limits,
     )
     if model is None:
-        model = _default_logic_model()
+        model = default_logic_model()
     localizer: Optional[TraceDiffLocalizer] = None
     if localize and oracle.reference is not None:
         localizer = TraceDiffLocalizer(

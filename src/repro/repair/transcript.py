@@ -1,10 +1,8 @@
 """ReAct transcripts: Thought / Action / Observation traces (Fig. 2c).
 
-Home of :class:`Transcript` / :class:`Turn` since the repair-engine
-refactor (``repro.agents.transcript`` re-exports them for
-compatibility): the transcript is the engine's output format, shared by
-every oracle/proposer configuration, so it lives with the engine rather
-than with any one agent.
+The transcript is the repair engine's output format, shared by every
+oracle/proposer configuration, so it lives with the engine rather than
+with any one agent.
 """
 
 from __future__ import annotations

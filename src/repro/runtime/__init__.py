@@ -11,10 +11,9 @@ The pillars every experiment driver in :mod:`repro.eval` is built on:
   selected via ``RTLFixerConfig.jobs`` or the CLI ``--jobs`` flag, with
   failure isolation (``on_error="collect"`` -> :class:`WorkFailure`
   records) or prompt aborts (``on_error="raise"`` cancels pending work);
-* :class:`RetryPolicy` + the ``Retrying*`` wrappers -- bounded retries
-  with deterministic, seeded exponential backoff around the LLM and
-  compiler seams;
-* :class:`FaultInjector` + the ``Chaos*`` wrappers -- deterministic
+* :class:`RetryPolicy` + :class:`FaultInjector`, applied by one
+  :class:`Guard` around the LLM and compiler seams -- bounded retries
+  with deterministic, seeded exponential backoff, and deterministic
   fault injection so every failure path above is testable at a fixed
   seed;
 * :func:`run_fuzz` -- the seeded corpus fuzzer that continuously
@@ -94,18 +93,13 @@ from .fuzz import (
 )
 from .faults import (
     GARBAGE_CODE,
-    ChaosCompiler,
-    ChaosLLMClient,
-    ChaosRepairModel,
     FaultInjector,
     FaultSpec,
     get_active_sim_injector,
     use_sim_chaos,
 )
 from .retry import (
-    RetryingCompiler,
-    RetryingLLMClient,
-    RetryingRepairModel,
+    Guard,
     RetryPolicy,
     call_with_retry,
     guidance_key,
@@ -135,7 +129,6 @@ __all__ = [
     "messages_key",
     "set_active_token_counter",
     "use_token_counter",
-    "ChaosCompiler",
     "CompileSession",
     "PipelineStats",
     "StageCache",
@@ -156,8 +149,6 @@ __all__ = [
     "decode_payload",
     "encode_payload",
     "unit_key",
-    "ChaosLLMClient",
-    "ChaosRepairModel",
     "CompileCache",
     "DEFAULT_CACHE",
     "DEFAULT_MAXSIZE",
@@ -171,9 +162,7 @@ __all__ = [
     "ParallelRunner",
     "SEED_CORPUS",
     "RetryPolicy",
-    "RetryingCompiler",
-    "RetryingLLMClient",
-    "RetryingRepairModel",
+    "Guard",
     "SIM_MUTATORS",
     "StimulusPlan",
     "WorkFailure",

@@ -31,6 +31,12 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
+def tier_family(tier: str) -> str:
+    """The paper's capability/cost axis a model tier belongs to:
+    ``gpt-4`` for every ``gpt-4*`` tier, else ``gpt-3.5``."""
+    return "gpt-4" if tier.startswith("gpt-4") else "gpt-3.5"
+
+
 def estimate_tokens(text: str) -> int:
     """Deterministic token estimate for accounting (~4 chars/token)."""
     if not text:

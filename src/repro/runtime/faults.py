@@ -20,9 +20,8 @@ Pieces:
   or permanent (every attempt fails, so retries exhaust);
 * :class:`FaultInjector` -- draws fault decisions deterministically
   from ``(seed, site, key)``;
-* :class:`ChaosRepairModel` / :class:`ChaosLLMClient` /
-  :class:`ChaosCompiler` -- wrappers that apply an injector to a real
-  model / client / compiler.
+* :class:`~repro.runtime.retry.Guard` (``injector=``) -- applies an
+  injector to a real model / client / compiler.
 
 ``exception`` and ``timeout`` faults raise
 :class:`~repro.errors.InjectedFault` /
@@ -37,14 +36,9 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Optional
+from typing import Literal, Optional
 
 from ..errors import InjectedFault, LLMTimeoutError
-from .retry import guidance_key, messages_key
-
-if TYPE_CHECKING:
-    from ..diagnostics.compiler import CompileResult
-    from ..llm.base import ChatMessage, RepairStep
 
 FaultKind = Literal["exception", "timeout", "garbage"]
 
@@ -53,15 +47,10 @@ FaultKind = Literal["exception", "timeout", "garbage"]
 GARBAGE_CODE = "@@@ chaos: garbled model reply @@@"
 
 
-def _stable_unit(key: str) -> float:
+def stable_unit(key: str) -> float:
     """Deterministic uniform(0,1) draw from a string key."""
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-def _digest(text: str) -> str:
-    """Short stable content digest for fault keying."""
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ class FaultInjector:
         spec = self._spec_for(site)
         if spec is None or spec.rate <= 0.0:
             return None
-        if _stable_unit(f"fault|{self.seed}|{site}|{key}") >= spec.rate:
+        if stable_unit(f"fault|{self.seed}|{site}|{key}") >= spec.rate:
             return None
         if spec.transient_failures:
             count = self._raised.get((site, key), 0)
@@ -149,7 +138,7 @@ class FaultInjector:
 
 
 #: Ambient injector consulted by the simulation harnesses.  The LLM and
-#: compiler seams wrap concrete objects, but the sim harnesses are plain
+#: compiler seams guard concrete objects, but the sim harnesses are plain
 #: functions called from deep inside agents -- an ambient scope (the
 #: same idiom as the verdict cache) reaches them without threading an
 #: injector through every signature.
@@ -171,122 +160,3 @@ def use_sim_chaos(injector: Optional[FaultInjector]):
         yield injector
     finally:
         _active_sim_injector = previous
-
-
-class ChaosRepairModel:
-    """Chaos wrapper for a :class:`~repro.llm.base.RepairModel`.
-
-    Fault keys include the wrapped model's seed (when it has one) and a
-    content digest, so per-trial experiments fault the same trials at
-    any job count.
-    """
-
-    def __init__(self, inner, injector: FaultInjector):
-        self.inner = inner
-        self.injector = injector
-
-    @property
-    def name(self) -> str:
-        """Marks the model as chaos-wrapped in labels and reports."""
-        return f"chaos({self.inner.name})"
-
-    def with_seed(self, seed: int) -> "ChaosRepairModel":
-        """Re-seed the wrapped model; the injector seed is independent
-        (faults stay pinned to the chaos seed, not the sampling seed)."""
-        inner = self.inner
-        reseed = getattr(inner, "with_seed", None)
-        if callable(reseed):
-            inner = reseed(seed)
-        return ChaosRepairModel(inner, self.injector)
-
-    def _session_key(self, code: str) -> str:
-        return f"{getattr(self.inner, 'seed', 0)}|{_digest(code)}"
-
-    def start(self, code: str, flavor: str, use_rag: bool) -> "ChaosRepairSession":
-        """Open a session, possibly faulting the handshake itself."""
-        key = self._session_key(code)
-        self.injector.fire("llm.start", key)
-        return ChaosRepairSession(
-            self.inner.start(code, flavor, use_rag), self.injector, key
-        )
-
-
-class ChaosRepairSession:
-    """Session counterpart of :class:`ChaosRepairModel`."""
-
-    def __init__(self, inner, injector: FaultInjector, key: str):
-        self.inner = inner
-        self.injector = injector
-        self.key = key
-
-    def step(self, code: str, feedback: str, guidance: list) -> RepairStep:
-        """One model turn, faulted by content key (a retry of the same
-        turn re-draws the same decision, so transient specs recover).
-        Guidance participates in the key -- mirroring the retry layer --
-        so turns differing only in retrieved guidance draw independent
-        fault decisions."""
-        # Imported here, not at module top: repro.llm.pool imports this
-        # module, so a top-level llm import would be circular when the
-        # runtime package initializes first (e.g. `rtlfixer fuzz`).
-        from ..llm.base import RepairStep
-
-        key = f"{self.key}|{_digest(code)}|{_digest(feedback)}|{guidance_key(guidance)}"
-        kind = self.injector.fire("llm.step", key)
-        if kind == "garbage":
-            return RepairStep(
-                thought="(chaos) the reply came back garbled",
-                code=GARBAGE_CODE,
-            )
-        return self.inner.step(code, feedback, guidance)
-
-    def observe(self, success: bool) -> None:
-        """Forward the agent's per-iteration outcome signal (tier
-        escalation) to the wrapped session when it routes on it."""
-        notice = getattr(self.inner, "observe", None)
-        if callable(notice):
-            notice(success)
-
-
-class ChaosLLMClient:
-    """Chaos wrapper for a raw :class:`~repro.llm.base.LLMClient`."""
-
-    def __init__(self, inner, injector: FaultInjector):
-        self.inner = inner
-        self.injector = injector
-
-    def complete(self, messages: list["ChatMessage"], temperature: float = 0.4) -> str:
-        """One chat completion, possibly faulted or garbled.  Keyed
-        role- and temperature-aware (:func:`~repro.runtime.retry.messages_key`)
-        like the retry layer, so a rearranged conversation or a changed
-        temperature draws a fresh fault decision and a retried identical
-        call re-draws the same one."""
-        key = messages_key(messages, temperature)
-        kind = self.injector.fire("client.complete", key)
-        if kind == "garbage":
-            return GARBAGE_CODE
-        return self.inner.complete(messages, temperature=temperature)
-
-
-class ChaosCompiler:
-    """Chaos wrapper for the compiler facade.
-
-    ``garbage`` faults compile a corrupted variant of the source, so the
-    agent receives real-but-wrong diagnostics (a poisoned feedback
-    channel) instead of an exception.
-    """
-
-    def __init__(self, inner, injector: FaultInjector):
-        self.inner = inner
-        self.injector = injector
-
-    @property
-    def flavor(self) -> str:
-        """The wrapped compiler's feedback flavour."""
-        return self.inner.flavor
-
-    def compile(self, code: str) -> "CompileResult":
-        """One compiler invocation, possibly faulted or poisoned."""
-        kind = self.injector.fire("compiler.compile", _digest(code))
-        if kind == "garbage":
-            return self.inner.compile(code + "\n" + GARBAGE_CODE + "\n")
-        return self.inner.compile(code)

@@ -9,10 +9,10 @@ agent stack one uniform answer:
   at a fixed seed), and an optional per-call timeout budget;
 * :func:`call_with_retry` -- run a callable under a policy, retrying
   only :class:`repro.errors.TransientError` faults;
-* :class:`RetryingRepairModel` / :class:`RetryingLLMClient` /
-  :class:`RetryingCompiler` -- transparent wrappers that apply a policy
-  around ``RepairModel.start``/``step``, ``LLMClient.complete`` and
-  ``Compiler.compile`` respectively.
+* :class:`Guard` -- one transparent wrapper that applies a policy and/or
+  a :class:`~repro.runtime.faults.FaultInjector` around
+  ``RepairModel.start``/``step``, ``LLMClient.complete`` and
+  ``Compiler.compile``, each keyed by call content.
 
 Determinism: backoff delays derive from ``random.Random(seed | key)``,
 never from wall-clock entropy, so tests can assert the exact schedule.
@@ -48,21 +48,19 @@ from ..errors import (
     TransientError,
 )
 from ..service.deadline import current_deadline
+from .checkpoint import content_digest
+from .faults import GARBAGE_CODE
 
 if TYPE_CHECKING:  # typing only: keep the runtime layer import-light
     from ..diagnostics.compiler import CompileResult
     from ..llm.base import ChatMessage, RepairStep
+    from .faults import FaultInjector
 
 T = TypeVar("T")
 
 #: Injectable sleep/clock hooks (tests pass fakes for instant runs).
 SleepFn = Callable[[float], None]
 ClockFn = Callable[[], float]
-
-
-def _digest(text: str) -> str:
-    """Short stable digest used to key backoff schedules by content."""
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _update_length_prefixed(hasher, text: str) -> None:
@@ -219,152 +217,176 @@ def call_with_retry(
         sleep(delay)
 
 
-class RetryingRepairModel:
-    """A :class:`~repro.llm.base.RepairModel` wrapper that retries
-    ``start`` and every session ``step`` under a :class:`RetryPolicy`.
+@dataclass(frozen=True)
+class _Seam:
+    """How :class:`Guard` keys and garbles one guarded method."""
 
-    Transparent on the happy path: a model that never raises behaves
-    bit-identically wrapped or not (no sleeps, no extra calls).
+    #: The :class:`~repro.runtime.faults.FaultInjector` site.
+    site: str
+    #: The call's content key from its arguments; the backoff key is
+    #: ``"<method>|<content key>"``.
+    content: Callable[..., str]
+    #: The fault key from ``(guard, content key)``; by default the bare
+    #: content key.
+    fault_key: Callable[["Guard", str], str] = lambda guard, key: key
+    #: The reply a ``garbage`` fault substitutes, from ``(inner, *args)``;
+    #: ``None`` lets the call proceed as if unfaulted.
+    garbage: Optional[Callable[..., object]] = None
+
+
+def _garbled_step(inner, code: str, feedback: str, guidance: list) -> "RepairStep":
+    # Imported here, not at module top: repro.llm imports the runtime
+    # package, so a top-level llm import would be circular.
+    from ..llm.base import RepairStep
+
+    return RepairStep(
+        thought="(chaos) the reply came back garbled", code=GARBAGE_CODE
+    )
+
+
+#: The guarded seams.  A session's turns draw faults under its start's
+#: fault key (``seed|digest(code)``), so the same trial faults the same
+#: turns at any job count; ``compile`` garbage compiles a corrupted
+#: source, so the agent gets real-but-wrong diagnostics.
+_SEAMS = {
+    "start": _Seam(
+        "llm.start",
+        lambda code, flavor, use_rag: content_digest(code),
+        fault_key=lambda guard, key: f"{getattr(guard.inner, 'seed', 0)}|{key}",
+    ),
+    "step": _Seam(
+        "llm.step",
+        lambda code, feedback, guidance: (
+            f"{content_digest(code)}|{content_digest(feedback)}|"
+            f"{guidance_key(guidance)}"
+        ),
+        fault_key=lambda guard, key: f"{guard.session_key}|{key}",
+        garbage=_garbled_step,
+    ),
+    "complete": _Seam(
+        "client.complete",
+        messages_key,
+        garbage=lambda inner, messages, temperature: GARBAGE_CODE,
+    ),
+    "compile": _Seam(
+        "compiler.compile",
+        content_digest,
+        garbage=lambda inner, code: inner.compile(f"{code}\n{GARBAGE_CODE}\n"),
+    ),
+}
+
+
+class Guard:
+    """Retry and/or fault injection around one component's calls.
+
+    Guards a :class:`~repro.llm.base.RepairModel` (``start``, whose
+    session comes back guarded for ``step``), an
+    :class:`~repro.llm.base.LLMClient` (``complete``) or a compiler
+    facade (``compile``).  ``policy`` retries transient faults under
+    :func:`call_with_retry`; ``injector`` draws a deterministic fault
+    for every attempt *inside* that retry loop, so a transient injected
+    fault is retried away.  Either may be ``None``.
+
+    Transparent on the happy path: a component that never faults behaves
+    bit-identically guarded or not (no sleeps, no extra calls).
     """
 
     def __init__(
         self,
         inner,
-        policy: RetryPolicy,
+        policy: Optional[RetryPolicy] = None,
+        injector: Optional["FaultInjector"] = None,
+        *,
         sleep: SleepFn = time.sleep,
         clock: ClockFn = time.monotonic,
+        session_key: str = "",
     ):
         self.inner = inner
         self.policy = policy
+        self.injector = injector
+        self.session_key = session_key
         self._sleep = sleep
         self._clock = clock
 
     @property
     def name(self) -> str:
-        """The wrapped model's name (the wrapper is an implementation
-        detail, not a different model)."""
-        return self.inner.name
+        """The inner model's name, marked ``chaos(...)`` under an
+        injector (a retry layer is not a different model)."""
+        name = self.inner.name
+        return name if self.injector is None else f"chaos({name})"
 
-    def with_seed(self, seed: int) -> "RetryingRepairModel":
-        """Re-seed both the wrapped model (when it supports it) and the
-        backoff jitter."""
+    @property
+    def flavor(self) -> str:
+        """The guarded compiler's feedback flavour."""
+        return self.inner.flavor
+
+    def with_seed(self, seed: int) -> "Guard":
+        """Re-seed the inner model (when it supports it) and the backoff
+        jitter; the injector keeps its seed, so faults stay pinned to
+        the chaos seed rather than the sampling seed."""
         inner = self.inner
         reseed = getattr(inner, "with_seed", None)
         if callable(reseed):
             inner = reseed(seed)
-        return RetryingRepairModel(
-            inner, self.policy.with_seed(seed), sleep=self._sleep, clock=self._clock
+        policy = self.policy.with_seed(seed) if self.policy is not None else None
+        return Guard(
+            inner, policy, self.injector, sleep=self._sleep, clock=self._clock
         )
 
-    def start(self, code: str, flavor: str, use_rag: bool) -> "RetryingRepairSession":
-        """Open a session on the wrapped model, retrying transient
-        failures of ``start`` itself."""
-        session = call_with_retry(
-            lambda: self.inner.start(code, flavor, use_rag),
-            self.policy,
-            key=f"start|{_digest(code)}",
-            sleep=self._sleep,
-            clock=self._clock,
+    def _call(self, method: str, *args):
+        call = getattr(self.inner, method)
+        injector = self.injector
+        if self.policy is None and injector is None:
+            return call(*args)
+        seam = _SEAMS[method]
+        key = seam.content(*args)
+        if injector is None:
+            attempt = lambda: call(*args)  # noqa: E731
+        else:
+            fault_key = seam.fault_key(self, key)
+
+            def attempt():
+                kind = injector.fire(seam.site, fault_key)
+                if kind == "garbage" and seam.garbage is not None:
+                    return seam.garbage(self.inner, *args)
+                return call(*args)
+
+        if self.policy is None:
+            return attempt()
+        return call_with_retry(
+            attempt, self.policy, key=f"{method}|{key}",
+            sleep=self._sleep, clock=self._clock,
         )
-        return RetryingRepairSession(session, self.policy, self._sleep, self._clock)
 
-
-class RetryingRepairSession:
-    """Session counterpart of :class:`RetryingRepairModel`."""
-
-    def __init__(self, inner, policy: RetryPolicy, sleep: SleepFn, clock: ClockFn):
-        self.inner = inner
-        self.policy = policy
-        self._sleep = sleep
-        self._clock = clock
+    def start(self, code: str, flavor: str, use_rag: bool) -> "Guard":
+        """Open a session on the inner model; the session is guarded by
+        the same policy and injector."""
+        session = self._call("start", code, flavor, use_rag)
+        return Guard(
+            session, self.policy, self.injector,
+            sleep=self._sleep, clock=self._clock,
+            session_key=_SEAMS["start"].fault_key(self, content_digest(code)),
+        )
 
     def step(self, code: str, feedback: str, guidance: list) -> "RepairStep":
-        """One retried model turn (keyed by turn content, so the backoff
-        schedule is reproducible per call site).  Guidance participates
-        in the key: two turns differing only in retrieved guidance are
-        distinct calls with their own backoff schedule and transient-
-        fault budget."""
-        return call_with_retry(
-            lambda: self.inner.step(code, feedback, guidance),
-            self.policy,
-            key=f"step|{_digest(code)}|{_digest(feedback)}|{guidance_key(guidance)}",
-            sleep=self._sleep,
-            clock=self._clock,
-        )
+        """One guarded model turn.  Guidance participates in the key, so
+        turns differing only in retrieved guidance draw independent
+        backoff schedules and faults."""
+        return self._call("step", code, feedback, guidance)
+
+    def complete(self, messages: list["ChatMessage"], temperature: float = 0.4) -> str:
+        """One guarded chat completion, keyed role- and temperature-aware
+        (see :func:`messages_key`)."""
+        return self._call("complete", messages, temperature)
+
+    def compile(self, code: str) -> "CompileResult":
+        """One guarded compiler invocation."""
+        return self._call("compile", code)
 
     def observe(self, success: bool) -> None:
         """Forward the agent's per-iteration outcome signal to sessions
-        that route on it (the pool's tier-escalation policy); a no-op
-        for sessions that do not."""
+        that route on it (the pool's tier escalation); a no-op for
+        sessions that do not."""
         notice = getattr(self.inner, "observe", None)
         if callable(notice):
             notice(success)
-
-
-class RetryingLLMClient:
-    """An :class:`~repro.llm.base.LLMClient` wrapper retrying
-    ``complete`` -- the raw-API analogue of
-    :class:`RetryingRepairModel` for API-backed backends
-    (see :mod:`repro.llm.openai_stub`)."""
-
-    def __init__(
-        self,
-        inner,
-        policy: RetryPolicy,
-        sleep: SleepFn = time.sleep,
-        clock: ClockFn = time.monotonic,
-    ):
-        self.inner = inner
-        self.policy = policy
-        self._sleep = sleep
-        self._clock = clock
-
-    def complete(self, messages: list["ChatMessage"], temperature: float = 0.4) -> str:
-        """One retried chat completion, keyed role- and temperature-
-        aware (see :func:`messages_key`) so rearranged conversations or
-        resampled temperatures never share a backoff schedule."""
-        key = "complete|" + messages_key(messages, temperature)
-        return call_with_retry(
-            lambda: self.inner.complete(messages, temperature=temperature),
-            self.policy,
-            key=key,
-            sleep=self._sleep,
-            clock=self._clock,
-        )
-
-
-class RetryingCompiler:
-    """Compiler-facade wrapper retrying ``compile``.
-
-    The in-process compiler is deterministic and never raises transient
-    faults, so this is a no-op in production; it exists so chaos tests
-    can exercise the *agent's* behaviour when a compile service flakes
-    (the deployment shape every API-backed backend will have).
-    """
-
-    def __init__(
-        self,
-        inner,
-        policy: RetryPolicy,
-        sleep: SleepFn = time.sleep,
-        clock: ClockFn = time.monotonic,
-    ):
-        self.inner = inner
-        self.policy = policy
-        self._sleep = sleep
-        self._clock = clock
-
-    @property
-    def flavor(self) -> str:
-        """The wrapped compiler's feedback flavour."""
-        return self.inner.flavor
-
-    def compile(self, code: str) -> "CompileResult":
-        """One retried compiler invocation."""
-        return call_with_retry(
-            lambda: self.inner.compile(code),
-            self.policy,
-            key=f"compile|{_digest(code)}",
-            sleep=self._sleep,
-            clock=self._clock,
-        )

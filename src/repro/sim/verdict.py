@@ -20,7 +20,7 @@ cached -- lookups simply miss and the caller runs the simulation.
 
 Chaos engineering stays transparent by construction: fault injection
 perturbs the *source text* before compilation
-(:class:`~repro.runtime.faults.ChaosCompiler` appends garbage), which
+(a chaos :class:`~repro.runtime.retry.Guard` appends garbage), which
 changes the preprocessed text, hence the digest, hence the verdict key
 -- a chaos-garbled design can never alias a clean design's verdict.
 """

@@ -6,6 +6,7 @@ Everything here is marked ``chaos`` so ``scripts/bench.sh`` (and
 ``pytest -m chaos``) can run the fault paths as a selectable suite.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -27,16 +28,11 @@ from repro.llm.base import ChatMessage
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
     GARBAGE_CODE,
-    ChaosCompiler,
-    ChaosLLMClient,
-    ChaosRepairModel,
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
+    Guard,
     ParallelRunner,
-    RetryingCompiler,
-    RetryingLLMClient,
-    RetryingRepairModel,
     RetryPolicy,
     WorkFailure,
     call_with_retry,
@@ -193,7 +189,7 @@ class TestCallWithRetry:
 
 class TestRetryingWrappers:
     def test_retrying_model_recovers_flaky_steps(self):
-        model = RetryingRepairModel(
+        model = Guard(
             _FlakyModel(failures=2), RetryPolicy(max_retries=2, seed=0),
             sleep=lambda _: None,
         )
@@ -203,9 +199,8 @@ class TestRetryingWrappers:
 
     def test_retrying_model_exhausts_on_permanent_fault(self):
         injector = FaultInjector(seed=0, llm=FaultSpec(rate=1.0, kind="exception"))
-        model = RetryingRepairModel(
-            ChaosRepairModel(SimulatedLLM(), injector),
-            RetryPolicy(max_retries=1, seed=0),
+        model = Guard(
+            SimulatedLLM(), RetryPolicy(max_retries=1, seed=0), injector,
             sleep=lambda _: None,
         )
         agent = ReActAgent(model=model, compiler=Compiler("quartus"))
@@ -220,7 +215,7 @@ class TestRetryingWrappers:
         assert wrapped.iterations == plain.iterations
 
     def test_retrying_model_with_seed_reseeds_inner(self):
-        model = RetryingRepairModel(SimulatedLLM(seed=0), RetryPolicy(seed=0))
+        model = Guard(SimulatedLLM(seed=0), RetryPolicy(seed=0))
         reseeded = model.with_seed(5)
         assert reseeded.inner.seed == 5
         assert reseeded.policy.seed == 5
@@ -230,9 +225,8 @@ class TestRetryingWrappers:
         injector = FaultInjector(
             seed=3, compiler=FaultSpec(rate=1.0, transient_failures=1)
         )
-        compiler = RetryingCompiler(
-            ChaosCompiler(Compiler("quartus"), injector),
-            RetryPolicy(max_retries=2, seed=0),
+        compiler = Guard(
+            Compiler("quartus"), RetryPolicy(max_retries=2, seed=0), injector,
             sleep=lambda _: None,
         )
         assert compiler.flavor == "quartus"
@@ -290,7 +284,7 @@ class TestFaultInjector:
 class TestChaosWrappers:
     def test_garbage_steps_survived_by_agent_loop(self):
         injector = FaultInjector(seed=0, llm=FaultSpec(rate=1.0, kind="garbage"))
-        model = ChaosRepairModel(SimulatedLLM(), injector)
+        model = Guard(SimulatedLLM(), injector=injector)
         agent = ReActAgent(model=model, compiler=Compiler("quartus"), max_iterations=3)
         result = agent.run(BROKEN)
         assert not result.success  # garbage can't fix anything...
@@ -301,10 +295,11 @@ class TestChaosWrappers:
             def complete(self, messages, temperature=0.4):
                 return "echo"
 
-        garbled = ChaosLLMClient(
-            _Echo(), FaultInjector(seed=0, client=FaultSpec(rate=1.0, kind="garbage"))
+        garbled = Guard(
+            _Echo(),
+            injector=FaultInjector(seed=0, client=FaultSpec(rate=1.0, kind="garbage")),
         )
-        clean = ChaosLLMClient(_Echo(), FaultInjector(seed=0))
+        clean = Guard(_Echo(), injector=FaultInjector(seed=0))
         assert garbled.complete([]) == GARBAGE_CODE
         assert clean.complete([]) == "echo"
 
@@ -312,11 +307,11 @@ class TestChaosWrappers:
         injector = FaultInjector(
             seed=0, compiler=FaultSpec(rate=1.0, kind="garbage")
         )
-        chaos = ChaosCompiler(Compiler("quartus"), injector)
+        chaos = Guard(Compiler("quartus"), injector=injector)
         assert not chaos.compile(GOOD).ok  # clean code, poisoned diagnostics
 
     def test_chaos_model_name_marks_wrapper(self):
-        model = ChaosRepairModel(SimulatedLLM(), FaultInjector(seed=0))
+        model = Guard(SimulatedLLM(), injector=FaultInjector(seed=0))
         assert model.name == "chaos(gpt-3.5-sim)"
 
 
@@ -395,12 +390,12 @@ class TestPromptAbort:
 
 class TestWithSeedCarriesModel:
     def test_injected_model_survives_with_seed(self):
-        chaos = ChaosRepairModel(
-            SimulatedLLM(), FaultInjector(seed=7, llm=FaultSpec(rate=1.0))
+        chaos = Guard(
+            SimulatedLLM(), injector=FaultInjector(seed=7, llm=FaultSpec(rate=1.0))
         )
         fixer = RTLFixer(model=chaos, max_retries=0)
         reseeded = fixer.with_seed(3)
-        assert isinstance(reseeded.injected_model, ChaosRepairModel)
+        assert isinstance(reseeded.injected_model, Guard)
         assert reseeded.injected_model.inner.seed == 3
         # The regression: the chaos model used to be silently replaced
         # by a fresh SimulatedLLM, so faults vanished on repeated trials.
@@ -468,9 +463,9 @@ class TestChaosExperimentRun:
     surviving units are bit-identical to a serial run at any job count."""
 
     def _chaos_fixer(self) -> RTLFixer:
-        chaos = ChaosRepairModel(
+        chaos = Guard(
             SimulatedLLM(),
-            FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
+            injector=FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
         )
         return RTLFixer(
             config=RTLFixerConfig(max_retries=0, on_error="collect"), model=chaos
@@ -502,9 +497,9 @@ class TestChaosExperimentRun:
         assert parallel.rate == serial.rate
 
     def test_retries_heal_transient_chaos(self, tiny_dataset):
-        flaky = ChaosRepairModel(
+        flaky = Guard(
             SimulatedLLM(),
-            FaultInjector(
+            injector=FaultInjector(
                 seed=13, llm=FaultSpec(rate=0.3, kind="exception",
                                        transient_failures=1),
             ),
@@ -537,7 +532,7 @@ class TestVerdictChaosTransparency:
         injector = FaultInjector(
             seed=1, compiler=FaultSpec(rate=1.0, kind="garbage")
         )
-        chaos = ChaosCompiler(Compiler("quartus"), injector)
+        chaos = Guard(Compiler("quartus"), injector=injector)
         clean = Compiler("quartus").compile(self.CLEAN)
         garbled = chaos.compile(self.CLEAN)
         assert clean.ok and clean.elaborated.digest is not None
@@ -564,9 +559,9 @@ class TestVerdictChaosTransparency:
     def test_chaos_run_deterministic_with_shared_verdict_cache(self, tiny_dataset):
         from repro.sim import VerdictCache, no_verdict_cache, use_verdict_cache
 
-        chaos = ChaosRepairModel(
+        chaos = Guard(
             SimulatedLLM(),
-            FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
+            injector=FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
         )
         fixer = RTLFixer(
             config=RTLFixerConfig(max_retries=0, on_error="collect"), model=chaos
@@ -777,9 +772,8 @@ class TestContentKeying:
             seed=0,
             client=FaultSpec(rate=1.0, kind="exception", transient_failures=1),
         )
-        client = RetryingLLMClient(
-            ChaosLLMClient(_Echo(), injector),
-            RetryPolicy(max_retries=2, seed=0),
+        client = Guard(
+            _Echo(), RetryPolicy(max_retries=2, seed=0), injector,
             sleep=lambda _s: None,
         )
         calls = [
@@ -801,7 +795,7 @@ class TestContentKeying:
             seed=0,
             llm=FaultSpec(rate=1.0, kind="exception", transient_failures=1),
         )
-        model = ChaosRepairModel(SimulatedLLM(), injector)
+        model = Guard(SimulatedLLM(), injector=injector)
         with pytest.raises(InjectedFault):
             model.start(BROKEN, "quartus", True)  # start faults once too
         session = model.start(BROKEN, "quartus", True)
@@ -824,3 +818,86 @@ class TestContentKeying:
         assert role_a == list(
             policy.delays("complete|" + messages_key(self.ROLE_A, 0.4))
         )
+
+
+def _guarded(inner, policy, injector):
+    """``inner`` under retry with chaos drawn inside the retry loop."""
+    return Guard(inner, policy, injector, sleep=lambda _s: None)
+
+
+class TestSeamKeys:
+    """Pins the exact fault ``(site, key)`` and backoff key every guarded
+    seam draws, plus the digest of one small retried chaos run.  The
+    expected strings are literals: any change to how a seam keys its
+    faults or its backoff schedule changes which calls fault and how
+    long they sleep, so it must show up here."""
+
+    def test_seam_keys_and_chaos_run_digest(self, monkeypatch, tiny_dataset):
+        from repro.rag.retrievers import make_retriever
+        from repro.repair import result_digest
+
+        fired, delayed = [], []
+        fire, delays = FaultInjector.fire, RetryPolicy.delays
+
+        def recording_fire(self, site, key):
+            fired.append((site, key))
+            return fire(self, site, key)
+
+        def recording_delays(self, key=""):
+            delayed.append(key)
+            return delays(self, key)
+
+        monkeypatch.setattr(FaultInjector, "fire", recording_fire)
+        monkeypatch.setattr(RetryPolicy, "delays", recording_delays)
+
+        class _Echo:
+            def complete(self, messages, temperature=0.4):
+                return "echo"
+
+        policy = RetryPolicy(max_retries=2, seed=0)
+        quiet = FaultInjector(seed=0)
+        entries = build_default_database().for_compiler("quartus")[:1]
+        session = _guarded(SimulatedLLM(seed=3), policy, quiet).start(
+            BROKEN, "quartus", True
+        )
+        session.step(BROKEN, "feedback", [])
+        session.step(BROKEN, "feedback", entries)
+        _guarded(_Echo(), policy, quiet).complete(
+            [ChatMessage("user", "a")], temperature=0.4
+        )
+        _guarded(Compiler("quartus"), policy, quiet).compile(GOOD)
+        code = "696b4be5c4e22be0"  # digest of BROKEN
+        step = f"{code}|59bda3f8ee98128d"  # ...and of "feedback"
+        assert fired == [
+            ("llm.start", f"3|{code}"),
+            ("llm.step", f"3|{code}|{step}|af5570f5a1810b7a"),
+            ("llm.step", f"3|{code}|{step}|0b66459350ad82b6"),
+            ("client.complete", "fcb85d97e1781eb1"),
+            ("compiler.compile", "c9cc98bfcd43b379"),
+        ]
+        assert delayed == [
+            f"start|{code}",
+            f"step|{step}|af5570f5a1810b7a",
+            f"step|{step}|0b66459350ad82b6",
+            "complete|fcb85d97e1781eb1",
+            "compile|c9cc98bfcd43b379",
+        ]
+
+        # A small retried chaos run: every transient fault heals, and the
+        # transcripts plus the fault ledger hash to a fixed digest.
+        injector = FaultInjector(
+            seed=11,
+            llm=FaultSpec(rate=0.5, transient_failures=1),
+            compiler=FaultSpec(rate=0.5, transient_failures=1),
+        )
+        agent = ReActAgent(
+            model=_guarded(SimulatedLLM(), policy, injector),
+            compiler=_guarded(Compiler("quartus"), policy, injector),
+            retriever=make_retriever(
+                "exact", build_default_database(), "quartus"
+            ),
+        )
+        digests = [result_digest(agent.run(e.code)) for e in tiny_dataset.entries[:4]]
+        assert injector._raised, "the run must draw some transient faults"
+        ledger = "\n".join(digests) + repr(sorted(injector._raised.items()))
+        assert hashlib.sha256(ledger.encode()).hexdigest()[:16] == "5ce390776848bac0"

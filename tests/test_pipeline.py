@@ -9,10 +9,9 @@ import pytest
 from repro.diagnostics import Compiler, ErrorCategory, compile_source
 from repro.diagnostics.engine import DiagnosticEngine
 from repro.runtime import (
-    ChaosCompiler,
     FaultInjector,
     FaultSpec,
-    RetryingCompiler,
+    Guard,
     RetryPolicy,
     no_compile_cache,
 )
@@ -359,7 +358,7 @@ class TestCompilerFacade:
 
     def test_wrapped_by_retrying_compiler(self):
         with no_compile_cache(), use_stage_cache() as cache:
-            compiler = RetryingCompiler(Compiler(), RetryPolicy(max_retries=2))
+            compiler = Guard(Compiler(), RetryPolicy(max_retries=2))
             assert compiler.compile(MODULE_A + MODULE_B).ok
             assert compiler.compile(MODULE_A + MODULE_B_EDITED).ok
             assert cache.stats.segments_reused > 0
@@ -368,7 +367,7 @@ class TestCompilerFacade:
         injector = FaultInjector(seed=3, compiler=FaultSpec(rate=1.0,
                                                             kind="garbage"))
         with no_compile_cache(), use_stage_cache():
-            compiler = ChaosCompiler(Compiler(), injector)
+            compiler = Guard(Compiler(), injector=injector)
             # A poisoned compile goes through the same session and stays
             # a well-formed (failing) result, never an exception.
             result = compiler.compile(MODULE_A)

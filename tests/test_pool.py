@@ -306,11 +306,11 @@ class TestSimulatedRoundTrip:
 
 class TestRoutingPolicy:
     def test_base_index_matches_requested_tier(self):
-        pool = PooledRepairModel(RoutingSpec.parse(POOL), tier="gpt-4-sim").pool
-        assert pool.base_index("gpt-3.5-sim") == 0
-        assert pool.base_index("gpt-4-sim") == 1
-        assert pool.base_index("gpt-4-turbo-sim") == 1  # family fallback
-        assert pool.base_index("unknown-tier") == 0
+        routing = RoutingSpec.parse(POOL)
+        assert routing.base_index("gpt-3.5-sim") == 0
+        assert routing.base_index("gpt-4-sim") == 1
+        assert routing.base_index("gpt-4-turbo-sim") == 1  # family fallback
+        assert routing.base_index("unknown-tier") == 0
 
     def test_escalation_climbs_after_k_failures(self):
         routing = RoutingSpec.parse(POOL, escalate_after=2)
@@ -345,13 +345,13 @@ class TestRoutingPolicy:
         assert ledger["backends"]["strong"]["calls"] == ledger["escalations"]
 
     def test_observe_signal_survives_retry_wrapper(self):
-        # RTLFixer wraps the pooled model in RetryingRepairModel by
+        # RTLFixer puts the pooled model behind a retry Guard by
         # default; the escalation signal must pass through it.
         routing = RoutingSpec.parse(POOL, escalate_after=1)
         counter = TokenCounter()
         with use_llm_routing(routing), use_token_counter(counter):
             fixer = RTLFixer(seed=3, max_retries=2)
-            assert type(fixer.agent.model).__name__ == "RetryingRepairModel"
+            assert type(fixer.agent.model).__name__ == "Guard"
             fixer.fix(HARD)
         assert counter.as_dict()["escalations"] >= 1
 

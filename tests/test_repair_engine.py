@@ -268,7 +268,7 @@ class TestServiceSeams:
         """The engine itself (oracle held constant) checks the ambient
         deadline at the top of every iteration, at the configured
         stage."""
-        from repro.agents.simfix import _SIMFIX_CONFIG
+        from repro.repair.functional import FUNCTIONAL_CONFIG
         from repro.repair.base import OracleVerdict
 
         class FailingOracle:
@@ -290,7 +290,7 @@ class TestServiceSeams:
                 return self
 
         engine = RepairEngine(FailingOracle(), ExpiringProposer(),
-                              config=_SIMFIX_CONFIG)
+                              config=FUNCTIONAL_CONFIG)
         with use_deadline(deadline):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 engine.run("module m;\nendmodule\n")
@@ -396,5 +396,7 @@ class TestPooledLogicModel:
 
     def test_base_index_matches_requested_tier(self):
         routing = RoutingSpec.parse("cheap=gpt-3.5-sim,strong=gpt-4-sim")
-        assert PooledLogicModel(routing, tier="gpt-4-sim").base_index() == 1
-        assert PooledLogicModel(routing, tier="gpt-3.5-sim").base_index() == 0
+        code = "module m;\nendmodule\n"
+        for tier, rung in (("gpt-4-sim", 1), ("gpt-3.5-sim", 0)):
+            session = PooledLogicModel(routing, tier=tier).start(code)
+            assert session.member_index == rung
