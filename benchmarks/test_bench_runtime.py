@@ -29,29 +29,16 @@ from repro.dataset import ProblemSet, build_syntax_dataset, verilogeval
 from repro.diagnostics import compile_source
 from repro.eval import render_table, run_table2
 from repro.eval.runner import run_fix_experiment
-from repro.runtime import (
-    CompileCache,
-    Journal,
-    ParallelRunner,
-    no_compile_cache,
-    use_compile_cache,
-)
+from repro.runtime import CompileCache, Journal, ParallelRunner
+from repro.scope import scoped
 from repro.sim import (
     UNTRACKED,
     SimLimits,
     VerdictCache,
     make_simulator,
-    no_verdict_cache,
     run_differential,
-    use_verdict_cache,
 )
-from repro.verilog.pipeline import (
-    CompileSession,
-    StageCache,
-    no_stage_cache,
-    result_fingerprint,
-    use_stage_cache,
-)
+from repro.verilog.pipeline import CompileSession, StageCache, result_fingerprint
 
 CORPUS = verilogeval()
 REFERENCES = [problem.reference for problem in CORPUS]
@@ -66,11 +53,11 @@ def _timed(fn):
 def test_compile_cache_cold_vs_warm(benchmark):
     """Warm cache lookups must beat full front-end recompilation by a
     wide margin on the corpus working set."""
-    with no_compile_cache():
+    with scoped(compile_cache=None):
         _, cold = _timed(lambda: [compile_source(src) for src in REFERENCES])
 
     cache = CompileCache()
-    with use_compile_cache(cache):
+    with scoped(compile_cache=cache):
         for src in REFERENCES:  # fill
             cache.compile(src)
 
@@ -126,13 +113,13 @@ def test_pipeline_session_cold_vs_warm(benchmark):
     cold per-revision compiles by >= 2x, bit-identically."""
     edits = _agent_edit_sequence()
 
-    with no_compile_cache(), no_stage_cache():
+    with scoped(compile_cache=None, stage_cache=None):
         cold_results, cold = _timed(
             lambda: [compile_source(code) for code in edits]
         )
 
     cache = StageCache()
-    with no_compile_cache(), use_stage_cache(cache):
+    with scoped(compile_cache=None, stage_cache=cache):
         session = CompileSession()
         session.compile(edits[0])  # fill: the agent's first compile
 
@@ -183,11 +170,11 @@ def test_fix_experiment_serial_vs_parallel(benchmark, profile):
     repeats = max(2, profile.repeats)
     jobs = min(4, os.cpu_count() or 1) or 1
 
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         serial, t_serial = _timed(
             lambda: run_fix_experiment(dataset, fixer, repeats=repeats)
         )
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         parallel, t_parallel = _timed(
             lambda: benchmark.pedantic(
                 run_fix_experiment,
@@ -231,7 +218,8 @@ def test_table2_reference_compilation_avoided(benchmark):
     ]
     problems = ProblemSet(name="bench-runtime", problems=picked)
 
-    with use_compile_cache() as cache:
+    cache = CompileCache()
+    with scoped(compile_cache=cache):
         _, cold = _timed(
             lambda: benchmark.pedantic(
                 run_table2,
@@ -289,11 +277,11 @@ def test_journal_overhead_per_trial(benchmark, tmp_path):
     dataset = build_syntax_dataset(
         CORPUS, samples_per_problem=2, seed=0, target_size=12
     )
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         plain, t_plain = _timed(
             lambda: run_fix_experiment(dataset, RTLFixer(), repeats=2)
         )
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         durable, t_durable = _timed(
             lambda: run_fix_experiment(
                 dataset, RTLFixer(run_dir=str(tmp_path / "run")), repeats=2
@@ -481,7 +469,7 @@ def test_sim_sandbox_overhead(benchmark):
         benchmark.extra_info[f"{engine}_overhead_pct"] = round(pct, 2)
 
     def run_corpus(sim_limits):
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             return [
                 run_differential(d, d, samples=128, sim_limits=sim_limits).passed
                 for d in pairs
@@ -538,11 +526,11 @@ def test_sim_verdict_cache_cold_vs_warm(benchmark):
             for design in pairs
         ]
 
-    with no_verdict_cache():
+    with scoped(verdict_cache=None):
         uncached, t_uncached = _timed(run_all)
 
     cache = VerdictCache()
-    with use_verdict_cache(cache):
+    with scoped(verdict_cache=cache):
         cold, t_cold = _timed(run_all)
 
         def warm():
@@ -591,8 +579,8 @@ def test_llm_pool_routed_vs_direct(benchmark):
     """Routing every model call through the pool (header round-trip,
     limiter, ledger) must stay cheap next to a direct SimulatedLLM run
     -- and bit-identical, which is what lets reports leave it on."""
-    from repro.llm.pool import RoutingSpec, use_llm_routing
-    from repro.runtime import TokenCounter, use_token_counter
+    from repro.llm.pool import RoutingSpec
+    from repro.runtime import TokenCounter
 
     dataset = build_syntax_dataset(
         CORPUS, samples_per_problem=4, seed=0, target_size=24
@@ -600,12 +588,15 @@ def test_llm_pool_routed_vs_direct(benchmark):
     routing = RoutingSpec.parse("cheap=gpt-3.5-sim,strong=gpt-4-sim")
     counter = TokenCounter()
 
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         direct, t_direct = _timed(
             lambda: run_fix_experiment(dataset, RTLFixer(), repeats=2)
         )
-    with use_compile_cache(), use_llm_routing(routing), \
-            use_token_counter(counter):
+    with scoped(
+        compile_cache=CompileCache(),
+        llm_routing=routing,
+        token_counter=counter,
+    ):
         routed, t_routed = _timed(
             lambda: benchmark.pedantic(
                 run_fix_experiment,
@@ -651,7 +642,7 @@ def test_llm_pool_hedged_tail_latency(benchmark):
     from repro.errors import LLMTimeoutError
     from repro.llm.backends import SimulatedChatClient
     from repro.llm.pool import PooledRepairModel, RoutingSpec
-    from repro.runtime import TokenCounter, use_token_counter
+    from repro.runtime import TokenCounter
 
     class _SlowFailing:
         """Backend that burns its service time and then times out."""
@@ -699,10 +690,10 @@ def test_llm_pool_hedged_tail_latency(benchmark):
         )
         return RTLFixer(model=model, seed=3, max_retries=0)
 
-    with use_compile_cache():
+    with scoped(compile_cache=CompileCache()):
         plain, t_plain = _timed(lambda: run(0.0).fix(code))
     counter = TokenCounter()
-    with use_compile_cache(), use_token_counter(counter):
+    with scoped(compile_cache=CompileCache(), token_counter=counter):
         hedged, t_hedged = _timed(
             lambda: benchmark.pedantic(
                 lambda: run(1.0).fix(code), rounds=1, iterations=1
@@ -753,7 +744,7 @@ def test_repair_engine_workload(benchmark):
 
     problems = ProblemSet("bench-repair", list(CORPUS)[:12])
 
-    with use_compile_cache(CompileCache()):
+    with scoped(compile_cache=CompileCache()):
         # Localization latency, measured on a fresh localizer per
         # mutant so memoization cannot flatter the number.
         localizations = 0

@@ -28,13 +28,11 @@ sys.path.insert(0, "src")
 
 from repro.dataset import build_syntax_dataset, verilogeval  # noqa: E402
 from repro.diagnostics import compile_source  # noqa: E402
-from repro.runtime import no_compile_cache  # noqa: E402
+from repro.scope import scoped  # noqa: E402
 from repro.verilog.pipeline import (  # noqa: E402
     CompileSession,
     StageCache,
-    no_stage_cache,
     result_fingerprint,
-    use_stage_cache,
 )
 
 FLAVORS = ("iverilog", "quartus")
@@ -72,9 +70,9 @@ def main() -> int:
     start = time.perf_counter()
     for index, code in enumerate(sources):
         for flavor in FLAVORS:
-            with no_compile_cache(), no_stage_cache():
+            with scoped(compile_cache=None, stage_cache=None):
                 cold = compile_source(code, flavor=flavor)
-            with no_compile_cache(), use_stage_cache(stage_cache):
+            with scoped(compile_cache=None, stage_cache=stage_cache):
                 warm = session.compile(code, flavor=flavor)
             if result_fingerprint(warm) != result_fingerprint(cold):
                 divergences += 1

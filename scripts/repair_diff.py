@@ -45,7 +45,8 @@ from repro.repair.legacy import (  # noqa: E402
     LegacyReActAgent,
     LegacySimDebugAgent,
 )
-from repro.runtime import CompileCache, use_compile_cache  # noqa: E402
+from repro.runtime import CompileCache  # noqa: E402
+from repro.scope import scoped  # noqa: E402
 
 #: (flavor, use_rag, model seed) configurations for the syntax half.
 REACT_CONFIGS = (
@@ -134,7 +135,7 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    with use_compile_cache(CompileCache()):
+    with scoped(compile_cache=CompileCache()):
         react_runs, react_bad = diff_react(args.dataset_size)
         sim_runs, sim_bad = diff_simfix(args.problems, args.seeds)
     elapsed = time.perf_counter() - started

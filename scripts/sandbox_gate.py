@@ -39,7 +39,8 @@ from pathlib import Path
 sys.path.insert(0, "src")
 
 from repro.diagnostics import compile_source  # noqa: E402
-from repro.sim import no_verdict_cache, simulate  # noqa: E402
+from repro.scope import scoped  # noqa: E402
+from repro.sim import simulate  # noqa: E402
 
 ENGINES = ("interp", "compiled")
 
@@ -96,7 +97,7 @@ def main() -> int:
         failures += 1
         print(f"FAIL: {message}", file=sys.stderr)
 
-    with no_verdict_cache():
+    with scoped(verdict_cache=None):
         for path in files:
             text = path.read_text()
             try:

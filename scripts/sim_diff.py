@@ -10,7 +10,7 @@ design **twice**:
 * **compiled** -- :class:`repro.sim.CompiledSimulator`, the closure-
   lowered two-state fast path with per-process interpreter fallback.
 
-Both runs happen under :func:`repro.sim.no_verdict_cache` so every
+Both runs happen under ``scoped(verdict_cache=None)`` so every
 simulation is really executed (no memoized verdict can mask an engine
 bug).  Any divergence in the testbench verdict (pass/fail, sample and
 mismatch counts, recorded mismatches, failure reason) or in the traced
@@ -32,8 +32,8 @@ sys.path.insert(0, "src")
 
 from repro.dataset import verilogeval  # noqa: E402
 from repro.diagnostics import compile_source  # noqa: E402
+from repro.scope import scoped  # noqa: E402
 from repro.sim import (  # noqa: E402
-    no_verdict_cache,
     run_differential,
     simulate_with_traces,
 )
@@ -101,7 +101,7 @@ def main() -> int:
     divergences = 0
     elapsed = dict.fromkeys(ENGINES, 0.0)
     cycles = dict.fromkeys(ENGINES, 0)
-    with no_verdict_cache():
+    with scoped(verdict_cache=None):
         for name, design in designs:
             verdicts = {}
             traces = {}

@@ -16,9 +16,8 @@ before the refactor): an ambient request
 mid-run with a 504, and ``on_turn`` streams per-iteration progress.
 
 By default the model is the direct
-:class:`~repro.llm.simfix.SimulatedLogicDebugger`; under an ambient
-:func:`~repro.llm.pool.get_default_llm_routing` spec it becomes the
-pool-routed :class:`~repro.llm.simfix.PooledLogicModel`, so tier
+:class:`~repro.llm.simfix.SimulatedLogicDebugger`; under a scoped
+``llm_routing`` spec (:mod:`repro.scope`) it becomes the pool-routed :class:`~repro.llm.simfix.PooledLogicModel`, so tier
 escalation and token accounting (``report.llm``) cover functional
 repair like they cover syntax repair.
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .scope import scoped
+
 
 def _llm_line(ledger: dict, routing_text: str) -> str:
     """The ``# llm:`` stderr accounting line (fix and report share it)."""
@@ -40,29 +42,7 @@ def _llm_line(ledger: dict, routing_text: str) -> str:
     )
 
 
-def _service_line(snapshot: dict) -> str:
-    """The ``# service:`` stderr line (admission/shed/outcome ledger)."""
-    shed = ",".join(
-        f"{reason}={count}" for reason, count in snapshot["shed"].items()
-    ) or "none"
-    tenants = ",".join(
-        f"{name}:{row['admitted']}/{row['shed']}"
-        for name, row in snapshot.get("tenants", {}).items()
-    ) or "none"
-    return (
-        f"# service: admitted={snapshot['admitted']} "
-        f"completed={snapshot['completed']} "
-        f"shed={snapshot['total_shed']}[{shed}] "
-        f"deadline_expired={snapshot['deadline_expired']} "
-        f"backend_errors={snapshot['backend_errors']} "
-        f"crashed={snapshot['crashed']} replayed={snapshot['replayed']} "
-        f"tenants[admitted/shed]={tenants}"
-    )
-
-
 def _cmd_fix(args: argparse.Namespace) -> int:
-    import contextlib
-
     from .core import RTLFixer
 
     with open(args.file) as f:
@@ -81,13 +61,12 @@ def _cmd_fix(args: argparse.Namespace) -> int:
         sim_limits=args.sim_limits,
     )
     counter = None
-    scope = contextlib.nullcontext()
+    fields = {}
     if args.llm_pool:
-        from .runtime import TokenCounter, use_token_counter
+        from .runtime import TokenCounter
 
-        counter = TokenCounter()
-        scope = use_token_counter(counter)
-    with scope:
+        counter = fields["token_counter"] = TokenCounter()
+    with scoped(**fields):
         result = fixer.fix(code)
     if counter is not None:
         print(
@@ -168,15 +147,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .errors import CheckpointError, RunInterrupted
     from .eval.report import ReportScale, run_full_report
     from .runtime import GracefulShutdown, atomic_write_text
-    from .sim import set_default_sim_engine, set_default_sim_limits
 
-    if args.sim_engine:
-        set_default_sim_engine(args.sim_engine)
-    if args.sim_limits is not None:
-        # Process-default budgets: every simulation in the run inherits
-        # them ambiently (the report's trial keys stay budget-free the
-        # way serve's job keys stay deadline-free).
-        set_default_sim_limits(args.sim_limits)
     if args.resume and not args.run_dir:
         print("error: --resume requires --run-dir", file=sys.stderr)
         return EXIT_CHECKPOINT_MISUSE
@@ -260,8 +231,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     if report.llm:
         print(_llm_line(report.llm, report.llm["routing"]), file=sys.stderr)
-    if report.service:
-        print(_service_line(report.service), file=sys.stderr)
     if args.run_dir:
         print(
             f"# durable run: {report.resume.get('replayed', 0)} trial(s) "
@@ -323,13 +292,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     from .errors import CheckpointError
 
-    if args.sim_limits is not None:
-        # Serve-side sandbox budgets are a process default, not part of
-        # per-job configs: job keys stay budget-free so journal replay
-        # works across budget changes (the deadline rationale).
-        from .sim import set_default_sim_limits
-
-        set_default_sim_limits(args.sim_limits)
     try:
         config = ServerConfig(
             host=args.host,
@@ -631,7 +593,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # --sim-engine / --sim-limits scope the command's simulations
+    # ambiently: report trial keys and serve job keys stay budget-free,
+    # so journal replay works across budget changes (the deadline
+    # rationale).
+    fields = {}
+    if getattr(args, "sim_engine", None):
+        fields["sim_engine"] = args.sim_engine
+    if getattr(args, "sim_limits", None) is not None:
+        fields["sim_limits"] = args.sim_limits
+    with scoped(**fields):
+        return args.func(args)
 
 
 if __name__ == "__main__":

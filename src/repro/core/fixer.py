@@ -28,6 +28,7 @@ from ..rag.database import GuidanceDatabase
 from ..rag.guidance_data import build_default_database
 from ..rag.retrievers import Retriever, make_retriever
 from ..runtime.retry import Guard, RetryPolicy
+from ..scope import scoped
 from ..service.deadline import Deadline, use_deadline
 from .config import RTLFixerConfig
 
@@ -96,8 +97,8 @@ class RTLFixer:
     @staticmethod
     def _build_model(config: RTLFixerConfig) -> RepairModel:
         """The fixer's own model: pooled when a routing spec is
-        configured (``config.llm_pool`` or the ambient
-        :func:`repro.llm.pool.use_llm_routing` scope), else the direct
+        configured (``config.llm_pool`` or a scoped ``llm_routing``
+        spec, :mod:`repro.scope`), else the direct
         simulated model."""
         routing = routing_from_config(config)
         if routing is not None:
@@ -134,9 +135,7 @@ class RTLFixer:
         simulation the repair triggers is resource-bounded.
         """
         if self.config.sim_limits is not None:
-            from ..sim.limits import use_sim_limits
-
-            with use_sim_limits(self.config.sim_limits):
+            with scoped(sim_limits=self.config.sim_limits):
                 return self._fix_under_deadline(code, description)
         return self._fix_under_deadline(code, description)
 

@@ -30,10 +30,15 @@ from ..runtime import (
     WorkFailure,
     cached_compile,
     config_digest,
-    unit_key,
 )
 from .metrics import pass_at_k_single
-from .runner import FixExperimentResult, evaluate_code, evaluate_sample, run_fix_experiment
+from .runner import (
+    FixExperimentResult,
+    evaluate_code,
+    evaluate_sample,
+    run_fix_experiment,
+    run_stage,
+)
 from .tables import render_table
 
 #: Paper values, for side-by-side reporting in EXPERIMENTS.md.
@@ -333,10 +338,6 @@ def run_table2(
     config = fixer_config or RTLFixerConfig()
     if on_error is None:
         on_error = config.on_error
-    if ctx is None:
-        ctx = RunContext()
-    if runner is None:
-        runner = ParallelRunner(jobs=config.jobs if jobs is None else jobs)
     problem_list = list(problems)
     # Warm the compile cache with every golden reference up front: the
     # serial path then never recompiles them, and process-pool workers
@@ -353,14 +354,6 @@ def run_table2(
         for problem in problem_list
     ]
     cfg_digest = config_digest(config)
-    keys = [
-        unit_key(
-            "table2", benchmark=unit.benchmark, problem=unit.problem.id,
-            n_samples=unit.n_samples, sim_samples=unit.sim_samples,
-            config=cfg_digest, seed=unit.seed,
-        )
-        for unit in units
-    ]
     tick = None
     if progress is not None:
         done_per_bench = {benchmark: 0 for benchmark in benchmarks}
@@ -369,18 +362,21 @@ def run_table2(
             done_per_bench[unit.benchmark] += 1
             progress(unit.benchmark, done_per_bench[unit.benchmark], len(problem_list))
 
-    outcomes = ctx.map(
-        runner, _table2_problem_outcome, units, keys=keys, stage="table2",
-        progress=tick, on_error=on_error,
+    completed, failures = run_stage(
+        "table2", _table2_problem_outcome, units,
+        lambda unit: dict(
+            benchmark=unit.benchmark, problem=unit.problem.id,
+            n_samples=unit.n_samples, sim_samples=unit.sim_samples,
+            config=cfg_digest, seed=unit.seed,
+        ),
+        ctx=ctx, runner=runner, jobs=config.jobs if jobs is None else jobs,
+        unit_progress=tick, on_error=on_error,
     )
 
-    result = Table2Result()
+    result = Table2Result(failures=failures)
     for benchmark in benchmarks:
         result.outcomes[benchmark] = []
-    for unit, outcome in zip(units, outcomes):
-        if isinstance(outcome, WorkFailure):
-            result.failures.append(outcome)
-            continue
+    for unit, outcome in completed:
         result.outcomes[unit.benchmark].append(outcome)
     return result
 
@@ -466,11 +462,6 @@ def run_table3(
     entries (§4.2, Table 3).  ``jobs`` fans problems across workers;
     ``on_error="collect"`` isolates failed problems instead of aborting;
     ``ctx`` journals per-problem counts for resume."""
-    result = Table3Result()
-    if ctx is None:
-        ctx = RunContext()
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
     problem_list = list(problems)
     for problem in problem_list:
         cached_compile(problem.reference)
@@ -481,26 +472,16 @@ def run_table3(
         for problem in problem_list
     ]
     cfg_digest = config_digest(RTLFixerConfig())  # the stock Table 3 fixer
-    keys = [
-        unit_key(
-            "table3", problem=unit.problem.id, n_samples=unit.n_samples,
+    completed, failures = run_stage(
+        "table3", _table3_problem_counts, units,
+        lambda unit: dict(
+            problem=unit.problem.id, n_samples=unit.n_samples,
             sim_samples=unit.sim_samples, config=cfg_digest, seed=unit.seed,
-        )
-        for unit in units
-    ]
-    tick = None
-    if progress is not None:
-        tick = lambda done, total, unit: progress(done, total)  # noqa: E731
-    outcomes = ctx.map(
-        runner, _table3_problem_counts, units, keys=keys, stage="table3",
-        progress=tick, on_error=on_error,
+        ),
+        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
     )
-    counts = []
-    for outcome in outcomes:
-        if isinstance(outcome, WorkFailure):
-            result.failures.append(outcome)
-        else:
-            counts.append(outcome)
+    result = Table3Result(failures=failures)
+    counts = [outcome for _, outcome in completed]
     if not counts:
         return result
 
@@ -725,12 +706,6 @@ def run_simfix_extension(
     fans problems across workers; ``on_error="collect"`` isolates
     failed problems instead of aborting; ``ctx`` journals per-problem
     counts for resume."""
-    result = SimFixExtensionResult()
-    counts: dict[str, list[int]] = {"easy": [0, 0], "hard": [0, 0]}
-    if ctx is None:
-        ctx = RunContext()
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
     units = [
         _SimFixUnit(
             problem=problem, samples_per_problem=samples_per_problem,
@@ -738,26 +713,19 @@ def run_simfix_extension(
         )
         for problem in problems
     ]
-    keys = [
-        unit_key(
-            "simfix", problem=unit.problem.id,
+    completed, failures = run_stage(
+        "simfix", _simfix_problem_counts, units,
+        lambda unit: dict(
+            problem=unit.problem.id,
             samples_per_problem=unit.samples_per_problem,
             sim_samples=unit.sim_samples, max_iterations=unit.max_iterations,
             seed=unit.seed,
-        )
-        for unit in units
-    ]
-    tick = None
-    if progress is not None:
-        tick = lambda done, total, unit: progress(done, total)  # noqa: E731
-    for outcome in ctx.map(
-        runner, _simfix_problem_counts, units, keys=keys, stage="simfix",
-        progress=tick, on_error=on_error,
-    ):
-        if isinstance(outcome, WorkFailure):
-            result.failures.append(outcome)
-            continue
-        difficulty, attempted, fixed = outcome
+        ),
+        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
+    )
+    result = SimFixExtensionResult(failures=failures)
+    counts: dict[str, list[int]] = {"easy": [0, 0], "hard": [0, 0]}
+    for _, (difficulty, attempted, fixed) in completed:
         counts[difficulty][0] += attempted
         counts[difficulty][1] += fixed
 
@@ -949,12 +917,6 @@ def run_table4(
     templates dry up.  Reports fix rate by bug class, template-vs-LLM
     attribution, and localization accuracy.  Deterministic: the same
     seed yields the same :meth:`Table4Result.digest`."""
-    result = Table4Result()
-    counts: dict[str, list[int]] = {}
-    if ctx is None:
-        ctx = RunContext()
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
     units = [
         _Table4Unit(
             problem=problem, samples_per_problem=samples_per_problem,
@@ -962,26 +924,20 @@ def run_table4(
         )
         for problem in problems
     ]
-    keys = [
-        unit_key(
-            "table4", problem=unit.problem.id,
+    completed, failures = run_stage(
+        "table4", _table4_problem_rows, units,
+        lambda unit: dict(
+            problem=unit.problem.id,
             samples_per_problem=unit.samples_per_problem,
             sim_samples=unit.sim_samples, max_iterations=unit.max_iterations,
             seed=unit.seed,
-        )
-        for unit in units
-    ]
-    tick = None
-    if progress is not None:
-        tick = lambda done, total, unit: progress(done, total)  # noqa: E731
-    for outcome in ctx.map(
-        runner, _table4_problem_rows, units, keys=keys, stage="table4",
-        progress=tick, on_error=on_error,
-    ):
-        if isinstance(outcome, WorkFailure):
-            result.failures.append(outcome)
-            continue
-        for bug_class, fixed, fixed_by, templates_tried, loc_hit in outcome:
+        ),
+        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
+    )
+    result = Table4Result(failures=failures)
+    counts: dict[str, list[int]] = {}
+    for _, rows in completed:
+        for bug_class, fixed, fixed_by, templates_tried, loc_hit in rows:
             # Journaled outcomes come back as JSON lists, not tuples.
             tally = counts.setdefault(bug_class, [0, 0, 0])
             tally[0] += 1

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from ..dataset.corpus import verilogeval
 from ..dataset.curate import SyntaxDataset, build_syntax_dataset
 from ..dataset.rtllm import rtllm
-from ..llm.pool import RoutingSpec, get_default_llm_routing, use_llm_routing
+from ..llm.pool import RoutingSpec
 from ..runtime import (
     CircuitBreaker,
     CompileCache,
@@ -30,13 +30,11 @@ from ..runtime import (
     RunState,
     StageCache,
     TokenCounter,
-    use_compile_cache,
-    use_stage_cache,
-    use_token_counter,
 )
-from ..sim.engine import get_default_sim_engine
-from ..sim.sandbox import SandboxStats, use_sandbox_stats
-from ..sim.verdict import VerdictCache, use_verdict_cache
+from ..scope import current, scoped
+from ..sim.engine import DEFAULT_SIM_ENGINE
+from ..sim.sandbox import SandboxStats
+from ..sim.verdict import VerdictCache
 from .experiments import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -114,11 +112,6 @@ class FullReport:
     #: ``to_json``, so a pooled run over simulated tiers produces a
     #: report byte-identical to the direct run.
     llm: dict = field(default_factory=dict)
-    #: Repair-service telemetry (admission/shed/outcome counters from
-    #: the ambient :class:`~repro.service.ServiceStats` ledger), present
-    #: only when a report runs under a live service scope.  Runtime
-    #: telemetry -- excluded from ``to_json`` like ``llm``/``sim``.
-    service: dict = field(default_factory=dict)
     rendered: dict = field(default_factory=dict)
 
     @property
@@ -158,7 +151,7 @@ class FullReport:
         sections = ["# Reproduction report\n"]
         for name in ("table1", "table2", "table3", "figure4", "figure7",
                      "figure6", "simfix", "table4", "cache", "pipeline", "sim",
-                     "llm", "service", "resume", "breaker", "failures"):
+                     "llm", "resume", "breaker", "failures"):
             if name in self.rendered:
                 sections.append(f"## {name}\n\n```\n{self.rendered[name]}\n```\n")
         return "\n".join(sections)
@@ -238,9 +231,9 @@ def run_full_report(
             llm_pool, escalate_after=llm_escalate_after, hedge_rate=llm_hedge
         )
     else:
-        # Respect a caller-scoped use_llm_routing(...) ambient spec
-        # (how offline suites inject chaos-wrapped pools).
-        routing = get_default_llm_routing()
+        # Respect a caller-scoped llm_routing spec (how offline suites
+        # inject chaos-wrapped pools).
+        routing = current().get("llm_routing")
     llm_manifest: Optional[dict] = None
     if routing is not None:
         # Only the result-relevant routing bits: the ladder and the
@@ -261,15 +254,16 @@ def run_full_report(
     sandbox_stats = SandboxStats()
     llm_counter = TokenCounter()
     try:
-        with use_compile_cache(cache), use_stage_cache(stage_cache), \
-                use_verdict_cache(verdict_cache), use_llm_routing(routing), \
-                use_sandbox_stats(sandbox_stats), \
-                use_token_counter(llm_counter):
+        with scoped(
+            compile_cache=cache, stage_cache=stage_cache,
+            verdict_cache=verdict_cache, llm_routing=routing,
+            sandbox_stats=sandbox_stats, token_counter=llm_counter,
+        ):
             report = _run_experiments(scale, dataset, progress, jobs, on_error, ctx)
         report.cache = cache.stats.as_dict()
         report.pipeline = stage_cache.stats.as_dict()
         report.sim = {
-            "engine": get_default_sim_engine(),
+            "engine": current().get("sim_engine", DEFAULT_SIM_ENGINE),
             **verdict_cache.stats.as_dict(),
             **sandbox_stats.as_dict(),
         }
@@ -298,19 +292,6 @@ def run_full_report(
                 if key != "backends"
             )
             report.rendered["llm"] = "\n".join(llm_lines)
-        # The ambient service ledger, when this report runs under a
-        # live repair service (lazy import: the report layer must not
-        # pull the service stack in for plain batch runs).
-        from ..service.scheduler import get_active_service_stats
-
-        service_stats = get_active_service_stats()
-        if service_stats is not None:
-            report.service = service_stats.as_dict()
-            report.rendered["service"] = "\n".join(
-                f"{key}: {value}"
-                for key, value in report.service.items()
-                if key != "tenants"
-            )
         report.rendered["resume"] = "\n".join(
             f"{key}: {value}" for key, value in report.resume.items()
         )

@@ -1,5 +1,10 @@
 """Shared experiment plumbing.
 
+* :func:`run_stage` -- one durable experiment stage: fan work units
+  out through :meth:`~repro.runtime.RunContext.map` under
+  content-addressed journal keys and split off the failed units.  Every
+  driver (this module's and :mod:`repro.eval.experiments`') routes
+  through it.
 * :func:`run_fix_experiment` -- run a fixer configuration over the
   VerilogEval-syntax dataset with n repeated trials (the paper repeats
   each experiment 10 times and reports the average fix rate).  Trials
@@ -19,7 +24,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Optional
+from typing import Any, Callable, Literal, Optional
 
 from ..core.config import RTLFixerConfig
 from ..core.fixer import RTLFixer
@@ -94,26 +99,51 @@ def _run_fix_trial(unit: _FixTrial) -> tuple[bool, int]:
     return outcome.success, outcome.iterations
 
 
-def _fix_trial_keys(
-    fixer: RTLFixer, entries: list, repeats: int, stage: str
-) -> list[str]:
-    """Content-addressed trial ids for one fix experiment.
+def run_stage(
+    stage: str,
+    fn: Callable[[Any], Any],
+    units: list,
+    key_parts: Callable[[Any], dict],
+    ctx: Optional[RunContext] = None,
+    runner: Optional[ParallelRunner] = None,
+    jobs: Optional[int] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    unit_progress: Optional[Callable[[int, int, Any], None]] = None,
+    on_error: str = "raise",
+) -> tuple[list[tuple[Any, Any]], list[WorkFailure]]:
+    """Run ``fn`` over ``units`` as the durable stage ``stage``.
 
-    Each key is a digest over the stage name, the fixer-config digest
-    (result-relevant fields only), the entry's problem id and code
-    content address, and the trial's derived seed -- so a resumed run
-    with the same configuration addresses the same journal records.
+    Each unit is journaled under ``unit_key(stage, **key_parts(unit))``
+    (computed only when ``ctx`` has run state), so a resumed run replays
+    it instead of re-executing.  ``runner`` defaults to a
+    :class:`~repro.runtime.ParallelRunner` over ``jobs`` workers.
+    ``progress(done, total)`` fires per completed unit;
+    ``unit_progress(done, total, unit)`` replaces it for drivers that
+    report per unit.  Returns the ``(unit, outcome)`` pairs that
+    completed, in submission order, and the failures collected under
+    ``on_error="collect"``.
     """
-    digest = config_digest(fixer.config)
-    return [
-        unit_key(
-            stage, config=digest, problem=entry.problem_id,
-            code=content_digest(entry.code), trial=trial,
-            seed=fixer.config.seed + trial,
-        )
-        for entry in entries
-        for trial in range(repeats)
-    ]
+    if ctx is None:
+        ctx = RunContext()
+    if runner is None:
+        runner = ParallelRunner(jobs=jobs)
+    keys = None
+    if ctx.state is not None:
+        keys = [unit_key(stage, **key_parts(unit)) for unit in units]
+    tick = unit_progress
+    if tick is None and progress is not None:
+        tick = lambda done, total, unit: progress(done, total)  # noqa: E731
+    outcomes = ctx.map(
+        runner, fn, units, keys=keys, stage=stage, progress=tick,
+        on_error=on_error,
+    )
+    completed, failures = [], []
+    for unit, outcome in zip(units, outcomes):
+        if isinstance(outcome, WorkFailure):
+            failures.append(outcome)
+        else:
+            completed.append((unit, outcome))
+    return completed, failures
 
 
 def run_fix_experiment(
@@ -204,9 +234,16 @@ def run_fix_experiment(
         for index, entry in enumerate(entries)
         for trial in range(repeats)
     ]
-    keys = None
-    if ctx.state is not None:
-        keys = _fix_trial_keys(fixer, entries, repeats, stage)
+    digest = config_digest(fixer.config) if ctx.state is not None else None
+
+    def key_parts(unit: _FixTrial) -> dict:
+        # Stage x config digest (result-relevant fields only) x problem
+        # id x code content address x the trial's derived seed.
+        return dict(
+            config=digest, problem=entries[unit.entry].problem_id,
+            code=content_digest(unit.code), trial=unit.trial,
+            seed=fixer.config.seed + unit.trial,
+        )
 
     if runner.is_serial:
         # The in-process path runs through the *same* fixer object (a
@@ -220,24 +257,17 @@ def run_fix_experiment(
         fn = run_unit
     else:
         fn = _run_fix_trial
-    tick = None
-    if progress is not None:
-        tick = lambda done, total, unit: progress(done, total)  # noqa: E731
     try:
-        outcomes = ctx.map(
-            runner, fn, units, keys=keys, stage=stage, on_error=on_error,
-            progress=tick,
+        completed, result.failures = run_stage(
+            stage, fn, units, key_parts, ctx=ctx, runner=runner,
+            progress=progress, on_error=on_error,
         )
     finally:
         if local_state is not None:
             local_state.close()
 
     counts = [0] * len(entries)
-    for unit, outcome in zip(units, outcomes):
-        if isinstance(outcome, WorkFailure):
-            result.failures.append(outcome)
-            continue
-        success, iterations = outcome
+    for unit, (success, iterations) in completed:
         if success:
             counts[unit.entry] += 1
             result.iterations.append(iterations)

@@ -16,10 +16,7 @@ from .pool import (
     PooledRepairModel,
     PooledRepairSession,
     RoutingSpec,
-    get_default_llm_routing,
     routing_from_config,
-    set_default_llm_routing,
-    use_llm_routing,
 )
 from .repair.diagnosis import ParsedError, detect_flavor, parse_feedback
 from .repair.logic_strategies import enumerate_logic_edits
@@ -39,10 +36,7 @@ __all__ = [
     "PooledRepairSession",
     "RoutingSpec",
     "SimulatedChatClient",
-    "get_default_llm_routing",
     "routing_from_config",
-    "set_default_llm_routing",
-    "use_llm_routing",
     "LLMClient",
     "LOGIC_CAPABILITY",
     "SimulatedLogicDebugger",

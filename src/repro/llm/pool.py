@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..errors import LLMError, RetryExhaustedError, TransientError
 from ..rag.database import GuidanceEntry
+from ..scope import current
 from ..runtime.accounting import (
     TokenCounter,
     estimate_tokens,
@@ -106,7 +106,7 @@ class RoutingSpec:
     a test-only knob mapping member names to
     :class:`~repro.runtime.faults.FaultSpec`, so offline suites can
     declare "the cheap tier is down" for pools built deep inside
-    ``RTLFixer`` (via :func:`use_llm_routing`).
+    ``RTLFixer`` (via ``scoped(llm_routing=...)``).
     """
 
     members: tuple[BackendSpec, ...]
@@ -534,46 +534,13 @@ class PooledRepairSession(EscalatingSession):
         return parse_pool_reply(reply, guidance)
 
 
-# -- process-global routing injection ---------------------------------------
-# Same shape as use_compile_cache / use_token_counter: tests and
-# experiment drivers install a RoutingSpec here and every RTLFixer built
-# inside the scope (including in forked process workers) routes its
-# model through a pool -- no plumbing through call signatures.
-
-_active_routing: Optional[RoutingSpec] = None
-_routing_lock = threading.Lock()
-
-
-def get_default_llm_routing() -> Optional[RoutingSpec]:
-    """The ambient routing spec, or ``None`` (direct models)."""
-    return _active_routing
-
-
-def set_default_llm_routing(
-    routing: Optional[RoutingSpec],
-) -> Optional[RoutingSpec]:
-    """Install ``routing`` as the ambient spec; returns the previous."""
-    global _active_routing
-    with _routing_lock:
-        previous = _active_routing
-        _active_routing = routing
-    return previous
-
-
-@contextmanager
-def use_llm_routing(routing: Optional[RoutingSpec]) -> Iterator[Optional[RoutingSpec]]:
-    """Scope an ambient routing spec for a ``with`` block."""
-    previous = set_default_llm_routing(routing)
-    try:
-        yield routing
-    finally:
-        set_default_llm_routing(previous)
-
-
 def routing_from_config(config) -> Optional[RoutingSpec]:
     """The routing an :class:`~repro.core.RTLFixer` should use:
     ``config.llm_pool`` (with the config's policy knobs) when set,
-    else the ambient :func:`get_default_llm_routing` spec."""
+    else the runtime scope's ``llm_routing`` spec (:mod:`repro.scope`):
+    tests and experiment drivers scope a RoutingSpec and every RTLFixer
+    built inside it (forked process workers included) routes its model
+    through a pool, with no plumbing through call signatures."""
     if getattr(config, "llm_pool", None):
         return RoutingSpec.parse(
             config.llm_pool,
@@ -583,7 +550,7 @@ def routing_from_config(config) -> Optional[RoutingSpec]:
             concurrency=config.llm_concurrency,
             max_retries=config.max_retries,
         )
-    return get_default_llm_routing()
+    return current().get("llm_routing")
 
 
 __all__ = [
@@ -595,8 +562,5 @@ __all__ = [
     "PooledRepairSession",
     "RoutingSpec",
     "TIER_PRICES",
-    "get_default_llm_routing",
     "routing_from_config",
-    "set_default_llm_routing",
-    "use_llm_routing",
 ]

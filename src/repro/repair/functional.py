@@ -15,6 +15,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..diagnostics import Compiler
+from ..scope import current
 from .base import EngineConfig, RepairOutcome
 from .engine import RepairEngine
 from .localizers import TraceDiffLocalizer
@@ -41,13 +42,12 @@ FUNCTIONAL_CONFIG = EngineConfig(
 
 
 def default_logic_model():
-    """Direct simulated debugger, or the pool-routed variant when an
-    ambient :func:`~repro.llm.pool.get_default_llm_routing` spec is in
-    scope (tier escalation + token accounting for the workload)."""
-    from ..llm.pool import get_default_llm_routing
+    """Direct simulated debugger, or the pool-routed variant when the
+    runtime scope holds an ``llm_routing`` spec (tier escalation + token
+    accounting for the workload)."""
     from ..llm.simfix import PooledLogicModel, SimulatedLogicDebugger
 
-    routing = get_default_llm_routing()
+    routing = current().get("llm_routing")
     if routing is not None:
         return PooledLogicModel(routing)
     return SimulatedLogicDebugger()

@@ -19,7 +19,8 @@ from typing import Optional
 
 from ..diagnostics import Compiler
 from ..rag.retrievers import Retriever
-from ..sim.engine import get_default_sim_engine
+from ..scope import current
+from ..sim.engine import DEFAULT_SIM_ENGINE
 from ..sim.feedback import simulate_with_traces
 from ..sim.sandbox import run_sandboxed
 from .base import Localization, OracleVerdict, Suspect
@@ -132,7 +133,7 @@ class TraceDiffLocalizer:
         compiled = self.compiler.compile(code)
         if not compiled.ok or compiled.elaborated is None:
             return Localization()
-        engine = get_default_sim_engine()
+        engine = current().get("sim_engine", DEFAULT_SIM_ENGINE)
         traces, sim_verdict = run_sandboxed(
             lambda: simulate_with_traces(
                 compiled.elaborated, self.reference, samples=self.samples,

@@ -4,8 +4,9 @@ The pillars every experiment driver in :mod:`repro.eval` is built on:
 
 * :class:`CompileCache` / :func:`cached_compile` -- a content-addressed
   (SHA-256 of source + flavor + includes), LRU-bounded, statistics-
-  tracking memo of ``compile_source`` results, with a process-wide
-  injection point so hot paths stop re-elaborating identical sources;
+  tracking memo of ``compile_source`` results, swapped per run through
+  the runtime scope (:mod:`repro.scope`) so hot paths stop
+  re-elaborating identical sources;
 * :class:`ParallelRunner` -- an ordered, deterministic ``map`` over
   independent work units across serial / thread / process backends,
   selected via ``RTLFixerConfig.jobs`` or the CLI ``--jobs`` flag, with
@@ -55,10 +56,6 @@ from .cache import (
     CompileCache,
     cached_compile,
     compile_key,
-    get_active_cache,
-    no_compile_cache,
-    set_active_cache,
-    use_compile_cache,
 )
 
 # Stage-granular counterpart of the whole-result compile cache: the
@@ -69,10 +66,6 @@ from ..verilog.pipeline import (
     CompileSession,
     PipelineStats,
     StageCache,
-    get_active_stage_cache,
-    no_stage_cache,
-    set_active_stage_cache,
-    use_stage_cache,
 )
 from .executor import (
     ParallelRunner,
@@ -95,8 +88,6 @@ from .faults import (
     GARBAGE_CODE,
     FaultInjector,
     FaultSpec,
-    get_active_sim_injector,
-    use_sim_chaos,
 )
 from .retry import (
     Guard,
@@ -110,9 +101,6 @@ from .accounting import (
     BackendUsage,
     TokenCounter,
     estimate_tokens,
-    get_active_token_counter,
-    set_active_token_counter,
-    use_token_counter,
 )
 from .limiter import ConcurrencyGate, TokenBucket
 
@@ -124,18 +112,11 @@ __all__ = [
     "TokenBucket",
     "TokenCounter",
     "estimate_tokens",
-    "get_active_token_counter",
     "guidance_key",
     "messages_key",
-    "set_active_token_counter",
-    "use_token_counter",
     "CompileSession",
     "PipelineStats",
     "StageCache",
-    "get_active_stage_cache",
-    "no_stage_cache",
-    "set_active_stage_cache",
-    "use_stage_cache",
     "CircuitBreaker",
     "GracefulShutdown",
     "Journal",
@@ -166,17 +147,11 @@ __all__ = [
     "SIM_MUTATORS",
     "StimulusPlan",
     "WorkFailure",
-    "get_active_sim_injector",
-    "use_sim_chaos",
     "cached_compile",
     "call_with_retry",
     "compile_key",
-    "get_active_cache",
     "isolable",
-    "no_compile_cache",
     "partition_failures",
     "resolve_jobs",
     "run_fuzz",
-    "set_active_cache",
-    "use_compile_cache",
 ]

@@ -7,10 +7,9 @@ hedged, failed over or escalated.  This module is the ledger:
 
 * :class:`BackendUsage` -- one backend's counters;
 * :class:`TokenCounter` -- thread-safe roll-up across backends, with a
-  process-wide *active* instance (the :func:`use_token_counter` /
-  :func:`set_active_token_counter` injection point, same shape as the
-  compile cache's) so every pool built anywhere in a run reports into
-  one ledger that lands in ``report.llm`` and the ``# llm:`` CLI line.
+  process-wide *active* instance (the ``token_counter`` field of the
+  runtime scope, :mod:`repro.scope`, like the compile cache's) so every
+  pool built anywhere in a run reports into one ledger that lands in ``report.llm`` and the ``# llm:`` CLI line.
 
 Token counts are a deterministic estimate (``ceil(len/4)``, the usual
 chars-per-token rule of thumb) so offline simulated backends produce
@@ -26,9 +25,9 @@ only parent-side calls.  Serial and thread runs account exactly.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+
+from ..scope import current
 
 
 def tier_family(tier: str) -> str:
@@ -199,29 +198,7 @@ class TokenCounter:
 #: DEFAULT_CACHE): pools report here unless a run scopes its own ledger.
 DEFAULT_TOKEN_COUNTER = TokenCounter()
 
-_active_counter: TokenCounter = DEFAULT_TOKEN_COUNTER
-_active_lock = threading.Lock()
-
 
 def get_active_token_counter() -> TokenCounter:
     """The ledger LLM pools currently report into."""
-    return _active_counter
-
-
-def set_active_token_counter(counter: TokenCounter) -> TokenCounter:
-    """Install ``counter`` as the active ledger; returns the previous."""
-    global _active_counter
-    with _active_lock:
-        previous = _active_counter
-        _active_counter = counter
-    return previous
-
-
-@contextmanager
-def use_token_counter(counter: TokenCounter) -> Iterator[TokenCounter]:
-    """Scope ``counter`` as the active ledger for a ``with`` block."""
-    previous = set_active_token_counter(counter)
-    try:
-        yield counter
-    finally:
-        set_active_token_counter(previous)
+    return current().get("token_counter", DEFAULT_TOKEN_COUNTER)

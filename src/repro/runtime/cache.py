@@ -18,16 +18,17 @@ statistics so observability ships with the optimization.
 Injection point
 ---------------
 
-A process-wide *active* cache is consulted by :func:`cached_compile`,
-which is what the hot paths (``repro.eval.runner``, the agents'
-``Compiler`` facade, the dataset curation pipeline, ...) call instead of
-``compile_source``.  The default active cache is enabled at import time;
-:func:`use_compile_cache` scopes a fresh (or no) cache to a ``with``
-block, and :func:`set_active_cache` swaps it explicitly:
+The runtime scope's ``compile_cache`` field (:mod:`repro.scope`) is
+consulted by :func:`cached_compile`, which is what the hot paths
+(``repro.eval.runner``, the agents' ``Compiler`` facade, the dataset
+curation pipeline, ...) call instead of ``compile_source``.  Unscoped,
+it is :data:`DEFAULT_CACHE`, enabled at import time; ``scoped`` swaps
+in a fresh cache (or ``None``, no caching) for a ``with`` block:
 
->>> with use_compile_cache() as cache:
+>>> cache = CompileCache()
+>>> with scoped(compile_cache=cache):
 ...     run_table2(problems)
-...     print(cache.stats.hits, cache.stats.misses)
+>>> print(cache.stats.hits, cache.stats.misses)
 
 Caching changes no observable behaviour: compilation is deterministic,
 and results are treated as immutable by every consumer (the codebase
@@ -39,9 +40,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter, OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+from ..scope import current
 
 if TYPE_CHECKING:  # runtime import is deferred to avoid a cycle with
     # repro.diagnostics, whose Compiler facade routes through this cache.
@@ -263,55 +265,10 @@ class CompileCache:
 #: caller of :func:`cached_compile` benefits without opting in.
 DEFAULT_CACHE = CompileCache()
 
-_active_cache: Optional[CompileCache] = DEFAULT_CACHE
-_active_lock = threading.Lock()
-
 
 def get_active_cache() -> Optional[CompileCache]:
     """The cache :func:`cached_compile` currently consults (or None)."""
-    return _active_cache
-
-
-def set_active_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """Install ``cache`` as the active cache; returns the previous one.
-
-    Pass ``None`` to disable caching entirely (every
-    :func:`cached_compile` call falls through to ``compile_source``).
-    """
-    global _active_cache
-    with _active_lock:
-        previous = _active_cache
-        _active_cache = cache
-        return previous
-
-
-@contextmanager
-def use_compile_cache(
-    cache: Optional[CompileCache] = None, maxsize: int = DEFAULT_MAXSIZE
-) -> Iterator[CompileCache]:
-    """Scope a compile cache to a ``with`` block.
-
-    With no argument a fresh :class:`CompileCache` is created -- handy
-    for measuring exactly what one experiment compiles.  The previously
-    active cache is restored on exit.
-    """
-    scoped = cache if cache is not None else CompileCache(maxsize=maxsize)
-    previous = set_active_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_cache(previous)
-
-
-@contextmanager
-def no_compile_cache() -> Iterator[None]:
-    """Disable compile caching inside a ``with`` block (cold-path
-    measurements, cache-bypass debugging)."""
-    previous = set_active_cache(None)
-    try:
-        yield
-    finally:
-        set_active_cache(previous)
+    return current().get("compile_cache", DEFAULT_CACHE)
 
 
 def cached_compile(
@@ -329,7 +286,7 @@ def cached_compile(
     fallback) instead of ``compile_source`` -- the hook the ``Compiler``
     facade uses to route through its incremental pipeline session.
     """
-    cache = _active_cache
+    cache = current().get("compile_cache", DEFAULT_CACHE)
     if cache is None:
         if compute is not None:
             return compute()

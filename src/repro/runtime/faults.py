@@ -21,7 +21,11 @@ Pieces:
 * :class:`FaultInjector` -- draws fault decisions deterministically
   from ``(seed, site, key)``;
 * :class:`~repro.runtime.retry.Guard` (``injector=``) -- applies an
-  injector to a real model / client / compiler.
+  injector to a real model / client / compiler;
+* ``scoped(sim_injector=...)`` (:mod:`repro.scope`) -- the ambient
+  injector the simulation harnesses consult: they are plain functions
+  called from deep inside agents, so a scope reaches them without
+  threading an injector through every signature.
 
 ``exception`` and ``timeout`` faults raise
 :class:`~repro.errors.InjectedFault` /
@@ -34,7 +38,6 @@ the agent loop rather than the retry layer.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
@@ -135,28 +138,3 @@ class FaultInjector:
         if kind == "timeout":
             raise LLMTimeoutError(f"injected timeout at {site} (key {key})")
         return kind
-
-
-#: Ambient injector consulted by the simulation harnesses.  The LLM and
-#: compiler seams guard concrete objects, but the sim harnesses are plain
-#: functions called from deep inside agents -- an ambient scope (the
-#: same idiom as the verdict cache) reaches them without threading an
-#: injector through every signature.
-_active_sim_injector: Optional[FaultInjector] = None
-
-
-def get_active_sim_injector() -> Optional[FaultInjector]:
-    """The injector the simulation harnesses should consult, if any."""
-    return _active_sim_injector
-
-
-@contextmanager
-def use_sim_chaos(injector: Optional[FaultInjector]):
-    """Scope ``injector`` as the ambient simulation-fault source."""
-    global _active_sim_injector
-    previous = _active_sim_injector
-    _active_sim_injector = injector
-    try:
-        yield injector
-    finally:
-        _active_sim_injector = previous

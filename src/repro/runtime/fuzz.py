@@ -66,6 +66,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Optional
 
+from ..scope import scoped
 from ..verilog.limits import FUZZ_LIMITS, ResourceLimits
 from .faults import GARBAGE_CODE, FaultInjector
 
@@ -539,11 +540,10 @@ def _sim_cache_check(design, injector) -> Optional[tuple[str, str]]:
     from ..errors import TransientError
     from ..sim.limits import FUZZ_SIM_LIMITS
     from ..sim.testbench import run_differential
-    from ..sim.verdict import VerdictCache, use_verdict_cache
-    from .faults import use_sim_chaos
+    from ..sim.verdict import VerdictCache
 
     sim_cache = VerdictCache()
-    with use_verdict_cache(sim_cache), use_sim_chaos(injector):
+    with scoped(verdict_cache=sim_cache, sim_injector=injector):
         try:
             first = run_differential(
                 design, design, samples=4, sim_limits=FUZZ_SIM_LIMITS
@@ -593,13 +593,8 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
     contract it is checking.
     """
     from ..diagnostics.compiler import compile_source
-    from ..verilog.pipeline import (
-        CompileSession,
-        StageCache,
-        result_fingerprint,
-        use_stage_cache,
-    )
-    from .cache import CompileCache, no_compile_cache
+    from ..verilog.pipeline import CompileSession, StageCache, result_fingerprint
+    from .cache import CompileCache
 
     config = config if config is not None else FuzzConfig()
     report = FuzzReport(config=config)
@@ -639,7 +634,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
         tick = time.monotonic()
         results = {}
         try:
-            with no_compile_cache():
+            with scoped(compile_cache=None):
                 for flavor in ("iverilog", "quartus"):
                     result = compile_source(
                         code,
@@ -671,7 +666,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
             )
 
         try:
-            with use_stage_cache(stage_cache):
+            with scoped(stage_cache=stage_cache):
                 for flavor in ("iverilog", "quartus"):
                     warm = session.compile(
                         code, flavor=flavor, include_files=includes or None

@@ -38,8 +38,6 @@ _LAZY = {
     "AdmissionController": "scheduler",
     "SchedulerConfig": "scheduler",
     "ServiceStats": "scheduler",
-    "get_active_service_stats": "scheduler",
-    "use_service_stats": "scheduler",
     "RepairRequest": "protocol",
     "ShedReason": "protocol",
     "ServiceClient": "client",

@@ -35,10 +35,8 @@ handlers, dispatch from worker tasks), so the state machine itself
 needs no locks -- the breaker and the token buckets carry their own,
 because job *execution* happens in worker threads.
 
-:class:`ServiceStats` is the service's telemetry ledger; it can be
-installed ambiently (:func:`use_service_stats`) so the report layer
-(``report.service``) picks it up the way ``report.llm`` picks up the
-token counter.
+:class:`ServiceStats` is the service's telemetry ledger, owned by the
+server and served on ``GET /stats``.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.limiter import TokenBucket
@@ -119,8 +116,7 @@ class ServiceStats:
     """The service telemetry ledger (admission, shedding, outcomes).
 
     Mutated only from the event loop; snapshotted via :meth:`as_dict`
-    for ``GET /stats``, the ``# service:`` stderr line, and the report
-    layer's ``report.service`` block.
+    for ``GET /stats`` and the ``# service:`` stderr drain line.
     """
 
     def __init__(self) -> None:
@@ -181,7 +177,7 @@ class ServiceStats:
         return sum(self.shed.values())
 
     def as_dict(self) -> dict:
-        """JSON-friendly snapshot for /stats and ``report.service``."""
+        """JSON-friendly snapshot for ``GET /stats``."""
         return {
             "submitted": self.submitted,
             "admitted": self.admitted,
@@ -196,35 +192,6 @@ class ServiceStats:
             "replayed": self.replayed,
             "tenants": {name: dict(row) for name, row in sorted(self.tenants.items())},
         }
-
-
-#: The process-wide ambient stats ledger (None = no service active).
-_ACTIVE_STATS: Optional[ServiceStats] = None
-
-
-def get_active_service_stats() -> Optional[ServiceStats]:
-    """The ambient service-stats ledger, if a service scoped one."""
-    return _ACTIVE_STATS
-
-
-def set_active_service_stats(stats: Optional[ServiceStats]) -> Optional[ServiceStats]:
-    """Install ``stats`` ambiently; returns the previous ledger."""
-    global _ACTIVE_STATS
-    previous = _ACTIVE_STATS
-    _ACTIVE_STATS = stats
-    return previous
-
-
-@contextmanager
-def use_service_stats(stats: ServiceStats) -> Iterator[ServiceStats]:
-    """Scope ``stats`` as the ambient ledger (restores the previous one),
-    so ``run_full_report`` executed under a service surfaces a
-    ``report.service`` block the way ``report.llm`` works."""
-    previous = set_active_service_stats(stats)
-    try:
-        yield stats
-    finally:
-        set_active_service_stats(previous)
 
 
 class _TenantState:

@@ -220,7 +220,7 @@ class RepairServer:
         print(f"# service: {self.summary_line()}", file=sys.stderr, flush=True)
 
     def summary_line(self) -> str:
-        """The one-line drain summary (mirrors ``report.service``)."""
+        """The one-line drain summary of the service ledger."""
         snapshot = self.stats.as_dict()
         shed = ",".join(
             f"{reason}={count}" for reason, count in snapshot["shed"].items()

@@ -28,10 +28,7 @@ from .limits import (
     BoundedDisplayLog,
     SimLimits,
     SimLimitTracker,
-    get_default_sim_limits,
     parse_sim_limits,
-    set_default_sim_limits,
-    use_sim_limits,
 )
 from .sandbox import (
     DEFAULT_SANDBOX_STATS,
@@ -40,19 +37,10 @@ from .sandbox import (
     SimOutcome,
     SimVerdict,
     classify_exception,
-    get_active_sandbox_stats,
     run_sandboxed,
-    set_active_sandbox_stats,
     simulate,
-    use_sandbox_stats,
 )
-from .engine import (
-    SIM_ENGINES,
-    CompiledSimulator,
-    get_default_sim_engine,
-    make_simulator,
-    set_default_sim_engine,
-)
+from .engine import DEFAULT_SIM_ENGINE, SIM_ENGINES, CompiledSimulator, make_simulator
 from .eval import EvalContext, Evaluator, NetState
 from .exec import StmtExecutor
 from .feedback import SimFeedback, make_sim_feedback, simulate_with_traces
@@ -72,10 +60,6 @@ from .verdict import (
     DEFAULT_VERDICT_CACHE,
     VerdictCache,
     VerdictStats,
-    get_active_verdict_cache,
-    no_verdict_cache,
-    set_active_verdict_cache,
-    use_verdict_cache,
     verdict_key,
 )
 
@@ -84,6 +68,7 @@ __all__ = [
     "CLOCK_NAMES",
     "CompiledSimulator",
     "DEFAULT_SANDBOX_STATS",
+    "DEFAULT_SIM_ENGINE",
     "DEFAULT_SIM_LIMITS",
     "DEFAULT_VERDICT_CACHE",
     "FUZZ_SIM_LIMITS",
@@ -115,28 +100,16 @@ __all__ = [
     "classify_exception",
     "dump_comparison_vcd",
     "dump_vcd",
-    "get_active_sandbox_stats",
-    "get_active_verdict_cache",
-    "get_default_sim_engine",
-    "get_default_sim_limits",
     "lower_design",
     "lowered_for",
     "make_sim_feedback",
     "make_simulator",
-    "no_verdict_cache",
     "parse_sim_limits",
     "render_comparison",
     "render_waveform",
     "run_differential",
     "run_sandboxed",
-    "set_active_sandbox_stats",
-    "set_active_verdict_cache",
-    "set_default_sim_engine",
-    "set_default_sim_limits",
     "simulate",
     "simulate_with_traces",
-    "use_sandbox_stats",
-    "use_sim_limits",
-    "use_verdict_cache",
     "verdict_key",
 ]

@@ -42,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..scope import current
 from ..verilog import ast
 from ..verilog.elaborate import ElabModule, const_eval
-from ..verilog.pipeline import Artifact, _digest, get_active_stage_cache
+from ..verilog.pipeline import DEFAULT_STAGE_CACHE, Artifact, _digest
 from ..verilog.symbols import Symbol
 from .exec import NbaUpdate, StmtExecutor
 from .values import Logic
@@ -1439,7 +1440,7 @@ def lowered_for(sim) -> LoweredDesign:
     hand-constructed) are lowered fresh each time.
     """
     digest = getattr(sim.design, "digest", None)
-    cache = get_active_stage_cache()
+    cache = current().get("stage_cache", DEFAULT_STAGE_CACHE)
     if digest is None or cache is None:
         return lower_design(sim)
     key = _digest(SIM_LOWER_STAGE, digest, sim.top.name)

@@ -26,8 +26,8 @@ that swaps the per-delta-cycle AST walk for the lowered closures built by
 :func:`make_simulator` is the engine-selecting constructor every harness
 (testbench, feedback, fuzz, CLI) routes through; the process-wide
 default is ``compiled`` and can be overridden with
-:func:`set_default_sim_engine` or the ``REPRO_SIM_ENGINE`` environment
-variable.
+``scoped(sim_engine=...)`` (:mod:`repro.scope`) or the
+``REPRO_SIM_ENGINE`` environment variable.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import os
 from typing import Optional
 
 from ..errors import SimLimitExceeded, SimulationError
+from ..scope import check, current
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
 from .compile import LoweredDesign, lowered_for
@@ -314,24 +315,20 @@ def _edge_fired_fast(edge: str, old: tuple, new: tuple) -> bool:
 # Engine selection
 # ---------------------------------------------------------------------------
 
-_DEFAULT_ENGINE = "compiled"
+#: The engine used when neither the caller nor the runtime scope names
+#: one: ``REPRO_SIM_ENGINE`` when it names a known engine, else compiled.
+DEFAULT_SIM_ENGINE = "compiled"
 if os.environ.get("REPRO_SIM_ENGINE") in SIM_ENGINES:
-    _DEFAULT_ENGINE = os.environ["REPRO_SIM_ENGINE"]
+    DEFAULT_SIM_ENGINE = os.environ["REPRO_SIM_ENGINE"]
 
 
-def get_default_sim_engine() -> str:
-    """The engine :func:`make_simulator` uses when none is requested."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_sim_engine(engine: str) -> None:
-    """Set the process-wide default simulation engine."""
+@check("sim_engine")
+def _check_engine(engine: str) -> None:
+    """Reject an unknown engine name (also run on ``scoped(sim_engine=)``)."""
     if engine not in SIM_ENGINES:
         raise ValueError(
             f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
         )
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
 
 
 def make_simulator(
@@ -347,12 +344,10 @@ def make_simulator(
     so one flag switches the whole stack.  ``sim_limits``/``sim_tracker``
     configure the sandbox budgets (see :mod:`repro.sim.limits`); a
     shared tracker pools budgets across several simulators."""
-    chosen = engine if engine is not None else _DEFAULT_ENGINE
-    if chosen not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {chosen!r}; expected one of {SIM_ENGINES}"
-        )
-    cls = CompiledSimulator if chosen == "compiled" else Simulator
+    if engine is None:
+        engine = current().get("sim_engine", DEFAULT_SIM_ENGINE)
+    _check_engine(engine)
+    cls = CompiledSimulator if engine == "compiled" else Simulator
     return cls(
         design, top=top, limits=limits,
         sim_limits=sim_limits, sim_tracker=sim_tracker,

@@ -12,20 +12,16 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from ..scope import current
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
-from .engine import get_default_sim_engine, make_simulator
-from .limits import (
-    UNTRACKED,
-    SimLimits,
-    SimLimitTracker,
-    get_default_sim_limits,
-)
+from .engine import DEFAULT_SIM_ENGINE, make_simulator
+from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
 from .sandbox import SimVerdict, run_sandboxed
 from .testbench import CLOCK_NAMES, RESET_NAMES, _chaos_verdict, _random_vector
 from .trace import Trace, render_comparison
 from .values import Logic
-from .verdict import get_active_verdict_cache, verdict_key
+from .verdict import DEFAULT_VERDICT_CACHE, verdict_key
 
 
 @dataclass
@@ -62,7 +58,9 @@ def simulate_with_traces(
     ``sim_tracker`` to supply it), so trace bombs are stopped by the
     trace-entry/byte budgets rather than by memory exhaustion.
     """
-    effective_sim = sim_limits if sim_limits is not None else get_default_sim_limits()
+    effective_sim = sim_limits
+    if effective_sim is None:
+        effective_sim = current().get("sim_limits", DEFAULT_SIM_LIMITS)
     tracker = sim_tracker
     if tracker is None and effective_sim is not UNTRACKED:
         tracker = SimLimitTracker(effective_sim)
@@ -138,8 +136,13 @@ def make_sim_feedback(
     parameters.  The sandbox budgets join the key, and only ``ok``/
     ``fail`` outcomes are memoized -- a budget overflow or crash report
     is environment-dependent feedback, not a content-addressed fact."""
-    effective_engine = engine if engine is not None else get_default_sim_engine()
-    effective_sim = sim_limits if sim_limits is not None else get_default_sim_limits()
+    scope = current()
+    effective_engine = engine
+    if effective_engine is None:
+        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
+    effective_sim = sim_limits
+    if effective_sim is None:
+        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
 
     chaos = _chaos_verdict(
         "sim.feedback",
@@ -154,7 +157,7 @@ def make_sim_feedback(
             verdict=chaos,
         )
 
-    cache = get_active_verdict_cache()
+    cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
     key = None
     if cache is not None:
         key = verdict_key(

@@ -24,19 +24,19 @@ Two presets ship with the library:
 The budgets participate in every simulation verdict cache key (their
 ``repr`` is hashed into :func:`repro.sim.verdict.verdict_key` by the
 harnesses), so runs under different limits can never alias.  The
-process-wide default is installed with :func:`set_default_sim_limits`
-(CLI ``--sim-limits``) or scoped with :func:`use_sim_limits`.
+limits a harness applies when none are passed are the runtime scope's
+``sim_limits`` field (:mod:`repro.scope`; CLI ``--sim-limits``), else
+:data:`DEFAULT_SIM_LIMITS`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, Optional
-
-from contextlib import contextmanager
+from typing import Callable, Optional
 
 from ..errors import SimLimitExceeded
+from ..scope import check
 
 
 @dataclass(frozen=True)
@@ -298,33 +298,12 @@ class BoundedDisplayLog(list):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide default (CLI --sim-limits / RTLFixerConfig.sim_limits)
+# Scoped default (CLI --sim-limits / RTLFixerConfig.sim_limits)
 # ---------------------------------------------------------------------------
 
-_default_sim_limits: SimLimits = DEFAULT_SIM_LIMITS
 
-
-def get_default_sim_limits() -> SimLimits:
-    """The limits harnesses apply when none are passed explicitly."""
-    return _default_sim_limits
-
-
-def set_default_sim_limits(limits: SimLimits) -> SimLimits:
-    """Install ``limits`` as the process-wide default; returns the
-    previous default."""
+@check("sim_limits")
+def _check_sim_limits(limits: SimLimits) -> None:
+    """``scoped(sim_limits=...)`` accepts only a :class:`SimLimits`."""
     if not isinstance(limits, SimLimits):
         raise ValueError("sim limits must be a SimLimits instance")
-    global _default_sim_limits
-    previous = _default_sim_limits
-    _default_sim_limits = limits
-    return previous
-
-
-@contextmanager
-def use_sim_limits(limits: SimLimits) -> Iterator[SimLimits]:
-    """Scope the default simulation limits to a ``with`` block."""
-    previous = set_default_sim_limits(limits)
-    try:
-        yield limits
-    finally:
-        set_default_sim_limits(previous)

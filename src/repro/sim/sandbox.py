@@ -35,10 +35,8 @@ harness and always get a :class:`SimOutcome` back.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..errors import (
     DeadlineExceededError,
@@ -47,6 +45,7 @@ from ..errors import (
     SimLimitExceeded,
     SimulationError,
 )
+from ..scope import current
 
 #: Verdict categories, mirroring the compiler's diagnostic taxonomy:
 #: ``ok``/``fail`` are ordinary outcomes, ``limit`` is RESOURCE_LIMIT's
@@ -134,37 +133,10 @@ class SandboxStats:
 #: always counted somewhere; reports scope their own instance.
 DEFAULT_SANDBOX_STATS = SandboxStats()
 
-_active_stats: Optional[SandboxStats] = DEFAULT_SANDBOX_STATS
-_active_lock = threading.Lock()
-
 
 def get_active_sandbox_stats() -> Optional[SandboxStats]:
     """The stats sink sandboxed harnesses currently count into."""
-    return _active_stats
-
-
-def set_active_sandbox_stats(
-    stats: Optional[SandboxStats],
-) -> Optional[SandboxStats]:
-    """Install ``stats`` as the active sink; returns the previous one."""
-    global _active_stats
-    with _active_lock:
-        previous = _active_stats
-        _active_stats = stats
-        return previous
-
-
-@contextmanager
-def use_sandbox_stats(
-    stats: Optional[SandboxStats] = None,
-) -> Iterator[SandboxStats]:
-    """Scope a (fresh by default) stats sink to a ``with`` block."""
-    scoped = stats if stats is not None else SandboxStats()
-    previous = set_active_sandbox_stats(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_sandbox_stats(previous)
+    return current().get("sandbox_stats", DEFAULT_SANDBOX_STATS)
 
 
 def classify_exception(exc: BaseException, engine: str) -> SimVerdict:

@@ -19,17 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SimLimitExceeded, SimulationError
+from ..scope import current
 from ..verilog import ast
 from ..verilog.elaborate import ElabDesign, ElabModule, PortInfo
 from ..verilog.limits import DEFAULT_LIMITS, ResourceLimits
 from .eval import EvalContext, Evaluator, NetState
 from .exec import NbaUpdate, StmtExecutor
 from .limits import (
+    DEFAULT_SIM_LIMITS,
     UNTRACKED,
     BoundedDisplayLog,
     SimLimits,
     SimLimitTracker,
-    get_default_sim_limits,
 )
 from .values import Logic
 
@@ -82,9 +83,9 @@ class Simulator:
         elif sim_limits is UNTRACKED:
             self.sim_tracker = None
         else:
-            self.sim_tracker = SimLimitTracker(
-                sim_limits if sim_limits is not None else get_default_sim_limits()
-            )
+            if sim_limits is None:
+                sim_limits = current().get("sim_limits", DEFAULT_SIM_LIMITS)
+            self.sim_tracker = SimLimitTracker(sim_limits)
         top_name = top or design.top
         if top_name is None or top_name not in design.modules:
             top_module = design.top_module()

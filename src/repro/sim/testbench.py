@@ -15,19 +15,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import TransientError
+from ..scope import current
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
-from .engine import get_default_sim_engine, make_simulator
-from .limits import (
-    UNTRACKED,
-    SimLimits,
-    SimLimitTracker,
-    get_default_sim_limits,
-)
-from .sandbox import SimVerdict, get_active_sandbox_stats, run_sandboxed
+from .engine import DEFAULT_SIM_ENGINE, make_simulator
+from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
+from .sandbox import DEFAULT_SANDBOX_STATS, SimVerdict, run_sandboxed
 from .simulator import Simulator
 from .values import Logic
-from .verdict import get_active_verdict_cache, verdict_key
+from .verdict import DEFAULT_VERDICT_CACHE, verdict_key
 
 CLOCK_NAMES = ("clk", "clock")
 RESET_NAMES = ("reset", "rst", "areset", "arst", "resetn", "rst_n")
@@ -95,13 +91,11 @@ def _chaos_verdict(site: str, chaos_key: str, engine: str) -> Optional[SimVerdic
     counting them.  The chaos key deliberately excludes the engine so
     both engines draw the same fault for the same work.
     """
-    # Lazy: repro.runtime transitively imports this package.
-    from ..runtime.faults import get_active_sim_injector
-
-    injector = get_active_sim_injector()
+    scope = current()
+    injector = scope.get("sim_injector")
     if injector is None:
         return None
-    stats = get_active_sandbox_stats()
+    stats = scope.get("sandbox_stats", DEFAULT_SANDBOX_STATS)
     try:
         kind = injector.fire(site, chaos_key)
     except TransientError:
@@ -143,8 +137,13 @@ def run_differential(
     ``ok``/``fail`` verdicts are memoized -- ``limit``/``crashed``
     outcomes depend on budgets and environment, not just content.
     """
-    effective_engine = engine if engine is not None else get_default_sim_engine()
-    effective_sim = sim_limits if sim_limits is not None else get_default_sim_limits()
+    scope = current()
+    effective_engine = engine
+    if effective_engine is None:
+        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
+    effective_sim = sim_limits
+    if effective_sim is None:
+        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
 
     chaos = _chaos_verdict(
         "sim.diff",
@@ -157,7 +156,7 @@ def run_differential(
             passed=False, failure_reason=chaos.detail, verdict=chaos
         )
 
-    cache = get_active_verdict_cache()
+    cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
     key = None
     if cache is not None:
         key = verdict_key(

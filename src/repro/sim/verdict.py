@@ -30,10 +30,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
+from ..scope import current
 from ..verilog.limits import DEFAULT_LIMITS, ResourceLimits
 
 #: Default LRU bound; verdicts are small (a few mismatch tuples + trace
@@ -158,47 +158,7 @@ class VerdictCache:
 #: The process-wide default cache, active from import time.
 DEFAULT_VERDICT_CACHE = VerdictCache()
 
-_active_cache: Optional[VerdictCache] = DEFAULT_VERDICT_CACHE
-_active_lock = threading.Lock()
-
 
 def get_active_verdict_cache() -> Optional[VerdictCache]:
     """The cache the simulation harnesses currently consult (or None)."""
-    return _active_cache
-
-
-def set_active_verdict_cache(
-    cache: Optional[VerdictCache],
-) -> Optional[VerdictCache]:
-    """Install ``cache`` as the active verdict cache; returns the
-    previous one.  Pass ``None`` to disable verdict memoization."""
-    global _active_cache
-    with _active_lock:
-        previous = _active_cache
-        _active_cache = cache
-        return previous
-
-
-@contextmanager
-def use_verdict_cache(
-    cache: Optional[VerdictCache] = None, maxsize: int = DEFAULT_MAXSIZE
-) -> Iterator[VerdictCache]:
-    """Scope a verdict cache to a ``with`` block (fresh one by default);
-    the previously active cache is restored on exit."""
-    scoped = cache if cache is not None else VerdictCache(maxsize=maxsize)
-    previous = set_active_verdict_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_verdict_cache(previous)
-
-
-@contextmanager
-def no_verdict_cache() -> Iterator[None]:
-    """Disable verdict memoization inside a ``with`` block (cold-path
-    measurements, differential engine comparisons)."""
-    previous = set_active_verdict_cache(None)
-    try:
-        yield
-    finally:
-        set_active_verdict_cache(previous)
+    return current().get("verdict_cache", DEFAULT_VERDICT_CACHE)

@@ -32,11 +32,7 @@ from .pipeline import (
     PipelineStats,
     Stage,
     StageCache,
-    get_active_stage_cache,
-    no_stage_cache,
     result_fingerprint,
-    set_active_stage_cache,
-    use_stage_cache,
 )
 
 __all__ = [
@@ -48,11 +44,7 @@ __all__ = [
     "PipelineStats",
     "Stage",
     "StageCache",
-    "get_active_stage_cache",
-    "no_stage_cache",
     "result_fingerprint",
-    "set_active_stage_cache",
-    "use_stage_cache",
     "Design",
     "ElabDesign",
     "ElabModule",

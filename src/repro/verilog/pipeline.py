@@ -60,13 +60,13 @@ import sys
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
 from ..diagnostics.engine import DiagnosticEngine
+from ..scope import current
 from . import ast
 from .elaborate import elaborate
 from .lexer import Lexer
@@ -254,49 +254,6 @@ class StageCache:
 #: The process-wide default stage cache, active from import time (the
 #: same always-on posture as the whole-result compile cache).
 DEFAULT_STAGE_CACHE = StageCache()
-
-_active_stage_cache: Optional[StageCache] = DEFAULT_STAGE_CACHE
-_active_stage_lock = threading.Lock()
-
-
-def get_active_stage_cache() -> Optional[StageCache]:
-    """The stage cache sessions currently consult (or None)."""
-    return _active_stage_cache
-
-
-def set_active_stage_cache(cache: Optional[StageCache]) -> Optional[StageCache]:
-    """Install ``cache`` as the active stage cache; returns the previous
-    one.  Pass ``None`` to disable stage-artifact caching entirely."""
-    global _active_stage_cache
-    with _active_stage_lock:
-        previous = _active_stage_cache
-        _active_stage_cache = cache
-        return previous
-
-
-@contextmanager
-def use_stage_cache(
-    cache: Optional[StageCache] = None, maxsize: int = DEFAULT_STAGE_MAXSIZE
-) -> Iterator[StageCache]:
-    """Scope a stage cache to a ``with`` block (fresh one by default);
-    the previously active cache is restored on exit."""
-    scoped = cache if cache is not None else StageCache(maxsize=maxsize)
-    previous = set_active_stage_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_stage_cache(previous)
-
-
-@contextmanager
-def no_stage_cache() -> Iterator[None]:
-    """Disable stage-artifact caching inside a ``with`` block (cold-path
-    measurements, differential testing)."""
-    previous = set_active_stage_cache(None)
-    try:
-        yield
-    finally:
-        set_active_stage_cache(previous)
 
 
 @dataclass
@@ -765,7 +722,7 @@ class CompileSession:
         a failed pipeline leaves nothing trustworthy to resume from).
         """
         with self._lock:
-            cache = get_active_stage_cache()
+            cache = current().get("stage_cache", DEFAULT_STAGE_CACHE)
             engine = DiagnosticEngine()
             state = PipelineState(
                 raw=SourceFile(self.name, code), flavor=flavor,

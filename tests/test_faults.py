@@ -39,8 +39,8 @@ from repro.runtime import (
     guidance_key,
     messages_key,
     partition_failures,
-    use_sim_chaos,
 )
+from repro.scope import scoped
 
 pytestmark = pytest.mark.chaos
 
@@ -557,7 +557,7 @@ class TestVerdictChaosTransparency:
         assert clean_key != tweaked_key
 
     def test_chaos_run_deterministic_with_shared_verdict_cache(self, tiny_dataset):
-        from repro.sim import VerdictCache, no_verdict_cache, use_verdict_cache
+        from repro.sim import VerdictCache
 
         chaos = Guard(
             SimulatedLLM(),
@@ -566,10 +566,10 @@ class TestVerdictChaosTransparency:
         fixer = RTLFixer(
             config=RTLFixerConfig(max_retries=0, on_error="collect"), model=chaos
         )
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             baseline = run_fix_experiment(tiny_dataset, fixer, repeats=2)
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             cold = run_fix_experiment(tiny_dataset, fixer, repeats=2)
             warm = run_fix_experiment(tiny_dataset, fixer, repeats=2)
         # Memoized verdicts change nothing observable, faults included.
@@ -596,21 +596,19 @@ class TestSandboxChaos:
         return result.elaborated
 
     def test_transient_sim_fault_clears_on_retry(self, design):
-        from repro.sim import no_verdict_cache
         from repro.sim.testbench import run_differential
 
         injector = FaultInjector(
             seed=0,
             sim=FaultSpec(rate=1.0, kind="exception", transient_failures=1),
         )
-        with no_verdict_cache(), use_sim_chaos(injector):
+        with scoped(verdict_cache=None, sim_injector=injector):
             with pytest.raises(InjectedFault):
                 run_differential(design, design, samples=8)
             # Same work unit, same injector: the transient has cleared.
             assert run_differential(design, design, samples=8).passed
 
     def test_sim_faults_isolated_per_trial_under_collect(self, design):
-        from repro.sim import no_verdict_cache
         from repro.sim.testbench import run_differential
 
         injector = FaultInjector(seed=3, sim=FaultSpec(rate=0.4))
@@ -619,7 +617,7 @@ class TestSandboxChaos:
         def trial(seed: int) -> bool:
             return run_differential(design, design, samples=8, seed=seed).passed
 
-        with no_verdict_cache(), use_sim_chaos(injector):
+        with scoped(verdict_cache=None, sim_injector=injector):
             results = runner.map(trial, list(range(12)), on_error="collect")
         values, failures = partition_failures(results)
         # Deterministic at this seed: some trials fault, the rest finish.
@@ -628,13 +626,13 @@ class TestSandboxChaos:
         assert all(v for v in values if v is not None)
 
     def test_garbage_sim_verdict_never_cached(self, design):
-        from repro.sim import VerdictCache, use_verdict_cache
+        from repro.sim import VerdictCache
         from repro.sim.testbench import run_differential
 
         injector = FaultInjector(seed=1, sim=FaultSpec(rate=1.0, kind="garbage"))
         cache = VerdictCache()
-        with use_verdict_cache(cache):
-            with use_sim_chaos(injector):
+        with scoped(verdict_cache=cache):
+            with scoped(sim_injector=injector):
                 garbled = run_differential(design, design, samples=8)
             assert garbled.verdict.injected and not garbled.passed
             assert len(cache) == 0, "fabricated verdicts must not be memoized"
@@ -645,12 +643,11 @@ class TestSandboxChaos:
             assert run_differential(design, design, samples=8).passed
 
     def test_transient_sim_faults_never_breaker_counted(self, design):
-        from repro.sim import no_verdict_cache
         from repro.sim.testbench import run_differential
 
         breaker = CircuitBreaker(failure_threshold=2)
         injector = FaultInjector(seed=0, sim=FaultSpec(rate=1.0))
-        with no_verdict_cache(), use_sim_chaos(injector):
+        with scoped(verdict_cache=None, sim_injector=injector):
             for seed in range(4):
                 try:
                     run_differential(design, design, samples=8, seed=seed)
@@ -662,27 +659,26 @@ class TestSandboxChaos:
         assert breaker.consecutive_failures == 0
 
     def test_chaos_faults_counted_in_sandbox_stats(self, design):
-        from repro.sim import no_verdict_cache
-        from repro.sim.sandbox import use_sandbox_stats
+        from repro.sim.sandbox import SandboxStats
         from repro.sim.testbench import run_differential
 
         injector = FaultInjector(seed=0, sim=FaultSpec(rate=1.0))
-        with no_verdict_cache(), use_sandbox_stats() as stats:
-            with use_sim_chaos(injector):
+        stats = SandboxStats()
+        with scoped(verdict_cache=None, sandbox_stats=stats):
+            with scoped(sim_injector=injector):
                 with pytest.raises(InjectedFault):
                     run_differential(design, design, samples=8)
         assert stats.chaos_faults == 1
         assert stats.crashed_verdicts == 0, "chaos is not a sandbox crash"
 
     def test_both_engines_draw_the_same_fault(self, design):
-        from repro.sim import no_verdict_cache
         from repro.sim.testbench import run_differential
 
         outcomes: dict[str, list[str]] = {"interp": [], "compiled": []}
         for engine in outcomes:
             for seed in range(8):
                 injector = FaultInjector(seed=7, sim=FaultSpec(rate=0.5))
-                with no_verdict_cache(), use_sim_chaos(injector):
+                with scoped(verdict_cache=None, sim_injector=injector):
                     try:
                         run_differential(
                             design, design, samples=4, seed=seed, engine=engine

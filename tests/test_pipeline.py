@@ -8,24 +8,22 @@ import pytest
 
 from repro.diagnostics import Compiler, ErrorCategory, compile_source
 from repro.diagnostics.engine import DiagnosticEngine
-from repro.runtime import (
-    FaultInjector,
-    FaultSpec,
-    Guard,
-    RetryPolicy,
-    no_compile_cache,
-)
+from repro.runtime import FaultInjector, FaultSpec, Guard, RetryPolicy
+from repro.scope import current, scoped
 from repro.verilog import ResourceLimits
 from repro.verilog.pipeline import (
+    DEFAULT_STAGE_CACHE,
     Artifact,
     CompileSession,
     StageCache,
-    get_active_stage_cache,
-    no_stage_cache,
     result_fingerprint,
-    set_active_stage_cache,
-    use_stage_cache,
 )
+
+
+def _active_stage_cache():
+    """The stage cache sessions currently consult (or None)."""
+    return current().get("stage_cache", DEFAULT_STAGE_CACHE)
+
 
 MODULE_A = (
     "module a(input clk, input [3:0] x, output reg [3:0] y);\n"
@@ -57,7 +55,7 @@ def assert_warm_equals_cold(session, code, flavor="iverilog", **kw):
 
 class TestSessionEquivalence:
     def test_clean_source_all_flavors(self):
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession()
             for flavor in ("simple", "iverilog", "quartus"):
                 result = assert_warm_equals_cold(
@@ -66,14 +64,14 @@ class TestSessionEquivalence:
                 assert result.ok
 
     def test_broken_source_all_flavors(self):
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession()
             for flavor in ("simple", "iverilog", "quartus"):
                 result = assert_warm_equals_cold(session, BROKEN, flavor=flavor)
                 assert not result.ok
 
     def test_edit_sequence_stays_identical(self):
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession()
             for code in (
                 MODULE_A + MODULE_B,
@@ -85,7 +83,7 @@ class TestSessionEquivalence:
                 assert_warm_equals_cold(session, code)
 
     def test_include_files(self):
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession()
             code = '`include "lib.vh"\n' + MODULE_A
             includes = {"lib.vh": "`define WIDTH 4\n"}
@@ -97,7 +95,7 @@ class TestSessionEquivalence:
             )
 
     def test_session_without_any_cache(self):
-        with no_stage_cache():
+        with scoped(stage_cache=None):
             session = CompileSession()
             assert_warm_equals_cold(session, MODULE_A + MODULE_B)
             assert_warm_equals_cold(session, MODULE_A + MODULE_B_EDITED)
@@ -106,7 +104,7 @@ class TestSessionEquivalence:
 class TestIncrementalReuse:
     def test_editing_module_b_reuses_module_a_segment(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             session = CompileSession()
             session.compile(MODULE_A + MODULE_B)
             before = cache.stats.segments_reused
@@ -118,7 +116,7 @@ class TestIncrementalReuse:
 
     def test_late_edit_resumes_the_lexer(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             session = CompileSession()
             session.compile(MODULE_A + MODULE_B)
             assert cache.stats.incremental_lexes == 0
@@ -129,7 +127,7 @@ class TestIncrementalReuse:
 
     def test_flavor_switch_hits_every_analysis_stage(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             session = CompileSession()
             session.compile(MODULE_A + BROKEN, flavor="iverilog")
             hits_before = dict(cache.stats.hits)
@@ -144,7 +142,7 @@ class TestIncrementalReuse:
 
     def test_identical_recompile_is_all_hits(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             session = CompileSession()
             session.compile(MODULE_A + MODULE_B)
             misses = dict(cache.stats.misses)
@@ -153,7 +151,7 @@ class TestIncrementalReuse:
 
     def test_reset_disables_incremental_lex(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             session = CompileSession()
             session.compile(MODULE_A + MODULE_B)
             session.reset()
@@ -163,7 +161,7 @@ class TestIncrementalReuse:
 
     def test_sessions_share_segments_through_the_cache(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             CompileSession().compile(MODULE_A + MODULE_B)
             before = cache.stats.segments_reused
             fresh = CompileSession()
@@ -195,21 +193,20 @@ class TestStageCache:
             StageCache(maxsize=0)
 
     def test_scoping_restores_previous_cache(self):
-        outer = get_active_stage_cache()
+        outer = _active_stage_cache()
         mine = StageCache()
-        with use_stage_cache(mine):
-            assert get_active_stage_cache() is mine
-            with no_stage_cache():
-                assert get_active_stage_cache() is None
-            assert get_active_stage_cache() is mine
-        assert get_active_stage_cache() is outer
+        with scoped(stage_cache=mine):
+            assert _active_stage_cache() is mine
+            with scoped(stage_cache=None):
+                assert _active_stage_cache() is None
+            assert _active_stage_cache() is mine
+        assert _active_stage_cache() is outer
 
     def test_set_active_returns_previous(self):
-        previous = set_active_stage_cache(None)
-        try:
-            assert get_active_stage_cache() is None
-        finally:
-            set_active_stage_cache(previous)
+        previous = _active_stage_cache()
+        with scoped(stage_cache=None):
+            assert _active_stage_cache() is None
+        assert _active_stage_cache() is previous
 
     def test_clear_resets_stats(self):
         cache = StageCache()
@@ -221,7 +218,7 @@ class TestStageCache:
 
     def test_as_dict_shape(self):
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             CompileSession().compile(MODULE_A)
         snapshot = cache.stats.as_dict()
         for key in (
@@ -282,7 +279,7 @@ class TestDiagnosticEngine:
 class TestEscalation:
     def test_limit_escalation_matches_cold(self):
         limits = ResourceLimits(max_tokens=8)
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession(limits=limits)
             result = assert_warm_equals_cold(session, MODULE_A + MODULE_B)
             assert ErrorCategory.RESOURCE_LIMIT in result.categories
@@ -296,20 +293,20 @@ class TestEscalation:
             "    y <= x;\n    y <= x + 1;\n    y <= x + 2;\n"
             "  end\nendmodule\n"
         )
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession(limits=limits)
             result = assert_warm_equals_cold(session, many_statements)
             assert ErrorCategory.RESOURCE_LIMIT in result.categories
 
     def test_source_bytes_limit_matches_cold(self):
         limits = ResourceLimits(max_source_bytes=16)
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession(limits=limits)
             result = assert_warm_equals_cold(session, MODULE_A)
             assert ErrorCategory.RESOURCE_LIMIT in result.categories
 
     def test_crash_escalation_sets_crashed_and_drops_memo(self, monkeypatch):
-        with use_stage_cache():
+        with scoped(stage_cache=StageCache()):
             session = CompileSession()
             session.compile(MODULE_A)
             assert session._memo is not None
@@ -334,7 +331,8 @@ class TestEscalation:
 
 class TestCompilerFacade:
     def test_facade_routes_through_session(self):
-        with no_compile_cache(), use_stage_cache() as cache:
+        cache = StageCache()
+        with scoped(compile_cache=None, stage_cache=cache):
             compiler = Compiler()
             compiler.compile(MODULE_A + MODULE_B)
             compiler.compile(MODULE_A + MODULE_B_EDITED)
@@ -342,7 +340,7 @@ class TestCompilerFacade:
             assert cache.stats.segments_reused > 0
 
     def test_facade_matches_compile_source(self):
-        with no_compile_cache(), use_stage_cache():
+        with scoped(compile_cache=None, stage_cache=StageCache()):
             compiler = Compiler(flavor="quartus")
             for code in (MODULE_A, BROKEN, MODULE_A + MODULE_B):
                 warm = compiler.compile(code)
@@ -357,7 +355,8 @@ class TestCompilerFacade:
         assert clone.compile(MODULE_A).ok
 
     def test_wrapped_by_retrying_compiler(self):
-        with no_compile_cache(), use_stage_cache() as cache:
+        cache = StageCache()
+        with scoped(compile_cache=None, stage_cache=cache):
             compiler = Guard(Compiler(), RetryPolicy(max_retries=2))
             assert compiler.compile(MODULE_A + MODULE_B).ok
             assert compiler.compile(MODULE_A + MODULE_B_EDITED).ok
@@ -366,7 +365,7 @@ class TestCompilerFacade:
     def test_wrapped_by_chaos_compiler(self):
         injector = FaultInjector(seed=3, compiler=FaultSpec(rate=1.0,
                                                             kind="garbage"))
-        with no_compile_cache(), use_stage_cache():
+        with scoped(compile_cache=None, stage_cache=StageCache()):
             compiler = Guard(Compiler(), injector=injector)
             # A poisoned compile goes through the same session and stays
             # a well-formed (failing) result, never an exception.

@@ -32,7 +32,6 @@ from repro.llm.pool import (
     PooledRepairModel,
     RoutingSpec,
     routing_from_config,
-    use_llm_routing,
 )
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
@@ -42,10 +41,10 @@ from repro.runtime import (
     TokenBucket,
     TokenCounter,
     estimate_tokens,
-    get_active_token_counter,
-    use_token_counter,
 )
+from repro.runtime.accounting import get_active_token_counter
 from repro.runtime.checkpoint import config_digest
+from repro.scope import scoped
 
 BROKEN = (
     "module top_module(input [7:0] in, output reg [7:0] out);\n"
@@ -181,9 +180,9 @@ class TestTokenCounter:
 
     def test_use_token_counter_scopes_the_active_ledger(self):
         outer = get_active_token_counter()
-        scoped = TokenCounter()
-        with use_token_counter(scoped):
-            assert get_active_token_counter() is scoped
+        ledger = TokenCounter()
+        with scoped(token_counter=ledger):
+            assert get_active_token_counter() is ledger
         assert get_active_token_counter() is outer
 
     def test_estimate_tokens(self):
@@ -334,7 +333,7 @@ class TestRoutingPolicy:
     def test_escalated_run_reaches_strong_backend(self):
         counter = TokenCounter()
         routing = RoutingSpec.parse(POOL, escalate_after=2)
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             RTLFixer(seed=3).fix(HARD)
         ledger = counter.as_dict()
         # K=2 on a never-healing sample: exactly two cheap rounds, then
@@ -349,7 +348,7 @@ class TestRoutingPolicy:
         # default; the escalation signal must pass through it.
         routing = RoutingSpec.parse(POOL, escalate_after=1)
         counter = TokenCounter()
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             fixer = RTLFixer(seed=3, max_retries=2)
             assert type(fixer.agent.model).__name__ == "Guard"
             fixer.fix(HARD)
@@ -359,7 +358,7 @@ class TestRoutingPolicy:
 class TestPooledDeterminism:
     def test_pooled_equals_direct_fix(self):
         direct = RTLFixer(seed=5).fix(BROKEN)
-        with use_llm_routing(RoutingSpec.parse(POOL)):
+        with scoped(llm_routing=RoutingSpec.parse(POOL)):
             pooled = RTLFixer(seed=5).fix(BROKEN)
         assert pooled.success == direct.success
         assert pooled.iterations == direct.iterations
@@ -368,14 +367,14 @@ class TestPooledDeterminism:
 
     def test_pooled_experiment_matches_direct(self, tiny_dataset):
         direct = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
-        with use_llm_routing(RoutingSpec.parse(POOL)):
+        with scoped(llm_routing=RoutingSpec.parse(POOL)):
             pooled = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
         assert pooled.fixed_counts == direct.fixed_counts
         assert pooled.iterations == direct.iterations
 
     @pytest.mark.parametrize("backend,jobs", [("thread", 2), ("process", 2)])
     def test_pooled_parallel_matches_serial(self, tiny_dataset, backend, jobs):
-        with use_llm_routing(RoutingSpec.parse(POOL, escalate_after=2)):
+        with scoped(llm_routing=RoutingSpec.parse(POOL, escalate_after=2)):
             serial = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
             parallel = run_fix_experiment(
                 tiny_dataset, RTLFixer(), repeats=1,
@@ -385,11 +384,11 @@ class TestPooledDeterminism:
         assert parallel.iterations == serial.iterations
 
     def test_rate_limit_and_concurrency_do_not_change_results(self, tiny_dataset):
-        with use_llm_routing(RoutingSpec.parse(POOL)):
+        with scoped(llm_routing=RoutingSpec.parse(POOL)):
             plain = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
         limited = RoutingSpec.parse(POOL, rate=500.0, concurrency=2)
         counter = TokenCounter()
-        with use_llm_routing(limited), use_token_counter(counter):
+        with scoped(llm_routing=limited, token_counter=counter):
             shaped = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
         assert shaped.fixed_counts == plain.fixed_counts
         assert shaped.iterations == plain.iterations
@@ -419,11 +418,13 @@ class TestPooledDeterminism:
 
 class TestHedging:
     def test_hedging_never_changes_results(self):
-        with use_llm_routing(RoutingSpec.parse(POOL)):
+        with scoped(llm_routing=RoutingSpec.parse(POOL)):
             plain = RTLFixer(seed=3).fix(HARD)
         counter = TokenCounter()
-        with use_llm_routing(RoutingSpec.parse(POOL, hedge_rate=1.0)), \
-                use_token_counter(counter):
+        with scoped(
+            llm_routing=RoutingSpec.parse(POOL, hedge_rate=1.0),
+            token_counter=counter,
+        ):
             hedged = RTLFixer(seed=3).fix(HARD)
         assert hedged.final_code == plain.final_code
         assert hedged.iterations == plain.iterations
@@ -434,12 +435,16 @@ class TestHedging:
     def test_hedge_coin_is_seeded_per_call(self):
         # At a fractional rate the same run hedges the same calls twice.
         first = TokenCounter()
-        with use_llm_routing(RoutingSpec.parse(POOL, hedge_rate=0.5)), \
-                use_token_counter(first):
+        with scoped(
+            llm_routing=RoutingSpec.parse(POOL, hedge_rate=0.5),
+            token_counter=first,
+        ):
             RTLFixer(seed=3).fix(HARD)
         second = TokenCounter()
-        with use_llm_routing(RoutingSpec.parse(POOL, hedge_rate=0.5)), \
-                use_token_counter(second):
+        with scoped(
+            llm_routing=RoutingSpec.parse(POOL, hedge_rate=0.5),
+            token_counter=second,
+        ):
             RTLFixer(seed=3).fix(HARD)
         assert first.as_dict()["hedges"] == second.as_dict()["hedges"]
 
@@ -456,7 +461,7 @@ class TestPoolChaos:
 
     def test_cheap_outage_fails_over_to_strong(self):
         counter = TokenCounter()
-        with use_llm_routing(self._outage("cheap")), use_token_counter(counter):
+        with scoped(llm_routing=self._outage("cheap"), token_counter=counter):
             result = RTLFixer(seed=3).fix(BROKEN)
         ledger = counter.as_dict()
         assert result.iterations >= 1  # the run completed via failover
@@ -466,7 +471,7 @@ class TestPoolChaos:
 
     def test_cheap_outage_run_isolates_no_failures(self, tiny_dataset):
         counter = TokenCounter()
-        with use_llm_routing(self._outage("cheap")), use_token_counter(counter):
+        with scoped(llm_routing=self._outage("cheap"), token_counter=counter):
             run = run_fix_experiment(
                 tiny_dataset, RTLFixer(on_error="collect"), repeats=1
             )
@@ -479,7 +484,7 @@ class TestPoolChaos:
             chaos={"cheap": FaultSpec(rate=1.0, kind="exception")},
         )
         counter = TokenCounter()
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             result = RTLFixer(seed=3).fix(BROKEN)
         ledger = counter.as_dict()
         assert result.iterations >= 1
@@ -493,7 +498,7 @@ class TestPoolChaos:
                 "strong": FaultSpec(rate=1.0, kind="exception"),
             },
         )
-        with use_llm_routing(routing):
+        with scoped(llm_routing=routing):
             model = RTLFixer(seed=3, max_retries=1).agent.model
             session = model.start(BROKEN, "quartus", False)
             with pytest.raises(RetryExhaustedError):
@@ -506,7 +511,7 @@ class TestPoolChaos:
             RoutingSpec.parse(POOL),
             chaos={"strong": FaultSpec(rate=1.0, kind="exception")},
         )
-        with use_llm_routing(routing):
+        with scoped(llm_routing=routing):
             fixer = RTLFixer(
                 tier="gpt-4-sim", on_error="collect", breaker_threshold=3,
                 max_retries=1,
@@ -526,7 +531,7 @@ class TestPoolChaos:
             },
         )
         counter = TokenCounter()
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             result = RTLFixer(seed=3).fix(BROKEN)
         ledger = counter.as_dict()
         assert result.iterations >= 1
@@ -549,7 +554,7 @@ class TestOpenAIAdapter:
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         routing = RoutingSpec.parse("real=gpt-3.5-turbo,fallback=gpt-3.5-sim")
         counter = TokenCounter()
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             result = RTLFixer(seed=3, tier="gpt-3.5-turbo").fix(BROKEN)
         assert result.iterations >= 1
         ledger = counter.as_dict()

@@ -23,7 +23,7 @@ from repro.dataset.mutate import (
 from repro.diagnostics import Compiler
 from repro.errors import DeadlineExceededError
 from repro.llm import SimulatedLLM, SimulatedLogicDebugger
-from repro.llm.pool import RoutingSpec, use_llm_routing
+from repro.llm.pool import RoutingSpec
 from repro.llm.simfix import PooledLogicModel
 from repro.rag import ExactTagRetriever, build_default_database
 from repro.repair import (
@@ -42,12 +42,8 @@ from repro.repair.templates import (
     swap_operator,
     swap_signals,
 )
-from repro.runtime import (
-    CompileCache,
-    TokenCounter,
-    use_compile_cache,
-    use_token_counter,
-)
+from repro.runtime import CompileCache, TokenCounter
+from repro.scope import scoped
 from repro.service import Deadline, use_deadline
 
 DB = build_default_database()
@@ -76,7 +72,7 @@ class TestGoldenEquivalence:
         )
         assert len(dataset) > 0
         mismatches = []
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             for flavor, rag, seed in (
                 ("quartus", True, 0), ("iverilog", False, 3)
             ):
@@ -91,7 +87,7 @@ class TestGoldenEquivalence:
     def test_simfix_corpus_equivalence(self):
         problems = list(verilogeval())[:6]
         mismatches = []
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             for seed in (0, 1):
                 for problem in problems:
                     rng = random.Random(f"eq|{seed}|{problem.id}")
@@ -229,7 +225,7 @@ class TestTemplates:
         loc = Localization(suspects=[
             Suspect(signal="y", line=2, score=1.0),
         ])
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             # Bare assigns never compile standalone; disable the filter
             # by enumerating directly.
             edits = session._enumerate(code, loc)
@@ -327,7 +323,7 @@ class TestTable4:
         from repro.eval.experiments import run_table4
 
         problems = ProblemSet("t4", list(verilogeval())[:8])
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             first = run_table4(problems, samples_per_problem=1, seed=0)
             second = run_table4(problems, samples_per_problem=1, seed=0)
         assert first.digest() == second.digest()
@@ -341,13 +337,13 @@ class TestTable4:
         from repro.eval.experiments import run_table4
 
         problems = ProblemSet("t4p", list(verilogeval())[:4])
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             serial = run_table4(problems, samples_per_problem=1, seed=0)
             fanned = run_table4(problems, samples_per_problem=1, seed=0, jobs=2)
         assert serial.digest() == fanned.digest()
 
     def test_functional_repair_fixes_seeded_gate_swap(self):
-        with use_compile_cache(CompileCache()):
+        with scoped(compile_cache=CompileCache()):
             outcome = repair_functional(BUGGY_GATE, REF_GATE, difficulty="easy")
         assert outcome.success
         assert outcome.fixed_by == "template"
@@ -365,7 +361,7 @@ class TestPooledLogicModel:
         direct = SimDebugAgent(model=SimulatedLogicDebugger()).run(
             buggy, problem.reference, problem.difficulty
         )
-        with use_llm_routing(routing), use_token_counter(TokenCounter()):
+        with scoped(llm_routing=routing, token_counter=TokenCounter()):
             pooled = SimDebugAgent().run(
                 buggy, problem.reference, problem.difficulty
             )
@@ -376,7 +372,7 @@ class TestPooledLogicModel:
         counter = TokenCounter()
         problem = list(verilogeval())[2]
         buggy = force_behavior_change(problem.reference)
-        with use_llm_routing(routing), use_token_counter(counter):
+        with scoped(llm_routing=routing, token_counter=counter):
             SimDebugAgent().run(buggy, problem.reference, problem.difficulty)
         ledger = counter.as_dict()
         assert ledger["calls"] >= 1

@@ -14,12 +14,10 @@ from repro.runtime import (
     ParallelRunner,
     cached_compile,
     compile_key,
-    get_active_cache,
-    no_compile_cache,
     resolve_jobs,
-    set_active_cache,
-    use_compile_cache,
 )
+from repro.runtime.cache import get_active_cache
+from repro.scope import scoped
 
 GOOD = "module m(input a, output y);\nassign y = a;\nendmodule\n"
 BROKEN = (
@@ -120,25 +118,25 @@ class TestActiveCachePlumbing:
 
     def test_use_compile_cache_scopes_and_restores(self):
         before = get_active_cache()
-        with use_compile_cache() as cache:
+        cache = CompileCache()
+        with scoped(compile_cache=cache):
             assert get_active_cache() is cache
             cached_compile(GOOD)
             assert cache.stats.misses == 1
         assert get_active_cache() is before
 
     def test_no_compile_cache_disables(self):
-        with no_compile_cache():
+        with scoped(compile_cache=None):
             assert get_active_cache() is None
             result = cached_compile(GOOD)  # falls through, still compiles
             assert result.ok
 
     def test_set_active_cache_returns_previous(self):
         fresh = CompileCache()
-        previous = set_active_cache(fresh)
-        try:
+        previous = get_active_cache()
+        with scoped(compile_cache=fresh):
             assert get_active_cache() is fresh
-        finally:
-            set_active_cache(previous)
+        assert get_active_cache() is previous
 
 
 class TestParallelRunner:
@@ -242,13 +240,15 @@ class TestPerTrialProgress:
 
 class TestReferenceCompilationCaching:
     def test_table2_compiles_each_reference_once(self, tiny_problems):
-        with use_compile_cache() as cache:
+        cache = CompileCache()
+        with scoped(compile_cache=cache):
             run_table2(tiny_problems, n_samples=4, sim_samples=8)
             for problem in tiny_problems:
                 assert cache.misses_for(problem.reference) == 1, problem.id
 
     def test_warm_table2_rerun_has_zero_redundant_compiles(self, tiny_problems):
-        with use_compile_cache() as cache:
+        cache = CompileCache()
+        with scoped(compile_cache=cache):
             run_table2(tiny_problems, n_samples=4, sim_samples=8)
             cold_misses = cache.stats.misses
             run_table2(tiny_problems, n_samples=4, sim_samples=8)

@@ -20,6 +20,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.runtime.checkpoint import config_digest
+from repro.scope import current, scoped
 from repro.service.deadline import Deadline, use_deadline
 from repro.sim.limits import (
     DEFAULT_SIM_LIMITS,
@@ -29,17 +30,10 @@ from repro.sim.limits import (
     SimLimits,
     SimLimitTracker,
     parse_sim_limits,
-    use_sim_limits,
 )
-from repro.sim.sandbox import (
-    SandboxStats,
-    SimVerdict,
-    run_sandboxed,
-    simulate,
-    use_sandbox_stats,
-)
+from repro.sim.sandbox import SandboxStats, SimVerdict, run_sandboxed, simulate
 from repro.sim.testbench import run_differential
-from repro.sim.verdict import VerdictCache, no_verdict_cache, use_verdict_cache
+from repro.sim.verdict import VerdictCache
 
 ENGINES = ("interp", "compiled")
 
@@ -115,11 +109,12 @@ class TestLimitsParsing:
 
     def test_default_scoping(self):
         tight = SimLimits(max_cycles=9)
-        with use_sim_limits(tight) as active:
-            assert active is tight
-            from repro.sim.limits import get_default_sim_limits
-
-            assert get_default_sim_limits() is tight
+        with scoped(sim_limits=tight):
+            assert current()["sim_limits"] is tight
+            with pytest.raises(ValueError):
+                with scoped(sim_limits="cycles=9"):
+                    pass
+        assert "sim_limits" not in current()
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ class TestBudgetKinds:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_oscillator_is_a_settle_limit(self, engine):
         design = build(OSCILLATOR)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             outcome = simulate(design, design, samples=4, engine=engine)
         assert outcome.verdict.category == "limit"
         assert outcome.verdict.kind == "settle passes"
@@ -141,7 +136,7 @@ class TestBudgetKinds:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_cycle_budget(self, engine):
         design = build(COUNTER)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             outcome = simulate(
                 design, design, samples=100, engine=engine,
                 sim_limits=SimLimits(max_cycles=8),
@@ -153,7 +148,7 @@ class TestBudgetKinds:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_display_budget(self, engine):
         design = build(DISPLAYER)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             outcome = simulate(
                 design, design, samples=64, engine=engine,
                 sim_limits=SimLimits(max_display_lines=4),
@@ -164,7 +159,7 @@ class TestBudgetKinds:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_trace_budget(self, engine):
         design = build(COUNTER)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             outcome = simulate(
                 design, design, mode="feedback", samples=64, engine=engine,
                 sim_limits=SimLimits(max_trace_entries=4),
@@ -182,7 +177,7 @@ class TestBudgetKinds:
         ]
         for code, mode, limits in cases:
             design = build(code)
-            with no_verdict_cache():
+            with scoped(verdict_cache=None):
                 verdicts = [
                     simulate(
                         design, design, mode=mode, samples=32,
@@ -195,14 +190,14 @@ class TestBudgetKinds:
 
     def test_clean_design_is_ok_under_default_budgets(self):
         design = build(COUNTER)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             outcome = simulate(design, design, samples=32)
         assert outcome.verdict.ok
         assert outcome.result.passed
 
     def test_untracked_sentinel_disables_tracking(self):
         design = build(COUNTER)
-        with no_verdict_cache():
+        with scoped(verdict_cache=None):
             result = run_differential(
                 design, design, samples=16, sim_limits=UNTRACKED
             )
@@ -270,7 +265,7 @@ class TestCacheHygiene:
     def test_sim_limits_separate_cache_keys(self):
         design = build(COUNTER)
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             run_differential(design, design, samples=8)
             assert len(cache) == 1
             run_differential(
@@ -282,7 +277,7 @@ class TestCacheHygiene:
     def test_limit_verdicts_never_memoized(self):
         design = build(OSCILLATOR)
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             first = run_differential(design, design, samples=4)
             second = run_differential(design, design, samples=4)
         assert first.verdict.category == "limit"
@@ -299,7 +294,8 @@ class TestMidSimulationDeadline:
     def test_expired_deadline_fires_mid_simulation(self):
         design = build(COUNTER)
         deadline = Deadline(1e-6)
-        with no_verdict_cache(), use_sandbox_stats() as stats:
+        stats = SandboxStats()
+        with scoped(verdict_cache=None, sandbox_stats=stats):
             with use_deadline(deadline):
                 with pytest.raises(DeadlineExceededError) as exc_info:
                     run_differential(design, design, samples=64)
@@ -311,7 +307,7 @@ class TestMidSimulationDeadline:
 
     def test_no_deadline_means_no_interference(self):
         design = build(COUNTER)
-        with no_verdict_cache(), use_deadline(None):
+        with scoped(verdict_cache=None), use_deadline(None):
             assert run_differential(design, design, samples=8).passed
 
 
@@ -382,7 +378,8 @@ class TestTelemetry:
 
     def test_harness_counts_into_active_stats(self):
         design = build(OSCILLATOR)
-        with no_verdict_cache(), use_sandbox_stats() as stats:
+        stats = SandboxStats()
+        with scoped(verdict_cache=None, sandbox_stats=stats):
             simulate(design, design, samples=4)
         assert stats.limit_verdicts == 1
 

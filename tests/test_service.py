@@ -31,8 +31,6 @@ from repro.service.scheduler import (
     Job,
     SchedulerConfig,
     ServiceStats,
-    get_active_service_stats,
-    use_service_stats,
 )
 
 
@@ -507,13 +505,6 @@ class TestServiceStats:
         assert snapshot["crashed"] == 1
         assert snapshot["completed"] == 5
 
-    def test_ambient_scope(self):
-        assert get_active_service_stats() is None
-        stats = ServiceStats()
-        with use_service_stats(stats):
-            assert get_active_service_stats() is stats
-        assert get_active_service_stats() is None
-
 
 class TestProtocol:
     def test_round_trip_minimal_request(self):
@@ -673,30 +664,3 @@ class TestAgentDeadlineAndObserver:
         fixer = RTLFixer()
         result = fixer.fix(self.BROKEN)
         assert result.success
-
-
-class TestServiceLine:
-    def test_service_line_renders_ledger(self):
-        from repro.cli import _service_line
-
-        stats = ServiceStats()
-        stats.record_submitted("a")
-        stats.record_admitted("a")
-        stats.record_outcome("a", "fixed")
-        stats.record_submitted("b")
-        stats.record_shed("b", ShedReason.BREAKER_OPEN)
-        line = _service_line(stats.as_dict())
-        assert line.startswith("# service: ")
-        assert "admitted=1" in line
-        assert "breaker_open=1" in line
-        assert "a:1/0" in line and "b:0/1" in line
-
-    def test_report_surfaces_ambient_service_stats(self):
-        """``report.service`` mirrors the scoped ledger (whitelisted out
-        of to_json like the other telemetry blocks)."""
-        from repro.eval.report import FullReport, ReportScale
-
-        report = FullReport(scale=ReportScale())
-        assert report.service == {}
-        report.service = {"admitted": 3}
-        assert '"admitted"' not in report.to_json()

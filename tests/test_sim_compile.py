@@ -5,22 +5,20 @@ import pytest
 
 from repro.diagnostics import compile_source
 from repro.errors import SimulationError
+from repro.scope import current, scoped
 from repro.sim import (
+    DEFAULT_SIM_ENGINE,
     CompiledSimulator,
     Logic,
     Simulator,
     VerdictCache,
-    get_default_sim_engine,
     make_sim_feedback,
     make_simulator,
-    no_verdict_cache,
     run_differential,
-    set_default_sim_engine,
-    use_verdict_cache,
     verdict_key,
 )
 from repro.verilog.limits import DEFAULT_LIMITS, ResourceLimits
-from repro.verilog.pipeline import StageCache, use_stage_cache
+from repro.verilog.pipeline import StageCache
 
 
 def elaborate(code: str):
@@ -119,7 +117,7 @@ class TestEngineEquivalence:
 
 class TestEngineSelection:
     def test_default_engine_is_compiled(self):
-        assert get_default_sim_engine() == "compiled"
+        assert current().get("sim_engine", DEFAULT_SIM_ENGINE) == "compiled"
         sim = make_simulator(elaborate(COUNTER))
         assert isinstance(sim, CompiledSimulator)
 
@@ -128,16 +126,15 @@ class TestEngineSelection:
         assert type(sim) is Simulator
 
     def test_set_default_round_trip(self):
-        previous = get_default_sim_engine()
-        try:
-            set_default_sim_engine("interp")
+        previous = current().get("sim_engine", DEFAULT_SIM_ENGINE)
+        with scoped(sim_engine="interp"):
             assert type(make_simulator(elaborate(COUNTER))) is Simulator
-        finally:
-            set_default_sim_engine(previous)
+        assert current().get("sim_engine", DEFAULT_SIM_ENGINE) == previous
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            set_default_sim_engine("verilator")
+            with scoped(sim_engine="verilator"):
+                pass
         with pytest.raises(ValueError):
             make_simulator(elaborate(COUNTER), engine="verilator")
 
@@ -195,7 +192,7 @@ class TestSimLowerStageCache:
         design = elaborate(COUNTER)
         assert design.digest is not None
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             first = make_simulator(design, engine="compiled")
             second = make_simulator(design, engine="compiled")
         assert cache.stats.misses.get("sim-lower") == 1
@@ -207,7 +204,7 @@ class TestSimLowerStageCache:
         design = elaborate(COUNTER)
         design.digest = None
         cache = StageCache()
-        with use_stage_cache(cache):
+        with scoped(stage_cache=cache):
             make_simulator(design, engine="compiled")
         assert "sim-lower" not in cache.stats.hits
         assert "sim-lower" not in cache.stats.misses
@@ -217,7 +214,7 @@ class TestVerdictMemoization:
     def test_repeat_differential_is_a_hit(self):
         design = elaborate(COUNTER)
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             first = run_differential(design, design, samples=8)
             second = run_differential(design, design, samples=8)
         assert cache.stats.misses == 1
@@ -243,7 +240,7 @@ class TestVerdictMemoization:
         design = elaborate(COUNTER)
         design.digest = None
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             run_differential(design, design, samples=4)
             run_differential(design, design, samples=4)
         assert len(cache) == 0
@@ -253,7 +250,7 @@ class TestVerdictMemoization:
     def test_no_verdict_cache_disables_memoization(self):
         design = elaborate(COUNTER)
         cache = VerdictCache()
-        with use_verdict_cache(cache), no_verdict_cache():
+        with scoped(verdict_cache=cache), scoped(verdict_cache=None):
             run_differential(design, design, samples=4)
         assert cache.stats.lookups == 0
 
@@ -261,7 +258,7 @@ class TestVerdictMemoization:
         reference = elaborate(COUNTER)
         candidate = elaborate(COUNTER.replace("q + d", "q - d"))
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             first = make_sim_feedback(candidate, reference, samples=8)
             second = make_sim_feedback(candidate, reference, samples=8)
         assert cache.stats.hits == 1
@@ -271,7 +268,7 @@ class TestVerdictMemoization:
     def test_engines_do_not_share_verdicts(self):
         design = elaborate(COUNTER)
         cache = VerdictCache()
-        with use_verdict_cache(cache):
+        with scoped(verdict_cache=cache):
             run_differential(design, design, samples=8, engine="compiled")
             run_differential(design, design, samples=8, engine="interp")
         assert cache.stats.misses == 2
