@@ -2,7 +2,8 @@
 # One-command CI gate: tier-1 tests, the chaos (fault-injection) suite,
 # the pool-chaos drills (outage of each LLM tier: cheap heals via
 # failover, strong trips the breaker, whole-ladder propagates), a
-# 200-iteration compiler front-end fuzz smoke, the pipeline
+# 200-iteration compiler front-end fuzz smoke (its digest pinned in
+# tests/data/fuzz_smoke_digest.sha256), the pipeline
 # differential (warm CompileSession vs cold compile_source over the full
 # 212-sample dataset, both flavours, bit-identical), the simulator
 # differential (compiled engine vs interpreter over every corpus
@@ -19,7 +20,7 @@
 #
 # Usage:
 #   scripts/ci.sh                # all ten stages
-#   FUZZ_ITERATIONS=1000 scripts/ci.sh   # deeper fuzz stage
+#   FUZZ_ITERATIONS=1000 scripts/ci.sh   # deeper fuzz stage (digest not pinned)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +38,17 @@ echo "== pool chaos (per-tier LLM outages, breaker armed) =="
 python -m pytest tests/test_pool.py -m chaos -q || status=1
 
 echo "== fuzz smoke ($iterations iterations, seed 0) =="
-python -m repro.cli fuzz --seed 0 --iterations "$iterations" || status=1
+fuzz_log="$(python -m repro.cli fuzz --seed 0 --iterations "$iterations")" || status=1
+echo "$fuzz_log"
+# The default run is pinned: the same seed and iteration count must
+# give the committed digest.  A deeper FUZZ_ITERATIONS run is not.
+if [[ "$iterations" == 200 ]]; then
+    pinned="$(cat tests/data/fuzz_smoke_digest.sha256)"
+    if ! grep -qx "digest: $pinned" <<<"$fuzz_log"; then
+        echo "fuzz smoke: digest differs from tests/data/fuzz_smoke_digest.sha256" >&2
+        status=1
+    fi
+fi
 
 echo "== pipeline differential (warm session vs cold compile, full dataset) =="
 python scripts/pipeline_diff.py || status=1

@@ -151,7 +151,6 @@ class GenerationModel:
     def _mutate_verified(self, problem: Problem, rng: random.Random) -> str:
         """A logic mutation verified to actually change behaviour
         (random operator swaps are sometimes accidentally equivalent)."""
-        from ..diagnostics import compile_source
         from ..runtime.cache import cached_compile
         from ..sim import run_differential
 
@@ -160,7 +159,7 @@ class GenerationModel:
             mutated = mutate_logic(problem.reference, rng)
             if mutated == problem.reference:
                 continue
-            elaborated = compile_source(mutated).elaborated
+            elaborated = cached_compile(mutated).elaborated
             if elaborated is None:
                 continue
             diff = run_differential(elaborated, reference, samples=12, seed=7)

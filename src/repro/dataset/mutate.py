@@ -12,7 +12,7 @@ import random
 import re
 from typing import Callable, Optional
 
-from ..diagnostics import compile_source
+from ..runtime import cached_compile
 
 Mutation = Callable[[str, random.Random], Optional[str]]
 
@@ -125,7 +125,7 @@ def force_behavior_change(code: str) -> str | None:
         + f"{site.group(1)}~({site.group(2).strip()});"
         + code[site.end() :]
     )
-    return mutated if compile_source(mutated).ok else None
+    return mutated if cached_compile(mutated).ok else None
 
 
 def mutate_logic_labeled(
@@ -148,7 +148,7 @@ def mutate_logic_labeled(
         mutated = mutation(code, rng)
         if mutated is None or mutated == code:
             continue
-        if compile_source(mutated).ok:
+        if cached_compile(mutated).ok:
             return mutated, mutation.__name__
     return code, "none"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from ...diagnostics import compile_source
+from ...runtime import cached_compile
 
 _MAX_EDITS = 48
 
@@ -81,7 +81,7 @@ def enumerate_logic_edits(code: str) -> list[str]:
         if candidate in seen:
             continue
         seen.add(candidate)
-        if compile_source(candidate).ok:
+        if cached_compile(candidate).ok:
             unique.append(candidate)
         if len(unique) >= _MAX_EDITS:
             break

@@ -96,6 +96,59 @@ class ElabDesign:
 # ---------------------------------------------------------------------------
 
 
+#: No constant may be wider than this: an operator whose result could
+#: exceed it (``7 ** 30000000``, ``1 << 4000000000``) is not constant,
+#: which keeps ``compile_source``'s never-hang boundary.
+MAX_CONST_BITS = 65536
+
+
+def _pow(a: int, b: int) -> Optional[int]:
+    if b < 0:
+        return 0
+    # |a| ** b needs at least b * (bit_length - 1) + 1 bits.
+    if abs(a) > 1 and b * (abs(a).bit_length() - 1) >= MAX_CONST_BITS:
+        return None
+    return a**b
+
+
+def _shl(a: int, b: int) -> Optional[int]:
+    if a and b >= 0 and a.bit_length() + b > MAX_CONST_BITS:
+        return None
+    return a << b
+
+
+_UNARY_OPS = {
+    "-": lambda v: -v,
+    "+": lambda v: v,
+    "!": lambda v: int(v == 0),
+    "~": lambda v: ~v,
+}
+
+_BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b if b else None,
+    "%": lambda a, b: a % b if b else None,
+    "**": _pow,
+    "<<": _shl,
+    ">>": lambda a, b: a >> b,
+    "<<<": _shl,
+    ">>>": lambda a, b: a >> b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b),
+    ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "||": lambda a, b: int(bool(a) or bool(b)),
+}
+
+
 def const_eval(expr: ast.Expr, env: dict[str, int] | None = None) -> Optional[int]:
     """Evaluate a constant expression to a Python int, or None if it is
     not compile-time constant.  ``env`` supplies parameter / genvar /
@@ -107,45 +160,23 @@ def const_eval(expr: ast.Expr, env: dict[str, int] | None = None) -> Optional[in
         return env.get(expr.name)
     if isinstance(expr, ast.Unary):
         val = const_eval(expr.operand, env)
-        if val is None:
+        op = _UNARY_OPS.get(expr.op)
+        if val is None or op is None:
             return None
-        return {
-            "-": lambda v: -v,
-            "+": lambda v: v,
-            "!": lambda v: int(v == 0),
-            "~": lambda v: ~v,
-        }.get(expr.op, lambda v: None)(val)
+        return op(val)
     if isinstance(expr, ast.Binary):
         lhs = const_eval(expr.lhs, env)
         rhs = const_eval(expr.rhs, env)
-        if lhs is None or rhs is None:
+        op = _BINARY_OPS.get(expr.op)
+        if lhs is None or rhs is None or op is None:
             return None
         try:
-            return {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: a // b if b else None,
-                "%": lambda a, b: a % b if b else None,
-                "**": lambda a, b: a**b if b >= 0 else 0,
-                "<<": lambda a, b: a << b,
-                ">>": lambda a, b: a >> b,
-                "<<<": lambda a, b: a << b,
-                ">>>": lambda a, b: a >> b,
-                "&": lambda a, b: a & b,
-                "|": lambda a, b: a | b,
-                "^": lambda a, b: a ^ b,
-                "==": lambda a, b: int(a == b),
-                "!=": lambda a, b: int(a != b),
-                "<": lambda a, b: int(a < b),
-                "<=": lambda a, b: int(a <= b),
-                ">": lambda a, b: int(a > b),
-                ">=": lambda a, b: int(a >= b),
-                "&&": lambda a, b: int(bool(a) and bool(b)),
-                "||": lambda a, b: int(bool(a) or bool(b)),
-            }.get(expr.op, lambda a, b: None)(lhs, rhs)
+            value = op(lhs, rhs)
         except (ValueError, OverflowError):
             return None
+        if value is not None and value.bit_length() > MAX_CONST_BITS:
+            return None
+        return value
     if isinstance(expr, ast.Ternary):
         cond = const_eval(expr.cond, env)
         if cond is None:
@@ -506,13 +537,51 @@ class Elaborator:
     def _check_unrolled_indices(self, elab: ElabModule, stmt: ast.For, scope: Scope) -> None:
         """Quartus-style synthesis check: unroll static loops (including
         nested ones, with composed environments) and verify every index
-        expression that becomes constant (Fig. 6 case)."""
-        budget = [_MAX_UNROLL]
-        self._unroll_and_check(stmt, scope, dict(elab.params), set(), budget)
+        expression that becomes constant (Fig. 6 case).
+
+        Each select is reported at most once and ``const_eval`` is pure,
+        so the unroll stops as soon as every select that could ever be
+        reported has been: a runaway loop (``i = i - 1``) costs a few
+        iterations, not the whole budget."""
+        pending = {
+            id(expr) for expr in self._loop_selects(stmt)
+            if self._checked_symbol(expr, scope) is not None
+        }
+        if pending:
+            budget = [_MAX_UNROLL]
+            self._unroll_and_check(stmt, scope, dict(elab.params), pending, budget)
+
+    @staticmethod
+    def _index_parts(stmt: ast.Stmt) -> tuple[list[ast.Expr], list[ast.Stmt]]:
+        """The expressions the unrolled-index check reads in ``stmt``
+        itself, and the child statements it descends into."""
+        if isinstance(stmt, ast.Block):
+            return [], list(stmt.stmts)
+        if isinstance(stmt, ast.If):
+            return [stmt.cond], [stmt.then] + ([stmt.other] if stmt.other else [])
+        if isinstance(stmt, ast.Case):
+            return [], [item.body for item in stmt.items]
+        if isinstance(stmt, (ast.While, ast.Repeat, ast.For)):
+            return [], [stmt.body]
+        if isinstance(stmt, ast.ProcAssign):
+            return [stmt.lvalue, stmt.rhs], []
+        return [], []
+
+    def _loop_selects(self, stmt: ast.Stmt):
+        """Every ``Select`` the unrolled-index check can visit under
+        ``stmt``, in any iteration."""
+        exprs, children = self._index_parts(stmt)
+        for root in exprs:
+            for expr in ast.walk_exprs(root):
+                if isinstance(expr, ast.Select):
+                    yield expr
+        for child in children:
+            if child is not None:
+                yield from self._loop_selects(child)
 
     def _unroll_and_check(
         self, stmt: ast.For, scope: Scope,
-        env: dict[str, int], reported: set[int], budget: list[int],
+        env: dict[str, int], pending: set[int], budget: list[int],
     ) -> None:
         if stmt.init is None or stmt.cond is None or stmt.step is None:
             return
@@ -522,14 +591,14 @@ class Elaborator:
         value = const_eval(stmt.init.rhs, env)
         if value is None:
             return
-        while budget[0] > 0:
+        while budget[0] > 0 and pending:
             budget[0] -= 1
             inner_env = dict(env)
             inner_env[var] = value
             cond = const_eval(stmt.cond, inner_env)
             if cond is None or not cond:
                 return
-            self._check_indices_in_env(stmt.body, scope, inner_env, reported, budget)
+            self._check_indices_in_env(stmt.body, scope, inner_env, pending, budget)
             nxt = const_eval(stmt.step.rhs, inner_env)
             if nxt is None or nxt == value:
                 return
@@ -537,40 +606,38 @@ class Elaborator:
 
     def _check_indices_in_env(
         self, stmt: ast.Stmt, scope: Scope,
-        env: dict[str, int], reported: set[int], budget: list[int],
+        env: dict[str, int], pending: set[int], budget: list[int],
     ) -> None:
+        """Report the selects in ``pending`` that ``env`` drives out of
+        range, removing them from ``pending``."""
         if isinstance(stmt, ast.For):
-            self._unroll_and_check(stmt, scope, env, reported, budget)
+            self._unroll_and_check(stmt, scope, env, pending, budget)
             return
-        children: list[ast.Stmt] = []
-        exprs: list[ast.Expr] = []
-        if isinstance(stmt, ast.Block):
-            children = list(stmt.stmts)
-        elif isinstance(stmt, ast.If):
-            exprs = [stmt.cond]
-            children = [stmt.then] + ([stmt.other] if stmt.other else [])
-        elif isinstance(stmt, ast.Case):
-            children = [item.body for item in stmt.items]
-        elif isinstance(stmt, (ast.While, ast.Repeat)):
-            children = [stmt.body]
-        elif isinstance(stmt, ast.ProcAssign):
-            exprs = [stmt.lvalue, stmt.rhs]
+        exprs, children = self._index_parts(stmt)
         for root in exprs:
             for expr in ast.walk_exprs(root):
-                if isinstance(expr, ast.Select) and id(expr) not in reported:
-                    if self._select_out_of_range(expr, scope, env):
-                        reported.add(id(expr))
+                if id(expr) in pending and self._select_out_of_range(expr, scope, env):
+                    pending.discard(id(expr))
         for child in children:
             if child is not None:
-                self._check_indices_in_env(child, scope, env, reported, budget)
+                self._check_indices_in_env(child, scope, env, pending, budget)
+
+    @staticmethod
+    def _checked_symbol(expr: ast.Select, scope: Scope) -> Optional[Symbol]:
+        """The symbol whose range ``expr`` is checked against, or None
+        when the unrolled-index check never reports ``expr``."""
+        if not isinstance(expr.base, ast.Identifier):
+            return None
+        symbol = scope.lookup(expr.base.name)
+        if symbol is None or symbol.kind in ("parameter", "function"):
+            return None
+        return symbol
 
     def _select_out_of_range(
         self, expr: ast.Select, scope: Scope, env: dict[str, int]
     ) -> bool:
-        if not isinstance(expr.base, ast.Identifier):
-            return False
-        symbol = scope.lookup(expr.base.name)
-        if symbol is None or symbol.kind in ("parameter", "function"):
+        symbol = self._checked_symbol(expr, scope)
+        if symbol is None:
             return False
         index = const_eval(expr.index, env)
         if index is None:

@@ -1,5 +1,8 @@
 """Unit tests for semantic elaboration and its checks."""
 
+import hashlib
+from pathlib import Path
+
 from repro.diagnostics import ErrorCategory, compile_source
 
 
@@ -245,3 +248,181 @@ class TestConstEval:
 
         design = parse(SourceFile("t.v", "module m; localparam X = y + 1; endmodule"))
         assert const_eval(design.top_module().items[0].value) is None
+
+    def test_huge_power_is_not_constant(self):
+        assert _localparam_value("7 ** 30000000") is None
+
+    def test_huge_shifts_are_not_constant(self):
+        assert _localparam_value("1 << 4000000000") is None
+        assert _localparam_value("1 <<< 4000000000") is None
+
+    def test_products_of_capped_values_stay_capped(self):
+        from repro.verilog.elaborate import MAX_CONST_BITS
+
+        big = f"(1 << {MAX_CONST_BITS - 1})"
+        assert _localparam_value(f"{big} * {big}") is None
+
+    def test_results_at_the_cap_still_evaluate(self):
+        from repro.verilog.elaborate import MAX_CONST_BITS
+
+        cap = MAX_CONST_BITS
+        for text, expected in (
+            (f"1 << {cap - 1}", 1 << (cap - 1)),
+            (f"2 ** {cap - 1}", 2 ** (cap - 1)),
+            ("3 ** 40000", 3 ** 40000),  # about 63.4k bits
+            ("1 ** 4000000000", 1),
+            ("0 << 4000000000", 0),
+        ):
+            assert _localparam_value(text) == expected, text
+
+
+def _localparam_value(text: str):
+    from repro.verilog import SourceFile, const_eval, parse
+
+    design = parse(SourceFile("t.v", f"module m; localparam P = {text}; endmodule"))
+    return const_eval(design.top_module().items[0].value)
+
+
+def _runaway_mutants() -> tuple[str, str]:
+    """Two Table-4 mutants whose loop step never reaches the bound: the
+    unrolled-index check used to walk their bodies to the unroll budget."""
+    from repro.dataset.corpus import verilogeval
+
+    problems = verilogeval()
+    ones = problems.get("ones_positions").reference
+    prio = problems.get("priority_encoder8").reference
+    return (
+        ones.replace("i = i + 1", "i = i - 1"),
+        prio.replace("i = i - 1", "i = i + 1"),
+    )
+
+
+class _CountIndexWalks:
+    """Counts ``Elaborator._check_indices_in_env`` calls (one per
+    statement visited by the unrolled-index check)."""
+
+    def __init__(self, monkeypatch):
+        from repro.verilog.elaborate import Elaborator
+
+        self.calls = 0
+        original = Elaborator._check_indices_in_env
+
+        def counted(elaborator, *args, **kwargs):
+            self.calls += 1
+            return original(elaborator, *args, **kwargs)
+
+        monkeypatch.setattr(Elaborator, "_check_indices_in_env", counted)
+
+
+class TestUnrolledIndexEarlyExit:
+    #: Diagnostics of the runaway mutants, captured before the early exit.
+    EXPECTED = (
+        {
+            "iverilog": "main.v:10: error: Index in[-1] is out of range.\n"
+            "1 error(s) during elaboration.",
+            "quartus": "Error (10232): Verilog HDL error at main.v(10): index -1 "
+            "cannot fall outside the declared range [7:0] for vector \"in\". "
+            "Check the index expression and the vector declaration. "
+            "File: /tmp/work/main.v Line: 10\n"
+            "Error: Quartus Prime Analysis & Synthesis was unsuccessful. "
+            "1 error, 0 warnings",
+        },
+        {
+            "iverilog": "main.v:9: error: Index in[8] is out of range.\n"
+            "1 error(s) during elaboration.",
+            "quartus": "Error (10232): Verilog HDL error at main.v(9): index 8 "
+            "cannot fall outside the declared range [7:0] for vector \"in\". "
+            "Check the index expression and the vector declaration. "
+            "File: /tmp/work/main.v Line: 9\n"
+            "Error: Quartus Prime Analysis & Synthesis was unsuccessful. "
+            "1 error, 0 warnings",
+        },
+    )
+
+    def test_runaway_mutants_keep_their_diagnostics(self, monkeypatch):
+        counter = _CountIndexWalks(monkeypatch)
+        for code, expected in zip(_runaway_mutants(), self.EXPECTED):
+            for flavor, log in expected.items():
+                result = compile_source(code, flavor=flavor)
+                assert not result.ok
+                assert result.categories == [ErrorCategory.INDEX_RANGE]
+                assert result.log == log
+        # Four compiles, each walking a three-statement body for two
+        # iterations (24 calls), not for the 4096-iteration unroll
+        # budget (49152 calls).
+        assert counter.calls <= 48
+
+    def test_select_out_of_range_on_a_late_iteration(self, monkeypatch):
+        counter = _CountIndexWalks(monkeypatch)
+        result = compile_source(
+            "module m(input [7:0] q, input [3:0] r, output reg y);\n"
+            "integer i;\n"
+            "always @(*) begin\n"
+            "  y = 0;\n"
+            "  for (i = 0; i < 10; i = i + 1) y = y ^ q[i] ^ r[i] ^ q[7:0];\n"
+            "end\nendmodule\n"
+        )
+        # r[4] is reported first; the check must still reach q[8].
+        assert [(d.args["name"], d.args["index"]) for d in result.errors] == [
+            ("r", 4), ("q", 8),
+        ]
+        # One walk per iteration i = 0..8; i = 9 is never walked.
+        assert counter.calls == 9
+
+    def test_nested_loops_share_the_budget(self):
+        # Each outer iteration costs 1 + 100 of the 4096-iteration
+        # budget, so the walk stops inside i = 40: r[31] is reported,
+        # q[41] is never reached.
+        result = compile_source(
+            "module m(input [40:0] q, input [30:0] r, output reg y);\n"
+            "integer i, j;\n"
+            "always @(*) begin\n"
+            "  y = 0;\n"
+            "  for (i = 0; i < 100; i = i + 1)\n"
+            "    for (j = 0; j < 100; j = j + 1) y = y ^ q[i] ^ r[i];\n"
+            "end\nendmodule\n"
+        )
+        assert [(d.args["name"], d.args["index"]) for d in result.errors] == [
+            ("r", 31),
+        ]
+
+    def test_loop_without_reportable_selects_is_not_unrolled(self, monkeypatch):
+        counter = _CountIndexWalks(monkeypatch)
+        compile_ok(
+            "module m(input [7:0] a, output reg [7:0] y);\n"
+            "localparam [7:0] K = 8'h5a;\n"
+            "integer i;\n"
+            "always @(*) for (i = 0; i < 8; i = i - 1) y = a ^ K[i];\n"
+            "endmodule\n"
+        )
+        assert counter.calls == 0
+
+
+#: sha256 over ``ok``, the categories and both flavours' rendered logs
+#: of every corpus reference and every template edit of it.
+DIAGNOSTICS_DIGEST = Path(__file__).parent / "data" / "diagnostics_digest.sha256"
+
+
+def diagnostics_digest() -> str:
+    from repro.dataset.corpus import verilogeval
+    from repro.repair.templates import TEMPLATES
+
+    hasher = hashlib.sha256()
+    for problem in verilogeval():
+        sources = [problem.reference]
+        for template in TEMPLATES:
+            sources += [edit.code for edit in template(problem.reference)]
+        for code in sources:
+            for flavor in ("iverilog", "quartus"):
+                result = compile_source(code, flavor=flavor)
+                names = ",".join(category.name for category in result.categories)
+                hasher.update(f"{result.ok}|{names}|{result.log}".encode())
+                hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+def test_frozen_diagnostics_digest():
+    """The corpus's diagnostics are frozen: an elaborator speed-up must
+    not move a single rendered byte.  Regenerate the data file only for
+    an intended diagnostics change, by writing ``diagnostics_digest()``."""
+    assert diagnostics_digest() == DIAGNOSTICS_DIGEST.read_text().strip()

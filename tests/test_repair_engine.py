@@ -3,11 +3,13 @@
 The load-bearing suite for the refactor: golden-transcript equivalence
 between the legacy hand-rolled loops and their engine-backed rewrites,
 unit tests for the trace-diff localizer and every repair template, the
-service seams (deadline, on_turn) on functional repair, the Table-4
-workload's determinism, and the pooled logic model's identity and
+mutator/template symmetry, the service seams (deadline, on_turn) on
+functional repair, the Table-4 workload's determinism and its one cold
+compile per source, and the pooled logic model's identity and
 accounting.
 """
 
+import collections
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from repro.agents import ReActAgent, SimDebugAgent
 from repro.dataset.corpus import verilogeval
 from repro.dataset.curate import build_syntax_dataset
 from repro.dataset.mutate import (
+    MUTATIONS,
     force_behavior_change,
     mutate_logic,
     mutate_logic_labeled,
@@ -232,6 +235,65 @@ class TestTemplates:
         assert edits[0].line == 2
 
 
+class TestMutatorTemplateSymmetry:
+    """Every Table-4 bug class is either undone by a repair template or
+    deliberately left to the LLM: a mutator without a template must be
+    named in ``LLM_ONLY``, not discovered from a 0/n row of the table."""
+
+    #: Mutation class -> the template that reverses it.
+    UNDONE_BY = {
+        "swap_and_or": "swap_operator",
+        "swap_plus_minus": "swap_operator",
+        "flip_condition": "invert_condition",
+        "wrong_edge": "swap_operator",
+        "off_by_one_constant": "off_by_one_constant",
+        "swap_ternary_arms": "swap_signals",
+        "swap_comparison": "swap_operator",
+    }
+    #: Bug classes no template reverses: no template adds a ``~``.
+    LLM_ONLY = {"drop_inversion", "forced_inversion"}
+
+    @staticmethod
+    def _mutants():
+        """``(bug_class, reference, mutant)`` over the corpus, with the
+        Table-4 mutators and the forced-inversion fallback."""
+        for problem in verilogeval():
+            reference = problem.reference
+            for mutation in MUTATIONS:
+                for seed in range(3):
+                    mutant = mutation(reference, random.Random(seed))
+                    if mutant is not None and mutant != reference:
+                        yield mutation.__name__, reference, mutant
+            forced = force_behavior_change(reference)
+            if forced is not None:
+                yield "forced_inversion", reference, forced
+
+    @staticmethod
+    def _undoing_templates(reference, mutant):
+        return {
+            edit.template
+            for template in TEMPLATES
+            for edit in template(mutant)
+            if edit.code == reference
+        }
+
+    def test_every_bug_class_is_classified(self):
+        classes = {mutation.__name__ for mutation in MUTATIONS}
+        assert classes | {"forced_inversion"} == set(self.UNDONE_BY) | self.LLM_ONLY
+        assert not set(self.UNDONE_BY) & self.LLM_ONLY
+
+    def test_templates_undo_their_mutators(self):
+        seen = set()
+        for bug_class, reference, mutant in self._mutants():
+            undoing = self._undoing_templates(reference, mutant)
+            if bug_class in self.LLM_ONLY:
+                assert not undoing, f"{bug_class} is undone by {undoing}"
+            else:
+                assert self.UNDONE_BY[bug_class] in undoing, (bug_class, mutant)
+            seen.add(bug_class)
+        assert seen == set(self.UNDONE_BY) | self.LLM_ONLY
+
+
 REF_GATE = "module m(input a, input b, output y);\nassign y = a & b;\nendmodule\n"
 BUGGY_GATE = REF_GATE.replace("a & b", "a | b")
 
@@ -341,6 +403,34 @@ class TestTable4:
             serial = run_table4(problems, samples_per_problem=1, seed=0)
             fanned = run_table4(problems, samples_per_problem=1, seed=0, jobs=2)
         assert serial.digest() == fanned.digest()
+
+    def test_run_table4_cold_compiles_each_source_once(self, monkeypatch):
+        """Mutate-then-judge compiles go through the compile cache, so
+        the later ``evaluate_code``/oracle/engine compiles of the same
+        text are hits, not second cold compiles."""
+        import sys
+
+        from repro.dataset.problem import ProblemSet
+        from repro.diagnostics import compiler
+        from repro.eval.experiments import run_table4
+
+        original = compiler.compile_source
+        compiled = collections.Counter()
+
+        def counted(code, *args, **kwargs):
+            compiled[code] += 1
+            return original(code, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "compile_source", None) is original:
+                monkeypatch.setattr(module, "compile_source", counted)
+        problems = ProblemSet("t4once", [verilogeval().get("ones_positions")])
+        with scoped(compile_cache=CompileCache()):
+            result = run_table4(problems, samples_per_problem=2, seed=0)
+        assert result.totals()[0] > 0
+        assert compiled, "the unit compiled nothing"
+        twice = {code for code, calls in compiled.items() if calls > 1}
+        assert not twice, f"{len(twice)} sources cold-compiled more than once"
 
     def test_functional_repair_fixes_seeded_gate_swap(self):
         with scoped(compile_cache=CompileCache()):
