@@ -10,7 +10,8 @@
 # reference, verdicts and traces bit-identical), the sandbox gate (the
 # hostile-testbench corpus under both engines: every runaway/oscillator/
 # bomb design must come back as a typed limit/crashed verdict with both
-# engines agreeing), the repair-engine differential (legacy hand-rolled
+# engines agreeing, then again under one shared verdict cache with every
+# verdict repeating and no reference recorded for replay), the repair-engine differential (legacy hand-rolled
 # ReAct/simfix loops vs their RepairEngine rewrites, corpus-wide,
 # transcript-digest-identical), the durable-run resume smoke (run,
 # SIGKILL, resume, compare report digests), and the repair-service smoke

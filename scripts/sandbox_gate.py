@@ -25,6 +25,13 @@ The gate asserts, for every file and both engines:
 * both engines agree on the (category, kind) pair -- the dataset-scale
   counterpart of the ``sandbox-differential`` fuzz invariant.
 
+The first pass runs with no verdict cache.  A second pass reruns the
+corpus under one shared :class:`repro.sim.VerdictCache`, where the
+reference-tape path is live, and asserts that every verdict repeats its
+(category, kind, phase) and that no hostile design is ever taped.
+Wall-clock watchdog verdicts are exempt from the repeat check: they
+depend on host speed.
+
 Exit code 0 iff every assertion holds for every file.
 
 Usage:
@@ -40,7 +47,7 @@ sys.path.insert(0, "src")
 
 from repro.diagnostics import compile_source  # noqa: E402
 from repro.scope import scoped  # noqa: E402
-from repro.sim import simulate  # noqa: E402
+from repro.sim import VerdictCache, simulate  # noqa: E402
 
 ENGINES = ("interp", "compiled")
 
@@ -97,57 +104,88 @@ def main() -> int:
         failures += 1
         print(f"FAIL: {message}", file=sys.stderr)
 
+    designs = []
+    for path in files:
+        text = path.read_text()
+        try:
+            pragma = parse_pragma(text, path.name)
+        except ValueError as exc:
+            fail(str(exc))
+            continue
+        result = compile_source(text, name=path.name)
+        if not result.ok or result.elaborated is None:
+            fail(f"{path.name}: does not elaborate: "
+                 f"{result.log.splitlines()[0] if result.log else '?'}")
+            continue
+        designs.append((path.name, pragma, result.elaborated))
+
+    def run(name, pragma, design, engine):
+        """One checked sandboxed run; its verdict, or None if it escaped."""
+        start = time.perf_counter()
+        try:
+            outcome = simulate(
+                design, design, mode=pragma["mode"],
+                samples=pragma["samples"], engine=engine,
+            )
+        except BaseException as exc:
+            fail(f"{name} [{engine}]: escaped the sandbox: "
+                 f"{type(exc).__name__}: {exc}")
+            return None
+        took = time.perf_counter() - start
+        verdict = outcome.verdict
+        print(f"  {name:>18} [{engine:>8}]: "
+              f"{verdict.summary()} ({took:.2f}s)")
+        if took > args.budget:
+            fail(f"{name} [{engine}]: {took:.1f}s exceeds the "
+                 f"{args.budget:.0f}s gate allowance")
+        if verdict.category not in ("limit", "crashed"):
+            fail(f"{name} [{engine}]: hostile design yielded "
+                 f"{verdict.summary()!r}, expected limit/crashed")
+        elif pragma["kind"] and verdict.kind != pragma["kind"]:
+            fail(f"{name} [{engine}]: budget {verdict.kind!r} "
+                 f"fired, pragma expects {pragma['kind']!r}")
+        return verdict
+
+    first = {}
     with scoped(verdict_cache=None):
-        for path in files:
-            text = path.read_text()
-            try:
-                pragma = parse_pragma(text, path.name)
-            except ValueError as exc:
-                fail(str(exc))
-                continue
-            result = compile_source(text, name=path.name)
-            if not result.ok or result.elaborated is None:
-                fail(f"{path.name}: does not elaborate: "
-                     f"{result.log.splitlines()[0] if result.log else '?'}")
-                continue
-            design = result.elaborated
+        for name, pragma, design in designs:
             verdicts = {}
             for engine in ENGINES:
-                start = time.perf_counter()
-                try:
-                    outcome = simulate(
-                        design, design, mode=pragma["mode"],
-                        samples=pragma["samples"], engine=engine,
-                    )
-                except BaseException as exc:
-                    fail(f"{path.name} [{engine}]: escaped the sandbox: "
-                         f"{type(exc).__name__}: {exc}")
-                    continue
-                took = time.perf_counter() - start
-                verdict = outcome.verdict
-                verdicts[engine] = verdict
-                print(f"  {path.name:>18} [{engine:>8}]: "
-                      f"{verdict.summary()} ({took:.2f}s)")
-                if took > args.budget:
-                    fail(f"{path.name} [{engine}]: {took:.1f}s exceeds the "
-                         f"{args.budget:.0f}s gate allowance")
-                if verdict.category not in ("limit", "crashed"):
-                    fail(f"{path.name} [{engine}]: hostile design yielded "
-                         f"{verdict.summary()!r}, expected limit/crashed")
-                elif pragma["kind"] and verdict.kind != pragma["kind"]:
-                    fail(f"{path.name} [{engine}]: budget {verdict.kind!r} "
-                         f"fired, pragma expects {pragma['kind']!r}")
+                verdict = run(name, pragma, design, engine)
+                if verdict is not None:
+                    verdicts[engine] = first[name, engine] = verdict
             if len(verdicts) == len(ENGINES):
                 iv, cv = verdicts["interp"], verdicts["compiled"]
                 if (iv.category, iv.kind) != (cv.category, cv.kind):
-                    fail(f"{path.name}: engines disagree: "
+                    fail(f"{name}: engines disagree: "
                          f"interp={iv.summary()!r} "
                          f"compiled={cv.summary()!r}")
+
+    print("sandbox gate: second pass under one shared verdict cache")
+    shared = VerdictCache()
+    with scoped(verdict_cache=shared):
+        for name, pragma, design in designs:
+            for engine in ENGINES:
+                verdict = run(name, pragma, design, engine)
+                if shared.tape_count:
+                    fail(f"{name} [{engine}]: a hostile reference was taped")
+                    shared.clear()
+                before = first.get((name, engine))
+                if verdict is None or before is None:
+                    continue
+                if "wall clock" in (verdict.kind, before.kind):
+                    continue
+                again = (verdict.category, verdict.kind, verdict.phase)
+                if again != (before.category, before.kind, before.phase):
+                    fail(f"{name} [{engine}]: verdict changed under the "
+                         f"shared cache: {before.summary()!r} -> "
+                         f"{verdict.summary()!r}")
 
     if failures:
         print(f"FAILED: {failures} sandbox violation(s)", file=sys.stderr)
         return 1
-    print("sandbox gate: every hostile design contained, engines agree")
+    print("sandbox gate: every hostile design contained, engines agree, "
+          "verdicts repeat under a shared cache with no tape recorded")
     return 0
 
 

@@ -45,8 +45,14 @@ class SimulationError(ReproError):
 
     Raised e.g. for designs with unsupported constructs, combinational
     loops that do not converge, or stimulus that does not match the
-    design's ports.
+    design's ports.  ``phase`` says where in the run it was raised
+    (``construct``, ``cycle``, ``trace``; empty when the simulator had
+    no budget tracker to read it from).
     """
+
+    def __init__(self, message: str = "", phase: str = ""):
+        super().__init__(message)
+        self.phase = phase
 
 
 class SimLimitExceeded(SimulationError):
@@ -77,11 +83,11 @@ class SimLimitExceeded(SimulationError):
         super().__init__(
             message
             if message is not None
-            else f"simulation {kind} limit ({limit}) exceeded"
+            else f"simulation {kind} limit ({limit}) exceeded",
+            phase=phase,
         )
         self.kind = kind
         self.limit = limit
-        self.phase = phase
 
 
 class DatasetError(ReproError):

@@ -4,12 +4,13 @@
   human expert guidance for the compiler log (paper §3.3) and surface
   it as a transcript turn.
 * :class:`TraceDiffLocalizer` -- rtl-repair-style functional fault
-  localization: simulate candidate and golden side by side, rank output
-  signals by how many samples mismatch (earliest divergence breaks
-  ties), then map each suspect signal to source lines -- its driver
-  statements first, one hop of fan-in next, remaining mentions last.
-  The template proposer searches suspect lines before the rest of the
-  file.
+  localization: read the candidate-vs-golden traced feedback (the same
+  verdict-cache entry the :class:`~repro.repair.oracles.SimOracle`
+  judged the candidate by), rank output signals by how many samples
+  mismatch (earliest divergence breaks ties), then map each suspect
+  signal to source lines -- its driver statements first, one hop of
+  fan-in next, remaining mentions last.  The template proposer searches
+  suspect lines before the rest of the file.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Optional
 
 from ..diagnostics import Compiler
 from ..rag.retrievers import Retriever
-from ..scope import current
-from ..sim.engine import DEFAULT_SIM_ENGINE
-from ..sim.feedback import simulate_with_traces
-from ..sim.sandbox import run_sandboxed
+from ..sim.feedback import cached_sim_feedback
+
+# Unused here, but kept bound: perfbench/tracer.py rebinds this alias
+# and fails to install without it.
+from ..sim.sandbox import run_sandboxed  # noqa: F401
 from .base import Localization, OracleVerdict, Suspect
 
 
@@ -98,9 +100,10 @@ class TraceDiffLocalizer:
     ``reference`` is the golden :class:`~repro.verilog.elaborate.ElabDesign`.
     Localizations are memoized per candidate source (the engine
     re-localizes the current best every iteration, which only changes
-    when a candidate is accepted), and the differential simulation runs
-    inside the crash-proof sandbox -- a blow-up localizes to nothing
-    rather than raising.
+    when a candidate is accepted).  The trace diff is the oracle's
+    sandboxed traced feedback, read from the active verdict cache and
+    simulated only on a miss, without drawing the ``sim.feedback``
+    chaos fault -- a run that did not complete localizes to nothing.
     """
 
     def __init__(
@@ -133,41 +136,25 @@ class TraceDiffLocalizer:
         compiled = self.compiler.compile(code)
         if not compiled.ok or compiled.elaborated is None:
             return Localization()
-        engine = current().get("sim_engine", DEFAULT_SIM_ENGINE)
-        traces, sim_verdict = run_sandboxed(
-            lambda: simulate_with_traces(
-                compiled.elaborated, self.reference, samples=self.samples,
-                seed=self.seed, sim_limits=self.sim_limits,
-            ),
-            engine,
+        feedback = cached_sim_feedback(
+            compiled.elaborated, self.reference, samples=self.samples,
+            seed=self.seed, sim_limits=self.sim_limits,
         )
-        if sim_verdict is not None:
+        diffs = feedback.signal_diffs
+        if diffs is None:
             return Localization()
-        cand_trace, ref_trace = traces
-
-        ranked: list[tuple[str, int, int]] = []
-        for name in ref_trace.signals:
-            mismatches = 0
-            first = ref_trace.length
-            for index in range(ref_trace.length):
-                expected = ref_trace.value_at(name, index)
-                actual = cand_trace.value_at(name, index)
-                same = (
-                    expected is not None and actual is not None
-                    and expected.same_as(actual)
-                )
-                if not same:
-                    mismatches += 1
-                    first = min(first, index)
-            if mismatches:
-                ranked.append((name, mismatches, first))
         # Most mismatches first; earlier first divergence breaks ties
         # (the signal that goes wrong first is closest to the fault).
-        ranked.sort(key=lambda item: (-item[1], item[2], item[0]))
+        ranked = sorted(
+            (diff for diff in diffs if diff[1]),
+            key=lambda item: (-item[1], item[2], item[0]),
+        )
 
         suspects: list[Suspect] = []
         seen_lines: set[int] = set()
-        total = max(ref_trace.length, 1)
+        # Feedback counts samples over every traced signal; the trace
+        # length is that over the signal count.
+        total = max(feedback.samples // max(len(diffs), 1), 1)
         for name, mismatches, first in ranked[: self.max_suspects]:
             reason = (
                 f"{mismatches}/{total} samples mismatch, "

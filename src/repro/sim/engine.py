@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from ..errors import SimLimitExceeded, SimulationError
+from ..errors import SimLimitExceeded
 from ..scope import check, current
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
@@ -148,7 +148,7 @@ class CompiledSimulator(Simulator):
         no redundant resize for int stimulus)."""
         port = self._input_ports.get(name)
         if port is None:
-            raise SimulationError(f"no such input port: {name!r}")
+            raise self._error(f"no such input port: {name!r}")
         width, signed = port
         if isinstance(value, int):
             self.state.values[name] = Logic.from_int(value, width, signed)
@@ -251,7 +251,7 @@ class CompiledSimulator(Simulator):
             for name, value in inputs.items():
                 port = ports.get(name)
                 if port is None:
-                    raise SimulationError(f"no such input port: {name!r}")
+                    raise self._error(f"no such input port: {name!r}")
                 if isinstance(value, int):
                     values[name] = Logic.from_int(value, port[0], port[1])
                 else:

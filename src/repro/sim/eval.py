@@ -80,6 +80,12 @@ class Evaluator:
         self.ctx = ctx
         self.frame = frame if frame is not None else {}
 
+    def _error(self, message: str) -> SimulationError:
+        """A :class:`SimulationError` stamped with the run's live phase."""
+        return SimulationError(
+            message, phase=getattr(self.ctx.tracker, "phase", "")
+        )
+
     # -- width analysis ----------------------------------------------------
 
     def natural_width(self, expr: ast.Expr) -> int:
@@ -202,7 +208,7 @@ class Evaluator:
             return self._eval_system_call(expr)
         if isinstance(expr, ast.FuncCall):
             return self._eval_func_call(expr)
-        raise SimulationError(f"cannot evaluate expression node {type(expr).__name__}")
+        raise self._error(f"cannot evaluate expression node {type(expr).__name__}")
 
     def _eval_binary(self, expr: ast.Binary, width: int | None) -> Logic:
         if expr.op in _CONTEXT_BINOPS:
@@ -322,12 +328,12 @@ class Evaluator:
         if name == "$random":
             # Deterministic pseudo-random: hash of call-site position.
             return Logic.from_int(hash(expr.span.start) & 0xFFFFFFFF, 32)
-        raise SimulationError(f"unsupported system function {name}")
+        raise self._error(f"unsupported system function {name}")
 
     def _eval_func_call(self, expr: ast.FuncCall) -> Logic:
         decl = self.ctx.module.functions.get(expr.name)
         if decl is None:
-            raise SimulationError(f"call to unknown function {expr.name!r}")
+            raise self._error(f"call to unknown function {expr.name!r}")
         # Imported here to avoid a circular import at module load.
         from .exec import StmtExecutor
 

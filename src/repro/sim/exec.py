@@ -115,6 +115,10 @@ class StmtExecutor:
         )
         self._budget = self._budget_limit
 
+    def _error(self, message: str) -> SimulationError:
+        """A :class:`SimulationError` stamped with the run's live phase."""
+        return SimulationError(message, phase=getattr(self.tracker, "phase", ""))
+
     # -- statement dispatch ------------------------------------------------
 
     def exec_stmt(self, stmt: ast.Stmt) -> None:
@@ -170,7 +174,7 @@ class StmtExecutor:
         if isinstance(stmt, ast.TaskCall):
             self._exec_task(stmt)
             return
-        raise SimulationError(f"cannot execute statement {type(stmt).__name__}")
+        raise self._error(f"cannot execute statement {type(stmt).__name__}")
 
     def _exec_task(self, stmt: ast.TaskCall) -> None:
         if self.display is None:
@@ -229,7 +233,7 @@ class StmtExecutor:
                 return
             self._budget -= 1
             if self._budget < 0:
-                raise SimulationError("for-loop budget exceeded")
+                raise self._error("for-loop budget exceeded")
 
     # -- assignment -----------------------------------------------------------
 
@@ -269,7 +273,7 @@ class StmtExecutor:
         if isinstance(lvalue, ast.IndexedSelect):
             self._write_indexed(lvalue, value)
             return
-        raise SimulationError(f"unsupported l-value {type(lvalue).__name__}")
+        raise self._error(f"unsupported l-value {type(lvalue).__name__}")
 
     def _lvalue_width(self, expr: ast.Expr) -> int:
         params = self.ctx.module.params
@@ -308,7 +312,7 @@ class StmtExecutor:
 
     def _write_select(self, lvalue: ast.Select, value: Logic) -> None:
         if not isinstance(lvalue.base, ast.Identifier):
-            raise SimulationError("unsupported nested l-value select")
+            raise self._error("unsupported nested l-value select")
         name = lvalue.base.name
         symbol = self.ctx.symbol(name)
         index = self.evaluator.eval(lvalue.index)
@@ -330,7 +334,7 @@ class StmtExecutor:
 
     def _write_range(self, lvalue: ast.RangeSelect, value: Logic) -> None:
         if not isinstance(lvalue.base, ast.Identifier):
-            raise SimulationError("unsupported nested l-value select")
+            raise self._error("unsupported nested l-value select")
         name = lvalue.base.name
         symbol = self.ctx.symbol(name)
         msb = const_eval(lvalue.msb, self.ctx.module.params)
@@ -346,7 +350,7 @@ class StmtExecutor:
 
     def _write_indexed(self, lvalue: ast.IndexedSelect, value: Logic) -> None:
         if not isinstance(lvalue.base, ast.Identifier):
-            raise SimulationError("unsupported nested l-value select")
+            raise self._error("unsupported nested l-value select")
         name = lvalue.base.name
         symbol = self.ctx.symbol(name)
         start = self.evaluator.eval(lvalue.start)

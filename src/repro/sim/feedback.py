@@ -18,7 +18,13 @@ from ..verilog.limits import ResourceLimits
 from .engine import DEFAULT_SIM_ENGINE, make_simulator
 from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
 from .sandbox import SimVerdict, run_sandboxed
-from .testbench import CLOCK_NAMES, RESET_NAMES, _chaos_verdict, _random_vector
+from .testbench import (
+    CLOCK_NAMES,
+    RESET_NAMES,
+    _chaos_verdict,
+    _random_vector,
+    reference_run,
+)
 from .trace import Trace, render_comparison
 from .values import Logic
 from .verdict import DEFAULT_VERDICT_CACHE, verdict_key
@@ -35,6 +41,10 @@ class SimFeedback:
     #: feedback is still feedback (the agent sees the reason as text) but
     #: is never memoized.
     verdict: Optional[SimVerdict] = None
+    #: One ``(signal, mismatching samples, first mismatching sample)``
+    #: per traced output (the first index is the trace length when none
+    #: mismatch); ``None`` when the run did not complete.
+    signal_diffs: Optional[tuple[tuple[str, int, int], ...]] = None
 
     @property
     def passed(self) -> bool:
@@ -56,11 +66,16 @@ def simulate_with_traces(
     Both simulators and both traces share one
     :class:`~repro.sim.limits.SimLimitTracker` budget pool (pass
     ``sim_tracker`` to supply it), so trace bombs are stopped by the
-    trace-entry/byte budgets rather than by memory exhaustion.
+    trace-entry/byte budgets rather than by memory exhaustion.  The
+    reference is replayed from its tape when the active verdict cache
+    holds one (:func:`~repro.sim.testbench.reference_run`).
     """
+    scope = current()
+    if engine is None:
+        engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
     effective_sim = sim_limits
     if effective_sim is None:
-        effective_sim = current().get("sim_limits", DEFAULT_SIM_LIMITS)
+        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
     tracker = sim_tracker
     if tracker is None and effective_sim is not UNTRACKED:
         tracker = SimLimitTracker(effective_sim)
@@ -68,9 +83,10 @@ def simulate_with_traces(
         candidate, engine=engine, limits=limits,
         sim_limits=effective_sim, sim_tracker=tracker,
     )
-    ref_sim = make_simulator(
-        reference, engine=engine, limits=limits,
-        sim_limits=effective_sim, sim_tracker=tracker,
+    ref_sim = reference_run(
+        "feedback", reference, samples, seed, engine, limits,
+        effective_sim if sim_tracker is None else sim_tracker.limits,
+        tracker,
     )
     rng = random.Random(seed)
 
@@ -114,6 +130,7 @@ def simulate_with_traces(
             ref_trace.record(ref_sim)
             if tracker is not None:
                 tracker.phase = "cycle"
+    ref_sim.completed()
     return cand_trace, ref_trace
 
 
@@ -136,19 +153,11 @@ def make_sim_feedback(
     parameters.  The sandbox budgets join the key, and only ``ok``/
     ``fail`` outcomes are memoized -- a budget overflow or crash report
     is environment-dependent feedback, not a content-addressed fact."""
-    scope = current()
-    effective_engine = engine
-    if effective_engine is None:
-        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
-    effective_sim = sim_limits
-    if effective_sim is None:
-        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
-
     chaos = _chaos_verdict(
         "sim.feedback",
         f"{getattr(candidate, 'digest', None)}|"
         f"{getattr(reference, 'digest', None)}|{samples}|{seed}",
-        effective_engine,
+        engine or current().get("sim_engine", DEFAULT_SIM_ENGINE),
     )
     if chaos is not None:
         return SimFeedback(
@@ -156,7 +165,32 @@ def make_sim_feedback(
             text=f"Simulation failed to run: {chaos.detail}",
             verdict=chaos,
         )
+    return cached_sim_feedback(
+        candidate, reference, samples, seed, max_shown, engine, limits,
+        sim_limits,
+    )
 
+
+def cached_sim_feedback(
+    candidate: ElabDesign,
+    reference: ElabDesign,
+    samples: int = 16,
+    seed: int = 0,
+    max_shown: int = 16,
+    engine: Optional[str] = None,
+    limits: Optional[ResourceLimits] = None,
+    sim_limits: Optional[SimLimits] = None,
+) -> SimFeedback:
+    """:func:`make_sim_feedback` without the chaos seam: the active
+    verdict cache's entry for the triple, simulated on a miss.  The
+    trace-diff localizer reads the oracle's feedback through here."""
+    scope = current()
+    effective_engine = engine
+    if effective_engine is None:
+        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
+    effective_sim = sim_limits
+    if effective_sim is None:
+        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
     cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
     key = None
     if cache is not None:
@@ -205,12 +239,19 @@ def _make_sim_feedback_uncached(
     cand_trace, ref_trace = traces
 
     mismatches = 0
+    signal_diffs = []
     for name in ref_trace.signals:
+        count = 0
+        first = ref_trace.length
         for i in range(ref_trace.length):
             exp = ref_trace.value_at(name, i)
             act = cand_trace.value_at(name, i)
             if exp is None or act is None or not exp.same_as(act):
-                mismatches += 1
+                if not count:
+                    first = i
+                count += 1
+        mismatches += count
+        signal_diffs.append((name, count, first))
 
     comparison = render_comparison(
         cand_trace, ref_trace, max_samples=max_shown
@@ -227,4 +268,5 @@ def _make_sim_feedback_uncached(
         verdict=SimVerdict(
             category="ok" if mismatches == 0 else "fail", engine=engine
         ),
+        signal_diffs=tuple(signal_diffs),
     )

@@ -156,7 +156,7 @@ def classify_exception(exc: BaseException, engine: str) -> SimVerdict:
         )
     if isinstance(exc, SimulationError):
         return SimVerdict(
-            category="fail", engine=engine, phase="construct", detail=str(exc)
+            category="fail", engine=engine, phase=exc.phase, detail=str(exc)
         )
     return SimVerdict(
         category="crashed",

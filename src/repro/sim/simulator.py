@@ -90,7 +90,9 @@ class Simulator:
         if top_name is None or top_name not in design.modules:
             top_module = design.top_module()
             if top_module is None:
-                raise SimulationError("design has no modules to simulate")
+                raise SimulationError(
+                    "design has no modules to simulate", phase="construct"
+                )
             top_name = top_module.name
         self.top = design.modules[top_name]
         self.state = NetState()
@@ -125,7 +127,9 @@ class Simulator:
 
     def _build(self, module: ElabModule, prefix: str, depth: int) -> None:
         if depth > 16:
-            raise SimulationError("instance hierarchy too deep (recursive?)")
+            raise SimulationError(
+                "instance hierarchy too deep (recursive?)", phase="construct"
+            )
         ctx = EvalContext(state=self.state, module=module, prefix=prefix)
         ctx.tracker = self.sim_tracker
 
@@ -202,6 +206,12 @@ class Simulator:
         for update in nba:
             update.apply()
 
+    def _error(self, message: str) -> SimulationError:
+        """A :class:`SimulationError` stamped with the run's live phase."""
+        return SimulationError(
+            message, phase=getattr(self.sim_tracker, "phase", "")
+        )
+
     # -- port metadata ------------------------------------------------------
 
     @property
@@ -218,14 +228,14 @@ class Simulator:
         """Read a (flat-named) net's current value."""
         value = self.state.values.get(name)
         if value is None:
-            raise SimulationError(f"no such net: {name!r}")
+            raise self._error(f"no such net: {name!r}")
         return value
 
     def set_input(self, name: str, value: Logic | int) -> None:
         """Drive a top-level input port."""
         port = next((p for p in self.inputs if p.name == name), None)
         if port is None:
-            raise SimulationError(f"no such input port: {name!r}")
+            raise self._error(f"no such input port: {name!r}")
         if isinstance(value, int):
             value = Logic.from_int(value, port.width, port.signed)
         self.state.values[name] = value.resize(port.width, port.signed)

@@ -6,6 +6,12 @@ same stimulus and compare outputs.  The stimulus generator understands
 the corpus conventions: a ``clk`` input gets a clock, ``reset`` /
 ``areset`` / ``rst`` inputs get a reset pulse, everything else is driven
 with seeded random vectors.
+
+The golden reference is simulated once per stimulus: its first
+completed run under the active
+:class:`~repro.sim.verdict.VerdictCache` is recorded as a
+:class:`ReferenceTape`, and later runs with the same key replay the tape
+against the live budget tracker instead of simulating the reference.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import TransientError
+from ..errors import SimulationError, TransientError
 from ..scope import current
-from ..verilog.elaborate import ElabDesign
+from ..verilog.elaborate import ElabDesign, PortInfo
 from ..verilog.limits import ResourceLimits
 from .engine import DEFAULT_SIM_ENGINE, make_simulator
 from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
@@ -81,6 +87,133 @@ def check_interface(candidate: ElabDesign, reference: ElabDesign) -> str:
     if extra:
         return f"unexpected extra ports: {sorted(extra)}"
     return ""
+
+
+@dataclass(frozen=True)
+class ReferenceTape:
+    """One completed reference run of one harness, for replay.
+
+    ``records[0]`` is the construction, each later record one
+    :meth:`~repro.sim.simulator.Simulator.step`: the ``$display`` lines
+    the reference charged to the shared budget tracker in it, and its
+    output values after it (``None`` where the harness read none; a
+    ``None`` value is an output net the design lacks).  Replay charges
+    one ``begin_cycle`` per record plus those lines; the harness's own
+    trace records charge the trace budgets.  The reference's event use
+    needs no replay: every ``begin_cycle`` refills the per-cycle event
+    pool, so it never reaches the candidate.
+    """
+
+    inputs: tuple[PortInfo, ...]
+    outputs: tuple[PortInfo, ...]
+    records: tuple[tuple[int, Optional[tuple]], ...]
+
+
+class _RecordingReference:
+    """A live reference simulator that records its :class:`ReferenceTape`."""
+
+    def __init__(self, sim: Simulator, cache, key: Optional[str]):
+        self._sim = sim
+        self._cache = cache
+        self._key = key
+        self.inputs = sim.inputs
+        self.outputs = sim.outputs
+        self._records = [[len(sim.display_log), None]]
+
+    def step(self, inputs=None) -> None:
+        log = self._sim.display_log
+        before = len(log)
+        self._sim.step(inputs)
+        self._records.append([len(log) - before, None])
+
+    def get(self, name: str) -> Logic:
+        record = self._records[-1]
+        if record[1] is None:
+            values = self._sim.state.values
+            record[1] = tuple(values.get(port.name) for port in self.outputs)
+        return self._sim.get(name)
+
+    def completed(self) -> None:
+        """Store the tape: the harness run finished without raising."""
+        if self._cache is not None:
+            self._cache.put_tape(self._key, ReferenceTape(
+                inputs=tuple(self.inputs),
+                outputs=tuple(self.outputs),
+                records=tuple(tuple(record) for record in self._records),
+            ))
+
+
+class _ReplayedReference:
+    """A :class:`ReferenceTape` played back against the live tracker:
+    every budget charge the reference made, in order, and its recorded
+    outputs, without simulating."""
+
+    def __init__(self, tape: ReferenceTape, tracker: Optional[SimLimitTracker]):
+        self.inputs = tape.inputs
+        self.outputs = tape.outputs
+        self._index = {port.name: i for i, port in enumerate(tape.outputs)}
+        self._records = iter(tape.records)
+        self._tracker = tracker
+        self._advance("construct")
+
+    def _advance(self, phase: str) -> None:
+        lines, self._values = next(self._records)
+        tracker = self._tracker
+        if tracker is not None:
+            tracker.phase = phase
+            tracker.begin_cycle()
+            for _ in range(lines):
+                tracker.charge_display()
+
+    def step(self, inputs=None) -> None:
+        self._advance("cycle")
+
+    def get(self, name: str) -> Logic:
+        value = self._values[self._index[name]]
+        if value is None:
+            raise SimulationError(
+                f"no such net: {name!r}",
+                phase=getattr(self._tracker, "phase", ""),
+            )
+        return value
+
+    def completed(self) -> None:
+        """Nothing to store: the tape is already in the cache."""
+
+
+def reference_run(
+    harness: str,
+    reference: ElabDesign,
+    samples: int,
+    seed: int,
+    engine: str,
+    limits: Optional[ResourceLimits],
+    sim_limits,
+    tracker: Optional[SimLimitTracker],
+):
+    """The reference side of one ``harness`` run: a replay of its tape
+    when the active verdict cache holds one, else a live simulator that
+    records the tape once the run :meth:`completed`.
+
+    The tape key is the reference digest, the harness, ``samples``,
+    ``seed``, the engine, ``limits`` and ``repr(sim_limits)``.  Under
+    ``scoped(verdict_cache=None)`` every reference is simulated.
+    """
+    cache = current().get("verdict_cache", DEFAULT_VERDICT_CACHE)
+    key = None
+    if cache is not None:
+        key = verdict_key(
+            f"tape-{harness}", (getattr(reference, "digest", None),),
+            engine, limits, samples, seed, repr(sim_limits),
+        )
+        tape = cache.get_tape(key)
+        if tape is not None:
+            return _ReplayedReference(tape, tracker)
+    sim = make_simulator(
+        reference, engine=engine, limits=limits,
+        sim_limits=sim_limits, sim_tracker=tracker,
+    )
+    return _RecordingReference(sim, cache, key)
 
 
 def _chaos_verdict(site: str, chaos_key: str, engine: str) -> Optional[SimVerdict]:
@@ -214,9 +347,9 @@ def _run_differential_uncached(
             candidate, engine=engine, limits=limits,
             sim_limits=sim_limits, sim_tracker=tracker,
         )
-        ref_sim = make_simulator(
-            reference, engine=engine, limits=limits,
-            sim_limits=sim_limits, sim_tracker=tracker,
+        ref_sim = reference_run(
+            "diff", reference, samples, seed, engine, limits,
+            sim_limits, tracker,
         )
 
         rng = random.Random(seed)
@@ -239,6 +372,7 @@ def _run_differential_uncached(
                 cand_sim, ref_sim, clock, data_inputs, resets, outputs,
                 samples, rng, result, max_mismatches_recorded, deadline,
             )
+        ref_sim.completed()
         return result
 
     result, verdict = run_sandboxed(body, engine)

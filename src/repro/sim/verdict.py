@@ -18,6 +18,14 @@ stimulus parameter, LRU-bounded, thread-safe, with hit/miss/eviction
 stats.  Designs without a digest (error-bearing or hand-built) are never
 cached -- lookups simply miss and the caller runs the simulation.
 
+The cache also holds **reference tapes**
+(:class:`~repro.sim.testbench.ReferenceTape`): the recorded outputs and
+budget charges of one completed golden-reference run, replayed by later
+runs with the same key instead of simulating the reference again.
+Tapes are not verdicts: they are kept apart from the verdict entries,
+are not counted in :attr:`VerdictCache.stats` or ``len()``, are dropped
+by :meth:`VerdictCache.clear` and are bounded by the same ``maxsize``.
+
 Chaos engineering stays transparent by construction: fault injection
 perturbs the *source text* before compilation
 (a chaos :class:`~repro.runtime.retry.Guard` appends garbage), which
@@ -53,7 +61,8 @@ def verdict_key(
 
     ``kind`` namespaces the harness ("diff" for
     :func:`~repro.sim.testbench.run_differential`, "feedback" for
-    :func:`~repro.sim.feedback.simulate_with_traces`); ``digests`` are
+    :func:`~repro.sim.feedback.simulate_with_traces`, "tape-diff" /
+    "tape-feedback" for their reference tapes); ``digests`` are
     the content digests of every design involved; ``engine`` and the
     effective resource limits participate because both can change the
     verdict (a compiled-only bug would otherwise poison interp results,
@@ -118,10 +127,16 @@ class VerdictCache:
         self.maxsize = maxsize
         self.stats = VerdictStats()
         self._entries: OrderedDict = OrderedDict()
+        self._tapes: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def tape_count(self) -> int:
+        """Reference tapes held (not counted in ``len()``)."""
+        return len(self._tapes)
 
     def get(self, key: Optional[str]):
         """The cached verdict for ``key``, or ``None`` (counts stats)."""
@@ -148,10 +163,31 @@ class VerdictCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
+    def get_tape(self, key: Optional[str]):
+        """The reference tape stored under ``key``, or ``None``."""
+        if key is None:
+            return None
+        with self._lock:
+            tape = self._tapes.get(key)
+            if tape is not None:
+                self._tapes.move_to_end(key)
+            return tape
+
+    def put_tape(self, key: Optional[str], tape) -> None:
+        """Store ``tape`` under ``key`` (no-op for uncacheable keys)."""
+        if key is None:
+            return
+        with self._lock:
+            self._tapes[key] = tape
+            self._tapes.move_to_end(key)
+            while len(self._tapes) > self.maxsize:
+                self._tapes.popitem(last=False)
+
     def clear(self) -> None:
-        """Drop all entries and reset the statistics."""
+        """Drop all entries and tapes and reset the statistics."""
         with self._lock:
             self._entries.clear()
+            self._tapes.clear()
             self.stats = VerdictStats()
 
 

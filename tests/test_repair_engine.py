@@ -32,6 +32,7 @@ from repro.rag import ExactTagRetriever, build_default_database
 from repro.repair import (
     TEMPLATES,
     RepairEngine,
+    SimOracle,
     TemplateProposer,
     TraceDiffLocalizer,
     repair_functional,
@@ -170,6 +171,32 @@ class TestTraceDiffLocalizer:
         )
         first = localizer.localize(BUGGY_TWO_OUT)
         assert localizer.localize(BUGGY_TWO_OUT) is first
+
+    def test_reads_the_oracle_feedback_without_simulating(self, monkeypatch):
+        from repro.sim import VerdictCache, feedback
+
+        oracle = SimOracle(REF_TWO_OUT)
+        localizer = TraceDiffLocalizer(oracle.reference)
+        with scoped(verdict_cache=VerdictCache()):
+            oracle.check(BUGGY_TWO_OUT)
+            built = []
+            monkeypatch.setattr(
+                feedback, "make_simulator",
+                lambda design, **kwargs: built.append(design),
+            )
+            loc = localizer.localize(BUGGY_TWO_OUT)
+        assert built == []
+        assert loc.suspect_lines[0] == 2
+
+    def test_draws_no_sim_feedback_chaos_fault(self):
+        from repro.runtime.faults import FaultInjector, FaultSpec
+
+        reference = Compiler().compile(REF_TWO_OUT).elaborated
+        clean = TraceDiffLocalizer(reference).localize(BUGGY_TWO_OUT)
+        injector = FaultInjector(seed=0, sim=FaultSpec(rate=1.0))
+        with scoped(verdict_cache=None, sim_injector=injector):
+            chaotic = TraceDiffLocalizer(reference).localize(BUGGY_TWO_OUT)
+        assert chaotic == clean
 
     def test_suspect_lines_helper_orders_drivers_first(self):
         code = (

@@ -9,6 +9,8 @@ hygiene, the mid-simulation ambient deadline, the wall-clock watchdog
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.errors import (
 from repro.runtime.checkpoint import config_digest
 from repro.scope import current, scoped
 from repro.service.deadline import Deadline, use_deadline
+from repro.sim import testbench
 from repro.sim.limits import (
     DEFAULT_SIM_LIMITS,
     FUZZ_SIM_LIMITS,
@@ -31,6 +34,7 @@ from repro.sim.limits import (
     SimLimitTracker,
     parse_sim_limits,
 )
+from repro.sim.feedback import make_sim_feedback, simulate_with_traces
 from repro.sim.sandbox import SandboxStats, SimVerdict, run_sandboxed, simulate
 from repro.sim.testbench import run_differential
 from repro.sim.verdict import VerdictCache
@@ -283,6 +287,314 @@ class TestCacheHygiene:
         assert first.verdict.category == "limit"
         assert second.verdict.category == "limit"
         assert len(cache) == 0
+
+
+class TestSimulationErrorPhase:
+    """A design-caused :class:`SimulationError` reports the phase the
+    run was in when it was raised, not always ``construct``."""
+
+    REFERENCE = (
+        "module top_module(input a, input b, output y, output z);\n"
+        "assign y = a & b;\nassign z = a | b;\nendmodule\n"
+    )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_missing_output_fails_in_trace_phase(self, engine):
+        candidate = build(
+            "module top_module(input a, input b, output y);\n"
+            "assign y = a & b;\nendmodule\n"
+        )
+        with scoped(verdict_cache=None):
+            outcome = simulate(
+                candidate, build(self.REFERENCE), mode="feedback",
+                engine=engine,
+            )
+        verdict = outcome.verdict
+        assert (verdict.category, verdict.phase) == ("fail", "trace")
+        assert verdict.detail == "no such net: 'z'"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_renamed_input_fails_in_cycle_phase(self, engine):
+        candidate = build(
+            "module top_module(input c, input b, output y, output z);\n"
+            "assign y = c & b;\nassign z = c | b;\nendmodule\n"
+        )
+        with scoped(verdict_cache=None):
+            outcome = simulate(
+                candidate, build(self.REFERENCE), mode="feedback",
+                engine=engine,
+            )
+        verdict = outcome.verdict
+        assert (verdict.category, verdict.phase) == ("fail", "cycle")
+        assert verdict.detail == "no such input port: 'a'"
+
+    def test_design_without_modules_fails_in_construct_phase(self):
+        design = build(COUNTER)
+        empty = dataclasses.replace(design, modules={}, top=None)
+        with scoped(verdict_cache=None):
+            outcome = simulate(empty, design, mode="feedback")
+        assert (outcome.verdict.category, outcome.verdict.phase) == (
+            "fail", "construct",
+        )
+
+
+# ---------------------------------------------------------------------------
+# Reference tapes: the golden reference is simulated once per stimulus
+# ---------------------------------------------------------------------------
+
+#: Same ports as DISPLAYER, but prints nothing.
+QUIET = (
+    "module top_module(input clk, output reg q);\n"
+    "always @(posedge clk) q <= ~q;\nendmodule\n"
+)
+
+#: DISPLAYER's ports with a 64-bit output: 8 trace bytes per sample.
+WIDE = (
+    "module top_module(input clk, output reg [63:0] q);\n"
+    "always @(posedge clk) q <= ~q;\nendmodule\n"
+)
+
+
+def _summary(verdict):
+    return (verdict.category, verdict.kind, verdict.phase, verdict.detail)
+
+
+def _harness_verdict(mode, candidate, reference, samples, engine, limits):
+    return simulate(
+        candidate, reference, mode=mode, samples=samples, engine=engine,
+        sim_limits=limits,
+    ).verdict
+
+
+def _traced_verdict(candidate, reference, samples, engine, tracker):
+    _, verdict = run_sandboxed(
+        lambda: simulate_with_traces(
+            candidate, reference, samples=samples, engine=engine,
+            sim_tracker=tracker,
+        ),
+        engine,
+    )
+    return verdict
+
+
+@pytest.fixture
+def reference_builds(monkeypatch):
+    """Counts the reference simulators the harnesses build."""
+    built = []
+    original = testbench.make_simulator
+
+    def counting(design, **kwargs):
+        built.append(design)
+        return original(design, **kwargs)
+
+    monkeypatch.setattr(testbench, "make_simulator", counting)
+    return built
+
+
+class TestReferenceTape:
+    """A replayed reference charges the shared budget pool exactly as a
+    simulated one, so every verdict -- including which budget fires, in
+    which phase, inside the reference's half -- matches a cold run."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", ("diff", "feedback"))
+    def test_display_budget_trips_inside_replayed_reference(self, mode, engine):
+        # The reference prints once per cycle.  Taped with a silent
+        # candidate (8 lines <= 9), it is then replayed beside a
+        # candidate that also prints: the 10th line is the reference's.
+        reference, loud, quiet = build(DISPLAYER), build(DISPLAYER), build(QUIET)
+        limits = SimLimits(max_display_lines=9)
+        with scoped(verdict_cache=None):
+            cold = _harness_verdict(mode, loud, reference, 8, engine, limits)
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            taping = _harness_verdict(mode, quiet, reference, 8, engine, limits)
+            assert taping.category in ("ok", "fail")
+            assert cache.tape_count == 1
+            replayed = _harness_verdict(mode, loud, reference, 8, engine, limits)
+        assert _summary(replayed) == _summary(cold)
+        assert _summary(cold)[:3] == ("limit", "display lines", "cycle")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trace_bytes_trip_on_replayed_reference_record(self, engine):
+        # 1 byte per reference sample; the wide candidate adds 8, so the
+        # second record ends at 9 + 8 = 17 bytes before the reference's
+        # sample takes the pool to 18 > 17.
+        reference, wide = build(DISPLAYER), build(WIDE)
+        limits = SimLimits(max_trace_bytes=17)
+        with scoped(verdict_cache=None):
+            cold = _harness_verdict("feedback", wide, reference, 8, engine, limits)
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            _harness_verdict("feedback", reference, reference, 8, engine, limits)
+            assert cache.tape_count == 1
+            replayed = _harness_verdict(
+                "feedback", wide, reference, 8, engine, limits
+            )
+        assert _summary(replayed) == _summary(cold)
+        assert _summary(cold)[:3] == ("limit", "trace bytes", "trace")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "limits, precharge, kind, phase",
+        [
+            # 3 cycles spent before the run: its 18th begin_cycle (a
+            # reference step) is the 21st of 20.
+            (SimLimits(max_cycles=20),
+             lambda t: [t.begin_cycle() for _ in range(3)],
+             "simulated cycles", "cycle"),
+            # 5 entries spent before the run: its 8th entry (the
+            # reference's fourth sample) is the 13th of 12.
+            (SimLimits(max_trace_entries=12), lambda t: t.charge_trace(5, 0),
+             "trace entries", "trace"),
+        ],
+        ids=["cycles", "trace-entries"],
+    )
+    def test_shared_tracker_trips_inside_replayed_reference(
+        self, engine, limits, precharge, kind, phase
+    ):
+        # Only a caller-supplied tracker can reach these budgets inside
+        # the reference's half: within one harness run the candidate
+        # and the reference step and trace in lockstep.
+        design = build(COUNTER)
+
+        def run():
+            tracker = SimLimitTracker(limits)
+            precharge(tracker)
+            return _traced_verdict(design, design, 4, engine, tracker)
+
+        with scoped(verdict_cache=None):
+            cold = run()
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            assert _traced_verdict(
+                design, design, 4, engine, SimLimitTracker(limits)
+            ) is None
+            assert cache.tape_count == 1
+            replayed = run()
+        assert _summary(replayed) == _summary(cold)
+        assert _summary(cold)[:3] == ("limit", kind, phase)
+
+    @pytest.mark.parametrize(
+        "code, mode, limits",
+        [
+            (OSCILLATOR, "diff", DEFAULT_SIM_LIMITS),
+            (COUNTER, "diff", SimLimits(max_cycles=8)),
+            (DISPLAYER, "diff", SimLimits(max_display_lines=4)),
+            (DISPLAYER, "feedback", SimLimits(max_display_lines=4)),
+            (COUNTER, "feedback", SimLimits(max_trace_entries=4)),
+        ],
+        ids=["settle", "cycles", "display-diff", "display-feedback", "trace"],
+    )
+    def test_reference_that_trips_on_its_own_is_never_taped(
+        self, code, mode, limits
+    ):
+        design = build(code)
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            for _ in range(2):
+                outcome = simulate(
+                    design, design, mode=mode, samples=32, sim_limits=limits
+                )
+                assert outcome.verdict.category == "limit"
+        assert cache.tape_count == 0
+
+    @pytest.mark.parametrize("mode", ("diff", "feedback"))
+    def test_replay_builds_no_reference_simulator(self, mode, reference_builds):
+        counter = (
+            "module top_module(input clk, input reset, output reg [3:0] q);\n"
+            "always @(posedge clk) if (reset) q <= 0; else q <= q + STEP;\n"
+            "endmodule\n"
+        )
+        reference = build(counter.replace("STEP", "1"))
+        candidate = build(counter.replace("STEP", "2"))
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            first = simulate(reference, reference, mode=mode, samples=8)
+            built = len(reference_builds)
+            second = simulate(candidate, reference, mode=mode, samples=8)
+        assert first.verdict.ok and second.verdict.category == "fail"
+        assert reference_builds[built:].count(reference) == 0
+        assert cache.tape_count == 1
+
+    def test_no_verdict_cache_simulates_every_reference(self, reference_builds):
+        reference = build(COUNTER)
+        with scoped(verdict_cache=None):
+            for _ in range(2):
+                assert simulate(reference, reference, samples=8).verdict.ok
+        assert reference_builds.count(reference) == 4
+
+    def test_tapes_are_not_verdicts(self):
+        reference, candidate = build(COUNTER), build(QUIET)
+        cache = VerdictCache(maxsize=1)
+        with scoped(verdict_cache=cache):
+            run_differential(candidate, reference, samples=8)
+            make_sim_feedback(candidate, reference, samples=8)
+        # Two harnesses, two tapes -- but the shared LRU bound keeps one,
+        # and neither counts as a verdict entry or a lookup.
+        assert cache.tape_count == 1
+        assert len(cache) == 1
+        assert cache.stats.lookups == 2 and cache.stats.evictions == 1
+        cache.clear()
+        assert cache.tape_count == 0
+
+    def test_threads_sharing_one_cache_see_simulated_results(self):
+        # More threads than cores, switching often, all taping and
+        # replaying one reference through one cache.
+        reference = build(DISPLAYER)
+        candidates = [build(QUIET), build(WIDE), reference] * 2
+        with scoped(verdict_cache=None):
+            expected = [
+                simulate(c, reference, mode="feedback", samples=12).result
+                for c in candidates
+            ]
+        cache = VerdictCache()
+        results: dict = {}
+
+        def work(index):
+            results[index] = [
+                simulate(c, reference, mode="feedback", samples=12).result
+                for c in candidates[index % 3:] + candidates[:index % 3]
+            ]
+
+        # The scope is process-wide: the threads share the caller's cache.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with scoped(verdict_cache=cache):
+                threads = [
+                    threading.Thread(target=work, args=(i,)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, got in results.items():
+            shift = index % 3
+            assert got == expected[shift:] + expected[:shift]
+        assert len(results) == 8 and cache.tape_count == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", ("diff", "feedback"))
+    def test_replayed_results_match_simulated(self, mode, engine):
+        reference = build(DISPLAYER)
+        candidates = [build(QUIET), build(WIDE), reference]
+        with scoped(verdict_cache=None):
+            cold = [
+                simulate(c, reference, mode=mode, samples=12, engine=engine)
+                for c in candidates
+            ]
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            warm = [
+                simulate(c, reference, mode=mode, samples=12, engine=engine)
+                for c in candidates
+            ]
+        assert cache.tape_count == 1
+        assert [o.result for o in warm] == [o.result for o in cold]
 
 
 # ---------------------------------------------------------------------------

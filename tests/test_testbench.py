@@ -1,5 +1,8 @@
 """Tests for the golden-model differential testbench."""
 
+import hashlib
+from pathlib import Path
+
 from repro.diagnostics import compile_source
 from repro.sim import check_interface, run_differential
 
@@ -115,3 +118,61 @@ class TestInterfaceChecks:
         result = run_differential(elab(candidate), elab(REF_COMB))
         assert not result.passed
         assert result.failure_reason
+
+
+#: sha256 over the traced feedback, the differential verdict and the
+#: trace-diff localization of every corpus reference and every template
+#: edit of it, simulated against the reference.
+SIMULATION_DIGEST = Path(__file__).parent / "data" / "simulation_digest.sha256"
+
+
+def simulation_digest() -> str:
+    """Run under one fresh verdict cache, so every reference after its
+    first run is driven from the cache's recorded reference runs."""
+    from repro.dataset.corpus import verilogeval
+    from repro.diagnostics import Compiler
+    from repro.repair import TraceDiffLocalizer
+    from repro.repair.templates import TEMPLATES
+    from repro.scope import scoped
+    from repro.sim import VerdictCache, make_sim_feedback
+
+    compiler = Compiler()
+    hasher = hashlib.sha256()
+    with scoped(verdict_cache=VerdictCache()):
+        for problem in verilogeval():
+            reference = compiler.compile(problem.reference).elaborated
+            localizer = TraceDiffLocalizer(reference, compiler=compiler)
+            sources = [problem.reference]
+            for template in TEMPLATES:
+                sources += [edit.code for edit in template(problem.reference)]
+            for code in sources:
+                compiled = compiler.compile(code)
+                if reference is None or not compiled.ok:
+                    hasher.update(b"-\x00")
+                    continue
+                candidate = compiled.elaborated
+                feedback = make_sim_feedback(candidate, reference)
+                suspects = [
+                    (s.signal, s.line, s.score, s.reason)
+                    for s in localizer.localize(code).suspects
+                ]
+                diff = run_differential(candidate, reference, samples=16)
+                mismatches = [
+                    (m.sample, m.output, m.expected, m.actual)
+                    for m in diff.mismatches
+                ]
+                hasher.update(
+                    f"{feedback.mismatch_count}|{feedback.text}|"
+                    f"{diff.passed}|{diff.mismatch_count}|"
+                    f"{diff.failure_reason}|{mismatches}|{suspects}".encode()
+                )
+                hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+def test_frozen_simulation_digest():
+    """Corpus simulation results are frozen: recorded reference runs and
+    the localizer's reuse of the oracle's feedback must not move a byte.
+    Regenerate the data file only for an intended simulation change, by
+    writing ``simulation_digest()``."""
+    assert simulation_digest() == SIMULATION_DIGEST.read_text().strip()
