@@ -1,14 +1,16 @@
 """Simulation-error feedback generation (paper §5).
 
-Runs the differential testbench while tracing outputs, then formats the
-result the way the paper describes: a summary of the output error count
-plus a text-formatted waveform-like comparison of the erroneous module's
-outputs against the golden solution's.
+Runs the candidate beside the golden reference while tracing outputs,
+then formats the result the way the paper describes: a summary of the
+output error count plus a text-formatted waveform-like comparison of the
+erroneous module's outputs against the golden solution's.  The run is
+the differential testbench's (:mod:`repro.sim.testbench`): the same
+stimulus schedule, memo path and reference tape, observed through two
+:class:`~repro.sim.trace.Trace` recordings instead of a mismatch count.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,16 +20,8 @@ from ..verilog.limits import ResourceLimits
 from .engine import DEFAULT_SIM_ENGINE, make_simulator
 from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
 from .sandbox import SimVerdict, run_sandboxed
-from .testbench import (
-    CLOCK_NAMES,
-    RESET_NAMES,
-    _chaos_verdict,
-    _random_vector,
-    reference_run,
-)
+from .testbench import drive, memoized, reference_run
 from .trace import Trace, render_comparison
-from .values import Logic
-from .verdict import DEFAULT_VERDICT_CACHE, verdict_key
 
 
 @dataclass
@@ -73,65 +67,39 @@ def simulate_with_traces(
     scope = current()
     if engine is None:
         engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
-    effective_sim = sim_limits
-    if effective_sim is None:
-        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
+    if sim_limits is None:
+        sim_limits = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
     tracker = sim_tracker
-    if tracker is None and effective_sim is not UNTRACKED:
-        tracker = SimLimitTracker(effective_sim)
+    if tracker is None and sim_limits is not UNTRACKED:
+        tracker = SimLimitTracker(sim_limits)
     cand_sim = make_simulator(
         candidate, engine=engine, limits=limits,
-        sim_limits=effective_sim, sim_tracker=tracker,
+        sim_limits=sim_limits, sim_tracker=tracker,
     )
     ref_sim = reference_run(
-        "feedback", reference, samples, seed, engine, limits,
-        effective_sim if sim_tracker is None else sim_tracker.limits,
-        tracker,
+        reference, samples, seed, engine, limits,
+        sim_limits if sim_tracker is None else sim_tracker.limits, tracker,
     )
-    rng = random.Random(seed)
-
-    # Lazy: the service package sits above the sim package.
-    from ..service.deadline import current_deadline
-
-    deadline = current_deadline()
-
-    inputs = ref_sim.inputs
-    clock = next((p.name for p in inputs if p.name in CLOCK_NAMES), None)
-    resets = [p.name for p in inputs if p.name in RESET_NAMES]
-    data = [p for p in inputs if p.name != clock and p.name not in resets]
     outputs = [p.name for p in ref_sim.outputs]
-
     cand_trace = Trace(signals=list(outputs), tracker=tracker)
     ref_trace = Trace(signals=list(outputs), tracker=tracker)
-
-    for cycle in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        in_reset = bool(resets) and cycle < 2
-        for name in resets:
-            active = 1 if not name.endswith("n") else 0
-            stimulus[name] = active if in_reset else active ^ 1
-        for port in data:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        if clock is None:
-            cand_sim.step(dict(stimulus))
-            ref_sim.step(dict(stimulus))
-        else:
-            stimulus[clock] = 0
-            cand_sim.step(dict(stimulus))
-            ref_sim.step(dict(stimulus))
-            cand_sim.step({clock: 1})
-            ref_sim.step({clock: 1})
-        if not in_reset:
-            if tracker is not None:
-                tracker.phase = "trace"
-            cand_trace.record(cand_sim)
-            ref_trace.record(ref_sim)
-            if tracker is not None:
-                tracker.phase = "cycle"
-    ref_sim.completed()
+    for _ in drive(cand_sim, ref_sim, samples, seed):
+        if tracker is not None:
+            tracker.phase = "trace"
+        cand_trace.record(cand_sim)
+        ref_trace.record(ref_sim)
+        if tracker is not None:
+            tracker.phase = "cycle"
     return cand_trace, ref_trace
+
+
+def _failed_feedback(verdict: SimVerdict, samples: int) -> SimFeedback:
+    # Simulation blow-ups (and injected faults) are feedback too.
+    return SimFeedback(
+        mismatch_count=samples, samples=samples,
+        text=f"Simulation failed to run: {verdict.detail}",
+        verdict=verdict,
+    )
 
 
 def make_sim_feedback(
@@ -148,26 +116,15 @@ def make_sim_feedback(
     waveform-style expected-vs-actual comparison.
 
     Memoized in the active :class:`~repro.sim.verdict.VerdictCache` the
-    same way :func:`~repro.sim.testbench.run_differential` verdicts are:
-    feedback is a pure function of the design digests and the stimulus
-    parameters.  The sandbox budgets join the key, and only ``ok``/
-    ``fail`` outcomes are memoized -- a budget overflow or crash report
-    is environment-dependent feedback, not a content-addressed fact."""
-    chaos = _chaos_verdict(
-        "sim.feedback",
-        f"{getattr(candidate, 'digest', None)}|"
-        f"{getattr(reference, 'digest', None)}|{samples}|{seed}",
-        engine or current().get("sim_engine", DEFAULT_SIM_ENGINE),
-    )
-    if chaos is not None:
-        return SimFeedback(
-            mismatch_count=samples, samples=samples,
-            text=f"Simulation failed to run: {chaos.detail}",
-            verdict=chaos,
-        )
-    return cached_sim_feedback(
-        candidate, reference, samples, seed, max_shown, engine, limits,
-        sim_limits,
+    same way :func:`~repro.sim.testbench.run_differential` verdicts are
+    (:func:`~repro.sim.testbench.memoized`): feedback is a pure function
+    of the design digests and the stimulus parameters.  A budget
+    overflow or crash report is environment-dependent feedback, not a
+    content-addressed fact, so it is never memoized."""
+    return memoized(
+        "feedback", _make_sim_feedback_uncached, _failed_feedback,
+        candidate, reference, samples, seed, max_shown,
+        engine, limits, sim_limits,
     )
 
 
@@ -184,33 +141,11 @@ def cached_sim_feedback(
     """:func:`make_sim_feedback` without the chaos seam: the active
     verdict cache's entry for the triple, simulated on a miss.  The
     trace-diff localizer reads the oracle's feedback through here."""
-    scope = current()
-    effective_engine = engine
-    if effective_engine is None:
-        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
-    effective_sim = sim_limits
-    if effective_sim is None:
-        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
-    cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
-    key = None
-    if cache is not None:
-        key = verdict_key(
-            "feedback",
-            (getattr(candidate, "digest", None), getattr(reference, "digest", None)),
-            effective_engine,
-            limits,
-            samples, seed, max_shown, repr(effective_sim),
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    feedback = _make_sim_feedback_uncached(
+    return memoized(
+        "feedback", _make_sim_feedback_uncached, _failed_feedback,
         candidate, reference, samples, seed, max_shown,
-        effective_engine, limits, effective_sim,
+        engine, limits, sim_limits, chaos=False,
     )
-    if cache is not None and feedback.verdict is not None and feedback.verdict.cacheable:
-        cache.put(key, feedback)
-    return feedback
 
 
 def _make_sim_feedback_uncached(
@@ -230,12 +165,8 @@ def _make_sim_feedback_uncached(
         ),
         engine,
     )
-    if verdict is not None:  # simulation blow-ups are feedback too
-        return SimFeedback(
-            mismatch_count=samples, samples=samples,
-            text=f"Simulation failed to run: {verdict.detail}",
-            verdict=verdict,
-        )
+    if verdict is not None:
+        return _failed_feedback(verdict, samples)
     cand_trace, ref_trace = traces
 
     mismatches = 0

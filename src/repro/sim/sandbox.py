@@ -239,10 +239,4 @@ def simulate(
         )
     else:
         raise ValueError(f"unknown simulate mode {mode!r}")
-    verdict = result.verdict
-    if verdict is None:  # defensive: harnesses always attach one
-        verdict = SimVerdict(
-            category="ok" if getattr(result, "passed", False) else "fail",
-            engine=engine or "",
-        )
-    return SimOutcome(verdict=verdict, result=result)
+    return SimOutcome(verdict=result.verdict, result=result)

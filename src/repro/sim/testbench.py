@@ -4,21 +4,26 @@ Functional correctness is judged the way VerilogEval does it: simulate
 the candidate implementation and the reference implementation on the
 same stimulus and compare outputs.  The stimulus generator understands
 the corpus conventions: a ``clk`` input gets a clock, ``reset`` /
-``areset`` / ``rst`` inputs get a reset pulse, everything else is driven
-with seeded random vectors.
+``areset`` / ``rst`` inputs get a reset pulse (held deasserted when
+there is no clock), everything else is driven with seeded random
+vectors.
 
-The golden reference is simulated once per stimulus: its first
-completed run under the active
+Both harnesses -- this differential and the §5 traced feedback
+(:mod:`repro.sim.feedback`) -- share one stimulus schedule
+(:func:`drive`), one memo path through the verdict cache
+(:func:`memoized`) and one reference tape per stimulus: the golden
+reference's first completed run under the active
 :class:`~repro.sim.verdict.VerdictCache` is recorded as a
-:class:`ReferenceTape`, and later runs with the same key replay the tape
-against the live budget tracker instead of simulating the reference.
+:class:`ReferenceTape`, and later runs of either harness with the same
+key replay the tape against the live budget tracker instead of
+simulating the reference.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from ..errors import SimulationError, TransientError
 from ..scope import current
@@ -91,7 +96,7 @@ def check_interface(candidate: ElabDesign, reference: ElabDesign) -> str:
 
 @dataclass(frozen=True)
 class ReferenceTape:
-    """One completed reference run of one harness, for replay.
+    """One completed reference run, for replay by either harness.
 
     ``records[0]`` is the construction, each later record one
     :meth:`~repro.sim.simulator.Simulator.step`: the ``$display`` lines
@@ -182,7 +187,6 @@ class _ReplayedReference:
 
 
 def reference_run(
-    harness: str,
     reference: ElabDesign,
     samples: int,
     seed: int,
@@ -191,19 +195,20 @@ def reference_run(
     sim_limits,
     tracker: Optional[SimLimitTracker],
 ):
-    """The reference side of one ``harness`` run: a replay of its tape
-    when the active verdict cache holds one, else a live simulator that
+    """The reference side of one harness run: a replay of its tape when
+    the active verdict cache holds one, else a live simulator that
     records the tape once the run :meth:`completed`.
 
-    The tape key is the reference digest, the harness, ``samples``,
-    ``seed``, the engine, ``limits`` and ``repr(sim_limits)``.  Under
+    The tape key is the reference digest, ``samples``, ``seed``, the
+    engine, ``limits`` and ``repr(sim_limits)``; it names no harness,
+    because both drive the reference with the same schedule.  Under
     ``scoped(verdict_cache=None)`` every reference is simulated.
     """
     cache = current().get("verdict_cache", DEFAULT_VERDICT_CACHE)
     key = None
     if cache is not None:
         key = verdict_key(
-            f"tape-{harness}", (getattr(reference, "digest", None),),
+            "tape", (getattr(reference, "digest", None),),
             engine, limits, samples, seed, repr(sim_limits),
         )
         tape = cache.get_tape(key)
@@ -248,6 +253,111 @@ def _chaos_verdict(site: str, chaos_key: str, engine: str) -> Optional[SimVerdic
     )
 
 
+def memoized(
+    kind: str,
+    run: Callable,
+    failed: Callable[[SimVerdict, int], object],
+    candidate: ElabDesign,
+    reference: ElabDesign,
+    samples: int,
+    seed: int,
+    cap: int,
+    engine: Optional[str],
+    limits: Optional[ResourceLimits],
+    sim_limits: Optional[SimLimits],
+    chaos: bool = True,
+):
+    """The memo path of both harnesses: ``run(candidate, reference,
+    samples, seed, cap, engine, limits, sim_limits)`` with the engine and
+    sandbox budgets resolved from the scope, memoized in the active
+    :class:`~repro.sim.verdict.VerdictCache`.
+
+    ``kind`` (``"diff"``/``"feedback"``) names the harness in the verdict
+    key and its chaos site (``sim.<kind>``).  With ``chaos``, an injected
+    ``garbage`` fault returns ``failed(verdict, samples)`` before the
+    lookup.  ``cap`` is the harness's recording cap.  The sandbox budgets
+    join the key, and only cacheable (``ok``/``fail``) results are stored
+    -- ``limit``/``crashed`` outcomes depend on budgets and environment,
+    not just content.
+    """
+    scope = current()
+    if engine is None:
+        engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
+    if sim_limits is None:
+        sim_limits = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
+    digests = (getattr(candidate, "digest", None), getattr(reference, "digest", None))
+    if chaos:
+        verdict = _chaos_verdict(
+            f"sim.{kind}", f"{digests[0]}|{digests[1]}|{samples}|{seed}", engine
+        )
+        if verdict is not None:
+            return failed(verdict, samples)
+    cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
+    key = None
+    if cache is not None:
+        key = verdict_key(
+            kind, digests, engine, limits,
+            samples, seed, cap, repr(sim_limits),
+        )
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+    result = run(
+        candidate, reference, samples, seed, cap, engine, limits, sim_limits
+    )
+    if cache is not None and result.verdict.cacheable:
+        cache.put(key, result)
+    return result
+
+
+def drive(cand_sim, ref_sim, samples: int, seed: int) -> Iterator[int]:
+    """The stimulus schedule both harnesses share: step the pair on
+    identical seeded stimulus and yield each sample index to compare.
+
+    A design without a clock gets one random vector per sample with any
+    reset held deasserted.  A clocked design gets one cycle per sample
+    -- inputs set with the clock low, then a rising edge -- with reset
+    asserted for the first two cycles, which are not compared.  The
+    reference run is :meth:`completed` once every sample is observed.
+    """
+    # Lazy: the service package sits above the sim package.
+    from ..service.deadline import current_deadline
+
+    deadline = current_deadline()
+    rng = random.Random(seed)
+    inputs = ref_sim.inputs
+    clock = next((p.name for p in inputs if p.name in CLOCK_NAMES), None)
+    resets = [p.name for p in inputs if p.name in RESET_NAMES]
+    data = [p for p in inputs if p.name != clock and p.name not in resets]
+    reset_cycles = 2 if resets and clock is not None else 0
+    for sample in range(samples):
+        if deadline is not None:
+            deadline.check(stage="sim-cycle")
+        in_reset = sample < reset_cycles
+        levels = {  # an active-low reset's name ends in "n"
+            name: int(name.endswith("n") != in_reset) for name in resets
+        }
+        vector = {port.name: _random_vector(rng, port.width) for port in data}
+        if clock is None:
+            stimulus: dict[str, Logic | int] = {**vector, **levels}
+        else:
+            stimulus = {**levels, **vector, clock: 0}
+        cand_sim.step(dict(stimulus))
+        ref_sim.step(dict(stimulus))
+        if clock is not None:
+            cand_sim.step({clock: 1})
+            ref_sim.step({clock: 1})
+        if not in_reset:
+            yield sample
+    ref_sim.completed()
+
+
+def _failed_result(verdict: SimVerdict, samples: int) -> TestbenchResult:
+    return TestbenchResult(
+        passed=False, failure_reason=verdict.detail, verdict=verdict
+    )
+
+
 def run_differential(
     candidate: ElabDesign,
     reference: ElabDesign,
@@ -263,53 +373,15 @@ def run_differential(
     ``samples`` is the number of random input vectors (combinational) or
     clock cycles (sequential).  The whole verdict is memoized in the
     active :class:`~repro.sim.verdict.VerdictCache` keyed by the design
-    digests and every stimulus parameter -- simulation is deterministic,
-    so a repeated (candidate, reference, stimulus) triple returns the
-    recorded verdict without simulating.  The sandbox budgets join the
-    key (runs under different ``sim_limits`` never alias), and only
-    ``ok``/``fail`` verdicts are memoized -- ``limit``/``crashed``
-    outcomes depend on budgets and environment, not just content.
+    digests and every stimulus parameter (:func:`memoized`) --
+    simulation is deterministic, so a repeated (candidate, reference,
+    stimulus) triple returns the recorded verdict without simulating.
     """
-    scope = current()
-    effective_engine = engine
-    if effective_engine is None:
-        effective_engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
-    effective_sim = sim_limits
-    if effective_sim is None:
-        effective_sim = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
-
-    chaos = _chaos_verdict(
-        "sim.diff",
-        f"{getattr(candidate, 'digest', None)}|"
-        f"{getattr(reference, 'digest', None)}|{samples}|{seed}",
-        effective_engine,
-    )
-    if chaos is not None:
-        return TestbenchResult(
-            passed=False, failure_reason=chaos.detail, verdict=chaos
-        )
-
-    cache = scope.get("verdict_cache", DEFAULT_VERDICT_CACHE)
-    key = None
-    if cache is not None:
-        key = verdict_key(
-            "diff",
-            (getattr(candidate, "digest", None), getattr(reference, "digest", None)),
-            effective_engine,
-            limits,
-            samples, seed, max_mismatches_recorded, repr(effective_sim),
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
-    result = _run_differential_uncached(
+    return memoized(
+        "diff", _run_differential_uncached, _failed_result,
         candidate, reference, samples, seed, max_mismatches_recorded,
-        effective_engine, limits, effective_sim,
+        engine, limits, sim_limits,
     )
-    if cache is not None and result.verdict is not None and result.verdict.cacheable:
-        cache.put(key, result)
-    return result
 
 
 def _run_differential_uncached(
@@ -324,19 +396,11 @@ def _run_differential_uncached(
 ) -> TestbenchResult:
     interface_error = check_interface(candidate, reference)
     if interface_error:
-        return TestbenchResult(
-            passed=False,
-            failure_reason=interface_error,
-            verdict=SimVerdict(
-                category="fail", engine=engine,
-                phase="interface", detail=interface_error,
-            ),
-        )
+        return _failed_result(SimVerdict(
+            category="fail", engine=engine,
+            phase="interface", detail=interface_error,
+        ), samples)
 
-    # Lazy: the service package sits above the sim package.
-    from ..service.deadline import current_deadline
-
-    deadline = current_deadline()
     # One budget pool for the whole harness invocation: candidate and
     # reference share a tracker, so the pair cannot take more than one
     # run's worth of resources between them.
@@ -348,38 +412,20 @@ def _run_differential_uncached(
             sim_limits=sim_limits, sim_tracker=tracker,
         )
         ref_sim = reference_run(
-            "diff", reference, samples, seed, engine, limits,
-            sim_limits, tracker,
+            reference, samples, seed, engine, limits, sim_limits, tracker
         )
-
-        rng = random.Random(seed)
-        ref_inputs = ref_sim.inputs
-        clock = next((p.name for p in ref_inputs if p.name in CLOCK_NAMES), None)
-        resets = [p.name for p in ref_inputs if p.name in RESET_NAMES]
-        data_inputs = [
-            p for p in ref_inputs if p.name != clock and p.name not in resets
-        ]
         outputs = [p.name for p in ref_sim.outputs]
-
         result = TestbenchResult(passed=True)
-        if clock is None:
-            _run_combinational(
-                cand_sim, ref_sim, data_inputs, resets, outputs,
-                samples, rng, result, max_mismatches_recorded, deadline,
+        for sample in drive(cand_sim, ref_sim, samples, seed):
+            _compare(
+                cand_sim, ref_sim, outputs, sample, result,
+                max_mismatches_recorded,
             )
-        else:
-            _run_sequential(
-                cand_sim, ref_sim, clock, data_inputs, resets, outputs,
-                samples, rng, result, max_mismatches_recorded, deadline,
-            )
-        ref_sim.completed()
         return result
 
     result, verdict = run_sandboxed(body, engine)
     if verdict is not None:
-        return TestbenchResult(
-            passed=False, failure_reason=verdict.detail, verdict=verdict
-        )
+        return _failed_result(verdict, samples)
     result.passed = result.mismatch_count == 0 and not result.failure_reason
     result.verdict = SimVerdict(
         category="ok" if result.passed else "fail", engine=engine
@@ -420,44 +466,3 @@ def _compare(
                     )
                 )
             break  # one mismatch per sample is enough
-
-
-def _run_combinational(
-    cand_sim, ref_sim, data_inputs, resets, outputs,
-    samples, rng, result, limit, deadline=None,
-) -> None:
-    for sample in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        for port in data_inputs:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        for name in resets:
-            stimulus[name] = 0 if not name.endswith("n") else 1
-        cand_sim.step(dict(stimulus))
-        ref_sim.step(dict(stimulus))
-        _compare(cand_sim, ref_sim, outputs, sample, result, limit)
-
-
-def _run_sequential(
-    cand_sim, ref_sim, clock, data_inputs, resets, outputs,
-    samples, rng, result, limit, deadline=None,
-) -> None:
-    reset_cycles = 2 if resets else 0
-    for cycle in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        in_reset = cycle < reset_cycles
-        for name in resets:
-            active = 1 if not name.endswith("n") else 0
-            stimulus[name] = active if in_reset else active ^ 1
-        for port in data_inputs:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        stimulus[clock] = 0
-        cand_sim.step(dict(stimulus))
-        ref_sim.step(dict(stimulus))
-        cand_sim.step({clock: 1})
-        ref_sim.step({clock: 1})
-        if not in_reset:
-            _compare(cand_sim, ref_sim, outputs, cycle, result, limit)

@@ -21,7 +21,8 @@ cached -- lookups simply miss and the caller runs the simulation.
 The cache also holds **reference tapes**
 (:class:`~repro.sim.testbench.ReferenceTape`): the recorded outputs and
 budget charges of one completed golden-reference run, replayed by later
-runs with the same key instead of simulating the reference again.
+runs of either harness with the same key instead of simulating the
+reference again.
 Tapes are not verdicts: they are kept apart from the verdict entries,
 are not counted in :attr:`VerdictCache.stats` or ``len()``, are dropped
 by :meth:`VerdictCache.clear` and are bounded by the same ``maxsize``.
@@ -59,10 +60,10 @@ def verdict_key(
     """Content address of one simulation verdict, or ``None`` when any
     participating design lacks a digest (uncacheable).
 
-    ``kind`` namespaces the harness ("diff" for
+    ``kind`` namespaces the entry ("diff" for
     :func:`~repro.sim.testbench.run_differential`, "feedback" for
-    :func:`~repro.sim.feedback.simulate_with_traces`, "tape-diff" /
-    "tape-feedback" for their reference tapes); ``digests`` are
+    :func:`~repro.sim.feedback.make_sim_feedback`, "tape" for the
+    reference tape both share); ``digests`` are
     the content digests of every design involved; ``engine`` and the
     effective resource limits participate because both can change the
     verdict (a compiled-only bug would otherwise poison interp results,

@@ -10,7 +10,9 @@ accounting.
 """
 
 import collections
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,7 @@ from repro.repair.templates import (
 from repro.runtime import CompileCache, TokenCounter
 from repro.scope import scoped
 from repro.service import Deadline, use_deadline
+from repro.sim import VerdictCache
 
 DB = build_default_database()
 
@@ -398,6 +401,30 @@ class TestServiceSeams:
         assert observed == list(result.transcript.turns)
 
 
+#: sha256 over every per-problem Table-4 digest, one problem per run so
+#: a single mutant's change is attributable.
+TABLE4_DIGEST = Path(__file__).parent / "data" / "table4_digest.sha256"
+
+
+def table4_digest() -> str:
+    """Run under fresh compile and verdict caches, so reference tapes
+    recorded by one problem's oracle are replayed within the run."""
+    from repro.dataset.problem import ProblemSet
+    from repro.eval.experiments import run_table4
+
+    hasher = hashlib.sha256()
+    with scoped(compile_cache=CompileCache(), verdict_cache=VerdictCache()):
+        for seed in range(4):
+            for problem in verilogeval():
+                if problem.id == "conway_neighbors":  # 0.3-12 s alone
+                    continue
+                digest = run_table4(
+                    ProblemSet("bench", [problem]), seed=seed, jobs=1
+                ).digest()
+                hasher.update(f"{seed}|{problem.id}|{digest}\0".encode())
+    return hasher.hexdigest()
+
+
 class TestTable4:
     def test_labeled_mutator_matches_unlabeled_draws(self):
         reference = list(verilogeval())[2].reference
@@ -458,6 +485,13 @@ class TestTable4:
         assert compiled, "the unit compiled nothing"
         twice = {code for code, calls in compiled.items() if calls > 1}
         assert not twice, f"{len(twice)} sources cold-compiled more than once"
+
+    def test_frozen_table4_digest(self):
+        """The Table-4 outcome over mutation seeds 0-3 and the corpus
+        minus ``conway_neighbors`` is frozen.  Regenerate the data file
+        only for an intended Table-4 change, by writing
+        ``table4_digest()``."""
+        assert table4_digest() == TABLE4_DIGEST.read_text().strip()
 
     def test_functional_repair_fixes_seeded_gate_swap(self):
         with scoped(compile_cache=CompileCache()):

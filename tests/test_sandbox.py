@@ -524,13 +524,43 @@ class TestReferenceTape:
                 assert simulate(reference, reference, samples=8).verdict.ok
         assert reference_builds.count(reference) == 4
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_tape_serves_both_harnesses(self, engine, reference_builds):
+        counter = (
+            "module top_module(input clk, input reset, output reg [3:0] q);\n"
+            "always @(posedge clk) if (reset) q <= 0; else q <= q + STEP;\n"
+            "endmodule\n"
+        )
+        reference = build(counter.replace("STEP", "1"))
+        first = build(counter.replace("STEP", "2"))
+        second = build(counter.replace("STEP", "3"))
+
+        def both():
+            return (
+                make_sim_feedback(first, reference, samples=8, engine=engine),
+                run_differential(second, reference, samples=8, engine=engine),
+            )
+
+        with scoped(verdict_cache=None):
+            cold = both()
+        built = len(reference_builds)
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            warm = both()
+        assert reference_builds[built:].count(reference) == 1
+        assert cache.tape_count == 1
+        assert warm == cold
+
     def test_tapes_are_not_verdicts(self):
-        reference, candidate = build(COUNTER), build(QUIET)
+        reference, other, candidate = (
+            build(COUNTER.replace("q + 1", step))
+            for step in ("q + 1", "q + 2", "q - 1")
+        )
         cache = VerdictCache(maxsize=1)
         with scoped(verdict_cache=cache):
             run_differential(candidate, reference, samples=8)
-            make_sim_feedback(candidate, reference, samples=8)
-        # Two harnesses, two tapes -- but the shared LRU bound keeps one,
+            make_sim_feedback(candidate, other, samples=8)
+        # Two references, two tapes -- but the shared LRU bound keeps one,
         # and neither counts as a verdict entry or a lookup.
         assert cache.tape_count == 1
         assert len(cache) == 1

@@ -4,7 +4,13 @@ import hashlib
 from pathlib import Path
 
 from repro.diagnostics import compile_source
-from repro.sim import check_interface, run_differential
+from repro.scope import scoped
+from repro.sim import (
+    check_interface,
+    make_sim_feedback,
+    run_differential,
+    simulate_with_traces,
+)
 
 REF_COMB = (
     "module top_module(input [7:0] in, output [7:0] out);\n"
@@ -55,6 +61,39 @@ class TestCombinationalDiff:
         a = run_differential(elab(REF_COMB), elab(REF_COMB), samples=8, seed=3)
         b = run_differential(elab(REF_COMB), elab(REF_COMB), samples=8, seed=3)
         assert a.samples == b.samples and a.mismatch_count == b.mismatch_count
+
+
+#: Combinational, but with a reset input: the one shape on which the
+#: feedback harness once held reset for two samples and skipped them.
+REF_COMB_RESET = (
+    "module top_module(input reset, input [3:0] a, output [3:0] y);\n"
+    "assign y = reset ? 4'd0 : a;\nendmodule"
+)
+
+
+class TestOneSchedule:
+    def test_combinational_reset_design_compares_same_samples(self):
+        """Both harnesses drive reset deasserted throughout and compare
+        every sample, so the feedback traces hold exactly the values the
+        differential compared."""
+        reference = elab(REF_COMB_RESET)
+        candidate = elab(REF_COMB_RESET.replace(": a;", ": a + 4'd1;"))
+        with scoped(verdict_cache=None):
+            diff = run_differential(
+                candidate, reference, samples=8, max_mismatches_recorded=8
+            )
+            cand_trace, ref_trace = simulate_with_traces(
+                candidate, reference, samples=8
+            )
+            feedback = make_sim_feedback(candidate, reference, samples=8)
+        assert diff.samples == diff.mismatch_count == 8
+        assert feedback.samples == feedback.mismatch_count == 8
+        assert [
+            (m.sample, m.expected, m.actual) for m in diff.mismatches
+        ] == [
+            (i, str(ref_trace.value_at("y", i)), str(cand_trace.value_at("y", i)))
+            for i in range(ref_trace.length)
+        ]
 
 
 class TestSequentialDiff:
