@@ -24,8 +24,9 @@ not from hard-coded numbers.
 Honesty note: with "Simple" feedback (no compiler log) and for ambiguous
 iverilog messages, a real LLM relies on latent knowledge to localize the
 bug.  The simulated model stands in for that latent knowledge by
-consulting the compiler internally, *gated by the same probability
-knobs* -- the gate, not the knowledge, is what the experiments measure.
+consulting the compiler internally (through the compile cache, like
+every other compile), *gated by the same probability knobs* -- the
+gate, not the knowledge, is what the experiments measure.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import random
 from ..diagnostics import ErrorCategory, compile_source
 from ..rag.database import GuidanceEntry
 from ..runtime.accounting import tier_family
+from ..runtime.cache import cached_compile
 from ..runtime.faults import stable_unit
 from .base import RepairStep
 from .repair.diagnosis import ParsedError, detect_flavor, parse_feedback
@@ -146,8 +148,6 @@ class SimulatedRepairSession:
 
     @staticmethod
     def _difficulty_delta(code: str) -> float:
-        from ..runtime.cache import cached_compile
-
         result = cached_compile(code)
         categories = result.categories
         if not categories:
@@ -244,7 +244,7 @@ class SimulatedRepairSession:
     def _true_errors_at(self, code: str, line: int | None) -> list[ParsedError]:
         """Latent-knowledge oracle (see module docstring): the real
         errors, optionally filtered near a reported line."""
-        result = compile_source(code)
+        result = cached_compile(code, compute=lambda: compile_source(code))
         errors = [
             ParsedError(category=d.category, line=d.line, details=dict(d.args))
             for d in result.errors
@@ -271,7 +271,9 @@ class SimulatedRepairSession:
                 current = revised
                 notes.append(self._describe(error))
         for _ in range(3):
-            remaining = compile_source(current)
+            remaining = cached_compile(
+                current, compute=lambda: compile_source(current)
+            )
             if remaining.ok:
                 break
             progressed = False

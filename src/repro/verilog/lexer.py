@@ -5,9 +5,17 @@ The lexer is error-tolerant: malformed constructs produce a
 and a best-effort replacement token, so that parsing (and therefore
 diagnosis of *further* errors) can continue -- mirroring how real
 compilers report several errors per run.
+
+Most tokens come from one match of :data:`_MASTER`: the trivia before a
+token and the token itself, when it is an identifier, a keyword, a
+plain decimal number or punctuation.  Everything else -- based
+literals, reals, strings, ``$``/``\\`` identifiers, unknown characters
+and end of file -- falls back to a per-kind method.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
@@ -21,9 +29,28 @@ _BASE_DIGITS = {
     "h": "0123456789abcdef" + "xz?",
 }
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789$")
+_IDENT_CONT = set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789$"
+)
 _DIGITS = set("0123456789")
+
+#: Leading trivia, then (1) an identifier or keyword, (2) a plain
+#: decimal number or (3) punctuation, longest operator first; the empty
+#: last alternative leaves the token to a fallback method.  A number
+#: followed by ``'``, ``.digit`` or (after backtracking) a digit or
+#: ``_`` is not plain.  No alternative looks more than 3 characters past
+#: the token's end, within the incremental lexer's ``_LEX_LOOKAHEAD``.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)*"
+    r"(?:([A-Za-z_][A-Za-z0-9_$]*)"
+    r"|([0-9][0-9_]*)(?!['0-9_]|\.[0-9])"
+    r"|(" + "|".join(re.escape(op) for op in MULTI_PUNCT)
+    + "|[" + re.escape("".join(sorted(SINGLE_PUNCT))) + "])"
+    r"|)"
+)
+#: Token kind by :data:`_MASTER` group number; group 1 is an identifier
+#: or a keyword, told apart by :data:`KEYWORDS`.
+_GROUP_KINDS = (None, None, TokenKind.NUMBER, TokenKind.PUNCT)
 
 
 class Lexer:
@@ -53,17 +80,44 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         tokens: list[Token] = []
-        while True:
-            if self.tracker is not None and not self.tracker.charge("tokens"):
-                self.tracker.report_overflow(
-                    "tokens", self._span(self.pos, self.pos + 1), self.sink
-                )
-                tokens.append(Token(TokenKind.EOF, "", self._span(self.pos)))
-                return tokens
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+        text, source, tracker = self.text, self.source, self.tracker
+        match = _MASTER.match
+        # The token budget is charged in bulk: ``budget`` tokens (EOF
+        # included) fit, and the first one over it ends the stream where
+        # the last token ended, exactly as a per-token charge would.
+        # Every token but EOF takes at least one character, so the text
+        # left bounds the count too.
+        budget = len(text) - self.pos + 1
+        if tracker is not None:
+            left = tracker.limits.limit_for("tokens") - tracker.spent.get("tokens", 0)
+            budget = min(budget, left)
+        keywords, ident, keyword = KEYWORDS, TokenKind.IDENT, TokenKind.KEYWORD
+        append = tokens.append
+        pos = self.pos
+        for _ in range(budget):
+            m = match(text, pos)
+            group = m.lastindex
+            if group is None:
+                token = self._lex_other(m.end())
+                append(token)
+                if token.kind is TokenKind.EOF:
+                    if tracker is not None:
+                        tracker.charge("tokens", len(tokens))
+                    return tokens
+                pos = self.pos
+                continue
+            start, pos = m.span(group)
+            value = text[start:pos]
+            if group == 1:
+                kind = keyword if value in keywords else ident
+            else:
+                kind = _GROUP_KINDS[group]
+            append(Token(kind, value, Span(source, start, pos)))
+        self.pos = pos
+        tracker.charge("tokens", len(tokens) + 1)
+        tracker.report_overflow("tokens", self._span(self.pos, self.pos + 1), self.sink)
+        tokens.append(Token(TokenKind.EOF, "", self._span(self.pos)))
+        return tokens
 
     # -- internals ---------------------------------------------------
 
@@ -74,29 +128,13 @@ class Lexer:
         idx = self.pos + offset
         return self.text[idx] if idx < len(self.text) else ""
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl == -1 else nl
-            elif ch == "/" and self._peek(1) == "*":
-                close = self.text.find("*/", self.pos + 2)
-                self.pos = len(self.text) if close == -1 else close + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self.pos
-        if self.pos >= len(self.text):
+    def _lex_other(self, start: int) -> Token:
+        """A token :data:`_MASTER` leaves to a per-kind method; ``start``
+        is past the trivia."""
+        self.pos = start
+        if start >= len(self.text):
             return Token(TokenKind.EOF, "", self._span(start))
-        ch = self.text[self.pos]
-
-        if ch in _IDENT_START:
-            return self._lex_ident(start)
+        ch = self.text[start]
         if ch in _DIGITS:
             return self._lex_number(start)
         if ch == "'":
@@ -107,14 +145,7 @@ class Lexer:
             return self._lex_system_ident(start)
         if ch == "\\":
             return self._lex_escaped_ident(start)
-        return self._lex_punct(start)
-
-    def _lex_ident(self, start: int) -> Token:
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        value = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
-        return Token(kind, value, self._span(start))
+        return self._lex_unknown(start)
 
     def _lex_escaped_ident(self, start: int) -> Token:
         self.pos += 1  # backslash
@@ -158,16 +189,16 @@ class Lexer:
         return Token(TokenKind.STRING, self.text[start : self.pos], self._span(start))
 
     def _lex_number(self, start: int) -> Token:
+        """A sized based literal or a real: the digits are followed by
+        ``'`` or ``.digit``, since :data:`_MASTER` takes plain decimals."""
         while self._peek() in _DIGITS or self._peek() == "_":
             self.pos += 1
         if self._peek() == "'":
             return self._lex_based_literal(start, size_digits=self.text[start : self.pos])
-        if self._peek() == "." and self._peek(1) in _DIGITS:
+        self.pos += 1  # the '.'
+        while self._peek() in _DIGITS or self._peek() == "_":
             self.pos += 1
-            while self._peek() in _DIGITS or self._peek() == "_":
-                self.pos += 1
-            return Token(TokenKind.REAL, self.text[start : self.pos], self._span(start))
-        return Token(TokenKind.NUMBER, self.text[start : self.pos], self._span(start))
+        return Token(TokenKind.REAL, self.text[start : self.pos], self._span(start))
 
     def _lex_based_literal(self, start: int, size_digits: str) -> Token:
         self.pos += 1  # the apostrophe
@@ -202,20 +233,14 @@ class Lexer:
         del signed  # recorded in the literal text; value parsing happens later
         return Token(TokenKind.NUMBER, literal, self._span(start))
 
-    def _lex_punct(self, start: int) -> Token:
-        for op in MULTI_PUNCT:
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return Token(TokenKind.PUNCT, op, self._span(start))
-        ch = self.text[self.pos]
+    def _lex_unknown(self, start: int) -> Token:
+        ch = self.text[start]
         self.pos += 1
-        if ch not in SINGLE_PUNCT:
-            self.sink.append(
-                Diagnostic(ErrorCategory.SYNTAX_NEAR, self._span(start), {"near": ch})
-            )
-            # Substitute a harmless token so parsing continues.
-            return Token(TokenKind.PUNCT, ";", self._span(start))
-        return Token(TokenKind.PUNCT, ch, self._span(start))
+        self.sink.append(
+            Diagnostic(ErrorCategory.SYNTAX_NEAR, self._span(start), {"near": ch})
+        )
+        # Substitute a harmless token so parsing continues.
+        return Token(TokenKind.PUNCT, ";", self._span(start))
 
 
 def tokenize(

@@ -26,9 +26,11 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
+        find = self.text.find
+        newline = find("\n")
+        while newline != -1:
+            starts.append(newline + 1)
+            newline = find("\n", newline + 1)
         object.__setattr__(self, "_line_starts", tuple(starts))
 
     @property
@@ -52,13 +54,21 @@ class SourceFile:
         return self.text[start:end]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A half-open [start, end) character range inside a source file."""
 
     file: SourceFile
     start: int
     end: int
+
+    def __init__(self, file: SourceFile, start: int, end: int) -> None:
+        # Frozen, so the fields go in through their slot descriptors:
+        # under half the cost of the generated ``__init__``'s
+        # ``object.__setattr__`` calls, and the lexer makes one per token.
+        _SET_SPAN[0](self, file)
+        _SET_SPAN[1](self, start)
+        _SET_SPAN[2](self, end)
 
     @property
     def line(self) -> int:
@@ -78,6 +88,9 @@ class Span:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.file.name}:{self.line}"
+
+
+_SET_SPAN = (Span.file.__set__, Span.start.__set__, Span.end.__set__)
 
 
 def dummy_span(text: str = "", name: str = "<generated>") -> Span:

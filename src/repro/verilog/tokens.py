@@ -43,11 +43,17 @@ MULTI_PUNCT: tuple[str, ...] = (
 SINGLE_PUNCT: frozenset[str] = frozenset("+-*/%><!~&|^=?:;,.(){}[]@#")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     value: str
     span: Span
+
+    def __init__(self, kind: TokenKind, value: str, span: Span) -> None:
+        # Frozen and built like :class:`Span`.
+        _SET_TOKEN[0](self, kind)
+        _SET_TOKEN[1](self, value)
+        _SET_TOKEN[2](self, span)
 
     def is_punct(self, value: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == value
@@ -60,3 +66,6 @@ class Token:
         if self.kind is TokenKind.EOF:
             return "end of file"
         return repr(self.value)
+
+
+_SET_TOKEN = (Token.kind.__set__, Token.value.__set__, Token.span.__set__)

@@ -1,8 +1,16 @@
 """Unit tests for the Verilog lexer."""
 
+import hashlib
+import random
+from pathlib import Path
+
 from repro.diagnostics import ErrorCategory
 from repro.verilog import SourceFile, tokenize
+from repro.verilog.lexer import Lexer
+from repro.verilog.limits import LimitTracker, ResourceLimits
 from repro.verilog.tokens import TokenKind
+
+DATA = Path(__file__).parent / "data"
 
 
 def lex(code: str):
@@ -159,3 +167,71 @@ class TestSpans:
         assert src.line_col(3) == (2, 1)
         assert src.line_col(7) == (3, 2)
         assert src.line_text(2) == "cd"
+
+    def test_line_starts(self):
+        assert SourceFile("e.v", "")._line_starts == (0,)
+        assert SourceFile("crlf.v", "a\r\nb\r\n\r\nc")._line_starts == (0, 3, 6, 8)
+        assert SourceFile("n.v", "\n\n")._line_starts == (0, 1, 2)
+        text = (DATA / "crash_corpus" / "nul_bytes.v").read_bytes().decode(
+            "utf-8", "replace"
+        )
+        assert SourceFile("nul_bytes.v", text)._line_starts == (0, 33, 52, 65)
+
+
+#: sha256 over the token stream (kind, value, span offsets), the lex
+#: diagnostics and ``tracker.spent`` of every source in
+#: ``token_digest_sources()`` under three token budgets.
+TOKEN_DIGEST = DATA / "token_digest.sha256"
+
+#: Default, then two budgets that overflow mid-stream.
+TOKEN_BUDGETS = (ResourceLimits(), ResourceLimits(max_tokens=5),
+                 ResourceLimits(max_tokens=37))
+
+
+def token_digest_sources() -> list[str]:
+    """The syntax dataset, the corpus references, the crash and
+    hostile-simulation corpora, and seeded byte/token-splice mutants of
+    the references."""
+    from repro.dataset import rtllm, verilogeval
+    from repro.eval.experiments import default_dataset
+    from repro.runtime.fuzz import _mut_byte_splice, _mut_token_splice
+
+    references = [p.reference for p in verilogeval()]
+    references += [p.reference for p in rtllm()]
+    sources = [entry.code for entry in default_dataset()] + references
+    for folder in ("crash_corpus", "sim_hostile"):
+        for path in sorted((DATA / folder).glob("*.v")):
+            sources.append(path.read_bytes().decode("utf-8", "replace"))
+    rng = random.Random("token-digest")
+    for index in range(600):
+        mutate = (_mut_byte_splice, _mut_token_splice)[index % 2]
+        sources.append(mutate(rng, rng.choice(references), {}))
+    return sources
+
+
+def token_digest() -> str:
+    hasher = hashlib.sha256()
+    for code in token_digest_sources():
+        for limits in TOKEN_BUDGETS:
+            sink = []
+            tracker = LimitTracker(limits)
+            tokens = Lexer(SourceFile("t.v", code), sink, tracker=tracker).tokenize()
+            for t in tokens:
+                hasher.update(
+                    f"{t.kind.name}|{t.value}|{t.span.start}|{t.span.end}\n".encode()
+                )
+            for d in sink:
+                args = sorted(d.args.items())
+                hasher.update(
+                    f"{d.category.name}|{d.span.start}|{d.span.end}|{args}\n".encode()
+                )
+            hasher.update(f"{sorted(tracker.spent.items())}\0".encode())
+    return hasher.hexdigest()
+
+
+def test_frozen_token_digest():
+    """The lexer's output is frozen: a lexer speed-up must not move a
+    token, a span offset, a diagnostic or a budget unit.  Regenerate the
+    data file only for an intended lexer change, by writing
+    ``token_digest()``."""
+    assert token_digest() == TOKEN_DIGEST.read_text().strip()

@@ -210,6 +210,46 @@ class TestSimulatedLLM:
         strong_wins = sum(strong.fix(e.code).success for e in ds)
         assert strong_wins > weak_wins
 
+    def test_model_compiles_hit_the_compile_cache(self, monkeypatch):
+        """The model's own (iverilog) compiles go through the compile
+        cache: fixing the same entry at a second trial seed compiles none
+        of the first fix's sources cold again."""
+        import repro.llm.simulated as simulated
+        from repro.core import RTLFixer
+        from repro.dataset import build_syntax_dataset, verilogeval
+        from repro.runtime import CompileCache
+        from repro.scope import scoped
+
+        cold, requested = [], []
+        compile_cold = simulated.compile_source
+
+        def spy_cold(code, **kwargs):
+            cold.append(code)
+            return compile_cold(code, **kwargs)
+
+        class RecordingCache(CompileCache):
+            def compile(self, code, **kwargs):
+                requested.append(code)
+                return super().compile(code, **kwargs)
+
+        monkeypatch.setattr(simulated, "compile_source", spy_cold)
+        entry = build_syntax_dataset(
+            verilogeval(), samples_per_problem=4, target_size=20
+        ).entries[0]
+        cache = RecordingCache()
+        fixer = RTLFixer()
+        with scoped(compile_cache=cache):
+            fixer.with_seed(10).fix(entry.code)
+            first = set(cold)
+            misses = {code: cache.misses_for(code) for code in first}
+            del cold[:], requested[:]
+            fixer.with_seed(11).fix(entry.code)
+        assert first, "the model compiled nothing"
+        assert first & set(requested), "the second fix re-read nothing"
+        assert not first & set(cold)
+        assert set(misses.values()) == {1}
+        assert {code: cache.misses_for(code) for code in first} == misses
+
     def test_capability_coin_stable(self):
         llm = SimulatedLLM(seed=0)
         a = llm.start(FIG5, "quartus", False)
