@@ -1,15 +1,12 @@
 """Runtime-subsystem benchmarks: content-addressed compile cache,
-staged compile pipeline, simulation engines and parallel experiment
-executor.
+simulation engines and parallel experiment executor.
 
 Measures the speedups the runtime provides -- cold vs warm compile
-cache, cold vs warm pipeline sessions across an agent-style edit
-sequence (with a per-stage time breakdown), compiled vs interpreting
-simulation (simulated cycles/sec), cold vs warm verdict memoization,
-and serial vs parallel experiment fan-out -- and asserts the
-determinism contracts (parallel results bit-identical to serial, warm
-session results bit-identical to cold compiles, compiled simulation
-bit-identical to the interpreter) plus the
+cache, compiled vs interpreting simulation (simulated cycles/sec), cold
+vs warm verdict memoization, and serial vs parallel experiment fan-out
+-- and asserts the determinism contracts (parallel results
+bit-identical to serial, compiled simulation bit-identical to the
+interpreter) plus the
 zero-redundant-reference-compilation property on the Table 2 path.
 
 Machine-readable output: run via ``scripts/bench.sh`` (or pass
@@ -38,7 +35,6 @@ from repro.sim import (
     make_simulator,
     run_differential,
 )
-from repro.verilog.pipeline import CompileSession, StageCache, result_fingerprint
 
 CORPUS = verilogeval()
 REFERENCES = [problem.reference for problem in CORPUS]
@@ -84,80 +80,6 @@ def test_compile_cache_cold_vs_warm(benchmark):
     # The headline wall-clock win: content-addressed hits skip the whole
     # lexer -> preprocessor -> parser -> elaborator pipeline.
     assert warm_time < cold / 5, f"warm cache only {speedup:.1f}x faster"
-
-
-def _agent_edit_sequence(iterations=20, n_modules=8, n_stmts=12):
-    """A ReAct-style revision history: a multi-module design whose last
-    module is edited slightly on every iteration (the access pattern the
-    pipeline session is built for)."""
-
-    def revision(tag):
-        parts = []
-        for m in range(n_modules):
-            edit = tag if m == n_modules - 1 else 0
-            body = "\n".join(
-                f"    y{m} <= x + {m} + {s} + {edit};" for s in range(n_stmts)
-            )
-            parts.append(
-                f"module m{m}(input clk, input [7:0] x, "
-                f"output reg [7:0] y{m});\n"
-                f"  always @(posedge clk) begin\n{body}\n  end\nendmodule\n"
-            )
-        return "".join(parts)
-
-    return [revision(tag) for tag in range(iterations)]
-
-
-def test_pipeline_session_cold_vs_warm(benchmark):
-    """A warm CompileSession over an agent-style edit sequence must beat
-    cold per-revision compiles by >= 2x, bit-identically."""
-    edits = _agent_edit_sequence()
-
-    with scoped(compile_cache=None, stage_cache=None):
-        cold_results, cold = _timed(
-            lambda: [compile_source(code) for code in edits]
-        )
-
-    cache = StageCache()
-    with scoped(compile_cache=None, stage_cache=cache):
-        session = CompileSession()
-        session.compile(edits[0])  # fill: the agent's first compile
-
-        def warm():
-            return [session.compile(code) for code in edits]
-
-        benchmark.pedantic(warm, rounds=3, iterations=1)
-        warm_results, warm_time = _timed(warm)
-
-    for warm_result, cold_result in zip(warm_results, cold_results):
-        assert result_fingerprint(warm_result) == result_fingerprint(cold_result)
-    assert cache.stats.segments_reused > 0
-    assert cache.stats.incremental_lexes > 0
-
-    speedup = cold / warm_time if warm_time else float("inf")
-    stats = cache.stats.as_dict()
-    benchmark.extra_info["cold_seconds"] = round(cold, 4)
-    benchmark.extra_info["warm_seconds"] = round(warm_time, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["stage_seconds"] = stats["stage_seconds"]
-    benchmark.extra_info["tokens_reused"] = stats["tokens_reused"]
-    benchmark.extra_info["segments_reused"] = stats["segments_reused"]
-    benchmark.extra_info["stage_hit_rate"] = stats["hit_rate"]
-    breakdown = ", ".join(
-        f"{name}={secs:.3f}s" for name, secs in stats["stage_seconds"].items()
-    )
-    report(
-        "Runtime: pipeline session cold vs warm (agent edit sequence)",
-        render_table(
-            ["revisions", "cold (s)", "warm (s)", "speedup",
-             "segments reused", "tokens reused"],
-            [[len(edits), f"{cold:.3f}", f"{warm_time:.4f}", f"{speedup:.1f}x",
-              stats["segments_reused"], stats["tokens_reused"]]],
-        ) + f"\nper-stage (warm): {breakdown}",
-    )
-    # The tentpole acceptance floor: incremental recompilation must at
-    # least halve the agent's compile wall-clock.
-    assert warm_time < cold / 2, f"warm session only {speedup:.2f}x faster"
 
 
 def test_fix_experiment_serial_vs_parallel(benchmark, profile):

@@ -7,10 +7,8 @@
 #   scripts/bench.sh --all           # every bench    -> BENCH_all.json
 #   REPRO_BENCH_PROFILE=paper scripts/bench.sh   # full paper protocol
 #
-# The cold-vs-warm compile-pipeline bench is additionally emitted on its
-# own as BENCH_pipeline.json (override with BENCH_PIPELINE_JSON=), the
-# simulation-engine benches (compiled vs interp throughput, verdict
-# cache) as BENCH_sim.json (override with BENCH_SIM_JSON=), and the
+# The simulation-engine benches (compiled vs interp throughput, verdict
+# cache) are additionally emitted on their own as BENCH_sim.json (override with BENCH_SIM_JSON=), and the
 # LLM-pool benches (routed vs direct overhead, tokens/trial, hedged
 # tail latency) as BENCH_llm.json (override with BENCH_LLM_JSON=), the
 # sandbox budget-check overhead (tracked vs UNTRACKED on both engines
@@ -55,16 +53,6 @@ if [[ "${1:-}" == "--all" ]]; then
     target="benchmarks/"
     out="${BENCH_JSON:-BENCH_all.json}"
 fi
-
-# Dedicated cold-vs-warm pipeline artifact (per-stage breakdown under
-# extra_info) so the incremental-recompilation trajectory is tracked on
-# its own across PRs.
-pipeline_out="${BENCH_PIPELINE_JSON:-BENCH_pipeline.json}"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" REPRO_BENCH_PROFILE="$profile" \
-    python -m pytest benchmarks/test_bench_runtime.py \
-    -k pipeline_session --benchmark-only \
-    --benchmark-json "$pipeline_out"
-echo "pipeline benchmark written to $pipeline_out"
 
 # Dedicated simulation-engine artifact: compiled-vs-interp throughput
 # (simulated cycles/sec under extra_info) and verdict-cache warm-vs-cold,

@@ -3,9 +3,7 @@
 # the pool-chaos drills (outage of each LLM tier: cheap heals via
 # failover, strong trips the breaker, whole-ladder propagates), a
 # 200-iteration compiler front-end fuzz smoke (its digest pinned in
-# tests/data/fuzz_smoke_digest.sha256), the pipeline
-# differential (warm CompileSession vs cold compile_source over the full
-# 212-sample dataset, both flavours, bit-identical), the simulator
+# tests/data/fuzz_smoke_digest.sha256), the simulator
 # differential (compiled engine vs interpreter over every corpus
 # reference, verdicts and traces bit-identical), the sandbox gate (the
 # hostile-testbench corpus under both engines: every runaway/oscillator/
@@ -20,7 +18,7 @@
 # shows every break.
 #
 # Usage:
-#   scripts/ci.sh                # all ten stages
+#   scripts/ci.sh                # all nine stages
 #   FUZZ_ITERATIONS=1000 scripts/ci.sh   # deeper fuzz stage (digest not pinned)
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -50,9 +48,6 @@ if [[ "$iterations" == 200 ]]; then
         status=1
     fi
 fi
-
-echo "== pipeline differential (warm session vs cold compile, full dataset) =="
-python scripts/pipeline_diff.py || status=1
 
 echo "== simulator differential (compiled engine vs interp, full corpus) =="
 python scripts/sim_diff.py || status=1

@@ -21,8 +21,7 @@ class OneShotAgent:
     """Single-turn repair baseline.
 
     Both compiles (the original and the one revision) go through the
-    shared :class:`~repro.diagnostics.Compiler`, so the second compile
-    reuses the first one's unchanged pipeline stage artifacts.
+    shared :class:`~repro.diagnostics.Compiler` and its compile cache.
     """
 
     def __init__(

@@ -86,10 +86,8 @@ class ReActAgent:
     """LLM-as-autonomous-agent with Compiler / RAG / Finish actions.
 
     The agent holds one :class:`~repro.diagnostics.Compiler` for its
-    whole run; since each iteration edits only part of the previous
-    candidate, the compiler's staged pipeline session
-    (:class:`~repro.verilog.pipeline.CompileSession`) reuses unchanged
-    stage artifacts across iterations instead of recompiling cold.
+    whole run; a revision compiled before (in this run or an earlier
+    trial) is served from the whole-result compile cache.
     """
 
     def __init__(

@@ -66,9 +66,8 @@ class SimDebugAgent:
         #: ambient default).  A runaway or trace-bombing candidate comes
         #: back as "Simulation failed to run: ..." feedback, never a hang.
         self.sim_limits = sim_limits
-        #: Session-backed compiler: candidate edits across iterations
-        #: are small, so the staged pipeline's incremental recompilation
-        #: (and the whole-result cache) carry most of the work.
+        #: Compiler for every candidate; revisions seen before are
+        #: served from the whole-result compile cache.
         self.compiler = Compiler()
         #: Progress observer (see :class:`~repro.agents.react.ReActAgent`):
         #: every transcript turn, as recorded.  May be (re)assigned

@@ -208,16 +208,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"(hit rate {stats['hit_rate']:.1%})",
         file=sys.stderr,
     )
-    pipe = report.pipeline
-    print(
-        f"# pipeline: {pipe['compiles']} session compiles, "
-        f"{sum(pipe['stage_hits'].values())} stage hits, "
-        f"{sum(pipe['stage_misses'].values())} stage misses "
-        f"(hit rate {pipe['hit_rate']:.1%}), "
-        f"{pipe['tokens_reused']} tokens and "
-        f"{pipe['segments_reused']} parse segments reused incrementally",
-        file=sys.stderr,
-    )
     sim = report.sim
     print(
         f"# sim: engine={sim['engine']}, {sim['hits']} verdict-cache hits, "

@@ -50,8 +50,6 @@ class RTLFixer:
         elif overrides:
             raise ValueError("pass either a config object or field overrides, not both")
         self.config = config
-        # One compiler per fixer: its pipeline session keeps per-stage
-        # artifacts warm across the agent's repair iterations.
         self.compiler = Compiler(
             flavor=config.compiler, limits=config.compile_limits
         )

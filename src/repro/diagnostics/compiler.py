@@ -10,18 +10,10 @@ ablation manipulates:
 * ``iverilog`` -- terse logs, 7 distinguishable categories;
 * ``quartus``  -- verbose tagged logs, all 11 categories + hints.
 
-Two implementations produce :class:`CompileResult`:
-
-* :func:`compile_source` -- the classic monolithic cold compile: one
-  straight-line run of every stage, reporting into a single
-  :class:`~repro.diagnostics.engine.DiagnosticEngine`.  It is the
-  reference implementation the differential fuzzer holds the staged
-  pipeline against.
-* :class:`~repro.verilog.pipeline.CompileSession` -- the staged,
-  artifact-cached, incrementally-recompiling pipeline the agents hold
-  across iterations.  The :class:`Compiler` facade routes through it
-  (behind the whole-result :class:`~repro.runtime.CompileCache`), and
-  its results are bit-identical to :func:`compile_source` by contract.
+Every compile runs :func:`compile_source`, a cold run of the staged
+pipeline in :mod:`repro.verilog.pipeline`; the :class:`Compiler` facade
+the agents hold puts the whole-result
+:class:`~repro.runtime.CompileCache` in front of it.
 """
 
 from __future__ import annotations
@@ -31,14 +23,13 @@ from typing import TYPE_CHECKING, Literal, Optional
 
 from .codes import ErrorCategory
 from .diagnostic import Diagnostic, Severity, sort_key
-from .engine import SIMPLE_FEEDBACK, DiagnosticEngine, render_log
+from .engine import SIMPLE_FEEDBACK, render_log
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle with
     # repro.verilog, whose modules import the diagnostics catalog.
     from ..verilog.ast import Design
     from ..verilog.elaborate import ElabDesign
     from ..verilog.limits import ResourceLimits
-    from ..verilog.pipeline import CompileSession
     from ..verilog.source import SourceFile
 
 CompilerFlavor = Literal["simple", "iverilog", "quartus"]
@@ -92,15 +83,15 @@ class CompileResult:
         return render_log(self)
 
 
+
+
 class Compiler:
     """Reusable compiler with a fixed flavour, file name and limits.
 
-    Holds a lazily-created :class:`~repro.verilog.pipeline.CompileSession`
-    so repeated :meth:`compile` calls across agent iterations reuse
-    unchanged stage artifacts (same preprocess output after a late edit,
-    unchanged modules not re-parsed), and flavour switching re-renders
-    cached artifacts instead of recompiling.  Results remain bit-identical
-    to :func:`compile_source` -- the session is a pure accelerator.
+    Stateless between calls: :meth:`compile` is a
+    :func:`~repro.runtime.cache.cached_compile` of the source under this
+    compiler's settings, so repeated revisions are served from the
+    active compile cache and misses run :func:`compile_source`.
     """
 
     def __init__(
@@ -115,46 +106,14 @@ class Compiler:
         self.file_name = file_name
         #: Resource budgets enforced on every compile (None = defaults).
         self.limits = limits
-        self._session: Optional["CompileSession"] = None
-
-    @property
-    def session(self) -> "CompileSession":
-        """This compiler's staged pipeline session (created on demand)."""
-        if self._session is None:
-            from ..verilog.pipeline import CompileSession
-
-            self._session = CompileSession(
-                name=self.file_name, limits=self.limits
-            )
-        return self._session
-
-    def __getstate__(self) -> dict:
-        """Pickle without the session (it holds a lock and warm state
-        that is pure per-process acceleration, never part of identity)."""
-        state = dict(self.__dict__)
-        state["_session"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore from :meth:`__getstate__` (session recreated lazily)."""
-        self.__dict__.update(state)
 
     def compile(self, code: str) -> CompileResult:
         """Compile ``code`` under this compiler's flavour and limits."""
-        # Routed through the content-addressed whole-result cache first
-        # (agents re-compile the same revision across repeated trials);
-        # a miss computes via the incremental session instead of a cold
-        # compile_source run.  (Deferred import: repro.runtime falls
-        # back gracefully, avoiding a cycle.)
+        # Deferred import: repro.runtime imports this module.
         from ..runtime.cache import cached_compile
 
-        session = self.session
         return cached_compile(
-            code,
-            name=self.file_name,
-            flavor=self.flavor,
-            limits=self.limits,
-            compute=lambda: session.compile(code, flavor=self.flavor),
+            code, name=self.file_name, flavor=self.flavor, limits=self.limits
         )
 
 
@@ -165,87 +124,20 @@ def compile_source(
     include_files: dict[str, str] | None = None,
     limits: "ResourceLimits | None" = None,
 ) -> CompileResult:
-    """Run the full front-end over ``code`` and collect diagnostics.
+    """Run the full front end over ``code`` and collect diagnostics.
 
-    This is the library's *never-crash, never-hang* boundary: whatever
-    the input, the result is a :class:`CompileResult` carrying
-    diagnostics.  Resource budgets (``limits``, default
+    Always compiles cold, through the staged pipeline
+    (:class:`~repro.verilog.pipeline.CompileSession`), which is the
+    library's *never-crash, never-hang* boundary: whatever the input,
+    the result is a :class:`CompileResult` carrying diagnostics.
+    Resource budgets (``limits``, default
     :data:`~repro.verilog.limits.DEFAULT_LIMITS`) are enforced
-    cooperatively inside every pipeline stage and violations surface as
-    ``RESOURCE_LIMIT`` diagnostics; any *unexpected* exception is caught
-    here and converted into an ``INTERNAL`` diagnostic on a result with
-    ``crashed=True`` -- graceful degradation, not an abort.
-
-    Every stage reports into one
-    :class:`~repro.diagnostics.engine.DiagnosticEngine` (stage
-    provenance, deduplication, RESOURCE_LIMIT/INTERNAL escalation).
-    This function always compiles *cold* -- it is the monolithic
-    reference implementation that the staged
-    :class:`~repro.verilog.pipeline.CompileSession` is differentially
-    fuzzed against.
+    cooperatively inside every stage and violations surface as
+    ``RESOURCE_LIMIT`` diagnostics; any *unexpected* exception becomes
+    an ``INTERNAL`` diagnostic on a result with ``crashed=True`` --
+    graceful degradation, not an abort.
     """
-    from ..errors import ResourceLimitExceeded
-    from ..verilog.limits import DEFAULT_LIMITS, LimitTracker
-    from ..verilog.source import SourceFile, Span
+    # Deferred import: repro.verilog imports the diagnostics catalog.
+    from ..verilog.pipeline import CompileSession
 
-    tracker = LimitTracker(limits=limits if limits is not None else DEFAULT_LIMITS)
-    engine = DiagnosticEngine()
-    raw = SourceFile(name, code)
-    head = Span(raw, 0, min(1, len(code))) if code else None
-    try:
-        return _run_pipeline(raw, flavor, include_files, tracker, engine)
-    except ResourceLimitExceeded as exc:
-        # A stage unwound cooperatively: an ordinary limit diagnostic,
-        # not a crash.
-        engine.limit_violation(exc, head)
-        return engine.result(raw, flavor)
-    except Exception as exc:  # the catch-all crash boundary
-        engine.internal_error(exc, head)
-        return engine.result(raw, flavor)
-
-
-def _run_pipeline(
-    raw: "SourceFile",
-    flavor: CompilerFlavor,
-    include_files: dict[str, str] | None,
-    tracker,
-    engine: DiagnosticEngine,
-) -> CompileResult:
-    """The actual lexer -> preprocessor -> parser -> elaborator run."""
-    from ..verilog.elaborate import ElabDesign, elaborate
-    from ..verilog.lexer import tokenize
-    from ..verilog.parser import Parser
-    from ..verilog.preprocessor import preprocess
-    from ..verilog.source import Span
-
-    with engine.stage("driver"):
-        if not tracker.charge(
-            "source bytes", len(raw.text.encode("utf-8", "replace"))
-        ):
-            tracker.report_overflow(
-                "source bytes",
-                Span(raw, 0, 1) if raw.text else None,
-                engine.sink("driver"),
-            )
-            return engine.result(raw, flavor)
-
-    with engine.stage("preprocess"):
-        pre = preprocess(raw, include_files=include_files, tracker=tracker)
-        engine.extend("preprocess", pre.diagnostics)
-    with engine.stage("lex"):
-        tokens = tokenize(pre.source, engine.sink("lex"), tracker=tracker)
-    with engine.stage("parse"):
-        design = Parser(tokens, engine.sink("parse"), tracker=tracker).parse_design()
-    elaborated: Optional[ElabDesign] = None
-    if not design.modules:
-        # No module parsed at all: report it once (unless an earlier
-        # stage already produced an explanation).
-        if engine.empty:
-            engine.emit(
-                "parse",
-                Diagnostic(ErrorCategory.SYNTAX_NEAR, None, {"near": "empty design"}),
-            )
-    else:
-        with engine.stage("elaborate"):
-            elaborated = elaborate(design, engine.sink("elaborate"), tracker=tracker)
-    return engine.result(pre.source, flavor, design=design, elaborated=elaborated)
+    return CompileSession(name, limits).compile(code, flavor, include_files)

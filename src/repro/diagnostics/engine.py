@@ -28,7 +28,6 @@ the diagnostics package stays import-cycle-free.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -124,7 +123,7 @@ class StageSink(list):
 
 
 class DiagnosticEngine:
-    """Collects every stage's diagnostics with provenance and timing.
+    """Collects every stage's diagnostics with provenance.
 
     One engine is created per compile.  Stages obtain a list-compatible
     sink via :meth:`sink` (or the driver forwards pre-collected
@@ -139,8 +138,6 @@ class DiagnosticEngine:
         self._records: list[tuple[str, Diagnostic]] = []
         #: set by :meth:`internal_error`; mirrored onto the result.
         self.crashed = False
-        #: wall-clock seconds spent inside each :meth:`stage` block.
-        self.timings: dict[str, float] = {}
         self._stage_stack: list[str] = ["driver"]
         #: the stage whose :meth:`stage` block an exception escaped from
         #: (crash provenance survives the context-manager unwind).
@@ -173,7 +170,7 @@ class DiagnosticEngine:
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        """Mark ``name`` as the active stage and accumulate its wall time.
+        """Mark ``name`` as the active stage for the block.
 
         If an exception escapes the block, the stage is remembered in
         :attr:`failed_stage` so the crash boundary can attribute the
@@ -181,16 +178,12 @@ class DiagnosticEngine:
         actually failed (the stack itself unwinds with the exception).
         """
         self._stage_stack.append(name)
-        start = time.perf_counter()
         try:
             yield
         except BaseException:
             self.failed_stage = name
             raise
         finally:
-            self.timings[name] = (
-                self.timings.get(name, 0.0) + time.perf_counter() - start
-            )
             self._stage_stack.pop()
 
     # -- inspection ---------------------------------------------------
@@ -263,10 +256,9 @@ class DiagnosticEngine:
             and not self.crashed
             and not any(d.severity is Severity.ERROR for d in diagnostics)
         ):
-            # Stamp the design's content identity.  Both compile paths
-            # (cold compile_source and the staged pipeline) converge
-            # here, and only error-free elaborations get a digest: with
-            # no errors, elaboration is a pure function of the
+            # Stamp the design's content identity.  Every compile
+            # converges here, and only error-free elaborations get a
+            # digest: with no errors, elaboration is a pure function of the
             # preprocessed text, so the digest is a sound cache key for
             # anything derived from the design (compiled simulators,
             # testbench verdicts).  Error-bearing results may be

@@ -28,7 +28,6 @@ from ..runtime import (
     CompileCache,
     RunContext,
     RunState,
-    StageCache,
     TokenCounter,
 )
 from ..scope import current, scoped
@@ -94,11 +93,6 @@ class FullReport:
     #: were served from the journal vs dispatched).  Runtime telemetry
     #: -- excluded from ``to_json`` like ``cache``/``breaker``.
     resume: dict = field(default_factory=dict)
-    #: Per-stage pipeline counters (stage hits/misses, stage seconds,
-    #: incremental-lex and parse-segment reuse) from the run's shared
-    #: :class:`~repro.runtime.StageCache`.  Runtime telemetry --
-    #: excluded from ``to_json`` like ``cache``/``breaker``/``resume``.
-    pipeline: dict = field(default_factory=dict)
     #: Simulation telemetry: the active engine, the run's verdict-cache
     #: counters (hits = whole testbench runs skipped), and the sandbox
     #: counters (limit/crashed verdicts, watchdog and mid-simulation
@@ -128,7 +122,7 @@ class FullReport:
         """Deterministic report JSON.
 
         Only experiment *results* are included.  Runtime telemetry
-        (``cache``, ``pipeline``, ``breaker``, ``resume``) is
+        (``cache``, ``sim``, ``breaker``, ``resume``) is
         deliberately excluded so a resumed run's report is
         byte-identical to an uninterrupted one -- telemetry lives on
         the report object and in the markdown.
@@ -150,7 +144,7 @@ class FullReport:
     def to_markdown(self) -> str:
         sections = ["# Reproduction report\n"]
         for name in ("table1", "table2", "table3", "figure4", "figure7",
-                     "figure6", "simfix", "table4", "cache", "pipeline", "sim",
+                     "figure6", "simfix", "table4", "cache", "sim",
                      "llm", "resume", "breaker", "failures"):
             if name in self.rendered:
                 sections.append(f"## {name}\n\n```\n{self.rendered[name]}\n```\n")
@@ -191,9 +185,7 @@ def run_full_report(
     """Run every experiment and collect a paper-vs-measured report.
 
     The whole run executes under a fresh content-addressed compile cache
-    (its hit/miss/eviction counters land in ``report.cache``) and a
-    fresh per-stage pipeline cache (its stage counters and timings land
-    in ``report.pipeline``); ``jobs``
+    (its hit/miss/eviction counters land in ``report.cache``); ``jobs``
     fans every driver's work units across that many workers (0 = all
     CPUs) without changing any result.  ``on_error="collect"`` turns on
     failure isolation: failed work units are recorded per stage in
@@ -249,19 +241,16 @@ def run_full_report(
         state.ensure_manifest(report_manifest(scale, llm=llm_manifest), resume=resume)
     ctx = RunContext(state=state, breaker=breaker, should_stop=should_stop)
     cache = CompileCache()
-    stage_cache = StageCache()
     verdict_cache = VerdictCache()
     sandbox_stats = SandboxStats()
     llm_counter = TokenCounter()
     try:
         with scoped(
-            compile_cache=cache, stage_cache=stage_cache,
-            verdict_cache=verdict_cache, llm_routing=routing,
+            compile_cache=cache, verdict_cache=verdict_cache, llm_routing=routing,
             sandbox_stats=sandbox_stats, token_counter=llm_counter,
         ):
             report = _run_experiments(scale, dataset, progress, jobs, on_error, ctx)
         report.cache = cache.stats.as_dict()
-        report.pipeline = stage_cache.stats.as_dict()
         report.sim = {
             "engine": current().get("sim_engine", DEFAULT_SIM_ENGINE),
             **verdict_cache.stats.as_dict(),
@@ -270,9 +259,6 @@ def run_full_report(
         report.resume = ctx.stats()
         report.rendered["cache"] = "\n".join(
             f"{key}: {value}" for key, value in report.cache.items()
-        )
-        report.rendered["pipeline"] = "\n".join(
-            f"{key}: {value}" for key, value in report.pipeline.items()
         )
         report.rendered["sim"] = "\n".join(
             f"{key}: {value}" for key, value in report.sim.items()

@@ -16,9 +16,7 @@
   the differential testbench (the paper's evaluation flow).  Both
   evaluators route compilation through the content-addressed compile
   cache, so a problem's golden reference is elaborated once -- not once
-  per sample.  Cache misses still compile warm: each fixer's
-  :class:`~repro.verilog.pipeline.CompileSession` reuses unchanged
-  stage artifacts from the run-wide stage cache.
+  per sample.
 """
 
 from __future__ import annotations

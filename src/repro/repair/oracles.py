@@ -20,12 +20,8 @@ from .base import OracleVerdict
 
 
 class CompileOracle:
-    """Syntax correctness via one session-backed compiler.
-
-    The compiler is held for the oracle's whole life: candidate edits
-    across iterations are small, so the staged pipeline session reuses
-    unchanged stage artifacts instead of recompiling cold.
-    """
+    """Syntax correctness via one compiler, held for the oracle's whole
+    life (its compiles go through the whole-result compile cache)."""
 
     action = "Compiler"
 

@@ -58,15 +58,6 @@ from .cache import (
     compile_key,
 )
 
-# Stage-granular counterpart of the whole-result compile cache: the
-# staged pipeline's artifact cache and incremental CompileSession
-# (defined in repro.verilog.pipeline, re-exported here beside the
-# runtime's other caching/observability surface).
-from ..verilog.pipeline import (
-    CompileSession,
-    PipelineStats,
-    StageCache,
-)
 from .executor import (
     ParallelRunner,
     WorkFailure,
@@ -114,9 +105,6 @@ __all__ = [
     "estimate_tokens",
     "guidance_key",
     "messages_key",
-    "CompileSession",
-    "PipelineStats",
-    "StageCache",
     "CircuitBreaker",
     "GracefulShutdown",
     "Journal",

@@ -166,9 +166,7 @@ class CompileCache:
     ) -> "CompileResult":
         """Return the (possibly cached) result of compiling ``code``.
 
-        ``compute`` overrides how a *miss* is materialized (e.g. the
-        ``Compiler`` facade supplies its incremental
-        :class:`~repro.verilog.pipeline.CompileSession`); it must be
+        ``compute`` overrides how a *miss* is materialized; it must be
         bit-identical to ``compile_source`` on the same inputs -- the
         cache key stays a pure content address either way.
         """
@@ -283,8 +281,7 @@ def cached_compile(
     active :class:`CompileCache` (and falls through when none is set).
 
     ``compute``, when given, materializes misses (and the no-cache
-    fallback) instead of ``compile_source`` -- the hook the ``Compiler``
-    facade uses to route through its incremental pipeline session.
+    fallback) instead of ``compile_source``.
     """
     cache = current().get("compile_cache", DEFAULT_CACHE)
     if cache is None:

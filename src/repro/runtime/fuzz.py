@@ -17,13 +17,7 @@ cross-checks the invariants the rest of the system relies on:
    :class:`~repro.runtime.cache.CompileCache` returns the same verdict
    as the uncached run (checked on a deterministic subsample);
 4. **bounded time** -- each input compiles within a wall-clock budget;
-5. **pipeline differential** -- a *warm* incremental
-   :class:`~repro.verilog.pipeline.CompileSession` (held across all
-   iterations, so every compile is an "edit" of the previous input)
-   produces results bit-identical to the cold ``compile_source`` run,
-   in both flavors (:func:`~repro.verilog.pipeline.result_fingerprint`
-   is the equality witness);
-6. **simulator differential** -- every successfully elaborated input is
+5. **simulator differential** -- every successfully elaborated input is
    simulated a few seeded steps (including deliberate all-X stimulus, so
    the two-state fast path's demotion machinery is exercised) on both
    the interpreting :class:`~repro.sim.simulator.Simulator` and the
@@ -34,12 +28,12 @@ cross-checks the invariants the rest of the system relies on:
    perturb the stimulus shape -- cycle-count scaling, extra X-injection
    cycles, random bit flips -- so the check covers more than the default
    4-step schedule;
-7. **sandbox differential** -- both engines run under the tight
+6. **sandbox differential** -- both engines run under the tight
    :data:`~repro.sim.limits.FUZZ_SIM_LIMITS` sandbox budgets and must
    agree on the sandbox *category* (``ok``/``fail``/``limit``/
    ``crashed``) and on the exhausted budget kind (runs cut off by the
    nondeterministic wall-clock watchdog are exempt from comparison);
-8. **sim-cache / sim-chaos transparency** -- on a deterministic
+7. **sim-cache / sim-chaos transparency** -- on a deterministic
    subsample, the differential testbench is run twice against a fresh
    :class:`~repro.sim.verdict.VerdictCache`: repeated verdicts must
    agree, ``limit``/``crashed``/chaos-injected verdicts must never be
@@ -593,20 +587,12 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
     contract it is checking.
     """
     from ..diagnostics.compiler import compile_source
-    from ..verilog.pipeline import CompileSession, StageCache, result_fingerprint
     from .cache import CompileCache
 
     config = config if config is not None else FuzzConfig()
     report = FuzzReport(config=config)
     start = time.monotonic()
 
-    # The pipeline-differential invariant holds one warm session (and
-    # one private stage cache) across the entire run: every iteration's
-    # input is an "edit" of the previous one from the session's point of
-    # view, so incremental lex resume and parse-segment replay are
-    # exercised against maximally hostile sources.
-    session = CompileSession(limits=config.limits)
-    stage_cache = StageCache()
     # Mutated inputs rarely survive elaboration, so the sandbox
     # differential would starve if it only ran on them.  Each corpus
     # snippet's clean design is compiled once and reused as the
@@ -664,23 +650,6 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
                 f"iverilog (ok={iv.ok}, crashed={iv.crashed}) != "
                 f"quartus (ok={qu.ok}, crashed={qu.crashed})",
             )
-
-        try:
-            with scoped(stage_cache=stage_cache):
-                for flavor in ("iverilog", "quartus"):
-                    warm = session.compile(
-                        code, flavor=flavor, include_files=includes or None
-                    )
-                    if result_fingerprint(warm) != result_fingerprint(
-                        results[flavor]
-                    ):
-                        fail(
-                            "pipeline-differential",
-                            f"warm CompileSession diverged from cold "
-                            f"compile_source ({flavor})",
-                        )
-        except BaseException as exc:
-            fail("no-exception", f"session path: {type(exc).__name__}: {exc}")
 
         design = iv.elaborated if iv.ok else None
         if design is None:

@@ -11,8 +11,7 @@ no call signature threads through.  All of them live in one record::
 
 The fields (:data:`FIELDS`) and their home modules:
 
-* ``compile_cache`` (:mod:`repro.runtime.cache`), ``stage_cache``
-  (:mod:`repro.verilog.pipeline`), ``verdict_cache``
+* ``compile_cache`` (:mod:`repro.runtime.cache`) and ``verdict_cache``
   (:mod:`repro.sim.verdict`) -- ``None`` disables that cache;
 * ``sandbox_stats`` (:mod:`repro.sim.sandbox`) and ``token_counter``
   (:mod:`repro.runtime.accounting`) -- telemetry ledgers;
@@ -61,7 +60,6 @@ from typing import Any, Callable, Iterator, Mapping
 #: The names a scope may set.
 FIELDS = frozenset({
     "compile_cache",
-    "stage_cache",
     "verdict_cache",
     "sandbox_stats",
     "token_counter",

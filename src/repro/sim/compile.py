@@ -30,11 +30,11 @@ lowering at all (frames/local declarations, function calls, ``$display``,
 X/Z literals outside case labels, ...) are detected at lowering time and
 leave the process permanently interpreted.
 
-Lowered designs are content-addressed: :func:`lowered_for` caches the
-per-design closure tables in the active
-:class:`~repro.verilog.pipeline.StageCache` under the ``sim-lower``
-stage, keyed by the design digest stamped at elaboration -- a sixth
-pipeline stage hanging off ``elaborate``.
+Lowering is the ``sim-lower`` step hanging off the compile pipeline's
+``elaborate`` stage: :func:`lowered_for` memoizes the closure tables per
+simulated top module on the elaborated design itself
+(:attr:`~repro.verilog.elaborate.ElabDesign.lowered`), when that design
+carries the digest stamped at elaboration.
 """
 
 from __future__ import annotations
@@ -42,16 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..scope import current
 from ..verilog import ast
 from ..verilog.elaborate import ElabModule, const_eval
-from ..verilog.pipeline import DEFAULT_STAGE_CACHE, Artifact, _digest
 from ..verilog.symbols import Symbol
 from .exec import NbaUpdate, StmtExecutor
 from .values import Logic
-
-#: Stage name under which lowered designs are cached in the StageCache.
-SIM_LOWER_STAGE = "sim-lower"
 
 _DEFAULT_WIDTH = 32
 
@@ -1433,20 +1428,17 @@ def lower_design(sim) -> LoweredDesign:
 
 
 def lowered_for(sim) -> LoweredDesign:
-    """The (possibly cached) :class:`LoweredDesign` for a built simulator.
+    """The (possibly memoized) :class:`LoweredDesign` for a built simulator.
 
-    Content-addressed on the design digest stamped at elaboration plus
-    the simulated top module; designs without a digest (error-bearing or
-    hand-constructed) are lowered fresh each time.
+    Memoized per simulated top module on the design when it carries the
+    digest stamped at elaboration, so every simulator of that design
+    shares one set of closure tables; designs without a digest
+    (error-bearing or hand-constructed) are lowered fresh each time.
     """
-    digest = getattr(sim.design, "digest", None)
-    cache = current().get("stage_cache", DEFAULT_STAGE_CACHE)
-    if digest is None or cache is None:
+    design = sim.design
+    if getattr(design, "digest", None) is None:
         return lower_design(sim)
-    key = _digest(SIM_LOWER_STAGE, digest, sim.top.name)
-    artifact = cache.get(SIM_LOWER_STAGE, key)
-    if artifact is not None:
-        return artifact.payload[0]
-    lowered = lower_design(sim)
-    cache.put(Artifact(stage=SIM_LOWER_STAGE, key=key, payload=(lowered,)))
+    lowered = design.lowered.get(sim.top.name)
+    if lowered is None:
+        lowered = design.lowered.setdefault(sim.top.name, lower_design(sim))
     return lowered

@@ -23,28 +23,8 @@ from .source import SourceFile, Span
 from .symbols import Scope, Symbol
 from .writer import write_design, write_expr, write_module, write_stmt
 
-# Imported last: the staged pipeline composes every front-end stage above.
-from .pipeline import (
-    DEFAULT_STAGE_CACHE,
-    DEFAULT_STAGE_MAXSIZE,
-    Artifact,
-    CompileSession,
-    PipelineStats,
-    Stage,
-    StageCache,
-    result_fingerprint,
-)
-
 __all__ = [
-    "Artifact",
-    "CompileSession",
     "DEFAULT_LIMITS",
-    "DEFAULT_STAGE_CACHE",
-    "DEFAULT_STAGE_MAXSIZE",
-    "PipelineStats",
-    "Stage",
-    "StageCache",
-    "result_fingerprint",
     "Design",
     "ElabDesign",
     "ElabModule",

@@ -84,6 +84,11 @@ class ElabDesign:
     #: results only.  ``None`` means "identity unknown" and disables
     #: digest-keyed caching (compiled-simulator stage, verdict cache).
     digest: Optional[str] = None
+    #: The compiled simulator's lowered closure tables, per simulated
+    #: top module (:func:`repro.sim.compile.lowered_for`); filled only
+    #: on designs that carry a digest.  Closures do not pickle, so a
+    #: design stays in the process that simulated it.
+    lowered: dict = field(default_factory=dict, repr=False, compare=False)
 
     def top_module(self) -> Optional[ElabModule]:
         if self.top and self.top in self.modules:

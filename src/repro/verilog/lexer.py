@@ -38,8 +38,7 @@ _DIGITS = set("0123456789")
 #: decimal number or (3) punctuation, longest operator first; the empty
 #: last alternative leaves the token to a fallback method.  A number
 #: followed by ``'``, ``.digit`` or (after backtracking) a digit or
-#: ``_`` is not plain.  No alternative looks more than 3 characters past
-#: the token's end, within the incremental lexer's ``_LEX_LOOKAHEAD``.
+#: ``_`` is not plain.
 _MASTER = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)*"
     r"(?:([A-Za-z_][A-Za-z0-9_$]*)"
@@ -67,14 +66,10 @@ class Lexer:
         source: SourceFile,
         sink: list[Diagnostic],
         tracker=None,
-        start: int = 0,
     ):
         self.source = source
         self.text = source.text
-        #: ``start`` lets an incremental caller resume lexing mid-source
-        #: (the lexer is stateless between tokens, so resuming at a known
-        #: token boundary yields exactly the cold token suffix).
-        self.pos = start
+        self.pos = 0
         self.sink = sink
         self.tracker = tracker
 

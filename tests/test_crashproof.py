@@ -138,12 +138,12 @@ class TestLimitDiagnostics:
 
 class TestInternalErrorBoundary:
     def test_unexpected_exception_becomes_internal_diagnostic(self, monkeypatch):
-        import repro.diagnostics.compiler as compiler_mod
+        from repro.verilog.pipeline import CompileSession
 
         def explode(*args, **kwargs):
             raise RuntimeError("synthetic front-end defect")
 
-        monkeypatch.setattr(compiler_mod, "_run_pipeline", explode)
+        monkeypatch.setattr(CompileSession, "_run", explode)
         result = compile_source(GOOD)
         assert result.crashed
         assert not result.ok
@@ -151,10 +151,10 @@ class TestInternalErrorBoundary:
         assert "synthetic front-end defect" in result.diagnostics[0].args["detail"]
 
     def test_internal_rendering_both_styles(self, monkeypatch):
-        import repro.diagnostics.compiler as compiler_mod
+        from repro.verilog.pipeline import CompileSession
 
         monkeypatch.setattr(
-            compiler_mod, "_run_pipeline",
+            CompileSession, "_run",
             lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")),
         )
         iv = compile_source(GOOD, flavor="iverilog")
@@ -165,12 +165,12 @@ class TestInternalErrorBoundary:
         assert "internal error" in qu.log
 
     def test_keyboard_interrupt_not_swallowed(self, monkeypatch):
-        import repro.diagnostics.compiler as compiler_mod
+        from repro.verilog.pipeline import CompileSession
 
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt()
 
-        monkeypatch.setattr(compiler_mod, "_run_pipeline", interrupt)
+        monkeypatch.setattr(CompileSession, "_run", interrupt)
         with pytest.raises(KeyboardInterrupt):
             compile_source(GOOD)
 
@@ -186,17 +186,17 @@ class TestInternalErrorBoundary:
 
             def compile(self, code):
                 self.calls += 1
-                import repro.diagnostics.compiler as compiler_mod
+                from repro.verilog.pipeline import CompileSession
 
-                real = compiler_mod._run_pipeline
+                real = CompileSession._run
                 monkeypatch.setattr(
-                    compiler_mod, "_run_pipeline",
+                    CompileSession, "_run",
                     lambda *a, **k: (_ for _ in ()).throw(RuntimeError("ICE")),
                 )
                 try:
                     return compile_source(code, flavor="quartus")
                 finally:
-                    monkeypatch.setattr(compiler_mod, "_run_pipeline", real)
+                    monkeypatch.setattr(CompileSession, "_run", real)
 
         class _Model:
             name = "stub"

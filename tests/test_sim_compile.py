@@ -1,5 +1,5 @@
 """Compiled simulation engine: lowering, two-state speculation, engine
-selection, sim-lower stage caching and verdict memoization."""
+selection, the sim-lower memo and verdict memoization."""
 
 import pytest
 
@@ -18,7 +18,6 @@ from repro.sim import (
     verdict_key,
 )
 from repro.verilog.limits import DEFAULT_LIMITS, ResourceLimits
-from repro.verilog.pipeline import StageCache
 
 
 def elaborate(code: str):
@@ -188,26 +187,38 @@ class TestFastPath:
 
 
 class TestSimLowerStageCache:
-    def test_second_simulator_hits_cache(self):
+    def test_second_simulator_hits_cache(self, monkeypatch):
+        import repro.sim.compile as compile_mod
+
+        calls = []
+        real = compile_mod.lower_design
+        monkeypatch.setattr(
+            compile_mod, "lower_design", lambda sim: calls.append(sim) or real(sim)
+        )
         design = elaborate(COUNTER)
         assert design.digest is not None
-        cache = StageCache()
-        with scoped(stage_cache=cache):
-            first = make_simulator(design, engine="compiled")
-            second = make_simulator(design, engine="compiled")
-        assert cache.stats.misses.get("sim-lower") == 1
-        assert cache.stats.hits.get("sim-lower") == 1
-        # The cached closure tables are shared, not re-lowered.
+        first = make_simulator(design, engine="compiled")
+        second = make_simulator(design, engine="compiled")
+        assert len(calls) == 1
+        # The memoized closure tables are shared, not re-lowered.
         assert second._lowered is first._lowered
+        assert design.lowered == {first.top.name: first._lowered}
 
-    def test_no_digest_skips_cache(self):
+    def test_no_digest_skips_cache(self, monkeypatch):
+        import repro.sim.compile as compile_mod
+
+        calls = []
+        real = compile_mod.lower_design
+        monkeypatch.setattr(
+            compile_mod, "lower_design", lambda sim: calls.append(sim) or real(sim)
+        )
         design = elaborate(COUNTER)
         design.digest = None
-        cache = StageCache()
-        with scoped(stage_cache=cache):
-            make_simulator(design, engine="compiled")
-        assert "sim-lower" not in cache.stats.hits
-        assert "sim-lower" not in cache.stats.misses
+        first = make_simulator(design, engine="compiled")
+        second = make_simulator(design, engine="compiled")
+        assert len(calls) == 2
+        assert second._lowered is not first._lowered
+        assert design.lowered == {}
 
 
 class TestVerdictMemoization:
