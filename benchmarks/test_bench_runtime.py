@@ -18,6 +18,7 @@ across PRs; the ``sim_`` benches are additionally emitted as
 import os
 import random
 import time
+from collections import Counter
 
 from conftest import report
 
@@ -26,7 +27,7 @@ from repro.dataset import ProblemSet, build_syntax_dataset, verilogeval
 from repro.diagnostics import compile_source
 from repro.eval import render_table, run_table2
 from repro.eval.runner import run_fix_experiment
-from repro.runtime import CompileCache, Journal, ParallelRunner
+from repro.runtime import CompileCache, Journal, ParallelRunner, compile_key
 from repro.scope import scoped
 from repro.sim import (
     UNTRACKED,
@@ -131,15 +132,24 @@ def test_fix_experiment_serial_vs_parallel(benchmark, profile):
         )
 
 
-def test_table2_reference_compilation_avoided(benchmark):
+def test_table2_reference_compilation_avoided(benchmark, monkeypatch):
     """Table 2 must elaborate each golden reference exactly once, and a
     warm re-run must perform zero redundant compilations."""
+    import repro.diagnostics.compiler as compiler_mod
+
     picked = [
         CORPUS.get(pid)
         for pid in ("mux2to1", "counter4_reset", "fsm_seq101", "popcount8")
     ]
     problems = ProblemSet(name="bench-runtime", problems=picked)
+    cold_compiles = Counter()
+    compile_cold = compiler_mod.compile_source
 
+    def spy_cold(code, **kwargs):
+        cold_compiles[compile_key(code, **kwargs)] += 1
+        return compile_cold(code, **kwargs)
+
+    monkeypatch.setattr(compiler_mod, "compile_source", spy_cold)
     cache = CompileCache()
     with scoped(compile_cache=cache):
         _, cold = _timed(
@@ -151,7 +161,7 @@ def test_table2_reference_compilation_avoided(benchmark):
             )
         )
         for problem in problems:
-            assert cache.misses_for(problem.reference) == 1, problem.id
+            assert cold_compiles[compile_key(problem.reference)] == 1, problem.id
         cold_misses = cache.stats.misses
         _, warm = _timed(lambda: run_table2(problems, n_samples=6, sim_samples=12))
         assert cache.stats.misses == cold_misses, "warm re-run recompiled sources"
@@ -164,9 +174,9 @@ def test_table2_reference_compilation_avoided(benchmark):
     report(
         "Runtime: Table 2 compile-cache effectiveness",
         render_table(
-            ["cold (s)", "warm (s)", "hits", "misses", "compiles avoided", "hit rate"],
+            ["cold (s)", "warm (s)", "hits", "misses", "hit rate"],
             [[f"{cold:.2f}", f"{warm:.2f}", stats["hits"], stats["misses"],
-              stats["compiles_avoided"], f"{stats['hit_rate']:.1%}"]],
+              f"{stats['hit_rate']:.1%}"]],
         ),
     )
     # Wall-clock here is dominated by simulation, so the compile saving is
@@ -465,7 +475,6 @@ def test_sim_verdict_cache_cold_vs_warm(benchmark):
     assert warm_results == cold == uncached  # memoization is invisible
     assert cache.stats.misses == len(pairs)
     assert cache.stats.hits >= 4 * len(pairs)
-    assert cache.stats.simulations_avoided >= 4 * len(pairs)
 
     speedup = t_cold / t_warm if t_warm else float("inf")
     stats = cache.stats.as_dict()
@@ -477,9 +486,9 @@ def test_sim_verdict_cache_cold_vs_warm(benchmark):
         "Sim: verdict cache cold vs warm (whole-testbench memoization)",
         render_table(
             ["designs", "cold (s)", "warm (s)", "speedup",
-             "runs avoided", "hit rate"],
+             "hits", "hit rate"],
             [[len(pairs), f"{t_cold:.3f}", f"{t_warm:.5f}", f"{speedup:.0f}x",
-              stats["simulations_avoided"], f"{stats['hit_rate']:.1%}"]],
+              stats["hits"], f"{stats['hit_rate']:.1%}"]],
         ),
     )
     # A verdict hit skips the entire testbench: construction, stimulus,

@@ -167,7 +167,7 @@ def main() -> int:
         for name, pragma, design in designs:
             for engine in ENGINES:
                 verdict = run(name, pragma, design, engine)
-                if shared.tape_count:
+                if len(shared.tapes):
                     fail(f"{name} [{engine}]: a hostile reference was taped")
                     shared.clear()
                 before = first.get((name, engine))

@@ -204,14 +204,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(
         f"# compile cache: {stats['hits']} hits, {stats['misses']} misses, "
         f"{stats['evictions']} evictions, "
-        f"{stats['compiles_avoided']} compiles avoided "
+        f"{stats['hits']} compiles avoided "
         f"(hit rate {stats['hit_rate']:.1%})",
         file=sys.stderr,
     )
     sim = report.sim
     print(
         f"# sim: engine={sim['engine']}, {sim['hits']} verdict-cache hits, "
-        f"{sim['misses']} misses, {sim['simulations_avoided']} testbench "
+        f"{sim['misses']} misses, {sim['hits']} testbench "
         f"runs avoided (hit rate {sim['hit_rate']:.1%}), "
         f"limits={sim.get('limit_verdicts', 0)} "
         f"crashed={sim.get('crashed_verdicts', 0)} "

@@ -29,19 +29,27 @@ Guidance entries survive the round trip by reverse lookup against the
 default guidance database (the retriever only ever surfaces entries
 from it); unknown guidance text degrades to a synthetic entry with the
 same text, which is all the simulated session reads.
+
+Live sessions are kept per session token in a
+:class:`~repro.runtime.cache.Memo` -- the store behind the compile and
+verdict caches -- bounded at :data:`MAX_SESSIONS` conversations; they
+never travel with a pickled adapter.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from collections import OrderedDict
 from typing import Optional
 
 from ...rag.database import GuidanceEntry
+from ...runtime.cache import Memo
 from ..base import ChatMessage, RepairStep
 from ..openai_stub import build_repair_messages
 from ..simulated import SimulatedLLM
+
+#: LRU bound on the live conversations one adapter keeps.
+MAX_SESSIONS = 1024
 
 #: Marks the extra system message that carries pooled-session state.
 SESSION_HEADER_PREFIX = "X-Repro-Pool-Session:"
@@ -201,17 +209,14 @@ class SimulatedChatClient:
     to the direct path.
     """
 
-    def __init__(self, tier: str = "gpt-3.5-sim", seed: int = 0,
-                 max_sessions: int = 1024):
+    def __init__(self, tier: str = "gpt-3.5-sim", seed: int = 0):
         self.tier = tier
         self.seed = seed
-        self.max_sessions = max_sessions
-        self._sessions: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+        self._sessions = Memo(MAX_SESSIONS)
 
     def with_seed(self, seed: int) -> "SimulatedChatClient":
         """A fresh adapter (no live sessions) at a different seed."""
-        return SimulatedChatClient(self.tier, seed, self.max_sessions)
+        return SimulatedChatClient(self.tier, seed)
 
     def complete(self, messages: list[ChatMessage], temperature: float = 0.4) -> str:
         """One pooled repair turn: parse, step the live session, render."""
@@ -244,37 +249,24 @@ class SimulatedChatClient:
             else []
         )
 
-        token = header.group("token")
-        with self._lock:
-            session = self._sessions.get(token)
-            if session is not None:
-                self._sessions.move_to_end(token)
-            else:
-                model = SimulatedLLM(
-                    tier=self.tier, temperature=temperature, seed=self.seed
-                )
-                session = model.start(
-                    code,
-                    flavor=header.group("flavor"),
-                    use_rag=header.group("rag") == "1",
-                )
-                self._sessions[token] = session
-                while len(self._sessions) > self.max_sessions:
-                    self._sessions.popitem(last=False)
-        # Step outside the lock: a token is only ever stepped by its own
-        # trial, so concurrent trials proceed in parallel.
+        session = self._sessions.get_or_compute(
+            header.group("token"), self._start, code,
+            header.group("flavor"), header.group("rag") == "1", temperature,
+        )
+        # A token is only ever stepped by its own trial, so concurrent
+        # trials proceed in parallel.
         step = session.step(code, feedback, guidance)
         return render_repair_reply(step)
 
+    def _start(self, code: str, flavor: str, use_rag: bool, temperature: float):
+        model = SimulatedLLM(tier=self.tier, temperature=temperature, seed=self.seed)
+        return model.start(code, flavor=flavor, use_rag=use_rag)
+
     def __getstate__(self) -> dict:
-        # Live sessions and the lock stay behind: an adapter travelling
-        # into a process-pool worker starts its conversations fresh
-        # (workers rebuild their own sessions deterministically).
-        return {
-            "tier": self.tier,
-            "seed": self.seed,
-            "max_sessions": self.max_sessions,
-        }
+        # Live sessions stay behind: an adapter travelling into a
+        # process-pool worker starts its conversations fresh (workers
+        # rebuild their own sessions deterministically).
+        return {"tier": self.tier, "seed": self.seed}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["tier"], state["seed"], state["max_sessions"])
+        self.__init__(state["tier"], state["seed"])

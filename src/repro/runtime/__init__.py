@@ -6,7 +6,8 @@ The pillars every experiment driver in :mod:`repro.eval` is built on:
   (SHA-256 of source + flavor + includes), LRU-bounded, statistics-
   tracking memo of ``compile_source`` results, swapped per run through
   the runtime scope (:mod:`repro.scope`) so hot paths stop
-  re-elaborating identical sources;
+  re-elaborating identical sources; it is one use of :class:`Memo`, the
+  bounded single-flight store every memo in the codebase shares;
 * :class:`ParallelRunner` -- an ordered, deterministic ``map`` over
   independent work units across serial / thread / process backends,
   selected via ``RTLFixerConfig.jobs`` or the CLI ``--jobs`` flag, with
@@ -54,6 +55,7 @@ from .cache import (
     DEFAULT_MAXSIZE,
     CacheStats,
     CompileCache,
+    Memo,
     cached_compile,
     compile_key,
 )
@@ -126,6 +128,7 @@ __all__ = [
     "FuzzConfig",
     "FuzzFailure",
     "FuzzReport",
+    "Memo",
     "GARBAGE_CODE",
     "MUTATORS",
     "ParallelRunner",

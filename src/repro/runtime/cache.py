@@ -1,4 +1,4 @@
-"""Content-addressed compile cache.
+"""Content-addressed memoization: one bounded store for every memo.
 
 Every experiment in ``repro.eval`` is dominated by repeated
 compile/simulate cycles over a small working set of sources: the golden
@@ -9,11 +9,19 @@ completions across runs.  ``compile_source`` is a pure function of
 ``(code, name, flavor, include_files, limits)``, so its results can be
 memoized behind a content address.
 
-:class:`CompileCache` keys results by a SHA-256 digest of exactly those
-inputs (the compiler *flavor* is part of the key: an iverilog-rendered
-and a Quartus-rendered result of the same source must never collide),
-holds them in an LRU-bounded map, and tracks hit/miss/eviction
-statistics so observability ships with the optimization.
+:class:`Memo` is the one store behind every memo in the codebase: an
+LRU-bounded, thread-safe map with single-flight coalescing of
+concurrent misses and one :class:`CacheStats` type.  Its users add only
+their key:
+
+* :class:`CompileCache` keys ``compile_source`` results by a SHA-256
+  digest of exactly its inputs (:func:`compile_key`; the compiler
+  *flavor* is part of the key: an iverilog-rendered and a
+  Quartus-rendered result of the same source must never collide);
+* :class:`~repro.sim.verdict.VerdictCache` keys simulation verdicts by
+  design digests and holds the reference tapes in a second memo;
+* :class:`~repro.llm.backends.SimulatedChatClient` keeps its live
+  conversations in one, keyed by session token.
 
 Injection point
 ---------------
@@ -39,8 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..scope import current
@@ -50,10 +58,11 @@ if TYPE_CHECKING:  # runtime import is deferred to avoid a cycle with
     from ..diagnostics.compiler import CompileResult
     from ..verilog.limits import ResourceLimits
 
-#: Default LRU bound of a :class:`CompileCache`.  Full-scale experiment
-#: runs touch a few thousand distinct sources; elaborated designs for
-#: the corpus are small (a few KB each), so this keeps the whole working
-#: set resident without unbounded growth on adversarial workloads.
+#: Default LRU bound of a :class:`Memo`.  Full-scale experiment runs
+#: touch a few thousand distinct sources; elaborated designs for the
+#: corpus are small (a few KB each) and verdicts smaller still, so this
+#: keeps the whole working set resident without unbounded growth on
+#: adversarial workloads.
 DEFAULT_MAXSIZE = 4096
 
 
@@ -93,32 +102,31 @@ def compile_key(
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one :class:`CompileCache`."""
+    """Counters of one :class:`Memo`.
+
+    Every ``get`` or ``get_or_compute`` call counts exactly once: as a
+    hit, a miss, a coalesced wait (it waited for another thread's
+    in-flight miss of the same key) or, for a ``None`` key, as
+    uncacheable.  The one exception is a waiter that finds no value
+    after its wait (the leader raised, or the value was already
+    evicted): it becomes the next leader and counts a miss as well.
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Concurrent lookups that waited for an in-flight compile of the
-    #: same key instead of duplicating it (single-flight coalescing).
     coalesced: int = 0
-    #: Per-content-address miss counts; a key with more than one miss
-    #: was recompiled after an eviction (or raced in a thread pool).
-    misses_by_key: Counter = field(default_factory=Counter)
+    uncacheable: int = 0
 
     @property
     def lookups(self) -> int:
-        """Total cache consultations."""
+        """Lookups answered by the store itself (hits + misses)."""
         return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
+        """Fraction of lookups served from the store."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def compiles_avoided(self) -> int:
-        """Number of full front-end runs the cache saved (== hits)."""
-        return self.hits
 
     def as_dict(self) -> dict:
         """JSON-friendly snapshot (used by ``run_full_report``)."""
@@ -127,18 +135,22 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "coalesced_waits": self.coalesced,
-            "compiles_avoided": self.compiles_avoided,
+            "uncacheable": self.uncacheable,
             "hit_rate": round(self.hit_rate, 4),
         }
 
 
-class CompileCache:
-    """LRU-bounded, thread-safe memo of ``compile_source`` results.
+class Memo:
+    """LRU-bounded, thread-safe memo with single-flight misses.
 
-    >>> cache = CompileCache(maxsize=512)
-    >>> result = cache.compile("module m; endmodule", flavor="quartus")
-    >>> cache.stats.misses, cache.stats.hits
-    (1, 0)
+    A ``None`` key is uncacheable and a ``None`` value is never stored.
+    Values are treated as immutable by every consumer.
+
+    >>> memo = Memo(maxsize=2)
+    >>> memo.get_or_compute("k", len, "abc")
+    3
+    >>> memo.get("k"), memo.stats.hits, memo.stats.misses
+    (3, 1, 1)
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
@@ -146,14 +158,115 @@ class CompileCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, CompileResult]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        #: key -> event set when that key's in-flight compile finishes
-        #: (single-flight coalescing of concurrent misses).
+        #: key -> event set when that key's in-flight compute finishes.
         self._inflight: dict[str, threading.Event] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` is resident (counts nothing, keeps recency)."""
+        with self._lock:
+            return key in self._entries
+
+    def get(self, key):
+        """The value stored under ``key``, or ``None`` (counts stats)."""
+        if key is None:
+            with self._lock:
+                self.stats.uncacheable += 1
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value
+
+    def put(self, key, value) -> None:
+        """Store ``value`` under ``key`` (no-op for a ``None`` either)."""
+        if key is None or value is None:
+            return
+        with self._lock:
+            self._store(key, value)
+
+    def _store(self, key, value) -> None:
+        # Caller holds the lock.
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > self.maxsize:
+            entries.popitem(last=False)
+            self.stats.evictions += 1
+
+    def get_or_compute(self, key, compute: Callable, *args):
+        """The value under ``key``, computing ``compute(*args)`` on a miss.
+
+        Computation happens outside the lock, but concurrent misses on
+        the same key are *coalesced*: the first thread becomes the
+        leader (it registers an in-flight event), every other thread
+        waits on that event and then takes the leader's value -- one
+        ``compute`` per key, not one per thread.
+        """
+        waited = False
+        while True:
+            with self._lock:
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    if not waited:
+                        self.stats.hits += 1
+                    return value
+                event = self._inflight.get(key)
+                if event is None:
+                    self._inflight[key] = threading.Event()
+                    self.stats.misses += 1
+                    break
+                if not waited:
+                    self.stats.coalesced += 1
+                    waited = True
+            event.wait()
+        try:
+            value = compute(*args)
+        except BaseException:
+            # Release the waiters: one that finds no entry simply
+            # becomes the next leader.
+            with self._lock:
+                self._inflight.pop(key).set()
+            raise
+        with self._lock:
+            self._store(key, value)
+            self._inflight.pop(key).set()
+        return value
+
+    def clear(self) -> None:
+        """Drop all entries and reset the statistics."""
+        with self._lock:
+            self._entries.clear()
+            self.stats = CacheStats()
+
+
+def _compile_cold(code, name, flavor, include_files, limits) -> "CompileResult":
+    from ..diagnostics.compiler import compile_source
+
+    return compile_source(
+        code, name=name, flavor=flavor, include_files=include_files,
+        limits=limits,
+    )
+
+
+class CompileCache(Memo):
+    """:class:`Memo` of ``compile_source`` results keyed by
+    :func:`compile_key`.
+
+    >>> cache = CompileCache(maxsize=512)
+    >>> result = cache.compile("module m; endmodule", flavor="quartus")
+    >>> cache.stats.misses, cache.stats.hits
+    (1, 0)
+    """
 
     def compile(
         self,
@@ -174,89 +287,11 @@ class CompileCache:
             code, name=name, flavor=flavor, include_files=include_files,
             limits=limits,
         )
-        # Compilation happens outside the lock, but concurrent misses on
-        # the same key are *coalesced*: the first thread becomes the
-        # compiling leader (it registers an in-flight event), every
-        # other thread waits on that event and then re-reads the entry
-        # -- one full front-end run per key, not one per thread.
-        while True:
-            with self._lock:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return cached
-                leader = key not in self._inflight
-                if leader:
-                    self._inflight[key] = threading.Event()
-                    self.stats.misses += 1
-                    self.stats.misses_by_key[key] += 1
-                    break
-                event = self._inflight[key]
-                self.stats.coalesced += 1
-            event.wait()
-
-        from ..diagnostics.compiler import compile_source
-
-        try:
-            if compute is not None:
-                result = compute()
-            else:
-                result = compile_source(
-                    code, name=name, flavor=flavor, include_files=include_files,
-                    limits=limits,
-                )
-            with self._lock:
-                self._entries[key] = result
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-            return result
-        finally:
-            # Always release the waiters -- even if compile_source raised
-            # (it should not, post never-crash boundary): a waiter that
-            # finds no entry simply becomes the next leader.
-            with self._lock:
-                self._inflight.pop(key).set()
-
-    def contains(
-        self,
-        code: str,
-        name: str = "main.v",
-        flavor: str = "iverilog",
-        include_files: Optional[dict[str, str]] = None,
-        limits: "Optional[ResourceLimits]" = None,
-    ) -> bool:
-        """Whether a result for this exact invocation is resident."""
-        key = compile_key(
-            code, name=name, flavor=flavor, include_files=include_files,
-            limits=limits,
+        if compute is not None:
+            return self.get_or_compute(key, compute)
+        return self.get_or_compute(
+            key, _compile_cold, code, name, flavor, include_files, limits
         )
-        with self._lock:
-            return key in self._entries
-
-    def misses_for(
-        self,
-        code: str,
-        name: str = "main.v",
-        flavor: str = "iverilog",
-        include_files: Optional[dict[str, str]] = None,
-        limits: "Optional[ResourceLimits]" = None,
-    ) -> int:
-        """How many times this exact invocation missed (compiled)."""
-        key = compile_key(
-            code, name=name, flavor=flavor, include_files=include_files,
-            limits=limits,
-        )
-        with self._lock:
-            return self.stats.misses_by_key.get(key, 0)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the statistics."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
 
 
 #: The process-wide default cache, active from import time so every
@@ -287,12 +322,7 @@ def cached_compile(
     if cache is None:
         if compute is not None:
             return compute()
-        from ..diagnostics.compiler import compile_source
-
-        return compile_source(
-            code, name=name, flavor=flavor, include_files=include_files,
-            limits=limits,
-        )
+        return _compile_cold(code, name, flavor, include_files, limits)
     return cache.compile(
         code, name=name, flavor=flavor, include_files=include_files,
         limits=limits, compute=compute,

@@ -59,7 +59,6 @@ from .values import Logic
 from .verdict import (
     DEFAULT_VERDICT_CACHE,
     VerdictCache,
-    VerdictStats,
     verdict_key,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "Unlowerable",
     "VcdWriter",
     "VerdictCache",
-    "VerdictStats",
     "check_interface",
     "classify_exception",
     "dump_comparison_vcd",

@@ -117,9 +117,9 @@ class ReferenceTape:
 class _RecordingReference:
     """A live reference simulator that records its :class:`ReferenceTape`."""
 
-    def __init__(self, sim: Simulator, cache, key: Optional[str]):
+    def __init__(self, sim: Simulator, tapes, key: Optional[str]):
         self._sim = sim
-        self._cache = cache
+        self._tapes = tapes
         self._key = key
         self.inputs = sim.inputs
         self.outputs = sim.outputs
@@ -140,8 +140,8 @@ class _RecordingReference:
 
     def completed(self) -> None:
         """Store the tape: the harness run finished without raising."""
-        if self._cache is not None:
-            self._cache.put_tape(self._key, ReferenceTape(
+        if self._tapes is not None:
+            self._tapes.put(self._key, ReferenceTape(
                 inputs=tuple(self.inputs),
                 outputs=tuple(self.outputs),
                 records=tuple(tuple(record) for record in self._records),
@@ -205,20 +205,21 @@ def reference_run(
     ``scoped(verdict_cache=None)`` every reference is simulated.
     """
     cache = current().get("verdict_cache", DEFAULT_VERDICT_CACHE)
+    tapes = cache.tapes if cache is not None else None
     key = None
-    if cache is not None:
+    if tapes is not None:
         key = verdict_key(
             "tape", (getattr(reference, "digest", None),),
             engine, limits, samples, seed, repr(sim_limits),
         )
-        tape = cache.get_tape(key)
+        tape = tapes.get(key)
         if tape is not None:
             return _ReplayedReference(tape, tracker)
     sim = make_simulator(
         reference, engine=engine, limits=limits,
         sim_limits=sim_limits, sim_tracker=tracker,
     )
-    return _RecordingReference(sim, cache, key)
+    return _RecordingReference(sim, tapes, key)
 
 
 def _chaos_verdict(site: str, chaos_key: str, engine: str) -> Optional[SimVerdict]:

@@ -22,9 +22,9 @@ from repro.errors import (
 from repro.eval.runner import run_fix_experiment
 from repro.runtime import (
     CircuitBreaker,
-    CompileCache,
     GracefulShutdown,
     Journal,
+    Memo,
     ParallelRunner,
     RunContext,
     RunState,
@@ -664,35 +664,31 @@ class TestGracefulShutdown:
 
 
 # ---------------------------------------------------------------------------
-# Compile-cache single-flight coalescing
+# Single-flight coalescing of the shared memo store
 # ---------------------------------------------------------------------------
-
-GOOD = "module m(input a, output y);\nassign y = a;\nendmodule\n"
 
 
 class TestCacheCoalescing:
-    def test_concurrent_misses_compile_once(self, monkeypatch):
-        """N threads racing on a cold key produce one compile and N-1
-        coalesced waits."""
-        import repro.diagnostics.compiler as compiler_mod
+    """Single-flight misses of the shared :class:`Memo` store."""
 
-        real = compiler_mod.compile_source
+    def test_concurrent_misses_compile_once(self):
+        """N threads racing on a cold key produce one compute and N-1
+        coalesced waits, and every call counts exactly once."""
         started = threading.Event()
         release = threading.Event()
-        compiles = []
+        computed = []
 
-        def slow_compile(code, **kwargs):
-            compiles.append(code)
+        def slow_compute():
+            computed.append(1)
             started.set()
             release.wait(timeout=10)
-            return real(code, **kwargs)
+            return object()
 
-        monkeypatch.setattr(compiler_mod, "compile_source", slow_compile)
-        cache = CompileCache()
+        memo = Memo()
         results = []
 
         def lookup():
-            results.append(cache.compile(GOOD))
+            results.append(memo.get_or_compute("key", slow_compute))
 
         leader = threading.Thread(target=lookup)
         leader.start()
@@ -702,39 +698,40 @@ class TestCacheCoalescing:
             thread.start()
         # give the waiters time to reach event.wait()
         deadline = 100
-        while cache.stats.coalesced < 3 and deadline:
+        while memo.stats.coalesced < 3 and deadline:
             deadline -= 1
             threading.Event().wait(0.01)
         release.set()
         leader.join(timeout=10)
         for thread in waiters:
             thread.join(timeout=10)
-        assert len(compiles) == 1  # exactly one real compile
-        assert cache.stats.misses == 1
-        assert cache.stats.coalesced == 3
-        assert cache.stats.hits == 3  # waiters re-read the fresh entry
+        assert len(computed) == 1  # compute ran once for the key
+        assert memo.stats.misses == 1
+        assert memo.stats.coalesced == 3
+        assert memo.stats.hits == 0  # waiters take the leader's value
+        stats = memo.stats
+        assert stats.hits + stats.misses + stats.coalesced == len(results) == 4
         assert len({id(r) for r in results}) == 1  # all the same object
 
     def test_coalesced_in_stats_dict(self):
-        assert CompileCache().stats.as_dict()["coalesced_waits"] == 0
+        assert list(Memo().stats.as_dict()) == [
+            "hits", "misses", "evictions", "coalesced_waits", "uncacheable",
+            "hit_rate",
+        ]
 
-    def test_leader_failure_releases_waiters(self, monkeypatch):
-        """If the leader's compile raises, waiters do not deadlock: one
+    def test_leader_failure_releases_waiters(self):
+        """If the leader's compute raises, waiters do not deadlock: one
         becomes the next leader."""
-        import repro.diagnostics.compiler as compiler_mod
-
-        real = compiler_mod.compile_source
         attempts = []
 
-        def flaky(code, **kwargs):
+        def flaky():
             attempts.append(1)
             if len(attempts) == 1:
                 raise RuntimeError("injected leader crash")
-            return real(code, **kwargs)
+            return "value"
 
-        monkeypatch.setattr(compiler_mod, "compile_source", flaky)
-        cache = CompileCache()
+        memo = Memo()
         with pytest.raises(RuntimeError):
-            cache.compile(GOOD)
-        assert cache.compile(GOOD).ok  # retried cleanly, no stuck event
+            memo.get_or_compute("key", flaky)
+        assert memo.get_or_compute("key", flaky) == "value"  # no stuck event
         assert len(attempts) == 2

@@ -2,6 +2,7 @@
 simulated model."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -241,14 +242,13 @@ class TestSimulatedLLM:
         with scoped(compile_cache=cache):
             fixer.with_seed(10).fix(entry.code)
             first = set(cold)
-            misses = {code: cache.misses_for(code) for code in first}
+            misses = Counter(cold)
             del cold[:], requested[:]
             fixer.with_seed(11).fix(entry.code)
         assert first, "the model compiled nothing"
         assert first & set(requested), "the second fix re-read nothing"
         assert not first & set(cold)
         assert set(misses.values()) == {1}
-        assert {code: cache.misses_for(code) for code in first} == misses
 
     def test_capability_coin_stable(self):
         llm = SimulatedLLM(seed=0)

@@ -2,6 +2,7 @@
 and the deterministic parallel experiment executor."""
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,9 @@ from repro.dataset import ProblemSet, build_syntax_dataset, verilogeval
 from repro.eval import run_table2
 from repro.eval.runner import run_fix_experiment
 from repro.runtime import (
+    CacheStats,
     CompileCache,
+    Memo,
     ParallelRunner,
     cached_compile,
     compile_key,
@@ -58,6 +61,55 @@ class TestCompileKey:
         assert compile_key(GOOD) == compile_key(GOOD)
 
 
+class TestMemo:
+    """The bounded single-flight store behind every memo (single-flight
+    itself is covered by ``test_durable.TestCacheCoalescing``)."""
+
+    def test_lru_eviction(self):
+        memo = Memo(maxsize=2)
+        computed = []
+
+        def compute(key):
+            computed.append(key)
+            return key.upper()
+
+        for key in ("a", "b", "c"):
+            memo.get_or_compute(key, compute, key)
+        assert len(memo) == 2
+        assert memo.stats.evictions == 1
+        assert "a" not in memo  # oldest entry evicted
+        assert memo.get_or_compute("a", compute, "a") == "A"
+        assert computed == ["a", "b", "c", "a"]  # recomputed after eviction
+
+    def test_lru_recency_order(self):
+        memo = Memo(maxsize=2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # refresh a; b is now the LRU entry
+        memo.put("c", 3)
+        assert "a" in memo and "c" in memo and "b" not in memo
+        assert memo.stats == CacheStats(hits=1, evictions=1)
+
+    def test_clear_resets(self):
+        memo = Memo()
+        memo.put("a", 1)
+        memo.get("a")
+        memo.clear()
+        assert len(memo) == 0 and memo.stats.lookups == 0
+
+    def test_rejects_silly_maxsize(self):
+        with pytest.raises(ValueError):
+            Memo(maxsize=0)
+
+    def test_none_key_counts_only_uncacheable(self):
+        memo = Memo()
+        memo.put(None, 1)
+        memo.put("a", None)
+        assert memo.get(None) is None
+        assert memo.stats == CacheStats(uncacheable=1)
+        assert len(memo) == 0
+
+
 class TestCompileCache:
     def test_hit_miss_accounting(self):
         cache = CompileCache()
@@ -66,7 +118,6 @@ class TestCompileCache:
         assert first is second
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
-        assert cache.stats.compiles_avoided == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_flavor_distinguishes_results(self):
@@ -80,36 +131,18 @@ class TestCompileCache:
         # Each flavor now hits its own entry.
         assert cache.compile(BROKEN, flavor="quartus") is qu
         assert cache.compile(BROKEN, flavor="iverilog") is iv
+        assert compile_key(BROKEN, flavor="quartus") in cache
 
-    def test_lru_eviction(self):
+    def test_held_state_stays_within_maxsize(self):
+        # Nothing the cache or its stats hold may grow with the number
+        # of distinct sources ever seen (a long-lived server's cache).
         cache = CompileCache(maxsize=2)
-        sources = [f"module m{i}; endmodule\n" for i in range(3)]
-        for source in sources:
-            cache.compile(source)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        assert not cache.contains(sources[0])  # oldest entry evicted
-        cache.compile(sources[0])
-        assert cache.misses_for(sources[0]) == 2  # recompiled after eviction
-
-    def test_lru_recency_order(self):
-        cache = CompileCache(maxsize=2)
-        a, b, c = (f"module r{i}; endmodule\n" for i in range(3))
-        cache.compile(a)
-        cache.compile(b)
-        cache.compile(a)  # refresh a; b is now the LRU entry
-        cache.compile(c)
-        assert cache.contains(a) and cache.contains(c) and not cache.contains(b)
-
-    def test_clear_resets(self):
-        cache = CompileCache()
-        cache.compile(GOOD)
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.lookups == 0
-
-    def test_rejects_silly_maxsize(self):
-        with pytest.raises(ValueError):
-            CompileCache(maxsize=0)
+        for i in range(10):
+            cache.compile(f"module m{i}; endmodule\n")
+        held = [*vars(cache).values(), *vars(cache.stats).values()]
+        sizes = [len(v) for v in held if isinstance(v, (dict, list, set))]
+        assert sizes and max(sizes) <= 2
+        assert cache.stats.misses == 10 and cache.stats.evictions == 8
 
 
 class TestActiveCachePlumbing:
@@ -239,12 +272,21 @@ class TestPerTrialProgress:
 
 
 class TestReferenceCompilationCaching:
-    def test_table2_compiles_each_reference_once(self, tiny_problems):
-        cache = CompileCache()
-        with scoped(compile_cache=cache):
+    def test_table2_compiles_each_reference_once(self, tiny_problems, monkeypatch):
+        import repro.diagnostics.compiler as compiler_mod
+
+        cold = Counter()
+        compile_cold = compiler_mod.compile_source
+
+        def spy_cold(code, **kwargs):
+            cold[compile_key(code, **kwargs)] += 1
+            return compile_cold(code, **kwargs)
+
+        monkeypatch.setattr(compiler_mod, "compile_source", spy_cold)
+        with scoped(compile_cache=CompileCache()):
             run_table2(tiny_problems, n_samples=4, sim_samples=8)
-            for problem in tiny_problems:
-                assert cache.misses_for(problem.reference) == 1, problem.id
+        for problem in tiny_problems:
+            assert cold[compile_key(problem.reference)] == 1, problem.id
 
     def test_warm_table2_rerun_has_zero_redundant_compiles(self, tiny_problems):
         cache = CompileCache()

@@ -410,7 +410,7 @@ class TestReferenceTape:
         with scoped(verdict_cache=cache):
             taping = _harness_verdict(mode, quiet, reference, 8, engine, limits)
             assert taping.category in ("ok", "fail")
-            assert cache.tape_count == 1
+            assert len(cache.tapes) == 1
             replayed = _harness_verdict(mode, loud, reference, 8, engine, limits)
         assert _summary(replayed) == _summary(cold)
         assert _summary(cold)[:3] == ("limit", "display lines", "cycle")
@@ -427,7 +427,7 @@ class TestReferenceTape:
         cache = VerdictCache()
         with scoped(verdict_cache=cache):
             _harness_verdict("feedback", reference, reference, 8, engine, limits)
-            assert cache.tape_count == 1
+            assert len(cache.tapes) == 1
             replayed = _harness_verdict(
                 "feedback", wide, reference, 8, engine, limits
             )
@@ -470,7 +470,7 @@ class TestReferenceTape:
             assert _traced_verdict(
                 design, design, 4, engine, SimLimitTracker(limits)
             ) is None
-            assert cache.tape_count == 1
+            assert len(cache.tapes) == 1
             replayed = run()
         assert _summary(replayed) == _summary(cold)
         assert _summary(cold)[:3] == ("limit", kind, phase)
@@ -497,7 +497,7 @@ class TestReferenceTape:
                     design, design, mode=mode, samples=32, sim_limits=limits
                 )
                 assert outcome.verdict.category == "limit"
-        assert cache.tape_count == 0
+        assert len(cache.tapes) == 0
 
     @pytest.mark.parametrize("mode", ("diff", "feedback"))
     def test_replay_builds_no_reference_simulator(self, mode, reference_builds):
@@ -515,7 +515,7 @@ class TestReferenceTape:
             second = simulate(candidate, reference, mode=mode, samples=8)
         assert first.verdict.ok and second.verdict.category == "fail"
         assert reference_builds[built:].count(reference) == 0
-        assert cache.tape_count == 1
+        assert len(cache.tapes) == 1
 
     def test_no_verdict_cache_simulates_every_reference(self, reference_builds):
         reference = build(COUNTER)
@@ -548,7 +548,7 @@ class TestReferenceTape:
         with scoped(verdict_cache=cache):
             warm = both()
         assert reference_builds[built:].count(reference) == 1
-        assert cache.tape_count == 1
+        assert len(cache.tapes) == 1
         assert warm == cold
 
     def test_tapes_are_not_verdicts(self):
@@ -562,11 +562,11 @@ class TestReferenceTape:
             make_sim_feedback(candidate, other, samples=8)
         # Two references, two tapes -- but the shared LRU bound keeps one,
         # and neither counts as a verdict entry or a lookup.
-        assert cache.tape_count == 1
+        assert len(cache.tapes) == 1 and cache.tapes.stats.evictions == 1
         assert len(cache) == 1
         assert cache.stats.lookups == 2 and cache.stats.evictions == 1
         cache.clear()
-        assert cache.tape_count == 0
+        assert len(cache.tapes) == 0
 
     def test_threads_sharing_one_cache_see_simulated_results(self):
         # More threads than cores, switching often, all taping and
@@ -605,7 +605,7 @@ class TestReferenceTape:
         for index, got in results.items():
             shift = index % 3
             assert got == expected[shift:] + expected[:shift]
-        assert len(results) == 8 and cache.tape_count == 1
+        assert len(results) == 8 and len(cache.tapes) == 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("mode", ("diff", "feedback"))
@@ -623,7 +623,7 @@ class TestReferenceTape:
                 simulate(c, reference, mode=mode, samples=12, engine=engine)
                 for c in candidates
             ]
-        assert cache.tape_count == 1
+        assert len(cache.tapes) == 1
         assert [o.result for o in warm] == [o.result for o in cold]
 
 
