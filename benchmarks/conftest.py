@@ -10,6 +10,7 @@ Profiles (select with REPRO_BENCH_PROFILE):
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -64,19 +65,28 @@ def syntax_dataset(profile) -> SyntaxDataset:
 
 
 _RESULTS_FILE = os.path.join(os.path.dirname(__file__), "..", "benchmark_results.txt")
-_session_header_written = False
+_HEADER = ("Regenerated tables/figures (see EXPERIMENTS.md for "
+           "paper-vs-measured commentary)\n")
+_RULE = "=" * 72
+_SECTION = re.compile(rf"\n{_RULE}\n(.*)\n{_RULE}\n")
 
 
 def report(title: str, text: str) -> None:
     """Print a rendered table (visible with ``pytest -s``) and persist it
-    to ``benchmark_results.txt`` so plain runs keep the tables too."""
-    global _session_header_written
-    block = f"\n{'=' * 72}\n{title}\n{'=' * 72}\n{text}\n"
+    to ``benchmark_results.txt``: the section with the same title is
+    replaced in place and a new title is appended, so running any subset
+    of the benches keeps every other table."""
+    block = f"\n{_RULE}\n{title}\n{_RULE}\n{text}\n"
     print(block)
-    mode = "a" if _session_header_written else "w"
-    with open(_RESULTS_FILE, mode) as f:
-        if not _session_header_written:
-            f.write("Regenerated tables/figures (see EXPERIMENTS.md for "
-                    "paper-vs-measured commentary)\n")
-            _session_header_written = True
-        f.write(block)
+    try:
+        with open(_RESULTS_FILE) as f:
+            content = f.read()
+    except FileNotFoundError:
+        content = ""
+    found = [(m.start(), m.group(1)) for m in _SECTION.finditer(content)]
+    head = content[:found[0][0]] if found else _HEADER
+    ends = [start for start, _ in found[1:]] + [len(content)]
+    sections = {name: content[start:end] for (start, name), end in zip(found, ends)}
+    sections[title] = block
+    with open(_RESULTS_FILE, "w") as f:
+        f.write(head + "".join(sections.values()))

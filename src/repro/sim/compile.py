@@ -8,20 +8,24 @@ continuous assign, instance port connection, combinational or
 edge-sensitive always block -- **once per design** into a specialized
 Python closure operating on a *two-state* integer plane:
 
-* every net read resolves through a pre-computed flat name and yields
-  the raw ``bits`` integer of the stored :class:`Logic` (bailing out the
-  moment an X/Z bit is observed);
+* every net is a *slot*: an index into the engine's ``known`` list,
+  which holds the net's bits as a plain int when the net is fully known
+  and ``None`` when it holds X/Z.  A net read is ``values[slot]``, and a
+  ``None`` bails;
 * every operator is specialized at lowering time against the statically
   known operand widths and signedness, replicating the width-context
   rules of :class:`~repro.sim.eval.Evaluator` and the operator semantics
   of :mod:`repro.sim.ops` exactly for fully-known values;
-* every write constructs at most one ``Logic`` (skipped entirely when
-  the stored value is unchanged).
+* every net write stores an int (skipped entirely when the stored value
+  is unchanged) and no lowered closure allocates a ``Logic`` for a net;
+  only memory words stay ``Logic`` lists.
 
 The contract with the engine (:mod:`repro.sim.engine`) is *bail-safe
 speculation*: a lowered closure either completes with results
 bit-identical to the interpreter, or returns ``None`` ("bail") after
-recording every write it performed in an undo log.  The engine then
+recording every write it performed in the engine's write log as
+``(slot, old)`` pairs (``(None, (words, index, old_word))`` for a
+memory word).  The engine then
 rolls the speculative writes back and re-runs the process on the
 existing 4-state interpreter -- the fast path never needs to model X/Z
 propagation, division by zero, out-of-range indexing or any other
@@ -39,6 +43,7 @@ carries the digest stamped at elaboration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -106,28 +111,20 @@ def _widened_fn(fn, from_w: int, to_w: int, signed: bool):
 
 
 def _set_slice_bits(
-    cur_bits: int, cur_x: int, cur_w: int, hi: int, lo: int, vbits: int, vw: int
-) -> tuple[int, int]:
-    """Known-value mirror of ``Logic.set_slice`` over the bit planes.
-
-    Bits of the target range beyond ``vw`` become X (reads past the end
-    of the value read X); out-of-range target positions are ignored.
-    """
+    cur: int, cur_w: int, hi: int, lo: int, vbits: int, vw: int
+) -> Optional[int]:
+    """Known-value mirror of ``Logic.set_slice``: ``cur`` with bit range
+    [hi:lo] replaced by ``vbits``, or ``None`` when a target bit would
+    read past the end of the ``vw``-bit value (it becomes X there).
+    Out-of-range target positions are ignored."""
     t_lo = max(lo, 0)
     t_hi = min(hi, cur_w - 1)
     if t_hi < t_lo:
-        return cur_bits, cur_x
+        return cur
+    if t_hi > lo + vw - 1:
+        return None
     window = (_mask(t_hi - t_lo + 1)) << t_lo
-    # Positions whose source bit exists in the value (i = p - lo < vw).
-    known_hi = min(t_hi, lo + vw - 1)
-    if known_hi >= t_lo:
-        known = (_mask(known_hi - t_lo + 1)) << t_lo
-    else:
-        known = 0
-    placed = ((vbits >> (t_lo - lo)) << t_lo) & known
-    bits = (cur_bits & ~window) | placed
-    x = (cur_x & ~window) | (window & ~known)
-    return bits, x
+    return (cur & ~window) | (((vbits >> (t_lo - lo)) << t_lo) & window)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +138,18 @@ class _LowerCtx:
 
     module: ElabModule
     prefix: str
+    #: flat net name -> slot, and each slot's static (width, signed).
+    slots: dict
+    types: list
 
     def flat(self, name: str) -> str:
         return self.prefix + name
+
+    def slot(self, name: str) -> int:
+        slot = self.slots.get(self.prefix + name)
+        if slot is None:
+            raise Unlowerable(f"no net slot for {name!r}")
+        return slot
 
     def symbol(self, name: str) -> Optional[Symbol]:
         return self.module.symbol(name)
@@ -156,8 +162,9 @@ class _LowerCtx:
 class _Val:
     """A lowered expression: closure + static width/signedness.
 
-    ``fn(values, arrays)`` returns the known bit pattern as an int, or
-    ``None`` to bail.  ``const`` holds the value when it is known at
+    ``fn(values, arrays)`` -- ``values`` is the engine's slot list,
+    ``arrays`` the memories -- returns the known bit pattern as an int,
+    or ``None`` to bail.  ``const`` holds the value when it is known at
     lowering time (enables constant folding up the tree).
     """
 
@@ -262,9 +269,18 @@ _CONTEXT_BINOPS = frozenset(["+", "-", "*", "/", "%", "&", "|", "^", "^~", "~^"]
 # ---------------------------------------------------------------------------
 
 
-def lower_expr(ctx: _LowerCtx, expr: ast.Expr, width: Optional[int]) -> _Val:
-    """Lower ``expr`` under context ``width`` (mirror of Evaluator.eval)."""
-    val = _lower(ctx, expr, width)
+def lower_expr(
+    ctx: _LowerCtx, expr: ast.Expr, width: Optional[int], sign_unused: bool = False
+) -> _Val:
+    """Lower ``expr`` under context ``width`` (mirror of Evaluator.eval).
+
+    ``sign_unused`` promises that only the low ``width`` bits of the
+    result are observed (it is stored whole into a net no wider), so a
+    conditional lowers even when its branches disagree on signedness."""
+    if sign_unused and isinstance(expr, ast.Ternary):
+        val = _lower_ternary(ctx, expr, width, sign_unused)
+    else:
+        val = _lower(ctx, expr, width)
     if width is not None and val.width < width:
         fn, fw, signed = val.fn, val.width, val.signed
         if val.const is not None:
@@ -312,16 +328,12 @@ def _lower_ident(ctx: _LowerCtx, name: str) -> _Val:
     if symbol.kind == "parameter":
         value = symbol.value if symbol.value is not None else 0
         return _const(value, _DEFAULT_WIDTH, True)
-    flat = ctx.flat(name)
-    w = max(symbol.width, 1)
+    slot = ctx.slot(name)
 
-    def read(values, arrays, _flat=flat):
-        v = values.get(_flat)
-        if v is None or v.xmask:
-            return None
-        return v.bits
+    def read(values, arrays, _s=slot):
+        return values[_s]
 
-    return _Val(read, w, symbol.signed)
+    return _Val(read, max(symbol.width, 1), symbol.signed)
 
 
 def _lower_select(ctx: _LowerCtx, expr: ast.Select) -> _Val:
@@ -696,32 +708,36 @@ def _lower_bitwise(op: str, a: _Val, b: _Val) -> _Val:
     return _Val(bitwise, w, s)
 
 
-def _lower_compare(op: str, a: _Val, b: _Val) -> _Val:
-    w = max(a.width, b.width)
-    s = a.signed and b.signed
-    aw, bw = a.width, b.width
+_COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
-    def compare(values, arrays, _a=a.fn, _b=b.fn):
-        x = _a(values, arrays)
-        y = _b(values, arrays)
-        if x is None or y is None:
-            return None
-        if s:
-            av = _sv(x, aw)
-            bv = _sv(y, bw)
-        else:
-            av, bv = x, y
-        if op == "==":
-            return int(av == bv)
-        if op == "!=":
-            return int(av != bv)
-        if op == "<":
-            return int(av < bv)
-        if op == "<=":
-            return int(av <= bv)
-        if op == ">":
-            return int(av > bv)
-        return int(av >= bv)
+
+def _lower_compare(op: str, a: _Val, b: _Val) -> _Val:
+    cmp = _COMPARE[op]
+    fa, fb = a.fn, b.fn
+    if a.signed and b.signed:
+        # (bits ^ sign) - sign is the two's-complement reading.
+        sa, sb = 1 << (a.width - 1), 1 << (b.width - 1)
+
+        def compare(values, arrays):
+            x = fa(values, arrays)
+            if x is None:
+                return None
+            y = fb(values, arrays)
+            if y is None:
+                return None
+            return int(cmp((x ^ sa) - sa, (y ^ sb) - sb))
+    else:
+        def compare(values, arrays):
+            x = fa(values, arrays)
+            if x is None:
+                return None
+            y = fb(values, arrays)
+            if y is None:
+                return None
+            return int(cmp(x, y))
 
     return _Val(compare, 1, False)
 
@@ -773,18 +789,25 @@ def _lower_shift(op: str, a: _Val, b: _Val) -> _Val:
     return _Val(shift, w, s)
 
 
-def _lower_ternary(ctx: _LowerCtx, expr: ast.Ternary, width: Optional[int]) -> _Val:
+def _lower_ternary(
+    ctx: _LowerCtx, expr: ast.Ternary, width: Optional[int], sign_unused: bool = False
+) -> _Val:
     cond = lower_expr(ctx, expr.cond, None)
-    then = lower_expr(ctx, expr.then, width)
-    other = lower_expr(ctx, expr.other, width)
-    if then.signed != other.signed:
-        raise Unlowerable("ternary branches disagree on signedness")
+    then = lower_expr(ctx, expr.then, width, sign_unused)
+    other = lower_expr(ctx, expr.other, width, sign_unused)
     w = max(then.width, other.width)
-    s = then.signed
-    tw, ow = then.width, other.width
-
-    ft = _widened_fn(then.fn, tw, w, s)
-    fo = _widened_fn(other.fn, ow, w, s)
+    if sign_unused:
+        # Both branches are exact in their low ``width`` bits, the only
+        # bits observed, so neither the interpreter's extension of the
+        # narrower branch nor its result signedness (the chosen
+        # branch's) can show.
+        ft, fo, s = then.fn, other.fn, then.signed and other.signed
+    else:
+        if then.signed != other.signed:
+            raise Unlowerable("ternary branches disagree on signedness")
+        s = then.signed
+        ft = _widened_fn(then.fn, then.width, w, s)
+        fo = _widened_fn(other.fn, other.width, w, s)
 
     def pick(values, arrays, _c=cond.fn):
         c = _c(values, arrays)
@@ -877,9 +900,8 @@ def _lower_writer(
             raise Unlowerable("write to undeclared or constant name")
         if symbol.array is not None:
             raise Unlowerable("whole-array write")
-        flat = ctx.flat(lvalue.name)
+        slot = _write_slot(ctx, lvalue.name, symbol)
         sw = symbol.width
-        ssigned = symbol.signed
 
         # _ext specialized at lowering time: truncation is a mask,
         # widening is the identity unless it genuinely sign-extends.
@@ -889,17 +911,10 @@ def _lower_writer(
 
         def write_ident(values, arrays, undo, bits):
             nb = (bits | extm) if (bits & sign) else (bits & msk)
-            cur = values.get(flat)
-            if cur is None:
-                return None
-            # Skip-if-same only when the stored value matches the new
-            # one on every field Logic.__eq__ compares (settle's
-            # fixpoint check relies on full equality).
-            if (cur.xmask == 0 and cur.bits == nb
-                    and cur.width == sw and cur.signed == ssigned):
-                return True
-            undo.append((0, flat, cur))
-            values[flat] = Logic(sw, nb, 0, ssigned)
+            old = values[slot]
+            if old != nb:
+                undo.append((slot, old))
+                values[slot] = nb
             return True
 
         return write_ident
@@ -910,6 +925,17 @@ def _lower_writer(
     if isinstance(lvalue, ast.IndexedSelect):
         return _lower_indexed_writer(ctx, lvalue, vw)
     raise Unlowerable(f"unsupported l-value {type(lvalue).__name__}")
+
+
+def _write_slot(ctx: _LowerCtx, name: str, symbol: Symbol) -> int:
+    """The slot a write to ``name`` stores into.  The interpreter writes
+    at the symbol's width and signedness; unless that is the slot's
+    static type the write has no fast form, so a stored int always
+    reads back as the value the interpreter would hold."""
+    slot = ctx.slot(name)
+    if ctx.types[slot] != (symbol.width, symbol.signed):
+        raise Unlowerable("write type differs from the net's")
+    return slot
 
 
 def _require_scalar_base(ctx: _LowerCtx, lvalue) -> tuple[str, Symbol]:
@@ -925,8 +951,8 @@ def _require_scalar_base(ctx: _LowerCtx, lvalue) -> tuple[str, Symbol]:
 def _lower_select_writer(ctx: _LowerCtx, lvalue: ast.Select, vw: int, vsigned: bool):
     name, symbol = _require_scalar_base(ctx, lvalue)
     idx = lower_expr(ctx, lvalue.index, None)
-    flat = ctx.flat(name)
     if symbol.array is not None:
+        flat = ctx.flat(name)
         lo, hi = symbol.array
         aw = max(symbol.width, 1)
 
@@ -938,100 +964,95 @@ def _lower_select_writer(ctx: _LowerCtx, lvalue: ast.Select, vw: int, vsigned: b
             if words is None:
                 return True  # interpreter drops writes to missing arrays
             if lo <= i <= hi:
-                undo.append((1, flat, i - lo, words[i - lo]))
+                undo.append((None, (words, i - lo, words[i - lo])))
                 words[i - lo] = Logic(aw, _ext(bits, vw, aw, vsigned), 0, vsigned)
             return True  # out-of-range writes are silently dropped
 
         return write_word
+    slot = _write_slot(ctx, name, symbol)
     mode, ref = _offset_rule(symbol)
     sw = symbol.width
-    ssigned = symbol.signed
 
     def write_bit(values, arrays, undo, bits, _i=idx.fn):
         i = _i(values, arrays)
         if i is None:
             return None
-        cur = values.get(flat)
+        cur = values[slot]
         if cur is None:
-            return None
+            return None  # the net holds X/Z: the interpreter merges
         off = i - ref if mode == 0 else (ref - i if mode == 1 else i)
         if not 0 <= off < sw:
             return True  # set_bit ignores out-of-range writes
         sel = 1 << off
-        nb = (cur.bits & ~sel) | ((bits & 1) << off)
-        nx = cur.xmask & ~sel
-        if (nb == cur.bits and nx == cur.xmask
-                and cur.width == sw and cur.signed == ssigned):
-            return True
-        undo.append((0, flat, cur))
-        values[flat] = Logic(sw, nb, nx, ssigned)
+        nb = (cur & ~sel) | ((bits & 1) << off)
+        if nb != cur:
+            undo.append((slot, cur))
+            values[slot] = nb
         return True
 
     return write_bit
 
 
+def _slice_writer(slot: int, sw: int, bounds, vw: int):
+    """Shared body of part-select and indexed writes: ``bounds(values,
+    arrays)`` gives the target ``(hi, lo)`` bit offsets, or ``None`` to
+    bail.  Bails when the net holds X/Z or the result would (a value
+    narrower than the range reads X past its end)."""
+
+    def write_slice(values, arrays, undo, bits):
+        span = bounds(values, arrays)
+        if span is None:
+            return None
+        cur = values[slot]
+        if cur is None:
+            return None
+        nb = _set_slice_bits(cur, sw, span[0], span[1], bits, vw)
+        if nb is None:
+            return None
+        if nb != cur:
+            undo.append((slot, cur))
+            values[slot] = nb
+        return True
+
+    return write_slice
+
+
 def _lower_range_writer(ctx: _LowerCtx, lvalue: ast.RangeSelect, vw: int):
     name, symbol = _require_scalar_base(ctx, lvalue)
-    flat = ctx.flat(name)
-    sw = symbol.width
-    ssigned = symbol.signed
     msb = const_eval(lvalue.msb, ctx.params)
     lsb = const_eval(lvalue.lsb, ctx.params)
     if msb is None or lsb is None:
         # The interpreter silently drops part-select writes with
         # non-constant bounds; mirror that exactly.
         return lambda values, arrays, undo, bits: True
+    slot = _write_slot(ctx, name, symbol)
     mode, ref = _offset_rule(symbol)
     hi = msb - ref if mode == 0 else (ref - msb if mode == 1 else msb)
     lo = lsb - ref if mode == 0 else (ref - lsb if mode == 1 else lsb)
     if hi < lo:
         hi, lo = lo, hi
-
-    def write_range(values, arrays, undo, bits):
-        cur = values.get(flat)
-        if cur is None:
-            return None
-        nb, nx = _set_slice_bits(cur.bits, cur.xmask, sw, hi, lo, bits, vw)
-        if (nb == cur.bits and nx == cur.xmask
-                and cur.width == sw and cur.signed == ssigned):
-            return True
-        undo.append((0, flat, cur))
-        values[flat] = Logic(sw, nb, nx, ssigned)
-        return True
-
-    return write_range
+    span = (hi, lo)
+    return _slice_writer(slot, symbol.width, lambda values, arrays: span, vw)
 
 
 def _lower_indexed_writer(ctx: _LowerCtx, lvalue: ast.IndexedSelect, vw: int):
     name, symbol = _require_scalar_base(ctx, lvalue)
-    flat = ctx.flat(name)
-    sw = symbol.width
-    ssigned = symbol.signed
+    slot = _write_slot(ctx, name, symbol)
     start = lower_expr(ctx, lvalue.start, None)
     width_val = lower_expr(ctx, lvalue.width, None)
     mode, ref = _offset_rule(symbol)
     asc = lvalue.ascending
 
-    def write_indexed(values, arrays, undo, bits, _s=start.fn, _w=width_val.fn):
+    def bounds(values, arrays, _s=start.fn, _w=width_val.fn):
         s = _s(values, arrays)
         wv = _w(values, arrays)
         if s is None or wv is None:
             return None
         w = max(wv, 1)
         off = s - ref if mode == 0 else (ref - s if mode == 1 else s)
-        hi, lo = (off + w - 1, off) if asc else (off, off - w + 1)
-        cur = values.get(flat)
-        if cur is None:
-            return None
-        nb, nx = _set_slice_bits(cur.bits, cur.xmask, sw, hi, lo, bits, vw)
-        if (nb == cur.bits and nx == cur.xmask
-                and cur.width == sw and cur.signed == ssigned):
-            return True
-        undo.append((0, flat, cur))
-        values[flat] = Logic(sw, nb, nx, ssigned)
-        return True
+        return (off + w - 1, off) if asc else (off, off - w + 1)
 
-    return write_indexed
+    return _slice_writer(slot, symbol.width, bounds, vw)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1061,8 @@ def _lower_indexed_writer(ctx: _LowerCtx, lvalue: ast.IndexedSelect, vw: int):
 #
 # Statement closures have signature
 #     stmt(values, arrays, undo, nba, ex) -> True | None
-# where ``undo`` collects speculative writes, ``nba`` is the shared
+# where ``undo`` is the engine's write log (every speculative write, for
+# rollback and the settle fixpoint check), ``nba`` is the shared
 # nonblocking queue (None in combinational contexts) and ``ex`` is a
 # per-simulator StmtExecutor used only to commit nonblocking writes to
 # complex l-values with exact interpreter semantics.
@@ -1059,6 +1081,8 @@ def lower_stmt(ctx: _LowerCtx, stmt: ast.Stmt, seq: bool) -> Callable:
         if stmt.decls:
             raise Unlowerable("block-local declarations need a frame")
         children = [lower_stmt(ctx, child, seq) for child in stmt.stmts]
+        if len(children) == 1:
+            return children[0]
 
         def run_block(values, arrays, undo, nba, ex):
             for child in children:
@@ -1128,7 +1152,10 @@ def lower_stmt(ctx: _LowerCtx, stmt: ast.Stmt, seq: bool) -> Callable:
 def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
     tw = _lvalue_width(ctx, stmt.lvalue)
     context = max(tw, _nat_width(ctx, stmt.rhs))
-    val = lower_expr(ctx, stmt.rhs, context)
+    # A whole-net write keeps only the net's width (<= context) of bits.
+    val = lower_expr(
+        ctx, stmt.rhs, context, isinstance(stmt.lvalue, ast.Identifier)
+    )
     vw, vsigned = val.width, val.signed
     if stmt.blocking or not seq:
         writer = _lower_writer(ctx, stmt.lvalue, vw, vsigned)
@@ -1148,9 +1175,8 @@ def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
             raise Unlowerable("nonblocking write to undeclared name")
         if symbol.array is not None:
             raise Unlowerable("whole-array write")
-        flat = ctx.flat(stmt.lvalue.name)
+        slot = _write_slot(ctx, stmt.lvalue.name, symbol)
         sw = symbol.width
-        ssigned = symbol.signed
 
         # _ext specialized at lowering time (see write_ident).
         msk = _mask(sw)
@@ -1161,11 +1187,11 @@ def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
             b = _v(values, arrays)
             if b is None:
                 return None
-            nb = (b | extm) if (b & sign) else (b & msk)
-            # A bare (flat, Logic) tuple, not an NbaUpdate: the engine's
-            # commit loop applies tuples directly, saving a closure and
-            # an object per queued update on the dominant NBA shape.
-            nba.append((flat, Logic(sw, nb, 0, ssigned)))
+            # A bare (slot, bits) tuple, not an NbaUpdate: the engine's
+            # commit loop stores it straight into the slot, saving a
+            # closure and an object per queued update on the dominant
+            # NBA shape.
+            nba.append((slot, (b | extm) if (b & sign) else (b & msk)))
             return True
 
         return queue_ident
@@ -1190,26 +1216,33 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
     subject = lower_expr(ctx, stmt.subject, None)
     sw, ssigned = subject.width, subject.signed
     kind = stmt.kind
-    entries = []  # ("default", body) | ("match", matchers, body)
-    for item in stmt.items:
-        body = lower_stmt(ctx, item.body, seq)
-        if not item.labels:
-            entries.append(("default", None, body))
-            continue
-        matchers = [
-            _label_matcher(ctx, label, kind, sw, ssigned) for label in item.labels
-        ]
-        entries.append(("match", matchers, body))
-
     # Last default wins (interpreter semantics) and a default never
     # outranks a label match, so it can be resolved at lowering time.
     default = None
-    match_entries = []
-    for tag, matchers, body in entries:
-        if tag == "default":
-            default = body
+    items = []  # (labels, body) in source order
+    for item in stmt.items:
+        body = lower_stmt(ctx, item.body, seq)
+        if item.labels:
+            items.append((item.labels, body))
         else:
-            match_entries.append((matchers, body))
+            default = body
+
+    table = _case_table(ctx, items, sw, ssigned) if kind == "case" else None
+    if table is not None:
+
+        def run_table(values, arrays, undo, nba, ex, _s=subject.fn):
+            s = _s(values, arrays)
+            if s is None:
+                return None
+            body = table.get(s, default)
+            return True if body is None else body(values, arrays, undo, nba, ex)
+
+        return run_table
+
+    match_entries = [
+        ([_label_matcher(ctx, label, kind, sw, ssigned) for label in labels], body)
+        for labels, body in items
+    ]
 
     def run_case(values, arrays, undo, nba, ex, _s=subject.fn):
         s = _s(values, arrays)
@@ -1227,6 +1260,27 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
         return True
 
     return run_case
+
+
+def _case_table(ctx: _LowerCtx, items: list, sw: int, ssigned: bool) -> Optional[dict]:
+    """``{subject bits: body}`` for a ``case`` whose every label is a
+    lowering-time constant that a known subject matches by plain int
+    equality: the subject widens to the label's width unchanged (it is
+    unsigned, or the label is no wider).  The first label wins, as in
+    the interpreter's scan.  ``None`` when any label is not such a
+    constant (x/z bits, runtime values, wider than a signed subject)."""
+    table: dict = {}
+    for labels, body in items:
+        for label in labels:
+            try:
+                val = lower_expr(ctx, label, None)
+            except Unlowerable:
+                return None
+            if val.const is None or (ssigned and val.width > sw):
+                return None
+            key = _ext(val.const, val.width, max(sw, val.width), val.signed)
+            table.setdefault(key, body)
+    return table
 
 
 def _label_matcher(ctx: _LowerCtx, label: ast.Expr, kind: str, sw: int, ssigned: bool):
@@ -1320,7 +1374,7 @@ def _lower_for(ctx: _LowerCtx, stmt: ast.For, seq: bool) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Design lowering + stage-cache integration
+# Design lowering + per-design memo
 # ---------------------------------------------------------------------------
 
 
@@ -1331,9 +1385,12 @@ class LoweredDesign:
 
     ``None`` entries mark processes with no fast lowering; they run on
     the interpreter permanently.  Closures capture only plain data
-    (flat names, widths, masks) extracted from the elaborated design,
-    so one lowered design serves every simulator instance of any design
-    with the same content digest.
+    (slots, widths, masks) extracted from the elaborated design, so one
+    lowered design serves every simulator instance of any design with
+    the same content digest.  ``slots`` numbers the flat nets in the
+    simulator's net order and ``types`` gives each slot's static
+    ``(width, signed)``: a slot holds an int only for a fully known
+    value of exactly that type.
     """
 
     assigns: list  # assign_fn(values, arrays, undo) -> True|None
@@ -1341,6 +1398,8 @@ class LoweredDesign:
     comb: list  # stmt_fn(values, arrays, undo, nba, ex) -> True|None
     seq: list
     edges: list  # per seq process: list of expr_fn(values, arrays) | None
+    slots: dict  # flat net name -> slot
+    types: list  # per slot: (width, signed)
 
     @property
     def fast_processes(self) -> int:
@@ -1364,7 +1423,7 @@ def _lower_assign_process(src_ctx: _LowerCtx, rhs, dst_ctx: _LowerCtx, lvalue):
     ``src_ctx``, l-value written in ``dst_ctx``)."""
     tw = _lvalue_width(dst_ctx, lvalue)
     context = max(tw, _nat_width(src_ctx, rhs))
-    val = lower_expr(src_ctx, rhs, context)
+    val = lower_expr(src_ctx, rhs, context, isinstance(lvalue, ast.Identifier))
     writer = _lower_writer(dst_ctx, lvalue, val.width, val.signed)
 
     def run(values, arrays, undo, _v=val.fn):
@@ -1381,19 +1440,24 @@ def lower_design(sim) -> LoweredDesign:
 
     Works off the simulator's flattened process lists so hierarchy,
     parameter specialization and port connections are already resolved;
-    each lowered entry is index-aligned with those lists.
+    each lowered entry is index-aligned with those lists.  Slots follow
+    the order of the freshly built ``sim.state.values``.
     """
+    nets = sim.state.values
+    slots = {name: slot for slot, name in enumerate(nets)}
+    types = [(value.width, value.signed) for value in nets.values()]
+
     assigns = []
     for ctx, assign in sim._assigns:
-        lctx = _LowerCtx(ctx.module, ctx.prefix)
+        lctx = _LowerCtx(ctx.module, ctx.prefix, slots, types)
         try:
             assigns.append(_lower_assign_process(lctx, assign.rhs, lctx, assign.lvalue))
         except Unlowerable:
             assigns.append(None)
     connections = []
     for conn in sim._connections:
-        src = _LowerCtx(conn.src_ctx.module, conn.src_ctx.prefix)
-        dst = _LowerCtx(conn.dst_ctx.module, conn.dst_ctx.prefix)
+        src = _LowerCtx(conn.src_ctx.module, conn.src_ctx.prefix, slots, types)
+        dst = _LowerCtx(conn.dst_ctx.module, conn.dst_ctx.prefix, slots, types)
         try:
             connections.append(
                 _lower_assign_process(src, conn.src_expr, dst, conn.dst_lvalue)
@@ -1402,7 +1466,7 @@ def lower_design(sim) -> LoweredDesign:
             connections.append(None)
     comb = []
     for proc in sim._comb:
-        lctx = _LowerCtx(proc.ctx.module, proc.ctx.prefix)
+        lctx = _LowerCtx(proc.ctx.module, proc.ctx.prefix, slots, types)
         try:
             comb.append(lower_stmt(lctx, proc.block.body, seq=False))
         except Unlowerable:
@@ -1410,7 +1474,7 @@ def lower_design(sim) -> LoweredDesign:
     seq = []
     edges = []
     for proc in sim._seq:
-        lctx = _LowerCtx(proc.ctx.module, proc.ctx.prefix)
+        lctx = _LowerCtx(proc.ctx.module, proc.ctx.prefix, slots, types)
         try:
             seq.append(lower_stmt(lctx, proc.block.body, seq=True))
         except Unlowerable:
@@ -1423,7 +1487,8 @@ def lower_design(sim) -> LoweredDesign:
                 proc_edges.append(None)
         edges.append(proc_edges)
     return LoweredDesign(
-        assigns=assigns, connections=connections, comb=comb, seq=seq, edges=edges
+        assigns=assigns, connections=connections, comb=comb, seq=seq,
+        edges=edges, slots=slots, types=types,
     )
 
 

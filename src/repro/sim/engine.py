@@ -2,26 +2,40 @@
 
 :class:`CompiledSimulator` is a drop-in :class:`~repro.sim.simulator.Simulator`
 that swaps the per-delta-cycle AST walk for the lowered closures built by
-:mod:`repro.sim.compile`.  Three ideas carry the speedup:
+:mod:`repro.sim.compile`.  Four ideas carry the speedup:
 
+* **a slot store of plain ints** -- every flat net has a slot (numbered
+  by :func:`repro.sim.compile.lower_design`).  ``known[slot]`` holds the
+  net's bits when it is fully known at its static width and signedness,
+  else ``None``, and the 4-state :class:`~repro.sim.values.Logic` then
+  sits in a side list.  Lowered closures read and write only ``known``;
+  a value is boxed to ``Logic`` only where it leaves the engine, through
+  the name-keyed view ``state.values`` that the interpreter fallback,
+  initial blocks, interpreter NBAs and :meth:`Simulator.get` use.
 * **two-state speculation** -- every process first runs its lowered
-  closure, which operates on raw known bit patterns and *bails* (returns
-  ``None``) the moment it touches an X/Z bit or any other 4-state
-  corner.  A bailed process has its speculative writes rolled back from
-  an undo log and is re-run on the interpreter, so results are
-  bit-identical by construction.  Demotion is per-invocation, not
-  sticky: the same process speculates again next delta cycle, so a
-  design that starts all-X at reset recovers the fast path as soon as
-  its nets take known values.
-* **change tracking instead of snapshots** -- the interpreter's settle
-  loop copies and compares the whole value dict every pass;
-  :class:`_TrackingDict` records first-seen old values per pass, making
-  the fixpoint check O(writes) instead of O(nets).
-* **content-addressed lowering** -- the closure tables are cached per
-  design digest in the active stage cache (see
-  :func:`repro.sim.compile.lowered_for`), so repeated simulations of the
-  same design (testbench reruns, fuzz iterations, repair loops) skip the
-  lowering pass entirely.
+  closure, which *bails* (returns ``None``) the moment it touches an X/Z
+  net or any other 4-state corner.  A bailed process has its
+  speculative writes rolled back to the write-log mark taken before it
+  ran and is re-run on the interpreter, so results are bit-identical by
+  construction.  Demotion is per-invocation, not sticky: the same
+  process speculates again next delta cycle, so a design that starts
+  all-X at reset recovers the fast path as soon as its nets take known
+  values.
+* **one write log** -- every write in a settle pass, lowered or
+  interpreted, appends ``(slot, old)``.  The same log rolls back a
+  bailed closure and answers the fixpoint check: a pass changed
+  something iff some slot differs from its first-logged old value, which
+  is O(writes) instead of the interpreter's O(nets) snapshot compare.
+* **a quiescent second settle** -- when no process fired in a step and
+  the last pass of its first settle ran every combinational op on the
+  fast path, the second settle would rerun side-effect-free closures on
+  unchanged state.  It is skipped and charged its one pass of events,
+  exactly as the interpreter would charge it.
+
+The closure tables themselves are memoized per design digest on the
+elaborated design (:func:`repro.sim.compile.lowered_for`), so repeated
+simulations of the same design (testbench reruns, fuzz iterations,
+repair loops) skip the lowering pass entirely.
 
 :func:`make_simulator` is the engine-selecting constructor every harness
 (testbench, feedback, fuzz, CLI) routes through; the process-wide
@@ -33,6 +47,7 @@ default is ``compiled`` and can be overridden with
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from typing import Optional
 
 from ..errors import SimLimitExceeded
@@ -41,9 +56,9 @@ from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
 from .compile import LoweredDesign, lowered_for
 from .eval import Evaluator
-from .exec import NbaUpdate, StmtExecutor
+from .exec import StmtExecutor
 from .limits import SimLimits, SimLimitTracker
-from .simulator import Simulator, _edge_fired
+from .simulator import Simulator
 from .values import Logic
 
 #: Engines selectable through :func:`make_simulator`.
@@ -52,35 +67,113 @@ SIM_ENGINES = ("compiled", "interp")
 _MISSING = object()
 
 
-class _TrackingDict(dict):
-    """A value dict that records per-pass first-seen old values.
+class _SlotStore(Mapping):
+    """A compiled simulator's net values, and their name-keyed view.
 
-    ``begin_pass()`` opens a pass; every ``d[k] = v`` during the pass
-    remembers the value ``k`` had when the pass started (or ``_MISSING``
-    for new keys); ``changed()`` reports whether any key differs from
-    its pass-start value.  Replaces the settle loop's full-dict snapshot
-    compare with bookkeeping proportional to the writes actually made.
+    ``known`` and ``boxed`` are indexed by slot: ``known[slot]`` is the
+    net's bits when it is fully known with the slot's static type
+    (``types[slot]``), else ``None`` and ``boxed[slot]`` holds the
+    ``Logic``.  Each value has exactly one form, so comparing forms
+    compares values.  Mapping reads box on demand; mapping writes log
+    ``(slot, old)`` like lowered writes do.  ``stash`` keeps a slot's
+    pass-start ``boxed`` value the first time a pass replaces it (a
+    logged old of ``None`` means "whatever ``boxed`` held").  A name with
+    no net (an interpreter write to an undeclared name) gets a boxed-only
+    slot of its own.
     """
 
-    __slots__ = ("epoch",)
+    __slots__ = ("slots", "types", "known", "boxed", "log", "stash", "_own")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.epoch: dict = {}
+    def __init__(self, lowered: LoweredDesign, nets: dict):
+        self.slots = lowered.slots
+        self.types = lowered.types
+        self.known: list = [None] * len(self.types)
+        self.boxed: list = [None] * len(self.types)
+        self.log: list = []
+        self.stash: dict = {}
+        self._own = False
+        for name, value in nets.items():
+            self[name] = value
+        self.log.clear()
+        self.stash.clear()
 
-    def __setitem__(self, key, value):
-        if key not in self.epoch:
-            self.epoch[key] = super().get(key, _MISSING)
-        super().__setitem__(key, value)
+    def __getitem__(self, name: str) -> Logic:
+        return self._box(self.slots[name])
 
-    def begin_pass(self) -> None:
-        self.epoch.clear()
+    def get(self, name: str, default=None):
+        slot = self.slots.get(name)
+        return default if slot is None else self._box(slot)
+
+    def _box(self, slot: int) -> Logic:
+        bits = self.known[slot]
+        if bits is None:
+            return self.boxed[slot]
+        width, signed = self.types[slot]
+        return Logic(width, bits, 0, signed)
+
+    def __iter__(self):
+        return iter(self.slots)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __setitem__(self, name: str, value: Logic) -> None:
+        slot = self.slots.get(name)
+        if slot is None:
+            slot = self._add(name)
+        known = self.known
+        self.log.append((slot, known[slot]))
+        if not value.xmask and (value.width, value.signed) == self.types[slot]:
+            known[slot] = value.bits
+            return
+        if slot not in self.stash:
+            self.stash[slot] = self.boxed[slot]
+        self.boxed[slot] = value
+        known[slot] = None
+
+    def _add(self, name: str) -> int:
+        if not self._own:  # the slot map is shared with the lowering
+            self.slots = dict(self.slots)
+            self.types = list(self.types)
+            self._own = True
+        slot = len(self.known)
+        self.slots[name] = slot
+        self.types.append(None)  # matches no value: always boxed
+        self.known.append(None)
+        self.boxed.append(_MISSING)
+        return slot
 
     def changed(self) -> bool:
-        for key, old in self.epoch.items():
-            if old is _MISSING or super().get(key, _MISSING) != old:
+        """Whether any slot differs from its first-logged old value, so a
+        net that goes A -> B -> A within a pass is no change."""
+        log = self.log
+        if not log:
+            return False
+        known = self.known
+        seen = set()
+        for slot, old in log:
+            if slot is None or slot in seen:
+                continue  # a memory word, or not the first entry
+            cur = known[slot]
+            if cur != old:
                 return True
+            if cur is None and slot in self.stash:
+                if self.stash[slot] != self.boxed[slot]:
+                    return True
+            seen.add(slot)
         return False
+
+    def rollback(self, mark: int) -> None:
+        """Undo every logged write after ``mark``, newest first."""
+        log = self.log
+        known = self.known
+        for slot, old in reversed(log[mark:]):
+            if slot is None:
+                words, index, word = old
+                words[index] = word
+            else:
+                known[slot] = old
+        del log[mark:]
 
 
 class CompiledSimulator(Simulator):
@@ -88,24 +181,34 @@ class CompiledSimulator(Simulator):
     fallback; externally indistinguishable from the base class."""
 
     def _post_build(self) -> None:
-        self.state.values = _TrackingDict(self.state.values)
         #: fast-path invocations vs. bail-and-reinterpret fallbacks,
         #: for tests and telemetry.
         self.fast_runs = 0
         self.demotions = 0
-        self._undo: list = []
-        self._lowered: LoweredDesign = lowered_for(self)
+        lowered = self._lowered = lowered_for(self)
+        store = self._store = _SlotStore(lowered, self.state.values)
+        self.state.values = store
+        self._known = store.known
+        self._log = store.log
+        #: Only lowered closures ran since the last settle's fixpoint
+        #: pass (see :meth:`step`).
+        self._quiet = False
         # One reusable executor per process for NBA fallback commits
         # (complex l-values re-resolve indices at commit time through
         # the interpreter's own assign path).
         self._seq_ex = [StmtExecutor(proc.ctx) for proc in self._seq]
-        self._input_ports = {
-            p.name: (p.width, p.signed) for p in self.inputs
-        }
+        # Port table: (slot, mask, width, signed); the slot is None when
+        # the port's type is not its net's, so its values stay boxed.
+        self._input_ports = {}
+        for p in self.inputs:
+            slot = lowered.slots.get(p.name)
+            if slot is not None and lowered.types[slot] != (p.width, p.signed):
+                slot = None
+            mask = (1 << p.width) - 1 if slot is not None else 0
+            self._input_ports[p.name] = (slot, mask, p.width, p.signed)
         # Fused comb schedule: one (fast_fn|None, is_stmt, fallback) row
         # per process, in the interpreter's execution order, so the
         # settle loop runs without per-pass enumerate/index bookkeeping.
-        lowered = self._lowered
         ops = []
         for i, (ctx, assign) in enumerate(self._assigns):
             ops.append((
@@ -124,6 +227,14 @@ class CompiledSimulator(Simulator):
                 lowered.comb[i], True, self._make_proc_fallback(proc),
             ))
         self._comb_ops = ops
+        # Edge rows in the interpreter's (process, edge) order:
+        # (process index, level the edge moves to, fast fn, ctx, expr).
+        self._edge_rows = [
+            (pi, 1 if edge == "posedge" else 0, lowered.edges[pi][i],
+             proc.ctx, expr)
+            for pi, proc in enumerate(self._seq)
+            for i, (edge, expr) in enumerate(proc.edges)
+        ]
 
     def _make_assign_fallback(self, src_ctx, rhs, lvalue, dst_ctx=None):
         """Interpreter re-run of one continuous assign / port connection."""
@@ -144,63 +255,64 @@ class CompiledSimulator(Simulator):
         return fallback
 
     def set_input(self, name, value) -> None:
-        """Port-table :meth:`Simulator.set_input` (no linear port scan,
-        no redundant resize for int stimulus)."""
+        """Port-table :meth:`Simulator.set_input`: int stimulus goes
+        straight into the port's slot."""
         port = self._input_ports.get(name)
         if port is None:
             raise self._error(f"no such input port: {name!r}")
-        width, signed = port
-        if isinstance(value, int):
-            self.state.values[name] = Logic.from_int(value, width, signed)
+        slot, mask, width, signed = port
+        if not isinstance(value, int):
+            self._store[name] = value.resize(width, signed)
+        elif slot is None:
+            self._store[name] = Logic.from_int(value, width, signed)
         else:
-            self.state.values[name] = value.resize(width, signed)
+            self._known[slot] = value & mask
 
     # -- speculation ------------------------------------------------------
 
-    def _rollback(self) -> None:
-        values = self.state.values
-        arrays = self.state.arrays
-        for entry in reversed(self._undo):
-            if entry[0] == 0:
-                values[entry[1]] = entry[2]
-            else:
-                arrays[entry[1]][entry[2]] = entry[3]
-        self._undo.clear()
+    def _rollback(self, mark: int) -> None:
+        self._store.rollback(mark)
         self.demotions += 1
 
-    def _comb_pass(self) -> None:
-        values = self.state.values
+    def _comb_pass(self) -> bool:
+        """One settle pass; True when every comb op ran on the fast
+        path (a lowered closure has no side effects)."""
+        log = self._log
+        log.clear()
+        stash = self._store.stash
+        if stash:
+            stash.clear()
+        known = self._known
         arrays = self.state.arrays
-        undo = self._undo
         fast = 0
         for fn, is_stmt, fallback in self._comb_ops:
             if fn is not None:
+                mark = len(log)
                 ok = (
-                    fn(values, arrays, undo, None, None)
+                    fn(known, arrays, log, None, None)
                     if is_stmt
-                    else fn(values, arrays, undo)
+                    else fn(known, arrays, log)
                 )
                 if ok is not None:
-                    if undo:
-                        undo.clear()
                     fast += 1
                     continue
-                self._rollback()
+                self._rollback(mark)
             fallback()
         self.fast_runs += fast
+        return fast == len(self._comb_ops)
 
     def settle(self) -> None:
         """Change-tracked fixpoint; same bound and failure mode as the
         interpreter's snapshot-compare settle."""
-        values = self.state.values
         budget = self.limits.max_settle_passes
         tracker = self.sim_tracker
+        store = self._store
         passes = 0
         for _ in range(budget):
-            values.begin_pass()
-            self._comb_pass()
+            quiet = self._comb_pass()
             passes += 1
-            if not values.changed():
+            if not store.changed():
+                self._quiet = quiet
                 # Same bulk charge as the interpreter (one event per
                 # process evaluation per pass, settled pass counts are
                 # identical), so both engines exhaust identically.
@@ -219,96 +331,96 @@ class CompiledSimulator(Simulator):
 
     # -- clock region -----------------------------------------------------
 
-    def _sample_edges(self) -> dict:
-        values = self.state.values
+    def _sample_edges(self) -> list:
+        """Bit 0 of every edge expression in row order (``None`` when
+        unknown).  An interpreted sample clears ``_quiet``: only lowered
+        closures are known to have no side effects."""
+        known = self._known
         arrays = self.state.arrays
-        sampled: dict = {}
-        lowered = self._lowered
-        for pi, proc in enumerate(self._seq):
-            fns = lowered.edges[pi]
-            for i, (_, expr) in enumerate(proc.edges):
-                fn = fns[i]
-                bit = None
-                if fn is not None:
-                    raw = fn(values, arrays)
-                    if raw is not None:
-                        bit = (raw & 1, True)
-                if bit is None:
-                    value = Evaluator(proc.ctx).eval(expr)
-                    b = value.bit(0)
-                    bit = (b.bits, b.xmask == 0)
-                sampled[id(proc) * 64 + i] = bit
+        sampled = []
+        for _, _, fn, ctx, expr in self._edge_rows:
+            if fn is not None:
+                raw = fn(known, arrays)
+                if raw is not None:
+                    sampled.append(raw & 1)
+                    continue
+            self._quiet = False
+            bit = Evaluator(ctx).eval(expr).bit(0)
+            sampled.append(None if bit.xmask else bit.bits)
         return sampled
 
     def step(self, inputs=None) -> None:
         tracker = self.sim_tracker
         if tracker is not None:
             tracker.phase = "cycle"
-            tracker.begin_cycle()
+            # SimLimitTracker.begin_cycle, inlined (no call per cycle).
+            tracker.stride_left -= 1
+            if tracker.stride_left <= 0:
+                tracker.end_stride()
+            tracker.events_left = tracker.events_per_cycle
+        known = self._known
         if inputs:
-            values = self.state.values
             ports = self._input_ports
             for name, value in inputs.items():
                 port = ports.get(name)
-                if port is None:
-                    raise self._error(f"no such input port: {name!r}")
-                if isinstance(value, int):
-                    values[name] = Logic.from_int(value, port[0], port[1])
+                if port is not None and port[0] is not None and isinstance(value, int):
+                    known[port[0]] = value & port[1]
                 else:
-                    values[name] = value.resize(port[0], port[1])
+                    self.set_input(name, value)
         self.settle()
         new_edges = self._sample_edges()
+        old_edges = self._edge_state
         triggered: list[int] = []
-        for pi, proc in enumerate(self._seq):
-            for i, (edge, _) in enumerate(proc.edges):
-                key = id(proc) * 64 + i
-                old = self._edge_state.get(key)
-                new = new_edges[key]
-                if old is None:
-                    continue
-                if _edge_fired_fast(edge, old, new):
-                    triggered.append(pi)
-                    break
+        last = -1
+        for k, (pi, level, _, _, _) in enumerate(self._edge_rows):
+            # An edge fires when it reaches its level from anything
+            # else; a process runs once, on its first fired edge.
+            if pi != last and new_edges[k] == level and old_edges[k] != level:
+                triggered.append(pi)
+                last = pi
+        if not triggered and self._quiet:
+            # Nothing fired, and only lowered closures ran since the
+            # fixpoint pass: the second settle would rerun that pass on
+            # unchanged state.  Charge its one pass; the edge sample
+            # cannot change either.
+            if tracker is not None:
+                tracker.events_left -= self._n_comb_ops
+                if tracker.events_left < 0:
+                    tracker.charge_events(0)  # raises "sim events"
+            self._edge_state = new_edges
+            return
         if tracker is not None and triggered:
-            tracker.charge_events(len(triggered))
-        nba: list[NbaUpdate] = []
-        values = self.state.values
+            tracker.events_left -= len(triggered)
+            if tracker.events_left < 0:
+                tracker.charge_events(0)  # raises "sim events"
+        nba: list = []
         arrays = self.state.arrays
-        undo = self._undo
+        log = self._log
         lowered = self._lowered
         for pi in triggered:
-            proc = self._seq[pi]
             fn = lowered.seq[pi]
             if fn is not None:
                 mark = len(nba)
-                if fn(values, arrays, undo, nba, self._seq_ex[pi]) is not None:
-                    undo.clear()
+                log_mark = len(log)
+                if fn(known, arrays, log, nba, self._seq_ex[pi]) is not None:
                     self.fast_runs += 1
                     continue
                 del nba[mark:]
-                self._rollback()
+                self._rollback(log_mark)
+            proc = self._seq[pi]
             StmtExecutor(proc.ctx, nba=nba, display=self.display_log).exec_stmt(
                 proc.block.body
             )
         for update in nba:
-            # Fast-path NBAs are bare (flat, Logic) tuples; interpreter
+            # Fast-path NBAs are bare (slot, bits) tuples; interpreter
             # fallbacks queue NbaUpdate objects.  One ordered list keeps
             # standard NBA commit ordering across both.
             if type(update) is tuple:
-                values[update[0]] = update[1]
+                known[update[0]] = update[1]
             else:
                 update.apply()
         self.settle()
         self._edge_state = self._sample_edges()
-
-
-def _edge_fired_fast(edge: str, old: tuple, new: tuple) -> bool:
-    """(bit, known) form of :func:`repro.sim.simulator._edge_fired`."""
-    old_bit, old_known = old
-    new_bit, new_known = new
-    if edge == "posedge":
-        return (new_known and new_bit == 1) and not (old_known and old_bit == 1)
-    return (new_known and new_bit == 0) and not (old_known and old_bit == 0)
 
 
 # ---------------------------------------------------------------------------

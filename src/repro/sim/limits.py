@@ -210,9 +210,12 @@ class SimLimitTracker:
         "display_left",
         "trace_entries_left",
         "trace_bytes_left",
+        "events_per_cycle",
+        "stride_left",
+        "_stride",
+        "_tick_in",
         "_clock",
         "_deadline_at",
-        "_tick_countdown",
     )
 
     def __init__(
@@ -222,14 +225,17 @@ class SimLimitTracker:
     ):
         self.limits = limits if limits is not None else DEFAULT_SIM_LIMITS
         self.phase = "construct"
+        #: Cycles left as of the last stride end (see :meth:`begin_cycle`).
         self.cycles_left = self.limits.max_cycles
-        self.events_left = self.limits.max_events_per_cycle
+        self.events_per_cycle = self.limits.max_events_per_cycle
+        self.events_left = self.events_per_cycle
         self.display_left = self.limits.max_display_lines
         self.trace_entries_left = self.limits.max_trace_entries
         self.trace_bytes_left = self.limits.max_trace_bytes
+        # The first cycle ends a one-cycle stride: it polls the clock.
+        self.stride_left = self._stride = self._tick_in = 1
         self._clock = clock
         self._deadline_at = clock() + self.limits.wall_clock_s
-        self._tick_countdown = 0
 
     def _overflow(self, kind: str, limit: float, phase: Optional[str] = None):
         raise SimLimitExceeded(
@@ -238,15 +244,28 @@ class SimLimitTracker:
 
     def begin_cycle(self) -> None:
         """Charge one simulated cycle, refill the per-cycle event pool
-        and poll the watchdog every :data:`TICK_STRIDE` cycles."""
-        self.cycles_left -= 1
+        and poll the watchdog every :data:`TICK_STRIDE` cycles.
+
+        Cycles are counted in strides: ``stride_left`` reaches zero at
+        the first cycle past the budget or due a poll, whichever comes
+        first, and only that cycle runs :meth:`end_stride`.  The
+        compiled engine inlines these three lines into its step."""
+        self.stride_left -= 1
+        if self.stride_left <= 0:
+            self.end_stride()
+        self.events_left = self.events_per_cycle
+
+    def end_stride(self) -> None:
+        """Charge the stride's cycles (raising past the budget), poll
+        the watchdog when due, and size the next stride."""
+        self.cycles_left -= self._stride
         if self.cycles_left < 0:
             self._overflow("simulated cycles", self.limits.max_cycles)
-        self.events_left = self.limits.max_events_per_cycle
-        self._tick_countdown -= 1
-        if self._tick_countdown <= 0:
-            self._tick_countdown = self.TICK_STRIDE
+        self._tick_in -= self._stride
+        if self._tick_in <= 0:
+            self._tick_in = self.TICK_STRIDE
             self.tick()
+        self._stride = self.stride_left = min(self._tick_in, self.cycles_left + 1)
 
     def charge_events(self, amount: int) -> None:
         """Charge ``amount`` process evaluations against this cycle."""

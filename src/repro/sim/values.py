@@ -202,6 +202,8 @@ class Logic:
     def same_as(self, other: "Logic") -> bool:
         """Bit-exact equality including X positions (=== semantics),
         after widening both to the larger width."""
+        if self.width == other.width:
+            return self.bits == other.bits and self.xmask == other.xmask
         width = max(self.width, other.width)
         a = self.resize(width)
         b = other.resize(width)

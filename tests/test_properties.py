@@ -25,6 +25,13 @@ def logic_values(draw, width=None):
     return Logic(w, bits, xmask, signed)
 
 
+def _widened_same(a, b) -> bool:
+    """``Logic.same_as`` by its definition: widen both, compare planes."""
+    width = max(a.width, b.width)
+    x, y = a.resize(width), b.resize(width)
+    return x.bits == y.bits and x.xmask == y.xmask
+
+
 class TestLogicProperties:
     @given(logic_values())
     def test_bits_and_xmask_stay_in_width(self, v):
@@ -46,6 +53,17 @@ class TestLogicProperties:
         mask = (1 << v.width) - 1
         known = ~v.xmask & mask
         assert out.bits & known == v.bits & known
+
+    @given(logic_values(), logic_values())
+    def test_same_as_matches_widened_compare(self, a, b):
+        assert a.same_as(b) == _widened_same(a, b)
+        assert b.same_as(a) == _widened_same(b, a)
+
+    @given(widths.flatmap(lambda w: st.tuples(logic_values(w), logic_values(w))))
+    def test_same_as_equal_width_fast_path(self, pair):
+        a, b = pair
+        assert a.same_as(b) == _widened_same(a, b)
+        assert a.same_as(Logic(a.width, a.bits, a.xmask, not a.signed))
 
     @given(logic_values(), logic_values())
     def test_and_commutes(self, a, b):

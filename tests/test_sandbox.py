@@ -671,6 +671,25 @@ class TestWatchdog:
                 tracker.begin_cycle()
         assert exc_info.value.kind == "wall clock"
 
+    @pytest.mark.parametrize("max_cycles", [1, 2, 63, 64, 65, 129, 200])
+    def test_cycle_budget_and_polls_land_on_exact_cycles(self, max_cycles):
+        # Cycles are charged in strides; the overflow still fires on
+        # cycle max_cycles + 1 and the clock is read on cycles 1, 65,
+        # 129, ... -- the same cycles as a per-cycle countdown.
+        polls = []
+        cycle = [0]
+        tracker = SimLimitTracker(
+            SimLimits(max_cycles=max_cycles),
+            clock=lambda: polls.append(cycle[0]) or 0.0,
+        )
+        with pytest.raises(SimLimitExceeded) as exc_info:
+            for cycle[0] in range(1, max_cycles + 2):
+                tracker.begin_cycle()
+        assert cycle[0] == max_cycles + 1
+        assert exc_info.value.kind == "simulated cycles"
+        stride = tracker.TICK_STRIDE
+        assert polls == [0] + list(range(1, max_cycles + 1, stride))
+
     def test_stride_bounds_poll_frequency(self):
         calls = [0]
 

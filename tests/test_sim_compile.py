@@ -4,12 +4,13 @@ selection, the sim-lower memo and verdict memoization."""
 import pytest
 
 from repro.diagnostics import compile_source
-from repro.errors import SimulationError
+from repro.errors import SimLimitExceeded, SimulationError
 from repro.scope import current, scoped
 from repro.sim import (
     DEFAULT_SIM_ENGINE,
     CompiledSimulator,
     Logic,
+    SimLimits,
     Simulator,
     VerdictCache,
     make_sim_feedback,
@@ -107,6 +108,37 @@ class TestEngineEquivalence:
         interp, _ = run_both(DISPLAY, stimuli)
         assert len(interp.display_log) == 6
 
+    def test_case_labels_match_interpreter(self):
+        # Constant labels dispatch through one table lookup: duplicate
+        # labels (first wins), a localparam, labels wider than the
+        # subject and negative labels, on unsigned and signed subjects.
+        code = (
+            "module m(input [2:0] u, input signed [2:0] v,\n"
+            "         output reg [3:0] a, output reg [3:0] b);\n"
+            "localparam S = 3'd5;\n"
+            "always @(*) case (u)\n"
+            "  3'd1, S: a = 1;\n"
+            "  S, 3'd1: a = 2;\n"
+            "  4'd9: a = 3;\n"
+            "  -1: a = 4;\n"
+            "  3'd7: a = 5;\n"
+            "  default: a = 0;\n"
+            "endcase\n"
+            "always @(*) case (v)\n"
+            "  3'sd1: b = 1;\n"
+            "  -3'sd1: b = 2;\n"
+            "  default: b = 0;\n"
+            "endcase\n"
+            "always @(*) case (v)\n"
+            "  -4'sd1: a = 6;\n"
+            "  default: ;\n"
+            "endcase\n"
+            "endmodule\n"
+        )
+        stimuli = [{"u": n, "v": (n * 3) % 8} for n in range(8)]
+        _, compiled = run_both(code, stimuli)
+        assert compiled._lowered.fast_processes == compiled._lowered.total_processes
+
     def test_x_stimulus_matches(self):
         stimuli = [{"clk": 0, "reset": 0, "d": Logic.all_x(4)}, {"clk": 1},
                    {"clk": 0, "reset": 1, "d": 2}, {"clk": 1},
@@ -160,6 +192,37 @@ class TestFastPath:
             compiled.step({"d": d})
             interp.step({"d": d})
             assert dict(compiled.state.values) == dict(interp.state.values)
+
+    def test_mixed_signedness_ternary_lowers_where_unobserved(self):
+        # ``0`` is a signed literal: a whole-net write never looks at the
+        # result's signedness, so these lower; under ``>>>`` it is
+        # observed and the assign stays interpreted.
+        code = (
+            "module m(input clk, input reset, input s, input [3:0] d,\n"
+            "         output reg [3:0] q, output [7:0] y, output [7:0] z,\n"
+            "         output [7:0] w);\n"
+            "always @(posedge clk) q <= reset ? 0 : q + d;\n"
+            "parameter [3:0] P = 4'd9;\n"
+            "assign y = s ? $signed(d) : d;\n"
+            "assign z = (s ? $signed(d) : d) >>> 1;\n"
+            "assign w = s ? P : $signed(d);  // 32-bit P: unequal widths\n"
+            "endmodule\n"
+        )
+        stimuli = []
+        for c in range(12):
+            stimuli.append({"clk": 0, "reset": int(c < 2), "s": c & 1,
+                            "d": (c * 5) % 16})
+            stimuli.append({"clk": 1})
+        stimuli.append({"clk": 0, "s": 1, "d": 10})
+        interp, compiled = run_both(code, stimuli)
+        lowered = compiled._lowered
+        assert lowered.seq[0] is not None
+        assert lowered.assigns[0] is not None
+        assert lowered.assigns[1] is None
+        assert lowered.assigns[2] is not None
+        assert compiled.get("y").bits == 0xFA  # s=1, d=10: sign-extended
+        stimuli = [{"s": 0, "d": d} for d in (10, 3)] + [{"s": 1, "d": 10}]
+        run_both(code, stimuli)
 
     def test_settle_limit_same_failure_both_engines(self):
         code = (
@@ -284,3 +347,155 @@ class TestVerdictMemoization:
             run_differential(design, design, samples=8, engine="interp")
         assert cache.stats.misses == 2
         assert cache.stats.hits == 0
+
+
+class TestSlotStore:
+    """The compiled engine's slot store: X/Z nets bail partial writes,
+    the one write log's fixpoint check, and the quiescent second settle."""
+
+    @pytest.mark.parametrize("write", [
+        "b[0] = a[0];",
+        "b[3:0] = a[3:0];",
+        "b[i +: 2] = a[1:0];",
+    ])
+    def test_partial_write_into_x_net_bails(self, write):
+        # b's other bits are never driven, so b holds X for the whole
+        # run: the lowered writer must bail to the interpreter's merge.
+        code = (
+            "module m(input [7:0] a, input [2:0] i, output reg [7:0] b);\n"
+            f"always @(*) {write}\n"
+            "endmodule\n"
+        )
+        design = elaborate(code)
+        interp = make_simulator(design, engine="interp")
+        compiled = make_simulator(design, engine="compiled")
+        assert compiled._lowered.fast_processes == compiled._lowered.total_processes
+        for n, stimulus in enumerate([{"a": 0x5A, "i": 2}, {"a": 0xC3, "i": 4}]):
+            before = compiled.demotions
+            interp.step(dict(stimulus))
+            compiled.step(dict(stimulus))
+            if n:  # inputs known since the last step: only b is X
+                assert compiled.demotions > before
+            assert dict(compiled.state.values) == dict(interp.state.values)
+        assert compiled.get("b").has_x
+
+    def _events_used(self, sim):
+        tracker = sim.sim_tracker
+        return tracker.limits.max_events_per_cycle - tracker.events_left
+
+    def test_a_to_b_to_a_is_no_change(self):
+        # y goes A -> 0 -> A on every pass: settled after the pass that
+        # makes y first take A, on both engines, X included.
+        code = (
+            "module m(input [7:0] a, output reg [7:0] y, output [7:0] z);\n"
+            "always @(*) begin y = 8'd0; y = a; end\n"
+            "assign z = y + 1;\n"
+            "endmodule\n"
+        )
+        design = elaborate(code)
+        interp = make_simulator(design, engine="interp")
+        compiled = make_simulator(design, engine="compiled")
+        ops = len(compiled._comb_ops)
+        previous = None
+        for a in (3, 3, 200, Logic.all_x(8), Logic.all_x(8), 7, 9):
+            runs = compiled.fast_runs
+            interp.step({"a": a})
+            compiled.step({"a": a})
+            assert self._events_used(compiled) == self._events_used(interp)
+            assert dict(compiled.state.values) == dict(interp.state.values)
+            if isinstance(a, int) and isinstance(previous, int):
+                # Known nets, so every pass ran fast: the first settle
+                # took the interpreter's passes, less the second settle.
+                assert compiled.fast_runs - runs == self._events_used(interp) - ops
+            previous = a
+
+    def test_x_net_taking_another_x_value_is_a_change(self):
+        # With a all-X, y goes from all-X to 8'b0000xxxx: both boxed, so
+        # the fixpoint check must compare the X values themselves, or z
+        # (evaluated first) keeps its stale all-X.
+        code = (
+            "module m(input [7:0] a, output [7:0] y, output [7:0] z);\n"
+            "assign z = ~y;\n"
+            "assign y = a & 8'h0F;\n"
+            "endmodule\n"
+        )
+        design = elaborate(code)
+        interp = make_simulator(design, engine="interp")
+        compiled = make_simulator(design, engine="compiled")
+        # Construction settles with a all-X: pass 1 moves y, pass 2 z.
+        assert str(compiled.get("z")) == "8'b1111xxxx"
+        assert dict(compiled.state.values) == dict(interp.state.values)
+        assert self._events_used(compiled) == self._events_used(interp)
+
+    def test_write_to_undeclared_name_gets_a_slot(self):
+        # An erroneous design still simulates (the fuzzer drives such
+        # designs): the interpreter's writes to undeclared names land in
+        # slots added on first write, compared like any other net.
+        code = (
+            "module m(input clk, input a, output o);\n"
+            "always @(*) z = a;\n"
+            "always @(posedge clk) q <= z;\n"
+            "assign o = a;\n"
+            "endmodule\n"
+        )
+        design = compile_source(code).elaborated
+        interp = make_simulator(design, engine="interp")
+        compiled = make_simulator(design, engine="compiled")
+        for stimulus in ({"clk": 0, "a": 1}, {"clk": 1}, {"clk": 0, "a": 0}):
+            interp.step(dict(stimulus))
+            compiled.step(dict(stimulus))
+            assert dict(compiled.state.values) == dict(interp.state.values)
+        assert {"z", "q"} <= set(compiled.state.values)
+
+    def test_quiescent_skip_charges_like_the_interpreter(self):
+        code = (
+            "module m(input [7:0] a, input [7:0] b, output [7:0] y);\n"
+            "wire [7:0] t = a + b;\n"
+            "assign y = t ^ a;\n"
+            "endmodule\n"
+        )
+        design = elaborate(code)
+        probe = make_simulator(design, engine="interp")
+        probe.step({"a": 1, "b": 2})
+        used = self._events_used(probe)
+        # The step's last charge is the second settle's single pass, so
+        # a budget of used - 1 runs out exactly there.
+        ops = len(probe._assigns)
+
+        def outcome(engine, budget):
+            sim = make_simulator(
+                design, engine=engine,
+                sim_limits=SimLimits(max_events_per_cycle=budget),
+            )
+            try:
+                sim.step({"a": 1, "b": 2})
+            except SimLimitExceeded as exc:
+                return (str(exc), exc.phase)
+            assert engine == "interp" or sim._quiet  # the skip was taken
+            return None
+
+        for budget in (used, used - 1, used - ops, used - ops - 1):
+            assert outcome("compiled", budget) == outcome("interp", budget)
+        assert outcome("compiled", used) is None
+        assert outcome("compiled", used - ops) is not None
+        assert outcome("compiled", used - 1)[1] == "cycle"
+
+    def test_combinational_step_runs_one_pass_when_quiescent(self):
+        code = (  # assigns in dataflow order: one pass propagates
+            "module m(input [7:0] a, input [7:0] b, output [7:0] y);\n"
+            "wire [7:0] t;\n"
+            "assign t = a + b;\n"
+            "assign y = t ^ a;\n"
+            "endmodule\n"
+        )
+        sim = make_simulator(elaborate(code), engine="compiled")
+        ops = len(sim._comb_ops)
+        sim.step({"a": 5, "b": 9})
+        for _ in range(3):
+            runs = sim.fast_runs
+            sim.step({"a": 5, "b": 9})
+            assert sim.fast_runs - runs == ops  # not 2 * ops
+        runs = sim.fast_runs
+        sim.step({"a": 6, "b": 9})
+        assert sim.fast_runs - runs == 2 * ops  # not 3 * ops
+        assert sim.get("y").bits == ((6 + 9) & 0xFF) ^ 6
