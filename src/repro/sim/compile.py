@@ -141,6 +141,8 @@ class _LowerCtx:
     #: flat net name -> slot, and each slot's static (width, signed).
     slots: dict
     types: list
+    #: Set when a lowered write targets a memory word.
+    writes_words: bool = False
 
     def flat(self, name: str) -> str:
         return self.prefix + name
@@ -952,6 +954,7 @@ def _lower_select_writer(ctx: _LowerCtx, lvalue: ast.Select, vw: int, vsigned: b
     name, symbol = _require_scalar_base(ctx, lvalue)
     idx = lower_expr(ctx, lvalue.index, None)
     if symbol.array is not None:
+        ctx.writes_words = True
         flat = ctx.flat(name)
         lo, hi = symbol.array
         aw = max(symbol.width, 1)
@@ -1219,30 +1222,16 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
     # Last default wins (interpreter semantics) and a default never
     # outranks a label match, so it can be resolved at lowering time.
     default = None
-    items = []  # (labels, body) in source order
+    match_entries = []  # (matchers, body) in source order
     for item in stmt.items:
         body = lower_stmt(ctx, item.body, seq)
-        if item.labels:
-            items.append((item.labels, body))
-        else:
+        if not item.labels:
             default = body
-
-    table = _case_table(ctx, items, sw, ssigned) if kind == "case" else None
-    if table is not None:
-
-        def run_table(values, arrays, undo, nba, ex, _s=subject.fn):
-            s = _s(values, arrays)
-            if s is None:
-                return None
-            body = table.get(s, default)
-            return True if body is None else body(values, arrays, undo, nba, ex)
-
-        return run_table
-
-    match_entries = [
-        ([_label_matcher(ctx, label, kind, sw, ssigned) for label in labels], body)
-        for labels, body in items
-    ]
+            continue
+        matchers = [
+            _label_matcher(ctx, label, kind, sw, ssigned) for label in item.labels
+        ]
+        match_entries.append((matchers, body))
 
     def run_case(values, arrays, undo, nba, ex, _s=subject.fn):
         s = _s(values, arrays)
@@ -1260,27 +1249,6 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
         return True
 
     return run_case
-
-
-def _case_table(ctx: _LowerCtx, items: list, sw: int, ssigned: bool) -> Optional[dict]:
-    """``{subject bits: body}`` for a ``case`` whose every label is a
-    lowering-time constant that a known subject matches by plain int
-    equality: the subject widens to the label's width unchanged (it is
-    unsigned, or the label is no wider).  The first label wins, as in
-    the interpreter's scan.  ``None`` when any label is not such a
-    constant (x/z bits, runtime values, wider than a signed subject)."""
-    table: dict = {}
-    for labels, body in items:
-        for label in labels:
-            try:
-                val = lower_expr(ctx, label, None)
-            except Unlowerable:
-                return None
-            if val.const is None or (ssigned and val.width > sw):
-                return None
-            key = _ext(val.const, val.width, max(sw, val.width), val.signed)
-            table.setdefault(key, body)
-    return table
 
 
 def _label_matcher(ctx: _LowerCtx, label: ast.Expr, kind: str, sw: int, ssigned: bool):
@@ -1390,7 +1358,10 @@ class LoweredDesign:
     the same content digest.  ``slots`` numbers the flat nets in the
     simulator's net order and ``types`` gives each slot's static
     ``(width, signed)``: a slot holds an int only for a fully known
-    value of exactly that type.
+    value of exactly that type.  ``comb_writes_words`` is set when a
+    lowered assign, connection or combinational process writes a
+    memory word, a side effect the settle fixpoint check (nets only)
+    does not see.
     """
 
     assigns: list  # assign_fn(values, arrays, undo) -> True|None
@@ -1400,6 +1371,7 @@ class LoweredDesign:
     edges: list  # per seq process: list of expr_fn(values, arrays) | None
     slots: dict  # flat net name -> slot
     types: list  # per slot: (width, signed)
+    comb_writes_words: bool
 
     @property
     def fast_processes(self) -> int:
@@ -1447,6 +1419,7 @@ def lower_design(sim) -> LoweredDesign:
     slots = {name: slot for slot, name in enumerate(nets)}
     types = [(value.width, value.signed) for value in nets.values()]
 
+    comb_writes_words = False
     assigns = []
     for ctx, assign in sim._assigns:
         lctx = _LowerCtx(ctx.module, ctx.prefix, slots, types)
@@ -1454,6 +1427,7 @@ def lower_design(sim) -> LoweredDesign:
             assigns.append(_lower_assign_process(lctx, assign.rhs, lctx, assign.lvalue))
         except Unlowerable:
             assigns.append(None)
+        comb_writes_words |= lctx.writes_words
     connections = []
     for conn in sim._connections:
         src = _LowerCtx(conn.src_ctx.module, conn.src_ctx.prefix, slots, types)
@@ -1464,6 +1438,7 @@ def lower_design(sim) -> LoweredDesign:
             )
         except Unlowerable:
             connections.append(None)
+        comb_writes_words |= dst.writes_words
     comb = []
     for proc in sim._comb:
         lctx = _LowerCtx(proc.ctx.module, proc.ctx.prefix, slots, types)
@@ -1471,6 +1446,7 @@ def lower_design(sim) -> LoweredDesign:
             comb.append(lower_stmt(lctx, proc.block.body, seq=False))
         except Unlowerable:
             comb.append(None)
+        comb_writes_words |= lctx.writes_words
     seq = []
     edges = []
     for proc in sim._seq:
@@ -1489,6 +1465,7 @@ def lower_design(sim) -> LoweredDesign:
     return LoweredDesign(
         assigns=assigns, connections=connections, comb=comb, seq=seq,
         edges=edges, slots=slots, types=types,
+        comb_writes_words=comb_writes_words,
     )
 
 

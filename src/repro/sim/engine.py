@@ -28,9 +28,11 @@ that swaps the per-delta-cycle AST walk for the lowered closures built by
   is O(writes) instead of the interpreter's O(nets) snapshot compare.
 * **a quiescent second settle** -- when no process fired in a step and
   the last pass of its first settle ran every combinational op on the
-  fast path, the second settle would rerun side-effect-free closures on
+  fast path, the second settle would rerun the same closures on
   unchanged state.  It is skipped and charged its one pass of events,
-  exactly as the interpreter would charge it.
+  exactly as the interpreter would charge it.  A design whose
+  combinational logic writes a memory word never skips: the fixpoint
+  check compares nets only, so that pass may have changed a word.
 
 The closure tables themselves are memoized per design digest on the
 elaborated design (:func:`repro.sim.compile.lowered_for`), so repeated
@@ -193,6 +195,9 @@ class CompiledSimulator(Simulator):
         #: Only lowered closures ran since the last settle's fixpoint
         #: pass (see :meth:`step`).
         self._quiet = False
+        #: A comb memory-word write changes state the fixpoint check
+        #: does not compare, so such a design never skips a settle.
+        self._can_skip = not lowered.comb_writes_words
         # One reusable executor per process for NBA fallback commits
         # (complex l-values re-resolve indices at commit time through
         # the interpreter's own assign path).
@@ -276,7 +281,8 @@ class CompiledSimulator(Simulator):
 
     def _comb_pass(self) -> bool:
         """One settle pass; True when every comb op ran on the fast
-        path (a lowered closure has no side effects)."""
+        path and none can write a memory word (such a pass changes
+        nothing the fixpoint check does not see)."""
         log = self._log
         log.clear()
         stash = self._store.stash
@@ -299,7 +305,7 @@ class CompiledSimulator(Simulator):
                 self._rollback(mark)
             fallback()
         self.fast_runs += fast
-        return fast == len(self._comb_ops)
+        return fast == len(self._comb_ops) and self._can_skip
 
     def settle(self) -> None:
         """Change-tracked fixpoint; same bound and failure mode as the

@@ -248,8 +248,13 @@ class SimLimitTracker:
 
         Cycles are counted in strides: ``stride_left`` reaches zero at
         the first cycle past the budget or due a poll, whichever comes
-        first, and only that cycle runs :meth:`end_stride`.  The
-        compiled engine inlines these three lines into its step."""
+        first, and only that cycle runs :meth:`end_stride`.
+
+        ``CompiledSimulator.step`` (:mod:`repro.sim.engine`) inlines
+        these three lines, saving a call per cycle that the sandbox
+        overhead gate would otherwise measure: change both together
+        (``test_stepped_simulator_lands_on_the_same_cycles`` drives
+        each engine's step against this method)."""
         self.stride_left -= 1
         if self.stride_left <= 0:
             self.end_stride()
@@ -268,7 +273,11 @@ class SimLimitTracker:
         self._stride = self.stride_left = min(self._tick_in, self.cycles_left + 1)
 
     def charge_events(self, amount: int) -> None:
-        """Charge ``amount`` process evaluations against this cycle."""
+        """Charge ``amount`` process evaluations against this cycle.
+
+        The engines' settle and step loops charge inline instead:
+        ``events_left -= amount``, then ``charge_events(0)`` to raise
+        once the pool is below zero."""
         self.events_left -= amount
         if self.events_left < 0:
             self._overflow("sim events", self.limits.max_events_per_cycle)

@@ -690,6 +690,40 @@ class TestWatchdog:
         stride = tracker.TICK_STRIDE
         assert polls == [0] + list(range(1, max_cycles + 1, stride))
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("max_cycles", [1, 63, 64, 65, 129])
+    def test_stepped_simulator_lands_on_the_same_cycles(self, engine, max_cycles):
+        # The compiled step inlines begin_cycle: a simulator driven
+        # through step() must overflow and poll the clock on exactly
+        # the cycles a bare tracker does (construction is cycle 1).
+        design = compile_source(COUNTER).elaborated
+
+        def run(drive):
+            polls = []
+            cycle = [0]
+            tracker = SimLimitTracker(
+                SimLimits(max_cycles=max_cycles),
+                clock=lambda: polls.append(cycle[0]) or 0.0,
+            )
+            with pytest.raises(SimLimitExceeded) as exc_info:
+                drive(tracker, cycle)
+            assert exc_info.value.kind == "simulated cycles"
+            return cycle[0], polls
+
+        def bare(tracker, cycle):
+            for cycle[0] in range(1, max_cycles + 2):
+                tracker.begin_cycle()
+
+        def stepped(tracker, cycle):
+            cycle[0] = 1
+            sim = testbench.make_simulator(
+                design, engine=engine, sim_tracker=tracker
+            )
+            for cycle[0] in range(2, max_cycles + 2):
+                sim.step({"clk": cycle[0] & 1})
+
+        assert run(stepped) == run(bare)
+
     def test_stride_bounds_poll_frequency(self):
         calls = [0]
 
