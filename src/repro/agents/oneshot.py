@@ -13,8 +13,8 @@ from typing import Optional
 from ..diagnostics import Compiler
 from ..llm.base import RepairModel
 from ..rag.retrievers import Retriever
-from .react import AgentResult, record_rule_fix
-from ..repair.transcript import Transcript
+from ..repair import Transcript, record_rule_fix
+from .react import AgentResult
 
 
 class OneShotAgent:

@@ -7,8 +7,8 @@ compiler, a :class:`~repro.repair.localizers.DiagnosticLocalizer` for
 the RAG action, an :class:`~repro.repair.proposers.LLMProposer` over
 the repair-model surface and the rule-based pre-fix prefix.  Its
 transcripts, results and digests are bit-identical to the pre-refactor
-hand-rolled loop (``scripts/repair_diff.py`` prosecutes this against
-:mod:`repro.repair.legacy`).
+hand-rolled loop: ``tests/data/repair_digest.sha256``, recorded from
+that loop, pins them.
 
 Service integration comes from the engine's shared seams: the ambient
 request :class:`~repro.service.deadline.Deadline` is checked at the top
@@ -34,9 +34,7 @@ from ..repair import (
     LLMProposer,
     RepairEngine,
     RuleFixProposer,
-    record_rule_fix,  # re-exported: OneShotAgent shares the pre-pass  # noqa: F401
 )
-from ..repair.base import _head  # noqa: F401  (compat re-export)
 from ..repair.transcript import Transcript, Turn
 
 DEFAULT_MAX_ITERATIONS = 10

@@ -8,7 +8,9 @@ simulation against the golden reference, mismatch count as the score)
 with hill-climbing acceptance: a candidate edit is accepted only if it
 strictly reduces the mismatch count, and the run finishes when the
 differential testbench passes.  Transcripts and results are
-bit-identical to the pre-refactor hand-rolled loop.
+bit-identical to the pre-refactor hand-rolled loop; the frozen
+``tests/data/repair_digest.sha256``, recorded from that loop, pins
+them.
 
 The engine's shared service seams apply here too (they were ReAct-only
 before the refactor): an ambient request

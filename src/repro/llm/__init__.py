@@ -1,13 +1,12 @@
 """LLM layer: the simulated repair model (offline stand-in for GPT-3.5 /
-GPT-4) plus the documented OpenAI-API path."""
+GPT-4), the paper's prompts and the backend pool that routes them to
+simulated or OpenAI-API members."""
 
 from .base import ChatMessage, LLMClient, RepairModel, RepairSession, RepairStep
 from .openai_stub import (
     ONE_SHOT_SYSTEM_PROMPT,
     REACT_SYSTEM_PROMPT,
-    OpenAIRepairModel,
     build_repair_messages,
-    parse_repair_reply,
 )
 from .backends import OpenAIChatClient, SimulatedChatClient
 from .pool import (
@@ -42,7 +41,6 @@ __all__ = [
     "SimulatedLogicDebugger",
     "enumerate_logic_edits",
     "ONE_SHOT_SYSTEM_PROMPT",
-    "OpenAIRepairModel",
     "ParsedError",
     "REACT_SYSTEM_PROMPT",
     "ROUND_SUCCESS",
@@ -56,5 +54,4 @@ __all__ = [
     "declared_names",
     "detect_flavor",
     "parse_feedback",
-    "parse_repair_reply",
 ]

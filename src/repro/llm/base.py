@@ -3,14 +3,14 @@
 Two layers:
 
 * :class:`LLMClient` -- the raw chat-completion surface (what the paper
-  calls through the OpenAI API).  Only a documented stub exists in this
-  offline environment (:mod:`repro.llm.openai_stub`).
+  calls through the OpenAI API): the pool's members
+  (:mod:`repro.llm.backends`) implement it.
 * :class:`RepairModel` -- the semantic surface the agents actually need:
   start a repair session for a piece of broken Verilog, then repeatedly
   ask for a (thought, revised code) step given compiler feedback and
   retrieved guidance.  :class:`repro.llm.SimulatedLLM` implements this
-  mechanically; an API-backed implementation would prompt a real model
-  (see the stub for the exact prompts).
+  mechanically; :class:`repro.llm.PooledRepairModel` implements it over
+  raw clients, prompting with :mod:`repro.llm.openai_stub`'s messages.
 """
 
 from __future__ import annotations

@@ -259,23 +259,24 @@ class _HedgeCall:
 
     def __init__(self, pool: "LLMPool", index: int,
                  messages: list[ChatMessage], temperature: float,
-                 counter: TokenCounter):
+                 counter: TokenCounter, session: "EscalatingSession"):
         self.index = index
         self.reply: Optional[str] = None
         self.error: Optional[Exception] = None
         self._thread = threading.Thread(
             target=self._run,
-            args=(pool, messages, temperature, counter),
+            args=(pool, messages, temperature, counter, session),
             daemon=True,
         )
 
     def start(self) -> None:
         self._thread.start()
 
-    def _run(self, pool, messages, temperature, counter) -> None:
+    def _run(self, pool, messages, temperature, counter, session) -> None:
         try:
             self.reply = pool._call_member(
-                self.index, messages, temperature, counter, hedge=True
+                self.index, messages, temperature, counter, session,
+                hedge=True,
             )
         except (TransientError, RetryExhaustedError, LLMError) as exc:
             self.error = exc
@@ -315,8 +316,8 @@ class LLMPool:
         messages: list[ChatMessage],
         temperature: float,
         counter: TokenCounter,
+        session: "EscalatingSession",
         *,
-        escalated: bool = False,
         failover: bool = False,
         hedge: bool = False,
     ) -> str:
@@ -334,13 +335,10 @@ class LLMPool:
             raise
         prompt_tokens = sum(estimate_tokens(m.content) for m in messages)
         completion_tokens = estimate_tokens(reply)
-        counter.record_call(
-            name,
-            prompt_tokens,
-            completion_tokens,
-            member.cost(prompt_tokens, completion_tokens),
-            failover=failover,
-            escalated=escalated,
+        session.book(
+            index, prompt_tokens, completion_tokens,
+            member.cost(prompt_tokens, completion_tokens), counter=counter,
+            routed=not (failover or hedge), failover=failover,
         )
         return reply
 
@@ -350,17 +348,18 @@ class LLMPool:
         temperature: float,
         *,
         call_key: str,
-        index: int,
-        base_index: int = 0,
+        session: "EscalatingSession",
     ) -> str:
         """One routed completion: hedging, then failover up the ladder.
 
-        ``index`` is the escalation-chosen starting rung; on failure the
-        call walks strictly upward (weaker members cannot answer for
-        stronger ones).  Raises the last member's error when the whole
-        ladder is down.
+        The call starts on ``session``'s escalation-chosen rung; on
+        failure it walks strictly upward (weaker members cannot answer
+        for stronger ones).  Every completed call is booked through
+        :meth:`EscalatingSession.book`.  Raises the last member's error
+        when the whole ladder is down.
         """
         counter = get_active_token_counter()
+        index = session.member_index
         hedge: Optional[_HedgeCall] = None
         hedge_index = index + 1
         if (
@@ -369,7 +368,9 @@ class LLMPool:
             and stable_unit(f"hedge|{self.seed}|{call_key}")
             < self.routing.hedge_rate
         ):
-            hedge = _HedgeCall(self, hedge_index, messages, temperature, counter)
+            hedge = _HedgeCall(
+                self, hedge_index, messages, temperature, counter, session
+            )
             hedge.start()
         try:
             last_error: Optional[Exception] = None
@@ -383,8 +384,7 @@ class LLMPool:
                     continue  # the duplicate already failed this rung
                 try:
                     return self._call_member(
-                        i, messages, temperature, counter,
-                        escalated=(i == index and index > base_index),
+                        i, messages, temperature, counter, session,
                         failover=(i > index),
                     )
                 except (TransientError, RetryExhaustedError, LLMError) as exc:
@@ -472,16 +472,21 @@ class PooledRepairModel:
 
 
 class EscalatingSession:
-    """Tier-escalation state shared by the pooled sessions.
+    """Rung choice, escalation and token booking of a pooled session.
 
-    The agent reports every iteration's outcome via :meth:`observe`;
-    after each block of ``routing.escalate_after`` failures the session
-    climbs one rung up ``routing.members`` from its ``base`` rung.
+    The one base of :class:`PooledRepairSession` and
+    :class:`~repro.llm.simfix.PooledLogicSession`.  A session starts on
+    ``base``, the ladder rung of its model's tier
+    (:meth:`RoutingSpec.base_index`).  The agent reports every
+    iteration's outcome via :meth:`observe`; after each block of
+    ``routing.escalate_after`` failures the session climbs one rung up
+    ``routing.members``.
     """
 
-    routing: RoutingSpec
-    base: int
-    failed_rounds: int = 0
+    def __init__(self, routing: RoutingSpec, tier: str):
+        self.routing = routing
+        self.base = routing.base_index(tier)
+        self.failed_rounds = 0
 
     def observe(self, success: bool) -> None:
         """The agent's per-iteration outcome (escalation signal)."""
@@ -496,19 +501,34 @@ class EscalatingSession:
         climb = self.failed_rounds // self.routing.escalate_after
         return min(self.base + climb, len(self.routing.members) - 1)
 
+    def book(self, index: int, prompt_tokens: int, completion_tokens: int,
+             cost_usd: float, *, counter: Optional[TokenCounter] = None,
+             routed: bool = True, failover: bool = False) -> None:
+        """Book one completed call on rung ``index``.
+
+        ``routed`` marks a call on the rung :attr:`member_index` chose
+        (failover and hedge calls are not).  Every routed call above
+        ``base`` is an escalation.
+        """
+        if counter is None:
+            counter = get_active_token_counter()
+        counter.record_call(
+            self.routing.members[index].name, prompt_tokens,
+            completion_tokens, cost_usd, failover=failover,
+            escalated=routed and index > self.base,
+        )
+
 
 class PooledRepairSession(EscalatingSession):
     """One debugging conversation routed through the pool."""
 
     def __init__(self, model: PooledRepairModel, code: str, flavor: str,
                  use_rag: bool, ordinal: int):
+        super().__init__(model.routing, model.tier)
         self.pool = model.pool
-        self.routing = model.routing
         self.temperature = model.temperature
-        self.seed = model.seed
         self.flavor = flavor
         self.use_rag = use_rag
-        self.base = self.routing.base_index(model.tier)
         # The token ties this conversation's turns together across raw
         # complete() calls; the start ordinal keeps two conversations
         # about the same code distinct (a fresh session per start, like
@@ -528,8 +548,7 @@ class PooledRepairSession(EscalatingSession):
             messages,
             self.temperature,
             call_key=messages_key(messages, self.temperature),
-            index=self.member_index,
-            base_index=self.base,
+            session=self,
         )
         return parse_pool_reply(reply, guidance)
 

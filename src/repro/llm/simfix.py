@@ -18,11 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..runtime.accounting import (
-    estimate_tokens,
-    get_active_token_counter,
-    tier_family,
-)
+from ..runtime.accounting import estimate_tokens, tier_family
 from ..runtime.faults import stable_unit
 from .base import RepairStep
 from .pool import EscalatingSession
@@ -97,14 +93,15 @@ class PooledLogicModel:
     """Logic-debug sessions routed across an LLM-pool escalation ladder.
 
     The functional-repair counterpart of
-    :class:`~repro.llm.pool.PooledRepairModel`: the session starts on
-    the ladder rung matching ``tier``
-    (:meth:`~repro.llm.pool.RoutingSpec.base_index`) and climbs
-    one rung after every ``escalate_after`` failed iterations reported
-    through the duck-typed ``observe`` seam.  Every step is booked
-    against the active :class:`~repro.runtime.TokenCounter` at the
-    member tier's prices, so ``report.llm`` covers the functional
-    workload exactly like the syntax one.
+    :class:`~repro.llm.pool.PooledRepairModel`; both sessions share
+    :class:`~repro.llm.pool.EscalatingSession`'s rung choice and
+    booking.  The session starts on the ladder rung matching ``tier``
+    (:meth:`~repro.llm.pool.RoutingSpec.base_index`) and climbs one rung
+    after every ``escalate_after`` failed iterations reported through
+    the duck-typed ``observe`` seam.  Every step is booked against the
+    active :class:`~repro.runtime.TokenCounter` at the member tier's
+    prices, so ``report.llm`` covers the functional workload exactly
+    like the syntax one.
 
     With escalation disabled and a ladder whose base rung matches
     ``tier``, results are bit-identical to the direct
@@ -135,28 +132,22 @@ class PooledLogicSession(EscalatingSession):
     """One logic-debugging conversation with tier escalation."""
 
     def __init__(self, model: PooledLogicModel, code: str, difficulty: str):
-        self.model = model
-        self.routing = model.routing
+        super().__init__(model.routing, model.tier)
+        self.seed = model.seed
         self.difficulty = difficulty
-        self.base = model.routing.base_index(model.tier)
         self._rung: int | None = None
         self._session: LogicDebugSession | None = None
 
     def step(self, code: str, feedback: str) -> RepairStep:
         index = self.member_index
-        escalated = False
-        if self._session is None or self._rung != index:
+        member = self.routing.members[index]
+        if self._rung != index:
             # A fresh per-rung session seeded from the current code --
             # the stronger tier re-derives its own capability and
             # candidate walk, like a new model joining the conversation.
-            escalated = self._rung is not None and index > self._rung
-            member = self.routing.members[index]
-            debugger = SimulatedLogicDebugger(
-                tier=member.tier, seed=self.model.seed
-            )
+            debugger = SimulatedLogicDebugger(tier=member.tier, seed=self.seed)
             self._session = debugger.start(code, self.difficulty)
             self._rung = index
-        member = self.routing.members[index]
         step = self._session.step(code, feedback)
         prompt_tokens = estimate_tokens(code) + estimate_tokens(feedback)
         completion_tokens = (
@@ -166,8 +157,5 @@ class PooledLogicSession(EscalatingSession):
         cost = (
             prompt_tokens * prompt_price + completion_tokens * completion_price
         ) / 1000.0
-        get_active_token_counter().record_call(
-            member.name, prompt_tokens, completion_tokens, cost,
-            escalated=escalated,
-        )
+        self.book(index, prompt_tokens, completion_tokens, cost)
         return step

@@ -7,8 +7,6 @@ Every repair loop in the repo is one configuration of
 :class:`TraceDiffLocalizer`) and :class:`Proposer`
 (:class:`LLMProposer`, :class:`RuleFixProposer`,
 :class:`TemplateProposer`, chained by :class:`FallbackProposer`).
-``legacy`` keeps the pre-refactor hand-rolled loops as the equivalence
-reference for ``scripts/repair_diff.py``.
 
 This package must not import :mod:`repro.agents` at module level (the
 agents are configurations *of* it) and defers :mod:`repro.core` imports

@@ -6,8 +6,9 @@ One engine, three plug points (:class:`~repro.repair.base.Oracle`,
 :class:`~repro.repair.base.EngineConfig` of per-flavor knobs.  The
 ReAct syntax agent and the simulation-debugging agent are both thin
 configurations of this loop (bit-identical to their pre-refactor
-hand-rolled versions -- ``scripts/repair_diff.py`` prosecutes that),
-and the Table-4 functional-repair workload is a third.
+hand-rolled versions -- ``tests/data/repair_digest.sha256``, recorded
+from those loops, pins that), and the Table-4 functional-repair
+workload is a third.
 
 Cross-cutting service seams live here exactly once:
 
@@ -89,8 +90,8 @@ class RepairEngine:
         verdict = self.oracle.check(code)
         if not verdict.compiled:
             # The *input* (or the oracle's reference) doesn't build:
-            # nothing to repair against.  Matches the legacy simulation
-            # agent's silent zero-iteration failure.
+            # nothing to repair against.  Matches the pre-engine
+            # simulation agent's silent zero-iteration failure.
             return RepairOutcome(
                 success=False, final_code=code, iterations=0,
                 transcript=transcript, rule_fixed=rule_fixed,
@@ -176,11 +177,10 @@ class RepairEngine:
 def result_digest(result) -> str:
     """Content digest of a repair result, transcript included.
 
-    Covers everything the equivalence gate cares about: outcome flags,
-    iteration count, final code, mismatch bookkeeping (when present) and
-    every recorded turn field.  Works on :class:`RepairOutcome`,
-    ``AgentResult`` and ``SimFixResult`` alike, so legacy and
-    engine-backed runs hash comparably.
+    Covers outcome flags, iteration count, final code, mismatch
+    bookkeeping (when present) and every recorded turn field.  Works on
+    :class:`RepairOutcome`, ``AgentResult`` and ``SimFixResult`` alike;
+    the frozen repair digest hashes it over the agents' results.
     """
     payload = {
         "success": bool(result.success),

@@ -4,9 +4,10 @@ Trace-diff localization feeding a breadth-first template search, with
 LLM escalation when the templates dry up: the full
 detect → localize → propose → verify stack over the compiled
 differential simulator.  This is the workload configuration --
-the legacy-equivalent :class:`~repro.agents.simfix.SimDebugAgent`
-deliberately runs *without* the localizer and templates so its
-transcripts stay bit-identical to the pre-refactor loop.
+:class:`~repro.agents.simfix.SimDebugAgent` deliberately runs
+*without* the localizer and templates so its transcripts stay
+bit-identical to the pre-refactor loop (the frozen repair digest pins
+them).
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ class SimOracle:
     """Functional correctness against a golden reference.
 
     The reference is compiled eagerly at construction (before any
-    candidate -- the legacy agent's compile order, which the warm
+    candidate -- the pre-engine agent's compile order, which the warm
     compile cache makes free on repeats).  A candidate that does not
-    compile comes back ``compiled=False`` with the legacy
+    compile comes back ``compiled=False`` with the pre-engine
     "edit broke compilation; reverted" observation; so does every check
     when the *reference* itself failed to elaborate (nothing to judge
     against).

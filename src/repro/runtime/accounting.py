@@ -111,7 +111,6 @@ class TokenCounter:
         *,
         failover: bool = False,
         escalated: bool = False,
-        hedge_win: bool = False,
     ) -> None:
         """Account one completed call against ``backend``."""
         usage = self.usage(backend)
@@ -122,7 +121,6 @@ class TokenCounter:
             usage.cost_usd += cost_usd
             usage.failovers += int(failover)
             usage.escalations += int(escalated)
-            usage.hedge_wins += int(hedge_win)
 
     def record_throttle(self, backend: str, wait_seconds: float) -> None:
         usage = self.usage(backend)

@@ -1,15 +1,16 @@
 """Tests for the generic repair engine (:mod:`repro.repair`).
 
-The load-bearing suite for the refactor: golden-transcript equivalence
-between the legacy hand-rolled loops and their engine-backed rewrites,
-unit tests for the trace-diff localizer and every repair template, the
-mutator/template symmetry, the service seams (deadline, on_turn) on
-functional repair, the Table-4 workload's determinism and its one cold
-compile per source, and the pooled logic model's identity and
-accounting.
+The load-bearing suite for the refactor: the frozen golden-transcript
+digest the engine-backed agents must keep (recorded from the
+pre-engine hand-rolled loops), unit tests for the trace-diff localizer
+and every repair template, the mutator/template symmetry, the service
+seams (deadline, on_turn) on functional repair, the Table-4 workload's
+determinism and its one cold compile per source, and the pooled logic
+model's identity and accounting.
 """
 
 import collections
+import functools
 import hashlib
 import random
 from pathlib import Path
@@ -41,7 +42,6 @@ from repro.repair import (
     result_digest,
     suspect_lines,
 )
-from repro.repair.legacy import LegacyReActAgent, LegacySimDebugAgent
 from repro.repair.templates import (
     invert_condition,
     off_by_one_constant,
@@ -56,68 +56,102 @@ from repro.sim import VerdictCache
 DB = build_default_database()
 
 
-def _react_pair(flavor, rag, seed):
-    """A (legacy, engine) ReAct agent pair with identical configuration."""
-    retriever = ExactTagRetriever(DB, flavor) if rag else None
-    legacy = LegacyReActAgent(
-        model=SimulatedLLM(seed=seed), compiler=Compiler(flavor=flavor),
-        retriever=retriever,
+#: sha256 over the result digest of every ReAct run on the 48-entry
+#: curated syntax set under four (flavor, RAG, seed) configurations and
+#: of every simulation-debugging run on the logic-mutated corpus at two
+#: seeds.  It was recorded from the hand-rolled loops the engine agents
+#: replaced, so it pins the agents to their pre-engine transcripts.  The
+#: two halves are also frozen on their own, so a change is attributable
+#: to one agent.
+DATA = Path(__file__).parent / "data"
+REPAIR_DIGEST = DATA / "repair_digest.sha256"
+REACT_DIGEST = DATA / "repair_digest_react.sha256"
+SIMFIX_DIGEST = DATA / "repair_digest_simfix.sha256"
+
+#: (flavor, use_rag, model seed) configurations of the ReAct half.
+REACT_CONFIGS = (
+    ("quartus", True, 0),
+    ("quartus", False, 1),
+    ("iverilog", True, 2),
+    ("iverilog", False, 3),
+)
+
+
+@functools.cache
+def react_records() -> tuple[bytes, ...]:
+    """One record per ReAct run, under fresh compile and verdict caches;
+    each is keyed by its configuration and entry, so one changed run is
+    attributable."""
+    records = []
+    dataset = build_syntax_dataset(
+        verilogeval(), samples_per_problem=4, target_size=48
     )
-    modern = ReActAgent(
-        model=SimulatedLLM(seed=seed), compiler=Compiler(flavor=flavor),
-        retriever=ExactTagRetriever(DB, flavor) if rag else None,
-    )
-    return legacy, modern
+    with scoped(compile_cache=CompileCache(), verdict_cache=VerdictCache()):
+        for flavor, rag, seed in REACT_CONFIGS:
+            agent = ReActAgent(
+                model=SimulatedLLM(seed=seed), compiler=Compiler(flavor=flavor),
+                retriever=ExactTagRetriever(DB, flavor) if rag else None,
+            )
+            for i, entry in enumerate(dataset):
+                digest = result_digest(agent.run(entry.code))
+                records.append(
+                    f"react|{flavor}|{int(rag)}|{seed}|{i}|{entry.problem_id}"
+                    f"|{digest}\0".encode()
+                )
+    return tuple(records)
+
+
+@functools.cache
+def simfix_records() -> tuple[bytes, ...]:
+    """One record per simulation-debugging run on the logic-mutated
+    corpus at seeds 0-1, under fresh compile and verdict caches."""
+    records = []
+    with scoped(compile_cache=CompileCache(), verdict_cache=VerdictCache()):
+        for seed in range(2):
+            for problem in verilogeval():
+                rng = random.Random(f"repair-diff|{seed}|{problem.id}")
+                buggy = mutate_logic(problem.reference, rng)
+                if buggy == problem.reference:
+                    buggy = force_behavior_change(problem.reference)
+                    if buggy is None:
+                        continue
+                agent = SimDebugAgent(model=SimulatedLogicDebugger(seed=seed))
+                digest = result_digest(
+                    agent.run(buggy, problem.reference, problem.difficulty)
+                )
+                records.append(f"simfix|{seed}|{problem.id}|{digest}\0".encode())
+    return tuple(records)
+
+
+def records_digest(*records: tuple[bytes, ...]) -> str:
+    return hashlib.sha256(b"".join(b"".join(part) for part in records)).hexdigest()
+
+
+def repair_digest() -> str:
+    return records_digest(react_records(), simfix_records())
 
 
 class TestGoldenEquivalence:
-    """Legacy and engine-backed loops must be digest-identical."""
+    """The engine agents must keep their pre-engine transcripts.
+    Regenerate a data file only for an intended change to the ReAct or
+    simulation-debugging transcripts, by writing ``records_digest`` of
+    the records it covers."""
 
     def test_react_corpus_equivalence(self):
-        dataset = build_syntax_dataset(
-            verilogeval(), samples_per_problem=2, target_size=10
+        assert len(react_records()) == 4 * 48
+        assert (
+            records_digest(react_records()) == REACT_DIGEST.read_text().strip()
         )
-        assert len(dataset) > 0
-        mismatches = []
-        with scoped(compile_cache=CompileCache()):
-            for flavor, rag, seed in (
-                ("quartus", True, 0), ("iverilog", False, 3)
-            ):
-                legacy, modern = _react_pair(flavor, rag, seed)
-                for entry in dataset:
-                    want = result_digest(legacy.run(entry.code))
-                    got = result_digest(modern.run(entry.code))
-                    if want != got:
-                        mismatches.append((flavor, rag, seed, entry.problem_id))
-        assert mismatches == []
 
     def test_simfix_corpus_equivalence(self):
-        problems = list(verilogeval())[:6]
-        mismatches = []
-        with scoped(compile_cache=CompileCache()):
-            for seed in (0, 1):
-                for problem in problems:
-                    rng = random.Random(f"eq|{seed}|{problem.id}")
-                    buggy = mutate_logic(problem.reference, rng)
-                    if buggy == problem.reference:
-                        buggy = force_behavior_change(problem.reference)
-                        if buggy is None:
-                            continue
-                    legacy = LegacySimDebugAgent(
-                        model=SimulatedLogicDebugger(seed=seed)
-                    )
-                    modern = SimDebugAgent(
-                        model=SimulatedLogicDebugger(seed=seed)
-                    )
-                    want = result_digest(
-                        legacy.run(buggy, problem.reference, problem.difficulty)
-                    )
-                    got = result_digest(
-                        modern.run(buggy, problem.reference, problem.difficulty)
-                    )
-                    if want != got:
-                        mismatches.append((seed, problem.id))
-        assert mismatches == []
+        assert simfix_records()
+        assert (
+            records_digest(simfix_records())
+            == SIMFIX_DIGEST.read_text().strip()
+        )
+
+    def test_frozen_repair_digest(self):
+        assert repair_digest() == REPAIR_DIGEST.read_text().strip()
 
     def test_digest_covers_transcript(self):
         agent = ReActAgent(
@@ -540,6 +574,24 @@ class TestPooledLogicModel:
         for _ in range(4):
             session.observe(False)
         assert session.member_index == 1
+
+    def test_every_call_above_base_is_an_escalation(self):
+        """Like the syntax pool, every call on a rung above the base
+        counts as an escalation, not just the first after a climb."""
+        routing = RoutingSpec.parse(
+            "cheap=gpt-3.5-sim,strong=gpt-4-sim", escalate_after=1
+        )
+        counter = TokenCounter()
+        code = list(verilogeval())[2].reference
+        session = PooledLogicModel(routing, seed=3).start(code, "hard")
+        with scoped(token_counter=counter):
+            for _ in range(5):
+                session.step(code, "mismatch")
+                session.observe(False)
+        strong = counter.usage("strong")
+        assert strong.calls == 4
+        assert strong.calls == strong.escalations
+        assert counter.usage("cheap").escalations == 0
 
     def test_base_index_matches_requested_tier(self):
         routing = RoutingSpec.parse("cheap=gpt-3.5-sim,strong=gpt-4-sim")
