@@ -145,9 +145,9 @@ def test_table2_reference_compilation_avoided(benchmark, monkeypatch):
     cold_compiles = Counter()
     compile_cold = compiler_mod.compile_source
 
-    def spy_cold(code, **kwargs):
+    def spy_cold(code, flavor="iverilog", **kwargs):
         cold_compiles[compile_key(code, **kwargs)] += 1
-        return compile_cold(code, **kwargs)
+        return compile_cold(code, flavor=flavor, **kwargs)
 
     monkeypatch.setattr(compiler_mod, "compile_source", spy_cold)
     cache = CompileCache()

@@ -13,12 +13,15 @@ ablation manipulates:
 Every compile runs :func:`compile_source`, a cold run of the staged
 pipeline in :mod:`repro.verilog.pipeline`; the :class:`Compiler` facade
 the agents hold puts the whole-result
-:class:`~repro.runtime.CompileCache` in front of it.
+:class:`~repro.runtime.CompileCache` in front of it.  Because the
+flavour touches only rendering, the cache keeps one analysis per source
+and hands out per-flavour views of it (:meth:`CompileResult.with_flavor`);
+each result or view renders its log once, on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Literal, Optional
 
 from .codes import ErrorCategory
@@ -57,6 +60,10 @@ class CompileResult:
     #: :func:`compile_source` boundary.  A crashed result is never
     #: ``ok`` -- agents treat it as (degraded) compiler feedback.
     crashed: bool = False
+    #: The rendered :attr:`log`, filled on first read.
+    _log: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    #: Views of this analysis under other flavours (:meth:`with_flavor`).
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -79,10 +86,31 @@ class CompileResult:
 
     @property
     def log(self) -> str:
-        """The feedback text an agent would see for this flavour."""
-        return render_log(self)
+        """The feedback text an agent would see for this flavour.
 
+        Rendered on the first read and stored: a result is immutable, so
+        every later read returns the same string."""
+        log = self._log
+        if log is None:
+            log = self._log = render_log(self)
+        return log
 
+    def with_flavor(self, flavor: CompilerFlavor) -> "CompileResult":
+        """This analysis as the ``flavor`` compiler would report it.
+
+        The view shares ``source``, ``diagnostics``, ``design``,
+        ``elaborated`` and ``crashed`` with this result and differs only
+        in ``flavor`` (hence in :attr:`log`).  Each flavour's view is
+        built once and kept here, so repeated calls return the same
+        object; two threads racing on the first call may each build a
+        view, and both get the one stored first.
+        """
+        if flavor == self.flavor:
+            return self
+        view = self._views.get(flavor)
+        if view is None:
+            view = self._views.setdefault(flavor, replace(self, flavor=flavor))
+        return view
 
 
 class Compiler:

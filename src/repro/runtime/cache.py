@@ -7,7 +7,9 @@ reference of each problem is recompiled for every one of thousands of
 to the compiler, and the simulated sampler emits byte-identical
 completions across runs.  ``compile_source`` is a pure function of
 ``(code, name, flavor, include_files, limits)``, so its results can be
-memoized behind a content address.
+memoized behind a content address.  The flavor only picks how the one
+analysis is rendered, so it stays out of the address: every flavor of a
+source is served from one entry.
 
 :class:`Memo` is the one store behind every memo in the codebase: an
 LRU-bounded, thread-safe map with single-flight coalescing of
@@ -15,9 +17,9 @@ concurrent misses and one :class:`CacheStats` type.  Its users add only
 their key:
 
 * :class:`CompileCache` keys ``compile_source`` results by a SHA-256
-  digest of exactly its inputs (:func:`compile_key`; the compiler
-  *flavor* is part of the key: an iverilog-rendered and a
-  Quartus-rendered result of the same source must never collide);
+  digest of every input but the flavor (:func:`compile_key`) and hands
+  out a per-flavor view of the entry
+  (:meth:`~repro.diagnostics.compiler.CompileResult.with_flavor`);
 * :class:`~repro.sim.verdict.VerdictCache` keys simulation verdicts by
   design digests and holds the reference tapes in a second memo;
 * :class:`~repro.llm.backends.SimulatedChatClient` keeps its live
@@ -40,7 +42,8 @@ in a fresh cache (or ``None``, no caching) for a ``with`` block:
 
 Caching changes no observable behaviour: compilation is deterministic,
 and results are treated as immutable by every consumer (the codebase
-already re-uses one elaborated design across many simulator instances).
+already re-uses one elaborated design across many simulator instances,
+and the flavor views of one entry share its ``diagnostics`` list).
 """
 
 from __future__ import annotations
@@ -69,26 +72,25 @@ DEFAULT_MAXSIZE = 4096
 def compile_key(
     code: str,
     name: str = "main.v",
-    flavor: str = "iverilog",
     include_files: Optional[dict[str, str]] = None,
     limits: "Optional[ResourceLimits]" = None,
 ) -> str:
-    """Content address of one compiler invocation.
+    """Content address of one compiler analysis.
 
-    A SHA-256 digest over every input ``compile_source`` consumes.  The
-    flavor participates in the key because the rendered feedback (and
-    the ``CompileResult.flavor`` attribute the agents read) differs per
-    flavor even when the diagnostics are identical; the resource limits
-    participate because the same source may compile cleanly under the
-    defaults yet hit a ``RESOURCE_LIMIT`` diagnostic under tighter
-    budgets (``None`` normalizes to the defaults, so explicit-default
-    and omitted limits share entries).
+    A SHA-256 digest over every input ``compile_source`` consumes except
+    the flavor.  No pipeline stage reads the flavor: it only labels the
+    result and picks the log renderer, so every flavor of a source shares
+    one analysis.  The resource limits participate because the same
+    source may compile cleanly under the defaults yet hit a
+    ``RESOURCE_LIMIT`` diagnostic under tighter budgets (``None``
+    normalizes to the defaults, so explicit-default and omitted limits
+    share entries).
     """
     from ..verilog.limits import DEFAULT_LIMITS
 
     hasher = hashlib.sha256()
     effective = limits if limits is not None else DEFAULT_LIMITS
-    for part in (flavor, name, repr(effective)):
+    for part in (name, repr(effective)):
         hasher.update(part.encode())
         hasher.update(b"\x00")
     for inc_name in sorted(include_files or {}):
@@ -260,12 +262,13 @@ def _compile_cold(code, name, flavor, include_files, limits) -> "CompileResult":
 
 class CompileCache(Memo):
     """:class:`Memo` of ``compile_source`` results keyed by
-    :func:`compile_key`.
+    :func:`compile_key`, one entry per analysis whatever its flavor.
 
     >>> cache = CompileCache(maxsize=512)
     >>> result = cache.compile("module m; endmodule", flavor="quartus")
-    >>> cache.stats.misses, cache.stats.hits
-    (1, 0)
+    >>> view = cache.compile("module m; endmodule", flavor="iverilog")
+    >>> cache.stats.misses, cache.stats.hits, view.diagnostics is result.diagnostics
+    (1, 1, True)
     """
 
     def compile(
@@ -277,21 +280,25 @@ class CompileCache(Memo):
         limits: "Optional[ResourceLimits]" = None,
         compute: Optional[Callable[[], "CompileResult"]] = None,
     ) -> "CompileResult":
-        """Return the (possibly cached) result of compiling ``code``.
+        """Return the (possibly cached) result of compiling ``code``,
+        as the ``flavor`` compiler reports it.
 
+        The entry holds whichever flavor compiled it first; any other
+        flavor gets that entry's view for ``flavor``, built once.
         ``compute`` overrides how a *miss* is materialized; it must be
-        bit-identical to ``compile_source`` on the same inputs -- the
-        cache key stays a pure content address either way.
+        bit-identical to ``compile_source`` on the same inputs up to the
+        flavor -- the cache key stays a pure content address either way.
         """
         key = compile_key(
-            code, name=name, flavor=flavor, include_files=include_files,
-            limits=limits,
+            code, name=name, include_files=include_files, limits=limits
         )
         if compute is not None:
-            return self.get_or_compute(key, compute)
-        return self.get_or_compute(
-            key, _compile_cold, code, name, flavor, include_files, limits
-        )
+            entry = self.get_or_compute(key, compute)
+        else:
+            entry = self.get_or_compute(
+                key, _compile_cold, code, name, flavor, include_files, limits
+            )
+        return entry.with_flavor(flavor)
 
 
 #: The process-wide default cache, active from import time so every

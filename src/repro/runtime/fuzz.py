@@ -12,7 +12,10 @@ cross-checks the invariants the rest of the system relies on:
    :class:`~repro.diagnostics.compiler.CompileResult`;
 2. **renderer agreement** -- the iverilog- and Quartus-styled runs of
    the same input agree on pass/fail and on the ``crashed`` flag, and
-   both render their logs without raising;
+   both render their logs without raising.  Both flavors compile cold,
+   outside any cache, on purpose: the compile cache serves every flavor
+   from one shared analysis, and this check is what keeps two
+   independent front-end runs agreeing;
 3. **cache transparency** -- compiling through a fresh
    :class:`~repro.runtime.cache.CompileCache` returns the same verdict
    as the uncached run (checked on a deterministic subsample);

@@ -155,7 +155,7 @@ class RetryPolicy:
 def call_with_retry(
     fn: Callable[[], T],
     policy: RetryPolicy,
-    key: str = "",
+    key: "str | Callable[[], str]" = "",
     sleep: SleepFn = time.sleep,
     clock: ClockFn = time.monotonic,
 ) -> T:
@@ -167,6 +167,11 @@ def call_with_retry(
     last transient fault is wrapped in
     :class:`~repro.errors.RetryExhaustedError`.
 
+    ``key`` seeds the backoff schedule (:meth:`RetryPolicy.delays`).  It
+    may be a callable returning the key, which is then called only when
+    the first retry needs the schedule, so a call that succeeds at once
+    never builds it.
+
     Under an ambient request deadline
     (:func:`repro.service.deadline.current_deadline`) the loop
     additionally refuses to dispatch an attempt, or to sleep a backoff,
@@ -174,7 +179,7 @@ def call_with_retry(
     :class:`~repro.errors.DeadlineExceededError` instead, carrying the
     stage the deadline fired at.  An expired deadline is never retried.
     """
-    schedule = policy.delays(key)
+    schedule = None if callable(key) else policy.delays(key)
     attempts = 0
     last: Optional[Exception] = None
     while True:
@@ -206,6 +211,8 @@ def call_with_retry(
                 attempts=attempts,
                 last_error=last,
             ) from last
+        if schedule is None:
+            schedule = policy.delays(key())
         delay = next(schedule, policy.max_delay)
         if deadline is not None and not deadline.allows(delay):
             raise DeadlineExceededError(
@@ -339,17 +346,22 @@ class Guard:
         if self.policy is None and injector is None:
             return call(*args)
         seam = _SEAMS[method]
-        key = seam.content(*args)
         if injector is None:
-            attempt = lambda: call(*args)  # noqa: E731
-        else:
-            fault_key = seam.fault_key(self, key)
+            # Retry only: the content key seeds the backoff schedule and
+            # nothing else, so it is hashed only once a retry needs it.
+            return call_with_retry(
+                lambda: call(*args), self.policy,
+                key=lambda: f"{method}|{seam.content(*args)}",
+                sleep=self._sleep, clock=self._clock,
+            )
+        key = seam.content(*args)
+        fault_key = seam.fault_key(self, key)
 
-            def attempt():
-                kind = injector.fire(seam.site, fault_key)
-                if kind == "garbage" and seam.garbage is not None:
-                    return seam.garbage(self.inner, *args)
-                return call(*args)
+        def attempt():
+            kind = injector.fire(seam.site, fault_key)
+            if kind == "garbage" and seam.garbage is not None:
+                return seam.garbage(self.inner, *args)
+            return call(*args)
 
         if self.policy is None:
             return attempt()
@@ -360,12 +372,16 @@ class Guard:
 
     def start(self, code: str, flavor: str, use_rag: bool) -> "Guard":
         """Open a session on the inner model; the session is guarded by
-        the same policy and injector."""
+        the same policy and injector (the session's fault key, read only
+        by the injector, is computed only under one)."""
         session = self._call("start", code, flavor, use_rag)
+        session_key = (
+            "" if self.injector is None
+            else _SEAMS["start"].fault_key(self, content_digest(code))
+        )
         return Guard(
             session, self.policy, self.injector,
-            sleep=self._sleep, clock=self._clock,
-            session_key=_SEAMS["start"].fault_key(self, content_digest(code)),
+            sleep=self._sleep, clock=self._clock, session_key=session_key,
         )
 
     def step(self, code: str, feedback: str, guidance: list) -> "RepairStep":

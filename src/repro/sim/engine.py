@@ -76,21 +76,27 @@ class _SlotStore(Mapping):
     net's bits when it is fully known with the slot's static type
     (``types[slot]``), else ``None`` and ``boxed[slot]`` holds the
     ``Logic``.  Each value has exactly one form, so comparing forms
-    compares values.  Mapping reads box on demand; mapping writes log
-    ``(slot, old)`` like lowered writes do.  ``stash`` keeps a slot's
-    pass-start ``boxed`` value the first time a pass replaces it (a
-    logged old of ``None`` means "whatever ``boxed`` held").  A name with
+    compares values.  Mapping reads box on demand and keep the box in
+    ``shown[slot]``, reused while ``known[slot]`` still holds its bits
+    (lowered writes and :meth:`rollback` touch only ``known``, so every
+    read checks); mapping writes log ``(slot, old)`` like lowered writes
+    do.  ``stash`` keeps a slot's pass-start ``boxed`` value the first
+    time a pass replaces it (a logged old of ``None`` means "whatever
+    ``boxed`` held").  A name with
     no net (an interpreter write to an undeclared name) gets a boxed-only
     slot of its own.
     """
 
-    __slots__ = ("slots", "types", "known", "boxed", "log", "stash", "_own")
+    __slots__ = (
+        "slots", "types", "known", "boxed", "shown", "log", "stash", "_own",
+    )
 
     def __init__(self, lowered: LoweredDesign, nets: dict):
         self.slots = lowered.slots
         self.types = lowered.types
         self.known: list = [None] * len(self.types)
         self.boxed: list = [None] * len(self.types)
+        self.shown: list = [None] * len(self.types)
         self.log: list = []
         self.stash: dict = {}
         self._own = False
@@ -110,8 +116,11 @@ class _SlotStore(Mapping):
         bits = self.known[slot]
         if bits is None:
             return self.boxed[slot]
-        width, signed = self.types[slot]
-        return Logic(width, bits, 0, signed)
+        value = self.shown[slot]
+        if value is None or value.bits != bits:
+            width, signed = self.types[slot]
+            value = self.shown[slot] = Logic(width, bits, 0, signed)
+        return value
 
     def __iter__(self):
         return iter(self.slots)
@@ -127,6 +136,7 @@ class _SlotStore(Mapping):
         self.log.append((slot, known[slot]))
         if not value.xmask and (value.width, value.signed) == self.types[slot]:
             known[slot] = value.bits
+            self.shown[slot] = value
             return
         if slot not in self.stash:
             self.stash[slot] = self.boxed[slot]
@@ -143,6 +153,7 @@ class _SlotStore(Mapping):
         self.types.append(None)  # matches no value: always boxed
         self.known.append(None)
         self.boxed.append(_MISSING)
+        self.shown.append(None)
         return slot
 
     def changed(self) -> bool:

@@ -8,6 +8,7 @@ Everything here is marked ``chaos`` so ``scripts/bench.sh`` (and
 
 import hashlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -897,3 +898,105 @@ class TestSeamKeys:
         assert injector._raised, "the run must draw some transient faults"
         ledger = "\n".join(digests) + repr(sorted(injector._raised.items()))
         assert hashlib.sha256(ledger.encode()).hexdigest()[:16] == "5ce390776848bac0"
+
+
+class _FlakyOnce:
+    """Delegates to ``inner``, but the first attempt of every call raises
+    one transient fault (attempts alternate fail, succeed); a session it
+    opens is flaky the same way."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.attempts = 0
+
+    def _flake(self) -> None:
+        self.attempts += 1
+        if self.attempts % 2:
+            raise TransientError("flaky backend")
+
+    def start(self, code, flavor, use_rag):
+        self._flake()
+        return _FlakyOnce(self.inner.start(code, flavor, use_rag))
+
+    def step(self, code, feedback, guidance):
+        self._flake()
+        return self.inner.step(code, feedback, guidance)
+
+    def complete(self, messages, temperature=0.4):
+        self._flake()
+        return "echo"
+
+    def compile(self, code):
+        self._flake()
+        return self.inner.compile(code)
+
+
+class TestLazyRetryKey:
+    """Retry without chaos builds a seam's backoff key only when a retry
+    needs it: the same key as under chaos on a fault, nothing hashed on
+    a fault-free call."""
+
+    def test_fault_builds_the_pinned_keys(self, monkeypatch):
+        delayed = []
+        delays = RetryPolicy.delays
+
+        def recording_delays(self, key=""):
+            delayed.append(key)
+            return delays(self, key)
+
+        monkeypatch.setattr(RetryPolicy, "delays", recording_delays)
+        policy = RetryPolicy(max_retries=2, seed=0)
+        entries = build_default_database().for_compiler("quartus")[:1]
+        model = Guard(
+            _FlakyOnce(SimulatedLLM(seed=3)), policy, sleep=lambda _s: None
+        )
+        session = model.start(BROKEN, "quartus", True)
+        session.step(BROKEN, "feedback", [])
+        session.step(BROKEN, "feedback", entries)
+        echo = Guard(_FlakyOnce(None), policy, sleep=lambda _s: None)
+        assert echo.complete([ChatMessage("user", "a")], temperature=0.4) == "echo"
+        compiler = Guard(
+            _FlakyOnce(Compiler("quartus")), policy, sleep=lambda _s: None
+        )
+        assert compiler.compile(GOOD).ok
+        # The literals pinned by TestSeamKeys, one per faulted call.
+        code = "696b4be5c4e22be0"
+        step = f"{code}|59bda3f8ee98128d"
+        assert delayed == [
+            f"start|{code}",
+            f"step|{step}|af5570f5a1810b7a",
+            f"step|{step}|0b66459350ad82b6",
+            "complete|fcb85d97e1781eb1",
+            "compile|c9cc98bfcd43b379",
+        ]
+
+    def test_fault_free_call_hashes_nothing(self, monkeypatch):
+        import repro.runtime.retry as retry_mod
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            retry_mod, "content_digest",
+            counting("content_digest", retry_mod.content_digest),
+        )
+        monkeypatch.setattr(
+            retry_mod, "guidance_key",
+            counting("guidance_key", retry_mod.guidance_key),
+        )
+        monkeypatch.setattr(
+            RetryPolicy, "delays", counting("delays", RetryPolicy.delays)
+        )
+        policy = RetryPolicy(max_retries=2, seed=0)
+        entries = build_default_database().for_compiler("quartus")[:1]
+        session = Guard(SimulatedLLM(seed=3), policy).start(BROKEN, "quartus", True)
+        session.step(BROKEN, "feedback", [])
+        session.step(BROKEN, "feedback", entries)
+        assert Guard(Compiler("quartus"), policy).compile(GOOD).ok
+        assert session.session_key == ""
+        assert calls == Counter()

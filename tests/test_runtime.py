@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.fixer import RTLFixer
 from repro.dataset import ProblemSet, build_syntax_dataset, verilogeval
+from repro.diagnostics import compile_source
 from repro.eval import run_table2
 from repro.eval.runner import run_fix_experiment
 from repro.runtime import (
@@ -44,12 +45,13 @@ def tiny_problems():
 
 
 class TestCompileKey:
-    def test_flavors_do_not_collide(self):
-        """iverilog and quartus renderings of the same source must be
-        distinct cache entries (the rendered feedback differs)."""
-        assert compile_key(BROKEN, flavor="iverilog") != compile_key(
-            BROKEN, flavor="quartus"
-        )
+    def test_flavors_share_one_key(self):
+        """The flavor only picks the renderer, so it is no part of the
+        content address: every flavor of a source shares one key."""
+        cache = CompileCache()
+        cache.compile(BROKEN, flavor="iverilog")
+        cache.compile(BROKEN, flavor="quartus")
+        assert len(cache) == 1 and compile_key(BROKEN) in cache
 
     def test_name_and_includes_participate(self):
         assert compile_key(GOOD, name="a.v") != compile_key(GOOD, name="b.v")
@@ -120,18 +122,32 @@ class TestCompileCache:
         assert cache.stats.hits == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
-    def test_flavor_distinguishes_results(self):
+    def test_flavors_share_one_entry(self):
         cache = CompileCache()
         iv = cache.compile(BROKEN, flavor="iverilog")
         qu = cache.compile(BROKEN, flavor="quartus")
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        # One analysis: the second flavor is a hit on the first's entry.
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert iv.flavor == "iverilog" and qu.flavor == "quartus"
         assert iv.log != qu.log
         assert "Error (10161)" in qu.log  # Quartus tag, iverilog has none
-        # Each flavor now hits its own entry.
+        # Each flavor gets the same view again on a repeat.
         assert cache.compile(BROKEN, flavor="quartus") is qu
         assert cache.compile(BROKEN, flavor="iverilog") is iv
-        assert compile_key(BROKEN, flavor="quartus") in cache
+        assert compile_key(BROKEN) in cache
+
+    def test_log_renders_once(self, monkeypatch):
+        import repro.diagnostics.compiler as compiler_mod
+
+        renders = []
+        render = compiler_mod.render_log
+        monkeypatch.setattr(
+            compiler_mod, "render_log",
+            lambda result: renders.append(result.flavor) or render(result),
+        )
+        result = CompileCache().compile(BROKEN, flavor="quartus")
+        assert result.log is result.log
+        assert renders == ["quartus"]
 
     def test_held_state_stays_within_maxsize(self):
         # Nothing the cache or its stats hold may grow with the number
@@ -271,6 +287,82 @@ class TestPerTrialProgress:
         assert [d for d, _ in events] == list(range(1, total + 1))
 
 
+class TestFlavorViews:
+    """The cache holds one analysis per source and hands each flavor a
+    view of it: every view must equal a cold compile at its flavor."""
+
+    FLAVORS = ("simple", "iverilog", "quartus")
+
+    @pytest.mark.parametrize("first", FLAVORS)
+    def test_views_match_cold_compiles(self, tiny_dataset, first):
+        sources = list(dict.fromkeys(
+            [entry.code for entry in tiny_dataset.entries] + [BROKEN, GOOD]
+        ))
+        order = (first,) + tuple(f for f in self.FLAVORS if f != first)
+        cache = CompileCache()
+        for code in sources:
+            views = {flavor: cache.compile(code, flavor=flavor) for flavor in order}
+            entry = views[first]
+            for flavor, view in views.items():
+                cold = compile_source(code, flavor=flavor)
+                assert (
+                    view.flavor, view.ok, view.crashed, view.categories, view.log
+                ) == (
+                    cold.flavor, cold.ok, cold.crashed, cold.categories, cold.log
+                )
+                assert view.diagnostics is entry.diagnostics
+                assert view.design is entry.design
+                assert view.elaborated is entry.elaborated
+                assert cache.compile(code, flavor=flavor) is view
+        # One miss per source; the other flavors and the repeats all hit.
+        assert cache.stats.misses == len(sources)
+        assert cache.stats.hits == 5 * len(sources)
+
+
+    def test_threads_share_one_analysis(self):
+        # Serve workers race on the first view of an entry: a race may
+        # build two equal views, never a wrong flavor or a second entry.
+        import sys
+        import threading
+
+        sources = [BROKEN, GOOD, BROKEN.replace("clk", "clock")]
+        cold = {
+            (code, flavor): compile_source(code, flavor=flavor).log
+            for code in sources for flavor in self.FLAVORS
+        }
+        cache = CompileCache()
+        errors = []
+
+        def worker(offset):
+            try:
+                for round_ in range(30):
+                    for i, code in enumerate(sources):
+                        flavor = self.FLAVORS[(offset + round_ + i) % 3]
+                        view = cache.compile(code, flavor=flavor)
+                        assert view.flavor == flavor
+                        assert view.log == cold[code, flavor]
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == len(sources) and cache.stats.misses == len(sources)
+        stats = cache.stats
+        assert stats.hits + stats.misses + stats.coalesced == 8 * 30 * len(sources)
+
+
 class TestReferenceCompilationCaching:
     def test_table2_compiles_each_reference_once(self, tiny_problems, monkeypatch):
         import repro.diagnostics.compiler as compiler_mod
@@ -278,9 +370,9 @@ class TestReferenceCompilationCaching:
         cold = Counter()
         compile_cold = compiler_mod.compile_source
 
-        def spy_cold(code, **kwargs):
+        def spy_cold(code, flavor="iverilog", **kwargs):
             cold[compile_key(code, **kwargs)] += 1
-            return compile_cold(code, **kwargs)
+            return compile_cold(code, flavor=flavor, **kwargs)
 
         monkeypatch.setattr(compiler_mod, "compile_source", spy_cold)
         with scoped(compile_cache=CompileCache()):

@@ -447,6 +447,36 @@ class TestSlotStore:
             assert dict(compiled.state.values) == dict(interp.state.values)
         assert {"z", "q"} <= set(compiled.state.values)
 
+    def _counter_store(self):
+        sim = make_simulator(elaborate(COUNTER), engine="compiled")
+        sim.step({"clk": 0, "reset": 1, "d": 3})
+        sim.step({"clk": 1})
+        sim.step({"clk": 0, "reset": 0})
+        return sim.state.values
+
+    def test_unchanged_known_slot_reads_one_box(self):
+        values = self._counter_store()
+        assert values["q"] == Logic(4, 0)
+        assert values["q"] is values["q"]
+        assert values.get("d") is values["d"]
+
+    @pytest.mark.parametrize("lowered", [True, False])
+    def test_rollback_is_seen_through_the_view(self, lowered):
+        # Lowered writes and rollback touch only ``known``: a box kept
+        # from before must not outlive the bits it was made from.
+        values = self._counter_store()
+        slot = values.slots["q"]
+        before = values["q"]
+        mark = len(values.log)
+        if lowered:  # what a lowered closure's write does
+            values.log.append((slot, values.known[slot]))
+            values.known[slot] = 9
+        else:
+            values["q"] = Logic(4, 9)
+        assert values["q"] == Logic(4, 9)
+        values.rollback(mark)
+        assert values["q"] == before == Logic(4, 0)
+
     def test_quiescent_skip_charges_like_the_interpreter(self):
         code = (
             "module m(input [7:0] a, input [7:0] b, output [7:0] y);\n"
