@@ -509,7 +509,7 @@ def _verdict_summary(result):
 
 def test_llm_pool_routed_vs_direct(benchmark):
     """Routing every model call through the pool (header round-trip,
-    limiter, ledger) must stay cheap next to a direct SimulatedLLM run
+    guard, ledger) must stay cheap next to a direct SimulatedLLM run
     -- and bit-identical, which is what lets reports leave it on."""
     from repro.llm.pool import RoutingSpec
     from repro.runtime import TokenCounter

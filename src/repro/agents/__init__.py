@@ -1,4 +1,5 @@
-"""Agents: the ReAct debugging loop and the One-shot baseline."""
+"""Agents: the ReAct debugging loop, the One-shot baseline and the §5
+simulation-debugging agent, each a configuration of the repair engine."""
 
 from .oneshot import OneShotAgent
 from .prompts import (

@@ -88,6 +88,13 @@ class ReActAgent:
     trial) is served from the whole-result compile cache.
     """
 
+    #: The engine loop this agent runs; ``max_iterations`` comes from
+    #: the agent.
+    engine_config = _REACT_CONFIG
+    #: Record each retrieval as a RAG transcript turn (One-shot only
+    #: puts the guidance into the prompt).
+    rag_turn = True
+
     def __init__(
         self,
         model: RepairModel,
@@ -109,7 +116,7 @@ class ReActAgent:
         self.on_turn = on_turn
 
     def _engine(self) -> RepairEngine:
-        """Assemble the ReAct configuration of the repair engine.
+        """Assemble this agent's configuration of the repair engine.
 
         Built per run (cheap: plain object composition) so post-
         construction reassignment of ``on_turn`` -- the repair server
@@ -121,16 +128,18 @@ class ReActAgent:
                 use_rag=self.retriever is not None,
             ),
             localizer=(
-                DiagnosticLocalizer(self.retriever)
+                DiagnosticLocalizer(self.retriever, record_turn=self.rag_turn)
                 if self.retriever is not None else None
             ),
-            config=replace(_REACT_CONFIG, max_iterations=self.max_iterations),
+            config=replace(
+                self.engine_config, max_iterations=self.max_iterations
+            ),
             prefix=RuleFixProposer() if self.apply_rule_fix else None,
             on_turn=self.on_turn,
         )
 
     def run(self, code: str, description: str = "") -> AgentResult:
-        """Debug ``code`` with the ReAct loop until it compiles or the
+        """Debug ``code`` with the engine loop until it compiles or the
         iteration budget runs out."""
         outcome = self._engine().run(code)
         return AgentResult(

@@ -37,7 +37,7 @@ def _llm_line(ledger: dict, routing_text: str) -> str:
         f"# llm: pool {routing_text}; {ledger['calls']} call(s), "
         f"{ledger['total_tokens']} tokens (~${ledger['cost_usd']:.4f}); "
         f"escalations={ledger['escalations']} failovers={ledger['failovers']} "
-        f"hedges={ledger['hedges']} throttled={ledger['throttled']} "
+        f"hedges={ledger['hedges']} "
         f"failures={ledger['failures']}"
     )
 

@@ -100,12 +100,6 @@ class RTLFixerConfig:
     #: tail latency.  The primary's reply is always preferred, so this
     #: is timing-only (execution knob, excluded from the config digest).
     llm_hedge: float = 0.0
-    #: Per-backend client-side rate limit in requests/second (0 =
-    #: unlimited).  Timing-only (execution knob).
-    llm_rate: float = 0.0
-    #: Per-backend in-flight call cap (0 = unlimited).  Timing-only
-    #: (execution knob).
-    llm_concurrency: int = 0
 
     def __post_init__(self) -> None:
         if self.prompting not in ("react", "oneshot"):
@@ -153,10 +147,6 @@ class RTLFixerConfig:
             )
         if not 0.0 <= self.llm_hedge <= 1.0:
             raise ValueError(f"llm_hedge must be in [0, 1], got {self.llm_hedge}")
-        if self.llm_rate < 0:
-            raise ValueError("llm_rate must be >= 0 (0 = unlimited)")
-        if self.llm_concurrency < 0:
-            raise ValueError("llm_concurrency must be >= 0 (0 = unlimited)")
 
     def label(self) -> str:
         """Human-readable configuration summary for reports."""

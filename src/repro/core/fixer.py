@@ -123,7 +123,7 @@ class RTLFixer:
         iteration budget runs out).
 
         With ``config.deadline_s`` set, the whole repair runs under an
-        ambient :class:`~repro.service.Deadline`: the ReAct loop and
+        ambient :class:`~repro.service.Deadline`: the repair loop and
         the retry layer stop mid-run with
         :class:`~repro.errors.DeadlineExceededError` once the budget is
         gone.  An already-scoped ambient deadline (the repair service's

@@ -15,14 +15,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class VerilogInternalError(ReproError):
-    """The Verilog front-end reached an inconsistent internal state.
-
-    This indicates a bug in the front-end, never in user code: user-code
-    problems are reported as diagnostics instead.
-    """
-
-
 class ResourceLimitExceeded(ReproError):
     """A cooperative resource budget of the compiler front-end ran out.
 
@@ -93,10 +85,6 @@ class SimLimitExceeded(SimulationError):
 class DatasetError(ReproError):
     """A dataset could not be built or loaded (bad problem id, corpus
     inconsistency, failed error injection)."""
-
-
-class AgentError(ReproError):
-    """An agent was driven incorrectly (e.g. action emitted after Finish)."""
 
 
 class RetrievalError(ReproError):

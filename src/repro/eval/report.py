@@ -100,8 +100,8 @@ class FullReport:
     #: from ``to_json`` like the rest.
     sim: dict = field(default_factory=dict)
     #: LLM pool telemetry (routing description plus the run's
-    #: TokenCounter ledger: per-backend tokens, cost, throttles,
-    #: hedges, failovers, escalations).  Populated only when the run
+    #: TokenCounter ledger: per-backend tokens, cost, hedges,
+    #: failovers, escalations).  Populated only when the run
     #: was routed through a pool.  Runtime telemetry -- excluded from
     #: ``to_json``, so a pooled run over simulated tiers produces a
     #: report byte-identical to the direct run.
@@ -158,9 +158,9 @@ def report_manifest(scale: ReportScale, llm: Optional[dict] = None) -> dict:
     the run routes through an LLM pool -- the pool spec and escalation
     policy (they can change which model answers, so a pooled run must
     not resume a direct run's journal).  Execution knobs (``jobs``,
-    ``on_error``, breaker threshold, hedging/limiter settings) are free
-    to change between a run and its resume; omitting the ``llm`` key
-    when no pool is configured keeps old manifests valid.
+    ``on_error``, breaker threshold, hedging) are free to change
+    between a run and its resume; omitting the ``llm`` key when no pool
+    is configured keeps old manifests valid.
     """
     manifest = {"kind": "full_report", "scale": vars(scale)}
     if llm:
@@ -229,8 +229,8 @@ def run_full_report(
     llm_manifest: Optional[dict] = None
     if routing is not None:
         # Only the result-relevant routing bits: the ladder and the
-        # escalation policy.  Hedging and limiter settings are timing-
-        # only and may change between a run and its resume.
+        # escalation policy.  Hedging is timing-only and may change
+        # between a run and its resume.
         llm_manifest = {
             "pool": ",".join(f"{m.name}={m.tier}" for m in routing.members),
             "escalate_after": routing.escalate_after,

@@ -8,9 +8,7 @@ The pool puts N configured chat backends behind the single
   (:class:`BackendSpec`), weakest/cheapest first.  Each member is a raw
   :class:`~repro.llm.base.LLMClient` (simulated or OpenAI, see
   :mod:`repro.llm.backends`) behind a :class:`~repro.runtime.retry.Guard`
-  (retries, plus optional fault injection for offline outage testing),
-  with a deterministic :class:`~repro.runtime.limiter.TokenBucket` rate
-  limiter and a :class:`~repro.runtime.limiter.ConcurrencyGate`;
+  (retries, plus optional fault injection for offline outage testing);
 * **routing** -- a session starts on the member matching the requested
   tier and *escalates* one rung after every ``escalate_after`` failed
   ReAct iterations (the agent reports outcomes through the duck-typed
@@ -24,13 +22,13 @@ The pool puts N configured chat backends behind the single
   the primary's reply is always preferred, so hedging changes *latency*
   (the failover rung is already warm when the primary dies), never
   results;
-* **accounting** -- every call books estimated tokens / cost / waits
-  into the process-active :class:`~repro.runtime.accounting.TokenCounter`
+* **accounting** -- every call books estimated tokens / cost / hedges
+  / failovers into the process-active :class:`~repro.runtime.accounting.TokenCounter`
   (surfaced as ``report.llm`` and the ``# llm:`` CLI line).
 
 Determinism contract: which member answers and what it replies are pure
 functions of ``(routing spec, seed, conversation content, observed
-failures)``; the limiter and gate shape timing only.  A pooled run over
+failures)``; hedging shapes timing only.  A pooled run over
 simulated members is therefore bit-identical to the direct
 :class:`~repro.llm.SimulatedLLM` path at any ``--jobs``.
 """
@@ -53,7 +51,6 @@ from ..runtime.accounting import (
 )
 from ..runtime.checkpoint import content_digest
 from ..runtime.faults import FaultInjector, FaultSpec, stable_unit
-from ..runtime.limiter import ConcurrencyGate, TokenBucket
 from ..runtime.retry import Guard, RetryPolicy, messages_key
 from .base import ChatMessage, RepairStep
 from .backends.openai import OpenAIChatClient
@@ -116,10 +113,6 @@ class RoutingSpec:
     #: Probability (seeded, per call) of duplicating a request to the
     #: next rung for tail latency.  0 disables hedging.
     hedge_rate: float = 0.0
-    #: Per-member token-bucket refill in requests/second (0 = unlimited).
-    rate: float = 0.0
-    #: Per-member in-flight call cap (0 = unlimited).
-    concurrency: int = 0
     #: Retry budget of each member's guard.
     max_retries: int = 2
     #: name -> FaultSpec chaos injection per member (offline testing).
@@ -135,10 +128,6 @@ class RoutingSpec:
             raise LLMError("escalate_after must be >= 0 (0 = never)")
         if not 0.0 <= self.hedge_rate <= 1.0:
             raise LLMError(f"hedge_rate must be in [0, 1], got {self.hedge_rate}")
-        if self.rate < 0:
-            raise LLMError("rate must be >= 0 (0 = unlimited)")
-        if self.concurrency < 0:
-            raise LLMError("concurrency must be >= 0 (0 = unlimited)")
         if self.max_retries < 0:
             raise LLMError("max_retries must be >= 0")
 
@@ -148,8 +137,6 @@ class RoutingSpec:
         *,
         escalate_after: int = 0,
         hedge_rate: float = 0.0,
-        rate: float = 0.0,
-        concurrency: int = 0,
         max_retries: int = 2,
     ) -> "RoutingSpec":
         """Parse the CLI/config pool string.
@@ -172,8 +159,6 @@ class RoutingSpec:
             members=tuple(members),
             escalate_after=escalate_after,
             hedge_rate=hedge_rate,
-            rate=rate,
-            concurrency=concurrency,
             max_retries=max_retries,
         )
 
@@ -197,10 +182,6 @@ class RoutingSpec:
             extras.append(f"escalate_after={self.escalate_after}")
         if self.hedge_rate:
             extras.append(f"hedge={self.hedge_rate:g}")
-        if self.rate:
-            extras.append(f"rate={self.rate:g}/s")
-        if self.concurrency:
-            extras.append(f"concurrency={self.concurrency}")
         return ladder + (f" ({', '.join(extras)})" if extras else "")
 
 
@@ -211,7 +192,7 @@ def _make_raw_client(spec: BackendSpec, seed: int):
 
 
 class PoolMember:
-    """One runtime rung of the ladder: wrapped client + limiter + gate."""
+    """One runtime rung of the ladder: a raw client behind its guard."""
 
     def __init__(
         self,
@@ -236,11 +217,6 @@ class PoolMember:
         self.client = Guard(
             self.raw, policy, self.injector, sleep=sleep, clock=clock
         )
-        self.limiter = TokenBucket(
-            routing.rate, burst=max(1, routing.concurrency or 1),
-            clock=clock, sleep=sleep,
-        )
-        self.gate = ConcurrencyGate(routing.concurrency)
 
     def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
         prompt_price, completion_price = self.spec.prices
@@ -323,13 +299,10 @@ class LLMPool:
     ) -> str:
         member = self.members[index]
         name = member.spec.name
-        waited = member.limiter.acquire()
-        counter.record_throttle(name, waited)
         if hedge:
             counter.record_hedge(name)
         try:
-            with member.gate:
-                reply = member.client.complete(messages, temperature=temperature)
+            reply = member.client.complete(messages, temperature=temperature)
         except (TransientError, RetryExhaustedError, LLMError):
             counter.record_failure(name)
             raise
@@ -565,8 +538,6 @@ def routing_from_config(config) -> Optional[RoutingSpec]:
             config.llm_pool,
             escalate_after=config.llm_escalate_after,
             hedge_rate=config.llm_hedge,
-            rate=config.llm_rate,
-            concurrency=config.llm_concurrency,
             max_retries=config.max_retries,
         )
     return current().get("llm_routing")

@@ -25,10 +25,6 @@ class ParsedError:
     #: Named details scraped from the message (signal names, indices...).
     details: dict = field(default_factory=dict)
 
-    @property
-    def is_specific(self) -> bool:
-        return self.category is not None
-
 
 def detect_flavor(feedback: str) -> str:
     """Classify a feedback string as quartus / iverilog / simple."""

@@ -4,11 +4,11 @@ One engine, three plug points (:class:`~repro.repair.base.Oracle`,
 :class:`~repro.repair.base.Localizer`,
 :class:`~repro.repair.base.Proposer`) and a small
 :class:`~repro.repair.base.EngineConfig` of per-flavor knobs.  The
-ReAct syntax agent and the simulation-debugging agent are both thin
-configurations of this loop (bit-identical to their pre-refactor
-hand-rolled versions -- ``tests/data/repair_digest.sha256``, recorded
-from those loops, pins that), and the Table-4 functional-repair
-workload is a third.
+ReAct syntax agent, its One-shot baseline and the simulation-debugging
+agent are thin configurations of this loop (bit-identical to their
+earlier hand-rolled versions -- ``tests/data/repair_digest.sha256``
+and ``repair_digest_oneshot.sha256``, recorded from those loops, pin
+that), and the Table-4 functional-repair workload is another.
 
 Cross-cutting service seams live here exactly once:
 

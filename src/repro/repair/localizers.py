@@ -29,10 +29,14 @@ from .base import Localization, OracleVerdict, Suspect
 
 
 class DiagnosticLocalizer:
-    """Retrieve expert guidance for a compiler log (the RAG action)."""
+    """Retrieve expert guidance for a compiler log (the RAG action).
 
-    def __init__(self, retriever: Optional[Retriever]):
+    ``record_turn=False`` feeds the guidance to the prompt only, with no
+    RAG transcript turn (the One-shot baseline)."""
+
+    def __init__(self, retriever: Optional[Retriever], record_turn: bool = True):
         self.retriever = retriever
+        self.record_turn = record_turn
 
     def localize(self, code: str, verdict: OracleVerdict) -> Localization:
         feedback = verdict.feedback
@@ -46,7 +50,7 @@ class DiagnosticLocalizer:
         if self.retriever is not None and feedback and not crashed:
             guidance = [r.entry for r in self.retriever.retrieve(feedback)]
         turn = None
-        if guidance:
+        if guidance and self.record_turn:
             turn = dict(
                 thought="I should look up expert guidance for this "
                 "compiler log.",

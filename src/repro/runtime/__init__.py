@@ -95,12 +95,11 @@ from .accounting import (
     TokenCounter,
     estimate_tokens,
 )
-from .limiter import ConcurrencyGate, TokenBucket
+from .limiter import TokenBucket
 
 __all__ = [
     "BackendUsage",
     "CacheStats",
-    "ConcurrencyGate",
     "DEFAULT_TOKEN_COUNTER",
     "TokenBucket",
     "TokenCounter",

@@ -2,8 +2,8 @@
 
 The paper reports its results along a cost axis (gpt-3.5 vs gpt-4);
 a production deployment needs the same axis live: how many tokens each
-backend consumed, what they cost, and how often the pool throttled,
-hedged, failed over or escalated.  This module is the ledger:
+backend consumed, what they cost, and how often the pool hedged,
+failed over or escalated.  This module is the ledger:
 
 * :class:`BackendUsage` -- one backend's counters;
 * :class:`TokenCounter` -- thread-safe roll-up across backends, with a
@@ -51,10 +51,6 @@ class BackendUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cost_usd: float = 0.0
-    #: throttle accounting: how often the limiter imposed a wait, and
-    #: the total seconds of imposed wait.
-    throttled: int = 0
-    wait_seconds: float = 0.0
     #: calls duplicated to the next backend for tail latency.
     hedges: int = 0
     #: hedged calls whose duplicate actually supplied the reply.
@@ -77,8 +73,6 @@ class BackendUsage:
             "completion_tokens": self.completion_tokens,
             "total_tokens": self.total_tokens,
             "cost_usd": round(self.cost_usd, 6),
-            "throttled": self.throttled,
-            "wait_seconds": round(self.wait_seconds, 4),
             "hedges": self.hedges,
             "hedge_wins": self.hedge_wins,
             "failovers": self.failovers,
@@ -121,13 +115,6 @@ class TokenCounter:
             usage.cost_usd += cost_usd
             usage.failovers += int(failover)
             usage.escalations += int(escalated)
-
-    def record_throttle(self, backend: str, wait_seconds: float) -> None:
-        usage = self.usage(backend)
-        with self._lock:
-            if wait_seconds > 0.0:
-                usage.throttled += 1
-                usage.wait_seconds += wait_seconds
 
     def record_hedge(self, backend: str) -> None:
         usage = self.usage(backend)
@@ -183,7 +170,6 @@ class TokenCounter:
             "failovers": self.total("failovers"),
             "hedges": self.total("hedges"),
             "hedge_wins": self.total("hedge_wins"),
-            "throttled": self.total("throttled"),
             "failures": self.total("failures"),
         }
 

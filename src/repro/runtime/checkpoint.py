@@ -63,13 +63,10 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "on_error",
         "run_dir",
         "breaker_threshold",
-        # Pool timing knobs: hedging is primary-preferred and the
-        # limiter/concurrency caps shape latency only, so none of them
-        # can change a trial's result.  llm_pool / llm_escalate_after
-        # DO change which model answers and stay in the digest.
+        # Pool timing knob: hedging is primary-preferred, so it cannot
+        # change a trial's result.  llm_pool / llm_escalate_after DO
+        # change which model answers and stay in the digest.
         "llm_hedge",
-        "llm_rate",
-        "llm_concurrency",
     }
 )
 

@@ -1,19 +1,11 @@
-"""Deterministic client-side rate limiting for LLM backends.
+"""Deterministic token-bucket admission control.
 
-Every API-backed backend publishes a requests-per-second budget and an
-in-flight cap.  The pool (:mod:`repro.llm.pool`) enforces both *client
-side* so a run never trips a provider's limiter:
-
-* :class:`TokenBucket` -- the classic token bucket, but with the wait
-  computed **arithmetically** from the bucket state (never from retry
-  loops or wall-clock polling), so at a fixed injected clock the full
-  admission schedule is reproducible down to the microsecond;
-* :class:`ConcurrencyGate` -- a counting in-flight cap (bounded
-  semaphore) with peak/wait statistics.
-
-Both shape *timing only*: they delay or serialize calls but never
-change which backend answers or what it replies, so rate-limited runs
-stay bit-identical to unlimited ones (the pool's determinism contract).
+The repair service (:mod:`repro.service.scheduler`) gives every tenant
+a :class:`TokenBucket` quota and sheds a request beyond it instead of
+delaying it.  The bucket's balance is pure arithmetic over
+``(tokens, rate, clock())`` -- never retry loops or wall-clock polling
+-- so at a fixed injected clock every admission decision is
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,22 +14,15 @@ import threading
 import time
 from typing import Callable
 
-SleepFn = Callable[[float], None]
 ClockFn = Callable[[], float]
 
 
 class TokenBucket:
-    """Token-bucket rate limiter with a deterministic admission schedule.
+    """Token bucket with a deterministic, non-blocking admission test.
 
     ``rate`` is the refill in tokens per second (0 = unlimited, every
-    acquire is free); ``burst`` is the bucket capacity (how many calls
-    may go out back-to-back after an idle period).  :meth:`acquire`
-    blocks (via the injected ``sleep``) until a token is available and
-    returns the wait it imposed, so callers can account throttle time.
-
-    The wait is pure arithmetic over ``(tokens, rate, clock())``: two
-    runs with the same clock observe the same schedule, which is what
-    makes limiter behaviour assertable in tests.
+    request is admitted); ``burst`` is the bucket capacity (how many
+    requests may go out back-to-back after an idle period).
     """
 
     def __init__(
@@ -45,7 +30,6 @@ class TokenBucket:
         rate: float,
         burst: int = 1,
         clock: ClockFn = time.monotonic,
-        sleep: SleepFn = time.sleep,
     ):
         if rate < 0:
             raise ValueError(f"rate must be >= 0 (0 = unlimited), got {rate}")
@@ -54,14 +38,11 @@ class TokenBucket:
         self.rate = rate
         self.burst = burst
         self._clock = clock
-        self._sleep = sleep
         self._tokens = float(burst)
         self._updated = clock()
         self._lock = threading.Lock()
-        #: observability: total acquires, total imposed wait, and
-        #: non-blocking refusals (:meth:`try_acquire` shed decisions).
+        #: observability: tokens granted and requests refused (shed).
         self.acquires = 0
-        self.waited = 0.0
         self.refusals = 0
 
     def _refill(self, now: float) -> None:
@@ -71,34 +52,12 @@ class TokenBucket:
             )
         self._updated = now
 
-    def acquire(self) -> float:
-        """Take one token, sleeping until it exists; returns the wait."""
-        if self.rate <= 0:
-            with self._lock:
-                self.acquires += 1
-            return 0.0
-        with self._lock:
-            self.acquires += 1
-            self._refill(self._clock())
-            self._tokens -= 1.0
-            # A negative balance is a reservation: this call owes
-            # -tokens/rate seconds before its slot arrives.  Computing
-            # the debt inside the lock keeps concurrent acquirers
-            # strictly ordered; sleeping outside it keeps them parallel.
-            wait = max(0.0, -self._tokens / self.rate)
-            self.waited += wait
-        if wait > 0.0:
-            self._sleep(wait)
-        return wait
-
     def try_acquire(self) -> bool:
         """Take one token only if it is available *right now*.
 
-        The non-blocking admission-control variant used for per-tenant
-        service quotas (:mod:`repro.service.scheduler`): unlike
-        :meth:`acquire` it never sleeps and never goes into token debt
-        -- a request beyond the quota is refused (shed) instead of
-        delayed.  Returns True when a token was taken.
+        Never sleeps and never goes into token debt: a request beyond
+        the quota is refused (shed) instead of delayed.  Returns True
+        when a token was taken.
         """
         if self.rate <= 0:
             with self._lock:
@@ -124,41 +83,8 @@ class TokenBucket:
 
     def __getstate__(self) -> dict:
         # Reset transient state (lock, balance) across pickling: a
-        # limiter travelling into a pool worker starts a fresh window.
+        # bucket travelling into a worker process starts a fresh window.
         return {"rate": self.rate, "burst": self.burst}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["rate"], state["burst"])
-
-
-class ConcurrencyGate:
-    """In-flight call cap (0 = unlimited) with peak tracking."""
-
-    def __init__(self, limit: int = 0):
-        if limit < 0:
-            raise ValueError(f"limit must be >= 0 (0 = unlimited), got {limit}")
-        self.limit = limit
-        self._sem = threading.BoundedSemaphore(limit) if limit else None
-        self._lock = threading.Lock()
-        self._in_flight = 0
-        self.peak = 0
-
-    def __enter__(self) -> "ConcurrencyGate":
-        if self._sem is not None:
-            self._sem.acquire()
-        with self._lock:
-            self._in_flight += 1
-            self.peak = max(self.peak, self._in_flight)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._in_flight -= 1
-        if self._sem is not None:
-            self._sem.release()
-
-    def __getstate__(self) -> dict:
-        return {"limit": self.limit}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["limit"])

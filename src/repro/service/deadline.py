@@ -67,11 +67,6 @@ class Deadline:
         self._clock = clock
         self._expires_at = clock() + self.budget_s
 
-    @property
-    def expires_at(self) -> float:
-        """Absolute expiry instant on the deadline's own clock."""
-        return self._expires_at
-
     def remaining(self) -> float:
         """Seconds until expiry (negative once expired)."""
         return self._expires_at - self._clock()

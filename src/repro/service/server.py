@@ -273,7 +273,7 @@ class RepairServer:
                     attempts=self.config.max_retries + 1,
                 )
             fixer = RTLFixer(config=job.config, database=self._database)
-            if job.events is not None and hasattr(fixer.agent, "on_turn"):
+            if job.events is not None:
                 loop, events = self._loop, job.events
                 fixer.agent.on_turn = lambda turn: loop.call_soon_threadsafe(
                     events.put_nowait, ("iteration", turn_event(turn))

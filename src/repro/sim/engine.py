@@ -42,13 +42,11 @@ repair loops) skip the lowering pass entirely.
 :func:`make_simulator` is the engine-selecting constructor every harness
 (testbench, feedback, fuzz, CLI) routes through; the process-wide
 default is ``compiled`` and can be overridden with
-``scoped(sim_engine=...)`` (:mod:`repro.scope`) or the
-``REPRO_SIM_ENGINE`` environment variable.
+``scoped(sim_engine=...)`` (:mod:`repro.scope`).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import Optional
 
@@ -445,10 +443,8 @@ class CompiledSimulator(Simulator):
 # ---------------------------------------------------------------------------
 
 #: The engine used when neither the caller nor the runtime scope names
-#: one: ``REPRO_SIM_ENGINE`` when it names a known engine, else compiled.
+#: one.
 DEFAULT_SIM_ENGINE = "compiled"
-if os.environ.get("REPRO_SIM_ENGINE") in SIM_ENGINES:
-    DEFAULT_SIM_ENGINE = os.environ["REPRO_SIM_ENGINE"]
 
 
 @check("sim_engine")

@@ -107,12 +107,6 @@ class Logic:
             raw -= 1 << self.width
         return raw
 
-    def arith_int(self) -> int | None:
-        """Integer for arithmetic, None if any bit is unknown."""
-        if self.xmask:
-            return None
-        return self.to_signed_int() if self.signed else self.bits
-
     # -- width adjustment ---------------------------------------------------
 
     def resize(self, width: int, signed: bool | None = None) -> "Logic":

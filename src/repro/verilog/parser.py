@@ -96,10 +96,6 @@ class Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
-
     def advance(self) -> Token:
         tok = self.cur
         if self.pos < len(self.tokens) - 1:

@@ -1,16 +1,14 @@
-"""LLM backend pool suite: limiter/accounting primitives, spec parsing,
+"""LLM backend pool suite: the accounting ledger, spec parsing,
 the simulated round trip, tier routing, escalation-after-K, hedging,
 failover under chaos outages, and the determinism contract (pooled ==
 direct, bit-identical at any job count).
 
-The chaos-marked classes double as the ``scripts/ci.sh`` pool-chaos
-stage: an outage of each tier, with the circuit breaker armed for the
-no-rung-left case.
+The chaos-marked classes (``pytest -m chaos``) drill an outage of each
+tier, with the circuit breaker armed for the no-rung-left case.
 """
 
 import dataclasses
 import pickle
-import threading
 
 import pytest
 
@@ -35,10 +33,8 @@ from repro.llm.pool import (
 )
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
-    ConcurrencyGate,
     FaultSpec,
     ParallelRunner,
-    TokenBucket,
     TokenCounter,
     estimate_tokens,
 )
@@ -65,100 +61,11 @@ def tiny_dataset():
     )
 
 
-class _FakeClock:
-    """Injectable clock+sleep pair: sleeping advances the clock."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(round(seconds, 9))
-        self.now += seconds
-
-
-class TestTokenBucket:
-    def test_unlimited_never_waits(self):
-        fake = _FakeClock()
-        bucket = TokenBucket(0.0, clock=fake.clock, sleep=fake.sleep)
-        assert [bucket.acquire() for _ in range(5)] == [0.0] * 5
-        assert bucket.acquires == 5 and bucket.waited == 0.0
-
-    def test_admission_schedule_is_exact_arithmetic(self):
-        fake = _FakeClock()
-        bucket = TokenBucket(2.0, burst=1, clock=fake.clock, sleep=fake.sleep)
-        waits = [round(bucket.acquire(), 9) for _ in range(4)]
-        # First call spends the burst token; every later call owes
-        # exactly one refill period (1/rate = 0.5 s).
-        assert waits == [0.0, 0.5, 0.5, 0.5]
-        assert fake.sleeps == [0.5, 0.5, 0.5]
-        assert bucket.waited == pytest.approx(1.5)
-
-    def test_burst_admits_back_to_back(self):
-        fake = _FakeClock()
-        bucket = TokenBucket(2.0, burst=3, clock=fake.clock, sleep=fake.sleep)
-        waits = [round(bucket.acquire(), 9) for _ in range(5)]
-        assert waits == [0.0, 0.0, 0.0, 0.5, 0.5]
-
-    def test_idle_time_refills_up_to_burst(self):
-        fake = _FakeClock()
-        bucket = TokenBucket(1.0, burst=2, clock=fake.clock, sleep=fake.sleep)
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 0.0
-        fake.now += 100.0  # long idle: refills to burst, not beyond
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 0.0
-        assert round(bucket.acquire(), 9) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(-1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(1.0, burst=0)
-
-    def test_pickle_resets_transient_state(self):
-        bucket = TokenBucket(3.0, burst=2)
-        bucket.acquire()
-        clone = pickle.loads(pickle.dumps(bucket))
-        assert clone.rate == 3.0 and clone.burst == 2
-        assert clone.acquires == 0 and clone.waited == 0.0
-
-
-class TestConcurrencyGate:
-    def test_caps_in_flight_and_tracks_peak(self):
-        gate = ConcurrencyGate(2)
-        observed = []
-        barrier = threading.Barrier(4)
-
-        def work():
-            barrier.wait()
-            with gate:
-                observed.append(gate.peak)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert gate.peak <= 2
-
-    def test_unlimited_gate_is_transparent(self):
-        gate = ConcurrencyGate(0)
-        with gate:
-            assert gate.peak == 1
-        with pytest.raises(ValueError):
-            ConcurrencyGate(-1)
-
-
 class TestTokenCounter:
     def test_ledger_rolls_up_across_backends(self):
         counter = TokenCounter()
         counter.record_call("cheap", 100, 20, 0.001)
         counter.record_call("strong", 50, 10, 0.01, failover=True, escalated=True)
-        counter.record_throttle("cheap", 0.25)
         counter.record_hedge("strong")
         counter.record_hedge_win("strong")
         counter.record_failure("cheap")
@@ -166,17 +73,10 @@ class TestTokenCounter:
         assert ledger["calls"] == 2
         assert ledger["total_tokens"] == 180
         assert ledger["cost_usd"] == pytest.approx(0.011)
-        assert ledger["backends"]["cheap"]["throttled"] == 1
-        assert ledger["backends"]["cheap"]["wait_seconds"] == pytest.approx(0.25)
         assert ledger["backends"]["strong"]["failovers"] == 1
         assert ledger["backends"]["strong"]["escalations"] == 1
         assert ledger["backends"]["strong"]["hedge_wins"] == 1
         assert ledger["failures"] == 1
-
-    def test_zero_wait_throttle_not_counted(self):
-        counter = TokenCounter()
-        counter.record_throttle("cheap", 0.0)
-        assert counter.usage("cheap").throttled == 0
 
     def test_use_token_counter_scopes_the_active_ledger(self):
         outer = get_active_token_counter()
@@ -383,16 +283,6 @@ class TestPooledDeterminism:
         assert parallel.fixed_counts == serial.fixed_counts
         assert parallel.iterations == serial.iterations
 
-    def test_rate_limit_and_concurrency_do_not_change_results(self, tiny_dataset):
-        with scoped(llm_routing=RoutingSpec.parse(POOL)):
-            plain = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
-        limited = RoutingSpec.parse(POOL, rate=500.0, concurrency=2)
-        counter = TokenCounter()
-        with scoped(llm_routing=limited, token_counter=counter):
-            shaped = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
-        assert shaped.fixed_counts == plain.fixed_counts
-        assert shaped.iterations == plain.iterations
-
     def test_pooled_model_pickles_by_config(self):
         model = PooledRepairModel(
             RoutingSpec.parse(POOL, escalate_after=2), seed=9
@@ -405,9 +295,9 @@ class TestPooledDeterminism:
 
     def test_config_digest_treats_pool_knobs_correctly(self):
         base = RTLFixerConfig()
-        # Timing-only knobs: excluded from the trial-key digest.
+        # Timing-only knob: excluded from the trial-key digest.
         assert config_digest(base) == config_digest(
-            RTLFixerConfig(llm_hedge=0.5, llm_rate=10.0, llm_concurrency=4)
+            RTLFixerConfig(llm_hedge=0.5)
         )
         # Result-relevant knobs: included.
         assert config_digest(base) != config_digest(RTLFixerConfig(llm_pool=POOL))
@@ -451,7 +341,7 @@ class TestHedging:
 
 @pytest.mark.chaos
 class TestPoolChaos:
-    """Offline outage drills (the ci.sh pool-chaos stage)."""
+    """Offline outage drills of each pool rung."""
 
     def _outage(self, member: str, escalate_after: int = 0) -> RoutingSpec:
         return dataclasses.replace(

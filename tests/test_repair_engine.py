@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.agents import ReActAgent, SimDebugAgent
+from repro.core import RTLFixer
 from repro.dataset.corpus import verilogeval
 from repro.dataset.curate import build_syntax_dataset
 from repro.dataset.mutate import (
@@ -67,6 +68,11 @@ DATA = Path(__file__).parent / "data"
 REPAIR_DIGEST = DATA / "repair_digest.sha256"
 REACT_DIGEST = DATA / "repair_digest_react.sha256"
 SIMFIX_DIGEST = DATA / "repair_digest_simfix.sha256"
+#: sha256 over the result digest of every One-shot run on the same
+#: curated set under :data:`ONESHOT_CONFIGS`, plus one run through a
+#: scoped two-rung pool; recorded from the hand-rolled one-shot loop
+#: that the engine configuration replaced.
+ONESHOT_DIGEST = DATA / "repair_digest_oneshot.sha256"
 
 #: (flavor, use_rag, model seed) configurations of the ReAct half.
 REACT_CONFIGS = (
@@ -123,6 +129,54 @@ def simfix_records() -> tuple[bytes, ...]:
     return tuple(records)
 
 
+#: (flavor, use_rag, tier, apply_rule_fix, seed) configurations of the
+#: One-shot digest; the last is also run through a scoped two-rung pool.
+ONESHOT_CONFIGS = (
+    ("quartus", True, "gpt-3.5-sim", True, 0),
+    ("iverilog", True, "gpt-4-sim", True, 1),
+    ("simple", False, "gpt-3.5-sim", True, 2),
+    ("quartus", False, "gpt-4-sim", False, 3),
+    ("iverilog", False, "gpt-3.5-sim", False, 4),
+)
+ONESHOT_POOL = "cheap=gpt-3.5-sim,strong=gpt-4-sim"
+
+
+@functools.cache
+def oneshot_records() -> tuple[bytes, ...]:
+    """One record per One-shot run (through ``RTLFixer``), under fresh
+    compile and verdict caches.  Every eighth entry is also run wrapped
+    in a markdown fence, so the rule-based pre-fix has work to do."""
+    records = []
+    dataset = build_syntax_dataset(
+        verilogeval(), samples_per_problem=4, target_size=48
+    )
+    runs = [(config, None) for config in ONESHOT_CONFIGS]
+    runs.append((ONESHOT_CONFIGS[0], RoutingSpec.parse(ONESHOT_POOL)))
+    with scoped(compile_cache=CompileCache(), verdict_cache=VerdictCache()):
+        for (flavor, rag, tier, rule_fix, seed), routing in runs:
+            with scoped(llm_routing=routing, token_counter=TokenCounter()):
+                fixer = RTLFixer(
+                    prompting="oneshot", compiler=flavor, use_rag=rag,
+                    tier=tier, apply_rule_fix=rule_fix, seed=seed,
+                    database=DB,
+                )
+                tag = "pool" if routing is not None else "direct"
+                for i, entry in enumerate(dataset):
+                    inputs = [("raw", entry.code)]
+                    if i % 8 == 0:
+                        inputs.append(
+                            ("fenced", f"```verilog\n{entry.code}\n```\n")
+                        )
+                    for form, code in inputs:
+                        digest = result_digest(fixer.fix(code))
+                        records.append(
+                            f"oneshot|{tag}|{flavor}|{int(rag)}|{tier}"
+                            f"|{int(rule_fix)}|{seed}|{i}|{form}"
+                            f"|{entry.problem_id}|{digest}\0".encode()
+                        )
+    return tuple(records)
+
+
 def records_digest(*records: tuple[bytes, ...]) -> str:
     return hashlib.sha256(b"".join(b"".join(part) for part in records)).hexdigest()
 
@@ -152,6 +206,13 @@ class TestGoldenEquivalence:
 
     def test_frozen_repair_digest(self):
         assert repair_digest() == REPAIR_DIGEST.read_text().strip()
+
+    def test_oneshot_corpus_equivalence(self):
+        assert len(oneshot_records()) == 6 * (48 + 6)
+        assert (
+            records_digest(oneshot_records())
+            == ONESHOT_DIGEST.read_text().strip()
+        )
 
     def test_digest_covers_transcript(self):
         agent = ReActAgent(

@@ -3,6 +3,7 @@ retries, the lock-guarded circuit breaker, non-blocking quota buckets,
 weighted fair admission, the wire protocol, and the stats ledger."""
 
 import asyncio
+import pickle
 import threading
 
 import pytest
@@ -311,6 +312,34 @@ class TestTokenBucketTryAcquire:
         clock.advance(0.5)  # 2 tokens/s * 0.5s = 1 token back
         assert bucket.try_acquire()
         assert not bucket.try_acquire()
+
+    def test_idle_time_refills_up_to_burst(self):
+        clock = FakeClock()
+        bucket = TokenBucket(1.0, burst=2, clock=clock)
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
+        clock.advance(100.0)  # long idle: refills to burst, not beyond
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        clock.advance(1.0)
+        assert bucket.try_acquire()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            TokenBucket(-1.0)
+        with pytest.raises(ValueError):
+            TokenBucket(1.0, burst=0)
+
+    def test_pickle_resets_transient_state(self):
+        bucket = TokenBucket(3.0, burst=2)
+        bucket.try_acquire()
+        bucket.try_acquire()
+        assert not bucket.try_acquire()
+        clone = pickle.loads(pickle.dumps(bucket))
+        assert clone.rate == 3.0 and clone.burst == 2
+        assert clone.acquires == 0 and clone.refusals == 0
+        assert clone.available == 2.0
 
 
 def make_job(tenant: str, seed: int = 0, deadline=None) -> Job:
@@ -623,6 +652,18 @@ class TestAgentDeadlineAndObserver:
             with pytest.raises(DeadlineExceededError) as excinfo:
                 fixer.fix(self.BROKEN)
         assert excinfo.value.stage == "react-iteration"
+
+    def test_oneshot_stops_on_expired_deadline(self):
+        from repro.core import RTLFixer
+
+        clock = FakeClock()
+        deadline = Deadline(1.0, clock=clock)
+        clock.advance(2.0)
+        fixer = RTLFixer(prompting="oneshot", max_retries=0)
+        with use_deadline(deadline):
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                fixer.fix(self.BROKEN)
+        assert excinfo.value.stage == "oneshot-iteration"
 
     def test_retry_layer_sees_deadline_before_the_agent_does(self):
         """With the retry wrapper on (the default), an expired deadline

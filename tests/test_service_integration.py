@@ -43,6 +43,30 @@ async def _with_server(config: ServerConfig, scenario) -> tuple:
     return result, stats
 
 
+class TestStreamedOneShot:
+    def test_oneshot_stream_emits_iteration_events(self):
+        """A streamed One-shot request reports its turns as SSE
+        ``iteration`` events, like a ReAct request."""
+        config = ServerConfig(port=0, scheduler=SchedulerConfig(capacity=1))
+
+        async def scenario(client, server):
+            return [
+                (event, payload)
+                async for event, payload in client.repair_stream(
+                    code=FIXABLE, prompting="oneshot"
+                )
+            ]
+
+        events, _ = asyncio.run(_with_server(config, scenario))
+        names = [event for event, _ in events]
+        assert names[0] == "accepted" and names[-1] == "result"
+        iterations = [payload for event, payload in events
+                      if event == "iteration"]
+        assert iterations
+        assert iterations[-1]["action"] == "Compiler"
+        assert events[-1][1]["iterations"] == 1
+
+
 @pytest.mark.slow
 class TestOverloadDrill:
     def test_2x_capacity_sheds_typed_and_never_crashes(self):
