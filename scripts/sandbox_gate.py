@@ -3,9 +3,9 @@
 
 Runs every design in ``tests/data/sim_hostile/`` -- runaway procedural
 loops, oscillating combinational nets, $display floods, trace bombs and
-absurd cycle counts -- through the never-crash simulation boundary
-(:func:`repro.sim.simulate`) under the **default** production budgets,
-once per engine:
+absurd cycle counts -- through the sandboxed harness its pragma names
+(:func:`repro.sim.run_differential` or :func:`repro.sim.make_sim_feedback`)
+under the **default** production budgets, once per engine:
 
 * **interp**   -- the AST-walking 4-state :class:`repro.sim.Simulator`;
 * **compiled** -- :class:`repro.sim.CompiledSimulator`.
@@ -47,9 +47,16 @@ sys.path.insert(0, "src")
 
 from repro.diagnostics import compile_source  # noqa: E402
 from repro.scope import scoped  # noqa: E402
-from repro.sim import VerdictCache, simulate  # noqa: E402
+from repro.sim import (  # noqa: E402
+    VerdictCache,
+    make_sim_feedback,
+    run_differential,
+)
 
 ENGINES = ("interp", "compiled")
+
+#: Pragma ``mode`` -> the sandboxed harness it runs.
+HARNESSES = {"diff": run_differential, "feedback": make_sim_feedback}
 
 DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / (
     "tests/data/sim_hostile"
@@ -68,6 +75,8 @@ def parse_pragma(text: str, name: str) -> dict:
             raise ValueError(f"{name}: bad pragma token {token!r}")
         pragma[key] = value
     pragma.setdefault("mode", "diff")
+    if pragma["mode"] not in HARNESSES:
+        raise ValueError(f"{name}: unknown pragma mode {pragma['mode']!r}")
     pragma["samples"] = int(pragma.get("samples", 16))
     # Budget kinds use spaces ("trace bytes"); pragmas use underscores.
     pragma["kind"] = pragma.get("kind", "").replace("_", " ")
@@ -123,16 +132,14 @@ def main() -> int:
         """One checked sandboxed run; its verdict, or None if it escaped."""
         start = time.perf_counter()
         try:
-            outcome = simulate(
-                design, design, mode=pragma["mode"],
-                samples=pragma["samples"], engine=engine,
-            )
+            verdict = HARNESSES[pragma["mode"]](
+                design, design, samples=pragma["samples"], engine=engine,
+            ).verdict
         except BaseException as exc:
             fail(f"{name} [{engine}]: escaped the sandbox: "
                  f"{type(exc).__name__}: {exc}")
             return None
         took = time.perf_counter() - start
-        verdict = outcome.verdict
         print(f"  {name:>18} [{engine:>8}]: "
               f"{verdict.summary()} ({took:.2f}s)")
         if took > args.budget:

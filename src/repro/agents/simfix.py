@@ -58,16 +58,11 @@ class SimDebugAgent:
         model=None,
         max_iterations: int = 8,
         sim_samples: int = 16,
-        sim_limits=None,
         on_turn: Optional[Callable[[Turn], None]] = None,
     ):
         self.model = model if model is not None else default_logic_model()
         self.max_iterations = max_iterations
         self.sim_samples = sim_samples
-        #: Sandbox budgets for every simulation this agent runs (None =
-        #: ambient default).  A runaway or trace-bombing candidate comes
-        #: back as "Simulation failed to run: ..." feedback, never a hang.
-        self.sim_limits = sim_limits
         #: Compiler for every candidate; revisions seen before are
         #: served from the whole-result compile cache.
         self.compiler = Compiler()
@@ -82,7 +77,7 @@ class SimDebugAgent:
         engine = RepairEngine(
             oracle=SimOracle(
                 reference_code, compiler=self.compiler,
-                samples=self.sim_samples, sim_limits=self.sim_limits,
+                samples=self.sim_samples,
             ),
             proposer=LogicModelProposer(self.model, difficulty),
             config=replace(FUNCTIONAL_CONFIG, max_iterations=self.max_iterations),

@@ -58,7 +58,6 @@ def _cmd_fix(args: argparse.Namespace) -> int:
         llm_pool=args.llm_pool,
         llm_escalate_after=args.llm_escalate_after,
         llm_hedge=args.llm_hedge,
-        sim_limits=args.sim_limits,
     )
     counter = None
     fields = {}
@@ -210,7 +209,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     sim = report.sim
     print(
-        f"# sim: engine={sim['engine']}, {sim['hits']} verdict-cache hits, "
+        f"# sim: {sim['hits']} verdict-cache hits, "
         f"{sim['misses']} misses, {sim['hits']} testbench "
         f"runs avoided (hit rate {sim['hit_rate']:.1%}), "
         f"limits={sim.get('limit_verdicts', 0)} "
@@ -350,18 +349,6 @@ def _sim_limits_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_sim_limits_arg(parser: argparse.ArgumentParser) -> None:
-    """The ``--sim-limits`` sandbox flag, shared by fix/report/serve."""
-    parser.add_argument(
-        "--sim-limits", type=_sim_limits_spec, default=None, metavar="SPEC",
-        help="simulation sandbox budgets: 'default', 'fuzz', or "
-        "comma-separated key=value overrides (keys: cycles, events, "
-        "stmts, trace-entries, trace-bytes, display, wall; e.g. "
-        "'cycles=2000,wall=5').  Budget overflows come back as typed "
-        "limit verdicts instead of hangs or crashes",
-    )
-
-
 def _add_llm_pool_args(parser: argparse.ArgumentParser) -> None:
     """The ``--llm-*`` pool flags, shared by ``fix`` and ``report``."""
     parser.add_argument(
@@ -416,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-model-call timeout budget; over-budget calls count as "
         "retryable timeouts (default: unlimited)",
     )
-    _add_sim_limits_arg(fix)
     _add_llm_pool_args(fix)
     fix.set_defaults(func=_cmd_fix)
 
@@ -483,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--no-gpt4", action="store_true",
                      help="skip the GPT-4 ablation rows")
     rep.add_argument(
-        "--sim-engine", choices=["compiled", "interp"], default=None,
-        help="simulation engine for all testbench runs: 'compiled' "
-        "(closure-lowered two-state fast path, the default) or 'interp' "
-        "(the reference AST-walking 4-state interpreter); both produce "
-        "bit-identical verdicts",
+        "--sim-limits", type=_sim_limits_spec, default=None, metavar="SPEC",
+        help="simulation sandbox budgets: 'default', 'fuzz', or "
+        "comma-separated key=value overrides (keys: cycles, events, "
+        "stmts, trace-entries, trace-bytes, display, wall; e.g. "
+        "'cycles=2000,wall=5').  Budget overflows come back as typed "
+        "limit verdicts instead of hangs or crashes",
     )
-    _add_sim_limits_arg(rep)
     _add_llm_pool_args(rep)
     rep.set_defaults(func=_cmd_report)
 
@@ -554,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="chaos drill: dispatched jobs [START, "
                      "START+COUNT) fail as a backend outage; the service "
                      "must shed, trip the breaker, and heal via a probe")
-    _add_sim_limits_arg(srv)
     srv.set_defaults(func=_cmd_serve)
 
     fz = sub.add_parser(
@@ -583,13 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # --sim-engine / --sim-limits scope the command's simulations
-    # ambiently: report trial keys and serve job keys stay budget-free,
-    # so journal replay works across budget changes (the deadline
-    # rationale).
+    # report --sim-limits scopes the run's simulations ambiently: trial
+    # keys stay budget-free, so journal replay works across budget
+    # changes (the deadline rationale).
     fields = {}
-    if getattr(args, "sim_engine", None):
-        fields["sim_engine"] = args.sim_engine
     if getattr(args, "sim_limits", None) is not None:
         fields["sim_limits"] = args.sim_limits
     with scoped(**fields):

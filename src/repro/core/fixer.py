@@ -53,7 +53,9 @@ class RTLFixer:
         self.compiler = Compiler(
             flavor=config.compiler, limits=config.compile_limits
         )
-        self.database = database or build_default_database()
+        self.database = (
+            database if database is not None else build_default_database()
+        )
         self._injected_model = model
         self.model: RepairModel = model or self._build_model(config)
 

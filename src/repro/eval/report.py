@@ -31,7 +31,6 @@ from ..runtime import (
     TokenCounter,
 )
 from ..scope import current, scoped
-from ..sim.engine import DEFAULT_SIM_ENGINE
 from ..sim.sandbox import SandboxStats
 from ..sim.verdict import VerdictCache
 from .experiments import (
@@ -252,7 +251,6 @@ def run_full_report(
             report = _run_experiments(scale, dataset, progress, jobs, on_error, ctx)
         report.cache = cache.stats.as_dict()
         report.sim = {
-            "engine": current().get("sim_engine", DEFAULT_SIM_ENGINE),
             **verdict_cache.stats.as_dict(),
             **sandbox_stats.as_dict(),
         }

@@ -273,30 +273,22 @@ def run_fix_experiment(
     return result
 
 
-def evaluate_sample(
-    raw: str, problem: Problem, samples: int = 32, sim_limits=None
-) -> Verdict:
+def evaluate_sample(raw: str, problem: Problem, samples: int = 32) -> Verdict:
     """Judge one raw LLM sample: does it compile, and does it match the
     golden model in differential simulation?"""
-    return evaluate_code(
-        rule_fix(raw).code, problem, samples=samples, sim_limits=sim_limits
-    )
+    return evaluate_code(rule_fix(raw).code, problem, samples=samples)
 
 
-def evaluate_code(
-    code: str, problem: Problem, samples: int = 32, sim_limits=None
-) -> Verdict:
+def evaluate_code(code: str, problem: Problem, samples: int = 32) -> Verdict:
     """Like :func:`evaluate_sample` but for already-rule-fixed code.
 
-    Simulation runs inside the sandbox (``sim_limits``, default the
-    ambient budgets): a candidate that exhausts its budgets or crashes
+    Simulation runs inside the sandbox under the ambient budgets
+    (``scoped(sim_limits=...)``): a candidate that exhausts them or crashes
     the simulator is classified ``"sim"`` -- a typed not-equivalent
     verdict, never an exception out of the evaluator."""
     result = cached_compile(code)
     if not result.ok or result.elaborated is None:
         return "syntax"
     reference = cached_compile(problem.reference).elaborated
-    diff = run_differential(
-        result.elaborated, reference, samples=samples, sim_limits=sim_limits
-    )
+    diff = run_differential(result.elaborated, reference, samples=samples)
     return "pass" if diff.passed else "sim"

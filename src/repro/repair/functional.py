@@ -60,27 +60,20 @@ def build_functional_engine(
     difficulty: str = "hard",
     max_iterations: int = 24,
     sim_samples: int = 16,
-    sim_limits=None,
-    max_template_candidates: int = 64,
-    localize: bool = True,
     on_turn=None,
 ) -> RepairEngine:
     """Assemble the Table-4 engine for one golden reference."""
     compiler = Compiler()
-    oracle = SimOracle(
-        reference_code, compiler=compiler, samples=sim_samples,
-        sim_limits=sim_limits,
-    )
+    oracle = SimOracle(reference_code, compiler=compiler, samples=sim_samples)
     if model is None:
         model = default_logic_model()
     localizer: Optional[TraceDiffLocalizer] = None
-    if localize and oracle.reference is not None:
+    if oracle.reference is not None:
         localizer = TraceDiffLocalizer(
             oracle.reference, compiler=compiler, samples=sim_samples,
-            sim_limits=sim_limits,
         )
     proposer = FallbackProposer(
-        TemplateProposer(max_candidates=max_template_candidates),
+        TemplateProposer(),
         LogicModelProposer(model, difficulty),
     )
     config = replace(FUNCTIONAL_CONFIG, max_iterations=max_iterations)

@@ -116,14 +116,12 @@ class TraceDiffLocalizer:
         compiler: Optional[Compiler] = None,
         samples: int = 16,
         seed: int = 0,
-        sim_limits=None,
         max_suspects: int = 8,
     ):
         self.reference = reference
         self.compiler = compiler or Compiler()
         self.samples = samples
         self.seed = seed
-        self.sim_limits = sim_limits
         self.max_suspects = max_suspects
         self._memo: dict[str, Localization] = {}
 
@@ -142,7 +140,7 @@ class TraceDiffLocalizer:
             return Localization()
         feedback = cached_sim_feedback(
             compiled.elaborated, self.reference, samples=self.samples,
-            seed=self.seed, sim_limits=self.sim_limits,
+            seed=self.seed,
         )
         diffs = feedback.signal_diffs
         if diffs is None:

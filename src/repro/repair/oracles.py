@@ -56,12 +56,10 @@ class SimOracle:
         compiler: Optional[Compiler] = None,
         samples: int = 16,
         seed: int = 0,
-        sim_limits=None,
     ):
         self.compiler = compiler or Compiler()
         self.samples = samples
         self.seed = seed
-        self.sim_limits = sim_limits
         self.reference = self.compiler.compile(reference_code).elaborated
 
     def check(self, code: str) -> OracleVerdict:
@@ -74,7 +72,7 @@ class SimOracle:
             )
         feedback = make_sim_feedback(
             compiled.elaborated, self.reference, samples=self.samples,
-            seed=self.seed, sim_limits=self.sim_limits,
+            seed=self.seed,
         )
         return OracleVerdict(
             ok=feedback.passed, score=feedback.mismatch_count,

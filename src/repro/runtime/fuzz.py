@@ -445,7 +445,7 @@ def _compare_sandbox_verdicts(verdicts: dict, where: str) -> Optional[tuple[str,
 
 
 def _sim_differential(
-    design, limits, rng: Random, plan: Optional[StimulusPlan] = None
+    design, rng: Random, plan: Optional[StimulusPlan] = None
 ) -> Optional[tuple[str, str]]:
     """Cross-check interpreted vs compiled simulation of ``design``.
 
@@ -467,7 +467,7 @@ def _sim_differential(
     verdicts = {}
     for name, cls in (("interp", Simulator), ("compiled", CompiledSimulator)):
         sim, verdict = run_sandboxed(
-            lambda c=cls: c(design, limits=limits, sim_limits=FUZZ_SIM_LIMITS),
+            lambda c=cls: c(design, sim_limits=FUZZ_SIM_LIMITS),
             name,
         )
         if verdict is not None:
@@ -670,9 +670,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
                     report.mutator_counts.get(name, 0) + 1
                 )
             try:
-                violation = _sim_differential(
-                    design, config.limits, sim_rng, plan
-                )
+                violation = _sim_differential(design, sim_rng, plan)
                 if violation is not None:
                     fail(*violation)
             except BaseException as exc:

@@ -7,7 +7,7 @@ no call signature threads through.  All of them live in one record::
     with scoped(compile_cache=CompileCache(), verdict_cache=None):
         run_table2(problems)          # fresh compile cache, no verdicts
 
-    current().get("sim_engine", DEFAULT_SIM_ENGINE)
+    current().get("sim_limits", DEFAULT_SIM_LIMITS)
 
 The fields (:data:`FIELDS`) and their home modules:
 
@@ -15,8 +15,7 @@ The fields (:data:`FIELDS`) and their home modules:
   (:mod:`repro.sim.verdict`) -- ``None`` disables that cache;
 * ``sandbox_stats`` (:mod:`repro.sim.sandbox`) and ``token_counter``
   (:mod:`repro.runtime.accounting`) -- telemetry ledgers;
-* ``sim_limits`` (:mod:`repro.sim.limits`) and ``sim_engine``
-  (:mod:`repro.sim.engine`) -- simulation defaults;
+* ``sim_limits`` (:mod:`repro.sim.limits`) -- the simulation budgets;
 * ``sim_injector`` (:mod:`repro.runtime.faults`) -- simulation chaos;
 * ``llm_routing`` (:mod:`repro.llm.pool`) -- the ambient pool spec.
 
@@ -41,10 +40,9 @@ Design decisions:
   entered before the home module was imported.
 * **Same input checks.**  A home module registers a check for a field
   whose values it constrains (:func:`check`); ``scoped`` runs it on
-  entry, so an unknown engine name or a non-``SimLimits`` budget raises
-  ``ValueError`` before anything is swapped.  (A check exists once its
-  home module is imported; ``make_simulator`` re-checks the engine it
-  reads.)
+  entry, so a non-``SimLimits`` budget raises ``ValueError`` before
+  anything is swapped.  (A check exists once its home module is
+  imported.)
 
 This module is a leaf: it imports nothing from ``repro``, so every
 layer can read the scope without an import cycle.
@@ -65,7 +63,6 @@ FIELDS = frozenset({
     "token_counter",
     "sim_injector",
     "sim_limits",
-    "sim_engine",
     "llm_routing",
 })
 

@@ -8,16 +8,17 @@ Two engines share one semantics: the interpreting
 logic, and the compiled :class:`~repro.sim.engine.CompiledSimulator`
 runs closure-lowered processes on a two-state fast path with
 per-invocation fallback to the interpreter (see :mod:`repro.sim.compile`).
-:func:`~repro.sim.engine.make_simulator` selects between them; whole
-testbench verdicts are memoized content-addressed in
-:mod:`repro.sim.verdict`.
+:func:`~repro.sim.engine.make_simulator` builds the compiled engine
+unless the caller names the interpreter, which stays as the reference
+the compiled engine is held bit-identical to; whole testbench verdicts
+are memoized content-addressed in :mod:`repro.sim.verdict`.
 
 Both engines run inside the crash-proof, resource-bounded sandbox:
 :mod:`repro.sim.limits` defines the cooperative budget set
-(:class:`~repro.sim.limits.SimLimits`) and :mod:`repro.sim.sandbox` the
-never-crash boundary that converts budget overflows and internal errors
-into typed ``limit``/``crashed`` :class:`~repro.sim.sandbox.SimVerdict`
-outcomes instead of exceptions.
+(:class:`~repro.sim.limits.SimLimits`, the settle bound included) and
+:mod:`repro.sim.sandbox` the never-crash boundary that converts budget
+overflows and internal errors into typed ``limit``/``crashed``
+:class:`~repro.sim.sandbox.SimVerdict` outcomes instead of exceptions.
 """
 
 from .compile import LoweredDesign, Unlowerable, lower_design, lowered_for
@@ -34,13 +35,11 @@ from .sandbox import (
     DEFAULT_SANDBOX_STATS,
     SIM_VERDICT_CATEGORIES,
     SandboxStats,
-    SimOutcome,
     SimVerdict,
     classify_exception,
     run_sandboxed,
-    simulate,
 )
-from .engine import DEFAULT_SIM_ENGINE, SIM_ENGINES, CompiledSimulator, make_simulator
+from .engine import SIM_ENGINES, CompiledSimulator, make_simulator
 from .eval import EvalContext, Evaluator, NetState
 from .exec import StmtExecutor
 from .feedback import SimFeedback, make_sim_feedback, simulate_with_traces
@@ -67,7 +66,6 @@ __all__ = [
     "CLOCK_NAMES",
     "CompiledSimulator",
     "DEFAULT_SANDBOX_STATS",
-    "DEFAULT_SIM_ENGINE",
     "DEFAULT_SIM_LIMITS",
     "DEFAULT_VERDICT_CACHE",
     "FUZZ_SIM_LIMITS",
@@ -75,7 +73,6 @@ __all__ = [
     "SandboxStats",
     "SimLimitTracker",
     "SimLimits",
-    "SimOutcome",
     "SimVerdict",
     "UNTRACKED",
     "EvalContext",
@@ -107,7 +104,6 @@ __all__ = [
     "render_waveform",
     "run_differential",
     "run_sandboxed",
-    "simulate",
     "simulate_with_traces",
     "verdict_key",
 ]

@@ -40,9 +40,9 @@ simulations of the same design (testbench reruns, fuzz iterations,
 repair loops) skip the lowering pass entirely.
 
 :func:`make_simulator` is the engine-selecting constructor every harness
-(testbench, feedback, fuzz, CLI) routes through; the process-wide
-default is ``compiled`` and can be overridden with
-``scoped(sim_engine=...)`` (:mod:`repro.scope`).
+(testbench, feedback) routes through.  It builds the compiled engine
+unless the caller names ``interp``, the reference that
+``scripts/sim_diff.py`` holds the compiled engine bit-identical to.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ from collections.abc import Mapping
 from typing import Optional
 
 from ..errors import SimLimitExceeded
-from ..scope import check, current
 from ..verilog.elaborate import ElabDesign
-from ..verilog.limits import ResourceLimits
 from .compile import LoweredDesign, lowered_for
 from .eval import Evaluator
 from .exec import StmtExecutor
@@ -319,7 +317,7 @@ class CompiledSimulator(Simulator):
     def settle(self) -> None:
         """Change-tracked fixpoint; same bound and failure mode as the
         interpreter's snapshot-compare settle."""
-        budget = self.limits.max_settle_passes
+        budget = self.settle_passes
         tracker = self.sim_tracker
         store = self._store
         passes = 0
@@ -442,38 +440,21 @@ class CompiledSimulator(Simulator):
 # Engine selection
 # ---------------------------------------------------------------------------
 
-#: The engine used when neither the caller nor the runtime scope names
-#: one.
-DEFAULT_SIM_ENGINE = "compiled"
-
-
-@check("sim_engine")
-def _check_engine(engine: str) -> None:
-    """Reject an unknown engine name (also run on ``scoped(sim_engine=)``)."""
-    if engine not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
-        )
-
 
 def make_simulator(
     design: ElabDesign,
     top: Optional[str] = None,
-    engine: Optional[str] = None,
-    limits: Optional[ResourceLimits] = None,
+    engine: str = "compiled",
     sim_limits: Optional[SimLimits] = None,
     sim_tracker: Optional[SimLimitTracker] = None,
 ) -> Simulator:
-    """Construct a simulator using ``engine`` (default: the process-wide
-    default, normally ``compiled``).  Every harness routes through this
-    so one flag switches the whole stack.  ``sim_limits``/``sim_tracker``
-    configure the sandbox budgets (see :mod:`repro.sim.limits`); a
-    shared tracker pools budgets across several simulators."""
-    if engine is None:
-        engine = current().get("sim_engine", DEFAULT_SIM_ENGINE)
-    _check_engine(engine)
+    """Construct a simulator using ``engine`` (one of
+    :data:`SIM_ENGINES`).  ``sim_limits``/``sim_tracker`` configure the
+    sandbox budgets (see :mod:`repro.sim.limits`); a shared tracker
+    pools budgets across several simulators."""
+    if engine not in SIM_ENGINES:
+        raise ValueError(
+            f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
+        )
     cls = CompiledSimulator if engine == "compiled" else Simulator
-    return cls(
-        design, top=top, limits=limits,
-        sim_limits=sim_limits, sim_tracker=sim_tracker,
-    )
+    return cls(design, top=top, sim_limits=sim_limits, sim_tracker=sim_tracker)

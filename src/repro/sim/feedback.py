@@ -16,12 +16,15 @@ from typing import Optional
 
 from ..scope import current
 from ..verilog.elaborate import ElabDesign
-from ..verilog.limits import ResourceLimits
-from .engine import DEFAULT_SIM_ENGINE, make_simulator
+from .engine import make_simulator
 from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
 from .sandbox import SimVerdict, run_sandboxed
 from .testbench import drive, memoized, reference_run
 from .trace import Trace, render_comparison
+
+#: Samples the §5 waveform comparison shows (the feedback harness's
+#: recording cap in :func:`~repro.sim.testbench.memoized`).
+MAX_SHOWN = 16
 
 
 @dataclass
@@ -50,8 +53,7 @@ def simulate_with_traces(
     reference: ElabDesign,
     samples: int = 16,
     seed: int = 0,
-    engine: Optional[str] = None,
-    limits: Optional[ResourceLimits] = None,
+    engine: str = "compiled",
     sim_limits: Optional[SimLimits] = None,
     sim_tracker: Optional[SimLimitTracker] = None,
 ) -> tuple[Trace, Trace]:
@@ -64,20 +66,16 @@ def simulate_with_traces(
     reference is replayed from its tape when the active verdict cache
     holds one (:func:`~repro.sim.testbench.reference_run`).
     """
-    scope = current()
-    if engine is None:
-        engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
     if sim_limits is None:
-        sim_limits = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
+        sim_limits = current().get("sim_limits", DEFAULT_SIM_LIMITS)
     tracker = sim_tracker
     if tracker is None and sim_limits is not UNTRACKED:
         tracker = SimLimitTracker(sim_limits)
     cand_sim = make_simulator(
-        candidate, engine=engine, limits=limits,
-        sim_limits=sim_limits, sim_tracker=tracker,
+        candidate, engine=engine, sim_limits=sim_limits, sim_tracker=tracker,
     )
     ref_sim = reference_run(
-        reference, samples, seed, engine, limits,
+        reference, samples, seed, engine,
         sim_limits if sim_tracker is None else sim_tracker.limits, tracker,
     )
     outputs = [p.name for p in ref_sim.outputs]
@@ -107,13 +105,12 @@ def make_sim_feedback(
     reference: ElabDesign,
     samples: int = 16,
     seed: int = 0,
-    max_shown: int = 16,
-    engine: Optional[str] = None,
-    limits: Optional[ResourceLimits] = None,
+    engine: str = "compiled",
     sim_limits: Optional[SimLimits] = None,
 ) -> SimFeedback:
     """The feedback message described in §5: error count summary plus the
-    waveform-style expected-vs-actual comparison.
+    waveform-style expected-vs-actual comparison of the first
+    :data:`MAX_SHOWN` samples.
 
     Memoized in the active :class:`~repro.sim.verdict.VerdictCache` the
     same way :func:`~repro.sim.testbench.run_differential` verdicts are
@@ -123,8 +120,7 @@ def make_sim_feedback(
     content-addressed fact, so it is never memoized."""
     return memoized(
         "feedback", _make_sim_feedback_uncached, _failed_feedback,
-        candidate, reference, samples, seed, max_shown,
-        engine, limits, sim_limits,
+        candidate, reference, samples, seed, MAX_SHOWN, engine, sim_limits,
     )
 
 
@@ -133,9 +129,7 @@ def cached_sim_feedback(
     reference: ElabDesign,
     samples: int = 16,
     seed: int = 0,
-    max_shown: int = 16,
-    engine: Optional[str] = None,
-    limits: Optional[ResourceLimits] = None,
+    engine: str = "compiled",
     sim_limits: Optional[SimLimits] = None,
 ) -> SimFeedback:
     """:func:`make_sim_feedback` without the chaos seam: the active
@@ -143,8 +137,8 @@ def cached_sim_feedback(
     trace-diff localizer reads the oracle's feedback through here."""
     return memoized(
         "feedback", _make_sim_feedback_uncached, _failed_feedback,
-        candidate, reference, samples, seed, max_shown,
-        engine, limits, sim_limits, chaos=False,
+        candidate, reference, samples, seed, MAX_SHOWN, engine, sim_limits,
+        chaos=False,
     )
 
 
@@ -155,13 +149,12 @@ def _make_sim_feedback_uncached(
     seed: int,
     max_shown: int,
     engine: str,
-    limits: Optional[ResourceLimits],
     sim_limits: SimLimits,
 ) -> SimFeedback:
     traces, verdict = run_sandboxed(
         lambda: simulate_with_traces(
             candidate, reference, samples=samples, seed=seed,
-            engine=engine, limits=limits, sim_limits=sim_limits,
+            engine=engine, sim_limits=sim_limits,
         ),
         engine,
     )

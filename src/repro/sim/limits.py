@@ -5,8 +5,10 @@ buggy candidate an LLM emits goes straight into the differential
 testbench, and hostile shapes (runaway procedural loops, oscillating
 combinational nets, trace bombs, giant cycle counts) can hang a run or
 blow up memory.  :class:`SimLimits` is the simulator-side counterpart of
-:class:`repro.verilog.limits.ResourceLimits`: it bounds every dimension
-in which a pathological design can consume unbounded work, and
+:class:`repro.verilog.limits.ResourceLimits` and the one home of every
+simulation budget, the combinational settle bound included: it bounds
+every dimension in which a pathological design can consume unbounded
+work, and
 :class:`SimLimitTracker` enforces the bounds *cooperatively* inside both
 engines' dispatch loops -- an overflow raises
 :class:`~repro.errors.SimLimitExceeded`, which the sandbox boundary
@@ -25,8 +27,8 @@ The budgets participate in every simulation verdict cache key (their
 ``repr`` is hashed into :func:`repro.sim.verdict.verdict_key` by the
 harnesses), so runs under different limits can never alias.  The
 limits a harness applies when none are passed are the runtime scope's
-``sim_limits`` field (:mod:`repro.scope`; CLI ``--sim-limits``), else
-:data:`DEFAULT_SIM_LIMITS`.
+``sim_limits`` field (:mod:`repro.scope`; ``rtlfixer report
+--sim-limits``), else :data:`DEFAULT_SIM_LIMITS`.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ class SimLimits:
     #: Cooperative wall-clock watchdog (seconds), polled every few dozen
     #: cycles and every few thousand procedural statements.
     wall_clock_s: float = 10.0
+    #: Maximum delta-cycle passes one
+    #: :meth:`~repro.sim.simulator.Simulator.settle` runs before the
+    #: combinational logic counts as an unsettled loop (``settle
+    #: passes``).  No ``--sim-limits`` key sets it.
+    max_settle_passes: int = 200
 
     def __post_init__(self) -> None:
         for spec in fields(self):
@@ -114,6 +121,7 @@ FUZZ_SIM_LIMITS = SimLimits(
     max_trace_bytes=65_536,
     max_display_lines=256,
     wall_clock_s=10.0,
+    max_settle_passes=64,
 )
 
 
@@ -122,7 +130,8 @@ class _Untracked:
 
     Exists for the sandbox-overhead benchmark (the untracked baseline
     the <5% budget-check overhead is measured against); production paths
-    always track."""
+    always track.  An untracked simulator still bounds its settle loop,
+    at the default ``max_settle_passes``."""
 
     __slots__ = ()
 

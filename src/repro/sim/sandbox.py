@@ -28,9 +28,11 @@ chaos-injected verdicts never are (:attr:`SimVerdict.cacheable`), so the
 :class:`~repro.sim.verdict.VerdictCache` only ever holds results that
 are pure functions of design content and stimulus.
 
-:func:`simulate` is the one-call boundary used by the hostile-corpus
-gate, the fuzzer and tests: run a differential or traced-feedback
-harness and always get a :class:`SimOutcome` back.
+Both harnesses run their bodies through :func:`run_sandboxed`, so
+:func:`~repro.sim.testbench.run_differential` and
+:func:`~repro.sim.feedback.make_sim_feedback` always return a result
+whose ``.verdict`` is typed -- never an exception (deadline expiry and
+chaos faults still propagate, by design).
 """
 
 from __future__ import annotations
@@ -191,52 +193,3 @@ def run_sandboxed(
         if stats is not None:
             stats.record(verdict)
         return None, verdict
-
-
-@dataclass
-class SimOutcome:
-    """What :func:`simulate` always returns: a verdict plus the harness
-    payload (a :class:`~repro.sim.testbench.TestbenchResult` or a
-    :class:`~repro.sim.feedback.SimFeedback`) when one was produced."""
-
-    verdict: SimVerdict
-    result: Any = None
-
-
-def simulate(
-    candidate,
-    reference,
-    mode: str = "diff",
-    samples: int = 16,
-    seed: int = 0,
-    engine: Optional[str] = None,
-    sim_limits=None,
-) -> SimOutcome:
-    """The one-call never-crash simulation boundary.
-
-    ``mode`` selects the harness: ``"diff"`` runs the differential
-    testbench (:func:`~repro.sim.testbench.run_differential`),
-    ``"feedback"`` the traced-feedback harness
-    (:func:`~repro.sim.feedback.make_sim_feedback`).  Both are
-    sandboxed, so any budget overflow or internal error comes back as a
-    typed ``limit``/``crashed`` verdict -- never an exception (deadline
-    expiry and chaos faults still propagate, by design).
-    """
-    # Imported lazily: the harness modules import this one for the guard.
-    if mode == "diff":
-        from .testbench import run_differential
-
-        result = run_differential(
-            candidate, reference, samples=samples, seed=seed,
-            engine=engine, sim_limits=sim_limits,
-        )
-    elif mode == "feedback":
-        from .feedback import make_sim_feedback
-
-        result = make_sim_feedback(
-            candidate, reference, samples=samples, seed=seed,
-            engine=engine, sim_limits=sim_limits,
-        )
-    else:
-        raise ValueError(f"unknown simulate mode {mode!r}")
-    return SimOutcome(verdict=result.verdict, result=result)

@@ -22,7 +22,6 @@ from ..errors import SimLimitExceeded, SimulationError
 from ..scope import current
 from ..verilog import ast
 from ..verilog.elaborate import ElabDesign, ElabModule, PortInfo
-from ..verilog.limits import DEFAULT_LIMITS, ResourceLimits
 from .eval import EvalContext, Evaluator, NetState
 from .exec import NbaUpdate, StmtExecutor
 from .limits import (
@@ -66,13 +65,10 @@ class Simulator:
         self,
         design: ElabDesign,
         top: str | None = None,
-        limits: ResourceLimits | None = None,
         sim_limits: SimLimits | None = None,
         sim_tracker: SimLimitTracker | None = None,
     ):
         self.design = design
-        #: Cooperative budgets; ``max_settle_passes`` bounds delta cycles.
-        self.limits = limits if limits is not None else DEFAULT_LIMITS
         #: Sandbox budgets (:class:`~repro.sim.limits.SimLimits`).  Pass
         #: ``sim_tracker`` to share one budget pool across simulators
         #: (the differential harnesses do); pass
@@ -80,12 +76,16 @@ class Simulator:
         #: disable tracking entirely (benchmark baseline only).
         if sim_tracker is not None:
             self.sim_tracker = sim_tracker
+            sim_limits = sim_tracker.limits
         elif sim_limits is UNTRACKED:
             self.sim_tracker = None
+            sim_limits = DEFAULT_SIM_LIMITS
         else:
             if sim_limits is None:
                 sim_limits = current().get("sim_limits", DEFAULT_SIM_LIMITS)
             self.sim_tracker = SimLimitTracker(sim_limits)
+        #: Delta-cycle passes one :meth:`settle` may run.
+        self.settle_passes = sim_limits.max_settle_passes
         top_name = top or design.top
         if top_name is None or top_name not in design.modules:
             top_module = design.top_module()
@@ -245,13 +245,13 @@ class Simulator:
     def settle(self) -> None:
         """Propagate combinational logic to a fixpoint.
 
-        Bounded by the cooperative ``max_settle_passes`` budget from
-        :class:`~repro.verilog.limits.ResourceLimits`; hitting the bound
-        raises :class:`~repro.errors.SimulationError`, which every
-        harness (testbench, feedback, fuzz) degrades into an ordinary
-        failed verdict rather than a crash.
+        Bounded by the ``max_settle_passes`` budget of
+        :class:`~repro.sim.limits.SimLimits`; hitting the bound raises
+        :class:`~repro.errors.SimLimitExceeded` (kind ``settle passes``),
+        which the sandbox turns into a typed ``limit`` verdict rather
+        than a crash.
         """
-        budget = self.limits.max_settle_passes
+        budget = self.settle_passes
         tracker = self.sim_tracker
         passes = 0
         for _ in range(budget):

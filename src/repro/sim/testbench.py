@@ -28,8 +28,7 @@ from typing import Callable, Iterator, Optional
 from ..errors import SimulationError, TransientError
 from ..scope import current
 from ..verilog.elaborate import ElabDesign, PortInfo
-from ..verilog.limits import ResourceLimits
-from .engine import DEFAULT_SIM_ENGINE, make_simulator
+from .engine import make_simulator
 from .limits import DEFAULT_SIM_LIMITS, UNTRACKED, SimLimits, SimLimitTracker
 from .sandbox import DEFAULT_SANDBOX_STATS, SimVerdict, run_sandboxed
 from .simulator import Simulator
@@ -191,7 +190,6 @@ def reference_run(
     samples: int,
     seed: int,
     engine: str,
-    limits: Optional[ResourceLimits],
     sim_limits,
     tracker: Optional[SimLimitTracker],
 ):
@@ -200,7 +198,7 @@ def reference_run(
     records the tape once the run :meth:`completed`.
 
     The tape key is the reference digest, ``samples``, ``seed``, the
-    engine, ``limits`` and ``repr(sim_limits)``; it names no harness,
+    engine and ``repr(sim_limits)``; it names no harness,
     because both drive the reference with the same schedule.  Under
     ``scoped(verdict_cache=None)`` every reference is simulated.
     """
@@ -210,14 +208,13 @@ def reference_run(
     if tapes is not None:
         key = verdict_key(
             "tape", (getattr(reference, "digest", None),),
-            engine, limits, samples, seed, repr(sim_limits),
+            engine, samples, seed, repr(sim_limits),
         )
         tape = tapes.get(key)
         if tape is not None:
             return _ReplayedReference(tape, tracker)
     sim = make_simulator(
-        reference, engine=engine, limits=limits,
-        sim_limits=sim_limits, sim_tracker=tracker,
+        reference, engine=engine, sim_limits=sim_limits, sim_tracker=tracker,
     )
     return _RecordingReference(sim, tapes, key)
 
@@ -263,14 +260,13 @@ def memoized(
     samples: int,
     seed: int,
     cap: int,
-    engine: Optional[str],
-    limits: Optional[ResourceLimits],
+    engine: str,
     sim_limits: Optional[SimLimits],
     chaos: bool = True,
 ):
     """The memo path of both harnesses: ``run(candidate, reference,
-    samples, seed, cap, engine, limits, sim_limits)`` with the engine and
-    sandbox budgets resolved from the scope, memoized in the active
+    samples, seed, cap, engine, sim_limits)`` with the sandbox budgets
+    resolved from the scope, memoized in the active
     :class:`~repro.sim.verdict.VerdictCache`.
 
     ``kind`` (``"diff"``/``"feedback"``) names the harness in the verdict
@@ -282,8 +278,6 @@ def memoized(
     not just content.
     """
     scope = current()
-    if engine is None:
-        engine = scope.get("sim_engine", DEFAULT_SIM_ENGINE)
     if sim_limits is None:
         sim_limits = scope.get("sim_limits", DEFAULT_SIM_LIMITS)
     digests = (getattr(candidate, "digest", None), getattr(reference, "digest", None))
@@ -297,15 +291,12 @@ def memoized(
     key = None
     if cache is not None:
         key = verdict_key(
-            kind, digests, engine, limits,
-            samples, seed, cap, repr(sim_limits),
+            kind, digests, engine, samples, seed, cap, repr(sim_limits),
         )
         cached = cache.get(key)
         if cached is not None:
             return cached
-    result = run(
-        candidate, reference, samples, seed, cap, engine, limits, sim_limits
-    )
+    result = run(candidate, reference, samples, seed, cap, engine, sim_limits)
     if cache is not None and result.verdict.cacheable:
         cache.put(key, result)
     return result
@@ -365,8 +356,7 @@ def run_differential(
     samples: int = 64,
     seed: int = 0,
     max_mismatches_recorded: int = 4,
-    engine: Optional[str] = None,
-    limits: Optional[ResourceLimits] = None,
+    engine: str = "compiled",
     sim_limits: Optional[SimLimits] = None,
 ) -> TestbenchResult:
     """Drive both designs with identical stimulus and compare outputs.
@@ -381,7 +371,7 @@ def run_differential(
     return memoized(
         "diff", _run_differential_uncached, _failed_result,
         candidate, reference, samples, seed, max_mismatches_recorded,
-        engine, limits, sim_limits,
+        engine, sim_limits,
     )
 
 
@@ -392,7 +382,6 @@ def _run_differential_uncached(
     seed: int,
     max_mismatches_recorded: int,
     engine: str,
-    limits: Optional[ResourceLimits],
     sim_limits: SimLimits,
 ) -> TestbenchResult:
     interface_error = check_interface(candidate, reference)
@@ -409,11 +398,10 @@ def _run_differential_uncached(
 
     def body() -> TestbenchResult:
         cand_sim = make_simulator(
-            candidate, engine=engine, limits=limits,
-            sim_limits=sim_limits, sim_tracker=tracker,
+            candidate, engine=engine, sim_limits=sim_limits, sim_tracker=tracker,
         )
         ref_sim = reference_run(
-            reference, samples, seed, engine, limits, sim_limits, tracker
+            reference, samples, seed, engine, sim_limits, tracker
         )
         outputs = [p.name for p in ref_sim.outputs]
         result = TestbenchResult(passed=True)

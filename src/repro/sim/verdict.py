@@ -42,15 +42,9 @@ from typing import Optional
 
 from ..runtime.cache import DEFAULT_MAXSIZE, Memo
 from ..scope import current
-from ..verilog.limits import DEFAULT_LIMITS, ResourceLimits
 
-def verdict_key(
-    kind: str,
-    digests: tuple,
-    engine: str,
-    limits: Optional[ResourceLimits],
-    *params,
-) -> Optional[str]:
+
+def verdict_key(kind: str, digests: tuple, engine: str, *params) -> Optional[str]:
     """Content address of one simulation verdict, or ``None`` when any
     participating design lacks a digest (uncacheable).
 
@@ -58,17 +52,15 @@ def verdict_key(
     :func:`~repro.sim.testbench.run_differential`, "feedback" for
     :func:`~repro.sim.feedback.make_sim_feedback`, "tape" for the
     reference tape both share); ``digests`` are
-    the content digests of every design involved; ``engine`` and the
-    effective resource limits participate because both can change the
-    verdict (a compiled-only bug would otherwise poison interp results,
-    and tighter settle budgets turn passes into failures); ``params``
-    captures the stimulus (sample count, seed, recording caps, ...).
+    the content digests of every design involved; ``engine`` participates
+    because a compiled-only bug would otherwise poison interp results;
+    ``params`` captures the stimulus and the sandbox budgets (sample
+    count, seed, recording caps, ``repr(sim_limits)``, ...).
     """
     if any(d is None for d in digests):
         return None
-    effective = limits if limits is not None else DEFAULT_LIMITS
     hasher = hashlib.sha256()
-    for part in (kind, engine, repr(effective), *digests, *params):
+    for part in (kind, engine, *digests, *params):
         hasher.update(str(part).encode())
         hasher.update(b"\x00")
     return hasher.hexdigest()

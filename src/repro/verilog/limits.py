@@ -20,6 +20,10 @@ Two presets ship with the library:
 * :data:`FUZZ_LIMITS` -- tight bounds used by the built-in fuzzer
   (:mod:`repro.runtime.fuzz`) so a thousand pathological inputs compile
   in seconds.
+
+These budgets bound the front-end only.  Every simulation budget, the
+combinational settle bound included, is a
+:class:`repro.sim.limits.SimLimits` field.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ LIMIT_KINDS: dict[str, str] = {
     "parse nesting depth": "max_parse_depth",
     "elaborated instances": "max_elab_instances",
     "elaborated statements": "max_elab_statements",
-    "settle passes": "max_settle_passes",
 }
 
 
@@ -76,14 +79,6 @@ class ResourceLimits:
     max_elab_instances: int = 2_048
     #: Maximum statements the elaborator will check.
     max_elab_statements: int = 65_536
-    #: Maximum delta-cycle passes the simulator runs while settling
-    #: combinational logic each step; a design that keeps toggling past
-    #: this bound is reported as an unsettled combinational loop
-    #: (a :class:`~repro.errors.SimulationError` the testbench degrades
-    #: into an ordinary FAIL verdict, never an escaping crash).  Part of
-    #: ``repr(limits)`` and therefore of every compile-cache and
-    #: simulation-verdict cache key.
-    max_settle_passes: int = 200
 
     def __post_init__(self) -> None:
         for spec in fields(self):
@@ -110,7 +105,6 @@ FUZZ_LIMITS = ResourceLimits(
     max_parse_depth=64,
     max_elab_instances=64,
     max_elab_statements=1_024,
-    max_settle_passes=64,
 )
 
 

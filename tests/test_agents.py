@@ -1,12 +1,6 @@
 """Tests for the ReAct agent and the One-shot baseline."""
 
-from repro.agents import (
-    GENERATION_SYSTEM_PROMPT,
-    OneShotAgent,
-    ReActAgent,
-    Transcript,
-    render_one_shot,
-)
+from repro.agents import OneShotAgent, ReActAgent, Transcript
 from repro.diagnostics import Compiler, compile_source
 from repro.llm import SimulatedLLM
 from repro.rag import ExactTagRetriever, build_default_database
@@ -113,11 +107,6 @@ class TestOneShotAgent:
 
 
 class TestPrompts:
-    def test_one_shot_template(self):
-        text = render_one_shot("desc", "module m; endmodule", "some error")
-        assert GENERATION_SYSTEM_PROMPT in text
-        assert "desc" in text and "some error" in text
-
     def test_transcript_clipping(self):
         transcript = Transcript()
         transcript.add("x" * 1000, "Compiler", "y" * 1000, "z")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import RTLFixer, RTLFixerConfig
 from repro.diagnostics import compile_source
+from repro.rag import GuidanceDatabase
 
 BROKEN = (
     "module top_module(input [7:0] in, output [7:0] out);\n"
@@ -62,6 +63,12 @@ class TestRTLFixer:
             result = RTLFixer(seed=s).fix(BROKEN)
             if result.success:
                 assert compile_source(result.final_code).ok
+
+    def test_empty_database_is_kept(self):
+        empty = GuidanceDatabase(entries=[])
+        fixer = RTLFixer(database=empty, use_rag=False)
+        assert fixer.database is empty
+        assert fixer.fix(BROKEN).iterations >= 1
 
     def test_with_seed_changes_outcome_stream(self):
         base = RTLFixer()

@@ -35,11 +35,14 @@ from repro.sim.limits import (
     parse_sim_limits,
 )
 from repro.sim.feedback import make_sim_feedback, simulate_with_traces
-from repro.sim.sandbox import SandboxStats, SimVerdict, run_sandboxed, simulate
+from repro.sim.sandbox import SandboxStats, SimVerdict, run_sandboxed
 from repro.sim.testbench import run_differential
 from repro.sim.verdict import VerdictCache
 
 ENGINES = ("interp", "compiled")
+
+#: The two sandboxed harnesses, by mode name.
+HARNESSES = {"diff": run_differential, "feedback": make_sim_feedback}
 
 #: Stabilises only through case-equality, so it oscillates forever.
 OSCILLATOR = (
@@ -131,7 +134,7 @@ class TestBudgetKinds:
     def test_oscillator_is_a_settle_limit(self, engine):
         design = build(OSCILLATOR)
         with scoped(verdict_cache=None):
-            outcome = simulate(design, design, samples=4, engine=engine)
+            outcome = run_differential(design, design, samples=4, engine=engine)
         assert outcome.verdict.category == "limit"
         assert outcome.verdict.kind == "settle passes"
         assert outcome.verdict.phase == "construct"
@@ -141,7 +144,7 @@ class TestBudgetKinds:
     def test_cycle_budget(self, engine):
         design = build(COUNTER)
         with scoped(verdict_cache=None):
-            outcome = simulate(
+            outcome = run_differential(
                 design, design, samples=100, engine=engine,
                 sim_limits=SimLimits(max_cycles=8),
             )
@@ -153,7 +156,7 @@ class TestBudgetKinds:
     def test_display_budget(self, engine):
         design = build(DISPLAYER)
         with scoped(verdict_cache=None):
-            outcome = simulate(
+            outcome = run_differential(
                 design, design, samples=64, engine=engine,
                 sim_limits=SimLimits(max_display_lines=4),
             )
@@ -164,8 +167,8 @@ class TestBudgetKinds:
     def test_trace_budget(self, engine):
         design = build(COUNTER)
         with scoped(verdict_cache=None):
-            outcome = simulate(
-                design, design, mode="feedback", samples=64, engine=engine,
+            outcome = make_sim_feedback(
+                design, design, samples=64, engine=engine,
                 sim_limits=SimLimits(max_trace_entries=4),
             )
         assert outcome.verdict.category == "limit"
@@ -183,8 +186,8 @@ class TestBudgetKinds:
             design = build(code)
             with scoped(verdict_cache=None):
                 verdicts = [
-                    simulate(
-                        design, design, mode=mode, samples=32,
+                    HARNESSES[mode](
+                        design, design, samples=32,
                         engine=engine, sim_limits=limits,
                     ).verdict
                     for engine in ENGINES
@@ -195,9 +198,9 @@ class TestBudgetKinds:
     def test_clean_design_is_ok_under_default_budgets(self):
         design = build(COUNTER)
         with scoped(verdict_cache=None):
-            outcome = simulate(design, design, samples=32)
+            outcome = run_differential(design, design, samples=32)
         assert outcome.verdict.ok
-        assert outcome.result.passed
+        assert outcome.passed
 
     def test_untracked_sentinel_disables_tracking(self):
         design = build(COUNTER)
@@ -289,6 +292,41 @@ class TestCacheHygiene:
         assert len(cache) == 0
 
 
+#: Assigns listed against the data flow: each settle pass moves a new
+#: input value one stage, so a step needs about eight passes to settle.
+CHAIN = (
+    "module top_module(input [3:0] a, output [3:0] y);\n"
+    "wire [3:0] w1, w2, w3, w4, w5, w6;\n"
+    "assign y = w6;\nassign w6 = w5 + 4'd1;\nassign w5 = w4;\n"
+    "assign w4 = w3;\nassign w3 = w2;\nassign w2 = w1;\nassign w1 = a;\n"
+    "endmodule\n"
+)
+
+
+class TestSettleBudget:
+    """The settle bound is a sandbox budget like the others: a scoped
+    ``SimLimits`` sets it, and it keys the verdict cache."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", ("diff", "feedback"))
+    def test_tight_settle_budget_is_a_limit_not_the_cached_pass(
+        self, mode, engine
+    ):
+        design = build(CHAIN)
+        cache = VerdictCache()
+        with scoped(verdict_cache=cache):
+            assert HARNESSES[mode](design, design, samples=8, engine=engine).passed
+            with scoped(sim_limits=SimLimits(max_settle_passes=4)):
+                tight = HARNESSES[mode](design, design, samples=8, engine=engine)
+        assert tight.verdict.category == "limit"
+        assert tight.verdict.kind == "settle passes"
+        assert tight.verdict.detail == (
+            "combinational logic did not settle after 4 passes "
+            "(loop? raise max_settle_passes if legitimate)"
+        )
+        assert len(cache) == 1  # the default-budget pass, never the limit
+
+
 class TestSimulationErrorPhase:
     """A design-caused :class:`SimulationError` reports the phase the
     run was in when it was raised, not always ``construct``."""
@@ -305,9 +343,8 @@ class TestSimulationErrorPhase:
             "assign y = a & b;\nendmodule\n"
         )
         with scoped(verdict_cache=None):
-            outcome = simulate(
-                candidate, build(self.REFERENCE), mode="feedback",
-                engine=engine,
+            outcome = make_sim_feedback(
+                candidate, build(self.REFERENCE), engine=engine,
             )
         verdict = outcome.verdict
         assert (verdict.category, verdict.phase) == ("fail", "trace")
@@ -320,9 +357,8 @@ class TestSimulationErrorPhase:
             "assign y = c & b;\nassign z = c | b;\nendmodule\n"
         )
         with scoped(verdict_cache=None):
-            outcome = simulate(
-                candidate, build(self.REFERENCE), mode="feedback",
-                engine=engine,
+            outcome = make_sim_feedback(
+                candidate, build(self.REFERENCE), engine=engine,
             )
         verdict = outcome.verdict
         assert (verdict.category, verdict.phase) == ("fail", "cycle")
@@ -332,7 +368,7 @@ class TestSimulationErrorPhase:
         design = build(COUNTER)
         empty = dataclasses.replace(design, modules={}, top=None)
         with scoped(verdict_cache=None):
-            outcome = simulate(empty, design, mode="feedback")
+            outcome = make_sim_feedback(empty, design)
         assert (outcome.verdict.category, outcome.verdict.phase) == (
             "fail", "construct",
         )
@@ -360,8 +396,8 @@ def _summary(verdict):
 
 
 def _harness_verdict(mode, candidate, reference, samples, engine, limits):
-    return simulate(
-        candidate, reference, mode=mode, samples=samples, engine=engine,
+    return HARNESSES[mode](
+        candidate, reference, samples=samples, engine=engine,
         sim_limits=limits,
     ).verdict
 
@@ -493,8 +529,8 @@ class TestReferenceTape:
         cache = VerdictCache()
         with scoped(verdict_cache=cache):
             for _ in range(2):
-                outcome = simulate(
-                    design, design, mode=mode, samples=32, sim_limits=limits
+                outcome = HARNESSES[mode](
+                    design, design, samples=32, sim_limits=limits
                 )
                 assert outcome.verdict.category == "limit"
         assert len(cache.tapes) == 0
@@ -510,9 +546,9 @@ class TestReferenceTape:
         candidate = build(counter.replace("STEP", "2"))
         cache = VerdictCache()
         with scoped(verdict_cache=cache):
-            first = simulate(reference, reference, mode=mode, samples=8)
+            first = HARNESSES[mode](reference, reference, samples=8)
             built = len(reference_builds)
-            second = simulate(candidate, reference, mode=mode, samples=8)
+            second = HARNESSES[mode](candidate, reference, samples=8)
         assert first.verdict.ok and second.verdict.category == "fail"
         assert reference_builds[built:].count(reference) == 0
         assert len(cache.tapes) == 1
@@ -521,7 +557,7 @@ class TestReferenceTape:
         reference = build(COUNTER)
         with scoped(verdict_cache=None):
             for _ in range(2):
-                assert simulate(reference, reference, samples=8).verdict.ok
+                assert run_differential(reference, reference, samples=8).verdict.ok
         assert reference_builds.count(reference) == 4
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -575,15 +611,14 @@ class TestReferenceTape:
         candidates = [build(QUIET), build(WIDE), reference] * 2
         with scoped(verdict_cache=None):
             expected = [
-                simulate(c, reference, mode="feedback", samples=12).result
-                for c in candidates
+                make_sim_feedback(c, reference, samples=12) for c in candidates
             ]
         cache = VerdictCache()
         results: dict = {}
 
         def work(index):
             results[index] = [
-                simulate(c, reference, mode="feedback", samples=12).result
+                make_sim_feedback(c, reference, samples=12)
                 for c in candidates[index % 3:] + candidates[:index % 3]
             ]
 
@@ -614,17 +649,17 @@ class TestReferenceTape:
         candidates = [build(QUIET), build(WIDE), reference]
         with scoped(verdict_cache=None):
             cold = [
-                simulate(c, reference, mode=mode, samples=12, engine=engine)
+                HARNESSES[mode](c, reference, samples=12, engine=engine)
                 for c in candidates
             ]
         cache = VerdictCache()
         with scoped(verdict_cache=cache):
             warm = [
-                simulate(c, reference, mode=mode, samples=12, engine=engine)
+                HARNESSES[mode](c, reference, samples=12, engine=engine)
                 for c in candidates
             ]
         assert len(cache.tapes) == 1
-        assert [o.result for o in warm] == [o.result for o in cold]
+        assert warm == cold
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +810,7 @@ class TestTelemetry:
         design = build(OSCILLATOR)
         stats = SandboxStats()
         with scoped(verdict_cache=None, sandbox_stats=stats):
-            simulate(design, design, samples=4)
+            run_differential(design, design, samples=4)
         assert stats.limit_verdicts == 1
 
 

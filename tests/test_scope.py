@@ -12,7 +12,7 @@ from repro.diagnostics import compile_source
 from repro.runtime import CompileCache, ParallelRunner, cached_compile
 from repro.runtime.cache import DEFAULT_CACHE, get_active_cache
 from repro.scope import current, scoped
-from repro.sim import Simulator, make_simulator, run_differential
+from repro.sim import DEFAULT_SIM_LIMITS, SimLimits, make_simulator, run_differential
 from repro.sim.verdict import (
     DEFAULT_VERDICT_CACHE,
     VerdictCache,
@@ -60,22 +60,23 @@ class TestThreadWorkersSeeTheCallersScope:
 
 
 class TestPerFieldRestore:
-    def test_leaving_inner_cache_scope_keeps_engine_set_inside(self):
+    def test_leaving_inner_cache_scope_keeps_limits_set_inside(self):
         outer, inner = CompileCache(), CompileCache()
         design = compile_source(ADDER).elaborated
-        engine = scoped(sim_engine="interp")
+        tight = SimLimits(max_settle_passes=7)
+        limits = scoped(sim_limits=tight)
         try:
             with scoped(compile_cache=outer):
                 with scoped(compile_cache=inner):
-                    engine.__enter__()
+                    limits.__enter__()
                     assert get_active_cache() is inner
                 assert get_active_cache() is outer
-                assert type(make_simulator(design)) is Simulator
+                assert make_simulator(design).sim_tracker.limits is tight
             assert get_active_cache() is DEFAULT_CACHE
-            assert type(make_simulator(design)) is Simulator
+            assert make_simulator(design).sim_tracker.limits is tight
         finally:
-            engine.__exit__(None, None, None)
-        assert type(make_simulator(design)) is not Simulator
+            limits.__exit__(None, None, None)
+        assert make_simulator(design).sim_tracker.limits is DEFAULT_SIM_LIMITS
 
 
 class TestDisableNestedInEnable:
@@ -102,6 +103,7 @@ class TestScopeRecord:
 
     def test_failed_check_swaps_nothing(self):
         with pytest.raises(ValueError):
-            with scoped(compile_cache=None, sim_engine="verilator"):
+            with scoped(compile_cache=None, sim_limits="cycles=9"):
                 pass
         assert get_active_cache() is DEFAULT_CACHE
+        assert "sim_limits" not in current()

@@ -5,9 +5,9 @@ import pytest
 
 from repro.diagnostics import compile_source
 from repro.errors import SimLimitExceeded, SimulationError
-from repro.scope import current, scoped
+from repro.scope import scoped
 from repro.sim import (
-    DEFAULT_SIM_ENGINE,
+    DEFAULT_SIM_LIMITS,
     CompiledSimulator,
     Logic,
     SimLimits,
@@ -18,7 +18,6 @@ from repro.sim import (
     run_differential,
     verdict_key,
 )
-from repro.verilog.limits import DEFAULT_LIMITS, ResourceLimits
 
 
 def elaborate(code: str):
@@ -148,7 +147,6 @@ class TestEngineEquivalence:
 
 class TestEngineSelection:
     def test_default_engine_is_compiled(self):
-        assert current().get("sim_engine", DEFAULT_SIM_ENGINE) == "compiled"
         sim = make_simulator(elaborate(COUNTER))
         assert isinstance(sim, CompiledSimulator)
 
@@ -156,16 +154,7 @@ class TestEngineSelection:
         sim = make_simulator(elaborate(COUNTER), engine="interp")
         assert type(sim) is Simulator
 
-    def test_set_default_round_trip(self):
-        previous = current().get("sim_engine", DEFAULT_SIM_ENGINE)
-        with scoped(sim_engine="interp"):
-            assert type(make_simulator(elaborate(COUNTER))) is Simulator
-        assert current().get("sim_engine", DEFAULT_SIM_ENGINE) == previous
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            with scoped(sim_engine="verilator"):
-                pass
         with pytest.raises(ValueError):
             make_simulator(elaborate(COUNTER), engine="verilator")
 
@@ -232,11 +221,11 @@ class TestFastPath:
             "endmodule\n"
         )
         design = elaborate(code)
-        limits = ResourceLimits(max_settle_passes=16)
+        limits = SimLimits(max_settle_passes=16)
 
         def outcome(engine):
             try:
-                sim = make_simulator(design, engine=engine, limits=limits)
+                sim = make_simulator(design, engine=engine, sim_limits=limits)
                 sim.step({"en": 1})
             except SimulationError as exc:
                 return str(exc)
@@ -297,20 +286,19 @@ class TestVerdictMemoization:
 
     def test_key_depends_on_engine_and_params(self):
         digest = ("a" * 64,)
-        base = verdict_key("diff", digest, "compiled", None, 8, 0)
+        budgets = repr(DEFAULT_SIM_LIMITS)
+        base = verdict_key("diff", digest, "compiled", 8, 0, budgets)
         assert base is not None
-        assert verdict_key("diff", digest, "interp", None, 8, 0) != base
-        assert verdict_key("diff", digest, "compiled", None, 16, 0) != base
+        assert verdict_key("diff", digest, "interp", 8, 0, budgets) != base
+        assert verdict_key("diff", digest, "compiled", 16, 0, budgets) != base
         assert verdict_key(
-            "diff", digest, "compiled",
-            ResourceLimits(max_settle_passes=7), 8, 0,
+            "diff", digest, "compiled", 8, 0,
+            repr(SimLimits(max_settle_passes=7)),
         ) != base
-        assert verdict_key(
-            "diff", digest, "compiled", DEFAULT_LIMITS, 8, 0
-        ) == base  # None limits normalize to the defaults
+        assert verdict_key("diff", digest, "compiled", 8, 0, budgets) == base
 
     def test_missing_digest_is_uncacheable(self):
-        assert verdict_key("diff", ("a" * 64, None), "compiled", None) is None
+        assert verdict_key("diff", ("a" * 64, None), "compiled") is None
         design = elaborate(COUNTER)
         design.digest = None
         cache = VerdictCache()
