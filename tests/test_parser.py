@@ -1,8 +1,14 @@
 """Unit tests for the Verilog parser."""
 
+import hashlib
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
 from repro.diagnostics import ErrorCategory
 from repro.verilog import SourceFile, parse
 from repro.verilog import ast
+from repro.verilog.limits import LimitTracker, ResourceLimits
+from repro.verilog.source import Span
 
 
 def parse_ok(code: str):
@@ -364,3 +370,64 @@ class TestFunctions:
         gen = [i for i in design.top_module().items if isinstance(i, ast.GenerateFor)]
         assert gen and gen[0].genvar == "g"
         assert len(gen[0].items) == 1
+
+
+#: sha256 over a canonical walk of the AST, the diagnostics and
+#: ``tracker.spent`` of every source in ``token_digest_sources()``
+#: under five parse-depth budgets.
+PARSE_DIGEST = Path(__file__).parent / "data" / "parse_digest.sha256"
+
+#: The default, the fuzz preset, then budgets that trip inside the
+#: references, inside most statements and at the first expression.
+PARSE_DEPTHS = (160, 64, 21, 8, 3)
+
+
+def _ast_lines(design: ast.Design):
+    """Yield one line per node, field and span of ``design``, depth
+    first; iterative, since a long left-associative operator chain nests
+    deeper than Python's recursion limit."""
+    yield f"top={design.top!r}"
+    stack = [(name, module) for name, module in reversed(design.modules.items())]
+    while stack:
+        label, node = stack.pop()
+        if isinstance(node, Span):
+            yield f"{label}=@{node.start}:{node.end}"
+        elif isinstance(node, list):
+            yield f"{label}=[{len(node)}]"
+            stack.extend((f"{label}.{i}", item) for i, item in reversed(list(enumerate(node))))
+        elif is_dataclass(node):
+            yield f"{label}={type(node).__name__}"
+            children = [(f.name, getattr(node, f.name)) for f in fields(node)]
+            if "_siblings" in node.__dict__:
+                children.append(("_siblings", node.__dict__["_siblings"]))
+            stack.extend((f"{label}.{name}", value) for name, value in reversed(children))
+        else:
+            yield f"{label}={node!r}"
+
+
+def parse_digest() -> str:
+    from .test_lexer import token_digest_sources
+
+    hasher = hashlib.sha256()
+    for code in token_digest_sources():
+        for depth in PARSE_DEPTHS:
+            sink = []
+            tracker = LimitTracker(ResourceLimits(max_parse_depth=depth))
+            design = parse(SourceFile("t.v", code), sink, tracker=tracker)
+            for line in _ast_lines(design):
+                hasher.update(f"{line}\n".encode())
+            for d in sink:
+                args = sorted(d.args.items())
+                hasher.update(
+                    f"{d.category.name}|{d.span.start}|{d.span.end}|{args}\n".encode()
+                )
+            hasher.update(f"{sorted(tracker.spent.items())}\0".encode())
+    return hasher.hexdigest()
+
+
+def test_frozen_parse_digest():
+    """The parser's output is frozen: a parser speed-up must not move a
+    node, a span, a diagnostic or the token on which the nesting-depth
+    budget fires.  Regenerate the data file only for an intended parser
+    change, by writing ``parse_digest()``."""
+    assert parse_digest() == PARSE_DIGEST.read_text().strip()
