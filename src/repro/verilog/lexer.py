@@ -19,7 +19,7 @@ import re
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
-from .source import SourceFile, Span
+from .source import _SET_SPAN, SourceFile, Span
 from .tokens import KEYWORDS, MULTI_PUNCT, SINGLE_PUNCT, Token, TokenKind
 
 _BASE_DIGITS = {
@@ -34,14 +34,24 @@ _IDENT_CONT = set(
 )
 _DIGITS = set("0123456789")
 
-#: Leading trivia, then (1) an identifier or keyword, (2) a plain
-#: decimal number or (3) punctuation, longest operator first; the empty
-#: last alternative leaves the token to a fallback method.  A number
-#: followed by ``'``, ``.digit`` or (after backtracking) a digit or
-#: ``_`` is not plain.
+#: Leading trivia, then (1) an identifier or keyword, (2) a well-formed
+#: based literal, (3) a plain decimal number or (4) punctuation, longest
+#: operator first; the empty last alternative leaves the token to a
+#: fallback method.  A based literal is well formed when its digit run
+#: -- the longest run of characters :meth:`Lexer._lex_based_literal`
+#: would take -- holds a digit and nothing its base forbids; any other
+#: is left to that method, which reports it.  A number followed by
+#: ``'``, ``.digit`` or (after backtracking) a digit or ``_`` is not
+#: plain.
 _MASTER = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)*"
     r"(?:([A-Za-z_][A-Za-z0-9_$]*)"
+    r"|((?:[0-9][0-9_]*)?'[sS]?"
+    r"(?:[bB]_*[01xXzZ?][01xXzZ?_]*"
+    r"|[oO]_*[0-7xXzZ?][0-7xXzZ?_]*"
+    r"|[dD]_*[0-9][0-9_]*"
+    r"|[hH]_*[0-9a-fA-FxXzZ?][0-9a-fA-FxXzZ?_]*)"
+    r"(?![0-9a-fA-FxXzZ?_]))"
     r"|([0-9][0-9_]*)(?!['0-9_]|\.[0-9])"
     r"|(" + "|".join(re.escape(op) for op in MULTI_PUNCT)
     + "|[" + re.escape("".join(sorted(SINGLE_PUNCT))) + "])"
@@ -49,7 +59,10 @@ _MASTER = re.compile(
 )
 #: Token kind by :data:`_MASTER` group number; group 1 is an identifier
 #: or a keyword, told apart by :data:`KEYWORDS`.
-_GROUP_KINDS = (None, None, TokenKind.NUMBER, TokenKind.PUNCT)
+_GROUP_KINDS = (None, None, TokenKind.NUMBER, TokenKind.NUMBER, TokenKind.PUNCT)
+
+_new = object.__new__
+_SET_FILE, _SET_START, _SET_END = _SET_SPAN
 
 
 class Lexer:
@@ -107,7 +120,12 @@ class Lexer:
                 kind = keyword if value in keywords else ident
             else:
                 kind = _GROUP_KINDS[group]
-            append(Token(kind, value, Span(source, start, pos)))
+            # ``Span(source, start, pos)``, without its ``__init__`` frame.
+            span = _new(Span)
+            _SET_FILE(span, source)
+            _SET_START(span, start)
+            _SET_END(span, pos)
+            append(Token(kind, value, span))
         self.pos = pos
         tracker.charge("tokens", len(tokens) + 1)
         tracker.report_overflow("tokens", self._span(self.pos, self.pos + 1), self.sink)

@@ -11,6 +11,9 @@ error classes exercised by the paper's debugging dataset.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NoReturn
+
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
 from . import ast
@@ -42,13 +45,41 @@ _NET_KINDS = frozenset(["wire", "reg", "logic", "integer", "int", "genvar", "rea
 
 _MAX_ERRORS = 25
 
+#: ``parse_literal`` memoized for the short literals a design repeats
+#: (``0``, ``1'b1``): bounded in entries and in key length.
+_short_literal = lru_cache(maxsize=4096)(parse_literal)
+_SHORT_LITERAL = 64
+
+_PUNCT = TokenKind.PUNCT
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
+_EOF = TokenKind.EOF
+
 
 class _GiveUp(Exception):
-    """Internal signal: too many cascading errors, abandon the parse."""
+    """Internal signal: too many cascading errors, or nesting past the
+    depth budget; abandon the parse.  Only :meth:`Parser.parse_design`
+    catches it, and it returns at once, so no parser state (``pos``,
+    ``_depth``) is read after an unwind."""
 
 
 class Parser:
-    """Parses a token stream into a :class:`repro.verilog.ast.Design`."""
+    """Parses a token stream into a :class:`repro.verilog.ast.Design`.
+
+    ``tokens`` ends with its one EOF token, as :func:`tokenize` returns
+    it, so stepping past any other token stays in range.
+
+    **Depth budget.**  Every recursion level charges one unit of
+    ``max_parse_depth``, read once here: a module item, a statement, an
+    expression's conditional, each precedence level of
+    :meth:`_parse_binary`, its operand, and each prefix operator on that
+    operand.  A level is checked at the token where it opens;
+    :meth:`parse_expr` leaves its check to the two deeper ones
+    :meth:`_parse_binary` opens at the same token, which fire exactly
+    when any of the three would.  A level is released by a plain
+    assignment on return: when the budget runs out, :class:`_GiveUp`
+    unwinds to :meth:`parse_design`, which never reads ``_depth`` again.
+    """
 
     def __init__(
         self,
@@ -60,35 +91,27 @@ class Parser:
         self.pos = 0
         self.sink = sink
         self._error_count = 0
-        #: set True when recovery already reported at the current spot, to
-        #: suppress duplicate diagnostics for the same token.
-        self._just_recovered = False
+        #: the position at which recovery last reported, to suppress a
+        #: duplicate diagnostic for the same token; any step forward (and
+        #: ``advance`` at EOF) clears it.
+        self._recovered_at = -1
         #: Resource budgets; a private tracker with default limits keeps
         #: deeply-nested input from blowing the Python stack even when the
         #: caller did not supply one.
         self.tracker = tracker if tracker is not None else LimitTracker()
+        self._max_depth = self.tracker.limits.limit_for("parse nesting depth")
         self._depth = 0
 
     # -- recursion guard ----------------------------------------------
 
-    def _enter(self) -> None:
-        """Charge one level of recursive-descent nesting.
-
-        Statement and expression recursion both pass through here; when
-        the ``max_parse_depth`` budget is exhausted (e.g. the 10k-deep
-        parenthesis bomb) a single ``RESOURCE_LIMIT`` diagnostic is
-        reported and the parse is abandoned via :class:`_GiveUp` --
-        keeping well clear of Python's own recursion limit.
-        """
-        self._depth += 1
-        if not self.tracker.within("parse nesting depth", self._depth):
-            self.tracker.report_overflow(
-                "parse nesting depth", self.cur.span, self.sink
-            )
-            raise _GiveUp()
-
-    def _leave(self) -> None:
-        self._depth -= 1
+    def _too_deep(self) -> NoReturn:
+        """Report the exhausted ``max_parse_depth`` budget at the current
+        token (once) and abandon the parse -- e.g. the 10k-deep
+        parenthesis bomb stops well clear of Python's recursion limit."""
+        self.tracker.report_overflow(
+            "parse nesting depth", self.tokens[self.pos].span, self.sink
+        )
+        raise _GiveUp()
 
     # -- token helpers -------------------------------------------------
 
@@ -97,23 +120,31 @@ class Parser:
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.cur
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
-        self._just_recovered = False
+        """Consume and return the current token; EOF is never consumed."""
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok.kind is not _EOF:
+            self.pos = pos + 1
+        self._recovered_at = -1
         return tok
 
     def at_eof(self) -> bool:
-        return self.cur.kind is TokenKind.EOF
+        return self.tokens[self.pos].kind is _EOF
 
     def accept_punct(self, value: str) -> Token | None:
-        if self.cur.is_punct(value):
-            return self.advance()
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok.value == value and tok.kind is _PUNCT:
+            self.pos = pos + 1
+            return tok
         return None
 
     def accept_keyword(self, value: str) -> Token | None:
-        if self.cur.is_keyword(value):
-            return self.advance()
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok.value == value and tok.kind is _KEYWORD:
+            self.pos = pos + 1
+            return tok
         return None
 
     # -- diagnostics ---------------------------------------------------
@@ -125,43 +156,53 @@ class Parser:
         self.sink.append(Diagnostic(category, span, dict(args)))
 
     def syntax_near(self, token: Token | None = None) -> None:
-        token = token or self.cur
+        if token is None:
+            token = self.tokens[self.pos]
         self.error(ErrorCategory.SYNTAX_NEAR, token.span, near=token.describe())
 
+    def _recover(self) -> None:
+        """Report a syntax error at the current token unless recovery
+        already did so there."""
+        if self._recovered_at != self.pos:
+            self.syntax_near()
+        self._recovered_at = self.pos
+
     def expect_punct(self, value: str) -> Token:
-        tok = self.accept_punct(value)
-        if tok is not None:
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok.value == value and tok.kind is _PUNCT:
+            self.pos = pos + 1
             return tok
         if value == ";":
             # A distinct, retrievable category: the most common slip.
-            prev = self.tokens[max(0, self.pos - 1)]
-            self.error(ErrorCategory.MISSING_SEMICOLON, prev.span, before=self.cur.describe())
+            prev = self.tokens[max(0, pos - 1)]
+            self.error(ErrorCategory.MISSING_SEMICOLON, prev.span, before=tok.describe())
             return prev
-        if not self._just_recovered:
-            self.syntax_near()
-        self._just_recovered = True
-        return self.cur
+        self._recover()
+        return tok
 
     def expect_keyword(self, value: str) -> Token:
         tok = self.accept_keyword(value)
         if tok is not None:
             return tok
+        tok = self.tokens[self.pos]
         if value in ("end", "endmodule", "endcase", "endfunction", "endgenerate"):
             self.error(
-                ErrorCategory.UNBALANCED_BLOCK, self.cur.span,
-                expected=value, near=self.cur.describe(),
+                ErrorCategory.UNBALANCED_BLOCK, tok.span,
+                expected=value, near=tok.describe(),
             )
-        elif not self._just_recovered:
-            self.syntax_near()
-        self._just_recovered = True
-        return self.cur
+            self._recovered_at = self.pos
+        else:
+            self._recover()
+        return tok
 
     def expect_ident(self) -> str:
-        if self.cur.kind is TokenKind.IDENT:
-            return self.advance().value
-        if not self._just_recovered:
-            self.syntax_near()
-        self._just_recovered = True
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok.kind is _IDENT:
+            self.pos = pos + 1
+            return tok.value
+        self._recover()
         return "_error_"
 
     # -- entry point ----------------------------------------------------
@@ -205,11 +246,15 @@ class Parser:
             ports, port_order = self._parse_port_list()
         self.expect_punct(";")
 
-        while not self.at_eof() and not self.cur.is_keyword("endmodule"):
-            if self.cur.is_keyword("module"):
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind is _EOF or tok.value == "endmodule" and tok.kind is _KEYWORD:
+                break
+            if tok.value == "module" and tok.kind is _KEYWORD:
                 # A new module header before endmodule: missing endmodule.
                 self.error(
-                    ErrorCategory.UNBALANCED_BLOCK, self.cur.span,
+                    ErrorCategory.UNBALANCED_BLOCK, tok.span,
                     expected="endmodule", near="'module'",
                 )
                 break
@@ -248,26 +293,30 @@ class Parser:
         explicit = False
         signed = False
         rng: ast.Range | None = None
-        while not self.at_eof() and not self.cur.is_punct(")"):
-            tok = self.cur
-            if tok.kind is TokenKind.KEYWORD and tok.value in ("input", "output", "inout"):
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _EOF or tok.value == ")" and kind is _PUNCT:
+                break
+            if kind is _KEYWORD and tok.value in ("input", "output", "inout"):
                 direction = tok.value
-                net_kind, explicit, signed, rng = "wire", False, False, None
-                self.advance()
-                if self.cur.kind is TokenKind.KEYWORD and self.cur.value in _NET_KINDS:
-                    net_kind = self.cur.value
-                    explicit = True
-                    self.advance()
+                self.pos += 1
+                tok = tokens[self.pos]
+                explicit = tok.kind is _KEYWORD and tok.value in _NET_KINDS
+                if explicit:
+                    self.pos += 1
+                net_kind = tok.value if explicit else "wire"
                 signed = self.accept_keyword("signed") is not None
                 rng = self._parse_optional_range()
-            elif tok.kind is TokenKind.IDENT:
-                name = self.advance().value
-                order.append(name)
+            elif kind is _IDENT:
+                self.pos += 1
+                order.append(tok.value)
                 if direction is not None:
                     ports.append(
                         ast.PortDecl(
                             direction=direction, net_kind=net_kind, range=rng,  # type: ignore[arg-type]
-                            name=name, signed=signed, span=tok.span, explicit_kind=explicit,
+                            name=tok.value, signed=signed, span=tok.span, explicit_kind=explicit,
                         )
                     )
                 if not self.accept_punct(","):
@@ -283,51 +332,36 @@ class Parser:
     def parse_module_item(
         self, ports: list[ast.PortDecl], port_order: list[str]
     ) -> ast.ModuleItem | None:
-        self._enter()
-        try:
-            return self._parse_module_item_inner(ports, port_order)
-        finally:
-            self._leave()
-
-    def _parse_module_item_inner(
-        self, ports: list[ast.PortDecl], port_order: list[str]
-    ) -> ast.ModuleItem | None:
-        tok = self.cur
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.value in ("input", "output", "inout"):
-                return self._parse_nonansi_port(ports, port_order)
-            handler = {
-                "assign": self._parse_continuous_assign,
-                "always": self._parse_always,
-                "always_comb": self._parse_always,
-                "always_ff": self._parse_always,
-                "always_latch": self._parse_always,
-                "initial": self._parse_initial,
-                "parameter": self._parse_param,
-                "localparam": self._parse_param,
-                "function": self._parse_function,
-                "generate": self._parse_generate,
-            }.get(tok.value)
+        depth = self._depth
+        if depth >= self._max_depth:
+            self._too_deep()
+        self._depth = depth + 1
+        tok = self.tokens[self.pos]
+        item = None
+        if tok.kind is _KEYWORD:
+            handler = _ITEM_PARSERS.get(tok.value)
             if handler is not None:
-                return handler()
-            if tok.value in _NET_KINDS:
-                return self._parse_net_decl()
+                item = handler(self)
+            elif tok.value in ("input", "output", "inout"):
+                self._parse_nonansi_port(ports, port_order)
+            else:
+                self.syntax_near()
+                self.advance()
+        elif tok.kind is _IDENT:
+            item = self._parse_instantiation()
+        elif tok.value == ";" and tok.kind is _PUNCT:
+            self.pos += 1
+        else:
             self.syntax_near()
             self.advance()
-            return None
-        if tok.kind is TokenKind.IDENT:
-            return self._parse_instantiation()
-        if tok.is_punct(";"):
-            self.advance()
-            return None
-        self.syntax_near()
-        self.advance()
-        return None
+        self._depth = depth
+        return item
 
     def _parse_optional_range(self) -> ast.Range | None:
-        if not self.cur.is_punct("["):
+        start = self.tokens[self.pos]
+        if start.value != "[" or start.kind is not _PUNCT:
             return None
-        start = self.advance()
+        self.pos += 1
         msb = self.parse_expr()
         self.expect_punct(":")
         lsb = self.parse_expr()
@@ -341,7 +375,7 @@ class Parser:
         direction = self.advance().value
         net_kind = "wire"
         explicit = False
-        if self.cur.kind is TokenKind.KEYWORD and self.cur.value in _NET_KINDS:
+        if self.cur.kind is _KEYWORD and self.cur.value in _NET_KINDS:
             net_kind = self.advance().value
             explicit = True
         signed = self.accept_keyword("signed") is not None
@@ -363,9 +397,8 @@ class Parser:
             if not self.accept_punct(","):
                 break
         self.expect_punct(";")
-        return None
 
-    def _parse_net_decl(self) -> ast.NetDecl | None:
+    def _parse_net_decl(self) -> ast.NetDecl:
         kind_tok = self.advance()
         signed = self.accept_keyword("signed") is not None
         rng = self._parse_optional_range()
@@ -386,15 +419,12 @@ class Parser:
             if not self.accept_punct(","):
                 break
         self.expect_punct(";")
-        if len(decls) == 1:
-            return decls[0]
         # Represent multi-name declarations by chaining extras through a
         # synthetic container: caller expects a single item, so we return
         # the first and stash the rest as siblings.
         first = decls[0]
-        first_extra = getattr(first, "_siblings", None)
-        assert first_extra is None
-        first.__dict__["_siblings"] = decls[1:]
+        if len(decls) > 1:
+            first.__dict__["_siblings"] = decls[1:]
         return first
 
     def _parse_param(self) -> ast.ParamDecl:
@@ -420,12 +450,12 @@ class Parser:
     def _parse_continuous_assign(self) -> ast.ContinuousAssign:
         start = self.advance()  # 'assign'
         self._skip_delay()
-        lvalue = self.parse_expr(lvalue=True)
+        lvalue = self._parse_primary()
         self.expect_punct("=")
         rhs = self.parse_expr()
         extras: list[ast.ContinuousAssign] = []
         while self.accept_punct(","):
-            lv2 = self.parse_expr(lvalue=True)
+            lv2 = self._parse_primary()
             self.expect_punct("=")
             rhs2 = self.parse_expr()
             extras.append(ast.ContinuousAssign(lvalue=lv2, rhs=rhs2, span=start.span))
@@ -525,7 +555,7 @@ class Parser:
             self.expect_punct(")")
         self.expect_punct(";")
         decls: list[ast.NetDecl] = []
-        while self.cur.kind is TokenKind.KEYWORD and self.cur.value in ("input", "reg", "integer", "int", "logic"):
+        while self.cur.kind is _KEYWORD and self.cur.value in ("input", "reg", "integer", "int", "logic"):
             is_input = self.cur.value == "input"
             decl = self._parse_function_local()
             target = inputs if is_input else decls
@@ -614,7 +644,7 @@ class Parser:
             self.expect_punct("(")
             param_overrides = self._parse_connection_list()
         inst_tok = self.cur
-        if inst_tok.kind is not TokenKind.IDENT:
+        if inst_tok.kind is not _IDENT:
             self.syntax_near()
             return None
         inst_name = self.advance().value
@@ -648,39 +678,32 @@ class Parser:
     # -- statements -----------------------------------------------------
 
     def parse_stmt(self) -> ast.Stmt:
-        self._enter()
-        try:
-            return self._parse_stmt_inner()
-        finally:
-            self._leave()
-
-    def _parse_stmt_inner(self) -> ast.Stmt:
-        tok = self.cur
-        if tok.is_keyword("begin"):
-            return self._parse_block()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.value in ("case", "casez", "casex") and tok.kind is TokenKind.KEYWORD:
-            return self._parse_case()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("repeat"):
-            return self._parse_repeat()
-        if tok.kind is TokenKind.SYSTEM_IDENT:
-            return self._parse_task_call()
-        if tok.is_punct(";"):
-            self.advance()
-            return ast.NullStmt(span=tok.span)
-        if tok.is_punct("#") or tok.is_punct("@"):
+        depth = self._depth
+        if depth >= self._max_depth:
+            self._too_deep()
+        self._depth = depth + 1
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            stmt = self._parse_assignment_stmt()
+        elif kind is _KEYWORD and tok.value in _STMT_PARSERS:
+            stmt = _STMT_PARSERS[tok.value](self)
+        elif kind is _PUNCT and tok.value == ";":
+            self.pos += 1
+            stmt = ast.NullStmt(span=tok.span)
+        elif kind is _PUNCT and tok.value in ("#", "@"):
             self._skip_timing_control()
-            return self.parse_stmt()
-        if tok.kind is TokenKind.IDENT or tok.is_punct("{"):
-            return self._parse_assignment_stmt()
-        self.syntax_near()
-        self.advance()
-        return ast.NullStmt(span=tok.span)
+            stmt = self.parse_stmt()
+        elif kind is _PUNCT and tok.value == "{":
+            stmt = self._parse_assignment_stmt()
+        elif kind is TokenKind.SYSTEM_IDENT:
+            stmt = self._parse_task_call()
+        else:
+            self.syntax_near()
+            self.advance()
+            stmt = ast.NullStmt(span=tok.span)
+        self._depth = depth
+        return stmt
 
     def _skip_timing_control(self) -> None:
         if self.accept_punct("#"):
@@ -696,7 +719,7 @@ class Parser:
                     elif self.cur.is_punct(")"):
                         depth -= 1
                     self.advance()
-            elif self.cur.kind is TokenKind.IDENT:
+            elif self.cur.kind is _IDENT:
                 self.advance()
 
     def _parse_block(self) -> ast.Block:
@@ -706,26 +729,32 @@ class Parser:
             name = self.expect_ident()
         decls: list[ast.NetDecl] = []
         stmts: list[ast.Stmt] = []
-        while not self.at_eof() and not self.cur.is_keyword("end"):
-            if self.cur.is_keyword("endmodule") or self.cur.is_keyword("endcase"):
-                # begin-block left open
-                self.error(
-                    ErrorCategory.UNBALANCED_BLOCK, self.cur.span,
-                    expected="end", near=self.cur.describe(),
-                )
-                span = start.span.to(self.cur.span)
-                return ast.Block(span=span, name=name, decls=decls, stmts=stmts)
-            if self.cur.kind is TokenKind.KEYWORD and self.cur.value in ("reg", "integer", "int", "logic"):
-                decl = self._parse_net_decl()
-                if decl is not None:
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind is _EOF:
+                break
+            if tok.kind is _KEYWORD:
+                if tok.value == "end":
+                    break
+                if tok.value in ("endmodule", "endcase"):
+                    # begin-block left open
+                    self.error(
+                        ErrorCategory.UNBALANCED_BLOCK, tok.span,
+                        expected="end", near=tok.describe(),
+                    )
+                    span = start.span.to(tok.span)
+                    return ast.Block(span=span, name=name, decls=decls, stmts=stmts)
+                if tok.value in ("reg", "integer", "int", "logic"):
+                    decl = self._parse_net_decl()
                     decls.append(decl)
                     decls.extend(decl.__dict__.get("_siblings", []))
-                continue
+                    continue
             before = self.pos
             stmts.append(self.parse_stmt())
             if self.pos == before:
                 self.advance()
-        end = self.cur
+        end = tokens[self.pos]
         self.expect_keyword("end")
         if self.accept_punct(":"):
             self.expect_ident()
@@ -749,17 +778,25 @@ class Parser:
         subject = self.parse_expr()
         self.expect_punct(")")
         items: list[ast.CaseItem] = []
-        while not self.at_eof() and not self.cur.is_keyword("endcase"):
-            if self.cur.is_keyword("endmodule"):
-                self.error(
-                    ErrorCategory.UNBALANCED_BLOCK, self.cur.span,
-                    expected="endcase", near="'endmodule'",
-                )
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind is _EOF:
                 break
-            if self.accept_keyword("default"):
-                self.accept_punct(":")
-                items.append(ast.CaseItem(labels=[], body=self.parse_stmt()))
-                continue
+            if tok.kind is _KEYWORD:
+                if tok.value == "endcase":
+                    break
+                if tok.value == "endmodule":
+                    self.error(
+                        ErrorCategory.UNBALANCED_BLOCK, tok.span,
+                        expected="endcase", near="'endmodule'",
+                    )
+                    break
+                if tok.value == "default":
+                    self.pos += 1
+                    self.accept_punct(":")
+                    items.append(ast.CaseItem(labels=[], body=self.parse_stmt()))
+                    continue
             labels = [self.parse_expr()]
             while self.accept_punct(","):
                 labels.append(self.parse_expr())
@@ -772,9 +809,9 @@ class Parser:
         start = self.advance()
         self.expect_punct("(")
         inline_decl: str | None = None
-        if self.cur.kind is TokenKind.KEYWORD and self.cur.value in ("int", "integer"):
+        if self.cur.kind is _KEYWORD and self.cur.value in ("int", "integer"):
             self.advance()
-            inline_decl = self.cur.value if self.cur.kind is TokenKind.IDENT else None
+            inline_decl = self.cur.value if self.cur.kind is _IDENT else None
         init = self._parse_for_assign()
         self.expect_punct(";")
         cond = self.parse_expr()
@@ -791,8 +828,8 @@ class Parser:
         if self.cur.is_punct(";") or self.cur.is_punct(")"):
             return None
         tok = self.cur
-        lvalue = self.parse_expr(lvalue=True)
-        if self.cur.kind is TokenKind.PUNCT and self.cur.value in _C_STYLE_OPS:
+        lvalue = self._parse_primary()
+        if self.cur.kind is _PUNCT and self.cur.value in _C_STYLE_OPS:
             return self._recover_c_style(lvalue)
         self.expect_punct("=")
         rhs = self.parse_expr()
@@ -829,166 +866,168 @@ class Parser:
 
     def _parse_task_call(self) -> ast.TaskCall:
         tok = self.advance()
-        args: list[ast.Expr] = []
-        if self.accept_punct("("):
-            while not self.at_eof() and not self.cur.is_punct(")"):
-                args.append(self.parse_expr())
-                if not self.accept_punct(","):
-                    break
-            self.expect_punct(")")
+        args = self._parse_args() if self.accept_punct("(") else []
         self.expect_punct(";")
         return ast.TaskCall(span=tok.span, name=tok.value, args=args)
 
     def _parse_assignment_stmt(self) -> ast.Stmt:
-        tok = self.cur
-        lvalue = self.parse_expr(lvalue=True)
-        if self.cur.kind is TokenKind.PUNCT and self.cur.value in _C_STYLE_OPS:
-            stmt = self._recover_c_style(lvalue)
-            self.expect_punct(";")
-            return stmt
-        blocking = True
-        if self.accept_punct("<="):
-            blocking = False
-        elif not self.accept_punct("="):
-            self.syntax_near()
-            self.advance()
-            return ast.NullStmt(span=tok.span)
-        self._skip_delay()
-        rhs = self.parse_expr()
-        self.expect_punct(";")
-        return ast.ProcAssign(
-            span=tok.span.to(rhs.span), lvalue=lvalue, rhs=rhs, blocking=blocking
-        )
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        lvalue = self._parse_primary()
+        op = tokens[self.pos]
+        if op.kind is _PUNCT:
+            if op.value == "<=" or op.value == "=":
+                self.pos += 1
+                self._skip_delay()
+                rhs = self.parse_expr()
+                self.expect_punct(";")
+                return ast.ProcAssign(tok.span.to(rhs.span), lvalue, rhs, op.value == "=")
+            if op.value in _C_STYLE_OPS:
+                stmt = self._recover_c_style(lvalue)
+                self.expect_punct(";")
+                return stmt
+        self.syntax_near()
+        self.advance()
+        return ast.NullStmt(span=tok.span)
 
     # -- expressions -----------------------------------------------------
 
-    def parse_expr(self, lvalue: bool = False) -> ast.Expr:
-        if lvalue:
-            return self._parse_primary()
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
-        self._enter()
-        try:
-            cond = self._parse_binary(0)
-            if self.accept_punct("?"):
-                then = self._parse_ternary()
-                self.expect_punct(":")
-                other = self._parse_ternary()
-                return ast.Ternary(
-                    span=cond.span.to(other.span), cond=cond, then=then, other=other
-                )
-            return cond
-        finally:
-            self._leave()
+    def parse_expr(self) -> ast.Expr:
+        """An expression: a conditional over binary operators.  Its depth
+        level is checked by the two :meth:`_parse_binary` opens at the
+        same token.  (An lvalue is a :meth:`_parse_primary`.)"""
+        depth = self._depth
+        self._depth = depth + 1
+        cond = self._parse_binary(0)
+        tok = self.tokens[self.pos]
+        if tok.value == "?" and tok.kind is _PUNCT:
+            self.pos += 1
+            then = self.parse_expr()
+            self.expect_punct(":")
+            other = self.parse_expr()
+            cond = ast.Ternary(cond.span.to(other.span), cond, then, other)
+        self._depth = depth
+        return cond
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
-        self._enter()
-        try:
-            return self._parse_binary_inner(min_prec)
-        finally:
-            self._leave()
-
-    def _parse_binary_inner(self, min_prec: int) -> ast.Expr:
-        lhs = self._parse_unary()
+        """Operators of precedence ``min_prec`` and up, by precedence
+        climbing: one depth level for this call, one for its operand and
+        one per prefix operator on the operand."""
+        level = self._depth + 1
+        depth = level + 1
+        limit = self._max_depth
+        if depth > limit:
+            self._too_deep()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.value in _UNARY_OPS and tok.kind is _PUNCT:
+            prefix: list[Token] = []
+            while tok.value in _UNARY_OPS and tok.kind is _PUNCT:
+                prefix.append(tok)
+                self.pos += 1
+                depth += 1
+                if depth > limit:
+                    self._too_deep()
+                tok = tokens[self.pos]
+            self._depth = depth
+            lhs = self._parse_primary()
+            for tok in reversed(prefix):
+                lhs = ast.Unary(tok.span.to(lhs.span), tok.value, lhs)
+        else:
+            self._depth = depth
+            lhs = self._parse_primary()
+        self._depth = level
         while True:
-            tok = self.cur
-            if tok.kind is not TokenKind.PUNCT:
-                return lhs
+            tok = tokens[self.pos]
             prec = _BINARY_PREC.get(tok.value)
-            if prec is None or prec < min_prec:
+            if prec is None or prec < min_prec or tok.kind is not _PUNCT:
+                self._depth = level - 1
                 return lhs
-            self.advance()
+            self.pos += 1
             # '**' is right-associative; everything else left.
-            next_min = prec if tok.value == "**" else prec + 1
-            rhs = self._parse_binary(next_min)
-            lhs = ast.Binary(span=lhs.span.to(rhs.span), op=tok.value, lhs=lhs, rhs=rhs)
-
-    def _parse_unary(self) -> ast.Expr:
-        self._enter()
-        try:
-            tok = self.cur
-            if tok.kind is TokenKind.PUNCT and tok.value in _UNARY_OPS:
-                self.advance()
-                operand = self._parse_unary()
-                return ast.Unary(
-                    span=tok.span.to(operand.span), op=tok.value, operand=operand
-                )
-            return self._parse_primary()
-        finally:
-            self._leave()
+            rhs = self._parse_binary(prec if tok.value == "**" else prec + 1)
+            lhs = ast.Binary(lhs.span.to(rhs.span), tok.value, lhs, rhs)
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self.cur
-        if tok.kind is TokenKind.NUMBER or tok.kind is TokenKind.REAL:
-            self.advance()
-            lit = parse_literal(tok.value)
-            return ast.Number(
-                span=tok.span, bits=lit.bits, xmask=lit.xmask,
-                width=lit.width, signed=lit.signed,
-            )
-        if tok.kind is TokenKind.STRING:
-            self.advance()
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            self.pos = pos + 1
+            follow = tokens[pos + 1]
+            if follow.kind is _PUNCT:
+                if follow.value == "(":
+                    self.pos = pos + 2
+                    return ast.FuncCall(tok.span, tok.value, self._parse_args())
+                if follow.value == "[":
+                    return self._parse_selects(ast.Identifier(tok.span, tok.value))
+            return ast.Identifier(tok.span, tok.value)
+        if kind is TokenKind.NUMBER or kind is TokenKind.REAL:
+            self.pos = pos + 1
+            value = tok.value
+            if len(value) <= _SHORT_LITERAL:
+                lit = _short_literal(value)
+            else:
+                lit = parse_literal(value)
+            return ast.Number(tok.span, lit.bits, lit.xmask, lit.width, lit.signed)
+        if kind is _PUNCT:
+            if tok.value == "(":
+                self.pos = pos + 1
+                inner = self.parse_expr()
+                self.expect_punct(")")
+                return self._parse_selects(inner)
+            if tok.value == "{":
+                return self._parse_concat()
+        elif kind is TokenKind.STRING:
+            self.pos = pos + 1
             return ast.StringLit(span=tok.span, value=tok.value.strip('"'))
-        if tok.kind is TokenKind.SYSTEM_IDENT:
-            self.advance()
-            args: list[ast.Expr] = []
-            if self.accept_punct("("):
-                while not self.at_eof() and not self.cur.is_punct(")"):
-                    args.append(self.parse_expr())
-                    if not self.accept_punct(","):
-                        break
-                self.expect_punct(")")
+        elif kind is TokenKind.SYSTEM_IDENT:
+            self.pos = pos + 1
+            args = self._parse_args() if self.accept_punct("(") else []
             return ast.SystemCall(span=tok.span, name=tok.value, args=args)
-        if tok.kind is TokenKind.IDENT:
-            self.advance()
-            if self.cur.is_punct("("):
-                self.advance()
-                args = []
-                while not self.at_eof() and not self.cur.is_punct(")"):
-                    args.append(self.parse_expr())
-                    if not self.accept_punct(","):
-                        break
-                self.expect_punct(")")
-                return ast.FuncCall(span=tok.span, name=tok.value, args=args)
-            expr: ast.Expr = ast.Identifier(span=tok.span, name=tok.value)
-            return self._parse_selects(expr)
-        if tok.is_punct("("):
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            return self._parse_selects(inner)
-        if tok.is_punct("{"):
-            return self._parse_concat()
         self.syntax_near()
         self.advance()
         return ast.Number(span=tok.span, bits=0, width=1)
 
+    def _parse_args(self) -> list[ast.Expr]:
+        """A comma-separated argument list after its ``(``, and the ``)``."""
+        args: list[ast.Expr] = []
+        while not self.at_eof() and not self.cur.is_punct(")"):
+            args.append(self.parse_expr())
+            if not self.accept_punct(","):
+                break
+        self.expect_punct(")")
+        return args
+
     def _parse_selects(self, base: ast.Expr) -> ast.Expr:
-        while self.cur.is_punct("["):
-            start = self.advance()
+        tokens = self.tokens
+        while True:
+            start = tokens[self.pos]
+            if start.value != "[" or start.kind is not _PUNCT:
+                return base
+            self.pos += 1
             first = self.parse_expr()
-            if self.accept_punct(":"):
+            sep = tokens[self.pos]
+            if sep.kind is _PUNCT and sep.value == ":":
+                self.pos += 1
                 lsb = self.parse_expr()
-                end = self.cur
+                end = tokens[self.pos]
                 self.expect_punct("]")
-                base = ast.RangeSelect(
-                    span=start.span.to(end.span), base=base, msb=first, lsb=lsb
-                )
-            elif self.cur.is_punct("+:") or self.cur.is_punct("-:"):
-                ascending = self.advance().value == "+:"
+                base = ast.RangeSelect(start.span.to(end.span), base, first, lsb)
+            elif sep.kind is _PUNCT and sep.value in ("+:", "-:"):
+                self.pos += 1
                 width = self.parse_expr()
-                end = self.cur
+                end = tokens[self.pos]
                 self.expect_punct("]")
                 base = ast.IndexedSelect(
                     span=start.span.to(end.span), base=base, start=first,
-                    width=width, ascending=ascending,
+                    width=width, ascending=sep.value == "+:",
                 )
             else:
-                end = self.cur
+                end = sep
                 self.expect_punct("]")
-                base = ast.Select(span=start.span.to(end.span), base=base, index=first)
-        return base
+                base = ast.Select(start.span.to(end.span), base, first)
 
     def _parse_concat(self) -> ast.Expr:
         start = self.advance()  # '{'
@@ -1010,6 +1049,32 @@ class Parser:
         end = self.cur
         self.expect_punct("}")
         return self._parse_selects(ast.Concat(span=start.span.to(end.span), parts=parts))
+
+
+#: Module items and statements by leading keyword.
+_ITEM_PARSERS = {
+    "assign": Parser._parse_continuous_assign,
+    "always": Parser._parse_always,
+    "always_comb": Parser._parse_always,
+    "always_ff": Parser._parse_always,
+    "always_latch": Parser._parse_always,
+    "initial": Parser._parse_initial,
+    "parameter": Parser._parse_param,
+    "localparam": Parser._parse_param,
+    "function": Parser._parse_function,
+    "generate": Parser._parse_generate,
+    **dict.fromkeys(_NET_KINDS, Parser._parse_net_decl),
+}
+_STMT_PARSERS = {
+    "begin": Parser._parse_block,
+    "if": Parser._parse_if,
+    "case": Parser._parse_case,
+    "casez": Parser._parse_case,
+    "casex": Parser._parse_case,
+    "for": Parser._parse_for,
+    "while": Parser._parse_while,
+    "repeat": Parser._parse_repeat,
+}
 
 
 def parse(

@@ -84,7 +84,13 @@ class Span:
 
     def to(self, other: "Span") -> "Span":
         """Smallest span covering both self and other (same file)."""
-        return Span(self.file, min(self.start, other.start), max(self.end, other.end))
+        start, other_start = self.start, other.start
+        end, other_end = self.end, other.end
+        return Span(
+            self.file,
+            start if start <= other_start else other_start,
+            end if end >= other_end else other_end,
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.file.name}:{self.line}"

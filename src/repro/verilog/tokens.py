@@ -43,17 +43,20 @@ MULTI_PUNCT: tuple[str, ...] = (
 SINGLE_PUNCT: frozenset[str] = frozenset("+-*/%><!~&|^=?:;,.(){}[]@#")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=True, unsafe_hash=True, slots=True)
 class Token:
+    """One lexed token.
+
+    A token lives only from the lexer to the parser of one compile; the
+    AST and the diagnostics keep its frozen :class:`Span`, never the
+    token.  So this is a plain slots class, whose generated ``__init__``
+    stores each field directly -- the lexer builds one per token.
+    Equality and the hash are over the fields, as for a frozen class.
+    """
+
     kind: TokenKind
     value: str
     span: Span
-
-    def __init__(self, kind: TokenKind, value: str, span: Span) -> None:
-        # Frozen and built like :class:`Span`.
-        _SET_TOKEN[0](self, kind)
-        _SET_TOKEN[1](self, value)
-        _SET_TOKEN[2](self, span)
 
     def is_punct(self, value: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == value
@@ -66,6 +69,3 @@ class Token:
         if self.kind is TokenKind.EOF:
             return "end of file"
         return repr(self.value)
-
-
-_SET_TOKEN = (Token.kind.__set__, Token.value.__set__, Token.span.__set__)
