@@ -6,8 +6,11 @@ so performance regressions in the front-end or the simulation kernel
 show up directly.
 """
 
+from conftest import report
+
 from repro.dataset import verilogeval
 from repro.diagnostics import compile_source
+from repro.eval import render_table
 from repro.sim import SimLimits, Simulator, run_differential
 
 CORPUS = verilogeval()
@@ -16,14 +19,32 @@ SEQ = CORPUS.get("counter_load")
 FSM = CORPUS.get("fsm_seq101")
 
 
+def _report_compile(benchmark, what: str) -> None:
+    """Record one cold compile's timing (skipped under
+    ``--benchmark-disable``, which leaves no stats)."""
+    if benchmark.stats is None:
+        return
+    stats = benchmark.stats.stats
+    report(
+        f"Substrate: compile throughput, {what}",
+        render_table(
+            ["rounds", "mean (ms)", "median (ms)", "min (ms)", "compiles/s"],
+            [[stats.rounds, f"{stats.mean * 1e3:.3f}", f"{stats.median * 1e3:.3f}",
+              f"{stats.min * 1e3:.3f}", f"{1 / stats.mean:.0f}"]],
+        ),
+    )
+
+
 def test_compile_throughput_comb(benchmark):
     result = benchmark(compile_source, COMB.reference)
     assert result.ok
+    _report_compile(benchmark, "combinational (vector_reverse32)")
 
 
 def test_compile_throughput_fsm(benchmark):
     result = benchmark(compile_source, FSM.reference)
     assert result.ok
+    _report_compile(benchmark, "FSM (fsm_seq101)")
 
 
 def test_compile_error_path(benchmark):
@@ -34,6 +55,7 @@ def test_compile_error_path(benchmark):
 
     result = benchmark(run)
     assert not result.ok
+    _report_compile(benchmark, "error path (broken counter_load, quartus)")
 
 
 def test_simulator_construction(benchmark):

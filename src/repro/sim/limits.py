@@ -93,16 +93,6 @@ class SimLimits:
                     f"{spec.name} must be a positive int, got {value!r}"
                 )
 
-    def describe(self) -> str:
-        """Compact ``k=v`` rendering (CLI/telemetry)."""
-        return (
-            f"cycles={self.max_cycles} events={self.max_events_per_cycle} "
-            f"stmts={self.max_stmt_executions} "
-            f"trace-entries={self.max_trace_entries} "
-            f"trace-bytes={self.max_trace_bytes} "
-            f"display={self.max_display_lines} wall={self.wall_clock_s:g}"
-        )
-
 
 #: Production defaults: generous for real testbench runs (<= ~130 cycles,
 #: a handful of outputs), hard wall for hostile designs.

@@ -29,6 +29,7 @@ from repro.sim.limits import (
     DEFAULT_SIM_LIMITS,
     FUZZ_SIM_LIMITS,
     UNTRACKED,
+    _SPEC_KEYS,
     BoundedDisplayLog,
     SimLimits,
     SimLimitTracker,
@@ -107,12 +108,19 @@ class TestLimitsParsing:
         with pytest.raises(ValueError):
             SimLimits(**{field: value})
 
-    def test_describe_roundtrips_through_parse(self):
-        limits = SimLimits(max_cycles=123, wall_clock_s=1.5)
-        reparsed = parse_sim_limits(
-            limits.describe().replace(" ", ",")
-        )
-        assert reparsed == limits
+    def test_every_spec_key_and_preset_parses(self):
+        """Each ``--sim-limits`` key sets its own field and no other;
+        every field but ``max_settle_passes`` has a key; the preset
+        names give the presets."""
+        for key, field_name in _SPEC_KEYS.items():
+            value = 2.5 if key == "wall" else 7
+            assert parse_sim_limits(f"{key}={value}") == dataclasses.replace(
+                DEFAULT_SIM_LIMITS, **{field_name: value}
+            )
+        unset = {f.name for f in dataclasses.fields(SimLimits)} - set(_SPEC_KEYS.values())
+        assert unset == {"max_settle_passes"}
+        assert parse_sim_limits("default") is DEFAULT_SIM_LIMITS
+        assert parse_sim_limits(" fuzz ") is FUZZ_SIM_LIMITS
 
     def test_default_scoping(self):
         tight = SimLimits(max_cycles=9)
