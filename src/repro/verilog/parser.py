@@ -919,8 +919,13 @@ class Parser:
         if depth > limit:
             self._too_deep()
         tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.value in _UNARY_OPS and tok.kind is _PUNCT:
+        pos = self.pos
+        tok = tokens[pos]
+        if tok.kind is _IDENT and tokens[pos + 1].value not in ("(", "["):
+            # The commonest operand, a bare name, without the call.
+            self.pos = pos + 1
+            lhs = ast.Identifier(tok.span, tok.value)
+        elif tok.value in _UNARY_OPS and tok.kind is _PUNCT:
             prefix: list[Token] = []
             while tok.value in _UNARY_OPS and tok.kind is _PUNCT:
                 prefix.append(tok)
