@@ -59,26 +59,17 @@ _EOF = TokenKind.EOF
 class _GiveUp(Exception):
     """Internal signal: too many cascading errors, or nesting past the
     depth budget; abandon the parse.  Only :meth:`Parser.parse_design`
-    catches it, and it returns at once, so no parser state (``pos``,
-    ``_depth``) is read after an unwind."""
+    catches it, and it returns at once without reading parser state."""
 
 
 class Parser:
     """Parses a token stream into a :class:`repro.verilog.ast.Design`.
 
     ``tokens`` ends with its one EOF token, as :func:`tokenize` returns
-    it, so stepping past any other token stays in range.
-
-    **Depth budget.**  Every recursion level charges one unit of
-    ``max_parse_depth``, read once here: a module item, a statement, an
-    expression's conditional, each precedence level of
-    :meth:`_parse_binary`, its operand, and each prefix operator on that
-    operand.  A level is checked at the token where it opens;
-    :meth:`parse_expr` leaves its check to the two deeper ones
-    :meth:`_parse_binary` opens at the same token, which fire exactly
-    when any of the three would.  A level is released by a plain
-    assignment on return: when the budget runs out, :class:`_GiveUp`
-    unwinds to :meth:`parse_design`, which never reads ``_depth`` again.
+    it, so stepping past any other token stays in range.  Each recursion
+    level charges one unit of ``max_parse_depth`` (read once, here),
+    checked at the token where it opens and released by a plain
+    assignment on return; see DESIGN.md, "Front-end hot paths".
     """
 
     def __init__(
@@ -155,9 +146,8 @@ class Parser:
         self._error_count += 1
         self.sink.append(Diagnostic(category, span, dict(args)))
 
-    def syntax_near(self, token: Token | None = None) -> None:
-        if token is None:
-            token = self.tokens[self.pos]
+    def syntax_near(self) -> None:
+        token = self.tokens[self.pos]
         self.error(ErrorCategory.SYNTAX_NEAR, token.span, near=token.describe())
 
     def _recover(self) -> None:
