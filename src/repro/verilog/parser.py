@@ -365,7 +365,7 @@ class Parser:
         direction = self.advance().value
         net_kind = "wire"
         explicit = False
-        if self.cur.kind is _KEYWORD and self.cur.value in _NET_KINDS:
+        if self.cur.kind is TokenKind.KEYWORD and self.cur.value in _NET_KINDS:
             net_kind = self.advance().value
             explicit = True
         signed = self.accept_keyword("signed") is not None
@@ -545,7 +545,7 @@ class Parser:
             self.expect_punct(")")
         self.expect_punct(";")
         decls: list[ast.NetDecl] = []
-        while self.cur.kind is _KEYWORD and self.cur.value in ("input", "reg", "integer", "int", "logic"):
+        while self.cur.kind is TokenKind.KEYWORD and self.cur.value in ("input", "reg", "integer", "int", "logic"):
             is_input = self.cur.value == "input"
             decl = self._parse_function_local()
             target = inputs if is_input else decls
@@ -634,7 +634,7 @@ class Parser:
             self.expect_punct("(")
             param_overrides = self._parse_connection_list()
         inst_tok = self.cur
-        if inst_tok.kind is not _IDENT:
+        if inst_tok.kind is not TokenKind.IDENT:
             self.syntax_near()
             return None
         inst_name = self.advance().value
@@ -709,7 +709,7 @@ class Parser:
                     elif self.cur.is_punct(")"):
                         depth -= 1
                     self.advance()
-            elif self.cur.kind is _IDENT:
+            elif self.cur.kind is TokenKind.IDENT:
                 self.advance()
 
     def _parse_block(self) -> ast.Block:
@@ -799,9 +799,9 @@ class Parser:
         start = self.advance()
         self.expect_punct("(")
         inline_decl: str | None = None
-        if self.cur.kind is _KEYWORD and self.cur.value in ("int", "integer"):
+        if self.cur.kind is TokenKind.KEYWORD and self.cur.value in ("int", "integer"):
             self.advance()
-            inline_decl = self.cur.value if self.cur.kind is _IDENT else None
+            inline_decl = self.cur.value if self.cur.kind is TokenKind.IDENT else None
         init = self._parse_for_assign()
         self.expect_punct(";")
         cond = self.parse_expr()
@@ -819,7 +819,7 @@ class Parser:
             return None
         tok = self.cur
         lvalue = self._parse_primary()
-        if self.cur.kind is _PUNCT and self.cur.value in _C_STYLE_OPS:
+        if self.cur.kind is TokenKind.PUNCT and self.cur.value in _C_STYLE_OPS:
             return self._recover_c_style(lvalue)
         self.expect_punct("=")
         rhs = self.parse_expr()

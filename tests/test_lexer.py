@@ -161,6 +161,12 @@ class TestSpans:
         assert tokens[0].span.text == "module"
         assert tokens[3].span.line == 2
 
+    def test_tokens_compare_and_hash_by_field(self):
+        (a, _), (b, _) = lex("x"), lex("x")
+        assert a[0] == b[0] and a[0] is not b[0]
+        assert hash(a[0]) == hash(b[0]) == hash((a[0].kind, "x", a[0].span))
+        assert a[0] != lex("y")[0][0] and a[0] != lex(" x")[0][0]
+
     def test_line_col_resolution(self):
         src = SourceFile("x.v", "ab\ncd\nef")
         assert src.line_col(0) == (1, 1)
