@@ -11,14 +11,13 @@ error classes exercised by the paper's debugging dataset.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NoReturn
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
 from . import ast
 from .limits import LimitTracker
-from .literal import parse_literal
+from .literal import ParsedLiteral, parse_literal
 from .source import SourceFile, Span
 from .tokens import Token, TokenKind
 
@@ -44,11 +43,6 @@ _C_STYLE_OPS = frozenset(["++", "--", "+=", "-=", "*=", "/=", "<<=", ">>="])
 _NET_KINDS = frozenset(["wire", "reg", "logic", "integer", "int", "genvar", "real"])
 
 _MAX_ERRORS = 25
-
-#: ``parse_literal`` memoized for the short literals a design repeats
-#: (``0``, ``1'b1``): bounded in entries and in key length.
-_short_literal = lru_cache(maxsize=4096)(parse_literal)
-_SHORT_LITERAL = 64
 
 _PUNCT = TokenKind.PUNCT
 _KEYWORD = TokenKind.KEYWORD
@@ -92,6 +86,8 @@ class Parser:
         self.tracker = tracker if tracker is not None else LimitTracker()
         self._max_depth = self.tracker.limits.limit_for("parse nesting depth")
         self._depth = 0
+        #: literal text -> parsed value; a design repeats its literals.
+        self._literals: dict[str, ParsedLiteral] = {}
 
     # -- recursion guard ----------------------------------------------
 
@@ -960,11 +956,9 @@ class Parser:
             return ast.Identifier(tok.span, tok.value)
         if kind is TokenKind.NUMBER or kind is TokenKind.REAL:
             self.pos = pos + 1
-            value = tok.value
-            if len(value) <= _SHORT_LITERAL:
-                lit = _short_literal(value)
-            else:
-                lit = parse_literal(value)
+            lit = self._literals.get(tok.value)
+            if lit is None:
+                lit = self._literals[tok.value] = parse_literal(tok.value)
             return ast.Number(tok.span, lit.bits, lit.xmask, lit.width, lit.signed)
         if kind is _PUNCT:
             if tok.value == "(":
