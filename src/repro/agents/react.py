@@ -75,10 +75,6 @@ class AgentResult:
     #: Table 1 accounting must not conflate the two.
     rule_fixed: bool = False
 
-    @property
-    def gave_up(self) -> bool:
-        return not self.success
-
 
 class ReActAgent:
     """LLM-as-autonomous-agent with Compiler / RAG / Finish actions.

@@ -20,7 +20,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from ..core.rulefix import rule_fix, validate_module_text
-from ..diagnostics import ErrorCategory
 from .cluster import cluster_codes
 from .generate import GenerationModel
 from .problem import Problem, ProblemSet
@@ -40,9 +39,6 @@ class SyntaxEntry:
     #: Error categories observed by the compiler (Quartus taxonomy).
     categories: tuple[str, ...]
     seed: int = 0
-
-    def error_categories(self) -> tuple[ErrorCategory, ...]:
-        return tuple(ErrorCategory(c) for c in self.categories)
 
 
 @dataclass

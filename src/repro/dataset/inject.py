@@ -273,16 +273,6 @@ class ErrorInjector:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def applicable_categories(self, code: str) -> list[ErrorCategory]:
-        """Categories with at least one transform applicable to ``code``."""
-        out = []
-        for category, transforms in TRANSFORMS.items():
-            for transform in transforms:
-                if transform(code, random.Random(0)) is not None:
-                    out.append(category)
-                    break
-        return out
-
     def inject(
         self, code: str, category: ErrorCategory, validate: bool = True
     ) -> Optional[Injection]:

@@ -38,10 +38,6 @@ class Problem:
     def description(self, benchmark: str = "human") -> str:
         return self.machine_desc if benchmark == "machine" else self.human_desc
 
-    def prompt(self, benchmark: str = "human") -> str:
-        """The generation prompt: description + module header."""
-        return f"{self.description(benchmark)}\n\n{self.header}"
-
 
 @dataclass
 class ProblemSet:
@@ -61,15 +57,6 @@ class ProblemSet:
             if problem.id == problem_id:
                 return problem
         raise DatasetError(f"no problem {problem_id!r} in set {self.name!r}")
-
-    def subset(self, difficulty: Difficulty) -> "ProblemSet":
-        return ProblemSet(
-            name=f"{self.name}-{difficulty}",
-            problems=[p for p in self.problems if p.difficulty == difficulty],
-        )
-
-    def ids(self) -> list[str]:
-        return [p.id for p in self.problems]
 
     def add(self, problem: Problem) -> None:
         if any(p.id == problem.id for p in self.problems):

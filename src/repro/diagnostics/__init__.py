@@ -12,7 +12,6 @@ from .codes import (
     QUARTUS_TAG_TO_CATEGORY,
     CategoryInfo,
     ErrorCategory,
-    label,
     quartus_tag,
 )
 from .compiler import (
@@ -38,6 +37,5 @@ __all__ = [
     "SIMPLE_FEEDBACK",
     "Severity",
     "compile_source",
-    "label",
     "quartus_tag",
 ]

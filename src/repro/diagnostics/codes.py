@@ -113,8 +113,3 @@ QUARTUS_TAG_TO_CATEGORY: dict[int, ErrorCategory] = {
 def quartus_tag(category: ErrorCategory) -> int:
     """The stable numeric Quartus tag for a category."""
     return CATALOG[category].quartus_tag
-
-
-def label(category: ErrorCategory) -> str:
-    """Short human-readable label for a category."""
-    return CATALOG[category].label

@@ -47,9 +47,6 @@ class Diagnostic:
     def file_name(self) -> str | None:
         return self.span.file.name if self.span is not None else None
 
-    def arg(self, key: str, default: object = "") -> object:
-        return self.args.get(key, default)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         loc = f"{self.file_name}:{self.line}: " if self.span else ""
         return f"{loc}{self.severity.value}: {self.category.value} {self.args}"

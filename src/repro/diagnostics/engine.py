@@ -11,12 +11,12 @@ that every stage reports into:
   stage that emitted it (``driver``/``preprocess``/``lex``/``parse``/
   ``elaborate``/``render``), queryable via :meth:`DiagnosticEngine.records`
   and :meth:`DiagnosticEngine.stages_for`;
-* **escalation** -- cooperative limit violations
-  (:meth:`~DiagnosticEngine.limit_violation`) and unexpected crashes
+* **escalation** -- unexpected crashes
   (:meth:`~DiagnosticEngine.internal_error`, which also sets the
   ``crashed`` flag) funnel through the same sink as ordinary
-  diagnostics, so ``RESOURCE_LIMIT``/``INTERNAL`` handling lives in one
-  place;
+  diagnostics; budget overflows need no escalation, since every stage
+  reports them as ordinary ``RESOURCE_LIMIT`` diagnostics
+  (:meth:`repro.verilog.limits.LimitTracker.report_overflow`);
 * **rendering** -- :func:`render_log` is the single
   iverilog/Quartus/simple renderer entry point (with the never-crash
   fallback), used by :class:`~repro.diagnostics.compiler.CompileResult`.
@@ -127,8 +127,7 @@ class DiagnosticEngine:
 
     One engine is created per compile.  Stages obtain a list-compatible
     sink via :meth:`sink` (or the driver forwards pre-collected
-    diagnostics via :meth:`extend`); cooperative limit violations and
-    crash escalation go through :meth:`limit_violation` /
+    diagnostics via :meth:`extend`); crash escalation goes through
     :meth:`internal_error`; :meth:`result` assembles the final deduped
     :class:`~repro.diagnostics.compiler.CompileResult`.
     """
@@ -174,8 +173,8 @@ class DiagnosticEngine:
 
         If an exception escapes the block, the stage is remembered in
         :attr:`failed_stage` so the crash boundary can attribute the
-        ``RESOURCE_LIMIT``/``INTERNAL`` diagnostic to the stage that
-        actually failed (the stack itself unwinds with the exception).
+        ``INTERNAL`` diagnostic to the stage that actually failed (the
+        stack itself unwinds with the exception).
         """
         self._stage_stack.append(name)
         try:
@@ -212,31 +211,15 @@ class DiagnosticEngine:
 
     # -- escalation ---------------------------------------------------
 
-    def _escalation_stage(self, stage: Optional[str]) -> str:
-        if stage is not None:
-            return stage
-        if self.failed_stage is not None:
-            return self.failed_stage
-        return self.current_stage
-
-    def limit_violation(self, exc, span, stage: Optional[str] = None) -> None:
-        """Record a cooperative :class:`~repro.errors.ResourceLimitExceeded`
-        unwind as an ordinary ``RESOURCE_LIMIT`` diagnostic (not a crash)."""
-        self.emit(
-            self._escalation_stage(stage),
-            Diagnostic(
-                ErrorCategory.RESOURCE_LIMIT, span,
-                {"what": exc.kind, "limit": exc.limit},
-            ),
-        )
-
-    def internal_error(self, exc: BaseException, span,
-                       stage: Optional[str] = None) -> None:
+    def internal_error(self, exc: BaseException, span) -> None:
         """Record an unexpected crash as an ``INTERNAL`` diagnostic and
-        flip :attr:`crashed` -- the never-crash boundary in one place."""
+        flip :attr:`crashed` -- the never-crash boundary in one place.
+
+        The diagnostic is attributed to the stage the exception escaped
+        from (:attr:`failed_stage`), else to the active stage."""
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         self.emit(
-            self._escalation_stage(stage),
+            self.failed_stage or self.current_stage,
             Diagnostic(ErrorCategory.INTERNAL, span, {"detail": detail}),
         )
         self.crashed = True

@@ -15,23 +15,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class ResourceLimitExceeded(ReproError):
-    """A cooperative resource budget of the compiler front-end ran out.
-
-    Raised *inside* pipeline stages (see
-    :class:`repro.verilog.limits.LimitTracker`) when unwinding via an
-    exception is simpler than threading a flag; always caught at the
-    :func:`repro.diagnostics.compiler.compile_source` boundary and
-    converted into an ordinary ``RESOURCE_LIMIT`` diagnostic.  It never
-    escapes the front-end.
-    """
-
-    def __init__(self, kind: str, limit: int):
-        super().__init__(f"{kind} limit ({limit}) exceeded")
-        self.kind = kind
-        self.limit = limit
-
-
 class SimulationError(ReproError):
     """The simulator could not run an elaborated design.
 
@@ -51,12 +34,14 @@ class SimLimitExceeded(SimulationError):
     """A cooperative simulation budget ran out
     (:class:`repro.sim.limits.SimLimits`).
 
-    The simulator-side analogue of :class:`ResourceLimitExceeded`: it
-    derives :class:`SimulationError` so every existing handler still
-    degrades it into an ordinary failed verdict, while the sandbox
-    boundary (:mod:`repro.sim.sandbox`) distinguishes it from genuine
-    simulation failures and classifies the outcome as a typed ``limit``
-    verdict (vs. ``crashed`` for internal errors).
+    Unlike the compiler front end, whose budgets report a
+    ``RESOURCE_LIMIT`` diagnostic and stop the stage without raising
+    (:class:`repro.verilog.limits.LimitTracker`), the simulator unwinds
+    with this exception.  It derives :class:`SimulationError` so every
+    existing handler still degrades it into an ordinary failed verdict,
+    while the sandbox boundary (:mod:`repro.sim.sandbox`) distinguishes
+    it from genuine simulation failures and classifies the outcome as a
+    typed ``limit`` verdict (vs. ``crashed`` for internal errors).
 
     ``kind`` names the exhausted budget (``"simulated cycles"``,
     ``"sim events"``, ``"stmt executions"``, ``"trace entries"``,
@@ -135,21 +120,6 @@ class DeadlineExceededError(ReproError):
     def __init__(self, message: str, stage: str = ""):
         super().__init__(message)
         self.stage = stage
-
-
-class OverloadedError(ReproError):
-    """The repair service refused to admit a job (load shedding).
-
-    Raised by the admission controller (:mod:`repro.service.scheduler`)
-    and converted by the server into a typed ``overloaded`` HTTP
-    response; ``reason`` is the machine-readable shed reason
-    (``tenant_queue_full``, ``server_queue_full``, ``tenant_quota``,
-    ``breaker_open``, ``draining``).
-    """
-
-    def __init__(self, message: str, reason: str = ""):
-        super().__init__(message)
-        self.reason = reason
 
 
 class CheckpointError(ReproError):

@@ -21,7 +21,7 @@ from .experiments import (
 )
 from .experiments import SimFixExtensionResult, run_simfix_extension
 from .figures import bar_chart, composition_figure, histogram_figure
-from .metrics import fix_rate, fix_rate_single, pass_at_k, pass_at_k_single
+from .metrics import fix_rate, fix_rate_single, pass_at_k_single
 from .report import FullReport, ReportScale, run_full_report
 from .runner import (
     FixExperimentResult,
@@ -57,7 +57,6 @@ __all__ = [
     "figure6_failure_case",
     "fix_rate",
     "fix_rate_single",
-    "pass_at_k",
     "pass_at_k_single",
     "render_table",
     "run_figure7",

@@ -2,14 +2,15 @@
 
 * :func:`fix_rate` -- Eq. 1: the expectation over problems of c/n where
   c is the number of fixed samples out of n trials.
-* :func:`pass_at_k` -- Eq. 2: the unbiased pass@k estimator from the
-  Codex paper, applied per problem and averaged.
+* :func:`pass_at_k_single` -- Eq. 2: the unbiased pass@k estimator from
+  the Codex paper for one problem; the experiment drivers average it
+  over problems.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def fix_rate_single(fixed: int, trials: int) -> float:
@@ -45,18 +46,3 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     if n - c < k:
         return 1.0
     return 1.0 - comb(n - c, k) / comb(n, k)
-
-
-def pass_at_k(per_problem: Iterable[tuple[int, int]], k: int) -> float:
-    """Mean unbiased pass@k over problems.
-
-    ``per_problem`` yields (n_samples, n_correct) pairs."""
-    values = [pass_at_k_single(n, c, k) for n, c in per_problem]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence."""
-    return sum(values) / len(values) if values else 0.0

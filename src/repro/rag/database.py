@@ -7,15 +7,13 @@ error tags ("we opted for an exact match to error tags for simplicity"),
 with fuzzy / Jaccard / vector-ish retrievers also provided for the
 ablation.
 
-The database is a persistent, non-parametric external memory: it can be
-serialized to JSON and reloaded, and new entries can be added as new
-struggle cases are curated.
+The database is a non-parametric external memory: new entries can be
+added as new struggle cases are curated.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..diagnostics import ErrorCategory
 from ..errors import RetrievalError
@@ -33,21 +31,6 @@ class GuidanceEntry:
     guidance: str
     #: A short demonstration of the repair (before -> after style).
     demonstration: str = ""
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["category"] = self.category.value
-        return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "GuidanceEntry":
-        return GuidanceEntry(
-            category=ErrorCategory(data["category"]),
-            compiler=data["compiler"],
-            log_pattern=data["log_pattern"],
-            guidance=data["guidance"],
-            demonstration=data.get("demonstration", ""),
-        )
 
 
 @dataclass
@@ -76,23 +59,3 @@ class GuidanceDatabase:
             if entry.category not in seen:
                 seen.append(entry.category)
         return seen
-
-    # -- persistence -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps([e.to_dict() for e in self.entries], indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "GuidanceDatabase":
-        return GuidanceDatabase(
-            entries=[GuidanceEntry.from_dict(d) for d in json.loads(text)]
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_json())
-
-    @staticmethod
-    def load(path: str) -> "GuidanceDatabase":
-        with open(path) as f:
-            return GuidanceDatabase.from_json(f.read())

@@ -175,7 +175,3 @@ class RepairOutcome:
     fixed_by: str = ""
     #: Proposer-reported search statistics (templates tried, ...).
     stats: dict = field(default_factory=dict)
-
-    @property
-    def gave_up(self) -> bool:
-        return not self.success

@@ -64,7 +64,6 @@ from .executor import (
     ParallelRunner,
     WorkFailure,
     isolable,
-    partition_failures,
     resolve_jobs,
 )
 from .fuzz import (
@@ -141,7 +140,6 @@ __all__ = [
     "call_with_retry",
     "compile_key",
     "isolable",
-    "partition_failures",
     "resolve_jobs",
     "run_fuzz",
 ]

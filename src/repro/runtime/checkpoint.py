@@ -43,7 +43,7 @@ import hashlib
 import importlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import CheckpointError
 from .executor import ParallelRunner, WorkFailure
@@ -241,11 +241,6 @@ class RunState:
     def manifest_path(self) -> str:
         """Path of the checkpoint manifest inside the run directory."""
         return os.path.join(self.run_dir, MANIFEST_FILE)
-
-    @property
-    def replayed_trials(self) -> int:
-        """How many completed trials the journal already held at open."""
-        return len(self._completed)
 
     def ensure_manifest(self, manifest: dict, resume: bool = False) -> None:
         """Validate (or create) the run's checkpoint manifest.

@@ -31,8 +31,8 @@ Failure handling (``on_error``):
 * ``"collect"`` -- failure isolation: a failing unit becomes a
   :class:`WorkFailure` record in its result slot and the remaining
   units keep running.  One poisoned trial must not sink a 2120-trial
-  Table 1 run; callers split the mixed result list with
-  :func:`partition_failures`.
+  Table 1 run; callers test each slot with ``isinstance(result,
+  WorkFailure)``.
 """
 
 from __future__ import annotations
@@ -158,26 +158,6 @@ def isolable(exc: BaseException) -> bool:
     return isinstance(exc, Exception) and not isinstance(
         exc, (KeyboardInterrupt, SystemExit, GeneratorExit)
     )
-
-
-def partition_failures(
-    results: list[Union[R, WorkFailure]],
-) -> tuple[list[Optional[R]], list[WorkFailure]]:
-    """Split a ``map(on_error="collect")`` result list.
-
-    Returns ``(values, failures)`` where ``values`` keeps submission
-    order with ``None`` in failed slots, and ``failures`` is ordered by
-    submission index.
-    """
-    values: list[Optional[R]] = []
-    failures: list[WorkFailure] = []
-    for result in results:
-        if isinstance(result, WorkFailure):
-            values.append(None)
-            failures.append(result)
-        else:
-            values.append(result)
-    return values, failures
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:

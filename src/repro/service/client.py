@@ -164,7 +164,3 @@ class ServiceClient:
     async def stats(self) -> tuple[int, dict]:
         """Fetch ``GET /stats``."""
         return await self._request("GET", "/stats")
-
-    async def health(self) -> tuple[int, dict]:
-        """Fetch ``GET /healthz``."""
-        return await self._request("GET", "/healthz")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -126,24 +127,41 @@ class RepairRequest:
             raise ValueError("'tenant' must be a non-empty string")
         deadline_s = data.get("deadline_s")
         if deadline_s is not None:
-            if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-                raise ValueError("'deadline_s' must be a positive number")
+            # JSON booleans are Python ints, and json.loads accepts NaN
+            # and Infinity: a NaN deadline would never expire.
+            if (
+                not isinstance(deadline_s, (int, float))
+                or isinstance(deadline_s, bool)
+                or not math.isfinite(deadline_s)
+                or deadline_s <= 0
+            ):
+                raise ValueError("'deadline_s' must be a finite positive number")
             deadline_s = float(deadline_s)
         seed = data.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError("'seed' must be an integer")
         max_iterations = data.get("max_iterations", 10)
-        if not isinstance(max_iterations, int) or max_iterations < 1:
+        if (
+            not isinstance(max_iterations, int)
+            or isinstance(max_iterations, bool)
+            or max_iterations < 1
+        ):
             raise ValueError("'max_iterations' must be a positive integer")
+        for name in ("stream", "use_rag"):
+            if name in data and not isinstance(data[name], bool):
+                raise ValueError(f"'{name}' must be a JSON boolean")
+        for name in ("prompting", "compiler", "tier"):
+            if name in data and not isinstance(data[name], str):
+                raise ValueError(f"'{name}' must be a string")
         request = RepairRequest(
             tenant=tenant,
             code=code,
             seed=seed,
             deadline_s=deadline_s,
-            stream=bool(data.get("stream", False)),
+            stream=data.get("stream", False),
             prompting=data.get("prompting", "react"),
             compiler=data.get("compiler", "quartus"),
-            use_rag=bool(data.get("use_rag", True)),
+            use_rag=data.get("use_rag", True),
             tier=data.get("tier", "gpt-3.5-sim"),
             max_iterations=max_iterations,
         )

@@ -44,8 +44,7 @@ from .eval import EvalContext, Evaluator, NetState
 from .exec import StmtExecutor
 from .feedback import SimFeedback, make_sim_feedback, simulate_with_traces
 from .simulator import Simulator
-from .trace import Trace, render_comparison, render_waveform
-from .vcd import VcdWriter, dump_comparison_vcd, dump_vcd
+from .trace import Trace, render_comparison
 from .testbench import (
     CLOCK_NAMES,
     RESET_NAMES,
@@ -89,19 +88,15 @@ __all__ = [
     "TestbenchResult",
     "Trace",
     "Unlowerable",
-    "VcdWriter",
     "VerdictCache",
     "check_interface",
     "classify_exception",
-    "dump_comparison_vcd",
-    "dump_vcd",
     "lower_design",
     "lowered_for",
     "make_sim_feedback",
     "make_simulator",
     "parse_sim_limits",
     "render_comparison",
-    "render_waveform",
     "run_differential",
     "run_sandboxed",
     "simulate_with_traces",

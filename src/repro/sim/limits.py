@@ -64,7 +64,7 @@ class SimLimits:
     #: (the runaway-loop bound, formerly a module constant).
     max_stmt_executions: int = 200_000
     #: Maximum (signal, sample) entries recorded across all traces fed
-    #: by one tracker (the traced-feedback harness and VCD dumps).
+    #: by one tracker (the traced-feedback harness).
     max_trace_entries: int = 65_536
     #: Maximum total bytes of traced signal data.
     max_trace_bytes: int = 1_048_576

@@ -4,9 +4,8 @@ text.
 The paper's §5 describes feeding LLMs "text-formatted waveform-like
 comparisons of error versus solution output" when attempting to debug
 *simulation* errors.  A :class:`Trace` captures per-step values for a
-set of signals; :func:`render_waveform` prints them in a compact table,
-and :func:`render_comparison` aligns a failing trace against the golden
-one and marks mismatching samples.
+set of signals, and :func:`render_comparison` aligns a failing trace
+against the golden one and marks mismatching samples.
 """
 
 from __future__ import annotations
@@ -71,21 +70,6 @@ def _cell(value: Logic | None) -> str:
     if value.width == 1:
         return str(value.bits)
     return f"{value.bits:0{(value.width + 3) // 4}x}"
-
-
-def render_waveform(trace: Trace, max_samples: int = 32) -> str:
-    """A compact text waveform, one row per signal."""
-    steps = min(trace.length, max_samples)
-    name_width = max((len(s) for s in trace.signals), default=4)
-    lines = []
-    header = " " * (name_width + 2) + " ".join(f"{i:>4}" for i in range(steps))
-    lines.append(header)
-    for name in trace.signals:
-        cells = " ".join(
-            f"{_cell(trace.value_at(name, i)):>4}" for i in range(steps)
-        )
-        lines.append(f"{name:<{name_width}}  {cells}")
-    return "\n".join(lines)
 
 
 def render_comparison(

@@ -16,7 +16,7 @@ from .limits import (
     LimitTracker,
     ResourceLimits,
 )
-from .literal import ParsedLiteral, format_literal, parse_literal
+from .literal import ParsedLiteral, parse_literal
 from .parser import Parser, parse
 from .preprocessor import PreprocessResult, preprocess
 from .source import SourceFile, Span
@@ -43,7 +43,6 @@ __all__ = [
     "Symbol",
     "const_eval",
     "elaborate",
-    "format_literal",
     "parse",
     "parse_literal",
     "preprocess",

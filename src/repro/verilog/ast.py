@@ -391,22 +391,3 @@ def walk_exprs(expr: Expr):
     for child in children:
         if child is not None:
             yield from walk_exprs(child)
-
-
-def walk_stmts(stmt: Stmt):
-    """Yield ``stmt`` and all nested statements, depth-first."""
-    yield stmt
-    children: list[Stmt] = []
-    if isinstance(stmt, Block):
-        children = list(stmt.stmts)
-    elif isinstance(stmt, If):
-        children = [stmt.then] + ([stmt.other] if stmt.other else [])
-    elif isinstance(stmt, Case):
-        children = [item.body for item in stmt.items]
-    elif isinstance(stmt, For):
-        children = [stmt.body]
-    elif isinstance(stmt, (While, Repeat)):
-        children = [stmt.body]
-    for child in children:
-        if child is not None:
-            yield from walk_stmts(child)

@@ -7,10 +7,11 @@ expressions, megabytes of garbage) are a documented failure mode of LLM
 repair loops.  :class:`ResourceLimits` bounds every dimension in which a
 pathological input can consume unbounded work, and :class:`LimitTracker`
 enforces those bounds *cooperatively* inside each pipeline stage: a
-violation is reported as an ordinary
-:class:`~repro.diagnostics.diagnostic.Diagnostic` (category
-``RESOURCE_LIMIT``) and the stage stops cleanly -- the compiler never
-crashes and never hangs, it just returns feedback.
+violation is reported once, through :meth:`LimitTracker.report_overflow`,
+as an ordinary :class:`~repro.diagnostics.diagnostic.Diagnostic`
+(category ``RESOURCE_LIMIT``) and the stage stops cleanly -- no budget
+raises, so the compiler never crashes and never hangs, it just returns
+feedback.
 
 Two presets ship with the library:
 
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field, fields
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
-from ..errors import ResourceLimitExceeded
 from .source import Span
 
 #: Tracker budget kind -> the :class:`ResourceLimits` field that bounds it.
@@ -164,10 +164,3 @@ class LimitTracker:
         diag = self.diagnose(kind, span)
         if diag is not None:
             sink.append(diag)
-
-    def check_or_raise(self, kind: str, value: int) -> None:
-        """Raise :class:`~repro.errors.ResourceLimitExceeded` when an
-        absolute ``value`` breaks the bound for ``kind`` (used by stages
-        that unwind via exception, e.g. nested include expansion)."""
-        if not self.within(kind, value):
-            raise ResourceLimitExceeded(kind, self.limits.limit_for(kind))

@@ -92,14 +92,3 @@ def parse_literal(text: str) -> ParsedLiteral:
         if bits >> (natural_width - 1) & 1:
             bits |= ext
     return ParsedLiteral(bits & mask, xmask & mask, width, signed)
-
-
-def format_literal(value: int, width: int, base: str = "h") -> str:
-    """Render ``value`` as a sized Verilog literal, e.g. ``8'hff``."""
-    value &= (1 << width) - 1
-    if base == "b":
-        return f"{width}'b{value:0{width}b}"
-    if base == "d":
-        return f"{width}'d{value}"
-    ndigits = (width + 3) // 4
-    return f"{width}'h{value:0{ndigits}x}"

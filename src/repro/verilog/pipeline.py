@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Optional
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
 from ..diagnostics.engine import DiagnosticEngine
-from ..errors import ResourceLimitExceeded
 from . import ast
 from .elaborate import ElabDesign, elaborate
 from .lexer import tokenize
@@ -197,10 +196,10 @@ class CompileSession:
         """Compile ``code`` through every stage.
 
         The front end's never-crash, never-hang boundary: budgets are
-        enforced cooperatively inside every stage and a cooperative
-        :class:`~repro.errors.ResourceLimitExceeded` unwind becomes a
-        ``RESOURCE_LIMIT`` diagnostic; any other exception becomes an
-        ``INTERNAL`` diagnostic on a ``crashed=True`` result.
+        enforced cooperatively inside every stage (each overflow is a
+        ``RESOURCE_LIMIT`` diagnostic, never an exception), and any
+        exception becomes an ``INTERNAL`` diagnostic on a
+        ``crashed=True`` result.
         """
         engine = DiagnosticEngine()
         state = PipelineState(
@@ -211,10 +210,6 @@ class CompileSession:
         head = Span(state.raw, 0, min(1, len(code))) if code else None
         try:
             return self._run(state)
-        except ResourceLimitExceeded as exc:
-            # A stage unwound cooperatively: an ordinary limit
-            # diagnostic, not a crash.
-            engine.limit_violation(exc, head)
         except Exception as exc:  # the catch-all crash boundary
             engine.internal_error(exc, head)
         return engine.result(state.raw, flavor)

@@ -75,10 +75,6 @@ class Span:
         return self.file.line_col(self.start)[0]
 
     @property
-    def column(self) -> int:
-        return self.file.line_col(self.start)[1]
-
-    @property
     def text(self) -> str:
         return self.file.text[self.start : self.end]
 

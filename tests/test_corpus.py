@@ -39,8 +39,8 @@ def test_header_matches_reference(problem):
 class TestProblemSets:
     def test_verilogeval_size_and_split(self):
         assert len(VERILOGEVAL) >= 40
-        easy = VERILOGEVAL.subset("easy")
-        hard = VERILOGEVAL.subset("hard")
+        easy = [p for p in VERILOGEVAL if p.difficulty == "easy"]
+        hard = [p for p in VERILOGEVAL if p.difficulty == "hard"]
         assert len(easy) + len(hard) == len(VERILOGEVAL)
         assert len(easy) >= 15 and len(hard) >= 15
 
@@ -58,10 +58,3 @@ class TestProblemSets:
         assert VERILOGEVAL.get("dff").kind == "seq"
         with pytest.raises(DatasetError):
             VERILOGEVAL.get("nope")
-
-    def test_prompt_contains_description_and_header(self):
-        problem = VERILOGEVAL.get("mux2to1")
-        prompt = problem.prompt("human")
-        assert problem.human_desc in prompt
-        assert problem.header in prompt
-        assert problem.machine_desc in problem.prompt("machine")

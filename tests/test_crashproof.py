@@ -9,12 +9,10 @@ import pytest
 from repro.diagnostics import (
     IVERILOG_CATEGORIES,
     QUARTUS_CATEGORIES,
-    Compiler,
     ErrorCategory,
     compile_source,
 )
 from repro.diagnostics.codes import CATALOG
-from repro.errors import ResourceLimitExceeded
 from repro.runtime import CompileCache, compile_key, isolable
 from repro.runtime.fuzz import (
     MUTATORS,
@@ -59,14 +57,6 @@ class TestResourceLimits:
         assert tracker.exhausted("tokens")
         assert tracker.diagnose("tokens", None) is not None
         assert tracker.diagnose("tokens", None) is None  # one-shot
-
-    def test_tracker_check_or_raise(self):
-        tracker = LimitTracker(limits=ResourceLimits(max_parse_depth=2))
-        tracker.check_or_raise("parse nesting depth", 2)
-        with pytest.raises(ResourceLimitExceeded) as exc_info:
-            tracker.check_or_raise("parse nesting depth", 3)
-        assert exc_info.value.kind == "parse nesting depth"
-        assert exc_info.value.limit == 2
 
     def test_unknown_kind_rejected(self):
         tracker = LimitTracker()

@@ -50,3 +50,15 @@ def test_public_methods_of_core_classes_documented():
             if name.startswith("_"):
                 continue
             assert inspect.getdoc(member), f"{cls.__name__}.{name} undocumented"
+
+
+def test_every_all_name_resolves():
+    """Every name a module lists in ``__all__`` is an attribute of it, so
+    pruning a definition cannot leave a dangling export behind."""
+    dangling = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            if not hasattr(module, export):
+                dangling.append(f"{name}.{export}")
+    assert not dangling, f"__all__ names that do not resolve: {dangling}"

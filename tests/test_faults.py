@@ -39,7 +39,6 @@ from repro.runtime import (
     call_with_retry,
     guidance_key,
     messages_key,
-    partition_failures,
 )
 from repro.scope import scoped
 
@@ -327,13 +326,12 @@ class TestCollectMode:
         runner = ParallelRunner(jobs=3, backend=backend)
         results = runner.map(_fail_on_multiples_of_three, list(range(10)),
                              on_error="collect")
-        values, failures = partition_failures(results)
+        failures = [r for r in results if isinstance(r, WorkFailure)]
+        values = [r for r in results if not isinstance(r, WorkFailure)]
         assert [f.index for f in failures] == [0, 3, 6, 9]
         assert all(f.error_type == "RuntimeError" for f in failures)
         assert all("unit 3 poisoned" in f.message for f in failures[1:2])
-        assert [v for v in values if v is not None] == [
-            i * i for i in range(10) if i % 3
-        ]
+        assert values == [i * i for i in range(10) if i % 3]
 
     def test_collect_reports_progress_for_failures_too(self):
         events = []
@@ -620,11 +618,12 @@ class TestSandboxChaos:
 
         with scoped(verdict_cache=None, sim_injector=injector):
             results = runner.map(trial, list(range(12)), on_error="collect")
-        values, failures = partition_failures(results)
+        failures = [r for r in results if isinstance(r, WorkFailure)]
+        values = [r for r in results if not isinstance(r, WorkFailure)]
         # Deterministic at this seed: some trials fault, the rest finish.
         assert failures and len(failures) < 12
         assert all(f.error_type == "InjectedFault" for f in failures)
-        assert all(v for v in values if v is not None)
+        assert all(values)
 
     def test_garbage_sim_verdict_never_cached(self, design):
         from repro.sim import VerdictCache

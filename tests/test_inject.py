@@ -139,9 +139,3 @@ class TestInjectRandom:
         a = ErrorInjector(seed=11).inject_random(SEQ_REF)
         b = ErrorInjector(seed=11).inject_random(SEQ_REF)
         assert a.code == b.code
-
-    def test_applicable_categories_nonempty(self):
-        injector = ErrorInjector()
-        cats = injector.applicable_categories(SEQ_REF)
-        assert ErrorCategory.UNDECLARED_ID in cats
-        assert len(cats) >= 5

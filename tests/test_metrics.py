@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.eval import fix_rate, fix_rate_single, pass_at_k, pass_at_k_single
+from repro.eval import fix_rate, fix_rate_single, pass_at_k_single
 
 
 class TestFixRate:
@@ -61,12 +61,6 @@ class TestPassAtK:
             pass_at_k_single(10, 11, 1)
         with pytest.raises(ValueError):
             pass_at_k_single(10, 5, 11)
-
-    def test_mean_over_problems(self):
-        assert pass_at_k([(10, 10), (10, 0)], 1) == pytest.approx(0.5)
-
-    def test_empty(self):
-        assert pass_at_k([], 5) == 0.0
 
     def test_never_nan(self):
         for n in range(1, 15):

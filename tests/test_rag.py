@@ -44,16 +44,6 @@ class TestDatabase:
         with pytest.raises(RetrievalError):
             DB.for_compiler("vcs")
 
-    def test_json_roundtrip(self):
-        loaded = GuidanceDatabase.from_json(DB.to_json())
-        assert len(loaded) == len(DB)
-        assert loaded.entries[0] == DB.entries[0]
-
-    def test_save_load(self, tmp_path):
-        path = str(tmp_path / "db.json")
-        DB.save(path)
-        assert len(GuidanceDatabase.load(path)) == len(DB)
-
     def test_extensible(self):
         db = GuidanceDatabase()
         db.add(GuidanceEntry(

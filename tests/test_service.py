@@ -11,7 +11,6 @@ import pytest
 from repro.errors import (
     DeadlineExceededError,
     LLMTimeoutError,
-    OverloadedError,
     RetryExhaustedError,
     TransientError,
 )
@@ -566,6 +565,35 @@ class TestProtocol:
         with pytest.raises(ValueError, match="deadline_s"):
             RepairRequest.from_json(b'{"code": "m", "deadline_s": -1}')
 
+    @pytest.mark.parametrize("field, value", [
+        ("tier", "5"),
+        ("prompting", "null"),
+        ("compiler", "[\"quartus\"]"),
+        ("stream", "\"no\""),
+        ("use_rag", "\"false\""),
+        ("use_rag", "0"),
+        ("deadline_s", "NaN"),
+        ("deadline_s", "Infinity"),
+        ("deadline_s", "true"),
+        ("max_iterations", "true"),
+    ])
+    def test_wrong_json_type_rejected(self, field, value):
+        """A field of the wrong JSON type is a 400 at admission: it must
+        not die in a worker, flip a boolean by truthiness, or set a
+        deadline that never expires."""
+        body = f'{{"code": "m", "{field}": {value}}}'.encode()
+        with pytest.raises(ValueError, match=field):
+            RepairRequest.from_json(body)
+
+    def test_json_booleans_and_numbers_admitted(self):
+        request = RepairRequest.from_json(
+            b'{"code": "m", "stream": true, "use_rag": false, '
+            b'"deadline_s": 2, "max_iterations": 3, "tier": "gpt-4-sim"}'
+        )
+        assert request.stream is True and request.use_rag is False
+        assert request.deadline_s == 2.0 and request.max_iterations == 3
+        assert request.tier == "gpt-4-sim"
+
     def test_bad_config_combo_is_a_value_error(self):
         """An invalid config knob is a 400 at admission, not a 500 in a
         worker: from_json validates the derived config eagerly."""
@@ -627,10 +655,6 @@ class TestErrorsTaxonomy:
     def test_deadline_error_is_not_transient(self):
         """The retry layer keys on this: expired deadlines never retry."""
         assert not issubclass(DeadlineExceededError, TransientError)
-
-    def test_overloaded_error_carries_reason(self):
-        error = OverloadedError("shed", reason="tenant_quota")
-        assert error.reason == "tenant_quota"
 
 
 class TestAgentDeadlineAndObserver:

@@ -1,8 +1,6 @@
 """Tests for the §5 simulation-error debugging extension: waveform
 traces, feedback rendering, candidate logic edits, and the agent."""
 
-import pytest
-
 from repro.agents import SimDebugAgent
 from repro.dataset import verilogeval
 from repro.dataset.mutate import force_behavior_change
@@ -14,7 +12,6 @@ from repro.sim import (
     Trace,
     make_sim_feedback,
     render_comparison,
-    render_waveform,
     simulate_with_traces,
 )
 
@@ -46,14 +43,6 @@ class TestTrace:
         assert trace.value_at("x", 0) is None
         assert trace.value_at("ghost", 0) is None
 
-    def test_render_waveform(self):
-        trace = Trace(signals=["q"])
-        for v in (0, 1, 2, 3):
-            trace.append("q", Logic.from_int(v, 4))
-        text = render_waveform(trace)
-        assert "q" in text
-        assert "3" in text
-
     def test_render_comparison_marks_mismatches(self):
         a = Trace(signals=["y"])
         b = Trace(signals=["y"])
@@ -68,7 +57,7 @@ class TestTrace:
     def test_x_rendering(self):
         trace = Trace(signals=["y"])
         trace.append("y", Logic.all_x(1))
-        assert "x" in render_waveform(trace)
+        assert "actual      x" in render_comparison(trace, trace)
 
 
 class TestSimFeedback:

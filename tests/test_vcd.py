@@ -1,75 +1,7 @@
-"""Tests for the VCD writer and the figure/report helpers."""
+"""Tests for the text figure helpers of the report (bar charts and the
+Fig. 3 / Fig. 7 style figures)."""
 
 from repro.eval import bar_chart, composition_figure, histogram_figure
-from repro.sim import Logic, Trace, VcdWriter, dump_comparison_vcd, dump_vcd
-
-
-def make_trace() -> Trace:
-    trace = Trace(signals=["q", "en"])
-    for v in (0, 1, 2, 2, 3):
-        trace.append("q", Logic.from_int(v, 4))
-    for v in (1, 1, 0, 0, 1):
-        trace.append("en", Logic.from_int(v, 1))
-    return trace
-
-
-class TestVcdWriter:
-    def test_header_sections(self):
-        writer = VcdWriter()
-        writer.add_trace(make_trace())
-        text = writer.render()
-        assert "$timescale 1ns $end" in text
-        assert "$scope module top $end" in text
-        assert "$enddefinitions $end" in text
-
-    def test_var_declarations(self):
-        writer = VcdWriter()
-        writer.add_trace(make_trace())
-        text = writer.render()
-        assert "$var wire 4 ! q $end" in text
-        assert '$var wire 1 " en $end' in text
-
-    def test_value_changes_deduplicated(self):
-        writer = VcdWriter()
-        writer.add_trace(make_trace())
-        text = writer.render()
-        # q changes at steps 0,1,2,4 (value 2 repeats at step 3).
-        assert "#0" in text and "#1" in text and "#4" in text
-        changes = [l for l in text.split("\n") if l.endswith("!") and l.startswith("b")]
-        assert len(changes) == 4
-
-    def test_scalar_values_rendered_without_b_prefix(self):
-        writer = VcdWriter()
-        writer.add_trace(make_trace())
-        text = writer.render()
-        assert '1"' in text and '0"' in text
-
-    def test_x_bits_rendered(self):
-        trace = Trace(signals=["y"])
-        trace.append("y", Logic.all_x(4))
-        writer = VcdWriter()
-        writer.add_trace(trace)
-        assert "bxxxx" in writer.render()
-
-    def test_dump_and_comparison(self, tmp_path):
-        path = str(tmp_path / "wave.vcd")
-        dump_vcd(make_trace(), path)
-        with open(path) as f:
-            assert "$var" in f.read()
-        cmp_path = str(tmp_path / "cmp.vcd")
-        dump_comparison_vcd(make_trace(), make_trace(), cmp_path)
-        with open(cmp_path) as f:
-            text = f.read()
-        assert "expected_q" in text and "actual_q" in text
-
-    def test_many_signals_get_unique_ids(self):
-        writer = VcdWriter()
-        trace = Trace(signals=[f"s{i}" for i in range(80)])
-        for name in trace.signals:
-            trace.append(name, Logic.from_int(1, 1))
-        writer.add_trace(trace)
-        ids = [s.identifier for s in writer._signals]
-        assert len(set(ids)) == len(ids)
 
 
 class TestFigureHelpers:
