@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,10 +118,14 @@ class RTLFixerConfig:
             raise ValueError("jobs must be >= 0 (0 = all CPUs)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 (0 disables retries)")
-        if self.step_timeout is not None and self.step_timeout <= 0:
-            raise ValueError("step_timeout must be > 0 seconds (or None)")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 seconds (or None)")
+        # NaN compares False both ways, so ``<= 0`` alone lets a NaN
+        # budget through, and a NaN budget never runs out.
+        for knob in ("step_timeout", "deadline_s"):
+            value = getattr(self, knob)
+            if value is not None and (not math.isfinite(value) or value <= 0):
+                raise ValueError(
+                    f"{knob} must be a finite number > 0 seconds (or None)"
+                )
         if self.on_error not in ("raise", "collect"):
             raise ValueError(
                 f"on_error must be raise|collect, got {self.on_error!r}"

@@ -46,9 +46,6 @@ class DBSCANResult:
     def n_clusters(self) -> int:
         return len({l for l in self.labels if l != -1})
 
-    def members(self, label: int) -> list[int]:
-        return [i for i, l in enumerate(self.labels) if l == label]
-
     def representatives(self) -> list[int]:
         """First member of each cluster plus every noise point, in
         first-appearance order."""

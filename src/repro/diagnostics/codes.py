@@ -57,8 +57,6 @@ class CategoryInfo:
     #: enough to identify the category; False means it collapses into a
     #: generic "syntax error" (the terse/ambiguous cases from the paper).
     iverilog_distinct: bool
-    #: Short human label used in reports and the RAG database.
-    label: str
     #: True for warning-severity findings: excluded from the error
     #: taxonomy counts the RAG database is keyed on.
     is_warning: bool = False
@@ -70,23 +68,20 @@ class CategoryInfo:
 
 
 _CATALOG: tuple[CategoryInfo, ...] = (
-    CategoryInfo(ErrorCategory.UNDECLARED_ID, 10161, True, "object is not declared"),
-    CategoryInfo(ErrorCategory.INDEX_RANGE, 10232, True, "index outside declared range"),
-    CategoryInfo(ErrorCategory.INVALID_LVALUE, 10137, True, "invalid l-value"),
-    CategoryInfo(ErrorCategory.SYNTAX_NEAR, 10170, True, "syntax error near token"),
-    CategoryInfo(ErrorCategory.BAD_LITERAL, 10112, True, "malformed number literal"),
-    CategoryInfo(ErrorCategory.PORT_MISMATCH, 10344, True, "port connection mismatch"),
-    CategoryInfo(ErrorCategory.DUPLICATE_DECL, 10028, True, "duplicate declaration"),
-    CategoryInfo(ErrorCategory.MISSING_SEMICOLON, 10201, False, "missing semicolon"),
-    CategoryInfo(ErrorCategory.UNBALANCED_BLOCK, 10759, False, "unbalanced begin/end"),
-    CategoryInfo(ErrorCategory.C_STYLE_SYNTAX, 10173, False, "C-style construct"),
-    CategoryInfo(ErrorCategory.EVENT_EXPR, 10216, False, "bad event expression"),
-    CategoryInfo(ErrorCategory.WIDTH_TRUNCATION, 10230, True,
-                 "value truncated to fit target", is_warning=True),
-    CategoryInfo(ErrorCategory.RESOURCE_LIMIT, 10905, True,
-                 "resource limit exceeded", in_taxonomy=False),
-    CategoryInfo(ErrorCategory.INTERNAL, 293001, True,
-                 "internal compiler error", in_taxonomy=False),
+    CategoryInfo(ErrorCategory.UNDECLARED_ID, 10161, True),
+    CategoryInfo(ErrorCategory.INDEX_RANGE, 10232, True),
+    CategoryInfo(ErrorCategory.INVALID_LVALUE, 10137, True),
+    CategoryInfo(ErrorCategory.SYNTAX_NEAR, 10170, True),
+    CategoryInfo(ErrorCategory.BAD_LITERAL, 10112, True),
+    CategoryInfo(ErrorCategory.PORT_MISMATCH, 10344, True),
+    CategoryInfo(ErrorCategory.DUPLICATE_DECL, 10028, True),
+    CategoryInfo(ErrorCategory.MISSING_SEMICOLON, 10201, False),
+    CategoryInfo(ErrorCategory.UNBALANCED_BLOCK, 10759, False),
+    CategoryInfo(ErrorCategory.C_STYLE_SYNTAX, 10173, False),
+    CategoryInfo(ErrorCategory.EVENT_EXPR, 10216, False),
+    CategoryInfo(ErrorCategory.WIDTH_TRUNCATION, 10230, True, is_warning=True),
+    CategoryInfo(ErrorCategory.RESOURCE_LIMIT, 10905, True, in_taxonomy=False),
+    CategoryInfo(ErrorCategory.INTERNAL, 293001, True, in_taxonomy=False),
 )
 
 CATALOG: dict[ErrorCategory, CategoryInfo] = {info.category: info for info in _CATALOG}

@@ -61,6 +61,4 @@ class RepairSession(Protocol):
 class RepairModel(Protocol):
     """Factory for repair sessions."""
 
-    name: str
-
     def start(self, code: str, flavor: str, use_rag: bool) -> RepairSession: ...

@@ -398,13 +398,6 @@ class PooledRepairModel:
         self._starts = 0
         self._lock = threading.Lock()
 
-    @property
-    def name(self) -> str:
-        # The pool is an implementation detail (like the retry
-        # guard): reports see the requested tier, so pooled and
-        # direct runs label identically.
-        return self.tier
-
     def with_seed(self, seed: int) -> "PooledRepairModel":
         clients = self._clients
         if clients is not None:

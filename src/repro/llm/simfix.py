@@ -42,10 +42,6 @@ class SimulatedLogicDebugger:
     tier: str = "gpt-3.5-sim"
     seed: int = 0
 
-    @property
-    def name(self) -> str:
-        return f"{self.tier}-logic"
-
     def start(self, code: str, difficulty: str = "hard") -> "LogicDebugSession":
         return LogicDebugSession(self, code, difficulty)
 
@@ -114,12 +110,6 @@ class PooledLogicModel:
         self.routing = routing
         self.tier = tier
         self.seed = seed
-
-    @property
-    def name(self) -> str:
-        # Like PooledRepairModel: reports see the requested tier, so
-        # pooled and direct runs label identically.
-        return f"{self.tier}-logic"
 
     def with_seed(self, seed: int) -> "PooledLogicModel":
         return PooledLogicModel(self.routing, tier=self.tier, seed=seed)

@@ -110,10 +110,6 @@ class SimulatedLLM:
         self.temperature = temperature
         self.seed = seed
 
-    @property
-    def name(self) -> str:
-        return self.tier
-
     def with_seed(self, seed: int) -> "SimulatedLLM":
         """A copy of this model with a different sampling seed (same
         tier and temperature) -- the per-trial re-seeding hook used by

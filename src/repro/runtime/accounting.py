@@ -173,10 +173,6 @@ class TokenCounter:
             "failures": self.total("failures"),
         }
 
-    def clear(self) -> None:
-        with self._lock:
-            self.backends.clear()
-
 
 #: The always-on process default (mirrors the compile cache's
 #: DEFAULT_CACHE): pools report here unless a run scopes its own ledger.

@@ -216,11 +216,6 @@ class CircuitBreaker:
         self._denied_since_open = 0
         self._probe_outstanding = False
 
-    @property
-    def tripped(self) -> bool:
-        """Whether the breaker ever tripped during this run."""
-        return self.trips > 0
-
     def snapshot(self) -> dict:
         """JSON-friendly telemetry (surfaced by ``run_full_report``)."""
         with self._lock:

@@ -316,13 +316,6 @@ class Guard:
         self._clock = clock
 
     @property
-    def name(self) -> str:
-        """The inner model's name, marked ``chaos(...)`` under an
-        injector (a retry layer is not a different model)."""
-        name = self.inner.name
-        return name if self.injector is None else f"chaos({name})"
-
-    @property
     def flavor(self) -> str:
         """The guarded compiler's feedback flavour."""
         return self.inner.flavor

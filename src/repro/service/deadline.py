@@ -33,6 +33,7 @@ expiry deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -61,8 +62,11 @@ class Deadline:
     def __init__(self, budget_s: float, clock: ClockFn = time.monotonic):
         """``budget_s`` seconds from *now* on ``clock`` (monotonic by
         default; injectable for deterministic tests)."""
-        if budget_s <= 0:
-            raise ValueError(f"deadline budget must be > 0 seconds, got {budget_s}")
+        # NaN compares False both ways: a NaN budget would never expire.
+        if not math.isfinite(budget_s) or budget_s <= 0:
+            raise ValueError(
+                f"deadline budget must be a finite number > 0 seconds, got {budget_s}"
+            )
         self.budget_s = float(budget_s)
         self._clock = clock
         self._expires_at = clock() + self.budget_s

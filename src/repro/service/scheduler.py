@@ -90,6 +90,9 @@ class SchedulerConfig:
                 raise ValueError(
                     f"weight for tenant {tenant!r} must be > 0, got {weight}"
                 )
+        if self.default_deadline_s is not None:
+            # Fail at startup, not on every request that takes the default.
+            Deadline(self.default_deadline_s)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -105,6 +106,12 @@ class ServerConfig:
             raise ValueError("probe_interval must be >= 1")
         if self.work_delay < 0:
             raise ValueError("work_delay must be >= 0")
+        # Every request's RTLFixerConfig rejects a bad step_timeout, so
+        # reject it at startup.
+        if self.step_timeout is not None and not (
+            math.isfinite(self.step_timeout) and self.step_timeout > 0
+        ):
+            raise ValueError("step_timeout must be a finite number > 0 seconds")
         if self.chaos_outage is not None:
             start, count = self.chaos_outage
             if start < 0 or count < 1:

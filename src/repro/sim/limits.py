@@ -33,6 +33,7 @@ limits a harness applies when none are passed are the runtime scope's
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
@@ -83,9 +84,14 @@ class SimLimits:
         for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.name == "wall_clock_s":
-                if not isinstance(value, (int, float)) or value <= 0:
+                # A NaN watchdog would never fire: NaN compares False.
+                if (
+                    not isinstance(value, (int, float))
+                    or not math.isfinite(value)
+                    or value <= 0
+                ):
                     raise ValueError(
-                        f"wall_clock_s must be a positive number, got {value!r}"
+                        f"wall_clock_s must be a finite positive number, got {value!r}"
                     )
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:

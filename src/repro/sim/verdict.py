@@ -14,7 +14,7 @@ of the design contents and the stimulus parameters.
 store as the compile cache (:class:`repro.runtime.cache.Memo`, with its
 :class:`~repro.runtime.cache.CacheStats`), keyed by the **design
 digests** stamped at elaboration (see
-:meth:`repro.diagnostics.engine.DiagnosticEngine.result`) plus every
+:func:`repro.diagnostics.engine.assemble_result`) plus every
 stimulus parameter.  Designs without a digest (error-bearing or
 hand-built) have no key: the lookup counts as ``uncacheable`` and the
 caller runs the simulation.

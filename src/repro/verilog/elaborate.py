@@ -80,7 +80,8 @@ class ElabDesign:
     modules: dict[str, ElabModule] = field(default_factory=dict)
     top: Optional[str] = None
     #: Content digest of the preprocessed source this design was
-    #: elaborated from; stamped by the diagnostic engine on error-free
+    #: elaborated from; stamped by
+    #: :func:`~repro.diagnostics.engine.assemble_result` on error-free
     #: results only.  ``None`` means "identity unknown" and disables
     #: digest-keyed caching (compiled-simulator stage, verdict cache).
     digest: Optional[str] = None

@@ -113,8 +113,8 @@ class LimitTracker:
     """Mutable per-compile budget enforcement for :class:`ResourceLimits`.
 
     Pipeline stages call :meth:`charge` for each unit of work in a
-    budgeted dimension; the first over-budget charge flips the budget
-    into *exhausted* state.  :meth:`diagnose` then reports the violation
+    budgeted dimension (or :meth:`within` for an absolute depth); after
+    an over-budget answer, :meth:`report_overflow` reports the violation
     exactly once per kind (stages may keep probing after exhaustion
     without spamming the sink).
     """
@@ -136,31 +136,22 @@ class LimitTracker:
         without consuming budget."""
         return value <= self.limits.limit_for(kind)
 
-    def exhausted(self, kind: str) -> bool:
-        """Whether ``kind`` has gone over budget."""
-        return self.spent.get(kind, 0) > self.limits.limit_for(kind)
-
-    def diagnose(self, kind: str, span: Span | None) -> Diagnostic | None:
-        """The violation diagnostic for ``kind``, once; None thereafter."""
-        if kind in self.reported:
-            return None
-        self.reported.add(kind)
-        return Diagnostic(
-            ErrorCategory.RESOURCE_LIMIT,
-            span,
-            {"what": kind, "limit": self.limits.limit_for(kind)},
-        )
-
     def report_overflow(self, kind: str, span: Span | None, sink) -> None:
-        """Report ``kind``'s violation into ``sink`` (once per kind).
+        """Append ``kind``'s ``RESOURCE_LIMIT`` diagnostic to ``sink``,
+        once per kind (later calls for the same kind append nothing).
 
         The one overflow-reporting path every stage shares: stages call
-        this right after an over-budget :meth:`charge`/:meth:`within`
-        instead of hand-rolling the ``diagnose``-then-append idiom, so
-        there is no private limit path anywhere in the front-end.
-        ``sink`` is any list-compatible diagnostic sink (including a
-        :class:`~repro.diagnostics.engine.StageSink`).
+        this right after an over-budget :meth:`charge`/:meth:`within`,
+        so there is no private limit path anywhere in the front-end.
+        ``sink`` is the compile's diagnostic list.
         """
-        diag = self.diagnose(kind, span)
-        if diag is not None:
-            sink.append(diag)
+        if kind in self.reported:
+            return
+        self.reported.add(kind)
+        sink.append(
+            Diagnostic(
+                ErrorCategory.RESOURCE_LIMIT,
+                span,
+                {"what": kind, "limit": self.limits.limit_for(kind)},
+            )
+        )

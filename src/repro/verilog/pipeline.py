@@ -17,9 +17,11 @@ That call drives five stage objects, in order, over one
   itself stays lazy on the result).
 
 Every stage charges one shared :class:`~repro.verilog.limits.LimitTracker`
-and reports into one :class:`~repro.diagnostics.engine.DiagnosticEngine`
-(stage provenance, deduplication).  :meth:`CompileSession.compile` is the
-front end's single never-crash boundary.
+and appends its diagnostics to one plain list,
+:attr:`PipelineState.diagnostics`; render deduplicates them
+(:func:`~repro.diagnostics.engine.assemble_result`).
+:meth:`CompileSession.compile` is the front end's single never-crash
+boundary.
 
 The compiled simulator lowers an elaborated design once more
 (``sim-lower``, :func:`repro.sim.compile.lowered_for`); that step hangs
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
-from ..diagnostics.engine import DiagnosticEngine
+from ..diagnostics.engine import assemble_result, internal_error
 from . import ast
 from .elaborate import ElabDesign, elaborate
 from .lexer import tokenize
@@ -56,7 +58,8 @@ class PipelineState:
     raw: SourceFile
     flavor: str
     include_files: Optional[dict]
-    engine: DiagnosticEngine
+    #: every stage's diagnostics, in emission order (not yet deduplicated).
+    diagnostics: list[Diagnostic]
     #: the one budget tracker every stage charges.
     tracker: LimitTracker
     #: preprocess output (the file every later stage consumes).
@@ -75,8 +78,7 @@ class PipelineState:
 # _CachedStage.run, ElaborateStage.run and RenderStage.run by name and
 # names each stage span after the stage's ``name``; keep those names.
 class _CachedStage:
-    """Base of the three analysis stages (preprocess, lex, parse): runs
-    :meth:`compute` inside the engine's stage scope."""
+    """Base of the three analysis stages (preprocess, lex, parse)."""
 
     name = "?"
 
@@ -85,9 +87,8 @@ class _CachedStage:
         raise NotImplementedError
 
     def run(self, state: PipelineState) -> None:
-        """Run :meth:`compute` with this stage's provenance."""
-        with state.engine.stage(self.name):
-            self.compute(state)
+        """Run :meth:`compute` (the span the benchmark tracer wraps)."""
+        self.compute(state)
 
 
 class PreprocessStage(_CachedStage):
@@ -100,7 +101,7 @@ class PreprocessStage(_CachedStage):
         pre = preprocess(
             state.raw, include_files=state.include_files, tracker=state.tracker
         )
-        state.engine.extend(self.name, pre.diagnostics)
+        state.diagnostics.extend(pre.diagnostics)
         state.pre = pre.source
 
 
@@ -110,10 +111,8 @@ class LexStage(_CachedStage):
     name = "lex"
 
     def compute(self, state: PipelineState) -> None:
-        """Publish the token stream (diagnostics go to the engine)."""
-        state.tokens = tokenize(
-            state.pre, state.engine.sink(self.name), tracker=state.tracker
-        )
+        """Publish the token stream and its diagnostics."""
+        state.tokens = tokenize(state.pre, state.diagnostics, tracker=state.tracker)
 
 
 class ParseStage(_CachedStage):
@@ -122,9 +121,9 @@ class ParseStage(_CachedStage):
     name = "parse"
 
     def compute(self, state: PipelineState) -> None:
-        """Publish the parsed design (diagnostics go to the engine)."""
+        """Publish the parsed design and its diagnostics."""
         state.design = Parser(
-            state.tokens, state.engine.sink(self.name), tracker=state.tracker
+            state.tokens, state.diagnostics, tracker=state.tracker
         ).parse_design()
 
 
@@ -136,20 +135,18 @@ class ElaborateStage:
     def run(self, state: PipelineState) -> None:
         """Elaborate, or report the empty design once (unless an earlier
         stage already produced an explanation)."""
-        engine = state.engine
+        diagnostics = state.diagnostics
         if not state.design.modules:
-            if engine.empty:
-                engine.emit(
-                    "parse",
+            if not diagnostics:
+                diagnostics.append(
                     Diagnostic(
                         ErrorCategory.SYNTAX_NEAR, None, {"near": "empty design"}
-                    ),
+                    )
                 )
             return
-        with engine.stage(self.name):
-            state.elaborated = elaborate(
-                state.design, engine.sink(self.name), tracker=state.tracker
-            )
+        state.elaborated = elaborate(
+            state.design, diagnostics, tracker=state.tracker
+        )
 
 
 class RenderStage:
@@ -159,12 +156,11 @@ class RenderStage:
     name = "render"
 
     def run(self, state: PipelineState) -> None:
-        """Assemble the final deduplicated result from the engine."""
-        with state.engine.stage(self.name):
-            state.result = state.engine.result(
-                state.pre, state.flavor,
-                design=state.design, elaborated=state.elaborated,
-            )
+        """Assemble the final deduplicated result."""
+        state.result = assemble_result(
+            state.pre, state.flavor, state.diagnostics,
+            design=state.design, elaborated=state.elaborated,
+        )
 
 
 #: The stages every compile runs, in order.
@@ -177,7 +173,7 @@ class CompileSession:
     """Runs the compile pipeline for one file name and one set of budgets.
 
     Holds no state between compiles: each :meth:`compile` starts from a
-    fresh tracker and diagnostic engine.
+    fresh tracker and diagnostic list.
     """
 
     def __init__(
@@ -201,34 +197,33 @@ class CompileSession:
         exception becomes an ``INTERNAL`` diagnostic on a
         ``crashed=True`` result.
         """
-        engine = DiagnosticEngine()
         state = PipelineState(
             raw=SourceFile(self.name, code), flavor=flavor,
-            include_files=include_files, engine=engine,
+            include_files=include_files, diagnostics=[],
             tracker=LimitTracker(limits=self.limits),
         )
-        head = Span(state.raw, 0, min(1, len(code))) if code else None
         try:
             return self._run(state)
         except Exception as exc:  # the catch-all crash boundary
-            engine.internal_error(exc, head)
-        return engine.result(state.raw, flavor)
+            head = Span(state.raw, 0, min(1, len(code))) if code else None
+            state.diagnostics.append(internal_error(exc, head))
+            return assemble_result(
+                state.raw, flavor, state.diagnostics, crashed=True
+            )
 
     def _run(self, state: PipelineState) -> "CompileResult":
         """Admit the source against its byte budget, then run
         :data:`STAGES` over ``state``."""
-        engine = state.engine
         raw = state.raw
-        with engine.stage("driver"):
-            if not state.tracker.charge(
-                "source bytes", len(raw.text.encode("utf-8", "replace"))
-            ):
-                state.tracker.report_overflow(
-                    "source bytes",
-                    Span(raw, 0, 1) if raw.text else None,
-                    engine.sink("driver"),
-                )
-                return engine.result(raw, state.flavor)
+        if not state.tracker.charge(
+            "source bytes", len(raw.text.encode("utf-8", "replace"))
+        ):
+            state.tracker.report_overflow(
+                "source bytes",
+                Span(raw, 0, 1) if raw.text else None,
+                state.diagnostics,
+            )
+            return assemble_result(raw, state.flavor, state.diagnostics)
         for stage in STAGES:
             stage.run(state)
         return state.result

@@ -80,8 +80,7 @@ class TestDBSCAN:
 
     def test_members(self):
         result = cluster_codes([CODE_A1, CODE_A2, CODE_B], eps=0.4)
-        label = result.labels[0]
-        assert set(result.members(label)) == {0, 1}
+        assert result.labels[0] == result.labels[1] != result.labels[2]
 
     def test_transitive_chaining(self):
         # A chain a-b-c where a and c are only close through b.

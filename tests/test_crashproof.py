@@ -54,9 +54,12 @@ class TestResourceLimits:
         tracker = LimitTracker(limits=ResourceLimits(max_tokens=3))
         assert tracker.charge("tokens", 3)
         assert not tracker.charge("tokens")
-        assert tracker.exhausted("tokens")
-        assert tracker.diagnose("tokens", None) is not None
-        assert tracker.diagnose("tokens", None) is None  # one-shot
+        sink = []
+        tracker.report_overflow("tokens", None, sink)
+        tracker.report_overflow("tokens", None, sink)  # one-shot
+        assert [(d.category, d.args) for d in sink] == [
+            (ErrorCategory.RESOURCE_LIMIT, {"what": "tokens", "limit": 3})
+        ]
 
     def test_unknown_kind_rejected(self):
         tracker = LimitTracker()

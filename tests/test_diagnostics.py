@@ -3,7 +3,6 @@
 import pytest
 
 from repro.diagnostics import (
-    CATALOG,
     IVERILOG_CATEGORIES,
     QUARTUS_CATEGORIES,
     QUARTUS_TAG_TO_CATEGORY,
@@ -159,7 +158,3 @@ class TestCompilerFacade:
 
     def test_empty_input_not_ok(self):
         assert not compile_source("").ok
-
-    def test_catalog_labels_nonempty(self):
-        for info in CATALOG.values():
-            assert info.label

@@ -468,7 +468,7 @@ class TestCircuitBreaker:
             breaker.record_failure(RuntimeError("x"))
         assert breaker.state == "closed"
         breaker.record_failure(RuntimeError("x"))
-        assert breaker.state == "open" and breaker.tripped
+        assert breaker.state == "open" and breaker.trips == 1
 
     def test_success_resets_tally(self):
         breaker = CircuitBreaker(failure_threshold=2)

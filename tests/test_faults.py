@@ -219,7 +219,7 @@ class TestRetryingWrappers:
         reseeded = model.with_seed(5)
         assert reseeded.inner.seed == 5
         assert reseeded.policy.seed == 5
-        assert reseeded.name == model.name
+        assert reseeded.inner.tier == model.inner.tier
 
     def test_retrying_compiler_retries_injected_faults(self):
         injector = FaultInjector(
@@ -309,10 +309,6 @@ class TestChaosWrappers:
         )
         chaos = Guard(Compiler("quartus"), injector=injector)
         assert not chaos.compile(GOOD).ok  # clean code, poisoned diagnostics
-
-    def test_chaos_model_name_marks_wrapper(self):
-        model = Guard(SimulatedLLM(), injector=FaultInjector(seed=0))
-        assert model.name == "chaos(gpt-3.5-sim)"
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             RTLFixerConfig(compiler="simple", use_rag=True)
 
+    @pytest.mark.parametrize("knob", ["deadline_s", "step_timeout"])
+    def test_non_finite_budgets_rejected(self, knob):
+        for value in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match=knob):
+                RTLFixerConfig(**{knob: value})
+        assert getattr(RTLFixerConfig(**{knob: 2.5}), knob) == 2.5
+
     def test_simple_without_rag_ok(self):
         assert RTLFixerConfig(compiler="simple", use_rag=False)
 
@@ -91,4 +98,4 @@ class TestRTLFixer:
 
     def test_custom_tier(self):
         fixer = RTLFixer(tier="gpt-4-sim")
-        assert fixer.model.name == "gpt-4-sim"
+        assert fixer.model.tier == "gpt-4-sim"

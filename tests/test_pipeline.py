@@ -1,13 +1,11 @@
-"""Tests for the staged compile pipeline and the unified DiagnosticEngine
-(one pipeline behind every compile, escalation provenance, wrapper
+"""Tests for the staged compile pipeline and its diagnostic assembly
+(one pipeline behind every compile, deduplication, escalation, wrapper
 interaction)."""
 
 import pickle
 
-import pytest
-
-from repro.diagnostics import Compiler, ErrorCategory, compile_source
-from repro.diagnostics.engine import DiagnosticEngine
+from repro.diagnostics import Compiler, Diagnostic, ErrorCategory, compile_source
+from repro.diagnostics.engine import dedup_diagnostics
 from repro.runtime import FaultInjector, FaultSpec, Guard, RetryPolicy
 from repro.scope import scoped
 from repro.verilog import ResourceLimits
@@ -105,41 +103,27 @@ class TestSessionEquivalence:
             assert_warm_equals_cold(session, MODULE_A + MODULE_B_EDITED)
 
 
-class TestDiagnosticEngine:
-    def test_provenance_and_ordering(self):
-        engine = DiagnosticEngine()
-        from repro.diagnostics import Diagnostic
-
-        first = Diagnostic(ErrorCategory.SYNTAX_NEAR, None, {"near": "x"})
-        second = Diagnostic(ErrorCategory.UNDECLARED_ID, None, {"name": "y"})
-        engine.sink("lex").append(first)
-        engine.emit("elaborate", second)
-        assert [stage for stage, _ in engine.records] == ["lex", "elaborate"]
-        assert engine.diagnostics() == [first, second]
-        assert engine.stages_for(ErrorCategory.SYNTAX_NEAR) == ["lex"]
-        assert not engine.empty
-
+class TestDedup:
     def test_deduplication_keeps_first_occurrence(self):
-        engine = DiagnosticEngine()
-        from repro.diagnostics import Diagnostic
-
         diag = Diagnostic(ErrorCategory.SYNTAX_NEAR, None, {"near": "x"})
-        engine.emit("lex", diag)
-        engine.emit("parse", Diagnostic(ErrorCategory.SYNTAX_NEAR, None,
-                                        {"near": "x"}))
-        assert engine.diagnostics() == [diag]
-        # Provenance still shows both reporters.
-        assert engine.stages_for(ErrorCategory.SYNTAX_NEAR) == ["lex", "parse"]
+        other = Diagnostic(ErrorCategory.UNDECLARED_ID, None, {"name": "y"})
+        repeat = Diagnostic(ErrorCategory.SYNTAX_NEAR, None, {"near": "x"})
+        kept = dedup_diagnostics([diag, other, repeat])
+        assert kept == [diag, other] and kept[0] is diag
 
-    def test_failed_stage_survives_unwind(self):
-        engine = DiagnosticEngine()
-        with pytest.raises(RuntimeError):
-            with engine.stage("elaborate"):
-                raise RuntimeError("boom")
-        assert engine.failed_stage == "elaborate"
-        engine.internal_error(RuntimeError("boom"), None)
-        assert engine.crashed
-        assert engine.stages_for(ErrorCategory.INTERNAL) == ["elaborate"]
+    def test_same_offset_in_an_include_is_not_merged(self):
+        # The same undefined macro at offset 0 of the source and of its
+        # include: two problems in two files, both reported.
+        result = compile_source(
+            '`FOO\n`include "a.vh"\nmodule m; endmodule\n',
+            include_files={"a.vh": "`FOO\n"},
+        )
+        assert [(d.category, d.span.file.name, d.span.start)
+                for d in result.diagnostics] == [
+            (ErrorCategory.UNDECLARED_ID, "main.v", 0),
+            (ErrorCategory.UNDECLARED_ID, "a.vh", 0),
+        ]
+        assert "a.vh:1:" in result.log
 
 
 class TestEscalation:

@@ -108,6 +108,15 @@ class TestLimitsParsing:
         with pytest.raises(ValueError):
             SimLimits(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_wall_clock_rejected(self, value):
+        # A NaN watchdog deadline never fires; ``--sim-limits wall=nan``
+        # reaches the constructor through the spec parser.
+        with pytest.raises(ValueError, match="wall_clock_s"):
+            SimLimits(wall_clock_s=value)
+        with pytest.raises(ValueError):
+            parse_sim_limits(f"wall={value}")
+
     def test_every_spec_key_and_preset_parses(self):
         """Each ``--sim-limits`` key sets its own field and no other;
         every field but ``max_settle_passes`` has a key; the preset

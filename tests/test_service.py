@@ -81,6 +81,24 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(-1.0)
 
+    def test_non_finite_budget_rejected(self):
+        # A NaN deadline never expires, yet refuses every backoff.
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Deadline(budget)
+
+    def test_serve_rejects_non_finite_budgets_at_startup(self):
+        # ``serve --default-deadline nan`` / ``--step-timeout nan``:
+        # refused when the server is configured (the CLI exits 2), not
+        # on every request that would build its Deadline or config.
+        from repro.service.server import ServerConfig
+
+        for budget in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError):
+                SchedulerConfig(default_deadline_s=budget)
+            with pytest.raises(ValueError, match="step_timeout"):
+                ServerConfig(step_timeout=budget)
+
     def test_ambient_scope_nests_and_restores(self):
         assert current_deadline() is None
         outer = Deadline(10.0)
