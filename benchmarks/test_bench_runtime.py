@@ -27,7 +27,14 @@ from repro.dataset import ProblemSet, build_syntax_dataset, verilogeval
 from repro.diagnostics import compile_source
 from repro.eval import render_table, run_table2
 from repro.eval.runner import run_fix_experiment
-from repro.runtime import CompileCache, Journal, ParallelRunner, compile_key
+from repro.runtime import (
+    CompileCache,
+    Journal,
+    ParallelRunner,
+    RunContext,
+    RunState,
+    compile_key,
+)
 from repro.scope import scoped
 from repro.sim import (
     UNTRACKED,
@@ -213,12 +220,15 @@ def test_journal_overhead_per_trial(benchmark, tmp_path):
         plain, t_plain = _timed(
             lambda: run_fix_experiment(dataset, RTLFixer(), repeats=2)
         )
-    with scoped(compile_cache=CompileCache()):
-        durable, t_durable = _timed(
-            lambda: run_fix_experiment(
-                dataset, RTLFixer(run_dir=str(tmp_path / "run")), repeats=2
+
+    def durable_run():
+        with RunState(str(tmp_path / "run")) as state:
+            return run_fix_experiment(
+                dataset, RTLFixer(), repeats=2, ctx=RunContext(state=state)
             )
-        )
+
+    with scoped(compile_cache=CompileCache()):
+        durable, t_durable = _timed(durable_run)
     assert durable.fixed_counts == plain.fixed_counts  # durability is free
     trials = len(dataset) * 2
     per_trial_ms = max(0.0, t_durable - t_plain) / trials * 1000

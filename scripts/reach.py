@@ -44,7 +44,6 @@ import tempfile
 import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-SRC = os.path.join(ROOT, "src")
 #: Folders copied into the scratch tree, besides every top-level file.
 COPIED = ("src", "scripts", "perfbench", "examples", "benchmarks", "tests")
 OTHER_CODE = ("scripts", "perfbench", "examples", "benchmarks")
@@ -269,11 +268,13 @@ def main() -> int:
                 ignore=shutil.ignore_patterns("__pycache__", "_work", "*.pyc"),
             )
         reached = run_entry_points(work, args.only)
+        # From the traced copy, not the live tree: an edit to src/
+        # during the run must not shift the line keys.
+        defined = defined_functions(os.path.join(work, "src"))
     finally:
         if not args.keep:
             shutil.rmtree(work, ignore_errors=True)
 
-    defined = defined_functions(SRC)
     unreached = sorted(key for key in defined if key not in reached)
     corpora = {
         "src": python_sources("src"),

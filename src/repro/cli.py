@@ -9,9 +9,10 @@ Subcommands:
 * ``report``            -- run the full reproduction report (every
   table/figure), optionally fanned out with ``--jobs`` and made
   durable/resumable with ``--run-dir`` / ``--resume``.  Exit codes:
-  0 success, 2 durable-run misuse, 3 failed work units were isolated,
-  4 the circuit breaker tripped, 128+signum interrupted (first
-  SIGINT/SIGTERM drains and checkpoints; a second aborts hard);
+  0 success, 2 durable-run misuse or a bad option value, 3 failed
+  work units were isolated, 4 the circuit breaker tripped, 128+signum
+  interrupted (first SIGINT/SIGTERM drains and checkpoints; a second
+  aborts hard);
 * ``serve``             -- run the repair service: an overload-safe
   asyncio HTTP/JSON front-end with bounded admission, per-tenant
   weighted fairness, per-request deadlines, SSE progress streaming,
@@ -44,21 +45,26 @@ def _llm_line(ledger: dict, routing_text: str) -> str:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     from .core import RTLFixer
+    from .errors import LLMError
 
     with open(args.file) as f:
         code = f.read()
-    fixer = RTLFixer(
-        prompting=args.prompting,
-        compiler=args.compiler,
-        use_rag=not args.no_rag and args.compiler != "simple",
-        tier=args.tier,
-        seed=args.seed,
-        max_retries=args.max_retries,
-        step_timeout=args.step_timeout,
-        llm_pool=args.llm_pool,
-        llm_escalate_after=args.llm_escalate_after,
-        llm_hedge=args.llm_hedge,
-    )
+    try:
+        fixer = RTLFixer(
+            prompting=args.prompting,
+            compiler=args.compiler,
+            use_rag=not args.no_rag and args.compiler != "simple",
+            tier=args.tier,
+            seed=args.seed,
+            max_retries=args.max_retries,
+            step_timeout=args.step_timeout,
+            llm_pool=args.llm_pool,
+            llm_escalate_after=args.llm_escalate_after,
+            llm_hedge=args.llm_hedge,
+        )
+    except (ValueError, LLMError) as exc:  # a bad option value
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     counter = None
     fields = {}
     if args.llm_pool:
@@ -143,8 +149,9 @@ EXIT_BREAKER_TRIPPED = 4
 def _cmd_report(args: argparse.Namespace) -> int:
     import signal as _signal
 
-    from .errors import CheckpointError, RunInterrupted
+    from .errors import CheckpointError, LLMError, RunInterrupted
     from .eval.report import ReportScale, run_full_report
+    from .llm.pool import RoutingSpec
     from .runtime import GracefulShutdown, atomic_write_text
 
     if args.resume and not args.run_dir:
@@ -157,6 +164,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CHECKPOINT_MISUSE
+    if args.llm_pool:
+        # run_full_report parses the same spec; parsing it here rejects
+        # a malformed ladder before any work runs.
+        try:
+            RoutingSpec.parse(
+                args.llm_pool, escalate_after=args.llm_escalate_after,
+                hedge_rate=args.llm_hedge,
+            )
+        except LLMError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     scale = ReportScale(
         dataset_size=args.dataset_size,
         dataset_samples_per_problem=args.dataset_samples,

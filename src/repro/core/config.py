@@ -13,11 +13,17 @@ from ..verilog.limits import ResourceLimits
 
 @dataclass(frozen=True)
 class RTLFixerConfig:
-    """Everything that varies across the paper's experiments.
+    """Everything that varies across the paper's experiments: what one
+    repair trial computes.
 
     Defaults match the paper's best configuration: ReAct prompting with
     RAG over Quartus-quality feedback, gpt-3.5 persona, temperature 0.4,
     at most 10 Thought-Action-Observation iterations.
+
+    How a run of many trials executes -- worker count, failure
+    handling, durability, circuit breaking -- is not part of the
+    config: callers pass it to the experiment drivers (``jobs=``,
+    ``on_error=``) and to :class:`~repro.runtime.RunContext`.
     """
 
     prompting: str = "react"  # "react" | "oneshot"
@@ -29,11 +35,6 @@ class RTLFixerConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     apply_rule_fix: bool = True
     seed: int = 0
-    #: Worker count for experiment fan-out (repro.runtime.ParallelRunner):
-    #: 1 = serial, 0 = all CPUs, N = that many workers.  Parallelism never
-    #: changes results -- trials are seeded explicitly, so a parallel run
-    #: is bit-identical to a serial run at the same seed.
-    jobs: int = 1
     #: Bounded retries for transient model/compiler faults (timeouts,
     #: injected chaos, API hiccups).  0 disables the retry layer; N
     #: allows N re-tries with deterministic exponential backoff
@@ -54,11 +55,6 @@ class RTLFixerConfig:
     #: per-request deadlines ambiently, keeping its job keys
     #: deadline-free so journal replay works across budgets).
     deadline_s: Optional[float] = None
-    #: Experiment-level failure handling: "raise" aborts the run on the
-    #: first failed work unit (pending units are cancelled); "collect"
-    #: isolates failures as per-unit WorkFailure records so one poisoned
-    #: trial cannot sink a full Table 1 run.
-    on_error: str = "raise"
     #: Resource budgets for every compile issued by the fixer's compiler
     #: (None = repro.verilog.limits.DEFAULT_LIMITS).  Budget violations
     #: surface as ordinary RESOURCE_LIMIT diagnostics in the agent's
@@ -73,19 +69,6 @@ class RTLFixerConfig:
     #: so (like ``compile_limits``) this participates in the trial-key
     #: config digest.
     sim_limits: Optional[SimLimits] = None
-    #: Durable-run directory (repro.runtime.RunState): every completed
-    #: trial is journaled there the moment it finishes, so a killed run
-    #: resumes by replaying the journal and dispatching only the
-    #: remainder.  None disables durability.  Like ``jobs``/``on_error``
-    #: this is an execution knob -- it is excluded from the trial-key
-    #: config digest and never changes results.
-    run_dir: Optional[str] = None
-    #: Circuit-breaker trip threshold: after this many *consecutive*
-    #: non-transient trial failures the rest of the run fails fast as
-    #: journaled SKIPPED trials (repro.runtime.CircuitBreaker).  0
-    #: disables the breaker.  Requires ``on_error="collect"`` to have
-    #: any effect (skips are collected records, not exceptions).
-    breaker_threshold: int = 0
     #: LLM backend pool spec (repro.llm.pool.RoutingSpec.parse syntax,
     #: e.g. "cheap=gpt-3.5-sim,strong=gpt-4-sim"): route every model
     #: call through an escalation ladder of named backends instead of a
@@ -114,8 +97,6 @@ class RTLFixerConfig:
             )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = all CPUs)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 (0 disables retries)")
         # NaN compares False both ways, so ``<= 0`` alone lets a NaN
@@ -126,10 +107,6 @@ class RTLFixerConfig:
                 raise ValueError(
                     f"{knob} must be a finite number > 0 seconds (or None)"
                 )
-        if self.on_error not in ("raise", "collect"):
-            raise ValueError(
-                f"on_error must be raise|collect, got {self.on_error!r}"
-            )
         if self.compile_limits is not None and not isinstance(
             self.compile_limits, ResourceLimits
         ):
@@ -141,10 +118,6 @@ class RTLFixerConfig:
         ):
             raise ValueError(
                 "sim_limits must be a SimLimits instance or None"
-            )
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                "breaker_threshold must be >= 0 (0 disables the breaker)"
             )
         if self.llm_escalate_after < 0:
             raise ValueError(

@@ -116,8 +116,8 @@ class RTLFixer:
     def injected_model(self) -> Optional[RepairModel]:
         """The caller-provided model, or ``None`` when this fixer built
         its own :class:`~repro.llm.simulated.SimulatedLLM` from config.
-        Experiment drivers use this to carry custom models into
-        parallel workers."""
+        Experiment drivers carry it into every trial, on every
+        backend."""
         return self._injected_model
 
     def fix(self, code: str, description: str = "") -> AgentResult:

@@ -123,7 +123,7 @@ def run_table1(
     max_iterations: int = 10,
     progress=None,
     jobs: Optional[int] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Table1Result:
     """Fix rate for One-shot vs ReAct, w/ and w/o RAG, across feedback
@@ -323,7 +323,7 @@ def run_table2(
     progress=None,
     jobs: Optional[int] = None,
     runner: Optional[ParallelRunner] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Table2Result:
     """Pass@k before/after fixing syntax errors (§4.2, Table 2 + Fig. 4).
@@ -331,13 +331,11 @@ def run_table2(
     Problems are independent work units: ``jobs`` fans them across a
     :class:`~repro.runtime.ParallelRunner` with results identical to the
     serial path.  ``progress`` receives ``(benchmark, done, total)`` per
-    completed problem.  ``on_error`` (default: the fixer config's
-    setting) selects abort-vs-isolate handling of failed problems.
+    completed problem.  ``on_error`` selects abort-vs-isolate handling
+    of failed problems.
     ``ctx`` journals each (benchmark, problem) outcome for resume.
     """
     config = fixer_config or RTLFixerConfig()
-    if on_error is None:
-        on_error = config.on_error
     problem_list = list(problems)
     # Warm the compile cache with every golden reference up front: the
     # serial path then never recompiles them, and process-pool workers
@@ -369,7 +367,7 @@ def run_table2(
             n_samples=unit.n_samples, sim_samples=unit.sim_samples,
             config=cfg_digest, seed=unit.seed,
         ),
-        ctx=ctx, runner=runner, jobs=config.jobs if jobs is None else jobs,
+        ctx=ctx, runner=runner, jobs=jobs,
         unit_progress=tick, on_error=on_error,
     )
 
@@ -544,7 +542,7 @@ def run_figure7(
     repeats: int = 10,
     progress=None,
     jobs: Optional[int] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Figure7Result:
     """Histogram of ReAct iterations needed per successful fix."""

@@ -30,6 +30,7 @@ from ..core.rulefix import rule_fix
 from ..dataset.curate import SyntaxDataset
 from ..dataset.problem import Problem
 from ..llm.base import RepairModel
+from ..rag.database import GuidanceDatabase
 from ..runtime import (
     ParallelRunner,
     RunContext,
@@ -70,8 +71,9 @@ class _FixTrial:
     """One (entry, trial) work unit, reconstructible in a worker.
 
     ``model`` carries a caller-injected repair model (chaos wrappers,
-    custom backends) into the worker; ``None`` means the worker builds
-    the config-default model itself.
+    custom backends) and ``database`` the fixer's RAG database, so every
+    backend builds the fixer :meth:`RTLFixer.with_seed` builds; a
+    ``None`` model means the config-default one.
     """
 
     config: RTLFixerConfig
@@ -80,6 +82,7 @@ class _FixTrial:
     entry: int
     trial: int
     model: Optional[RepairModel] = None
+    database: Optional[GuidanceDatabase] = None
 
 
 def _run_fix_trial(unit: _FixTrial) -> tuple[bool, int]:
@@ -92,7 +95,10 @@ def _run_fix_trial(unit: _FixTrial) -> tuple[bool, int]:
         reseed = getattr(model, "with_seed", None)
         if callable(reseed):
             model = reseed(seed)
-    fixer = RTLFixer(config=replace(unit.config, seed=seed), model=model)
+    fixer = RTLFixer(
+        config=replace(unit.config, seed=seed), model=model,
+        database=unit.database,
+    )
     outcome = fixer.fix(unit.code, description=unit.description)
     return outcome.success, outcome.iterations
 
@@ -151,7 +157,7 @@ def run_fix_experiment(
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: Optional[int] = None,
     runner: Optional[ParallelRunner] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
     ctx: Optional[RunContext] = None,
     stage: str = "fix",
 ) -> FixExperimentResult:
@@ -159,80 +165,37 @@ def run_fix_experiment(
 
     ``progress`` fires per *trial* as ``progress(done, total)`` (long
     runs surface liveness at the finest granularity).  ``jobs`` (default:
-    ``fixer.config.jobs``) fans trials across a
-    :class:`~repro.runtime.ParallelRunner`; pass ``runner`` to control
-    the backend.  Every trial derives its randomness from the explicit
-    ``(seed + trial)`` key, so parallel results are bit-identical to
-    serial ones.  A caller-injected ``model`` is carried into parallel
-    workers (and re-seeded per trial); a custom ``database`` still only
-    takes effect on the serial path.
+    serial) fans trials across a :class:`~repro.runtime.ParallelRunner`;
+    pass ``runner`` to control the backend.  Every trial derives its
+    randomness from the explicit ``(seed + trial)`` key and runs the
+    fixer :meth:`RTLFixer.with_seed` would build -- same config,
+    re-seeded injected model, same database -- on every backend, so
+    parallel results are bit-identical to serial ones.
 
-    ``on_error`` (default: ``fixer.config.on_error``) selects failure
-    handling: ``"raise"`` aborts on the first failed trial, ``"collect"``
-    records failed trials as :class:`~repro.runtime.WorkFailure` entries
-    in ``result.failures`` (counted as not-fixed) and keeps going.
+    ``on_error`` selects failure handling: ``"raise"`` aborts on the
+    first failed trial, ``"collect"`` records failed trials as
+    :class:`~repro.runtime.WorkFailure` entries in ``result.failures``
+    (counted as not-fixed) and keeps going.
 
-    ``ctx`` (a :class:`~repro.runtime.RunContext`) adds durability: each
-    trial is keyed content-addressed (``stage`` x config digest x
-    problem x seed), journaled as it completes, and replayed instead of
-    re-executed on resume -- the final result is bit-identical to an
-    uninterrupted run.  With no ``ctx``, ``fixer.config.run_dir`` /
-    ``breaker_threshold`` stand up a local one (durable standalone
-    runs): the run directory is pinned by a manifest (stage + config
-    digest), so re-running with the same config resumes implicitly and
-    a changed config raises :class:`~repro.errors.CheckpointError`
-    instead of mixing journals.  Under resume, ``progress`` totals
-    cover only the trials that still execute.
+    ``ctx`` (a :class:`~repro.runtime.RunContext`) adds durability and
+    circuit breaking: each trial is keyed content-addressed (``stage`` x
+    config digest x problem x seed), journaled as it completes, and
+    replayed instead of re-executed on resume -- the final result is
+    bit-identical to an uninterrupted run.  Under resume, ``progress``
+    totals cover only the trials that still execute.
     """
-    if on_error is None:
-        on_error = fixer.config.on_error
-    local_state = None
-    if ctx is None:
-        breaker = None
-        if fixer.config.breaker_threshold > 0:
-            from ..runtime import CircuitBreaker
-
-            breaker = CircuitBreaker(fixer.config.breaker_threshold)
-        if fixer.config.run_dir is not None:
-            from ..runtime import RunState
-
-            local_state = RunState(fixer.config.run_dir)
-            try:
-                # Pin the run's identity just like the CLI path does:
-                # reusing the directory with a changed result-relevant
-                # config fails fast instead of silently appending
-                # mismatched trials to the same journal.  A matching
-                # config resumes implicitly (trial keys are content-
-                # addressed, so replay is bit-identical by construction).
-                local_state.ensure_manifest(
-                    {
-                        "kind": "fix_experiment",
-                        "stage": stage,
-                        "config": config_digest(fixer.config),
-                    },
-                    resume=True,
-                )
-            except BaseException:
-                local_state.close()
-                raise
-        ctx = RunContext(state=local_state, breaker=breaker)
     result = FixExperimentResult(label=fixer.config.label(), trials=repeats)
     entries = list(dataset)
-    if runner is None:
-        runner = ParallelRunner(jobs=fixer.config.jobs if jobs is None else jobs)
-
-    # getattr: duck-typed fixer stands-ins (tests) may lack the property,
-    # and the serial path below never needs it.
-    injected = getattr(fixer, "injected_model", None)
     units = [
         _FixTrial(
             config=fixer.config, code=entry.code, description=entry.description,
-            entry=index, trial=trial, model=injected,
+            entry=index, trial=trial, model=fixer.injected_model,
+            database=fixer.database,
         )
         for index, entry in enumerate(entries)
         for trial in range(repeats)
     ]
-    digest = config_digest(fixer.config) if ctx.state is not None else None
+    digest = config_digest(fixer.config)
 
     def key_parts(unit: _FixTrial) -> dict:
         # Stage x config digest (result-relevant fields only) x problem
@@ -243,27 +206,10 @@ def run_fix_experiment(
             seed=fixer.config.seed + unit.trial,
         )
 
-    if runner.is_serial:
-        # The in-process path runs through the *same* fixer object (a
-        # caller-injected model or database is honoured directly).
-        def run_unit(unit: _FixTrial) -> tuple[bool, int]:
-            outcome = fixer.with_seed(fixer.config.seed + unit.trial).fix(
-                unit.code, description=unit.description
-            )
-            return outcome.success, outcome.iterations
-
-        fn = run_unit
-    else:
-        fn = _run_fix_trial
-    try:
-        completed, result.failures = run_stage(
-            stage, fn, units, key_parts, ctx=ctx, runner=runner,
-            progress=progress, on_error=on_error,
-        )
-    finally:
-        if local_state is not None:
-            local_state.close()
-
+    completed, result.failures = run_stage(
+        stage, _run_fix_trial, units, key_parts, ctx=ctx, runner=runner,
+        jobs=jobs, progress=progress, on_error=on_error,
+    )
     counts = [0] * len(entries)
     for unit, (success, iterations) in completed:
         if success:

@@ -33,7 +33,11 @@ from __future__ import annotations
 
 import random
 
-from ..diagnostics import ErrorCategory, compile_source
+from ..diagnostics import ErrorCategory
+
+# Unused here, but kept bound: perfbench/tracer.py rebinds this alias
+# and fails to install without it.
+from ..diagnostics import compile_source  # noqa: F401
 from ..rag.database import GuidanceEntry
 from ..runtime.accounting import tier_family
 from ..runtime.cache import cached_compile
@@ -240,7 +244,7 @@ class SimulatedRepairSession:
     def _true_errors_at(self, code: str, line: int | None) -> list[ParsedError]:
         """Latent-knowledge oracle (see module docstring): the real
         errors, optionally filtered near a reported line."""
-        result = cached_compile(code, compute=lambda: compile_source(code))
+        result = cached_compile(code)
         errors = [
             ParsedError(category=d.category, line=d.line, details=dict(d.args))
             for d in result.errors
@@ -267,9 +271,7 @@ class SimulatedRepairSession:
                 current = revised
                 notes.append(self._describe(error))
         for _ in range(3):
-            remaining = cached_compile(
-                current, compute=lambda: compile_source(current)
-            )
+            remaining = cached_compile(current)
             if remaining.ok:
                 break
             progressed = False

@@ -278,26 +278,19 @@ class CompileCache(Memo):
         flavor: str = "iverilog",
         include_files: Optional[dict[str, str]] = None,
         limits: "Optional[ResourceLimits]" = None,
-        compute: Optional[Callable[[], "CompileResult"]] = None,
     ) -> "CompileResult":
         """Return the (possibly cached) result of compiling ``code``,
         as the ``flavor`` compiler reports it.
 
         The entry holds whichever flavor compiled it first; any other
         flavor gets that entry's view for ``flavor``, built once.
-        ``compute`` overrides how a *miss* is materialized; it must be
-        bit-identical to ``compile_source`` on the same inputs up to the
-        flavor -- the cache key stays a pure content address either way.
         """
         key = compile_key(
             code, name=name, include_files=include_files, limits=limits
         )
-        if compute is not None:
-            entry = self.get_or_compute(key, compute)
-        else:
-            entry = self.get_or_compute(
-                key, _compile_cold, code, name, flavor, include_files, limits
-            )
+        entry = self.get_or_compute(
+            key, _compile_cold, code, name, flavor, include_files, limits
+        )
         return entry.with_flavor(flavor)
 
 
@@ -317,20 +310,13 @@ def cached_compile(
     flavor: str = "iverilog",
     include_files: Optional[dict[str, str]] = None,
     limits: "Optional[ResourceLimits]" = None,
-    compute: Optional[Callable[[], "CompileResult"]] = None,
 ) -> "CompileResult":
     """Drop-in replacement for ``compile_source`` that consults the
-    active :class:`CompileCache` (and falls through when none is set).
-
-    ``compute``, when given, materializes misses (and the no-cache
-    fallback) instead of ``compile_source``.
-    """
+    active :class:`CompileCache` (and falls through when none is set)."""
     cache = current().get("compile_cache", DEFAULT_CACHE)
     if cache is None:
-        if compute is not None:
-            return compute()
         return _compile_cold(code, name, flavor, include_files, limits)
     return cache.compile(
         code, name=name, flavor=flavor, include_files=include_files,
-        limits=limits, compute=compute,
+        limits=limits,
     )

@@ -10,10 +10,10 @@ This layers resumability on top of :mod:`repro.runtime.journal`:
   successor;
 * **config digests** (:func:`config_digest`) cover only the
   *result-relevant* fields of an :class:`~repro.core.config.RTLFixerConfig`
-  -- execution knobs (``jobs``, ``on_error``, ``run_dir``,
-  ``breaker_threshold``) are excluded, because parallelism and failure
-  policy never change results (the determinism contract), so a run may
-  be resumed with a different ``--jobs`` and still replay its journal;
+  -- the timing-only ``llm_hedge`` knob is excluded.  Worker count and
+  failure policy are not config fields at all (they never change
+  results: the determinism contract), so a run may be resumed with a
+  different ``--jobs`` and still replay its journal;
 * **payload codec** (:func:`encode_payload` / :func:`decode_payload`)
   round-trips work-unit results -- primitives, tuples, dataclasses
   (tagged by module-qualified name, restricted to this library) --
@@ -54,21 +54,12 @@ if TYPE_CHECKING:  # typing only: avoid runtime cycles
     from ..core.config import RTLFixerConfig
     from .breaker import CircuitBreaker
 
-#: RTLFixerConfig fields that control *how* a run executes, not what it
-#: computes -- excluded from :func:`config_digest` so e.g. resuming with
-#: more workers still replays the journal.
-EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "jobs",
-        "on_error",
-        "run_dir",
-        "breaker_threshold",
-        # Pool timing knob: hedging is primary-preferred, so it cannot
-        # change a trial's result.  llm_pool / llm_escalate_after DO
-        # change which model answers and stay in the digest.
-        "llm_hedge",
-    }
-)
+#: RTLFixerConfig fields that control *how* a trial executes, not what
+#: it computes -- excluded from :func:`config_digest`.  Hedging is
+#: primary-preferred, so it cannot change a trial's result; llm_pool /
+#: llm_escalate_after DO change which model answers and stay in the
+#: digest.
+EXECUTION_ONLY_FIELDS = frozenset({"llm_hedge"})
 
 #: Run-directory artifact names.
 JOURNAL_FILE = "journal.jsonl"

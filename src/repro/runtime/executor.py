@@ -20,8 +20,8 @@ Backends:
   work releases the GIL or when sharing the in-process compile cache
   matters more than core scaling).
 
-The worker count comes from ``RTLFixerConfig.jobs`` / the CLI
-``--jobs`` flag; ``jobs=0`` means "all CPUs".
+The worker count comes from the experiment drivers' ``jobs=`` argument
+/ the CLI ``--jobs`` flag; ``jobs=0`` means "all CPUs".
 
 Failure handling (``on_error``):
 

@@ -37,6 +37,7 @@ jobs from the journal with digest-identical results.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import sys
@@ -268,7 +269,7 @@ class RepairServer:
         scope = (
             use_deadline(job.deadline)
             if job.deadline is not None
-            else _null_scope()
+            else contextlib.nullcontext()
         )
         with scope:
             if self.config.work_delay > 0:
@@ -340,38 +341,19 @@ class RepairServer:
                     job, deadline_response(job.job_id, tenant, exc.stage)
                 )
                 continue
-            except RetryExhaustedError as exc:
-                if self.breaker is not None:
-                    self.breaker.record_failure(exc, probe=job.probe)
-                self._finish(
-                    job,
-                    error_response(
-                        job.job_id, tenant, type(exc).__name__, str(exc)
-                    ),
-                )
-                continue
-            except SimulationError as exc:
-                # Sandbox outcomes that escape the repair flow (budget
-                # overflow, settle divergence) are *typed* errors, not
-                # crashes: the client gets the classification, and the
-                # breaker counts it like any other backend failure.
-                if self.breaker is not None:
-                    self.breaker.record_failure(exc, probe=job.probe)
-                self._finish(
-                    job,
-                    error_response(
-                        job.job_id, tenant, type(exc).__name__, str(exc)
-                    ),
-                )
-                continue
             except Exception as exc:  # crash boundary: counted, never silent
+                # Exhausted retries and sandbox outcomes that escape the
+                # repair flow (budget overflow, settle divergence) are
+                # *typed* errors, not crashes: the client gets the
+                # classification.  The breaker counts every failure.
                 if self.breaker is not None:
                     self.breaker.record_failure(exc, probe=job.probe)
+                typed = isinstance(exc, (RetryExhaustedError, SimulationError))
                 self._finish(
                     job,
                     error_response(
                         job.job_id, tenant, type(exc).__name__, str(exc),
-                        crashed=True,
+                        crashed=not typed,
                     ),
                 )
                 continue
@@ -612,15 +594,3 @@ class RepairServer:
         head += "Connection: close\r\n\r\n"
         writer.write(head.encode() + body)
         await writer.drain()
-
-
-class _null_scope:
-    """A no-op context manager (jobs without a deadline)."""
-
-    def __enter__(self) -> None:
-        """Nothing to scope."""
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        """Nothing to restore."""
-        return None

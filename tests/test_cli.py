@@ -55,6 +55,33 @@ class TestFixCommand:
     def test_oneshot_mode(self, good_file):
         assert main(["fix", good_file, "--prompting", "oneshot", "--no-rag"]) == 0
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--step-timeout", "0"],
+            ["--step-timeout", "nan"],
+            ["--max-retries", "-1"],
+            ["--llm-hedge", "2"],
+            ["--llm-escalate-after", "-1"],
+            ["--llm-pool", "x=gpt-3.5-sim,x=gpt-4-sim"],
+        ],
+    )
+    def test_bad_option_value_is_a_usage_error(self, broken_file, capsys, option):
+        assert main(["fix", broken_file, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestReportCommand:
+    def test_bad_llm_pool_rejected_before_any_work(self, capsys):
+        assert main(["report", "--llm-pool", "x=gpt-3.5-sim,x=gpt-4-sim"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: duplicate backend names in pool: ['x', 'x']\n"
+        )
+
 
 class TestDatasetCommand:
     def test_builds_and_saves(self, tmp_path, capsys):

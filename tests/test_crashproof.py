@@ -334,22 +334,19 @@ class TestIsolable:
             entries=[
                 SyntaxEntry(
                     problem_id="p", benchmark="t", description="",
-                    code="module m; endmodule", categories=(),
+                    # Broken, so the trial reaches the model.
+                    code="module m; wire w endmodule", categories=(),
                 )
             ]
         )
-        fixer = RTLFixer(on_error="collect")
 
         class _Interrupter:
-            def __init__(self, inner):
-                self.inner = inner
-                self.config = inner.config
-
-            def with_seed(self, seed):
+            def start(self, *args, **kwargs):
                 raise KeyboardInterrupt()
 
+        fixer = RTLFixer(model=_Interrupter())
         with pytest.raises(KeyboardInterrupt):
-            run_fix_experiment(dataset, _Interrupter(fixer), repeats=1)
+            run_fix_experiment(dataset, fixer, repeats=1, on_error="collect")
 
 
 class TestMacroBombTrial:
@@ -370,10 +367,10 @@ class TestMacroBombTrial:
                 )
             ]
         )
-        fixer = RTLFixer(
-            max_iterations=2, on_error="collect", compile_limits=FUZZ_LIMITS
+        fixer = RTLFixer(max_iterations=2, compile_limits=FUZZ_LIMITS)
+        result = run_fix_experiment(
+            dataset, fixer, repeats=2, on_error="collect"
         )
-        result = run_fix_experiment(dataset, fixer, repeats=2)
         assert result.failures == []  # compiler feedback, not a WorkFailure
         assert result.fixed_counts == [0]
         assert result.rate == 0.0

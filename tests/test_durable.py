@@ -174,14 +174,19 @@ class TestCodecAndKeys:
             encode_payload(object())
 
     def test_config_digest_ignores_execution_fields(self):
-        """jobs/on_error/run_dir/breaker_threshold never change results,
-        so a resume with different values must address the same trials."""
+        """llm_hedge is timing-only and never changes results, so a
+        resume with a different hedge rate must address the same trials."""
         base = RTLFixerConfig()
-        tweaked = RTLFixerConfig(
-            jobs=8, on_error="collect", run_dir="/tmp/x", breaker_threshold=3
-        )
-        assert config_digest(base) == config_digest(tweaked)
+        assert config_digest(base) == config_digest(RTLFixerConfig(llm_hedge=0.5))
         assert config_digest(base) != config_digest(RTLFixerConfig(seed=1))
+
+    def test_config_digest_pinned(self):
+        """Every durable run's journal keys embed the config digest: a
+        field added to or removed from the config must not move it."""
+        assert config_digest(RTLFixerConfig()) == "d644ae0348537b76"
+        assert config_digest(
+            RTLFixerConfig(prompting="oneshot", compiler="iverilog", seed=3)
+        ) == "7fe22e4b10568014"
 
     def test_unit_key_separates_stages_and_parts(self):
         assert unit_key("a", x=1) != unit_key("b", x=1)
@@ -409,51 +414,20 @@ class TestDurableFixExperiment:
         """A journaled run_fix_experiment replays to the same result."""
         run_dir = str(tmp_path / "run")
         fixer = RTLFixer(max_iterations=2)
-        first = run_fix_experiment(
-            tiny_dataset, RTLFixer(max_iterations=2, run_dir=run_dir), repeats=2
-        )
+        with RunState(run_dir) as state:
+            first = run_fix_experiment(
+                tiny_dataset, fixer, repeats=2, ctx=RunContext(state=state)
+            )
         journal = Journal(os.path.join(run_dir, "journal.jsonl"))
         assert len(journal) == len(tiny_dataset) * 2
         journal.close()
-        resumed = run_fix_experiment(
-            tiny_dataset, RTLFixer(max_iterations=2, run_dir=run_dir), repeats=2
-        )
+        with RunState(run_dir) as state:
+            ctx = RunContext(state=state)
+            resumed = run_fix_experiment(tiny_dataset, fixer, repeats=2, ctx=ctx)
+        assert ctx.replayed == len(tiny_dataset) * 2 and ctx.executed == 0
         fresh = run_fix_experiment(tiny_dataset, fixer, repeats=2)
         assert resumed.fixed_counts == fresh.fixed_counts == first.fixed_counts
         assert resumed.iterations == fresh.iterations
-
-    def test_changed_config_same_run_dir_fails_fast(self, tiny_dataset, tmp_path):
-        """The standalone durable path pins a manifest: reusing a run
-        directory with a changed result-relevant config raises instead
-        of silently appending mismatched trials to the same journal."""
-        run_dir = str(tmp_path / "run")
-        run_fix_experiment(
-            tiny_dataset, RTLFixer(max_iterations=2, run_dir=run_dir), repeats=1
-        )
-        journal = Journal(os.path.join(run_dir, "journal.jsonl"))
-        before = len(journal)
-        journal.close()
-        with pytest.raises(CheckpointError, match="different configuration"):
-            run_fix_experiment(
-                tiny_dataset,
-                RTLFixer(max_iterations=3, run_dir=run_dir),
-                repeats=1,
-            )
-        journal = Journal(os.path.join(run_dir, "journal.jsonl"))
-        assert len(journal) == before  # nothing was appended
-        journal.close()
-
-    def test_standalone_run_dir_writes_manifest(self, tiny_dataset, tmp_path):
-        """run_dir-on-config gets the same manifest protection as the
-        CLI path (config digest + stage pinned in manifest.json)."""
-        run_dir = str(tmp_path / "run")
-        fixer = RTLFixer(max_iterations=2, run_dir=run_dir)
-        run_fix_experiment(tiny_dataset, fixer, repeats=1)
-        with open(os.path.join(run_dir, "manifest.json")) as handle:
-            manifest = json.load(handle)
-        assert manifest["kind"] == "fix_experiment"
-        assert manifest["stage"] == "fix"
-        assert manifest["config"] == config_digest(fixer.config)
 
 
 # ---------------------------------------------------------------------------

@@ -463,13 +463,17 @@ class TestChaosExperimentRun:
             injector=FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
         )
         return RTLFixer(
-            config=RTLFixerConfig(max_retries=0, on_error="collect"), model=chaos
+            config=RTLFixerConfig(max_retries=0), model=chaos
         )
 
     def test_chaos_run_completes_and_is_deterministic(self, tiny_dataset):
         fixer = self._chaos_fixer()
-        first = run_fix_experiment(tiny_dataset, fixer, repeats=2)
-        second = run_fix_experiment(tiny_dataset, fixer, repeats=2)
+        first = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
+        second = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
         assert first.failures, "fault rate 0.3 must fail some trials"
         assert first.failures == second.failures
         assert first.fixed_counts == second.fixed_counts
@@ -481,9 +485,11 @@ class TestChaosExperimentRun:
     @pytest.mark.parametrize("backend,jobs", [("thread", 3), ("process", 4)])
     def test_parallel_chaos_matches_serial(self, tiny_dataset, backend, jobs):
         fixer = self._chaos_fixer()
-        serial = run_fix_experiment(tiny_dataset, fixer, repeats=2)
+        serial = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
         parallel = run_fix_experiment(
-            tiny_dataset, fixer, repeats=2,
+            tiny_dataset, fixer, repeats=2, on_error="collect",
             runner=ParallelRunner(jobs=jobs, backend=backend),
         )
         assert parallel.failures == serial.failures  # exactly the same units
@@ -499,10 +505,10 @@ class TestChaosExperimentRun:
                                        transient_failures=1),
             ),
         )
-        fixer = RTLFixer(
-            config=RTLFixerConfig(max_retries=2, on_error="collect"), model=flaky
+        fixer = RTLFixer(config=RTLFixerConfig(max_retries=2), model=flaky)
+        run = run_fix_experiment(
+            tiny_dataset, fixer, repeats=1, on_error="collect"
         )
-        run = run_fix_experiment(tiny_dataset, fixer, repeats=1)
         assert run.failures == []  # every transient fault retried away
 
     def test_raise_mode_aborts_chaos_run(self, tiny_dataset):
@@ -558,15 +564,19 @@ class TestVerdictChaosTransparency:
             SimulatedLLM(),
             injector=FaultInjector(seed=13, llm=FaultSpec(rate=0.3, kind="exception")),
         )
-        fixer = RTLFixer(
-            config=RTLFixerConfig(max_retries=0, on_error="collect"), model=chaos
-        )
+        fixer = RTLFixer(config=RTLFixerConfig(max_retries=0), model=chaos)
         with scoped(verdict_cache=None):
-            baseline = run_fix_experiment(tiny_dataset, fixer, repeats=2)
+            baseline = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
         cache = VerdictCache()
         with scoped(verdict_cache=cache):
-            cold = run_fix_experiment(tiny_dataset, fixer, repeats=2)
-            warm = run_fix_experiment(tiny_dataset, fixer, repeats=2)
+            cold = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
+            warm = run_fix_experiment(
+            tiny_dataset, fixer, repeats=2, on_error="collect"
+        )
         # Memoized verdicts change nothing observable, faults included.
         for run in (cold, warm):
             assert run.failures == baseline.failures

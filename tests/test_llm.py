@@ -208,30 +208,32 @@ class TestSimulatedLLM:
 
     def test_model_compiles_hit_the_compile_cache(self, monkeypatch):
         """The model's own (iverilog) compiles go through the compile
-        cache: fixing the same entry at a second trial seed compiles none
-        of the first fix's sources cold again."""
-        import repro.llm.simulated as simulated
+        cache, like the agent's: fixing the same entry at a second trial
+        seed compiles none of the first fix's sources cold again.  The
+        two compile under different file names, so a source is keyed by
+        ``(code, name)``."""
+        import repro.diagnostics.compiler as compiler
         from repro.core import RTLFixer
         from repro.dataset import build_syntax_dataset, verilogeval
         from repro.runtime import CompileCache
         from repro.scope import scoped
 
         cold, requested = [], []
-        compile_cold = simulated.compile_source
+        compile_cold = compiler.compile_source
 
         def spy_cold(code, **kwargs):
-            cold.append(code)
+            cold.append((code, kwargs["name"]))
             return compile_cold(code, **kwargs)
 
         class RecordingCache(CompileCache):
             def compile(self, code, **kwargs):
-                requested.append(code)
+                requested.append((code, kwargs["name"]))
                 return super().compile(code, **kwargs)
 
-        monkeypatch.setattr(simulated, "compile_source", spy_cold)
         entry = build_syntax_dataset(
             verilogeval(), samples_per_problem=4, target_size=20
         ).entries[0]
+        monkeypatch.setattr(compiler, "compile_source", spy_cold)
         cache = RecordingCache()
         fixer = RTLFixer()
         with scoped(compile_cache=cache):

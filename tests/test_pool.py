@@ -33,8 +33,10 @@ from repro.llm.pool import (
 )
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
+    CircuitBreaker,
     FaultSpec,
     ParallelRunner,
+    RunContext,
     TokenCounter,
     estimate_tokens,
 )
@@ -363,7 +365,7 @@ class TestPoolChaos:
         counter = TokenCounter()
         with scoped(llm_routing=self._outage("cheap"), token_counter=counter):
             run = run_fix_experiment(
-                tiny_dataset, RTLFixer(on_error="collect"), repeats=1
+                tiny_dataset, RTLFixer(), repeats=1, on_error="collect"
             )
         assert run.failures == []  # failover healed every trial
         assert counter.as_dict()["failovers"] >= 1
@@ -402,11 +404,11 @@ class TestPoolChaos:
             chaos={"strong": FaultSpec(rate=1.0, kind="exception")},
         )
         with scoped(llm_routing=routing):
-            fixer = RTLFixer(
-                tier="gpt-4-sim", on_error="collect", breaker_threshold=3,
-                max_retries=1,
+            fixer = RTLFixer(tier="gpt-4-sim", max_retries=1)
+            run = run_fix_experiment(
+                tiny_dataset, fixer, repeats=1, on_error="collect",
+                ctx=RunContext(breaker=CircuitBreaker(3)),
             )
-            run = run_fix_experiment(tiny_dataset, fixer, repeats=1)
         assert run.failures, "strong-tier outage must fail trials"
         skipped = [f for f in run.failures if f.error_type == "CircuitOpenError"]
         assert skipped, "the breaker must skip trials fail-fast"
