@@ -576,96 +576,6 @@ def test_llm_pool_routed_vs_direct(benchmark):
     assert t_routed < t_direct * 2, f"pool overhead {overhead:+.1f}%"
 
 
-def test_llm_pool_hedged_tail_latency(benchmark):
-    """Hedging exists for the tail: the seeded duplicate pre-launches on
-    the next rung, so when a slow primary fails its failover reply is
-    already computed instead of starting from zero -- same results,
-    lower wall-clock."""
-    from repro.errors import LLMTimeoutError
-    from repro.llm.backends import SimulatedChatClient
-    from repro.llm.pool import PooledRepairModel, RoutingSpec
-    from repro.runtime import TokenCounter
-
-    class _SlowFailing:
-        """Backend that burns its service time and then times out."""
-
-        def __init__(self, delay):
-            self.delay = delay
-
-        def with_seed(self, seed):
-            return self
-
-        def complete(self, messages, temperature=0.4):
-            time.sleep(self.delay)
-            raise LLMTimeoutError("slow backend timed out")
-
-    class _Slow:
-        """Healthy backend with a constant injected service delay."""
-
-        def __init__(self, inner, delay):
-            self.inner = inner
-            self.delay = delay
-
-        def with_seed(self, seed):
-            return _Slow(self.inner.with_seed(seed), self.delay)
-
-        def complete(self, messages, temperature=0.4):
-            time.sleep(self.delay)
-            return self.inner.complete(messages, temperature=temperature)
-
-    delay = 0.02
-    code = "module top(input a, input b, output y)\n  assign y = a & b;\nendmodule\n"
-
-    def run(hedge_rate):
-        # max_retries=0: one attempt per rung, so each call costs one
-        # service delay per rung it visits.
-        routing = RoutingSpec.parse(
-            "cheap=gpt-3.5-sim,strong=gpt-4-sim",
-            hedge_rate=hedge_rate, max_retries=0,
-        )
-        model = PooledRepairModel(
-            routing, seed=3,
-            clients={
-                "cheap": _SlowFailing(delay),
-                "strong": _Slow(SimulatedChatClient("gpt-4-sim", seed=3), delay),
-            },
-        )
-        return RTLFixer(model=model, seed=3, max_retries=0)
-
-    with scoped(compile_cache=CompileCache()):
-        plain, t_plain = _timed(lambda: run(0.0).fix(code))
-    counter = TokenCounter()
-    with scoped(compile_cache=CompileCache(), token_counter=counter):
-        hedged, t_hedged = _timed(
-            lambda: benchmark.pedantic(
-                lambda: run(1.0).fix(code), rounds=1, iterations=1
-            )
-        )
-
-    assert hedged.final_code == plain.final_code
-    assert hedged.iterations == plain.iterations
-    ledger = counter.as_dict()
-    saved = (1.0 - t_hedged / t_plain) * 100 if t_plain else 0.0
-    benchmark.extra_info["service_delay_ms"] = delay * 1000
-    benchmark.extra_info["unhedged_seconds"] = round(t_plain, 3)
-    benchmark.extra_info["hedged_seconds"] = round(t_hedged, 3)
-    benchmark.extra_info["latency_saved_pct"] = round(saved, 1)
-    benchmark.extra_info["hedges"] = ledger["hedges"]
-    benchmark.extra_info["hedge_wins"] = ledger["hedge_wins"]
-    report(
-        "LLM pool: hedged tail latency (slow failing primary, result-neutral)",
-        render_table(
-            ["service delay", "unhedged (s)", "hedged (s)", "saved",
-             "hedges", "hedge wins"],
-            [[f"{delay * 1000:.0f}ms", f"{t_plain:.3f}", f"{t_hedged:.3f}",
-              f"{saved:.0f}%", ledger["hedges"], ledger["hedge_wins"]]],
-        ),
-    )
-    assert ledger["hedge_wins"] >= 1  # the duplicate supplied replies
-    # Unhedged pays cheap-timeout + strong serially; hedged overlaps them.
-    assert t_hedged < t_plain, "hedging saved no latency on a failing primary"
-
-
 # ---------------------------------------------------------------------------
 # Repair engine (Table-4 functional workload)
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
 #
 # The simulation-engine benches (compiled vs interp throughput, verdict
 # cache) are additionally emitted on their own as BENCH_sim.json (override with BENCH_SIM_JSON=), and the
-# LLM-pool benches (routed vs direct overhead, tokens/trial, hedged
-# tail latency) as BENCH_llm.json (override with BENCH_LLM_JSON=), the
+# LLM-pool benches (routed vs direct overhead, tokens/trial) as
+# BENCH_llm.json (override with BENCH_LLM_JSON=), the
 # sandbox budget-check overhead (tracked vs UNTRACKED on both engines
 # and the clean corpus, <5% gate) as BENCH_sandbox.json (override with
 # BENCH_SANDBOX_JSON=), the repair-engine functional workload (templates
@@ -76,8 +76,8 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" REPRO_BENCH_PROFILE="$profile" \
 echo "sandbox benchmark written to $sandbox_out"
 
 # Dedicated LLM-pool artifact: routed-vs-direct overhead and estimated
-# tokens/cost per trial, plus the hedged-tail-latency drill, so the
-# backend-pool cost axis is tracked on its own across PRs.
+# tokens/cost per trial, so the backend-pool cost axis is tracked on
+# its own across PRs.
 llm_out="${BENCH_LLM_JSON:-BENCH_llm.json}"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" REPRO_BENCH_PROFILE="$profile" \
     python -m pytest benchmarks/test_bench_runtime.py \

@@ -87,7 +87,7 @@ ENTRY_POINTS: list[tuple[str, list[str]]] = [
                         "--breaker-threshold", "3",
                         "--sim-limits", "cycles=2000,wall=5",
                         "--llm-pool", "cheap=gpt-3.5-sim,strong=gpt-4-sim",
-                        "--llm-escalate-after", "2", "--llm-hedge", "0.2",
+                        "--llm-escalate-after", "2",
                         "--no-gpt4", *SMALL_REPORT]),
     ("fix", ["-m", "repro.cli", "fix", "broken.v", "--transcript"]),
     ("fix-oneshot", ["-m", "repro.cli", "fix", "broken.v",

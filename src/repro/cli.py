@@ -38,7 +38,6 @@ def _llm_line(ledger: dict, routing_text: str) -> str:
         f"# llm: pool {routing_text}; {ledger['calls']} call(s), "
         f"{ledger['total_tokens']} tokens (~${ledger['cost_usd']:.4f}); "
         f"escalations={ledger['escalations']} failovers={ledger['failovers']} "
-        f"hedges={ledger['hedges']} "
         f"failures={ledger['failures']}"
     )
 
@@ -60,7 +59,6 @@ def _cmd_fix(args: argparse.Namespace) -> int:
             step_timeout=args.step_timeout,
             llm_pool=args.llm_pool,
             llm_escalate_after=args.llm_escalate_after,
-            llm_hedge=args.llm_hedge,
         )
     except (ValueError, LLMError) as exc:  # a bad option value
         print(f"error: {exc}", file=sys.stderr)
@@ -169,8 +167,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # a malformed ladder before any work runs.
         try:
             RoutingSpec.parse(
-                args.llm_pool, escalate_after=args.llm_escalate_after,
-                hedge_rate=args.llm_hedge,
+                args.llm_pool, escalate_after=args.llm_escalate_after
             )
         except LLMError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -198,7 +195,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 should_stop=shutdown.requested,
                 llm_pool=args.llm_pool,
                 llm_escalate_after=args.llm_escalate_after,
-                llm_hedge=args.llm_hedge,
             )
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -383,12 +379,6 @@ def _add_llm_pool_args(parser: argparse.ArgumentParser) -> None:
         help="climb one pool rung after K failed agent iterations (the "
         "paper's gpt-3.5 -> gpt-4 axis as a runtime policy; 0 = never "
         "escalate, outage failover still applies)",
-    )
-    parser.add_argument(
-        "--llm-hedge", type=float, default=0.0, metavar="RATE",
-        help="seeded fraction of pool calls duplicated to the next rung "
-        "for tail latency; the primary's reply is always preferred, so "
-        "results never change (0 disables)",
     )
 
 

@@ -23,7 +23,9 @@ class RTLFixerConfig:
     How a run of many trials executes -- worker count, failure
     handling, durability, circuit breaking -- is not part of the
     config: callers pass it to the experiment drivers (``jobs=``,
-    ``on_error=``) and to :class:`~repro.runtime.RunContext`.
+    ``on_error=``) and to :class:`~repro.runtime.RunContext`.  So every
+    field is part of the trial-key
+    :func:`~repro.runtime.checkpoint.config_digest`.
     """
 
     prompting: str = "react"  # "react" | "oneshot"
@@ -80,10 +82,6 @@ class RTLFixerConfig:
     #: model answers, so (like llm_pool) it is part of the trial-key
     #: config digest.
     llm_escalate_after: int = 0
-    #: Seeded probability of hedging a call to the next pool rung for
-    #: tail latency.  The primary's reply is always preferred, so this
-    #: is timing-only (execution knob, excluded from the config digest).
-    llm_hedge: float = 0.0
 
     def __post_init__(self) -> None:
         if self.prompting not in ("react", "oneshot"):
@@ -123,8 +121,6 @@ class RTLFixerConfig:
             raise ValueError(
                 "llm_escalate_after must be >= 0 (0 disables escalation)"
             )
-        if not 0.0 <= self.llm_hedge <= 1.0:
-            raise ValueError(f"llm_hedge must be in [0, 1], got {self.llm_hedge}")
 
     def label(self) -> str:
         """Human-readable configuration summary for reports."""

@@ -99,8 +99,8 @@ class FullReport:
     #: from ``to_json`` like the rest.
     sim: dict = field(default_factory=dict)
     #: LLM pool telemetry (routing description plus the run's
-    #: TokenCounter ledger: per-backend tokens, cost, hedges,
-    #: failovers, escalations).  Populated only when the run
+    #: TokenCounter ledger: per-backend tokens, cost, failovers,
+    #: escalations, failures).  Populated only when the run
     #: was routed through a pool.  Runtime telemetry -- excluded from
     #: ``to_json``, so a pooled run over simulated tiers produces a
     #: report byte-identical to the direct run.
@@ -157,7 +157,7 @@ def report_manifest(scale: ReportScale, llm: Optional[dict] = None) -> dict:
     the run routes through an LLM pool -- the pool spec and escalation
     policy (they can change which model answers, so a pooled run must
     not resume a direct run's journal).  Execution knobs (``jobs``,
-    ``on_error``, breaker threshold, hedging) are free to change
+    ``on_error``, breaker threshold) are free to change
     between a run and its resume; omitting the ``llm`` key when no pool
     is configured keeps old manifests valid.
     """
@@ -179,7 +179,6 @@ def run_full_report(
     should_stop: Optional[Callable[[], bool]] = None,
     llm_pool: Optional[str] = None,
     llm_escalate_after: int = 0,
-    llm_hedge: float = 0.0,
 ) -> FullReport:
     """Run every experiment and collect a paper-vs-measured report.
 
@@ -201,13 +200,11 @@ def run_full_report(
 
     ``llm_pool`` routes every model call through a backend pool
     (:mod:`repro.llm.pool`): the spec string is an escalation ladder
-    (e.g. ``"cheap=gpt-3.5-sim,strong=gpt-4-sim"``),
+    (e.g. ``"cheap=gpt-3.5-sim,strong=gpt-4-sim"``) and
     ``llm_escalate_after`` climbs a rung after that many failed agent
-    iterations, and ``llm_hedge`` duplicates a seeded fraction of calls
-    to the next rung for tail latency.  Token/cost accounting for the
-    whole run lands in ``report.llm``; a pool of simulated tiers with
-    escalation disabled produces a report byte-identical to the direct
-    run.
+    iterations.  Token/cost accounting for the whole run lands in
+    ``report.llm``; a pool of simulated tiers with escalation disabled
+    produces a report byte-identical to the direct run.
     """
     scale = scale or ReportScale()
     if breaker_threshold > 0 and on_error != "collect":
@@ -218,9 +215,7 @@ def run_full_report(
     breaker = CircuitBreaker(breaker_threshold) if breaker_threshold > 0 else None
     routing: Optional[RoutingSpec] = None
     if llm_pool:
-        routing = RoutingSpec.parse(
-            llm_pool, escalate_after=llm_escalate_after, hedge_rate=llm_hedge
-        )
+        routing = RoutingSpec.parse(llm_pool, escalate_after=llm_escalate_after)
     else:
         # Respect a caller-scoped llm_routing spec (how offline suites
         # inject chaos-wrapped pools).
@@ -228,8 +223,7 @@ def run_full_report(
     llm_manifest: Optional[dict] = None
     if routing is not None:
         # Only the result-relevant routing bits: the ladder and the
-        # escalation policy.  Hedging is timing-only and may change
-        # between a run and its resume.
+        # escalation policy.
         llm_manifest = {
             "pool": ",".join(f"{m.name}={m.tier}" for m in routing.members),
             "escalate_after": routing.escalate_after,

@@ -11,7 +11,6 @@ from .openai_stub import (
 from .backends import OpenAIChatClient, SimulatedChatClient
 from .pool import (
     BackendSpec,
-    LLMPool,
     PooledRepairModel,
     PooledRepairSession,
     RoutingSpec,
@@ -28,7 +27,6 @@ __all__ = [
     "CAPABILITY",
     "CATEGORY_DELTA",
     "ChatMessage",
-    "LLMPool",
     "OpenAIChatClient",
     "PooledLogicModel",
     "PooledRepairModel",

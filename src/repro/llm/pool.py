@@ -17,20 +17,16 @@ The pool puts N configured chat backends behind the single
 * **failover** -- a member whose retry budget exhausts hands the call to
   the next stronger member, so a provider outage degrades into extra
   cost instead of a failed run;
-* **hedging** -- a seeded coin (pure function of ``(seed, call key)``,
-  never of timing) duplicates a call to the next member concurrently;
-  the primary's reply is always preferred, so hedging changes *latency*
-  (the failover rung is already warm when the primary dies), never
-  results;
-* **accounting** -- every call books estimated tokens / cost / hedges
-  / failovers into the process-active :class:`~repro.runtime.accounting.TokenCounter`
-  (surfaced as ``report.llm`` and the ``# llm:`` CLI line).
+* **accounting** -- every call books estimated tokens / cost /
+  escalations / failovers into the process-active
+  :class:`~repro.runtime.accounting.TokenCounter` (surfaced as
+  ``report.llm`` and the ``# llm:`` CLI line).
 
 Determinism contract: which member answers and what it replies are pure
 functions of ``(routing spec, seed, conversation content, observed
-failures)``; hedging shapes timing only.  A pooled run over
-simulated members is therefore bit-identical to the direct
-:class:`~repro.llm.SimulatedLLM` path at any ``--jobs``.
+failures)``.  A pooled run over simulated members is therefore
+bit-identical to the direct :class:`~repro.llm.SimulatedLLM` path at
+any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -50,8 +46,8 @@ from ..runtime.accounting import (
     tier_family,
 )
 from ..runtime.checkpoint import content_digest
-from ..runtime.faults import FaultInjector, FaultSpec, stable_unit
-from ..runtime.retry import Guard, RetryPolicy, messages_key
+from ..runtime.faults import FaultInjector, FaultSpec
+from ..runtime.retry import Guard, RetryPolicy
 from .base import ChatMessage, RepairStep
 from .backends.openai import OpenAIChatClient
 from .backends.simulated import (
@@ -110,9 +106,6 @@ class RoutingSpec:
     #: Escalate one ladder rung after this many failed agent iterations
     #: (0 = never escalate; failover on outage still applies).
     escalate_after: int = 0
-    #: Probability (seeded, per call) of duplicating a request to the
-    #: next rung for tail latency.  0 disables hedging.
-    hedge_rate: float = 0.0
     #: Retry budget of each member's guard.
     max_retries: int = 2
     #: name -> FaultSpec chaos injection per member (offline testing).
@@ -126,8 +119,6 @@ class RoutingSpec:
             raise LLMError(f"duplicate backend names in pool: {names}")
         if self.escalate_after < 0:
             raise LLMError("escalate_after must be >= 0 (0 = never)")
-        if not 0.0 <= self.hedge_rate <= 1.0:
-            raise LLMError(f"hedge_rate must be in [0, 1], got {self.hedge_rate}")
         if self.max_retries < 0:
             raise LLMError("max_retries must be >= 0")
 
@@ -136,7 +127,6 @@ class RoutingSpec:
         spec: str,
         *,
         escalate_after: int = 0,
-        hedge_rate: float = 0.0,
         max_retries: int = 2,
     ) -> "RoutingSpec":
         """Parse the CLI/config pool string.
@@ -158,7 +148,6 @@ class RoutingSpec:
         return RoutingSpec(
             members=tuple(members),
             escalate_after=escalate_after,
-            hedge_rate=hedge_rate,
             max_retries=max_retries,
         )
 
@@ -177,12 +166,9 @@ class RoutingSpec:
     def describe(self) -> str:
         """One-line summary for logs and the ``# llm:`` CLI line."""
         ladder = " -> ".join(f"{m.name}={m.tier}" for m in self.members)
-        extras = []
         if self.escalate_after:
-            extras.append(f"escalate_after={self.escalate_after}")
-        if self.hedge_rate:
-            extras.append(f"hedge={self.hedge_rate:g}")
-        return ladder + (f" ({', '.join(extras)})" if extras else "")
+            ladder += f" (escalate_after={self.escalate_after})"
+        return ladder
 
 
 def _make_raw_client(spec: BackendSpec, seed: int):
@@ -204,19 +190,17 @@ class PoolMember:
         raw_client=None,
     ):
         self.spec = spec
-        self.raw = raw_client if raw_client is not None else _make_raw_client(
+        raw = raw_client if raw_client is not None else _make_raw_client(
             spec, seed
         )
-        self.injector: Optional[FaultInjector] = None
+        injector: Optional[FaultInjector] = None
         chaos: Optional[FaultSpec] = (routing.chaos or {}).get(spec.name)
         if chaos is not None:
-            self.injector = FaultInjector(seed=seed, client=chaos)
+            injector = FaultInjector(seed=seed, client=chaos)
         policy: Optional[RetryPolicy] = None
         if routing.max_retries > 0:
             policy = RetryPolicy(max_retries=routing.max_retries, seed=seed)
-        self.client = Guard(
-            self.raw, policy, self.injector, sleep=sleep, clock=clock
-        )
+        self.client = Guard(raw, policy, injector, sleep=sleep, clock=clock)
 
     def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
         prompt_price, completion_price = self.spec.prices
@@ -226,154 +210,10 @@ class PoolMember:
         )
 
 
-class _HedgeCall:
-    """A concurrently pre-launched duplicate on the next ladder rung.
-
-    Always joined before the pooled call returns, so token accounting is
-    deterministic; its reply is consumed only when the primary fails.
-    """
-
-    def __init__(self, pool: "LLMPool", index: int,
-                 messages: list[ChatMessage], temperature: float,
-                 counter: TokenCounter, session: "EscalatingSession"):
-        self.index = index
-        self.reply: Optional[str] = None
-        self.error: Optional[Exception] = None
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(pool, messages, temperature, counter, session),
-            daemon=True,
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _run(self, pool, messages, temperature, counter, session) -> None:
-        try:
-            self.reply = pool._call_member(
-                self.index, messages, temperature, counter, session,
-                hedge=True,
-            )
-        except (TransientError, RetryExhaustedError, LLMError) as exc:
-            self.error = exc
-
-    def join(self) -> Optional[str]:
-        self._thread.join()
-        return self.reply
-
-
-class LLMPool:
-    """The runtime pool: the ladder plus the routed call path."""
-
-    def __init__(
-        self,
-        routing: RoutingSpec,
-        seed: int = 0,
-        clock: ClockFn = time.monotonic,
-        sleep: SleepFn = time.sleep,
-        clients: Optional[dict] = None,
-    ):
-        """``clients`` maps member names to caller-supplied raw clients
-        (bench/test injection); unnamed members get the default adapter
-        for their tier."""
-        self.routing = routing
-        self.seed = seed
-        self.members = [
-            PoolMember(
-                spec, routing, seed, clock, sleep,
-                raw_client=(clients or {}).get(spec.name),
-            )
-            for spec in routing.members
-        ]
-
-    def _call_member(
-        self,
-        index: int,
-        messages: list[ChatMessage],
-        temperature: float,
-        counter: TokenCounter,
-        session: "EscalatingSession",
-        *,
-        failover: bool = False,
-        hedge: bool = False,
-    ) -> str:
-        member = self.members[index]
-        name = member.spec.name
-        if hedge:
-            counter.record_hedge(name)
-        try:
-            reply = member.client.complete(messages, temperature=temperature)
-        except (TransientError, RetryExhaustedError, LLMError):
-            counter.record_failure(name)
-            raise
-        prompt_tokens = sum(estimate_tokens(m.content) for m in messages)
-        completion_tokens = estimate_tokens(reply)
-        session.book(
-            index, prompt_tokens, completion_tokens,
-            member.cost(prompt_tokens, completion_tokens), counter=counter,
-            routed=not (failover or hedge), failover=failover,
-        )
-        return reply
-
-    def call(
-        self,
-        messages: list[ChatMessage],
-        temperature: float,
-        *,
-        call_key: str,
-        session: "EscalatingSession",
-    ) -> str:
-        """One routed completion: hedging, then failover up the ladder.
-
-        The call starts on ``session``'s escalation-chosen rung; on
-        failure it walks strictly upward (weaker members cannot answer
-        for stronger ones).  Every completed call is booked through
-        :meth:`EscalatingSession.book`.  Raises the last member's error
-        when the whole ladder is down.
-        """
-        counter = get_active_token_counter()
-        index = session.member_index
-        hedge: Optional[_HedgeCall] = None
-        hedge_index = index + 1
-        if (
-            self.routing.hedge_rate > 0.0
-            and hedge_index < len(self.members)
-            and stable_unit(f"hedge|{self.seed}|{call_key}")
-            < self.routing.hedge_rate
-        ):
-            hedge = _HedgeCall(
-                self, hedge_index, messages, temperature, counter, session
-            )
-            hedge.start()
-        try:
-            last_error: Optional[Exception] = None
-            for i in range(index, len(self.members)):
-                if hedge is not None and i == hedge_index:
-                    reply = hedge.join()
-                    if reply is not None:
-                        counter.record_hedge_win(self.members[i].spec.name)
-                        return reply
-                    last_error = hedge.error or last_error
-                    continue  # the duplicate already failed this rung
-                try:
-                    return self._call_member(
-                        i, messages, temperature, counter, session,
-                        failover=(i > index),
-                    )
-                except (TransientError, RetryExhaustedError, LLMError) as exc:
-                    last_error = exc
-            raise last_error if last_error is not None else LLMError(
-                "empty pool ladder"
-            )
-        finally:
-            if hedge is not None:
-                hedge.join()  # deterministic accounting: idempotent join
-
-
 class PooledRepairModel:
-    """:class:`~repro.llm.base.RepairModel` facade over an
-    :class:`LLMPool` -- what ``RTLFixer`` builds when a pool is
-    configured, in place of a bare :class:`~repro.llm.SimulatedLLM`."""
+    """:class:`~repro.llm.base.RepairModel` over a ladder of guarded
+    pool members -- what ``RTLFixer`` builds when a pool is configured,
+    in place of a bare :class:`~repro.llm.SimulatedLLM`."""
 
     def __init__(
         self,
@@ -385,6 +225,9 @@ class PooledRepairModel:
         sleep: SleepFn = time.sleep,
         clients: Optional[dict] = None,
     ):
+        """``clients`` maps member names to caller-supplied raw clients
+        (bench/test injection); unnamed members get the default adapter
+        for their tier."""
         self.routing = routing
         self.tier = tier
         self.temperature = temperature
@@ -392,11 +235,68 @@ class PooledRepairModel:
         self._clock = clock
         self._sleep = sleep
         self._clients = clients
-        self.pool = LLMPool(
-            routing, seed=seed, clock=clock, sleep=sleep, clients=clients
-        )
+        self.members = [
+            PoolMember(
+                spec, routing, seed, clock, sleep,
+                raw_client=(clients or {}).get(spec.name),
+            )
+            for spec in routing.members
+        ]
         self._starts = 0
         self._lock = threading.Lock()
+
+    def _call_member(
+        self,
+        index: int,
+        messages: list[ChatMessage],
+        temperature: float,
+        counter: TokenCounter,
+        session: "EscalatingSession",
+        *,
+        failover: bool = False,
+    ) -> str:
+        member = self.members[index]
+        try:
+            reply = member.client.complete(messages, temperature=temperature)
+        except (TransientError, RetryExhaustedError, LLMError):
+            counter.record_failure(member.spec.name)
+            raise
+        prompt_tokens = sum(estimate_tokens(m.content) for m in messages)
+        completion_tokens = estimate_tokens(reply)
+        session.book(
+            index, prompt_tokens, completion_tokens,
+            member.cost(prompt_tokens, completion_tokens), counter=counter,
+            failover=failover,
+        )
+        return reply
+
+    def call(
+        self,
+        messages: list[ChatMessage],
+        temperature: float,
+        *,
+        session: "EscalatingSession",
+    ) -> str:
+        """One routed completion, failing over up the ladder.
+
+        The call starts on ``session``'s escalation-chosen rung; on
+        failure it walks strictly upward (weaker members cannot answer
+        for stronger ones).  Every completed call is booked through
+        :meth:`EscalatingSession.book`.  Raises the last member's error
+        when the whole ladder is down.
+        """
+        counter = get_active_token_counter()
+        index = session.member_index
+        for i in range(index, len(self.members)):
+            try:
+                return self._call_member(
+                    i, messages, temperature, counter, session,
+                    failover=(i > index),
+                )
+            except (TransientError, RetryExhaustedError, LLMError) as exc:
+                last_error = exc
+        # A ladder is never empty (RoutingSpec), so some member failed.
+        raise last_error
 
     def with_seed(self, seed: int) -> "PooledRepairModel":
         clients = self._clients
@@ -469,19 +369,18 @@ class EscalatingSession:
 
     def book(self, index: int, prompt_tokens: int, completion_tokens: int,
              cost_usd: float, *, counter: Optional[TokenCounter] = None,
-             routed: bool = True, failover: bool = False) -> None:
+             failover: bool = False) -> None:
         """Book one completed call on rung ``index``.
 
-        ``routed`` marks a call on the rung :attr:`member_index` chose
-        (failover and hedge calls are not).  Every routed call above
-        ``base`` is an escalation.
+        Every call but a failover runs on the rung :attr:`member_index`
+        chose, so each one above ``base`` is an escalation.
         """
         if counter is None:
             counter = get_active_token_counter()
         counter.record_call(
             self.routing.members[index].name, prompt_tokens,
             completion_tokens, cost_usd, failover=failover,
-            escalated=routed and index > self.base,
+            escalated=not failover and index > self.base,
         )
 
 
@@ -491,7 +390,7 @@ class PooledRepairSession(EscalatingSession):
     def __init__(self, model: PooledRepairModel, code: str, flavor: str,
                  use_rag: bool, ordinal: int):
         super().__init__(model.routing, model.tier)
-        self.pool = model.pool
+        self.model = model
         self.temperature = model.temperature
         self.flavor = flavor
         self.use_rag = use_rag
@@ -510,12 +409,7 @@ class PooledRepairSession(EscalatingSession):
             code, feedback, guidance,
             session=self.token, flavor=self.flavor, use_rag=self.use_rag,
         )
-        reply = self.pool.call(
-            messages,
-            self.temperature,
-            call_key=messages_key(messages, self.temperature),
-            session=self,
-        )
+        reply = self.model.call(messages, self.temperature, session=self)
         return parse_pool_reply(reply, guidance)
 
 
@@ -530,7 +424,6 @@ def routing_from_config(config) -> Optional[RoutingSpec]:
         return RoutingSpec.parse(
             config.llm_pool,
             escalate_after=config.llm_escalate_after,
-            hedge_rate=config.llm_hedge,
             max_retries=config.max_retries,
         )
     return current().get("llm_routing")
@@ -539,7 +432,6 @@ def routing_from_config(config) -> Optional[RoutingSpec]:
 __all__ = [
     "BackendSpec",
     "EscalatingSession",
-    "LLMPool",
     "PoolMember",
     "PooledRepairModel",
     "PooledRepairSession",

@@ -2,8 +2,8 @@
 
 The paper reports its results along a cost axis (gpt-3.5 vs gpt-4);
 a production deployment needs the same axis live: how many tokens each
-backend consumed, what they cost, and how often the pool hedged,
-failed over or escalated.  This module is the ledger:
+backend consumed, what they cost, and how often the pool failed over
+or escalated.  This module is the ledger:
 
 * :class:`BackendUsage` -- one backend's counters;
 * :class:`TokenCounter` -- thread-safe roll-up across backends, with a
@@ -51,10 +51,6 @@ class BackendUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cost_usd: float = 0.0
-    #: calls duplicated to the next backend for tail latency.
-    hedges: int = 0
-    #: hedged calls whose duplicate actually supplied the reply.
-    hedge_wins: int = 0
     #: calls answered by this backend after a weaker one failed.
     failovers: int = 0
     #: calls routed here by the tier-escalation policy.
@@ -73,8 +69,6 @@ class BackendUsage:
             "completion_tokens": self.completion_tokens,
             "total_tokens": self.total_tokens,
             "cost_usd": round(self.cost_usd, 6),
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
             "failovers": self.failovers,
             "escalations": self.escalations,
             "failures": self.failures,
@@ -116,19 +110,6 @@ class TokenCounter:
             usage.failovers += int(failover)
             usage.escalations += int(escalated)
 
-    def record_hedge(self, backend: str) -> None:
-        usage = self.usage(backend)
-        with self._lock:
-            usage.hedges += 1
-
-    def record_hedge_win(self, backend: str) -> None:
-        """A hedged duplicate's reply was actually consumed (counted
-        separately from :meth:`record_call`, which the hedge call makes
-        when it completes, before anyone knows whether it won)."""
-        usage = self.usage(backend)
-        with self._lock:
-            usage.hedge_wins += 1
-
     def record_failure(self, backend: str) -> None:
         usage = self.usage(backend)
         with self._lock:
@@ -149,7 +130,7 @@ class TokenCounter:
         return sum(u.cost_usd for u in self.backends.values())
 
     def total(self, counter: str) -> int:
-        """Sum one named counter (``hedges``, ``escalations``, ...)."""
+        """Sum one named counter (``escalations``, ``failovers``, ...)."""
         return sum(getattr(u, counter) for u in self.backends.values())
 
     def as_dict(self) -> dict:
@@ -168,8 +149,6 @@ class TokenCounter:
             "cost_usd": round(self.cost_usd, 6),
             "escalations": self.total("escalations"),
             "failovers": self.total("failovers"),
-            "hedges": self.total("hedges"),
-            "hedge_wins": self.total("hedge_wins"),
             "failures": self.total("failures"),
         }
 

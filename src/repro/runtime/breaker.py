@@ -226,15 +226,3 @@ class CircuitBreaker:
                 "consecutive_failures": self.consecutive_failures,
                 "failure_threshold": self.failure_threshold,
             }
-
-    def __getstate__(self) -> dict:
-        """Pickle without the lock (a breaker crossing into a process
-        worker starts with a fresh one)."""
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore and re-create the lock."""
-        self.__dict__.update(state)
-        self._lock = threading.RLock()

@@ -8,12 +8,12 @@ This layers resumability on top of :mod:`repro.runtime.journal`:
   Two runs with the same configuration derive the same keys, so a
   journal written by a killed run is directly addressable by its resumed
   successor;
-* **config digests** (:func:`config_digest`) cover only the
-  *result-relevant* fields of an :class:`~repro.core.config.RTLFixerConfig`
-  -- the timing-only ``llm_hedge`` knob is excluded.  Worker count and
-  failure policy are not config fields at all (they never change
-  results: the determinism contract), so a run may be resumed with a
-  different ``--jobs`` and still replay its journal;
+* **config digests** (:func:`config_digest`) cover every field of an
+  :class:`~repro.core.config.RTLFixerConfig`, each of which can change
+  a trial's result.  Worker count and failure policy are not config
+  fields at all (they never change results: the determinism contract),
+  so a run may be resumed with a different ``--jobs`` and still replay
+  its journal;
 * **payload codec** (:func:`encode_payload` / :func:`decode_payload`)
   round-trips work-unit results -- primitives, tuples, dataclasses
   (tagged by module-qualified name, restricted to this library) --
@@ -54,13 +54,6 @@ if TYPE_CHECKING:  # typing only: avoid runtime cycles
     from ..core.config import RTLFixerConfig
     from .breaker import CircuitBreaker
 
-#: RTLFixerConfig fields that control *how* a trial executes, not what
-#: it computes -- excluded from :func:`config_digest`.  Hedging is
-#: primary-preferred, so it cannot change a trial's result; llm_pool /
-#: llm_escalate_after DO change which model answers and stay in the
-#: digest.
-EXECUTION_ONLY_FIELDS = frozenset({"llm_hedge"})
-
 #: Run-directory artifact names.
 JOURNAL_FILE = "journal.jsonl"
 MANIFEST_FILE = "manifest.json"
@@ -78,16 +71,13 @@ def content_digest(text: str) -> str:
 
 
 def config_digest(config: "RTLFixerConfig") -> str:
-    """Digest of a fixer config's result-relevant fields.
+    """Digest of a fixer config.
 
-    Fields in :data:`EXECUTION_ONLY_FIELDS` are excluded; everything
-    else (prompting, compiler, tier, temperature, seed, retry budget,
-    compile limits, ...) participates, because it can change a trial's
-    outcome.
+    Every field (prompting, compiler, tier, temperature, seed, retry
+    budget, compile limits, pool spec, ...) participates, because each
+    can change a trial's outcome.
     """
     fields = dataclasses.asdict(config)
-    for name in EXECUTION_ONLY_FIELDS:
-        fields.pop(name, None)
     return hashlib.sha256(_canonical(fields).encode()).hexdigest()[:16]
 
 

@@ -80,11 +80,3 @@ class TokenBucket:
             if self.rate > 0:
                 self._refill(self._clock())
             return self._tokens
-
-    def __getstate__(self) -> dict:
-        # Reset transient state (lock, balance) across pickling: a
-        # bucket travelling into a worker process starts a fresh window.
-        return {"rate": self.rate, "burst": self.burst}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["rate"], state["burst"])

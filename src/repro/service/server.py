@@ -47,10 +47,12 @@ from typing import Optional
 
 from ..errors import (
     DeadlineExceededError,
+    LLMError,
     RetryExhaustedError,
     SimulationError,
     TransientError,
 )
+from ..llm.pool import RoutingSpec
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.checkpoint import RunState, config_digest, content_digest, unit_key
 from ..runtime.shutdown import GracefulShutdown
@@ -113,6 +115,12 @@ class ServerConfig:
             math.isfinite(self.step_timeout) and self.step_timeout > 0
         ):
             raise ValueError("step_timeout must be a finite number > 0 seconds")
+        # Likewise every request's fixer parses the pool spec.
+        if self.llm_pool:
+            try:
+                RoutingSpec.parse(self.llm_pool, max_retries=self.max_retries)
+            except LLMError as exc:
+                raise ValueError(str(exc)) from None
         if self.chaos_outage is not None:
             start, count = self.chaos_outage
             if start < 0 or count < 1:

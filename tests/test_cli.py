@@ -61,7 +61,6 @@ class TestFixCommand:
             ["--step-timeout", "0"],
             ["--step-timeout", "nan"],
             ["--max-retries", "-1"],
-            ["--llm-hedge", "2"],
             ["--llm-escalate-after", "-1"],
             ["--llm-pool", "x=gpt-3.5-sim,x=gpt-4-sim"],
         ],
@@ -78,6 +77,23 @@ class TestReportCommand:
     def test_bad_llm_pool_rejected_before_any_work(self, capsys):
         assert main(["report", "--llm-pool", "x=gpt-3.5-sim,x=gpt-4-sim"]) == 2
         captured = capsys.readouterr()
+        assert captured.err == (
+            "error: duplicate backend names in pool: ['x', 'x']\n"
+        )
+
+
+class TestServeCommand:
+    def test_bad_llm_pool_rejected_at_startup(self, capsys, monkeypatch):
+        from repro.service.server import RepairServer
+
+        monkeypatch.setattr(
+            RepairServer, "run", lambda self: pytest.fail("server started")
+        )
+        assert main(
+            ["serve", "--port", "0", "--llm-pool", "x=gpt-3.5-sim,x=gpt-4-sim"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "SERVING" not in captured.out
         assert captured.err == (
             "error: duplicate backend names in pool: ['x', 'x']\n"
         )

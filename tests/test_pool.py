@@ -1,5 +1,5 @@
 """LLM backend pool suite: the accounting ledger, spec parsing,
-the simulated round trip, tier routing, escalation-after-K, hedging,
+the simulated round trip, tier routing, escalation-after-K,
 failover under chaos outages, and the determinism contract (pooled ==
 direct, bit-identical at any job count).
 
@@ -68,8 +68,6 @@ class TestTokenCounter:
         counter = TokenCounter()
         counter.record_call("cheap", 100, 20, 0.001)
         counter.record_call("strong", 50, 10, 0.01, failover=True, escalated=True)
-        counter.record_hedge("strong")
-        counter.record_hedge_win("strong")
         counter.record_failure("cheap")
         ledger = counter.as_dict()
         assert ledger["calls"] == 2
@@ -77,7 +75,6 @@ class TestTokenCounter:
         assert ledger["cost_usd"] == pytest.approx(0.011)
         assert ledger["backends"]["strong"]["failovers"] == 1
         assert ledger["backends"]["strong"]["escalations"] == 1
-        assert ledger["backends"]["strong"]["hedge_wins"] == 1
         assert ledger["failures"] == 1
 
     def test_use_token_counter_scopes_the_active_ledger(self):
@@ -95,10 +92,10 @@ class TestTokenCounter:
 
 class TestRoutingSpec:
     def test_parse_named_ladder(self):
-        routing = RoutingSpec.parse(POOL, escalate_after=3, hedge_rate=0.5)
+        routing = RoutingSpec.parse(POOL, escalate_after=3)
         assert [m.name for m in routing.members] == ["cheap", "strong"]
         assert [m.tier for m in routing.members] == ["gpt-3.5-sim", "gpt-4-sim"]
-        assert routing.escalate_after == 3 and routing.hedge_rate == 0.5
+        assert routing.escalate_after == 3
 
     def test_parse_bare_tier_names_member_after_itself(self):
         routing = RoutingSpec.parse("gpt-3.5-sim")
@@ -120,8 +117,6 @@ class TestRoutingSpec:
             RoutingSpec.parse("")
         with pytest.raises(LLMError):
             RoutingSpec.parse("a=gpt-3.5-sim,a=gpt-4-sim")  # duplicate name
-        with pytest.raises(LLMError):
-            RoutingSpec.parse(POOL, hedge_rate=1.5)
         with pytest.raises(LLMError):
             RoutingSpec.parse(POOL, escalate_after=-1)
         with pytest.raises(LLMError):
@@ -245,6 +240,45 @@ class TestRoutingPolicy:
         assert ledger["escalations"] == 8
         assert ledger["backends"]["strong"]["calls"] == ledger["escalations"]
 
+    @pytest.mark.parametrize("case", ["healthy_escalating", "cheap_outage"])
+    def test_pooled_ledger_is_pinned(self, case):
+        # Per-backend ledgers of two fixed pooled runs: any change to
+        # who answers, what is booked where, or what it costs moves them.
+        keys = ("calls", "prompt_tokens", "completion_tokens", "cost_usd",
+                "escalations", "failovers", "failures")
+        if case == "healthy_escalating":
+            routing = RoutingSpec.parse(POOL, escalate_after=2)
+            code, iterations, final_code = HARD, 10, HARD
+            expected = {
+                "cheap": (2, 714, 172, 0.000615, 0, 0, 0),
+                "strong": (8, 2856, 688, 0.12696, 8, 0, 0),
+            }
+        else:
+            routing = dataclasses.replace(
+                RoutingSpec.parse(POOL),
+                chaos={"cheap": FaultSpec(rate=1.0, kind="exception")},
+            )
+            code, iterations = BROKEN, 1
+            final_code = (
+                "module top_module(\n  input clk,input [7:0] in, "
+                "output reg [7:0] out);\n"
+                "always @(posedge clk) out <= in;\nendmodule\n"
+            )
+            expected = {
+                "cheap": (0, 0, 0, 0.0, 0, 0, 1),
+                "strong": (1, 425, 88, 0.01803, 0, 1, 0),
+            }
+        counter = TokenCounter()
+        with scoped(llm_routing=routing, token_counter=counter):
+            result = RTLFixer(seed=3).fix(code)
+        backends = counter.as_dict()["backends"]
+        assert {
+            name: tuple(usage[key] for key in keys)
+            for name, usage in backends.items()
+        } == expected
+        assert result.iterations == iterations
+        assert result.final_code == final_code
+
     def test_observe_signal_survives_retry_wrapper(self):
         # RTLFixer puts the pooled model behind a retry Guard by
         # default; the escalation signal must pass through it.
@@ -297,48 +331,10 @@ class TestPooledDeterminism:
 
     def test_config_digest_treats_pool_knobs_correctly(self):
         base = RTLFixerConfig()
-        # Timing-only knob: excluded from the trial-key digest.
-        assert config_digest(base) == config_digest(
-            RTLFixerConfig(llm_hedge=0.5)
-        )
-        # Result-relevant knobs: included.
         assert config_digest(base) != config_digest(RTLFixerConfig(llm_pool=POOL))
         assert config_digest(RTLFixerConfig(llm_pool=POOL)) != config_digest(
             RTLFixerConfig(llm_pool=POOL, llm_escalate_after=2)
         )
-
-
-class TestHedging:
-    def test_hedging_never_changes_results(self):
-        with scoped(llm_routing=RoutingSpec.parse(POOL)):
-            plain = RTLFixer(seed=3).fix(HARD)
-        counter = TokenCounter()
-        with scoped(
-            llm_routing=RoutingSpec.parse(POOL, hedge_rate=1.0),
-            token_counter=counter,
-        ):
-            hedged = RTLFixer(seed=3).fix(HARD)
-        assert hedged.final_code == plain.final_code
-        assert hedged.iterations == plain.iterations
-        ledger = counter.as_dict()
-        assert ledger["hedges"] >= 1
-        assert ledger["hedge_wins"] == 0  # healthy primary always wins
-
-    def test_hedge_coin_is_seeded_per_call(self):
-        # At a fractional rate the same run hedges the same calls twice.
-        first = TokenCounter()
-        with scoped(
-            llm_routing=RoutingSpec.parse(POOL, hedge_rate=0.5),
-            token_counter=first,
-        ):
-            RTLFixer(seed=3).fix(HARD)
-        second = TokenCounter()
-        with scoped(
-            llm_routing=RoutingSpec.parse(POOL, hedge_rate=0.5),
-            token_counter=second,
-        ):
-            RTLFixer(seed=3).fix(HARD)
-        assert first.as_dict()["hedges"] == second.as_dict()["hedges"]
 
 
 @pytest.mark.chaos
@@ -369,18 +365,6 @@ class TestPoolChaos:
             )
         assert run.failures == []  # failover healed every trial
         assert counter.as_dict()["failovers"] >= 1
-
-    def test_hedge_wins_when_primary_is_down(self):
-        routing = dataclasses.replace(
-            RoutingSpec.parse(POOL, hedge_rate=1.0),
-            chaos={"cheap": FaultSpec(rate=1.0, kind="exception")},
-        )
-        counter = TokenCounter()
-        with scoped(llm_routing=routing, token_counter=counter):
-            result = RTLFixer(seed=3).fix(BROKEN)
-        ledger = counter.as_dict()
-        assert result.iterations >= 1
-        assert ledger["hedge_wins"] >= 1  # the duplicate supplied the reply
 
     def test_whole_ladder_outage_raises_last_error(self):
         routing = dataclasses.replace(

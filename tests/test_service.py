@@ -3,7 +3,6 @@ retries, the lock-guarded circuit breaker, non-blocking quota buckets,
 weighted fair admission, the wire protocol, and the stats ledger."""
 
 import asyncio
-import pickle
 import threading
 
 import pytest
@@ -98,6 +97,18 @@ class TestDeadline:
                 SchedulerConfig(default_deadline_s=budget)
             with pytest.raises(ValueError, match="step_timeout"):
                 ServerConfig(step_timeout=budget)
+
+    def test_serve_rejects_bad_llm_pool_at_startup(self):
+        # ``serve --llm-pool x=gpt-3.5-sim,x=gpt-4-sim``: every request's
+        # fixer would fail to parse the ladder (a 500 that feeds the
+        # breaker), so the spec is refused when the server is configured.
+        from repro.service.server import ServerConfig
+
+        with pytest.raises(ValueError, match="duplicate backend names"):
+            ServerConfig(llm_pool="x=gpt-3.5-sim,x=gpt-4-sim")
+        with pytest.raises(ValueError, match="invalid backend name"):
+            ServerConfig(llm_pool="bad name=gpt-3.5-sim")
+        ServerConfig(llm_pool="cheap=gpt-3.5-sim,strong=gpt-4-sim")
 
     def test_ambient_scope_nests_and_restores(self):
         assert current_deadline() is None
@@ -347,16 +358,6 @@ class TestTokenBucketTryAcquire:
             TokenBucket(-1.0)
         with pytest.raises(ValueError):
             TokenBucket(1.0, burst=0)
-
-    def test_pickle_resets_transient_state(self):
-        bucket = TokenBucket(3.0, burst=2)
-        bucket.try_acquire()
-        bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clone = pickle.loads(pickle.dumps(bucket))
-        assert clone.rate == 3.0 and clone.burst == 2
-        assert clone.acquires == 0 and clone.refusals == 0
-        assert clone.available == 2.0
 
 
 def make_job(tenant: str, seed: int = 0, deadline=None) -> Job:
