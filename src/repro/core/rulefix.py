@@ -87,7 +87,7 @@ def hoist_timescale(code: str) -> tuple[str, bool]:
 
 def strip_non_ascii(code: str) -> str:
     """Drop non-ASCII characters some chat models emit."""
-    return "".join(ch for ch in code if ord(ch) < 128)
+    return code.encode("ascii", "ignore").decode("ascii")
 
 
 def rule_fix(raw: str) -> RuleFixResult:

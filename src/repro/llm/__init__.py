@@ -8,7 +8,7 @@ from .openai_stub import (
     REACT_SYSTEM_PROMPT,
     build_repair_messages,
 )
-from .backends import OpenAIChatClient, SimulatedChatClient
+from .backends import OpenAIChatClient
 from .pool import (
     BackendSpec,
     PooledRepairModel,
@@ -32,7 +32,6 @@ __all__ = [
     "PooledRepairModel",
     "PooledRepairSession",
     "RoutingSpec",
-    "SimulatedChatClient",
     "routing_from_config",
     "LLMClient",
     "LOGIC_CAPABILITY",

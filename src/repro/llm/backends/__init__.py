@@ -1,31 +1,14 @@
-"""Raw chat-completion backends for the LLM pool.
+"""Raw chat-completion backends.
 
-Every backend implements the :class:`repro.llm.base.LLMClient` protocol
-so the pool (:mod:`repro.llm.pool`) can treat them interchangeably and
-put each one behind the runtime's retry/chaos
-:class:`~repro.runtime.retry.Guard`:
-
-* :class:`SimulatedChatClient` -- the offline stand-in: a raw-client
-  adapter that drives :class:`repro.llm.SimulatedLLM` through the real
-  chat-message wire format, so pooled runs stay bit-identical to direct
-  simulated runs and CI stays hermetic;
-* :class:`OpenAIChatClient` -- the real-API adapter (urllib, no extra
-  dependencies), offline-guarded: it raises
-  :class:`repro.errors.LLMError` unless an API key is configured.
+:class:`OpenAIChatClient` is the one :class:`repro.llm.base.LLMClient`:
+the real-API adapter (urllib, no extra dependencies), offline-guarded --
+it raises :class:`repro.errors.LLMError` unless an API key is
+configured.  The pool reaches it through
+:class:`~repro.llm.openai_stub.ChatRepairModel`, which speaks the wire
+format; simulated members step :class:`repro.llm.SimulatedLLM` in
+process and need no client.
 """
 
 from .openai import OpenAIChatClient
-from .simulated import (
-    SimulatedChatClient,
-    build_pool_messages,
-    parse_pool_reply,
-    render_repair_reply,
-)
 
-__all__ = [
-    "OpenAIChatClient",
-    "SimulatedChatClient",
-    "build_pool_messages",
-    "parse_pool_reply",
-    "render_repair_reply",
-]
+__all__ = ["OpenAIChatClient"]

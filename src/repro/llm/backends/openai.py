@@ -5,7 +5,7 @@ OpenAI chat-completions API.  This adapter implements that call with
 the standard library only (``urllib``), so the pool can route to a
 real provider when credentials exist -- and fails loudly, **before**
 any network I/O, when they do not (this reproduction's CI environment
-is offline by design; the simulated adapter carries those runs).
+is offline by design; simulated pool members carry those runs).
 
 Transient transport faults (HTTP 408/409/429/5xx, socket errors) are
 raised as :class:`repro.errors.LLMTimeoutError` so the pool's retry
@@ -51,17 +51,13 @@ class OpenAIChatClient:
         self.base_url = base_url.rstrip("/")
         self.request_timeout = request_timeout
 
-    def with_seed(self, seed: int) -> "OpenAIChatClient":
-        """API backends have no sampling seed to rotate; returns self."""
-        return self
-
     def _key(self) -> str:
         key = self.api_key or os.environ.get("OPENAI_API_KEY", "")
         if not key:
             raise LLMError(
                 f"OpenAIChatClient({self.model!r}) has no API key: set "
                 "OPENAI_API_KEY or pass api_key=.  Offline runs should "
-                "route to SimulatedChatClient tiers instead "
+                "route to simulated tiers instead "
                 "(e.g. --llm-pool cheap=gpt-3.5-sim,strong=gpt-4-sim)."
             )
         return key

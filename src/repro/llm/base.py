@@ -2,21 +2,24 @@
 
 Two layers:
 
+* :class:`RepairModel` -- the semantic surface the agents and every
+  pool member use: start a repair session for a piece of broken
+  Verilog, then repeatedly ask for a (thought, revised code) step given
+  compiler feedback and retrieved guidance.
+  :class:`repro.llm.SimulatedLLM` implements it in process;
+  :class:`repro.llm.PooledRepairModel` routes it across a ladder of
+  such models.
 * :class:`LLMClient` -- the raw chat-completion surface (what the paper
-  calls through the OpenAI API): the pool's members
-  (:mod:`repro.llm.backends`) implement it.
-* :class:`RepairModel` -- the semantic surface the agents actually need:
-  start a repair session for a piece of broken Verilog, then repeatedly
-  ask for a (thought, revised code) step given compiler feedback and
-  retrieved guidance.  :class:`repro.llm.SimulatedLLM` implements this
-  mechanically; :class:`repro.llm.PooledRepairModel` implements it over
-  raw clients, prompting with :mod:`repro.llm.openai_stub`'s messages.
+  calls through the OpenAI API), behind the wire format: only
+  :class:`~repro.llm.backends.OpenAIChatClient` implements it, and
+  :class:`~repro.llm.openai_stub.ChatRepairModel` turns it into a
+  :class:`RepairModel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from ..rag.database import GuidanceEntry
 
@@ -44,6 +47,9 @@ class RepairStep:
     declared_done: bool = False
     #: Guidance entries the model says it used this turn.
     used_guidance: tuple[GuidanceEntry, ...] = field(default=())
+    #: The completion text a chat backend returned for this turn, which
+    #: the pool books as-is; ``None`` for an in-process model.
+    reply: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 class RepairSession(Protocol):

@@ -1,14 +1,16 @@
 """Multi-provider LLM backend pool with tier-aware routing (§ design:
 the paper's gpt-3.5 → gpt-4 capability axis as a *runtime policy*).
 
-The pool puts N configured chat backends behind the single
+The pool puts N configured backends behind the single
 :class:`~repro.llm.base.RepairModel` surface the agents already use:
 
 * **members** -- an ordered escalation ladder of named backends
-  (:class:`BackendSpec`), weakest/cheapest first.  Each member is a raw
-  :class:`~repro.llm.base.LLMClient` (simulated or OpenAI, see
-  :mod:`repro.llm.backends`) behind a :class:`~repro.runtime.retry.Guard`
-  (retries, plus optional fault injection for offline outage testing);
+  (:class:`BackendSpec`), weakest/cheapest first.  Each member is itself
+  a :class:`~repro.llm.base.RepairModel` (:class:`PoolMember`: the
+  simulated model stepped in process, or an OpenAI chat client behind
+  :class:`~repro.llm.openai_stub.ChatRepairModel`) behind a
+  :class:`~repro.runtime.retry.Guard` (retries, plus optional fault
+  injection for offline outage testing);
 * **routing** -- a session starts on the member matching the requested
   tier and *escalates* one rung after every ``escalate_after`` failed
   ReAct iterations (the agent reports outcomes through the duck-typed
@@ -20,13 +22,16 @@ The pool puts N configured chat backends behind the single
 * **accounting** -- every call books estimated tokens / cost /
   escalations / failovers into the process-active
   :class:`~repro.runtime.accounting.TokenCounter` (surfaced as
-  ``report.llm`` and the ``# llm:`` CLI line).
+  ``report.llm`` and the ``# llm:`` CLI line), counted over the
+  turn's wire text (:mod:`repro.llm.openai_stub`).
 
 Determinism contract: which member answers and what it replies are pure
 functions of ``(routing spec, seed, conversation content, observed
-failures)``.  A pooled run over simulated members is therefore
-bit-identical to the direct :class:`~repro.llm.SimulatedLLM` path at
-any ``--jobs``.
+failures)``.  A simulated member is stepped with the very code,
+feedback and guidance entries the agent passed, so a pooled run over
+simulated members is bit-identical to the direct
+:class:`~repro.llm.SimulatedLLM` path at any ``--jobs``, whatever the
+guidance database.
 """
 
 from __future__ import annotations
@@ -48,13 +53,10 @@ from ..runtime.accounting import (
 from ..runtime.checkpoint import content_digest
 from ..runtime.faults import FaultInjector, FaultSpec
 from ..runtime.retry import Guard, RetryPolicy
-from .base import ChatMessage, RepairStep
 from .backends.openai import OpenAIChatClient
-from .backends.simulated import (
-    SimulatedChatClient,
-    build_pool_messages,
-    parse_pool_reply,
-)
+from .base import RepairStep
+from .openai_stub import ChatRepairModel, build_pool_messages, render_repair_reply
+from .simulated import SimulatedLLM
 
 SleepFn = Callable[[float], None]
 ClockFn = Callable[[], float]
@@ -73,8 +75,8 @@ class BackendSpec:
     """One configured pool member: a display name plus its model tier.
 
     Simulated tiers (``*-sim``) resolve to
-    :class:`~repro.llm.backends.SimulatedChatClient`; anything else is
-    treated as a real OpenAI-compatible model name.
+    :class:`~repro.llm.SimulatedLLM`; anything else is treated as a
+    real OpenAI-compatible model name.
     """
 
     name: str
@@ -171,36 +173,54 @@ class RoutingSpec:
         return ladder
 
 
-def _make_raw_client(spec: BackendSpec, seed: int):
-    if spec.tier.endswith("-sim"):
-        return SimulatedChatClient(tier=spec.tier, seed=seed)
-    return OpenAIChatClient(model=spec.tier)
-
-
 class PoolMember:
-    """One runtime rung of the ladder: a raw client behind its guard."""
+    """One rung of the ladder: a structured repair model behind its guard.
+
+    A ``*-sim`` tier steps :class:`~repro.llm.SimulatedLLM` in process;
+    any other tier is an OpenAI-compatible model behind
+    :class:`~repro.llm.openai_stub.ChatRepairModel`.  The
+    :class:`~repro.runtime.retry.Guard` is the one the direct path
+    uses: it retries transient faults and draws the member's
+    ``RoutingSpec.chaos`` faults at the ``start``/``step`` seams.
+    """
 
     def __init__(
         self,
         spec: BackendSpec,
         routing: RoutingSpec,
         seed: int,
+        temperature: float,
         clock: ClockFn,
         sleep: SleepFn,
-        raw_client=None,
     ):
         self.spec = spec
-        raw = raw_client if raw_client is not None else _make_raw_client(
-            spec, seed
-        )
-        injector: Optional[FaultInjector] = None
+        self.seed = seed
+        self.temperature = temperature
         chaos: Optional[FaultSpec] = (routing.chaos or {}).get(spec.name)
-        if chaos is not None:
-            injector = FaultInjector(seed=seed, client=chaos)
-        policy: Optional[RetryPolicy] = None
+        self.injector: Optional[FaultInjector] = (
+            None if chaos is None else FaultInjector(seed=seed, llm=chaos)
+        )
+        self.policy: Optional[RetryPolicy] = None
         if routing.max_retries > 0:
-            policy = RetryPolicy(max_retries=routing.max_retries, seed=seed)
-        self.client = Guard(raw, policy, injector, sleep=sleep, clock=clock)
+            self.policy = RetryPolicy(max_retries=routing.max_retries, seed=seed)
+        self._clock = clock
+        self._sleep = sleep
+
+    def start(self, code: str, flavor: str, use_rag: bool, token: str) -> Guard:
+        """This rung's guarded session of the pooled conversation
+        ``token`` (which a chat member sends in every prompt)."""
+        tier = self.spec.tier
+        if tier.endswith("-sim"):
+            model = SimulatedLLM(tier, self.temperature, self.seed)
+        else:
+            model = ChatRepairModel(
+                OpenAIChatClient(model=tier), self.temperature, token
+            )
+        guarded = Guard(
+            model, self.policy, self.injector,
+            sleep=self._sleep, clock=self._clock,
+        )
+        return guarded.start(code, flavor, use_rag)
 
     def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
         prompt_price, completion_price = self.spec.prices
@@ -223,92 +243,24 @@ class PooledRepairModel:
         seed: int = 0,
         clock: ClockFn = time.monotonic,
         sleep: SleepFn = time.sleep,
-        clients: Optional[dict] = None,
     ):
-        """``clients`` maps member names to caller-supplied raw clients
-        (bench/test injection); unnamed members get the default adapter
-        for their tier."""
         self.routing = routing
         self.tier = tier
         self.temperature = temperature
         self.seed = seed
         self._clock = clock
         self._sleep = sleep
-        self._clients = clients
         self.members = [
-            PoolMember(
-                spec, routing, seed, clock, sleep,
-                raw_client=(clients or {}).get(spec.name),
-            )
+            PoolMember(spec, routing, seed, temperature, clock, sleep)
             for spec in routing.members
         ]
         self._starts = 0
         self._lock = threading.Lock()
 
-    def _call_member(
-        self,
-        index: int,
-        messages: list[ChatMessage],
-        temperature: float,
-        counter: TokenCounter,
-        session: "EscalatingSession",
-        *,
-        failover: bool = False,
-    ) -> str:
-        member = self.members[index]
-        try:
-            reply = member.client.complete(messages, temperature=temperature)
-        except (TransientError, RetryExhaustedError, LLMError):
-            counter.record_failure(member.spec.name)
-            raise
-        prompt_tokens = sum(estimate_tokens(m.content) for m in messages)
-        completion_tokens = estimate_tokens(reply)
-        session.book(
-            index, prompt_tokens, completion_tokens,
-            member.cost(prompt_tokens, completion_tokens), counter=counter,
-            failover=failover,
-        )
-        return reply
-
-    def call(
-        self,
-        messages: list[ChatMessage],
-        temperature: float,
-        *,
-        session: "EscalatingSession",
-    ) -> str:
-        """One routed completion, failing over up the ladder.
-
-        The call starts on ``session``'s escalation-chosen rung; on
-        failure it walks strictly upward (weaker members cannot answer
-        for stronger ones).  Every completed call is booked through
-        :meth:`EscalatingSession.book`.  Raises the last member's error
-        when the whole ladder is down.
-        """
-        counter = get_active_token_counter()
-        index = session.member_index
-        for i in range(index, len(self.members)):
-            try:
-                return self._call_member(
-                    i, messages, temperature, counter, session,
-                    failover=(i > index),
-                )
-            except (TransientError, RetryExhaustedError, LLMError) as exc:
-                last_error = exc
-        # A ladder is never empty (RoutingSpec), so some member failed.
-        raise last_error
-
     def with_seed(self, seed: int) -> "PooledRepairModel":
-        clients = self._clients
-        if clients is not None:
-            reseeded = {}
-            for key, client in clients.items():
-                reseed = getattr(client, "with_seed", None)
-                reseeded[key] = reseed(seed) if callable(reseed) else client
-            clients = reseeded
         return PooledRepairModel(
             self.routing, tier=self.tier, temperature=self.temperature,
-            seed=seed, clock=self._clock, sleep=self._sleep, clients=clients,
+            seed=seed, clock=self._clock, sleep=self._sleep,
         )
 
     def start(self, code: str, flavor: str, use_rag: bool) -> "PooledRepairSession":
@@ -318,9 +270,7 @@ class PooledRepairModel:
         return PooledRepairSession(self, code, flavor, use_rag, ordinal)
 
     def __getstate__(self) -> dict:
-        # Rebuildable from config: live sessions, locks and injected
-        # clients stay behind (process workers rebuild from RTLFixer
-        # config anyway; injected clients must be re-injected there).
+        # Rebuildable from config: the lock stays behind.
         return {
             "routing": self.routing,
             "tier": self.tier,
@@ -391,26 +341,64 @@ class PooledRepairSession(EscalatingSession):
                  use_rag: bool, ordinal: int):
         super().__init__(model.routing, model.tier)
         self.model = model
-        self.temperature = model.temperature
         self.flavor = flavor
         self.use_rag = use_rag
-        # The token ties this conversation's turns together across raw
-        # complete() calls; the start ordinal keeps two conversations
-        # about the same code distinct (a fresh session per start, like
-        # the direct path).
+        # The token names this conversation in every booked prompt; the
+        # start ordinal keeps two conversations about the same code
+        # distinct.
         self.token = (
             f"{model.seed}.{ordinal}.{model.tier}."
             f"{flavor}.{int(use_rag)}.{content_digest(code)}"
         )
+        #: rung -> that member's live guarded session.
+        self._sessions: dict[int, Guard] = {}
 
     def step(self, code: str, feedback: str,
              guidance: list[GuidanceEntry]) -> RepairStep:
-        messages = build_pool_messages(
-            code, feedback, guidance,
-            session=self.token, flavor=self.flavor, use_rag=self.use_rag,
-        )
-        reply = self.model.call(messages, self.temperature, session=self)
-        return parse_pool_reply(reply, guidance)
+        """One routed turn, failing over up the ladder.
+
+        The turn starts on the escalation-chosen rung; on failure it
+        walks strictly upward (weaker members cannot answer for
+        stronger ones).  A rung's session starts from the code of the
+        first turn it answers.  Every answered turn is booked; raises
+        the last member's error when the whole ladder is down.
+        """
+        counter = get_active_token_counter()
+        index = self.member_index
+        members = self.model.members
+        for i in range(index, len(members)):
+            member = members[i]
+            session = self._sessions.get(i)
+            try:
+                if session is None:
+                    session = member.start(
+                        code, self.flavor, self.use_rag, self.token
+                    )
+                step = session.step(code, feedback, guidance)
+            except (TransientError, RetryExhaustedError, LLMError) as exc:
+                counter.record_failure(member.spec.name)
+                last_error = exc
+                continue
+            self._sessions[i] = session
+            prompt_tokens = sum(
+                estimate_tokens(message.content)
+                for message in build_pool_messages(
+                    code, feedback, guidance, session=self.token,
+                    flavor=self.flavor, use_rag=self.use_rag,
+                )
+            )
+            reply = step.reply
+            if reply is None:
+                reply = render_repair_reply(step)
+            completion_tokens = estimate_tokens(reply)
+            self.book(
+                i, prompt_tokens, completion_tokens,
+                member.cost(prompt_tokens, completion_tokens),
+                counter=counter, failover=i > index,
+            )
+            return step
+        # A ladder is never empty (RoutingSpec), so some member failed.
+        raise last_error
 
 
 def routing_from_config(config) -> Optional[RoutingSpec]:

@@ -86,7 +86,6 @@ from .retry import (
     RetryPolicy,
     call_with_retry,
     guidance_key,
-    messages_key,
 )
 from .accounting import (
     DEFAULT_TOKEN_COUNTER,
@@ -104,7 +103,6 @@ __all__ = [
     "TokenCounter",
     "estimate_tokens",
     "guidance_key",
-    "messages_key",
     "CircuitBreaker",
     "GracefulShutdown",
     "Journal",

@@ -21,9 +21,7 @@ their key:
   out a per-flavor view of the entry
   (:meth:`~repro.diagnostics.compiler.CompileResult.with_flavor`);
 * :class:`~repro.sim.verdict.VerdictCache` keys simulation verdicts by
-  design digests and holds the reference tapes in a second memo;
-* :class:`~repro.llm.backends.SimulatedChatClient` keeps its live
-  conversations in one, keyed by session token.
+  design digests and holds the reference tapes in a second memo.
 
 Injection point
 ---------------

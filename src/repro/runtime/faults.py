@@ -21,7 +21,7 @@ Pieces:
 * :class:`FaultInjector` -- draws fault decisions deterministically
   from ``(seed, site, key)``;
 * :class:`~repro.runtime.retry.Guard` (``injector=``) -- applies an
-  injector to a real model / client / compiler;
+  injector to a real model or compiler;
 * ``scoped(sim_injector=...)`` (:mod:`repro.scope`) -- the ambient
   injector the simulation harnesses consult: they are plain functions
   called from deep inside agents, so a scope reaches them without
@@ -84,10 +84,10 @@ class FaultSpec:
 class FaultInjector:
     """Draws deterministic fault decisions for named seams.
 
-    Seams: ``llm`` (``RepairModel.start`` / ``step``), ``client``
-    (``LLMClient.complete``), ``compiler`` (``Compiler.compile``) and
-    ``sim`` (the simulation-sandbox harnesses ``run_differential`` /
-    ``make_sim_feedback``, sites ``sim.diff`` and ``sim.feedback``).
+    Seams: ``llm`` (``RepairModel.start`` / ``step``), ``compiler``
+    (``Compiler.compile``) and ``sim`` (the simulation-sandbox harnesses
+    ``run_differential`` / ``make_sim_feedback``, sites ``sim.diff`` and
+    ``sim.feedback``).
     The decision for a call is a pure function of ``(seed, site, key)``;
     only transient-recovery counting is stateful (per injector instance,
     which is exactly the retry loop's scope).  Simulation fault keys
@@ -98,7 +98,6 @@ class FaultInjector:
 
     seed: int = 0
     llm: Optional[FaultSpec] = None
-    client: Optional[FaultSpec] = None
     compiler: Optional[FaultSpec] = None
     sim: Optional[FaultSpec] = None
     #: (site, key) -> number of faults already raised (transient bookkeeping).

@@ -11,8 +11,8 @@ agent stack one uniform answer:
   only :class:`repro.errors.TransientError` faults;
 * :class:`Guard` -- one transparent wrapper that applies a policy and/or
   a :class:`~repro.runtime.faults.FaultInjector` around
-  ``RepairModel.start``/``step``, ``LLMClient.complete`` and
-  ``Compiler.compile``, each keyed by call content.
+  ``RepairModel.start``/``step`` and ``Compiler.compile``, each keyed by
+  call content.
 
 Determinism: backoff delays derive from ``random.Random(seed | key)``,
 never from wall-clock entropy, so tests can assert the exact schedule.
@@ -53,7 +53,7 @@ from .faults import GARBAGE_CODE
 
 if TYPE_CHECKING:  # typing only: keep the runtime layer import-light
     from ..diagnostics.compiler import CompileResult
-    from ..llm.base import ChatMessage, RepairStep
+    from ..llm.base import RepairStep
     from .faults import FaultInjector
 
 T = TypeVar("T")
@@ -71,33 +71,13 @@ def _update_length_prefixed(hasher, text: str) -> None:
     hasher.update(data)
 
 
-def messages_key(messages: list["ChatMessage"], temperature: float) -> str:
-    """Content key for one raw chat-completion call.
-
-    Each message contributes its ``(role, content)`` pair length-
-    prefixed, and the temperature participates, so ``["a|b"]`` never
-    collides with ``["a", "b"]``, a system-vs-user swap draws a fresh
-    backoff/fault decision, and so does a temperature change.  Shared
-    by the retry and chaos layers: both must key identically or a
-    transient chaos fault could clear on a key the retry loop never
-    re-draws.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(repr(float(temperature)).encode())
-    hasher.update(len(messages).to_bytes(8, "big"))
-    for message in messages:
-        _update_length_prefixed(hasher, message.role)
-        _update_length_prefixed(hasher, message.content)
-    return hasher.hexdigest()[:16]
-
-
 def guidance_key(guidance: list) -> str:
     """Content key over retrieved guidance entries.
 
     Two repair turns that differ only in what the retriever surfaced
     are different model calls and must draw independent backoff and
     fault decisions; every identifying field of each entry participates,
-    length-prefixed (same anti-aliasing rule as :func:`messages_key`).
+    length-prefixed, so adjacent fields never alias.
     """
     hasher = hashlib.sha256()
     hasher.update(len(guidance).to_bytes(8, "big"))
@@ -270,11 +250,6 @@ _SEAMS = {
         fault_key=lambda guard, key: f"{guard.session_key}|{key}",
         garbage=_garbled_step,
     ),
-    "complete": _Seam(
-        "client.complete",
-        messages_key,
-        garbage=lambda inner, messages, temperature: GARBAGE_CODE,
-    ),
     "compile": _Seam(
         "compiler.compile",
         content_digest,
@@ -287,9 +262,8 @@ class Guard:
     """Retry and/or fault injection around one component's calls.
 
     Guards a :class:`~repro.llm.base.RepairModel` (``start``, whose
-    session comes back guarded for ``step``), an
-    :class:`~repro.llm.base.LLMClient` (``complete``) or a compiler
-    facade (``compile``).  ``policy`` retries transient faults under
+    session comes back guarded for ``step``) or a compiler facade
+    (``compile``).  ``policy`` retries transient faults under
     :func:`call_with_retry`; ``injector`` draws a deterministic fault
     for every attempt *inside* that retry loop, so a transient injected
     fault is retried away.  Either may be ``None``.
@@ -382,11 +356,6 @@ class Guard:
         turns differing only in retrieved guidance draw independent
         backoff schedules and faults."""
         return self._call("step", code, feedback, guidance)
-
-    def complete(self, messages: list["ChatMessage"], temperature: float = 0.4) -> str:
-        """One guarded chat completion, keyed role- and temperature-aware
-        (see :func:`messages_key`)."""
-        return self._call("complete", messages, temperature)
 
     def compile(self, code: str) -> "CompileResult":
         """One guarded compiler invocation."""

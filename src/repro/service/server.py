@@ -39,12 +39,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.config import RTLFixerConfig
 from ..errors import (
     DeadlineExceededError,
     LLMError,
@@ -52,7 +52,7 @@ from ..errors import (
     SimulationError,
     TransientError,
 )
-from ..llm.pool import RoutingSpec
+from ..llm.pool import routing_from_config
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.checkpoint import RunState, config_digest, content_digest, unit_key
 from ..runtime.shutdown import GracefulShutdown
@@ -109,18 +109,16 @@ class ServerConfig:
             raise ValueError("probe_interval must be >= 1")
         if self.work_delay < 0:
             raise ValueError("work_delay must be >= 0")
-        # Every request's RTLFixerConfig rejects a bad step_timeout, so
-        # reject it at startup.
-        if self.step_timeout is not None and not (
-            math.isfinite(self.step_timeout) and self.step_timeout > 0
-        ):
-            raise ValueError("step_timeout must be a finite number > 0 seconds")
-        # Likewise every request's fixer parses the pool spec.
-        if self.llm_pool:
-            try:
-                RoutingSpec.parse(self.llm_pool, max_retries=self.max_retries)
-            except LLMError as exc:
-                raise ValueError(str(exc)) from None
+        # Every request's fixer is built from these knobs, so a value
+        # its config or pool rejects is rejected here, at startup.
+        try:
+            routing_from_config(RTLFixerConfig(
+                max_retries=self.max_retries,
+                step_timeout=self.step_timeout,
+                llm_pool=self.llm_pool,
+            ))
+        except (ValueError, LLMError) as exc:
+            raise ValueError(str(exc)) from None
         if self.chaos_outage is not None:
             start, count = self.chaos_outage
             if start < 0 or count < 1:

@@ -98,6 +98,19 @@ class TestServeCommand:
             "error: duplicate backend names in pool: ['x', 'x']\n"
         )
 
+    def test_bad_max_retries_rejected_at_startup(self, capsys, monkeypatch):
+        from repro.service.server import RepairServer
+
+        monkeypatch.setattr(
+            RepairServer, "run", lambda self: pytest.fail("server started")
+        )
+        assert main(["serve", "--port", "0", "--max-retries", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "SERVING" not in captured.out
+        assert captured.err == (
+            "error: max_retries must be >= 0 (0 disables retries)\n"
+        )
+
 
 class TestDatasetCommand:
     def test_builds_and_saves(self, tmp_path, capsys):

@@ -25,7 +25,6 @@ from repro.errors import (
 from repro.eval.runner import run_fix_experiment
 from repro.llm import SimulatedLLM
 from repro.llm.base import RepairStep
-from repro.llm.base import ChatMessage
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
     GARBAGE_CODE,
@@ -38,7 +37,6 @@ from repro.runtime import (
     WorkFailure,
     call_with_retry,
     guidance_key,
-    messages_key,
 )
 from repro.scope import scoped
 
@@ -289,19 +287,6 @@ class TestChaosWrappers:
         result = agent.run(BROKEN)
         assert not result.success  # garbage can't fix anything...
         assert result.iterations == 3  # ...but the loop stays bounded and alive
-
-    def test_chaos_client_garbles_or_passes_through(self):
-        class _Echo:
-            def complete(self, messages, temperature=0.4):
-                return "echo"
-
-        garbled = Guard(
-            _Echo(),
-            injector=FaultInjector(seed=0, client=FaultSpec(rate=1.0, kind="garbage")),
-        )
-        clean = Guard(_Echo(), injector=FaultInjector(seed=0))
-        assert garbled.complete([]) == GARBAGE_CODE
-        assert clean.complete([]) == "echo"
 
     def test_chaos_compiler_poisons_feedback(self):
         injector = FaultInjector(
@@ -721,38 +706,14 @@ def _fail_or_sleep(item: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Content-key regressions: role / boundary / temperature / guidance
+# Content-key regressions: guidance
 # ---------------------------------------------------------------------------
 
 
 class TestContentKeying:
-    """Regressions for the aliasable chaos/retry keys.
-
-    The old keys joined message *contents* only, so a swapped role, a
-    moved message boundary, or a changed temperature collapsed onto one
-    key -- sharing one fault decision, one transient-recovery budget and
-    one backoff schedule across genuinely different calls."""
-
-    ROLE_A = [ChatMessage("system", "a"), ChatMessage("user", "b")]
-    ROLE_B = [ChatMessage("user", "a"), ChatMessage("system", "b")]
-    JOINED = [ChatMessage("user", "a|b")]
-    SPLIT = [ChatMessage("user", "a"), ChatMessage("user", "b")]
-
-    def test_messages_key_sees_roles(self):
-        assert messages_key(self.ROLE_A, 0.4) != messages_key(self.ROLE_B, 0.4)
-
-    def test_messages_key_sees_boundaries(self):
-        assert messages_key(self.JOINED, 0.4) != messages_key(self.SPLIT, 0.4)
-        glued = [ChatMessage("user", "ab")]
-        assert messages_key(glued, 0.4) != messages_key(self.SPLIT, 0.4)
-
-    def test_messages_key_sees_temperature(self):
-        assert messages_key(self.ROLE_A, 0.4) != messages_key(self.ROLE_A, 0.9)
-
-    def test_messages_key_is_stable(self):
-        assert messages_key(self.ROLE_A, 0.4) == messages_key(
-            [ChatMessage("system", "a"), ChatMessage("user", "b")], 0.4
-        )
+    """Regressions for aliasable chaos/retry keys: two model turns that
+    differ only in their retrieved guidance must not share one fault
+    decision, one transient-recovery budget or one backoff schedule."""
 
     def test_guidance_key_sees_entries_and_order(self):
         entries = build_default_database().for_compiler("quartus")[:2]
@@ -760,36 +721,6 @@ class TestContentKeying:
         assert guidance_key(entries[:1]) != guidance_key(entries[1:2])
         assert guidance_key(entries) != guidance_key(list(reversed(entries)))
         assert guidance_key(entries) == guidance_key(list(entries))
-
-    def test_chaos_client_budgets_are_per_call_shape(self):
-        # transient_failures=1: each distinct key faults exactly once.
-        # If any two of these calls aliased onto one key, the second
-        # would ride the first's spent budget and never fault -- so the
-        # retry wrapper would log fewer raised faults than call shapes.
-        class _Echo:
-            def complete(self, messages, temperature=0.4):
-                return "echo"
-
-        injector = FaultInjector(
-            seed=0,
-            client=FaultSpec(rate=1.0, kind="exception", transient_failures=1),
-        )
-        client = Guard(
-            _Echo(), RetryPolicy(max_retries=2, seed=0), injector,
-            sleep=lambda _s: None,
-        )
-        calls = [
-            (self.ROLE_A, 0.4),
-            (self.ROLE_B, 0.4),  # role swap
-            (self.JOINED, 0.4),
-            (self.SPLIT, 0.4),  # boundary alias
-            (self.ROLE_A, 0.9),  # temperature change
-        ]
-        for messages, temperature in calls:
-            assert client.complete(messages, temperature=temperature) == "echo"
-        # Every call shape drew (and healed) its own independent fault.
-        assert len(injector._raised) == len(calls)
-        assert all(count == 1 for count in injector._raised.values())
 
     def test_chaos_session_budgets_are_per_guidance(self):
         entries = build_default_database().for_compiler("quartus")[:2]
@@ -812,13 +743,14 @@ class TestContentKeying:
         assert len(llm_keys) == len(variants)
 
     def test_backoff_schedules_differ_per_key(self):
+        entries = build_default_database().for_compiler("quartus")[:2]
         policy = RetryPolicy(max_retries=4, jitter=0.5, seed=0)
-        role_a = list(policy.delays("complete|" + messages_key(self.ROLE_A, 0.4)))
-        role_b = list(policy.delays("complete|" + messages_key(self.ROLE_B, 0.4)))
-        assert role_a != role_b
+        first = list(policy.delays("step|" + guidance_key(entries[:1])))
+        second = list(policy.delays("step|" + guidance_key(entries[1:2])))
+        assert first != second
         # ...but the schedule for one key is reproducible.
-        assert role_a == list(
-            policy.delays("complete|" + messages_key(self.ROLE_A, 0.4))
+        assert first == list(
+            policy.delays("step|" + guidance_key(list(entries[:1])))
         )
 
 
@@ -852,10 +784,6 @@ class TestSeamKeys:
         monkeypatch.setattr(FaultInjector, "fire", recording_fire)
         monkeypatch.setattr(RetryPolicy, "delays", recording_delays)
 
-        class _Echo:
-            def complete(self, messages, temperature=0.4):
-                return "echo"
-
         policy = RetryPolicy(max_retries=2, seed=0)
         quiet = FaultInjector(seed=0)
         entries = build_default_database().for_compiler("quartus")[:1]
@@ -864,9 +792,6 @@ class TestSeamKeys:
         )
         session.step(BROKEN, "feedback", [])
         session.step(BROKEN, "feedback", entries)
-        _guarded(_Echo(), policy, quiet).complete(
-            [ChatMessage("user", "a")], temperature=0.4
-        )
         _guarded(Compiler("quartus"), policy, quiet).compile(GOOD)
         code = "696b4be5c4e22be0"  # digest of BROKEN
         step = f"{code}|59bda3f8ee98128d"  # ...and of "feedback"
@@ -874,14 +799,12 @@ class TestSeamKeys:
             ("llm.start", f"3|{code}"),
             ("llm.step", f"3|{code}|{step}|af5570f5a1810b7a"),
             ("llm.step", f"3|{code}|{step}|0b66459350ad82b6"),
-            ("client.complete", "fcb85d97e1781eb1"),
             ("compiler.compile", "c9cc98bfcd43b379"),
         ]
         assert delayed == [
             f"start|{code}",
             f"step|{step}|af5570f5a1810b7a",
             f"step|{step}|0b66459350ad82b6",
-            "complete|fcb85d97e1781eb1",
             "compile|c9cc98bfcd43b379",
         ]
 
@@ -927,10 +850,6 @@ class _FlakyOnce:
         self._flake()
         return self.inner.step(code, feedback, guidance)
 
-    def complete(self, messages, temperature=0.4):
-        self._flake()
-        return "echo"
-
     def compile(self, code):
         self._flake()
         return self.inner.compile(code)
@@ -958,8 +877,6 @@ class TestLazyRetryKey:
         session = model.start(BROKEN, "quartus", True)
         session.step(BROKEN, "feedback", [])
         session.step(BROKEN, "feedback", entries)
-        echo = Guard(_FlakyOnce(None), policy, sleep=lambda _s: None)
-        assert echo.complete([ChatMessage("user", "a")], temperature=0.4) == "echo"
         compiler = Guard(
             _FlakyOnce(Compiler("quartus")), policy, sleep=lambda _s: None
         )
@@ -971,7 +888,6 @@ class TestLazyRetryKey:
             f"start|{code}",
             f"step|{step}|af5570f5a1810b7a",
             f"step|{step}|0b66459350ad82b6",
-            "complete|fcb85d97e1781eb1",
             "compile|c9cc98bfcd43b379",
         ]
 

@@ -1,5 +1,5 @@
 """LLM backend pool suite: the accounting ledger, spec parsing,
-the simulated round trip, tier routing, escalation-after-K,
+pooled simulated steps and the chat wire format, tier routing, escalation-after-K,
 failover under chaos outages, and the determinism contract (pooled ==
 direct, bit-identical at any job count).
 
@@ -8,6 +8,8 @@ tier, with the circuit breaker armed for the no-rung-left case.
 """
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -17,22 +19,20 @@ from repro.dataset import build_syntax_dataset, verilogeval
 from repro.errors import LLMError, RetryExhaustedError
 from repro.eval.runner import run_fix_experiment
 from repro.llm import SimulatedLLM
-from repro.llm.backends import (
-    OpenAIChatClient,
-    SimulatedChatClient,
-    build_pool_messages,
-    parse_pool_reply,
-    render_repair_reply,
-)
+from repro.llm.backends import OpenAIChatClient
 from repro.llm.base import ChatMessage, RepairStep
+from repro.llm.openai_stub import parse_pool_reply, render_repair_reply
 from repro.llm.pool import (
     BackendSpec,
     PooledRepairModel,
+    PooledRepairSession,
     RoutingSpec,
     routing_from_config,
 )
+from repro.rag.database import GuidanceDatabase
 from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
+    GARBAGE_CODE,
     CircuitBreaker,
     FaultSpec,
     ParallelRunner,
@@ -131,8 +131,8 @@ class TestRoutingSpec:
 
 
 class TestSimulatedRoundTrip:
-    """The adapter must reconstruct the simulated session's exact
-    inputs from message text: pooled steps == direct steps, bitwise."""
+    """A simulated member steps the agent's own inputs: pooled steps ==
+    direct steps, bitwise; and the chat wire format round-trips a step."""
 
     def _steps(self, session, guidance):
         feedbacks = ["", "syntax error near 'endmodule'\n", "error: giberish"]
@@ -154,21 +154,6 @@ class TestSimulatedRoundTrip:
         ):
             assert mine == theirs  # thought, code, declared_done, used_guidance
 
-    def test_feedback_round_trip_preserves_trailing_newline(self):
-        for feedback in ("log line", "log line\n", ""):
-            for guidance in ([], build_default_database().for_compiler("quartus")[:1]):
-                messages = build_pool_messages(
-                    BROKEN, feedback, guidance,
-                    session="t", flavor="quartus", use_rag=True,
-                )
-                client = SimulatedChatClient(seed=0)
-                # Parse with the client's own regexes via a tiny probe:
-                # stepping twice with identical input must hit the same
-                # live session (state advances), proving the token and
-                # payload survived the trip.
-                reply = client.complete(messages)
-                assert reply.startswith("Thought: ")
-
     def test_reply_render_parse_round_trip(self):
         guidance = build_default_database().for_compiler("iverilog")[:3]
         step = RepairStep(
@@ -184,11 +169,6 @@ class TestSimulatedRoundTrip:
         parsed = parse_pool_reply("@@@ chaos: garbled model reply @@@", [])
         assert parsed.code == "@@@ chaos: garbled model reply @@@"
         assert not parsed.declared_done
-
-    def test_adapter_rejects_non_pool_messages(self):
-        client = SimulatedChatClient()
-        with pytest.raises(ValueError):
-            client.complete([ChatMessage(role="user", content="hi")])
 
     def test_sessions_are_per_start_not_per_code(self):
         # Two conversations about the same code must not share live
@@ -308,6 +288,21 @@ class TestPooledDeterminism:
         assert pooled.fixed_counts == direct.fixed_counts
         assert pooled.iterations == direct.iterations
 
+    def test_pooled_equals_direct_with_custom_guidance(self):
+        # Entries from outside the default guidance database reach a
+        # pooled simulated member as they are, category included.
+        database = GuidanceDatabase([
+            dataclasses.replace(entry, guidance=entry.guidance + " (site note)")
+            for entry in build_default_database()
+        ])
+        direct = RTLFixer(database=database, compiler="iverilog", seed=3).fix(HARD)
+        with scoped(llm_routing=RoutingSpec.parse(POOL)):
+            pooled = RTLFixer(
+                database=database, compiler="iverilog", seed=3
+            ).fix(HARD)
+        assert pooled.transcript.render() == direct.transcript.render()
+        assert pooled.final_code == direct.final_code
+
     @pytest.mark.parametrize("backend,jobs", [("thread", 2), ("process", 2)])
     def test_pooled_parallel_matches_serial(self, tiny_dataset, backend, jobs):
         with scoped(llm_routing=RoutingSpec.parse(POOL, escalate_after=2)):
@@ -397,6 +392,30 @@ class TestPoolChaos:
         skipped = [f for f in run.failures if f.error_type == "CircuitOpenError"]
         assert skipped, "the breaker must skip trials fail-fast"
 
+    def test_member_garbage_garbles_or_passes_through(self):
+        # A garbage fault at a member's step seam answers with the
+        # guard's garbled step, booked like any reply; a member without
+        # chaos answers as the direct model does.
+        routing = dataclasses.replace(
+            RoutingSpec.parse(POOL),
+            chaos={"cheap": FaultSpec(rate=1.0, kind="garbage")},
+        )
+        counter = TokenCounter()
+        with scoped(token_counter=counter):
+            garbled = PooledRepairModel(routing, seed=3).start(
+                BROKEN, "quartus", False
+            ).step(BROKEN, "", [])
+            clean = PooledRepairModel(RoutingSpec.parse(POOL), seed=3).start(
+                BROKEN, "quartus", False
+            ).step(BROKEN, "", [])
+        assert garbled.code == GARBAGE_CODE
+        assert not garbled.declared_done
+        direct = SimulatedLLM(seed=3).start(BROKEN, "quartus", False)
+        assert clean == direct.step(BROKEN, "", [])
+        ledger = counter.as_dict()
+        assert ledger["backends"]["cheap"]["calls"] == 2
+        assert ledger["failures"] == 0
+
     def test_transient_outage_healed_by_member_retry(self):
         routing = dataclasses.replace(
             RoutingSpec.parse(POOL),
@@ -436,3 +455,54 @@ class TestOpenAIAdapter:
         ledger = counter.as_dict()
         assert ledger["backends"]["real"]["failures"] >= 1
         assert ledger["backends"]["fallback"]["calls"] >= 1
+
+    def test_chat_member_turn_is_pinned(self, monkeypatch):
+        # A chat member sends the paper prompt plus the session header,
+        # parses the reply into the step, and books the wire text.
+        fixed = (
+            "module top_module(input clk, input [7:0] in, "
+            "output reg [7:0] out);\n"
+            "always @(posedge clk) out <= in;\nendmodule"
+        )
+        reply = (
+            "Thought: The clock is used but never declared; add it as an "
+            "input.\nAction: Finish[answer]\nUsed-Guidance: 1\n"
+            f"```verilog\n{fixed}\n```"
+        )
+        sent, steps = [], []
+
+        def fake_complete(self, messages, temperature=0.4):
+            sent.append(([[m.role, m.content] for m in messages], temperature))
+            return reply
+
+        pooled_step = PooledRepairSession.step
+
+        def recording_step(self, *args):
+            steps.append(pooled_step(self, *args))
+            return steps[-1]
+
+        monkeypatch.setattr(OpenAIChatClient, "complete", fake_complete)
+        monkeypatch.setattr(PooledRepairSession, "step", recording_step)
+        counter = TokenCounter()
+        routing = RoutingSpec.parse("real=gpt-3.5-turbo")
+        with scoped(llm_routing=routing, token_counter=counter):
+            result = RTLFixer(seed=3).fix(BROKEN)
+        assert hashlib.sha256(json.dumps(sent).encode()).hexdigest() == (
+            "08674843d10981348bdc5d5919ce245972fdc7621ce7a281e8dc1502b17da7ee"
+        )
+        guidance = next(
+            entry for entry in build_default_database().for_compiler("quartus")
+            if entry.guidance.startswith("Check if 'clk' is an input.")
+        )
+        assert steps == [RepairStep(
+            thought="The clock is used but never declared; add it as an input.",
+            code=fixed,
+            declared_done=True,
+            used_guidance=(guidance,),
+        )]
+        assert counter.as_dict()["backends"] == {"real": {
+            "calls": 1, "prompt_tokens": 425, "completion_tokens": 58,
+            "total_tokens": 483, "cost_usd": 0.000299, "failovers": 0,
+            "escalations": 0, "failures": 0,
+        }}
+        assert (result.success, result.iterations) == (True, 1)

@@ -2,6 +2,7 @@
 hoisting, module validation)."""
 
 from repro.core import extract_code, rule_fix, validate_module_text
+from repro.core.rulefix import strip_non_ascii
 
 MOD = "module m(input a, output y);\nassign y = a;\nendmodule"
 
@@ -84,3 +85,15 @@ class TestValidateModuleText:
 
     def test_prose_rejected(self):
         assert not validate_module_text("this module is great")
+
+
+class TestStripNonAscii:
+    def test_keeps_exactly_the_ascii_characters(self):
+        # Latin-1, BMP, astral and lone-surrogate characters all go;
+        # every ASCII character, NUL and DEL included, stays in order.
+        raw = (
+            "mod\u00e9ule m\u4e2d(\x00a\x7f);\ud800 // \U0001f600 ok"
+            "\udfff\u00a0\n"
+        )
+        assert strip_non_ascii(raw) == "module m(\x00a\x7f); //  ok\n"
+        assert strip_non_ascii("") == ""
