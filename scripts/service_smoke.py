@@ -57,9 +57,11 @@ def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int]:
         os.path.join(os.path.dirname(__file__), "..", "src")
         + os.pathsep + env.get("PYTHONPATH", "")
     )
+    # stderr goes to a file, not a pipe nobody drains, so a server that
+    # exits before SERVING (a rejected option) can say why.
+    log = tempfile.TemporaryFile("w+")
     proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
-        text=True,
+        cmd, stdout=subprocess.PIPE, stderr=log, env=env, text=True,
     )
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
@@ -69,7 +71,12 @@ def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int]:
         if not line and proc.poll() is not None:
             break
     proc.kill()
-    raise RuntimeError("server did not print a SERVING line")
+    code = proc.wait()
+    log.seek(0)
+    last = (log.read().strip().splitlines() or ["(no stderr)"])[-1]
+    raise RuntimeError(
+        f"server did not print a SERVING line (exit {code}: {last})"
+    )
 
 
 async def submit_batch(port: int, proc: subprocess.Popen) -> list[dict]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from .scope import scoped
 
@@ -42,96 +43,97 @@ def _llm_line(ledger: dict, routing_text: str) -> str:
     )
 
 
-def _cmd_fix(args: argparse.Namespace) -> int:
+def _cmd_fix(args: argparse.Namespace) -> Callable[[], int]:
     from .core import RTLFixer
-    from .errors import LLMError
 
-    with open(args.file) as f:
-        code = f.read()
-    try:
-        fixer = RTLFixer(
-            prompting=args.prompting,
-            compiler=args.compiler,
-            use_rag=not args.no_rag and args.compiler != "simple",
-            tier=args.tier,
-            seed=args.seed,
-            max_retries=args.max_retries,
-            step_timeout=args.step_timeout,
-            llm_pool=args.llm_pool,
-            llm_escalate_after=args.llm_escalate_after,
-        )
-    except (ValueError, LLMError) as exc:  # a bad option value
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    counter = None
-    fields = {}
-    if args.llm_pool:
-        from .runtime import TokenCounter
+    fixer = RTLFixer(
+        prompting=args.prompting,
+        compiler=args.compiler,
+        use_rag=not args.no_rag and args.compiler != "simple",
+        tier=args.tier,
+        seed=args.seed,
+        max_retries=args.max_retries,
+        step_timeout=args.step_timeout,
+        llm_pool=args.llm_pool,
+        llm_escalate_after=args.llm_escalate_after,
+    )
 
-        counter = fields["token_counter"] = TokenCounter()
-    with scoped(**fields):
-        result = fixer.fix(code)
-    if counter is not None:
-        print(
-            _llm_line(counter.as_dict(), fixer.model.routing.describe()),
-            file=sys.stderr,
-        )
-    if args.transcript:
-        print(result.transcript.render())
-        print()
-    if result.success:
-        print(f"# fixed in {result.iterations} iteration(s)")
+    def run() -> int:
+        with open(args.file) as f:
+            code = f.read()
+        counter = None
+        fields = {}
+        if args.llm_pool:
+            from .runtime import TokenCounter
+
+            counter = fields["token_counter"] = TokenCounter()
+        with scoped(**fields):
+            result = fixer.fix(code)
+        if counter is not None:
+            print(
+                _llm_line(counter.as_dict(), fixer.model.routing.describe()),
+                file=sys.stderr,
+            )
+        if args.transcript:
+            print(result.transcript.render())
+            print()
+        if result.success:
+            print(f"# fixed in {result.iterations} iteration(s)")
+            print(result.final_code)
+            return 0
+        print("# could not fix; final attempt was:")
         print(result.final_code)
-        return 0
-    print("# could not fix; final attempt was:")
-    print(result.final_code)
-    return 1
+        return 1
+
+    return run
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _cmd_compile(args: argparse.Namespace) -> Callable[[], int]:
     from .diagnostics import compile_source
 
-    with open(args.file) as f:
-        code = f.read()
-    result = compile_source(code, name=args.file, flavor=args.compiler)
-    if result.ok:
-        print("compile OK")
-        return 0
-    print(result.log)
-    return 1
+    def run() -> int:
+        with open(args.file) as f:
+            code = f.read()
+        result = compile_source(code, name=args.file, flavor=args.compiler)
+        if result.ok:
+            print("compile OK")
+            return 0
+        print(result.log)
+        return 1
+
+    return run
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
+def _cmd_dataset(args: argparse.Namespace) -> Callable[[], int]:
     from .dataset import build_syntax_dataset, verilogeval
 
-    dataset = build_syntax_dataset(
-        verilogeval(),
-        samples_per_problem=args.samples,
-        target_size=args.size,
-        seed=args.seed,
-    )
-    dataset.save(args.out)
-    stats = dataset.stats
-    print(f"wrote {len(dataset)} entries to {args.out}")
-    print(
-        f"sampled={stats.sampled} failing={stats.failing_kept} "
-        f"clusters={stats.clusters}"
-    )
-    for category, count in dataset.category_histogram().items():
-        print(f"  {category}: {count}")
-    return 0
-
-
-def _job_count(text: str) -> int:
-    """argparse type for ``--jobs``: a non-negative int (0 = all CPUs)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all CPUs), got {value}"
+    def run() -> int:
+        dataset = build_syntax_dataset(
+            verilogeval(),
+            samples_per_problem=args.samples,
+            target_size=args.size,
+            seed=args.seed,
         )
+        dataset.save(args.out)
+        stats = dataset.stats
+        print(f"wrote {len(dataset)} entries to {args.out}")
+        print(
+            f"sampled={stats.sampled} failing={stats.failing_kept} "
+            f"clusters={stats.clusters}"
+        )
+        for category, count in dataset.category_histogram().items():
+            print(f"  {category}: {count}")
+        return 0
+
+    return run
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for ``dataset``'s counts, which no option object
+    holds: an int >= 1 (at 0 curation has nothing to sample or keep)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -144,34 +146,19 @@ EXIT_FAILED_UNITS = 3
 EXIT_BREAKER_TRIPPED = 4
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Callable[[], int]:
     import signal as _signal
 
-    from .errors import CheckpointError, LLMError, RunInterrupted
+    from .core.config import RTLFixerConfig
+    from .errors import CheckpointError, RunInterrupted
     from .eval.report import ReportScale, run_full_report
-    from .llm.pool import RoutingSpec
-    from .runtime import GracefulShutdown, atomic_write_text
+    from .llm.pool import routing_from_config
+    from .runtime import (
+        CircuitBreaker, GracefulShutdown, atomic_write_text, resolve_jobs,
+    )
 
     if args.resume and not args.run_dir:
-        print("error: --resume requires --run-dir", file=sys.stderr)
-        return EXIT_CHECKPOINT_MISUSE
-    if args.breaker_threshold > 0 and args.on_error != "collect":
-        print(
-            "error: --breaker-threshold requires --on-error collect "
-            "(skipped trials are collected records, not exceptions)",
-            file=sys.stderr,
-        )
-        return EXIT_CHECKPOINT_MISUSE
-    if args.llm_pool:
-        # run_full_report parses the same spec; parsing it here rejects
-        # a malformed ladder before any work runs.
-        try:
-            RoutingSpec.parse(
-                args.llm_pool, escalate_after=args.llm_escalate_after
-            )
-        except LLMError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        raise ValueError("--resume requires --run-dir")
     scale = ReportScale(
         dataset_size=args.dataset_size,
         dataset_samples_per_problem=args.dataset_samples,
@@ -182,158 +169,167 @@ def _cmd_report(args: argparse.Namespace) -> int:
         simfix_samples_per_problem=args.simfix_samples,
         table4_samples_per_problem=args.table4_samples,
     )
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_full_report(
-                scale=scale,
-                jobs=args.jobs,
-                on_error=args.on_error,
-                progress=lambda stage: print(f"[{stage}]", file=sys.stderr),
-                run_dir=args.run_dir,
-                resume=args.resume,
-                breaker_threshold=args.breaker_threshold,
-                should_stop=shutdown.requested,
-                llm_pool=args.llm_pool,
-                llm_escalate_after=args.llm_escalate_after,
+    jobs = resolve_jobs(args.jobs)
+    # The pool flags mean what they mean for ``fix``: the routing of a
+    # fixer config that carries them.
+    routing = routing_from_config(RTLFixerConfig(
+        llm_pool=args.llm_pool, llm_escalate_after=args.llm_escalate_after
+    ))
+    breaker = None
+    if args.breaker_threshold:  # 0 = off; CircuitBreaker checks the rest
+        breaker = CircuitBreaker(args.breaker_threshold)
+        if args.on_error != "collect":
+            raise ValueError(
+                "--breaker-threshold requires --on-error collect "
+                "(skipped trials are collected records, not exceptions)"
             )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT_MISUSE
-    except RunInterrupted as exc:
-        signum = shutdown.signum or exc.signum or _signal.SIGINT
-        hint = (
-            f"; resume with: rtlfixer report --run-dir {args.run_dir} --resume"
-            if args.run_dir
-            else "; pass --run-dir to make interrupted runs resumable"
-        )
-        print(f"# interrupted: {exc}{hint}", file=sys.stderr)
-        return 128 + int(signum)
-    if args.json:
-        atomic_write_text(args.json, report.to_json())
-        print(f"wrote {args.json}")
-    else:
-        print(report.to_markdown())
-    stats = report.cache
-    print(
-        f"# compile cache: {stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions, "
-        f"{stats['hits']} compiles avoided "
-        f"(hit rate {stats['hit_rate']:.1%})",
-        file=sys.stderr,
-    )
-    sim = report.sim
-    print(
-        f"# sim: {sim['hits']} verdict-cache hits, "
-        f"{sim['misses']} misses, {sim['hits']} testbench "
-        f"runs avoided (hit rate {sim['hit_rate']:.1%}), "
-        f"limits={sim.get('limit_verdicts', 0)} "
-        f"crashed={sim.get('crashed_verdicts', 0)} "
-        f"watchdog={sim.get('watchdog_fires', 0)} "
-        f"sim-deadlines={sim.get('deadline_fires', 0)}",
-        file=sys.stderr,
-    )
-    if report.llm:
-        print(_llm_line(report.llm, report.llm["routing"]), file=sys.stderr)
-    if args.run_dir:
+
+    def run() -> int:
+        try:
+            with GracefulShutdown() as shutdown:
+                report = run_full_report(
+                    scale=scale,
+                    jobs=jobs,
+                    on_error=args.on_error,
+                    progress=lambda stage: print(f"[{stage}]", file=sys.stderr),
+                    run_dir=args.run_dir,
+                    resume=args.resume,
+                    breaker=breaker,
+                    should_stop=shutdown.requested,
+                    routing=routing,
+                )
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECKPOINT_MISUSE
+        except RunInterrupted as exc:
+            signum = shutdown.signum or exc.signum or _signal.SIGINT
+            hint = (
+                f"; resume with: rtlfixer report --run-dir {args.run_dir} --resume"
+                if args.run_dir
+                else "; pass --run-dir to make interrupted runs resumable"
+            )
+            print(f"# interrupted: {exc}{hint}", file=sys.stderr)
+            return 128 + int(signum)
+        if args.json:
+            atomic_write_text(args.json, report.to_json())
+            print(f"wrote {args.json}")
+        else:
+            print(report.to_markdown())
+        stats = report.cache
         print(
-            f"# durable run: {report.resume.get('replayed', 0)} trial(s) "
-            f"replayed from the journal, {report.resume.get('executed', 0)} "
-            f"executed ({args.run_dir})",
+            f"# compile cache: {stats['hits']} hits, {stats['misses']} misses, "
+            f"{stats['evictions']} evictions, "
+            f"{stats['hits']} compiles avoided "
+            f"(hit rate {stats['hit_rate']:.1%})",
             file=sys.stderr,
         )
-    if report.breaker_tripped:
+        sim = report.sim
         print(
-            f"# circuit breaker TRIPPED {report.breaker['trips']} time(s): "
-            f"{report.breaker['skipped']} trial(s) skipped fail-fast "
-            f"(final state: {report.breaker['state']})",
+            f"# sim: {sim['hits']} verdict-cache hits, "
+            f"{sim['misses']} misses, {sim['hits']} testbench "
+            f"runs avoided (hit rate {sim['hit_rate']:.1%}), "
+            f"limits={sim.get('limit_verdicts', 0)} "
+            f"crashed={sim.get('crashed_verdicts', 0)} "
+            f"watchdog={sim.get('watchdog_fires', 0)} "
+            f"sim-deadlines={sim.get('deadline_fires', 0)}",
             file=sys.stderr,
         )
-    if args.on_error == "collect":
-        detail = ", ".join(f"{k}={v}" for k, v in report.failures.items())
-        print(
-            f"# failures: {report.failed_units} work unit(s) isolated "
-            f"({detail})",
-            file=sys.stderr,
-        )
-    if report.breaker_tripped:
-        return EXIT_BREAKER_TRIPPED
-    if report.failed_units:
-        return EXIT_FAILED_UNITS
-    return 0
+        if report.llm:
+            print(_llm_line(report.llm, report.llm["routing"]), file=sys.stderr)
+        if args.run_dir:
+            print(
+                f"# durable run: {report.resume.get('replayed', 0)} trial(s) "
+                f"replayed from the journal, {report.resume.get('executed', 0)} "
+                f"executed ({args.run_dir})",
+                file=sys.stderr,
+            )
+        if report.breaker_tripped:
+            print(
+                f"# circuit breaker TRIPPED {report.breaker['trips']} time(s): "
+                f"{report.breaker['skipped']} trial(s) skipped fail-fast "
+                f"(final state: {report.breaker['state']})",
+                file=sys.stderr,
+            )
+        if args.on_error == "collect":
+            detail = ", ".join(f"{k}={v}" for k, v in report.failures.items())
+            print(
+                f"# failures: {report.failed_units} work unit(s) isolated "
+                f"({detail})",
+                file=sys.stderr,
+            )
+        if report.breaker_tripped:
+            return EXIT_BREAKER_TRIPPED
+        if report.failed_units:
+            return EXIT_FAILED_UNITS
+        return 0
+
+    return run
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> Callable[[], int]:
+    from .core.config import RTLFixerConfig
     from .service.scheduler import SchedulerConfig
     from .service.server import RepairServer, ServerConfig
 
-    weights: dict[str, float] = {}
-    for item in args.weight or []:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            print(f"error: --weight wants TENANT=WEIGHT, got {item!r}",
-                  file=sys.stderr)
-            return 2
-        try:
-            weights[name] = float(value)
-        except ValueError:
-            print(f"error: --weight {item!r}: weight must be a number",
-                  file=sys.stderr)
-            return 2
-    chaos = None
-    if args.chaos_outage:
-        start_text, sep, count_text = args.chaos_outage.partition(":")
-        try:
-            if not sep:
-                raise ValueError
-            chaos = (int(start_text), int(count_text))
-        except ValueError:
-            print(
-                f"error: --chaos-outage wants START:COUNT, got "
-                f"{args.chaos_outage!r}",
-                file=sys.stderr,
-            )
-            return 2
-    from .errors import CheckpointError
-
-    try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            scheduler=SchedulerConfig(
-                capacity=args.capacity,
-                max_queue_per_tenant=args.queue_per_tenant,
-                max_queued=args.max_queued,
-                tenant_rate=args.tenant_rate,
-                tenant_burst=args.tenant_burst,
-                weights=weights,
-                default_deadline_s=args.default_deadline,
-            ),
-            breaker_threshold=args.breaker_threshold,
-            probe_interval=args.probe_interval,
-            run_dir=args.run_dir,
-            resume=args.resume,
+    config = ServerConfig(
+        host=args.host,
+        port=args.port,
+        scheduler=SchedulerConfig(
+            capacity=args.capacity,
+            max_queue_per_tenant=args.queue_per_tenant,
+            max_queued=args.max_queued,
+            tenant_rate=args.tenant_rate,
+            tenant_burst=args.tenant_burst,
+            weights=dict(args.weight or ()),
+            default_deadline_s=args.default_deadline,
+        ),
+        breaker_threshold=args.breaker_threshold,
+        probe_interval=args.probe_interval,
+        run_dir=args.run_dir,
+        resume=args.resume,
+        fixer=RTLFixerConfig(
             max_retries=args.max_retries,
             step_timeout=args.step_timeout,
             llm_pool=args.llm_pool,
-            work_delay=args.work_delay,
-            chaos_outage=chaos,
-        )
-        server = RepairServer(config)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT_MISUSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return server.run()
+        ),
+        work_delay=args.work_delay,
+        chaos_outage=args.chaos_outage,
+    )
+    return RepairServer(config).run
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
+def _weight(text: str) -> tuple:
+    """argparse type for ``--weight``: a ``(tenant, weight)`` pair
+    (SchedulerConfig checks the weight)."""
+    name, sep, value = text.partition("=")
+    try:
+        if sep and name:
+            return name, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"wants TENANT=WEIGHT with a numeric weight, got {text!r}"
+    )
+
+
+def _outage(text: str) -> tuple:
+    """argparse type for ``--chaos-outage``: a ``(first_job, job_count)``
+    pair (ServerConfig checks the window)."""
+    start, sep, count = text.partition(":")
+    try:
+        if sep:
+            return int(start), int(count)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"wants START:COUNT, got {text!r}")
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> Callable[[], int]:
     from .runtime.faults import FaultInjector, FaultSpec
     from .runtime.fuzz import FuzzConfig, run_fuzz
 
     injector = None
-    if args.chaos_rate > 0:
+    if args.chaos_rate:  # 0 disables; FaultSpec checks the rest
         injector = FaultInjector(
             seed=args.seed,
             compiler=FaultSpec(rate=args.chaos_rate, kind="garbage"),
@@ -341,16 +337,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             # sim-chaos-transparency invariant is exercised in one run.
             sim=FaultSpec(rate=args.chaos_rate, kind="garbage"),
         )
-    report = run_fuzz(
-        FuzzConfig(
-            seed=args.seed,
-            iterations=args.iterations,
-            per_input_budget=args.per_input_budget,
-            injector=injector,
-        )
+    config = FuzzConfig(
+        seed=args.seed,
+        iterations=args.iterations,
+        per_input_budget=args.per_input_budget,
+        injector=injector,
     )
-    print(report.summary())
-    return 0 if report.ok else 1
+
+    def run() -> int:
+        report = run_fuzz(config)
+        print(report.summary())
+        return 0 if report.ok else 1
+
+    return run
 
 
 def _sim_limits_spec(text: str):
@@ -422,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ds = sub.add_parser("dataset", help="build the VerilogEval-syntax dataset")
     ds.add_argument("out")
-    ds.add_argument("--samples", type=int, default=20)
-    ds.add_argument("--size", type=int, default=212)
+    ds.add_argument("--samples", type=_positive_int, default=20)
+    ds.add_argument("--size", type=_positive_int, default=212)
     ds.add_argument("--seed", type=int, default=0)
     ds.set_defaults(func=_cmd_dataset)
 
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full reproduction report (all tables and figures)",
     )
     rep.add_argument(
-        "--jobs", type=_job_count, default=1,
+        "--jobs", type=int, default=1,
         help="parallel workers for experiment fan-out "
         "(1 = serial, 0 = all CPUs; results are identical at any job count)",
     )
@@ -509,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "(token bucket; 0 = unlimited)")
     srv.add_argument("--tenant-burst", type=int, default=8, metavar="N",
                      help="per-tenant quota burst (bucket capacity)")
-    srv.add_argument("--weight", action="append", metavar="TENANT=W",
+    srv.add_argument("--weight", action="append", type=_weight,
+                     metavar="TENANT=W",
                      help="scheduling weight for a tenant (repeatable); "
                      "under contention a weight-2 tenant drains twice as "
                      "fast as a weight-1 tenant (default weight: 1)")
@@ -544,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="artificial deadline-aware work per job; makes "
                      "overload/drain drills deterministic (0 disables)")
-    srv.add_argument("--chaos-outage", metavar="START:COUNT", default=None,
+    srv.add_argument("--chaos-outage", type=_outage, default=None,
+                     metavar="START:COUNT",
                      help="chaos drill: dispatched jobs [START, "
                      "START+COUNT) fail as a backend outage; the service "
                      "must shed, trip the breaker, and heal via a probe")
@@ -575,7 +576,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .errors import CheckpointError, LLMError
+
     args = build_parser().parse_args(argv)
+    try:
+        # A command builds its option objects, each of which checks the
+        # values it consumes, and returns its work.  A value they reject
+        # is a usage error; nothing has run yet.
+        work = args.func(args)
+    except (ValueError, LLMError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # report --sim-limits scopes the run's simulations ambiently: trial
     # keys stay budget-free, so journal replay works across budget
     # changes (the deadline rationale).
@@ -583,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "sim_limits", None) is not None:
         fields["sim_limits"] = args.sim_limits
     with scoped(**fields):
-        return args.func(args)
+        return work()
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ class RTLFixerConfig:
     compiler: str = "quartus"  # "simple" | "iverilog" | "quartus"
     use_rag: bool = True
     retriever: str = "exact"  # "exact" | "fuzzy" | "jaccard" | "tfidf"
-    tier: str = "gpt-3.5-sim"  # "gpt-3.5-sim" | "gpt-4-sim"
+    tier: str = "gpt-3.5-sim"  # a gpt-3.5* or gpt-4* tier, e.g. "gpt-4-sim"
     temperature: float = 0.4
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     apply_rule_fix: bool = True
@@ -93,6 +93,9 @@ class RTLFixerConfig:
                 "RAG requires a compiler log to retrieve against; the "
                 "'simple' feedback setting cannot use RAG (as in Table 1)"
             )
+        # The simulated model has personas for these two families only.
+        if not self.tier.startswith(("gpt-3.5", "gpt-4")):
+            raise ValueError(f"tier must be a gpt-3.5* or gpt-4* model, got {self.tier!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.max_retries < 0:

@@ -62,6 +62,13 @@ class ReportScale:
     simfix_samples_per_problem: int = 2
     table4_samples_per_problem: int = 2
 
+    def __post_init__(self) -> None:
+        # At 0 a table is empty, a pass@k undefined, and a functional
+        # check over zero stimuli passes every sample that compiles.
+        for name, value in vars(self).items():
+            if not isinstance(value, bool) and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class FullReport:
@@ -175,10 +182,9 @@ def run_full_report(
     on_error: str = "raise",
     run_dir: Optional[str] = None,
     resume: bool = False,
-    breaker_threshold: int = 0,
+    breaker: Optional[CircuitBreaker] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    llm_pool: Optional[str] = None,
-    llm_escalate_after: int = 0,
+    routing: Optional[RoutingSpec] = None,
 ) -> FullReport:
     """Run every experiment and collect a paper-vs-measured report.
 
@@ -193,30 +199,20 @@ def run_full_report(
     journals every completed work unit and ``resume=True`` replays the
     journal so only the remainder executes -- the final report (written
     atomically to ``run_dir/report.json``) is byte-identical to an
-    uninterrupted run.  ``breaker_threshold`` arms a circuit breaker
+    uninterrupted run.  ``breaker`` gates every stage's dispatch
     (requires ``on_error="collect"``); ``should_stop`` is polled between
     dispatches for graceful shutdown and raises
     :class:`~repro.errors.RunInterrupted` once in-flight work drains.
 
-    ``llm_pool`` routes every model call through a backend pool
-    (:mod:`repro.llm.pool`): the spec string is an escalation ladder
-    (e.g. ``"cheap=gpt-3.5-sim,strong=gpt-4-sim"``) and
-    ``llm_escalate_after`` climbs a rung after that many failed agent
-    iterations.  Token/cost accounting for the whole run lands in
-    ``report.llm``; a pool of simulated tiers with escalation disabled
-    produces a report byte-identical to the direct run.
+    ``routing`` sends every model call through a backend pool's
+    escalation ladder (:class:`~repro.llm.pool.RoutingSpec`; None = the
+    caller-scoped ``llm_routing``, if any).  Token/cost accounting for
+    the whole run lands in ``report.llm``; a pool of simulated tiers
+    with escalation disabled produces a report byte-identical to the
+    direct run.
     """
     scale = scale or ReportScale()
-    if breaker_threshold > 0 and on_error != "collect":
-        raise ValueError(
-            "breaker_threshold requires on_error='collect' (skipped "
-            "trials are collected records, not exceptions)"
-        )
-    breaker = CircuitBreaker(breaker_threshold) if breaker_threshold > 0 else None
-    routing: Optional[RoutingSpec] = None
-    if llm_pool:
-        routing = RoutingSpec.parse(llm_pool, escalate_after=llm_escalate_after)
-    else:
+    if routing is None:
         # Respect a caller-scoped llm_routing spec (how offline suites
         # inject chaos-wrapped pools).
         routing = current().get("llm_routing")

@@ -121,8 +121,6 @@ class RoutingSpec:
             raise LLMError(f"duplicate backend names in pool: {names}")
         if self.escalate_after < 0:
             raise LLMError("escalate_after must be >= 0 (0 = never)")
-        if self.max_retries < 0:
-            raise LLMError("max_retries must be >= 0")
 
     @staticmethod
     def parse(

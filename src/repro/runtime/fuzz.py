@@ -58,6 +58,7 @@ Exposed on the CLI as ``rtlfixer fuzz --seed N --iterations K``.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field, replace
 from random import Random
@@ -281,10 +282,11 @@ class FuzzConfig:
     injector: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.per_input_budget <= 0:
-            raise ValueError("per_input_budget must be > 0")
+        # Zero iterations check nothing; ``took > nan`` is never a hang.
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not math.isfinite(self.per_input_budget) or self.per_input_budget <= 0:
+            raise ValueError("per_input_budget must be a finite number > 0")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ One module owns every byte that crosses the wire, so the server, the
 client, the load generator and the tests agree by construction:
 
 * :class:`RepairRequest` -- the ``POST /repair`` body, parsed and
-  validated into a typed object, with :meth:`RepairRequest.to_config`
-  mapping the request's knobs onto an
+  type-checked into a typed object, with :meth:`RepairRequest.apply`
+  mapping the request's knobs onto the server's template
   :class:`~repro.core.config.RTLFixerConfig`;
 * response builders (:func:`fixed_response`, :func:`shed_response`,
   :func:`deadline_response`, :func:`error_response`) -- every terminal
@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..core.config import RTLFixerConfig
@@ -141,19 +141,17 @@ class RepairRequest:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError("'seed' must be an integer")
         max_iterations = data.get("max_iterations", 10)
-        if (
-            not isinstance(max_iterations, int)
-            or isinstance(max_iterations, bool)
-            or max_iterations < 1
-        ):
-            raise ValueError("'max_iterations' must be a positive integer")
+        if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
+            raise ValueError("'max_iterations' must be an integer")
         for name in ("stream", "use_rag"):
             if name in data and not isinstance(data[name], bool):
                 raise ValueError(f"'{name}' must be a JSON boolean")
         for name in ("prompting", "compiler", "tier"):
             if name in data and not isinstance(data[name], str):
                 raise ValueError(f"'{name}' must be a string")
-        request = RepairRequest(
+        # The knobs' values are RTLFixerConfig's to check, when the
+        # server applies the request to its template (see apply).
+        return RepairRequest(
             tenant=tenant,
             code=code,
             seed=seed,
@@ -165,35 +163,32 @@ class RepairRequest:
             tier=data.get("tier", "gpt-3.5-sim"),
             max_iterations=max_iterations,
         )
-        # Config validation (prompting/compiler/RAG combinations) is
-        # RTLFixerConfig's job -- run it now so a bad combination is a
-        # 400 at admission, not a 500 in a worker.
-        try:
-            request.to_config()
-        except ValueError as exc:
-            raise ValueError(str(exc))
-        return request
 
-    def to_config(self, **overrides: Any) -> RTLFixerConfig:
-        """The fixer configuration this request asks for.
+    def apply(self, template: RTLFixerConfig) -> RTLFixerConfig:
+        """``template`` with this request's knobs; raises ValueError on
+        a value the config rejects.
 
         The request's deadline is deliberately **not** part of the
         config: the server scopes it ambiently per job, so journal keys
         (which hash the config digest) stay deadline-free and a
-        resubmitted job replays regardless of its new budget.
-        ``overrides`` lets the server apply its own execution knobs
-        (retry budget, pool spec) without the client controlling them.
+        resubmitted job replays regardless of its new budget.  The
+        template carries the server's own execution knobs (retry
+        budget, pool spec), which the client does not control.
         """
-        use_rag = self.use_rag and self.compiler != "simple"
-        return RTLFixerConfig(
+        return replace(
+            template,
             prompting=self.prompting,
             compiler=self.compiler,
-            use_rag=use_rag,
+            use_rag=self.use_rag and self.compiler != "simple",
             tier=self.tier,
             seed=self.seed,
             max_iterations=self.max_iterations,
-            **overrides,
         )
+
+    def to_config(self, **overrides: Any) -> RTLFixerConfig:
+        """The fixer configuration this request asks for, over a
+        default config with ``overrides`` applied."""
+        return self.apply(RTLFixerConfig(**overrides))
 
 
 def result_digest(result: dict) -> str:

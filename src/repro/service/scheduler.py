@@ -42,6 +42,7 @@ server and served on ``GET /stats``.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -81,14 +82,17 @@ class SchedulerConfig:
             raise ValueError("max_queue_per_tenant must be >= 1")
         if self.max_queued < 1:
             raise ValueError("max_queued must be >= 1")
-        if self.tenant_rate < 0:
-            raise ValueError("tenant_rate must be >= 0 (0 = unlimited)")
+        # NaN compares False both ways: a NaN rate would read as an
+        # unlimited quota, a NaN weight would poison the stride clock.
+        if not math.isfinite(self.tenant_rate) or self.tenant_rate < 0:
+            raise ValueError("tenant_rate must be a finite number >= 0 (0 = unlimited)")
         if self.tenant_burst < 1:
             raise ValueError("tenant_burst must be >= 1")
         for tenant, weight in self.weights.items():
-            if weight <= 0:
+            if not math.isfinite(weight) or weight <= 0:
                 raise ValueError(
-                    f"weight for tenant {tenant!r} must be > 0, got {weight}"
+                    f"weight for tenant {tenant!r} must be a finite number "
+                    f"> 0, got {weight}"
                 )
         if self.default_deadline_s is not None:
             # Fail at startup, not on every request that takes the default.

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from typing import Optional
 from ..core.config import RTLFixerConfig
 from ..errors import (
     DeadlineExceededError,
-    LLMError,
     RetryExhaustedError,
     SimulationError,
     TransientError,
@@ -87,12 +87,9 @@ class ServerConfig:
     run_dir: Optional[str] = None
     #: Continue an existing run directory (replay its journal).
     resume: bool = False
-    #: Retry budget applied to every job's fixer.
-    max_retries: int = 2
-    #: Per-model-call timeout applied to every job's fixer.
-    step_timeout: Optional[float] = None
-    #: LLM backend pool spec forwarded to every job's fixer.
-    llm_pool: Optional[str] = None
+    #: Every job's config is this template with the request's knobs
+    #: applied: it carries the retry budget, step timeout and LLM pool.
+    fixer: RTLFixerConfig = field(default_factory=RTLFixerConfig)
     #: Artificial per-job work (seconds) -- makes overload and drain
     #: drills deterministic when real repairs are too fast to queue.
     work_delay: float = 0.0
@@ -103,22 +100,14 @@ class ServerConfig:
     chaos_outage: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0 (0 disables)")
-        if self.probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
-        if self.work_delay < 0:
-            raise ValueError("work_delay must be >= 0")
-        # Every request's fixer is built from these knobs, so a value
-        # its config or pool rejects is rejected here, at startup.
-        try:
-            routing_from_config(RTLFixerConfig(
-                max_retries=self.max_retries,
-                step_timeout=self.step_timeout,
-                llm_pool=self.llm_pool,
-            ))
-        except (ValueError, LLMError) as exc:
-            raise ValueError(str(exc)) from None
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {self.port}")
+        # NaN compares False both ways: a NaN delay would be skipped.
+        if not math.isfinite(self.work_delay) or self.work_delay < 0:
+            raise ValueError("work_delay must be a finite number >= 0")
+        # Every job's fixer parses the template's pool spec, so a ladder
+        # it rejects is rejected here, at startup.
+        routing_from_config(self.fixer)
         if self.chaos_outage is not None:
             start, count = self.chaos_outage
             if start < 0 or count < 1:
@@ -140,7 +129,7 @@ class RepairServer:
         self.config = config
         self.stats = ServiceStats()
         self.breaker: Optional[CircuitBreaker] = None
-        if config.breaker_threshold > 0:
+        if config.breaker_threshold:  # 0 disables; CircuitBreaker checks it
             self.breaker = CircuitBreaker(
                 failure_threshold=config.breaker_threshold,
                 probe_interval=config.probe_interval,
@@ -284,7 +273,7 @@ class RepairServer:
                 raise RetryExhaustedError(
                     "chaos drill: repair backend unreachable "
                     "(retries exhausted)",
-                    attempts=self.config.max_retries + 1,
+                    attempts=self.config.fixer.max_retries + 1,
                 )
             fixer = RTLFixer(config=job.config, database=self._database)
             if job.events is not None:
@@ -494,16 +483,12 @@ class RepairServer:
         """Admit (or shed, or replay) one ``POST /repair`` submission."""
         try:
             request = RepairRequest.from_json(body)
+            config = request.apply(self.config.fixer)
         except ValueError as exc:
             await self._send_json(
                 writer, 400, {"status": "bad_request", "message": str(exc)}
             )
             return
-        config = request.to_config(
-            max_retries=self.config.max_retries,
-            step_timeout=self.config.step_timeout,
-            llm_pool=self.config.llm_pool,
-        )
         self._job_counter += 1
         job_id = f"job-{self._job_counter:06d}"
         key = self._job_key(request, config)

@@ -86,29 +86,41 @@ class TestDeadline:
             with pytest.raises(ValueError):
                 Deadline(budget)
 
-    def test_serve_rejects_non_finite_budgets_at_startup(self):
+    def test_serve_rejects_non_finite_budgets_at_startup(
+        self, monkeypatch, capsys
+    ):
         # ``serve --default-deadline nan`` / ``--step-timeout nan``:
         # refused when the server is configured (the CLI exits 2), not
         # on every request that would build its Deadline or config.
-        from repro.service.server import ServerConfig
+        from repro.cli import main
+        from repro.service.server import RepairServer
 
-        for budget in (float("nan"), float("inf"), 0.0):
+        monkeypatch.setattr(
+            RepairServer, "run", lambda self: pytest.fail("server started")
+        )
+        for budget in ("nan", "inf", "0"):
             with pytest.raises(ValueError):
-                SchedulerConfig(default_deadline_s=budget)
-            with pytest.raises(ValueError, match="step_timeout"):
-                ServerConfig(step_timeout=budget)
+                SchedulerConfig(default_deadline_s=float(budget))
+            assert main(["serve", "--port", "0", "--step-timeout", budget]) == 2
+            assert "step_timeout" in capsys.readouterr().err
 
     def test_serve_rejects_bad_llm_pool_at_startup(self):
         # ``serve --llm-pool x=gpt-3.5-sim,x=gpt-4-sim``: every request's
         # fixer would fail to parse the ladder (a 500 that feeds the
-        # breaker), so the spec is refused when the server is configured.
+        # breaker), so the template's spec is refused when the server is
+        # configured.
+        from repro.core.config import RTLFixerConfig
+        from repro.errors import LLMError
         from repro.service.server import ServerConfig
 
-        with pytest.raises(ValueError, match="duplicate backend names"):
-            ServerConfig(llm_pool="x=gpt-3.5-sim,x=gpt-4-sim")
-        with pytest.raises(ValueError, match="invalid backend name"):
-            ServerConfig(llm_pool="bad name=gpt-3.5-sim")
-        ServerConfig(llm_pool="cheap=gpt-3.5-sim,strong=gpt-4-sim")
+        def server(pool):
+            return ServerConfig(fixer=RTLFixerConfig(llm_pool=pool))
+
+        with pytest.raises(LLMError, match="duplicate backend names"):
+            server("x=gpt-3.5-sim,x=gpt-4-sim")
+        with pytest.raises(LLMError, match="invalid backend name"):
+            server("bad name=gpt-3.5-sim")
+        server("cheap=gpt-3.5-sim,strong=gpt-4-sim")
 
     def test_ambient_scope_nests_and_restores(self):
         assert current_deadline() is None
@@ -614,12 +626,34 @@ class TestProtocol:
         assert request.tier == "gpt-4-sim"
 
     def test_bad_config_combo_is_a_value_error(self):
-        """An invalid config knob is a 400 at admission, not a 500 in a
-        worker: from_json validates the derived config eagerly."""
-        with pytest.raises(ValueError, match="prompting"):
-            RepairRequest.from_json(
-                b'{"code": "m", "prompting": "chain-of-thought"}'
-            )
+        """An invalid config knob is a ValueError when the request is
+        applied to the server's template config, which the server does
+        in its answered path: a 400 at admission, not a 500 in a
+        worker."""
+        from repro.core.config import RTLFixerConfig
+
+        for field, value in (("prompting", '"chain-of-thought"'),
+                             ("tier", '"bogus"'), ("max_iterations", "0")):
+            body = f'{{"code": "m", "{field}": {value}}}'.encode()
+            request = RepairRequest.from_json(body)
+            with pytest.raises(ValueError, match=field):
+                request.apply(RTLFixerConfig())
+
+    def test_served_config_equals_direct_config(self):
+        """The server applies each request to its template config; the
+        result equals the request's direct config with the same
+        execution knobs, field for field."""
+        from repro.core.config import RTLFixerConfig
+        from repro.service.server import ServerConfig
+
+        pool = "cheap=gpt-3.5-sim,strong=gpt-4-sim"
+        server = ServerConfig(fixer=RTLFixerConfig(max_retries=1, llm_pool=pool))
+        request = RepairRequest.from_json(
+            b'{"code": "m", "seed": 7, "compiler": "simple", "tier": "gpt-4-sim"}'
+        )
+        assert request.apply(server.fixer) == request.to_config(
+            max_retries=1, step_timeout=None, llm_pool=pool
+        )
 
     def test_rag_is_coerced_off_for_simple_feedback(self):
         """RAG needs a compiler log to retrieve against; with 'simple'

@@ -67,6 +67,23 @@ class TestStreamedOneShot:
         assert events[-1][1]["iterations"] == 1
 
 
+class TestRequestConfig:
+    def test_knob_the_config_rejects_is_a_400(self):
+        """A request knob the fixer config rejects is answered 400 in
+        the request's answered path: never a dropped connection, a 500
+        or a crash count."""
+        config = ServerConfig(port=0, scheduler=SchedulerConfig(capacity=1))
+
+        async def scenario(client, server):
+            return await client.repair(code=FIXABLE, tier="bogus")
+
+        (status, body), stats = asyncio.run(_with_server(config, scenario))
+        assert status == 400 and body["status"] == "bad_request"
+        assert "tier" in body["message"]
+        assert stats["service"]["submitted"] == 0
+        assert stats["service"]["crashed"] == 0
+
+
 @pytest.mark.slow
 class TestOverloadDrill:
     def test_2x_capacity_sheds_typed_and_never_crashes(self):
