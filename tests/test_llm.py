@@ -1,8 +1,11 @@
 """Tests for the LLM layer: feedback parsing, repair strategies, and the
 simulated model."""
 
+import hashlib
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 from repro.diagnostics import ErrorCategory, compile_source
 from repro.llm import (
@@ -259,3 +262,115 @@ class TestOpenAIStub:
         messages = build_repair_messages("module m; endmodule", "some error", [])
         assert any("module m" in m.content for m in messages)
         assert any("some error" in m.content for m in messages)
+
+
+#: sha256 over the stand-in model's parsing and editing layer alone:
+#: ``detect_flavor`` / ``parse_feedback`` of every compiler log the
+#: ReAct agent sees on the 48-entry curated syntax set (Quartus and
+#: iverilog), ``apply_strategy`` (correct and botched, fixed RNG) on
+#: each parsed error, and a few edge cases.  The repair digests pin the
+#: same code only through whole transcripts; this pins it layer by
+#: layer.  Rewrite it only for an intended parsing or editing change.
+STANDIN_DIGEST = Path(__file__).parent / "data" / "standin_digest.sha256"
+
+#: Sources and logs the corpus does not reach.
+EDGE_CODE = (
+    # ``--`` and ``++`` inside a ``//`` comment, not in code.
+    "module m(input clk, output reg [3:0] q);\n"
+    "  // counts down: q-- (was q++)\n"
+    "  always @(posedge clk) q <= q - 1;\nendmodule\n",
+    # A `timescale in a comment, one in the body, one at the top.
+    "module m(input a, output b);\n// `timescale 1ns/1ps\n"
+    "assign b = a;\nendmodule\n",
+    "module m(input a, output b);\n  `timescale 1ns/1ps\n"
+    "assign b = a;\nendmodule\n",
+    "`timescale 1ns/1ps\nmodule m(input a, output b);\n"
+    "assign b = a;\nendmodule\n",
+    # A compound assignment and a fenced answer with prose around it.
+    "module m(input clk, output reg [7:0] q);\n"
+    "always @(posedge clk) q += 8'd2;\nendmodule\n",
+    "Here is the fix:\n```verilog\nmodule m(input a, output b);\n"
+    "assign b = ~a;\nendmodule\n```\nThis compiles.\n",
+)
+EDGE_LOGS = (
+    "",
+    "Error: something went wrong\n",
+    "Error (10161): Verilog HDL error at main.v(3): object is missing\n",
+    "Error (99999): Verilog HDL error at main.v(7): unknown tag "
+    'near text "q". File: main.v Line: 7\n',
+    "main.v:4: syntax error\nI give up.\n",
+    "main.v:2: error: port ``d'' is not a port of sub.\n",
+)
+
+
+def _parsed(errors) -> list:
+    return [
+        [e.category.value if e.category else None, e.line,
+         sorted(e.details.items())]
+        for e in errors
+    ]
+
+
+def standin_records() -> list[str]:
+    from repro.agents import ReActAgent
+    from repro.core.rulefix import rule_fix
+    from repro.dataset import build_syntax_dataset, verilogeval
+    from repro.diagnostics import Compiler
+    from repro.llm.repair.strategies import STRATEGIES
+    from repro.rag import ExactTagRetriever, build_default_database
+    from repro.runtime import CompileCache
+    from repro.scope import scoped
+
+    class Recording(Compiler):
+        def compile(self, code):
+            result = super().compile(code)
+            seen.setdefault((code, result.log), None)
+            return result
+
+    seen: dict = {}
+    dataset = build_syntax_dataset(
+        verilogeval(), samples_per_problem=4, target_size=48
+    )
+    database = build_default_database()
+    with scoped(compile_cache=CompileCache()):
+        for flavor, seed in (("quartus", 0), ("iverilog", 2)):
+            agent = ReActAgent(
+                model=SimulatedLLM(seed=seed), compiler=Recording(flavor=flavor),
+                retriever=ExactTagRetriever(database, flavor),
+            )
+            for entry in dataset:
+                agent.run(entry.code)
+    pairs = [*seen, *((code, "") for code in EDGE_CODE),
+             *((EDGE_CODE[0], log) for log in EDGE_LOGS)]
+    records = []
+    for n, (code, log) in enumerate(pairs):
+        errors = parse_feedback(log)
+        records.append(["parse", n, detect_flavor(log), _parsed(errors)])
+        # Every category's strategy at every parsed error (or at line 2
+        # when the log names none), so each strategy meets real code.
+        sites = errors or [ParsedError(category=None, line=2)]
+        for e, error in enumerate(sites):
+            for category in [error.category, *STRATEGIES]:
+                site = ParsedError(category, error.line, error.details)
+                for botch in (False, True):
+                    rng = random.Random(f"standin|{n}|{e}|{botch}")
+                    revised = apply_strategy(code, site, rng, botch=botch)
+                    records.append([
+                        "edit", n, e, category.value if category else None,
+                        botch, revised,
+                    ])
+    for n, code in enumerate(EDGE_CODE):
+        fixed = rule_fix(code)
+        records.append(["rulefix", n, fixed.code, fixed.has_module,
+                        fixed.extracted_from_markdown, fixed.moved_timescale])
+    return [json.dumps(record) for record in records]
+
+
+class TestFrozenStandIn:
+    def test_frozen_standin_digest(self):
+        records = standin_records()
+        assert len(records) > 1000
+        digest = hashlib.sha256(
+            "".join(r + "\0" for r in records).encode()
+        ).hexdigest()
+        assert digest == STANDIN_DIGEST.read_text().strip()

@@ -22,6 +22,7 @@ from repro.runtime import (
 )
 from repro.runtime.cache import get_active_cache
 from repro.scope import scoped
+from repro.verilog.limits import ResourceLimits
 
 GOOD = "module m(input a, output y);\nassign y = a;\nendmodule\n"
 BROKEN = (
@@ -61,6 +62,29 @@ class TestCompileKey:
 
     def test_stable_for_identical_inputs(self):
         assert compile_key(GOOD) == compile_key(GOOD)
+
+    def test_pinned_key_bytes(self):
+        """Every journal, cache and report keyed by compile results uses
+        these exact bytes: a faster key must produce the same digest."""
+        source = "module m(input a, output b);\n  assign b = a;\nendmodule\n"
+        includes = {"inc.vh": "`define W 4\n", "a.vh": "`define X 1\n"}
+        tight = ResourceLimits(max_tokens=5, max_parse_depth=8)
+        assert compile_key(source) == (
+            "170255d8d5125314a8302360735538564607d020e75b1c26946c56e9a54b6c85"
+        )
+        assert compile_key(source, name="a.v") == (
+            "05c5f9fc56d0b02647b7792007b790efb4191569e1806e61a9b0317183ecb150"
+        )
+        assert compile_key(source, limits=tight) == (
+            "551727032cca4c60d2bbc0a69d38cfad889958d4632d6045684893fd87694545"
+        )
+        assert compile_key(source, include_files=includes) == (
+            "0f9372e021fa9e936cf8acec7998a6961018e39144a48e2115e3c8819b2e261d"
+        )
+        # Repeated calls (a memoized prefix, if any) give the same bytes.
+        assert compile_key(source, limits=tight) == compile_key(
+            source, limits=ResourceLimits(max_tokens=5, max_parse_depth=8)
+        )
 
 
 class TestMemo:
