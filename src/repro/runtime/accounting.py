@@ -16,10 +16,11 @@ chars-per-token rule of thumb) so offline simulated backends produce
 stable, comparable numbers; an API-backed adapter that learns exact
 usage from the provider response can record those instead.
 
-Like the compile cache's counters, the ledger is per process: process-
-pool workers inherit the active counter at fork but record into their
-own copies, so under process parallelism the parent's ledger reflects
-only parent-side calls.  Serial and thread runs account exactly.
+The ledger lives in one process.  A process-pool worker books each
+work unit into a :class:`BookingLog` and sends its bookings back with
+the unit's outcome; the parent replays them into its active ledger in
+submission order (:class:`~repro.runtime.ParallelRunner`), so a run
+books the same ledger at any job count.
 """
 
 from __future__ import annotations
@@ -151,6 +152,39 @@ class TokenCounter:
             "failovers": self.total("failovers"),
             "failures": self.total("failures"),
         }
+
+
+@dataclass
+class BookingLog(TokenCounter):
+    """A ledger that also keeps each booking, in order, as plain
+    tuples: a process worker's record of one work unit, which the
+    parent re-books into its own ledger with :func:`replay_bookings`."""
+
+    bookings: list = field(default_factory=list)
+
+    def record_call(self, backend: str, prompt_tokens: int,
+                    completion_tokens: int, cost_usd: float, *,
+                    failover: bool = False, escalated: bool = False) -> None:
+        self.bookings.append((backend, prompt_tokens, completion_tokens,
+                              cost_usd, failover, escalated))
+        super().record_call(backend, prompt_tokens, completion_tokens,
+                            cost_usd, failover=failover, escalated=escalated)
+
+    def record_failure(self, backend: str) -> None:
+        self.bookings.append((backend,))
+        super().record_failure(backend)
+
+
+def replay_bookings(bookings: list, counter: TokenCounter) -> None:
+    """Book a :class:`BookingLog`'s ``bookings`` into ``counter`` as the
+    original calls would have: same calls, same order."""
+    for booking in bookings:
+        if len(booking) == 1:
+            counter.record_failure(booking[0])
+        else:
+            backend, prompt, completion, cost, failover, escalated = booking
+            counter.record_call(backend, prompt, completion, cost,
+                                failover=failover, escalated=escalated)
 
 
 #: The always-on process default (mirrors the compile cache's

@@ -314,6 +314,25 @@ class TestPooledDeterminism:
         assert parallel.fixed_counts == serial.fixed_counts
         assert parallel.iterations == serial.iterations
 
+    def test_parallel_ledger_matches_serial(self, tiny_dataset):
+        """Process workers book into their own copy of the ledger; their
+        bookings must still reach the run's, as a serial run's do."""
+        ledgers = []
+        for jobs in (1, 2):
+            counter = TokenCounter()
+            with scoped(
+                llm_routing=RoutingSpec.parse(POOL, escalate_after=1),
+                token_counter=counter,
+            ):
+                run_fix_experiment(
+                    tiny_dataset, RTLFixer(compiler="iverilog", use_rag=False),
+                    repeats=2, jobs=jobs,
+                )
+            ledgers.append(counter.as_dict())
+        serial, parallel = ledgers
+        assert serial["calls"] > 0 and serial["escalations"] > 0
+        assert parallel == serial
+
     def test_pooled_model_pickles_by_config(self):
         model = PooledRepairModel(
             RoutingSpec.parse(POOL, escalate_after=2), seed=9
