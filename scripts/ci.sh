@@ -9,9 +9,13 @@
 # bomb design must come back as a typed limit/crashed verdict with both
 # engines agreeing, then again under one shared verdict cache with every
 # verdict repeating and no reference recorded for replay), the durable-
-# run resume smoke (run, SIGKILL, resume, compare report digests), and
-# the repair-service smoke (serve, SIGTERM drain mid-load, resume,
-# replay digest-identical).  The repair-engine differential is no
+# run resume smoke (run, SIGKILL, resume, compare report digests), the
+# repair-service smoke (serve, SIGTERM drain mid-load, resume, replay
+# digest-identical) and the tracer smoke (a one-second traced
+# perfbench syntax-react run: perfbench/tracer.py rebinds src/ names by
+# string, so a rename there breaks only the traced benchmark; the stage
+# fails unless the run passes and the model-step, compile and retrieval
+# spans all recorded calls).  The repair-engine differential is no
 # longer a stage of its own: the ReAct and simulation-debugging
 # transcripts are pinned by a frozen digest checked in tier-1
 # (tests/data/repair_digest.sha256).
@@ -19,7 +23,7 @@
 # shows every break.
 #
 # Usage:
-#   scripts/ci.sh                # all six stages
+#   scripts/ci.sh                # all seven stages
 #   FUZZ_ITERATIONS=1000 scripts/ci.sh   # deeper fuzz stage (digest not pinned)
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -55,6 +59,18 @@ python scripts/resume_smoke.py || status=1
 
 echo "== service smoke (serve, SIGTERM drain mid-load, resume, replay) =="
 python scripts/service_smoke.py || status=1
+
+echo "== tracer smoke (traced perfbench syntax-react, seed 1, 1 s) =="
+trace_log="$(python3 perfbench/run.py --workload syntax-react --seed 1 --seconds 1 --trace 1)" || status=1
+grep '^# self time' <<<"$trace_log"
+for metric in llm.step.calls diagnostics.compile.calls rag.retrieve.calls; do
+    line="$(grep -F "# $metric = " <<<"$trace_log")"
+    echo "${line:-# $metric missing}"
+    if ! grep -Eq ' = [1-9][0-9]* count$' <<<"$line"; then
+        echo "tracer smoke: $metric recorded no calls" >&2
+        status=1
+    fi
+done
 
 if [[ "$status" -eq 0 ]]; then
     echo "CI: all stages passed"

@@ -117,6 +117,9 @@ class ReActAgent:
         Built per run (cheap: plain object composition) so post-
         construction reassignment of ``on_turn`` -- the repair server
         does this -- is honoured."""
+        config = self.engine_config
+        if config.max_iterations != self.max_iterations:
+            config = replace(config, max_iterations=self.max_iterations)
         return RepairEngine(
             oracle=CompileOracle(self.compiler),
             proposer=LLMProposer(
@@ -127,9 +130,7 @@ class ReActAgent:
                 DiagnosticLocalizer(self.retriever, record_turn=self.rag_turn)
                 if self.retriever is not None else None
             ),
-            config=replace(
-                self.engine_config, max_iterations=self.max_iterations
-            ),
+            config=config,
             prefix=RuleFixProposer() if self.apply_rule_fix else None,
             on_turn=self.on_turn,
         )

@@ -15,7 +15,9 @@ with deterministic backoff instead of killing the whole debugging run.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 from typing import Optional
 
 from ..agents.oneshot import OneShotAgent
@@ -31,6 +33,14 @@ from ..runtime.retry import Guard, RetryPolicy
 from ..scope import scoped
 from ..service.deadline import Deadline, use_deadline
 from .config import RTLFixerConfig
+
+
+@functools.lru_cache(maxsize=64)
+def _reseeded(config: RTLFixerConfig, seed: int) -> RTLFixerConfig:
+    """``config`` at ``seed``.  Repeated trials cycle through a few
+    seeds, and a config (immutable) is dearer to build and validate
+    than to look up."""
+    return dataclasses.replace(config, seed=seed)
 
 
 class RTLFixer:
@@ -56,6 +66,19 @@ class RTLFixer:
         self.database = (
             database if database is not None else build_default_database()
         )
+        self.retriever: Optional[Retriever] = None
+        if config.use_rag:
+            self.retriever = make_retriever(
+                config.retriever, self.database, config.compiler
+            )
+        self._assemble(model)
+
+    def _assemble(self, model: Optional[RepairModel]) -> None:
+        """Build the parts that depend on the seed: the model, the
+        guards around it and around the compiler, and the agent.  The
+        compiler, database and retriever do not, so :meth:`with_seed`
+        shares them."""
+        config = self.config
         self._injected_model = model
         self.model: RepairModel = model or self._build_model(config)
 
@@ -71,12 +94,6 @@ class RTLFixer:
             )
             agent_model = Guard(agent_model, policy)
             agent_compiler = Guard(agent_compiler, policy)
-
-        self.retriever: Optional[Retriever] = None
-        if config.use_rag:
-            self.retriever = make_retriever(
-                config.retriever, self.database, config.compiler
-            )
 
         if config.prompting == "react":
             self.agent = ReActAgent(
@@ -162,8 +179,7 @@ class RTLFixer:
             reseed = getattr(model, "with_seed", None)
             if callable(reseed):
                 model = reseed(seed)
-        return RTLFixer(
-            config=dataclasses.replace(self.config, seed=seed),
-            model=model,
-            database=self.database,
-        )
+        twin = copy.copy(self)
+        twin.config = _reseeded(self.config, seed)
+        twin._assemble(model)
+        return twin

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z]*)\n(.*?)```", re.DOTALL)
+_MODULE_DECL_RE = re.compile(r"\bmodule\s+\w+\s*(?:\(|;|#)")
+_MODULE_RE = re.compile(r"\bmodule\b")
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,15 @@ def extract_code(raw: str) -> tuple[str, bool]:
     ``module``; otherwise slices from the first ``module`` keyword to the
     last ``endmodule``.
     """
-    fences = _FENCE_RE.findall(raw)
-    for fence in fences:
-        if "module" in fence:
-            return fence, True
+    if "```" in raw:
+        for fence in _FENCE_RE.findall(raw):
+            if "module" in fence:
+                return fence, True
     # Require a declaration-shaped occurrence so prose like "the module
     # below..." is not mistaken for code.
-    match = re.search(r"\bmodule\s+\w+\s*(?:\(|;|#)", raw)
+    match = _MODULE_DECL_RE.search(raw)
     if match is None:
-        match = re.search(r"\bmodule\b", raw)
+        match = _MODULE_RE.search(raw)
     if match is None:
         return raw, False
     # Keep compiler directives (`timescale, `define...) that precede the
@@ -66,6 +68,8 @@ def extract_code(raw: str) -> tuple[str, bool]:
 def hoist_timescale(code: str) -> tuple[str, bool]:
     """Move a `timescale that appears after the first ``module`` keyword
     to the top of the file."""
+    if "`timescale" not in code:
+        return code, False
     module_pos = code.find("module")
     lines = code.split("\n")
     moved = False

@@ -134,13 +134,15 @@ class Compiler:
         self.file_name = file_name
         #: Resource budgets enforced on every compile (None = defaults).
         self.limits = limits
+        # Imported here, once per compiler rather than once per compile:
+        # repro.runtime imports this module.
+        from ..runtime.cache import cached_compile
+
+        self._cached_compile = cached_compile
 
     def compile(self, code: str) -> CompileResult:
         """Compile ``code`` under this compiler's flavour and limits."""
-        # Deferred import: repro.runtime imports this module.
-        from ..runtime.cache import cached_compile
-
-        return cached_compile(
+        return self._cached_compile(
             code, name=self.file_name, flavor=self.flavor, limits=self.limits
         )
 

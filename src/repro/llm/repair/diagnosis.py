@@ -9,6 +9,7 @@ drives the feedback-quality ablation.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,31 +27,45 @@ class ParsedError:
     details: dict = field(default_factory=dict)
 
 
+_QUARTUS_TAG = re.compile(r"Error \(\d+\)")
+_IVERILOG_LOCATION = re.compile(r"^\S+\.s?v:\d+:", re.MULTILINE)
+_QUARTUS_ERROR = re.compile(
+    r"Error \((\d+)\): Verilog HDL error at [^(]+\((\d+)\): (.*?) File:"
+)
+
+
 def detect_flavor(feedback: str) -> str:
     """Classify a feedback string as quartus / iverilog / simple."""
-    if re.search(r"Error \(\d+\)", feedback):
+    if _QUARTUS_TAG.search(feedback):
         return "quartus"
-    if re.search(r"^\S+\.s?v:\d+:", feedback, re.MULTILINE) or "I give up." in feedback:
+    if _IVERILOG_LOCATION.search(feedback) or "I give up." in feedback:
         return "iverilog"
     return "simple"
 
 
 def parse_feedback(feedback: str) -> list[ParsedError]:
     """Extract structured errors from a rendered compiler log."""
+    return list(read_feedback(feedback)[1])
+
+
+@functools.lru_cache(maxsize=256)
+def read_feedback(feedback: str) -> tuple[str, tuple[ParsedError, ...]]:
+    """``(detect_flavor(feedback), the errors parse_feedback finds)``.
+
+    Memoized: a repair's logs recur across its turns and trial seeds,
+    and a log always reads the same.  Callers share the errors, so they
+    must not change them (or their ``details``)."""
     flavor = detect_flavor(feedback)
     if flavor == "quartus":
-        return _parse_quartus(feedback)
+        return flavor, tuple(_parse_quartus(feedback))
     if flavor == "iverilog":
-        return _parse_iverilog(feedback)
-    return []
+        return flavor, tuple(_parse_iverilog(feedback))
+    return flavor, ()
 
 
 def _parse_quartus(feedback: str) -> list[ParsedError]:
     out: list[ParsedError] = []
-    pattern = re.compile(
-        r"Error \((\d+)\): Verilog HDL error at [^(]+\((\d+)\): (.*?) File:"
-    )
-    for match in pattern.finditer(feedback):
+    for match in _QUARTUS_ERROR.finditer(feedback):
         tag = int(match.group(1))
         line = int(match.group(2))
         message = match.group(3)
@@ -80,10 +95,13 @@ _IVERILOG_PATTERNS: list[tuple[re.Pattern, Optional[ErrorCategory]]] = [
 ]
 
 
+_IVERILOG_LINE = re.compile(r"\S+:(\d+):")
+
+
 def _parse_iverilog(feedback: str) -> list[ParsedError]:
     out: list[ParsedError] = []
     for line_text in feedback.split("\n"):
-        loc = re.match(r"\S+:(\d+):", line_text)
+        loc = _IVERILOG_LINE.match(line_text)
         line = int(loc.group(1)) if loc else None
         for pattern, category in _IVERILOG_PATTERNS:
             match = pattern.search(line_text)
@@ -97,34 +115,36 @@ def _parse_iverilog(feedback: str) -> list[ParsedError]:
     return out
 
 
+#: ``(detail, pattern, substring)`` scraped from a Quartus message
+#: body, in order.  A pattern can match only where its substring
+#: occurs, so the substring test skips the regex search on the messages
+#: (most of them) that cannot match.
+_SCRAPES = (
+    ("index", re.compile(r"index (-?\d+)"), "index "),
+    ("range", re.compile(r"declared range (\[[^\]]+\])"), "declared range ["),
+    ("literal", re.compile(r"literal (\S+?)\."), "literal "),
+    ("near", re.compile(r"near text (.+?)\."), "near text "),
+    ("op", re.compile(r'operator "([^"]+)"'), 'operator "'),
+    ("expected", re.compile(r'expecting "(\w+)"'), 'expecting "'),
+    ("before", re.compile(r'missing ";" before (.+?)\.'), 'missing ";" before '),
+)
+_QUOTED = re.compile(r'"(\w+)"')
+
+
 def _scrape(message: str) -> dict:
     """Pull names/indices out of a Quartus message body."""
     details: dict = {}
-    quoted = re.findall(r'"(\w+)"', message)
+    quoted = _QUOTED.findall(message)
     if quoted:
         details["name"] = quoted[0]
         if "does not exist in module" in message and len(quoted) >= 2:
             details["port"] = quoted[0]
             details["module"] = quoted[1]
-    index = re.search(r"index (-?\d+)", message)
-    if index:
-        details["index"] = int(index.group(1))
-    rng = re.search(r"declared range (\[[^\]]+\])", message)
-    if rng:
-        details["range"] = rng.group(1)
-    literal = re.search(r"literal (\S+?)\.", message)
-    if literal:
-        details["literal"] = literal.group(1)
-    near = re.search(r"near text (.+?)\.", message)
-    if near:
-        details["near"] = near.group(1)
-    op = re.search(r'operator "([^"]+)"', message)
-    if op:
-        details["op"] = op.group(1)
-    expected = re.search(r'expecting "(\w+)"', message)
-    if expected:
-        details["expected"] = expected.group(1)
-    before = re.search(r'missing ";" before (.+?)\.', message)
-    if before:
-        details["before"] = before.group(1)
+    for detail, pattern, substring in _SCRAPES:
+        if substring in message:
+            match = pattern.search(message)
+            if match:
+                details[detail] = match.group(1)
+    if "index" in details:
+        details["index"] = int(details["index"])
     return details

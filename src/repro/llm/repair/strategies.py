@@ -11,6 +11,7 @@ compiler then judges the result for real.
 from __future__ import annotations
 
 import difflib
+import functools
 import random
 import re
 from typing import Optional
@@ -68,6 +69,15 @@ def declared_names(code: str) -> list[str]:
     return names
 
 
+@functools.lru_cache(maxsize=1024)
+def _closest(word: str, candidates: tuple[str, ...], cutoff: float) -> Optional[str]:
+    """difflib's closest match to ``word`` above ``cutoff``, or None.
+    Memoized: a sample's repairs recur across trial seeds, and each
+    match costs a few sequence comparisons per candidate."""
+    close = difflib.get_close_matches(word, candidates, n=1, cutoff=cutoff)
+    return close[0] if close else None
+
+
 def _add_port(code: str, name: str) -> Optional[str]:
     """Insert ``input name,`` as the first port of the first module."""
     match = re.search(r"module\s+\w+\s*\(", code)
@@ -92,14 +102,14 @@ def fix_undeclared(code: str, error: ParsedError, rng: random.Random) -> Optiona
         return None
     # A "missing signal" that is really a misspelled keyword (asign,
     # modul, begn...): fix the spelling, do not declare it.
-    keyword = difflib.get_close_matches(name, _KEYWORDS, n=1, cutoff=0.8)
+    keyword = _closest(name, _KEYWORDS, 0.8)
     if keyword and name not in _KEYWORDS:
-        return re.sub(rf"\b{re.escape(name)}\b", keyword[0], code)
+        return re.sub(rf"\b{re.escape(name)}\b", keyword, code)
     if any(name.startswith(p) or name in _CLOCKISH for p in ("clk", "clock")):
         return _add_port(code, name)
-    close = difflib.get_close_matches(name, declared_names(code), n=1, cutoff=0.6)
+    close = _closest(name, tuple(declared_names(code)), 0.6)
     if close:
-        return re.sub(rf"\b{re.escape(name)}\b", close[0], code)
+        return re.sub(rf"\b{re.escape(name)}\b", close, code)
     if name in _CLOCKISH:
         return _add_port(code, name)
     # Last resort: declare it.
@@ -230,19 +240,18 @@ def fix_port_mismatch(code: str, error: ParsedError, rng: random.Random) -> Opti
             rf"module\s+{re.escape(module)}\s*\((.*?)\);", code, re.DOTALL
         )
         if decl:
-            candidates = re.findall(r"(\w+)\s*[,)]?\s*$", decl.group(1), re.MULTILINE)
             candidates = re.findall(
                 r"(?:input|output|inout)[^,)]*?(\w+)\s*(?:,|$)", decl.group(1)
             )
     if not candidates:
         candidates = declared_names(code)
-    close = difflib.get_close_matches(port, candidates, n=1, cutoff=0.5)
+    close = _closest(port, tuple(candidates), 0.5)
     if not close:
         return None
     site = re.search(rf"\.{re.escape(port)}\s*\(", code)
     if site is None:
         return None
-    return code[: site.start()] + f".{close[0]}(" + code[site.end() :]
+    return code[: site.start()] + f".{close}(" + code[site.end() :]
 
 
 def fix_duplicate(code: str, error: ParsedError, rng: random.Random) -> Optional[str]:
@@ -264,15 +273,26 @@ def fix_duplicate(code: str, error: ParsedError, rng: random.Random) -> Optional
     return None
 
 
+#: C-style increment, decrement and compound-assignment patterns; each
+#: can match only where its operator text occurs, so a substring test
+#: skips the whole-source regex scan on the (usual) code without one.
+_INCREMENT = re.compile(r"(\w+)\s*\+\+")
+_DECREMENT = re.compile(r"(\w+)\s*--")
+_COMPOUND = re.compile(r"(\w+)\s*([+\-*/]|<<|>>)=\s*")
+_COMPOUND_OPS = ("+=", "-=", "*=", "/=", "<<=", ">>=")
+
+
 def fix_c_style(code: str, error: ParsedError, rng: random.Random) -> Optional[str]:
     """Correct repair: expand ++/--/compound assignments."""
-    inc = re.search(r"(\w+)\s*\+\+", code)
+    inc = _INCREMENT.search(code) if "++" in code else None
     if inc:
         return code[: inc.start()] + f"{inc.group(1)} = {inc.group(1)} + 1" + code[inc.end() :]
-    dec = re.search(r"(\w+)\s*--", code)
+    dec = _DECREMENT.search(code) if "--" in code else None
     if dec:
         return code[: dec.start()] + f"{dec.group(1)} = {dec.group(1)} - 1" + code[dec.end() :]
-    compound = re.search(r"(\w+)\s*([+\-*/]|<<|>>)=\s*", code)
+    compound = None
+    if any(op in code for op in _COMPOUND_OPS):
+        compound = _COMPOUND.search(code)
     if compound:
         name, op = compound.group(1), compound.group(2)
         return code[: compound.start()] + f"{name} = {name} {op} " + code[compound.end() :]
@@ -295,6 +315,10 @@ def fix_event_expr(code: str, error: ParsedError, rng: random.Random) -> Optiona
     return None
 
 
+_STRAY_DIGIT = re.compile(r"(\d+'[bdh][0-9a-fA-FxXzZ]*)([g-wyG-WY])")
+_DOUBLED_ASSIGN = re.compile(r"(assign\s+[\w\[\]:]+\s*)==")
+
+
 def fix_ambiguous_syntax(code: str, error: ParsedError, rng: random.Random) -> Optional[str]:
     """The hard case: a bare 'syntax error' (iverilog) or 'syntax error
     near text' (Quartus).  Try the usual suspects around the reported
@@ -303,7 +327,7 @@ def fix_ambiguous_syntax(code: str, error: ParsedError, rng: random.Random) -> O
     text = _line_text(code, line)
     # A malformed literal that split into number + stray identifier
     # (e.g. 8'hFg lexes as 8'hF then g).
-    stray = re.search(r"(\d+'[bdh][0-9a-fA-FxXzZ]*)([g-wyG-WY])", code)
+    stray = _STRAY_DIGIT.search(code) if "'" in code else None
     if stray is not None:
         return code[: stray.start()] + stray.group(1) + code[stray.end() :]
     # Misspelled keywords.
@@ -311,7 +335,7 @@ def fix_ambiguous_syntax(code: str, error: ParsedError, rng: random.Random) -> O
         if wrong in code:
             return code.replace(wrong, right, 1)
     # assign x == expr;
-    doubled = re.search(r"(assign\s+[\w\[\]:]+\s*)==", code)
+    doubled = _DOUBLED_ASSIGN.search(code) if "==" in code else None
     if doubled:
         return code[: doubled.end(1)] + "=" + code[doubled.end() :]
     # Missing semicolon on the previous line.
@@ -383,7 +407,7 @@ def botch_event_expr(code: str, error: ParsedError, rng: random.Random) -> Optio
 
 def botch_c_style(code: str, error: ParsedError, rng: random.Random) -> Optional[str]:
     """Botched repair: neutralize the loop step (infinite loop)."""
-    inc = re.search(r"(\w+)\s*\+\+", code)
+    inc = _INCREMENT.search(code) if "++" in code else None
     if inc:
         # i++ -> i = i : compiles, loop never advances.
         return code[: inc.start()] + f"{inc.group(1)} = {inc.group(1)}" + code[inc.end() :]

@@ -43,7 +43,7 @@ from ..runtime.accounting import tier_family
 from ..runtime.cache import cached_compile
 from ..runtime.faults import stable_unit
 from .base import RepairStep
-from .repair.diagnosis import ParsedError, detect_flavor, parse_feedback
+from .repair.diagnosis import ParsedError, read_feedback
 from .repair.strategies import STRATEGIES, apply_strategy
 
 #: Per-sample fix-rate ceilings, calibrated to Table 1 (see DESIGN.md).
@@ -207,8 +207,10 @@ class SimulatedRepairSession:
     def _believed_errors(
         self, code: str, feedback: str, guidance: list[GuidanceEntry]
     ) -> list[ParsedError]:
-        flavor = detect_flavor(feedback) if feedback else self.flavor
-        errors = parse_feedback(feedback) if feedback else []
+        if feedback:
+            flavor, errors = read_feedback(feedback)
+        else:
+            flavor, errors = self.flavor, ()
 
         if flavor == "simple" or not errors:
             return self._blind_diagnosis(code)

@@ -41,6 +41,9 @@ _STOPWORDS = frozenset(
 )
 
 
+_QUARTUS_TAG = re.compile(r"Error \((\d+)\)")
+
+
 def _words(text: str) -> list[str]:
     return [
         w for w in re.findall(r"[a-z0-9']+", text.lower()) if w not in _STOPWORDS
@@ -76,7 +79,7 @@ class ExactTagRetriever:
     def categories_in_log(self, log: str) -> list[ErrorCategory]:
         found: list[ErrorCategory] = []
         if self.compiler == "quartus":
-            for tag_text in re.findall(r"Error \((\d+)\)", log):
+            for tag_text in _QUARTUS_TAG.findall(log):
                 category = QUARTUS_TAG_TO_CATEGORY.get(int(tag_text))
                 if category is not None and category not in found:
                     found.append(category)
@@ -93,6 +96,8 @@ class ExactTagRetriever:
             for entry in self.entries:
                 if entry.category is category:
                     out.append(Retrieved(entry=entry, score=1.0))
+            if len(out) >= k:
+                break
         return out[:k]
 
 

@@ -29,7 +29,7 @@ from .transcript import Transcript
 
 def _head(code: str, lines: int = 3) -> str:
     """The first ``lines`` lines of ``code`` -- transcript action input."""
-    return "\n".join(code.strip().split("\n")[:lines])
+    return "\n".join(code.strip().split("\n", lines)[:lines])
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ and the flavor views of one entry share its ``diagnostics`` list).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -84,13 +85,7 @@ def compile_key(
     normalizes to the defaults, so explicit-default and omitted limits
     share entries).
     """
-    from ..verilog.limits import DEFAULT_LIMITS
-
-    hasher = hashlib.sha256()
-    effective = limits if limits is not None else DEFAULT_LIMITS
-    for part in (name, repr(effective)):
-        hasher.update(part.encode())
-        hasher.update(b"\x00")
+    hasher = _key_prefix(name, limits).copy()
     for inc_name in sorted(include_files or {}):
         hasher.update(inc_name.encode())
         hasher.update(b"\x00")
@@ -98,6 +93,21 @@ def compile_key(
         hasher.update(b"\x00")
     hasher.update(code.encode())
     return hasher.hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _key_prefix(name: str, limits: "Optional[ResourceLimits]"):
+    """The hasher state after ``name`` and ``repr(limits)``: a key's
+    prefix, which a run repeats for every compile.  Callers ``copy()``
+    it, so the digest is the one hashed from scratch."""
+    from ..verilog.limits import DEFAULT_LIMITS
+
+    hasher = hashlib.sha256()
+    effective = limits if limits is not None else DEFAULT_LIMITS
+    for part in (name, repr(effective)):
+        hasher.update(part.encode())
+        hasher.update(b"\x00")
+    return hasher
 
 
 @dataclass
