@@ -48,7 +48,7 @@ def parse_feedback(feedback: str) -> list[ParsedError]:
     return list(read_feedback(feedback)[1])
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=16)
 def read_feedback(feedback: str) -> tuple[str, tuple[ParsedError, ...]]:
     """``(detect_flavor(feedback), the errors parse_feedback finds)``.
 

@@ -69,7 +69,7 @@ def declared_names(code: str) -> list[str]:
     return names
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=64)
 def _closest(word: str, candidates: tuple[str, ...], cutoff: float) -> Optional[str]:
     """difflib's closest match to ``word`` above ``cutoff``, or None.
     Memoized: a sample's repairs recur across trial seeds, and each
