@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 from typing import Optional
 
 from ..agents.oneshot import OneShotAgent
@@ -33,14 +32,6 @@ from ..runtime.retry import Guard, RetryPolicy
 from ..scope import scoped
 from ..service.deadline import Deadline, use_deadline
 from .config import RTLFixerConfig
-
-
-@functools.lru_cache(maxsize=64)
-def _reseeded(config: RTLFixerConfig, seed: int) -> RTLFixerConfig:
-    """``config`` at ``seed``.  Repeated trials cycle through a few
-    seeds, and a config (immutable) is dearer to build and validate
-    than to look up."""
-    return dataclasses.replace(config, seed=seed)
 
 
 class RTLFixer:
@@ -180,6 +171,6 @@ class RTLFixer:
             if callable(reseed):
                 model = reseed(seed)
         twin = copy.copy(self)
-        twin.config = _reseeded(self.config, seed)
+        twin.config = dataclasses.replace(self.config, seed=seed)
         twin._assemble(model)
         return twin

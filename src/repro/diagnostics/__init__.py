@@ -9,6 +9,7 @@ from .codes import (
     CATALOG,
     IVERILOG_CATEGORIES,
     QUARTUS_CATEGORIES,
+    QUARTUS_TAG_RE,
     QUARTUS_TAG_TO_CATEGORY,
     CategoryInfo,
     ErrorCategory,
@@ -33,6 +34,7 @@ __all__ = [
     "ErrorCategory",
     "IVERILOG_CATEGORIES",
     "QUARTUS_CATEGORIES",
+    "QUARTUS_TAG_RE",
     "QUARTUS_TAG_TO_CATEGORY",
     "SIMPLE_FEEDBACK",
     "Severity",

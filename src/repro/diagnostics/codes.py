@@ -19,6 +19,7 @@ the remainder are stable synthetic tags in the same numbering style.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -103,6 +104,10 @@ QUARTUS_CATEGORIES: tuple[ErrorCategory, ...] = tuple(
 QUARTUS_TAG_TO_CATEGORY: dict[int, ErrorCategory] = {
     info.quartus_tag: info.category for info in _CATALOG
 }
+
+#: A tag as a Quartus log prints it, ``Error (10161)``; group 1 is the
+#: number.
+QUARTUS_TAG_RE = re.compile(r"Error \((\d+)\)")
 
 
 def quartus_tag(category: ErrorCategory) -> int:

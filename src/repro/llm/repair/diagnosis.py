@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ...diagnostics import QUARTUS_TAG_TO_CATEGORY, ErrorCategory
+from ...diagnostics import QUARTUS_TAG_RE, QUARTUS_TAG_TO_CATEGORY, ErrorCategory
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class ParsedError:
     details: dict = field(default_factory=dict)
 
 
-_QUARTUS_TAG = re.compile(r"Error \(\d+\)")
 _IVERILOG_LOCATION = re.compile(r"^\S+\.s?v:\d+:", re.MULTILINE)
 _QUARTUS_ERROR = re.compile(
     r"Error \((\d+)\): Verilog HDL error at [^(]+\((\d+)\): (.*?) File:"
@@ -36,7 +35,7 @@ _QUARTUS_ERROR = re.compile(
 
 def detect_flavor(feedback: str) -> str:
     """Classify a feedback string as quartus / iverilog / simple."""
-    if _QUARTUS_TAG.search(feedback):
+    if QUARTUS_TAG_RE.search(feedback):
         return "quartus"
     if _IVERILOG_LOCATION.search(feedback) or "I give up." in feedback:
         return "iverilog"

@@ -11,7 +11,6 @@ compiler then judges the result for real.
 from __future__ import annotations
 
 import difflib
-import functools
 import random
 import re
 from typing import Optional
@@ -69,15 +68,6 @@ def declared_names(code: str) -> list[str]:
     return names
 
 
-@functools.lru_cache(maxsize=64)
-def _closest(word: str, candidates: tuple[str, ...], cutoff: float) -> Optional[str]:
-    """difflib's closest match to ``word`` above ``cutoff``, or None.
-    Memoized: a sample's repairs recur across trial seeds, and each
-    match costs a few sequence comparisons per candidate."""
-    close = difflib.get_close_matches(word, candidates, n=1, cutoff=cutoff)
-    return close[0] if close else None
-
-
 def _add_port(code: str, name: str) -> Optional[str]:
     """Insert ``input name,`` as the first port of the first module."""
     match = re.search(r"module\s+\w+\s*\(", code)
@@ -102,14 +92,14 @@ def fix_undeclared(code: str, error: ParsedError, rng: random.Random) -> Optiona
         return None
     # A "missing signal" that is really a misspelled keyword (asign,
     # modul, begn...): fix the spelling, do not declare it.
-    keyword = _closest(name, _KEYWORDS, 0.8)
+    keyword = difflib.get_close_matches(name, _KEYWORDS, n=1, cutoff=0.8)
     if keyword and name not in _KEYWORDS:
-        return re.sub(rf"\b{re.escape(name)}\b", keyword, code)
+        return re.sub(rf"\b{re.escape(name)}\b", keyword[0], code)
     if any(name.startswith(p) or name in _CLOCKISH for p in ("clk", "clock")):
         return _add_port(code, name)
-    close = _closest(name, tuple(declared_names(code)), 0.6)
+    close = difflib.get_close_matches(name, declared_names(code), n=1, cutoff=0.6)
     if close:
-        return re.sub(rf"\b{re.escape(name)}\b", close, code)
+        return re.sub(rf"\b{re.escape(name)}\b", close[0], code)
     if name in _CLOCKISH:
         return _add_port(code, name)
     # Last resort: declare it.
@@ -245,13 +235,13 @@ def fix_port_mismatch(code: str, error: ParsedError, rng: random.Random) -> Opti
             )
     if not candidates:
         candidates = declared_names(code)
-    close = _closest(port, tuple(candidates), 0.5)
+    close = difflib.get_close_matches(port, candidates, n=1, cutoff=0.5)
     if not close:
         return None
     site = re.search(rf"\.{re.escape(port)}\s*\(", code)
     if site is None:
         return None
-    return code[: site.start()] + f".{close}(" + code[site.end() :]
+    return code[: site.start()] + f".{close[0]}(" + code[site.end() :]
 
 
 def fix_duplicate(code: str, error: ParsedError, rng: random.Random) -> Optional[str]:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..diagnostics import QUARTUS_TAG_TO_CATEGORY, ErrorCategory
+from ..diagnostics import QUARTUS_TAG_RE, QUARTUS_TAG_TO_CATEGORY, ErrorCategory
 from ..errors import RetrievalError
 from .database import GuidanceDatabase, GuidanceEntry
 
@@ -39,9 +39,6 @@ _STOPWORDS = frozenset(
     """error verilog hdl at the is not in file line main v sv a an of to
     and or for was 5 error(s) tmp work check that every with""".split()
 )
-
-
-_QUARTUS_TAG = re.compile(r"Error \((\d+)\)")
 
 
 def _words(text: str) -> list[str]:
@@ -79,7 +76,7 @@ class ExactTagRetriever:
     def categories_in_log(self, log: str) -> list[ErrorCategory]:
         found: list[ErrorCategory] = []
         if self.compiler == "quartus":
-            for tag_text in _QUARTUS_TAG.findall(log):
+            for tag_text in QUARTUS_TAG_RE.findall(log):
                 category = QUARTUS_TAG_TO_CATEGORY.get(int(tag_text))
                 if category is not None and category not in found:
                     found.append(category)

@@ -155,10 +155,10 @@ class TokenCounter:
 
 
 @dataclass
-class BookingLog(TokenCounter):
-    """A ledger that also keeps each booking, in order, as plain
-    tuples: a process worker's record of one work unit, which the
-    parent re-books into its own ledger with :func:`replay_bookings`."""
+class BookingLog:
+    """A process worker's record of one work unit's LLM bookings, in
+    order, as plain tuples.  It stands in for the active ledger in the
+    worker; the parent books it into its own with :meth:`replay`."""
 
     bookings: list = field(default_factory=list)
 
@@ -167,24 +167,20 @@ class BookingLog(TokenCounter):
                     failover: bool = False, escalated: bool = False) -> None:
         self.bookings.append((backend, prompt_tokens, completion_tokens,
                               cost_usd, failover, escalated))
-        super().record_call(backend, prompt_tokens, completion_tokens,
-                            cost_usd, failover=failover, escalated=escalated)
 
     def record_failure(self, backend: str) -> None:
         self.bookings.append((backend,))
-        super().record_failure(backend)
 
-
-def replay_bookings(bookings: list, counter: TokenCounter) -> None:
-    """Book a :class:`BookingLog`'s ``bookings`` into ``counter`` as the
-    original calls would have: same calls, same order."""
-    for booking in bookings:
-        if len(booking) == 1:
-            counter.record_failure(booking[0])
-        else:
-            backend, prompt, completion, cost, failover, escalated = booking
-            counter.record_call(backend, prompt, completion, cost,
-                                failover=failover, escalated=escalated)
+    def replay(self, counter: TokenCounter) -> None:
+        """Book every call into ``counter`` as the original calls would
+        have: same calls, same order."""
+        for booking in self.bookings:
+            if len(booking) == 1:
+                counter.record_failure(booking[0])
+            else:
+                backend, prompt, completion, cost, failover, escalated = booking
+                counter.record_call(backend, prompt, completion, cost,
+                                    failover=failover, escalated=escalated)
 
 
 #: The always-on process default (mirrors the compile cache's

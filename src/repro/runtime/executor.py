@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional, TypeVar
 
 from ..errors import RunInterrupted
 from ..scope import scoped
-from .accounting import BookingLog, get_active_token_counter, replay_bookings
+from .accounting import BookingLog, get_active_token_counter
 
 if TYPE_CHECKING:  # typing only
     from .breaker import CircuitBreaker
@@ -162,7 +162,7 @@ def isolable(exc: BaseException) -> bool:
     )
 
 
-def _run_booked(fn: Callable[[T], R], item: T) -> tuple[R, list]:
+def _run_booked(fn: Callable[[T], R], item: T) -> tuple[R, BookingLog]:
     """Run one work unit in a process worker under a fresh
     :class:`~repro.runtime.accounting.BookingLog`: returns the result
     with the unit's LLM bookings.  A raising unit's bookings ride on its
@@ -172,9 +172,9 @@ def _run_booked(fn: Callable[[T], R], item: T) -> tuple[R, list]:
         try:
             result = fn(item)
         except BaseException as exc:
-            exc.token_bookings = log.bookings
+            exc.token_bookings = log
             raise
-    return result, log.bookings
+    return result, log
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -329,7 +329,7 @@ class ParallelRunner:
         booked = self.backend == "process"
         executor_cls = ProcessPoolExecutor if booked else ThreadPoolExecutor
         #: Process-run units' LLM bookings, by submission index.
-        bookings: dict[int, list] = {}
+        bookings: dict[int, BookingLog] = {}
         slots: list[Union[R, WorkFailure, None]] = [None] * total
         workers = min(self.jobs, total)
         window = workers * 2
@@ -341,94 +341,92 @@ class ParallelRunner:
         done = 0
         stopping = False
 
-        try:
-            with executor_cls(max_workers=workers) as pool:
+        with executor_cls(max_workers=workers) as pool:
 
-                def submit_more() -> None:
-                    """Keep the dispatch window full, honouring the gates."""
-                    nonlocal next_index, done, stopping
-                    while next_index < total and len(pending) < window:
-                        if stopping or (should_stop is not None and should_stop()):
-                            stopping = True
-                            return
-                        if breaker is not None and breaker.probing:
-                            # A probe is in flight: hold further dispatch (and
-                            # further skipping) until its outcome settles the
-                            # breaker one way or the other.
-                            return
-                        index = next_index
-                        next_index += 1
-                        if breaker is not None and not breaker.allow():
-                            skipped = WorkFailure.skipped_unit(index, items[index])
-                            slots[index] = skipped
-                            done += 1
-                            finish(index, done, skipped)
-                            continue
-                        if breaker is not None and breaker.probing:
-                            # allow() just converted this unit into the probe.
-                            probe_indices.add(index)
-                        if booked:
-                            future = pool.submit(_run_booked, fn, items[index])
-                        else:
-                            future = pool.submit(fn, items[index])
-                        pending[future] = index
+            def submit_more() -> None:
+                """Keep the dispatch window full, honouring the gates."""
+                nonlocal next_index, done, stopping
+                while next_index < total and len(pending) < window:
+                    if stopping or (should_stop is not None and should_stop()):
+                        stopping = True
+                        return
+                    if breaker is not None and breaker.probing:
+                        # A probe is in flight: hold further dispatch (and
+                        # further skipping) until its outcome settles the
+                        # breaker one way or the other.
+                        return
+                    index = next_index
+                    next_index += 1
+                    if breaker is not None and not breaker.allow():
+                        skipped = WorkFailure.skipped_unit(index, items[index])
+                        slots[index] = skipped
+                        done += 1
+                        finish(index, done, skipped)
+                        continue
+                    if breaker is not None and breaker.probing:
+                        # allow() just converted this unit into the probe.
+                        probe_indices.add(index)
+                    if booked:
+                        future = pool.submit(_run_booked, fn, items[index])
+                    else:
+                        future = pool.submit(fn, items[index])
+                    pending[future] = index
 
-                submit_more()
-                try:
-                    while pending:
-                        completed, _ = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in completed:
-                            index = pending.pop(future)
-                            is_probe = index in probe_indices
-                            probe_indices.discard(index)
-                            if future.cancelled():
-                                continue  # un-run unit dropped during a stop
-                            try:
-                                result: Union[R, WorkFailure] = future.result()
-                            except BaseException as exc:
-                                if booked:
-                                    bookings[index] = getattr(
-                                        exc, "token_bookings", []
-                                    )
-                                if breaker is not None:
-                                    breaker.record_failure(exc, probe=is_probe)
-                                if on_error == "raise" or not isolable(exc):
-                                    raise
-                                result = WorkFailure.from_exception(
-                                    index, items[index], exc
+            submit_more()
+            try:
+                while pending:
+                    completed, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in completed:
+                        index = pending.pop(future)
+                        is_probe = index in probe_indices
+                        probe_indices.discard(index)
+                        if future.cancelled():
+                            continue  # un-run unit dropped during a stop
+                        try:
+                            result: Union[R, WorkFailure] = future.result()
+                        except BaseException as exc:
+                            if booked:
+                                bookings[index] = getattr(
+                                    exc, "token_bookings", BookingLog()
                                 )
-                            else:
-                                if booked:
-                                    result, bookings[index] = result
-                                if breaker is not None:
-                                    breaker.record_success(probe=is_probe)
-                            slots[index] = result
-                            done += 1
-                            finish(index, done, result)
-                        submit_more()
-                        if stopping:
-                            # Drop what never started; in-flight units drain
-                            # through the loop above and reach on_result.
-                            for future in list(pending):
-                                if future.cancel():
-                                    pending.pop(future)
-                except BaseException:
-                    # Abort promptly: drop every not-yet-started unit so the
-                    # pool shutdown only waits on the (few) in-flight ones,
-                    # then let the failure propagate (cancel_futures
-                    # semantics -- see the PR 2 executor bugfix).
-                    for future in pending:
-                        future.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-        finally:
-            # Every unit that ran has its bookings here, whatever ended
-            # the run (an error, a stop): replay them as a serial run
-            # would have booked them.
-            counter = get_active_token_counter()
-            for index in sorted(bookings):
-                replay_bookings(bookings[index], counter)
-
+                            if breaker is not None:
+                                breaker.record_failure(exc, probe=is_probe)
+                            if on_error == "raise" or not isolable(exc):
+                                raise
+                            result = WorkFailure.from_exception(
+                                index, items[index], exc
+                            )
+                        else:
+                            if booked:
+                                result, bookings[index] = result
+                            if breaker is not None:
+                                breaker.record_success(probe=is_probe)
+                        slots[index] = result
+                        done += 1
+                        finish(index, done, result)
+                    submit_more()
+                    if stopping:
+                        # Drop what never started; in-flight units drain
+                        # through the loop above and reach on_result.
+                        for future in list(pending):
+                            if future.cancel():
+                                pending.pop(future)
+            except BaseException:
+                # Abort promptly: drop every not-yet-started unit so the
+                # pool shutdown only waits on the (few) in-flight ones,
+                # then let the failure propagate (cancel_futures
+                # semantics -- see the PR 2 executor bugfix).
+                for future in pending:
+                    future.cancel()
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+            finally:
+                # Whatever ended the loop (an error, a stop), every unit
+                # that ran has its bookings here: book them as a serial
+                # run would have.
+                counter = get_active_token_counter()
+                for index in sorted(bookings):
+                    bookings[index].replay(counter)
         if stopping:
             raise RunInterrupted(
                 f"shutdown requested after {done}/{total} unit(s)",
