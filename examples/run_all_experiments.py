@@ -29,6 +29,8 @@ def main() -> None:
     for name, text in report.rendered.items():
         print(f"\n{'=' * 70}\n{name}\n{'=' * 70}")
         print(text)
+    print()
+    print("\n".join(report.summary_lines()))
 
     with open("reproduction_report.json", "w") as f:
         f.write(report.to_json())

@@ -13,7 +13,10 @@ One self-contained pass over the service's whole lifecycle contract:
 4. restart the server on the same run directory with ``--resume``,
    resubmit every job that completed before the drain, and assert each
    replays from the journal (``replayed: true``) with a
-   ``result_digest`` identical to the pre-drain answer.
+   ``result_digest`` identical to the pre-drain answer;
+5. assert each server's ``# service:`` drain line adds up: every
+   submission was admitted, shed or replayed, and every admitted or
+   replayed one completed.
 
 Exit code 0 when every assertion holds.  Used as a ci.sh stage.
 
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import IO
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -42,8 +46,8 @@ BROKEN = (
 JOBS = 10
 
 
-def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int]:
-    """Spawn one journaled server; returns (process, port)."""
+def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int, IO]:
+    """Spawn one journaled server; returns (process, port, stderr file)."""
     cmd = [
         sys.executable, "-m", "repro.cli", "serve",
         "--port", "0", "--capacity", "2",
@@ -67,7 +71,7 @@ def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int]:
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
         if line.startswith("SERVING"):
-            return proc, int(line.rsplit(":", 1)[1].strip())
+            return proc, int(line.rsplit(":", 1)[1].strip()), log
         if not line and proc.poll() is not None:
             break
     proc.kill()
@@ -77,6 +81,31 @@ def start_server(run_dir: str, resume: bool) -> tuple[subprocess.Popen, int]:
     raise RuntimeError(
         f"server did not print a SERVING line (exit {code}: {last})"
     )
+
+
+def check_drain_ledger(log: IO, label: str) -> list[str]:
+    """The failures of one drained server's ``# service:`` line."""
+    log.seek(0)
+    lines = [line for line in log.read().splitlines()
+             if line.startswith("# service:")]
+    if not lines:
+        return [f"{label}: no '# service:' drain line on stderr"]
+    ledger = dict(pair.split("=", 1) for pair in lines[-1].split()[2:])
+    try:
+        count = {key: int(ledger[key]) for key in (
+            "submitted", "admitted", "total_shed", "replayed", "completed",
+        )}
+    except (KeyError, ValueError) as exc:
+        return [f"{label}: unreadable drain line {lines[-1]!r} ({exc})"]
+    failures = []
+    if count["submitted"] != count["admitted"] + count["total_shed"] + count["replayed"]:
+        failures.append(f"{label}: submitted != admitted + total_shed + "
+                        f"replayed in {lines[-1]!r}")
+    if count["completed"] != count["admitted"] + count["replayed"]:
+        failures.append(f"{label}: completed != admitted + replayed in "
+                        f"{lines[-1]!r}")
+    print(f"{label} drain ledger: {' '.join(f'{k}={v}' for k, v in count.items())}")
+    return failures
 
 
 async def submit_batch(port: int, proc: subprocess.Popen) -> list[dict]:
@@ -116,11 +145,12 @@ def main() -> int:
     """Run the drill; prints PASS/FAIL per assertion."""
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="service_smoke_") as run_dir:
-        proc, port = start_server(run_dir, resume=False)
+        proc, port, log = start_server(run_dir, resume=False)
         answers = asyncio.run(submit_batch(port, proc))
         exit_code = proc.wait(timeout=120)
         if exit_code != 0:
             failures.append(f"drained server exited {exit_code}, want 0")
+        failures += check_drain_ledger(log, "pre-drain")
         dropped = [a for a in answers if a["status"] == "dropped"]
         if dropped:
             failures.append(
@@ -143,7 +173,7 @@ def main() -> int:
         if not completed:
             failures.append("no job completed before the drain bit")
         # Stage 2: resume and replay.
-        proc2, port2 = start_server(run_dir, resume=True)
+        proc2, port2, log2 = start_server(run_dir, resume=True)
         try:
             replays = asyncio.run(resubmit(port2, sorted(completed)))
         finally:
@@ -151,6 +181,7 @@ def main() -> int:
             exit2 = proc2.wait(timeout=120)
         if exit2 != 0:
             failures.append(f"resumed server exited {exit2}, want 0")
+        failures += check_drain_ledger(log2, "post-resume")
         for replay in replays:
             original = completed[replay["index"]]
             if not replay.get("replayed"):

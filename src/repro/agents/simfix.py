@@ -20,7 +20,7 @@ mid-run with a 504, and ``on_turn`` streams per-iteration progress.
 By default the model is the direct
 :class:`~repro.llm.simfix.SimulatedLogicDebugger`; under a scoped
 ``llm_routing`` spec (:mod:`repro.scope`) it becomes the pool-routed :class:`~repro.llm.simfix.PooledLogicModel`, so tier
-escalation and token accounting (``report.llm``) cover functional
+escalation and token accounting (the ``# llm:`` telemetry) cover functional
 repair like they cover syntax repair.
 
 Note the evaluation asymmetry the paper glosses over: judging functional

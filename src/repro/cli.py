@@ -33,16 +33,6 @@ from typing import Callable
 from .scope import scoped
 
 
-def _llm_line(ledger: dict, routing_text: str) -> str:
-    """The ``# llm:`` stderr accounting line (fix and report share it)."""
-    return (
-        f"# llm: pool {routing_text}; {ledger['calls']} call(s), "
-        f"{ledger['total_tokens']} tokens (~${ledger['cost_usd']:.4f}); "
-        f"escalations={ledger['escalations']} failovers={ledger['failovers']} "
-        f"failures={ledger['failures']}"
-    )
-
-
 def _cmd_fix(args: argparse.Namespace) -> Callable[[], int]:
     from .core import RTLFixer
 
@@ -64,16 +54,14 @@ def _cmd_fix(args: argparse.Namespace) -> Callable[[], int]:
         counter = None
         fields = {}
         if args.llm_pool:
-            from .runtime import TokenCounter
+            from .runtime.accounting import TokenCounter, render_line
 
             counter = fields["token_counter"] = TokenCounter()
         with scoped(**fields):
             result = fixer.fix(code)
         if counter is not None:
-            print(
-                _llm_line(counter.as_dict(), fixer.model.routing.describe()),
-                file=sys.stderr,
-            )
+            ledger = {**fixer.model.routing.manifest(), **counter.as_dict()}
+            print(render_line("llm", ledger), file=sys.stderr)
         if args.transcript:
             print(result.transcript.render())
             print()
@@ -215,48 +203,8 @@ def _cmd_report(args: argparse.Namespace) -> Callable[[], int]:
             print(f"wrote {args.json}")
         else:
             print(report.to_markdown())
-        stats = report.cache
-        print(
-            f"# compile cache: {stats['hits']} hits, {stats['misses']} misses, "
-            f"{stats['evictions']} evictions, "
-            f"{stats['hits']} compiles avoided "
-            f"(hit rate {stats['hit_rate']:.1%})",
-            file=sys.stderr,
-        )
-        sim = report.sim
-        print(
-            f"# sim: {sim['hits']} verdict-cache hits, "
-            f"{sim['misses']} misses, {sim['hits']} testbench "
-            f"runs avoided (hit rate {sim['hit_rate']:.1%}), "
-            f"limits={sim.get('limit_verdicts', 0)} "
-            f"crashed={sim.get('crashed_verdicts', 0)} "
-            f"watchdog={sim.get('watchdog_fires', 0)} "
-            f"sim-deadlines={sim.get('deadline_fires', 0)}",
-            file=sys.stderr,
-        )
-        if report.llm:
-            print(_llm_line(report.llm, report.llm["routing"]), file=sys.stderr)
-        if args.run_dir:
-            print(
-                f"# durable run: {report.resume.get('replayed', 0)} trial(s) "
-                f"replayed from the journal, {report.resume.get('executed', 0)} "
-                f"executed ({args.run_dir})",
-                file=sys.stderr,
-            )
-        if report.breaker_tripped:
-            print(
-                f"# circuit breaker TRIPPED {report.breaker['trips']} time(s): "
-                f"{report.breaker['skipped']} trial(s) skipped fail-fast "
-                f"(final state: {report.breaker['state']})",
-                file=sys.stderr,
-            )
-        if args.on_error == "collect":
-            detail = ", ".join(f"{k}={v}" for k, v in report.failures.items())
-            print(
-                f"# failures: {report.failed_units} work unit(s) isolated "
-                f"({detail})",
-                file=sys.stderr,
-            )
+        for line in report.summary_lines():
+            print(line, file=sys.stderr)
         if report.breaker_tripped:
             return EXIT_BREAKER_TRIPPED
         if report.failed_units:

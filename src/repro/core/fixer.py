@@ -123,9 +123,8 @@ class RTLFixer:
     @property
     def injected_model(self) -> Optional[RepairModel]:
         """The caller-provided model, or ``None`` when this fixer built
-        its own :class:`~repro.llm.simulated.SimulatedLLM` from config.
-        Experiment drivers carry it into every trial, on every
-        backend."""
+        its own model from config; :meth:`with_seed` carries it into
+        every trial, on every backend."""
         return self._injected_model
 
     def fix(self, code: str, description: str = "") -> AgentResult:

@@ -10,9 +10,20 @@ misuse of the library itself.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    Every one pickles with its attributes (process workers send their
+    failures home): unpickling rebuilds it from ``args`` without calling
+    ``__init__``, whose extra required arguments the default exception
+    pickle cannot supply, then restores the instance dict.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SimulationError(ReproError):

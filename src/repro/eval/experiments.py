@@ -936,7 +936,6 @@ def run_table4(
     counts: dict[str, list[int]] = {}
     for _, rows in completed:
         for bug_class, fixed, fixed_by, templates_tried, loc_hit in rows:
-            # Journaled outcomes come back as JSON lists, not tuples.
             tally = counts.setdefault(bug_class, [0, 0, 0])
             tally[0] += 1
             if fixed:

@@ -30,6 +30,7 @@ from ..runtime import (
     RunState,
     TokenCounter,
 )
+from ..runtime.accounting import render_line
 from ..scope import current, scoped
 from ..sim.sandbox import SandboxStats
 from ..sim.verdict import VerdictCache
@@ -84,34 +85,18 @@ class FullReport:
     #: The Table-4 functional-repair workload (fix rate by bug class,
     #: template-vs-LLM attribution, localization accuracy, digest).
     table4: dict = field(default_factory=dict)
-    #: Compile-cache counters for the whole run (hits, misses,
-    #: evictions, compiles avoided) -- the runtime's observability.
-    cache: dict = field(default_factory=dict)
     #: stage -> number of failed work units (nonzero only under
     #: ``on_error="collect"``; an aborting run never gets here).
     failures: dict = field(default_factory=dict)
-    #: Circuit-breaker snapshot (state, trips, skipped trials) when a
-    #: breaker was armed; empty otherwise.  Runtime telemetry -- not
-    #: part of ``to_json`` (it would differ between an interrupted and
-    #: an uninterrupted run).
-    breaker: dict = field(default_factory=dict)
-    #: Replay/execute telemetry for durable runs (how many work units
-    #: were served from the journal vs dispatched).  Runtime telemetry
-    #: -- excluded from ``to_json`` like ``cache``/``breaker``.
-    resume: dict = field(default_factory=dict)
-    #: Simulation telemetry: the active engine, the run's verdict-cache
-    #: counters (hits = whole testbench runs skipped), and the sandbox
-    #: counters (limit/crashed verdicts, watchdog and mid-simulation
-    #: deadline fires, chaos faults).  Runtime telemetry -- excluded
-    #: from ``to_json`` like the rest.
-    sim: dict = field(default_factory=dict)
-    #: LLM pool telemetry (routing description plus the run's
-    #: TokenCounter ledger: per-backend tokens, cost, failovers,
-    #: escalations, failures).  Populated only when the run
-    #: was routed through a pool.  Runtime telemetry -- excluded from
-    #: ``to_json``, so a pooled run over simulated tiers produces a
-    #: report byte-identical to the direct run.
-    llm: dict = field(default_factory=dict)
+    #: The run's telemetry, one dict per section: ``compile_cache`` and
+    #: ``verdict_cache`` (the caches' counters), ``sandbox`` (limit and
+    #: crashed verdicts, watchdog and mid-simulation deadline fires,
+    #: chaos faults), ``llm`` (routing plus the token ledger; pooled
+    #: runs only), ``breaker`` (when one was armed) and ``resume``
+    #: (journal replays vs executions; durable runs only).  Counts add up
+    #: at any job count, but they are not part of ``to_json``: they
+    #: differ between an interrupted and an uninterrupted run.
+    telemetry: dict = field(default_factory=dict)
     rendered: dict = field(default_factory=dict)
 
     @property
@@ -122,16 +107,15 @@ class FullReport:
     @property
     def breaker_tripped(self) -> bool:
         """Whether the circuit breaker tripped at least once this run."""
-        return bool(self.breaker.get("trips", 0))
+        return bool(self.telemetry.get("breaker", {}).get("trips", 0))
 
     def to_json(self) -> str:
         """Deterministic report JSON.
 
-        Only experiment *results* are included.  Runtime telemetry
-        (``cache``, ``sim``, ``breaker``, ``resume``) is
+        Only experiment *results* are included.  :attr:`telemetry` is
         deliberately excluded so a resumed run's report is
-        byte-identical to an uninterrupted one -- telemetry lives on
-        the report object and in the markdown.
+        byte-identical to an uninterrupted one -- it lives on the
+        report object, in the markdown and on stderr.
         """
         payload = {
             "scale": vars(self.scale),
@@ -147,13 +131,23 @@ class FullReport:
         }
         return json.dumps(payload, indent=2)
 
+    def summary_lines(self) -> list[str]:
+        """One ``# <section>: key=value ...`` line per telemetry section,
+        then the failures line."""
+        sections = {
+            **self.telemetry,
+            "failures": {**self.failures, "total": self.failed_units},
+        }
+        return [render_line(name, data) for name, data in sections.items()]
+
     def to_markdown(self) -> str:
         sections = ["# Reproduction report\n"]
         for name in ("table1", "table2", "table3", "figure4", "figure7",
-                     "figure6", "simfix", "table4", "cache", "sim",
-                     "llm", "resume", "breaker", "failures"):
+                     "figure6", "simfix", "table4"):
             if name in self.rendered:
                 sections.append(f"## {name}\n\n```\n{self.rendered[name]}\n```\n")
+        lines = "\n".join(self.summary_lines())
+        sections.append(f"## telemetry\n\n```\n{lines}\n```\n")
         return "\n".join(sections)
 
 
@@ -189,7 +183,7 @@ def run_full_report(
     """Run every experiment and collect a paper-vs-measured report.
 
     The whole run executes under a fresh content-addressed compile cache
-    (its hit/miss/eviction counters land in ``report.cache``); ``jobs``
+    (its counters land in ``report.telemetry``); ``jobs``
     fans every driver's work units across that many workers (0 = all
     CPUs) without changing any result.  ``on_error="collect"`` turns on
     failure isolation: failed work units are recorded per stage in
@@ -207,7 +201,7 @@ def run_full_report(
     ``routing`` sends every model call through a backend pool's
     escalation ladder (:class:`~repro.llm.pool.RoutingSpec`; None = the
     caller-scoped ``llm_routing``, if any).  Token/cost accounting for
-    the whole run lands in ``report.llm``; a pool of simulated tiers
+    the whole run lands in ``report.telemetry["llm"]``; a pool of simulated tiers
     with escalation disabled produces a report byte-identical to the
     direct run.
     """
@@ -216,14 +210,7 @@ def run_full_report(
         # Respect a caller-scoped llm_routing spec (how offline suites
         # inject chaos-wrapped pools).
         routing = current().get("llm_routing")
-    llm_manifest: Optional[dict] = None
-    if routing is not None:
-        # Only the result-relevant routing bits: the ladder and the
-        # escalation policy.
-        llm_manifest = {
-            "pool": ",".join(f"{m.name}={m.tier}" for m in routing.members),
-            "escalate_after": routing.escalate_after,
-        }
+    llm_manifest = routing.manifest() if routing is not None else None
     state: Optional[RunState] = None
     if run_dir is not None:
         state = RunState(run_dir)
@@ -239,46 +226,17 @@ def run_full_report(
             sandbox_stats=sandbox_stats, token_counter=llm_counter,
         ):
             report = _run_experiments(scale, dataset, progress, jobs, on_error, ctx)
-        report.cache = cache.stats.as_dict()
-        report.sim = {
-            **verdict_cache.stats.as_dict(),
-            **sandbox_stats.as_dict(),
+        report.telemetry = {
+            "compile_cache": cache.stats.as_dict(),
+            "verdict_cache": verdict_cache.stats.as_dict(),
+            "sandbox": sandbox_stats.as_dict(),
         }
-        report.resume = ctx.stats()
-        report.rendered["cache"] = "\n".join(
-            f"{key}: {value}" for key, value in report.cache.items()
-        )
-        report.rendered["sim"] = "\n".join(
-            f"{key}: {value}" for key, value in report.sim.items()
-        )
         if routing is not None:
-            ledger = llm_counter.as_dict()
-            report.llm = {"routing": routing.describe(), **ledger}
-            llm_lines = [f"routing: {routing.describe()}"]
-            for backend, usage in ledger["backends"].items():
-                llm_lines.append(
-                    f"{backend}: "
-                    + ", ".join(f"{key}={value}" for key, value in usage.items())
-                )
-            llm_lines.extend(
-                f"{key}: {value}"
-                for key, value in ledger.items()
-                if key != "backends"
-            )
-            report.rendered["llm"] = "\n".join(llm_lines)
-        report.rendered["resume"] = "\n".join(
-            f"{key}: {value}" for key, value in report.resume.items()
-        )
+            report.telemetry["llm"] = {**llm_manifest, **llm_counter.as_dict()}
         if breaker is not None:
-            report.breaker = breaker.snapshot()
-            report.rendered["breaker"] = "\n".join(
-                f"{key}: {value}" for key, value in report.breaker.items()
-            )
-        report.rendered["failures"] = "\n".join(
-            f"{stage}: {count} failed work unit(s)"
-            for stage, count in report.failures.items()
-        ) + f"\ntotal: {report.failed_units}"
+            report.telemetry["breaker"] = breaker.snapshot()
         if state is not None:
+            report.telemetry["resume"] = ctx.stats()
             state.write_report(report.to_json())
         return report
     finally:

@@ -21,16 +21,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Optional
 
-from ..core.config import RTLFixerConfig
 from ..core.fixer import RTLFixer
 from ..core.rulefix import rule_fix
 from ..dataset.curate import SyntaxDataset
 from ..dataset.problem import Problem
-from ..llm.base import RepairModel
-from ..rag.database import GuidanceDatabase
 from ..runtime import (
     ParallelRunner,
     RunContext,
@@ -68,38 +65,24 @@ class FixExperimentResult:
 
 @dataclass(frozen=True)
 class _FixTrial:
-    """One (entry, trial) work unit, reconstructible in a worker.
+    """One (entry, trial) work unit: the configured fixer (picklable, so
+    a process worker gets its own copy), the entry, and the trial."""
 
-    ``model`` carries a caller-injected repair model (chaos wrappers,
-    custom backends) and ``database`` the fixer's RAG database, so every
-    backend builds the fixer :meth:`RTLFixer.with_seed` builds; a
-    ``None`` model means the config-default one.
-    """
-
-    config: RTLFixerConfig
+    fixer: RTLFixer
     code: str
     description: str
     entry: int
     trial: int
-    model: Optional[RepairModel] = None
-    database: Optional[GuidanceDatabase] = None
 
 
 def _run_fix_trial(unit: _FixTrial) -> tuple[bool, int]:
-    """Execute one trial: build the configured fixer with the trial's
-    seed and attempt the repair.  Top-level (and config-addressed) so
-    process-pool workers can unpickle and run it."""
-    seed = unit.config.seed + unit.trial
-    model = unit.model
-    if model is not None:
-        reseed = getattr(model, "with_seed", None)
-        if callable(reseed):
-            model = reseed(seed)
-    fixer = RTLFixer(
-        config=replace(unit.config, seed=seed), model=model,
-        database=unit.database,
+    """Execute one trial: re-seed the fixer with the trial's seed and
+    attempt the repair.  Top-level so process-pool workers can unpickle
+    and run it."""
+    fixer = unit.fixer
+    outcome = fixer.with_seed(fixer.config.seed + unit.trial).fix(
+        unit.code, description=unit.description
     )
-    outcome = fixer.fix(unit.code, description=unit.description)
     return outcome.success, outcome.iterations
 
 
@@ -167,10 +150,10 @@ def run_fix_experiment(
     runs surface liveness at the finest granularity).  ``jobs`` (default:
     serial) fans trials across a :class:`~repro.runtime.ParallelRunner`;
     pass ``runner`` to control the backend.  Every trial derives its
-    randomness from the explicit ``(seed + trial)`` key and runs the
-    fixer :meth:`RTLFixer.with_seed` would build -- same config,
-    re-seeded injected model, same database -- on every backend, so
-    parallel results are bit-identical to serial ones.
+    randomness from the explicit ``(seed + trial)`` key and runs
+    :meth:`RTLFixer.with_seed` of it -- same config, re-seeded injected
+    model, same database -- on every backend, so parallel results are
+    bit-identical to serial ones.
 
     ``on_error`` selects failure handling: ``"raise"`` aborts on the
     first failed trial, ``"collect"`` records failed trials as
@@ -188,9 +171,8 @@ def run_fix_experiment(
     entries = list(dataset)
     units = [
         _FixTrial(
-            config=fixer.config, code=entry.code, description=entry.description,
-            entry=index, trial=trial, model=fixer.injected_model,
-            database=fixer.database,
+            fixer=fixer, code=entry.code, description=entry.description,
+            entry=index, trial=trial,
         )
         for index, entry in enumerate(entries)
         for trial in range(repeats)

@@ -22,7 +22,7 @@ The pool puts N configured backends behind the single
 * **accounting** -- every call books estimated tokens / cost /
   escalations / failovers into the process-active
   :class:`~repro.runtime.accounting.TokenCounter` (surfaced as
-  ``report.llm`` and the ``# llm:`` CLI line), counted over the
+  ``report.telemetry["llm"]`` and the ``# llm:`` CLI line), counted over the
   turn's wire text (:mod:`repro.llm.openai_stub`).
 
 Determinism contract: which member answers and what it replies are pure
@@ -163,12 +163,14 @@ class RoutingSpec:
                 return i
         return 0
 
-    def describe(self) -> str:
-        """One-line summary for logs and the ``# llm:`` CLI line."""
-        ladder = " -> ".join(f"{m.name}={m.tier}" for m in self.members)
-        if self.escalate_after:
-            ladder += f" (escalate_after={self.escalate_after})"
-        return ladder
+    def manifest(self) -> dict:
+        """The result-relevant routing, the ladder and the escalation
+        policy: a pooled report's manifest entry and the head of every
+        ``# llm:`` line."""
+        return {
+            "pool": ",".join(f"{m.name}={m.tier}" for m in self.members),
+            "escalate_after": self.escalate_after,
+        }
 
 
 class PoolMember:

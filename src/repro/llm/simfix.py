@@ -96,7 +96,7 @@ class PooledLogicModel:
     after every ``escalate_after`` failed iterations reported through
     the duck-typed ``observe`` seam.  Every step is booked against the
     active :class:`~repro.runtime.TokenCounter` at the member tier's
-    prices, so ``report.llm`` covers the functional workload exactly
+    prices, so the ``# llm:`` ledger covers the functional workload exactly
     like the syntax one.
 
     With escalation disabled and a ladder whose base rung matches

@@ -1,34 +1,42 @@
-"""Per-backend LLM token and cost accounting.
+"""Run telemetry: the LLM ledger, a work unit's counters, one line format.
 
 The paper reports its results along a cost axis (gpt-3.5 vs gpt-4);
 a production deployment needs the same axis live: how many tokens each
 backend consumed, what they cost, and how often the pool failed over
-or escalated.  This module is the ledger:
+or escalated.  A run also counts compile-cache and verdict-cache
+lookups and sandbox interventions.  This module holds what ties them
+together:
 
-* :class:`BackendUsage` -- one backend's counters;
-* :class:`TokenCounter` -- thread-safe roll-up across backends, with a
-  process-wide *active* instance (the ``token_counter`` field of the
-  runtime scope, :mod:`repro.scope`, like the compile cache's) so every
-  pool built anywhere in a run reports into one ledger that lands in ``report.llm`` and the ``# llm:`` CLI line.
+* :class:`BackendUsage` -- one backend's LLM counters;
+* :class:`TokenCounter` -- the LLM ledger, with a process-wide *active*
+  instance (the ``token_counter`` field of the runtime scope,
+  :mod:`repro.scope`, like the compile cache's) so every pool built
+  anywhere in a run reports into one ledger;
+* :class:`UnitCounters` -- what one work unit counted in a process
+  worker, brought home with its outcome;
+* :func:`render_line` -- the one rendering of a telemetry section,
+  ``# <section>: key=value ...``, used by every such line the CLI and
+  the repair service print and by the markdown report.
 
 Token counts are a deterministic estimate (``ceil(len/4)``, the usual
 chars-per-token rule of thumb) so offline simulated backends produce
 stable, comparable numbers; an API-backed adapter that learns exact
 usage from the provider response can record those instead.
-
-The ledger lives in one process.  A process-pool worker books each
-work unit into a :class:`BookingLog` and sends its bookings back with
-the unit's outcome; the parent replays them into its active ledger in
-submission order (:class:`~repro.runtime.ParallelRunner`), so a run
-books the same ledger at any job count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from ..scope import current
+from ..scope import current, scoped
+from .cache import CacheStats
+
+if TYPE_CHECKING:  # the sim package imports the runtime
+    from ..sim.sandbox import SandboxStats
 
 
 def tier_family(tier: str) -> str:
@@ -76,20 +84,29 @@ class BackendUsage:
         }
 
 
-@dataclass
+#: A ledger folds its bookings into one subtotal per backend once this
+#: many accumulate, so a long-lived ledger (the repair service's) stays
+#: small.
+FOLD_AT = 1024
+
+
 class TokenCounter:
-    """Thread-safe per-backend usage ledger for one run."""
+    """Thread-safe per-backend LLM usage ledger for one run.
 
-    backends: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    Every call is booked as one tuple, ``(backend, *BackendUsage
+    fields)``, appended in call order; reading folds the bookings per
+    backend in that order.  So costs sum in call order, and
+    :meth:`merge` (another ledger's calls, booked after this one's) is
+    a list ``extend``: a run books the same ledger whether its calls
+    ran here or came home from process workers.  Folding replaces the
+    bookings with one subtotal booking per backend, which a later fold
+    continues exactly; only a merged ledger that had itself folded
+    (more than :data:`FOLD_AT` calls) adds its early calls as subtotals.
+    """
 
-    def usage(self, backend: str) -> BackendUsage:
-        with self._lock:
-            if backend not in self.backends:
-                self.backends[backend] = BackendUsage()
-            return self.backends[backend]
+    def __init__(self) -> None:
+        self.bookings: list[tuple] = []
+        self._lock = threading.Lock()
 
     def record_call(
         self,
@@ -102,33 +119,45 @@ class TokenCounter:
         escalated: bool = False,
     ) -> None:
         """Account one completed call against ``backend``."""
-        usage = self.usage(backend)
-        with self._lock:
-            usage.calls += 1
-            usage.prompt_tokens += prompt_tokens
-            usage.completion_tokens += completion_tokens
-            usage.cost_usd += cost_usd
-            usage.failovers += int(failover)
-            usage.escalations += int(escalated)
+        self._book((backend, 1, prompt_tokens, completion_tokens, cost_usd,
+                    int(failover), int(escalated), 0))
 
     def record_failure(self, backend: str) -> None:
-        usage = self.usage(backend)
+        """Account one call ``backend`` failed."""
+        self._book((backend, 0, 0, 0, 0.0, 0, 0, 1))
+
+    def _book(self, booking: tuple) -> None:
         with self._lock:
-            usage.failures += 1
+            self.bookings.append(booking)
+            if len(self.bookings) >= FOLD_AT:
+                self._fold()
 
-    # -- roll-up -----------------------------------------------------------
+    def merge(self, bookings: list[tuple]) -> None:
+        """Book another ledger's :attr:`bookings` after this one's own."""
+        with self._lock:
+            self.bookings.extend(bookings)
+
+    def _fold(self) -> dict[str, BackendUsage]:
+        # Caller holds the lock.
+        totals: dict[str, list] = {}
+        for backend, *counts in self.bookings:
+            total = totals.get(backend)
+            totals[backend] = (
+                counts if total is None
+                else [a + b for a, b in zip(total, counts)]
+            )
+        self.bookings = [(backend, *total) for backend, total in totals.items()]
+        return {backend: BackendUsage(*total) for backend, total in totals.items()}
 
     @property
-    def calls(self) -> int:
-        return sum(u.calls for u in self.backends.values())
+    def backends(self) -> dict[str, BackendUsage]:
+        """backend -> its counters so far."""
+        with self._lock:
+            return self._fold()
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(u.total_tokens for u in self.backends.values())
-
-    @property
-    def cost_usd(self) -> float:
-        return sum(u.cost_usd for u in self.backends.values())
+    def usage(self, backend: str) -> BackendUsage:
+        """``backend``'s counters so far."""
+        return self.backends.get(backend, BackendUsage())
 
     def total(self, counter: str) -> int:
         """Sum one named counter (``escalations``, ``failovers``, ...)."""
@@ -136,51 +165,16 @@ class TokenCounter:
 
     def as_dict(self) -> dict:
         """Report payload: per-backend counters plus run totals."""
+        backends = self.backends
+        run = BackendUsage()
+        for usage in backends.values():
+            _combine(run, usage)
         return {
             "backends": {
-                name: usage.as_dict()
-                for name, usage in sorted(self.backends.items())
+                name: usage.as_dict() for name, usage in sorted(backends.items())
             },
-            "calls": self.calls,
-            "prompt_tokens": sum(u.prompt_tokens for u in self.backends.values()),
-            "completion_tokens": sum(
-                u.completion_tokens for u in self.backends.values()
-            ),
-            "total_tokens": self.total_tokens,
-            "cost_usd": round(self.cost_usd, 6),
-            "escalations": self.total("escalations"),
-            "failovers": self.total("failovers"),
-            "failures": self.total("failures"),
+            **run.as_dict(),
         }
-
-
-@dataclass
-class BookingLog:
-    """A process worker's record of one work unit's LLM bookings, in
-    order, as plain tuples.  It stands in for the active ledger in the
-    worker; the parent books it into its own with :meth:`replay`."""
-
-    bookings: list = field(default_factory=list)
-
-    def record_call(self, backend: str, prompt_tokens: int,
-                    completion_tokens: int, cost_usd: float, *,
-                    failover: bool = False, escalated: bool = False) -> None:
-        self.bookings.append((backend, prompt_tokens, completion_tokens,
-                              cost_usd, failover, escalated))
-
-    def record_failure(self, backend: str) -> None:
-        self.bookings.append((backend,))
-
-    def replay(self, counter: TokenCounter) -> None:
-        """Book every call into ``counter`` as the original calls would
-        have: same calls, same order."""
-        for booking in self.bookings:
-            if len(booking) == 1:
-                counter.record_failure(booking[0])
-            else:
-                backend, prompt, completion, cost, failover, escalated = booking
-                counter.record_call(backend, prompt, completion, cost,
-                                    failover=failover, escalated=escalated)
 
 
 #: The always-on process default (mirrors the compile cache's
@@ -191,3 +185,97 @@ DEFAULT_TOKEN_COUNTER = TokenCounter()
 def get_active_token_counter() -> TokenCounter:
     """The ledger LLM pools currently report into."""
     return current().get("token_counter", DEFAULT_TOKEN_COUNTER)
+
+
+def _active_caches() -> tuple:
+    """The active compile and verdict caches (either may be ``None``)."""
+    from ..sim.verdict import get_active_verdict_cache
+    from .cache import get_active_cache
+
+    return get_active_cache(), get_active_verdict_cache()
+
+
+def _combine(into, counts, sign: int = 1) -> None:
+    """Add (``sign=-1``: subtract) every counter of ``counts`` to
+    ``into``, a dataclass of the same type."""
+    for f in dataclasses.fields(counts):
+        setattr(into, f.name,
+                getattr(into, f.name) + sign * getattr(counts, f.name))
+
+
+def _since(cache, start: Optional[CacheStats]) -> Optional[CacheStats]:
+    """``cache``'s counters since they read ``start`` (``None`` for no
+    cache)."""
+    if cache is None:
+        return None
+    delta = dataclasses.replace(cache.stats)
+    _combine(delta, start, sign=-1)
+    return delta
+
+
+@dataclass
+class UnitCounters:
+    """What one work unit counted in a process worker.
+
+    A process worker counts into its own forked copies of the run's
+    caches and ledgers.  :class:`~repro.runtime.ParallelRunner` runs each
+    process unit under :meth:`counting` and sends this back with the
+    unit's outcome; the parent :meth:`book` s it into its own, unit by
+    unit in submission order, so a run counts the same at any job count.
+    Serial and thread units count into the run's ledgers directly.
+    """
+
+    #: The unit's compile-cache and verdict-cache lookups (``None`` when
+    #: that cache was disabled).  The hit/miss split is the worker's:
+    #: each worker holds its own copy of the caches.
+    compile_cache: Optional[CacheStats] = None
+    verdict_cache: Optional[CacheStats] = None
+    sandbox: Optional["SandboxStats"] = None
+    #: The unit's LLM calls: its ledger's :attr:`TokenCounter.bookings`.
+    llm: list = field(default_factory=list)
+
+    @contextmanager
+    def counting(self) -> Iterator[None]:
+        """Count what the block does into this record."""
+        from ..sim.sandbox import SandboxStats
+
+        caches = _active_caches()
+        starts = [_since(cache, CacheStats()) for cache in caches]  # copies
+        self.sandbox = SandboxStats()
+        ledger = TokenCounter()
+        try:
+            with scoped(sandbox_stats=self.sandbox, token_counter=ledger):
+                yield
+        finally:
+            self.compile_cache, self.verdict_cache = map(_since, caches, starts)
+            self.llm = ledger.bookings
+
+    def book(self) -> None:
+        """Add these counts to this process's active caches and ledgers."""
+        from ..sim.sandbox import get_active_sandbox_stats
+
+        for cache, counts in zip(
+            _active_caches(), (self.compile_cache, self.verdict_cache)
+        ):
+            if cache is not None and counts is not None:
+                _combine(cache.stats, counts)
+        sandbox = get_active_sandbox_stats()
+        if sandbox is not None and self.sandbox is not None:
+            _combine(sandbox, self.sandbox)
+        get_active_token_counter().merge(self.llm)
+
+
+def render_line(section: str, data: dict) -> str:
+    """One telemetry section as ``# <section>: key=value ...``.
+
+    Nested dicts flatten to dotted keys (``backends.cheap.calls=3``).
+    """
+    return " ".join([f"# {section}:", *_pairs(data, "")])
+
+
+def _pairs(data: dict, prefix: str) -> Iterator[str]:
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _pairs(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}={value}"

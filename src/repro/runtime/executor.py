@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional, TypeVar, Union
 
 from ..errors import RunInterrupted
-from ..scope import scoped
-from .accounting import BookingLog, get_active_token_counter
+from .accounting import UnitCounters
 
 if TYPE_CHECKING:  # typing only
     from .breaker import CircuitBreaker
@@ -162,19 +161,17 @@ def isolable(exc: BaseException) -> bool:
     )
 
 
-def _run_booked(fn: Callable[[T], R], item: T) -> tuple[R, BookingLog]:
-    """Run one work unit in a process worker under a fresh
-    :class:`~repro.runtime.accounting.BookingLog`: returns the result
-    with the unit's LLM bookings.  A raising unit's bookings ride on its
-    exception as ``token_bookings``."""
-    log = BookingLog()
-    with scoped(token_counter=log):
-        try:
-            result = fn(item)
-        except BaseException as exc:
-            exc.token_bookings = log
-            raise
-    return result, log
+def _run_counted(fn: Callable[[T], R], item: T) -> tuple[R, UnitCounters]:
+    """Run one work unit in a process worker: returns the result with
+    the unit's :class:`~repro.runtime.accounting.UnitCounters`.  A
+    raising unit's counters ride on its exception as ``unit_counters``."""
+    counters = UnitCounters()
+    try:
+        with counters.counting():
+            return fn(item), counters
+    except BaseException as exc:
+        exc.unit_counters = counters
+        raise
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -319,17 +316,16 @@ class ParallelRunner:
     ) -> list[Union[R, WorkFailure]]:
         """Pool-backed map: bounded dispatch window, drain-on-stop.
 
-        Thread workers book LLM calls into the active ledger themselves.
-        Process workers book into their own copies, so each unit's
-        bookings come back with its outcome and are replayed into the
-        active ledger in submission order: the ledger a serial run
-        books.
+        Thread workers count into the run's caches and ledgers
+        themselves.  Process workers count into their own copies, so
+        each unit's counters come back with its outcome and are booked
+        into the run's in submission order: what a serial run counts.
         """
         total = len(items)
-        booked = self.backend == "process"
-        executor_cls = ProcessPoolExecutor if booked else ThreadPoolExecutor
-        #: Process-run units' LLM bookings, by submission index.
-        bookings: dict[int, BookingLog] = {}
+        counted = self.backend == "process"
+        executor_cls = ProcessPoolExecutor if counted else ThreadPoolExecutor
+        #: Process-run units' counters, by submission index.
+        unit_counters: dict[int, UnitCounters] = {}
         slots: list[Union[R, WorkFailure, None]] = [None] * total
         workers = min(self.jobs, total)
         window = workers * 2
@@ -366,8 +362,8 @@ class ParallelRunner:
                     if breaker is not None and breaker.probing:
                         # allow() just converted this unit into the probe.
                         probe_indices.add(index)
-                    if booked:
-                        future = pool.submit(_run_booked, fn, items[index])
+                    if counted:
+                        future = pool.submit(_run_counted, fn, items[index])
                     else:
                         future = pool.submit(fn, items[index])
                     pending[future] = index
@@ -385,10 +381,8 @@ class ParallelRunner:
                         try:
                             result: Union[R, WorkFailure] = future.result()
                         except BaseException as exc:
-                            if booked:
-                                bookings[index] = getattr(
-                                    exc, "token_bookings", BookingLog()
-                                )
+                            if counted and hasattr(exc, "unit_counters"):
+                                unit_counters[index] = exc.unit_counters
                             if breaker is not None:
                                 breaker.record_failure(exc, probe=is_probe)
                             if on_error == "raise" or not isolable(exc):
@@ -397,8 +391,8 @@ class ParallelRunner:
                                 index, items[index], exc
                             )
                         else:
-                            if booked:
-                                result, bookings[index] = result
+                            if counted:
+                                result, unit_counters[index] = result
                             if breaker is not None:
                                 breaker.record_success(probe=is_probe)
                         slots[index] = result
@@ -422,11 +416,10 @@ class ParallelRunner:
                 raise
             finally:
                 # Whatever ended the loop (an error, a stop), every unit
-                # that ran has its bookings here: book them as a serial
+                # that ran has its counters here: book them as a serial
                 # run would have.
-                counter = get_active_token_counter()
-                for index in sorted(bookings):
-                    bookings[index].replay(counter)
+                for index in sorted(unit_counters):
+                    unit_counters[index].book()
         if stopping:
             raise RunInterrupted(
                 f"shutdown requested after {done}/{total} unit(s)",

@@ -53,6 +53,7 @@ from ..errors import (
     TransientError,
 )
 from ..llm.pool import routing_from_config
+from ..runtime.accounting import render_line
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.checkpoint import RunState, config_digest, content_digest, unit_key
 from ..runtime.shutdown import GracefulShutdown
@@ -220,21 +221,8 @@ class RepairServer:
             await asyncio.gather(*self._handlers, return_exceptions=True)
         if self.run_state is not None:
             self.run_state.close()
-        print(f"# service: {self.summary_line()}", file=sys.stderr, flush=True)
-
-    def summary_line(self) -> str:
-        """The one-line drain summary of the service ledger."""
-        snapshot = self.stats.as_dict()
-        shed = ",".join(
-            f"{reason}={count}" for reason, count in snapshot["shed"].items()
-        ) or "none"
-        return (
-            f"admitted={snapshot['admitted']} completed={snapshot['completed']} "
-            f"shed={snapshot['total_shed']}[{shed}] "
-            f"deadline_expired={snapshot['deadline_expired']} "
-            f"backend_errors={snapshot['backend_errors']} "
-            f"crashed={snapshot['crashed']} replayed={snapshot['replayed']}"
-        )
+        print(render_line("service", self.stats.as_dict()), file=sys.stderr,
+              flush=True)
 
     # -- job execution -----------------------------------------------------
 

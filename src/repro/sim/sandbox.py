@@ -95,7 +95,7 @@ class SimVerdict:
 
 @dataclass
 class SandboxStats:
-    """Counters for sandbox interventions (``report.sim`` telemetry).
+    """Counters for sandbox interventions (the ``sandbox`` telemetry).
 
     Volatile execution telemetry: surfaced on stderr and in the markdown
     report but excluded from ``to_json`` so resume digests stay

@@ -7,6 +7,7 @@ Everything here is marked ``chaos`` so ``scripts/bench.sh`` (and
 """
 
 import hashlib
+import pickle
 import time
 from collections import Counter
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.agents.react import ReActAgent
 from repro.core import RTLFixer, RTLFixerConfig
+from repro import errors
 from repro.dataset import build_syntax_dataset, verilogeval
 from repro.diagnostics import Compiler
 from repro.errors import (
@@ -336,11 +338,71 @@ class TestCollectMode:
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1).map(_square, [1], on_error="ignore")
 
+    def test_process_collect_survives_retry_exhaustion(self):
+        """A RetryExhaustedError raised in a process worker must come
+        home as that unit's failure record, not break the pool."""
+        runner = ParallelRunner(jobs=2, backend="process")
+        results = runner.map(_exhaust_on_multiples_of_four, list(range(40)),
+                             on_error="collect")
+        failures = [r for r in results if isinstance(r, WorkFailure)]
+        assert [f.index for f in failures] == list(range(0, 40, 4))
+        assert {f.error_type for f in failures} == {"RetryExhaustedError"}
+        assert [r for r in results if not isinstance(r, WorkFailure)] == [
+            i * i for i in range(40) if i % 4
+        ]
+
     def test_raise_mode_unchanged(self):
         with pytest.raises(RuntimeError):
             ParallelRunner(jobs=2, backend="thread").map(
                 _fail_on_multiples_of_three, [3, 1, 2]
             )
+
+
+def _sample_errors() -> list:
+    """One instance of every exception in :mod:`repro.errors`."""
+    return [
+        errors.ReproError("base"),
+        errors.SimulationError("no settle", phase="cycle"),
+        errors.SimLimitExceeded("simulated cycles", 6, phase="cycle"),
+        errors.DatasetError("bad id"),
+        errors.RetrievalError("no index"),
+        errors.LLMError("no backend"),
+        errors.TransientError("hiccup"),
+        errors.LLMTimeoutError("slow"),
+        errors.InjectedFault("chaos"),
+        errors.DeadlineExceededError("late", stage="queued"),
+        errors.CheckpointError("clobber"),
+        errors.CircuitOpenError("open"),
+        errors.RunInterrupted("stop", done=3, total=9, signum=15),
+        errors.RetryExhaustedError("gave up", attempts=3,
+                                   last_error=errors.InjectedFault("down")),
+    ]
+
+
+class TestErrorsPickle:
+    def test_samples_cover_every_error_type(self):
+        defined = {
+            value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.ReproError)
+        }
+        assert {type(exc) for exc in _sample_errors()} == defined
+
+    @pytest.mark.parametrize(
+        "exc", _sample_errors(), ids=lambda exc: type(exc).__name__
+    )
+    def test_round_trips_with_attributes(self, exc):
+        """Process workers send failures home pickled."""
+        exc.unit_counters = "rides along"
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is type(exc)
+        assert clone.args == exc.args and str(clone) == str(exc)
+        state, cloned = vars(exc), vars(clone)
+        assert cloned.keys() == state.keys()
+        for name, value in state.items():
+            if isinstance(value, BaseException):
+                assert repr(cloned[name]) == repr(value), name
+            else:
+                assert cloned[name] == value, name
 
 
 class TestPromptAbort:
@@ -693,6 +755,14 @@ def _fail_on_multiples_of_three(x: int) -> int:
     """Worker that crashes on multiples of three."""
     if x % 3 == 0:
         raise RuntimeError("unit 3 poisoned" if x == 3 else f"unit {x} poisoned")
+    return x * x
+
+
+def _exhaust_on_multiples_of_four(x: int) -> int:
+    """Worker whose retries run out on multiples of four."""
+    if x % 4 == 0:
+        raise RetryExhaustedError(f"unit {x} exhausted", attempts=3,
+                                  last_error=InjectedFault("down"))
     return x * x
 
 

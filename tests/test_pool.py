@@ -11,6 +11,8 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -40,7 +42,7 @@ from repro.runtime import (
     TokenCounter,
     estimate_tokens,
 )
-from repro.runtime.accounting import get_active_token_counter
+from repro.runtime.accounting import FOLD_AT, get_active_token_counter
 from repro.runtime.checkpoint import config_digest
 from repro.scope import scoped
 
@@ -77,6 +79,42 @@ class TestTokenCounter:
         assert ledger["backends"]["strong"]["escalations"] == 1
         assert ledger["failures"] == 1
 
+    def test_concurrent_bookings_all_land(self):
+        """Threads booking into one ledger while it folds (every
+        FOLD_AT bookings) lose no call."""
+        counter = TokenCounter()
+        per_thread = FOLD_AT // 2
+
+        def book():
+            for _ in range(per_thread):
+                counter.record_call("cheap", 3, 1, 0.5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=book) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ledger = counter.as_dict()
+        assert ledger["calls"] == 8 * per_thread
+        assert ledger["prompt_tokens"] == 3 * 8 * per_thread
+        assert ledger["cost_usd"] == 0.5 * 8 * per_thread
+
+    def test_merge_books_after_own_calls(self):
+        """A merged ledger's calls land as if made after this one's."""
+        costs = [3.1, 3.1, 0.0021, 0.7, 0.2]  # order-sensitive float sum
+        serial, home, unit = TokenCounter(), TokenCounter(), TokenCounter()
+        for i, cost in enumerate(costs):
+            serial.record_call("cheap", 1, 1, cost)
+            (home if i < 2 else unit).record_call("cheap", 1, 1, cost)
+        home.merge(unit.bookings)
+        assert home.usage("cheap") == serial.usage("cheap")
+
     def test_use_token_counter_scopes_the_active_ledger(self):
         outer = get_active_token_counter()
         ledger = TokenCounter()
@@ -107,10 +145,10 @@ class TestRoutingSpec:
         assert cheap.prices == (0.0005, 0.0015)
         assert strong.prices == (0.03, 0.06)
 
-    def test_describe_mentions_ladder_and_policy(self):
-        text = RoutingSpec.parse(POOL, escalate_after=2).describe()
-        assert "cheap=gpt-3.5-sim -> strong=gpt-4-sim" in text
-        assert "escalate_after=2" in text
+    def test_manifest_names_ladder_and_policy(self):
+        assert RoutingSpec.parse(POOL, escalate_after=2).manifest() == {
+            "pool": "cheap=gpt-3.5-sim,strong=gpt-4-sim", "escalate_after": 2,
+        }
 
     def test_validation(self):
         with pytest.raises(LLMError):

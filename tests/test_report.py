@@ -6,6 +6,9 @@ import pytest
 
 from repro.eval import ReportScale, run_full_report
 from repro.eval.report import FullReport
+from repro.llm.pool import RoutingSpec
+from repro.scope import scoped
+from repro.sim.limits import SimLimits
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +68,45 @@ class TestFullReport:
 
     def test_is_fullreport(self, report):
         assert isinstance(report, FullReport)
+
+
+def _run_telemetry(jobs):
+    """A tiny pooled report under a 6-cycle simulation budget."""
+    scale = ReportScale(
+        dataset_size=4, dataset_samples_per_problem=2, repeats=1,
+        n_samples=1, sim_samples=4, include_gpt4=False,
+        simfix_samples_per_problem=1, table4_samples_per_problem=1,
+    )
+    routing = RoutingSpec.parse(
+        "cheap=gpt-3.5-sim,strong=gpt-4-sim", escalate_after=2
+    )
+    with scoped(sim_limits=SimLimits(max_cycles=6)):
+        return run_full_report(scale=scale, jobs=jobs, routing=routing).telemetry
+
+
+def _lookups(stats):
+    return (stats["hits"] + stats["misses"] + stats["coalesced_waits"]
+            + stats["uncacheable"])
+
+
+class TestTelemetry:
+    def test_process_worker_counts_come_home(self):
+        """A process worker counts into its own copies of the run's
+        caches and ledgers; the run's telemetry must still be what a
+        serial run counts (the hit/miss split may differ: each worker
+        holds its own caches)."""
+        serial, parallel = _run_telemetry(1), _run_telemetry(2)
+        for cache in ("compile_cache", "verdict_cache"):
+            assert _lookups(parallel[cache]) == _lookups(serial[cache]), cache
+        assert serial["sandbox"]["limit_verdicts"] > 0
+        assert parallel["sandbox"] == serial["sandbox"]
+        assert serial["llm"]["calls"] > 0
+        assert parallel["llm"] == serial["llm"]
+
+    def test_one_line_per_section(self, report):
+        lines = report.summary_lines()
+        assert [line.split(":")[0] for line in lines] == [
+            "# compile_cache", "# verdict_cache", "# sandbox", "# failures",
+        ]
+        assert f"misses={report.telemetry['compile_cache']['misses']}" in lines[0]
+        assert "\n".join(lines) in report.to_markdown()

@@ -106,7 +106,7 @@ class TestKillResumeIdentical:
         )
         assert result.returncode == 0, result.stderr
         # the resumed run replayed the killed run's trials...
-        assert f"{partial} trial(s) replayed" in result.stderr
+        assert f"# resume: replayed={partial} " in result.stderr
         # ...and its report is byte-identical to the uninterrupted one
         assert _digest(killed_json) == _digest(baseline_json)
         assert _digest(os.path.join(killed_dir, "report.json")) == _digest(
