@@ -30,7 +30,6 @@ from repro.eval.runner import run_fix_experiment
 from repro.runtime import (
     CompileCache,
     Journal,
-    ParallelRunner,
     RunContext,
     RunState,
     compile_key,
@@ -109,10 +108,7 @@ def test_fix_experiment_serial_vs_parallel(benchmark, profile):
             lambda: benchmark.pedantic(
                 run_fix_experiment,
                 args=(dataset, fixer),
-                kwargs={
-                    "repeats": repeats,
-                    "runner": ParallelRunner(jobs=jobs, backend="process"),
-                },
+                kwargs={"repeats": repeats, "jobs": jobs},
                 rounds=1, iterations=1,
             )
         )

@@ -4,6 +4,10 @@ resume it, and verify the resumed report JSON is byte-identical to an
 uninterrupted baseline (the durable-run acceptance check, as a
 standalone script so ``scripts/ci.sh`` can gate on it).
 
+The killed run uses ``--jobs 2``, so it has pool workers when it dies:
+every one of them must exit on its own within
+:data:`WORKER_GRACE_S` seconds (they are found through Linux ``/proc``).
+
 Usage:  PYTHONPATH=src python scripts/resume_smoke.py [workdir]
 
 Exits 0 on success (digests match), 1 with a diagnostic otherwise.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +35,9 @@ TINY_SCALE = [
 #: Journaled trials to wait for before killing the durable run.
 KILL_AFTER_RECORDS = 10
 
+#: Seconds the killed run's pool workers get to notice and exit.
+WORKER_GRACE_S = 5.0
+
 
 def _cmd(run_dir: str, json_out: str, *extra: str) -> list[str]:
     """argv for one tiny durable report subprocess."""
@@ -43,6 +51,38 @@ def _digest(path: str) -> str:
     """SHA-256 of a file's bytes."""
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _stat_fields(pid: int) -> list[str]:
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ...
+    (empty once the process is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _children(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid``."""
+    return [
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and _stat_fields(int(entry))[1:2] == [str(pid)]
+    ]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie has exited)."""
+    fields = _stat_fields(pid)
+    return bool(fields) and fields[0] != "Z"
+
+
+def _survivors(workers: list[int]) -> list[int]:
+    """The ``workers`` still alive after :data:`WORKER_GRACE_S`."""
+    deadline = time.monotonic() + WORKER_GRACE_S
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return [pid for pid in workers if _alive(pid)]
 
 
 def _wait_for_journal(journal_path: str, proc: subprocess.Popen) -> None:
@@ -78,16 +118,30 @@ def main() -> int:
             _cmd(baseline_dir, baseline_json), check=True, timeout=600
         )
 
-        print("resume smoke: durable run, SIGKILL mid-flight...")
+        print("resume smoke: durable run at --jobs 2, SIGKILL mid-flight...")
         proc = subprocess.Popen(
-            _cmd(killed_dir, killed_json),
+            _cmd(killed_dir, killed_json, "--jobs", "2"),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
             _wait_for_journal(os.path.join(killed_dir, "journal.jsonl"), proc)
+            workers = _children(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=60)
+        if not workers:
+            print("resume smoke: FAILED -- the --jobs 2 run had no pool "
+                  "workers to check", file=sys.stderr)
+            return 1
+        survivors = _survivors(workers)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        if survivors:
+            print(f"resume smoke: FAILED -- pool workers {survivors} outlived "
+                  f"the killed run by {WORKER_GRACE_S:.0f} s", file=sys.stderr)
+            return 1
+        print(f"resume smoke: all {len(workers)} pool worker(s) exited "
+              "after the kill")
 
         print("resume smoke: resuming the killed run...")
         subprocess.run(

@@ -23,8 +23,8 @@ class RTLFixerConfig:
     How a run of many trials executes -- worker count, failure
     handling, durability, circuit breaking -- is not part of the
     config: callers pass it to the experiment drivers (``jobs=``,
-    ``on_error=``) and to :class:`~repro.runtime.RunContext`.  So every
-    field is part of the trial-key
+    ``on_error=``) and to the :class:`~repro.runtime.RunContext` that
+    owns the run's worker pool.  So every field is part of the trial-key
     :func:`~repro.runtime.checkpoint.config_digest`.
     """
 

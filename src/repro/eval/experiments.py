@@ -5,12 +5,13 @@ method that prints the same rows the paper reports.  The benchmarks in
 ``benchmarks/`` call these with full-size parameters; tests use scaled-
 down ones.
 
-Every driver accepts ``jobs=`` (and optionally ``runner=``): per-problem
-/ per-trial work units fan out across a
-:class:`repro.runtime.ParallelRunner`, with results reassembled in
+Every driver accepts ``jobs=``: per-problem / per-trial work units fan
+out across that many worker processes, with results reassembled in
 submission order so parallel runs are bit-identical to serial ones at
-the same seed.  Compilation inside the evaluation flow goes through the
-content-addressed compile cache (:mod:`repro.runtime.cache`).
+the same seed.  A driver given ``ctx=`` runs on that run context's one
+worker pool; without it, the driver opens a pool of its own and closes
+it before it returns.  Compilation inside the evaluation flow goes
+through the content-addressed compile cache (:mod:`repro.runtime.cache`).
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from ..dataset.generate import GenerationModel
 from ..dataset.problem import Problem, ProblemSet
 from ..diagnostics import compile_source
 from ..runtime import (
-    ParallelRunner,
     RunContext,
     WorkFailure,
-    cached_compile,
     config_digest,
 )
 from .metrics import pass_at_k_single
 from .runner import (
     FixExperimentResult,
+    driver_context,
     evaluate_code,
     evaluate_sample,
     run_fix_experiment,
@@ -146,19 +146,20 @@ def run_table1(
             for rag in (False, True):
                 grid.append((f"{prompting}-gpt4", prompting, "quartus", rag))
 
-    for label, prompting, compiler, rag in grid:
-        tier = "gpt-4-sim" if label.endswith("gpt4") else "gpt-3.5-sim"
-        fixer = RTLFixer(
-            prompting=prompting, compiler=compiler, use_rag=rag,
-            tier=tier, max_iterations=max_iterations,
-        )
-        run = run_fix_experiment(
-            dataset, fixer, repeats=repeats, progress=progress, jobs=jobs,
-            on_error=on_error, ctx=ctx,
-            stage=f"table1/{label}/{compiler}/{'rag' if rag else 'norag'}",
-        )
-        result.rates[(label, compiler, rag)] = run.rate
-        result.details[(label, compiler, rag)] = run
+    with driver_context(ctx) as ctx:
+        for label, prompting, compiler, rag in grid:
+            tier = "gpt-4-sim" if label.endswith("gpt4") else "gpt-3.5-sim"
+            fixer = RTLFixer(
+                prompting=prompting, compiler=compiler, use_rag=rag,
+                tier=tier, max_iterations=max_iterations,
+            )
+            run = run_fix_experiment(
+                dataset, fixer, repeats=repeats, progress=progress, jobs=jobs,
+                on_error=on_error, ctx=ctx,
+                stage=f"table1/{label}/{compiler}/{'rag' if rag else 'norag'}",
+            )
+            result.rates[(label, compiler, rag)] = run.rate
+            result.details[(label, compiler, rag)] = run
     return result
 
 
@@ -322,27 +323,20 @@ def run_table2(
     seed: int = 0,
     progress=None,
     jobs: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Table2Result:
     """Pass@k before/after fixing syntax errors (§4.2, Table 2 + Fig. 4).
 
-    Problems are independent work units: ``jobs`` fans them across a
-    :class:`~repro.runtime.ParallelRunner` with results identical to the
-    serial path.  ``progress`` receives ``(benchmark, done, total)`` per
-    completed problem.  ``on_error`` selects abort-vs-isolate handling
-    of failed problems.
-    ``ctx`` journals each (benchmark, problem) outcome for resume.
+    Problems are independent work units: ``jobs`` fans them across
+    worker processes with results identical to the serial path.
+    ``progress`` receives ``(benchmark, done, total)`` per completed
+    problem.  ``on_error`` selects abort-vs-isolate handling of failed
+    problems.  ``ctx`` journals each (benchmark, problem) outcome for
+    resume.
     """
     config = fixer_config or RTLFixerConfig()
     problem_list = list(problems)
-    # Warm the compile cache with every golden reference up front: the
-    # serial path then never recompiles them, and process-pool workers
-    # inherit the warm cache through fork.
-    for problem in problem_list:
-        cached_compile(problem.reference)
-
     units = [
         _Table2Unit(
             problem=problem, benchmark=benchmark, n_samples=n_samples,
@@ -367,7 +361,7 @@ def run_table2(
             n_samples=unit.n_samples, sim_samples=unit.sim_samples,
             config=cfg_digest, seed=unit.seed,
         ),
-        ctx=ctx, runner=runner, jobs=jobs,
+        ctx=ctx, jobs=jobs,
         unit_progress=tick, on_error=on_error,
     )
 
@@ -452,7 +446,6 @@ def run_table3(
     seed: int = 0,
     progress=None,
     jobs: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Table3Result:
@@ -461,8 +454,6 @@ def run_table3(
     ``on_error="collect"`` isolates failed problems instead of aborting;
     ``ctx`` journals per-problem counts for resume."""
     problem_list = list(problems)
-    for problem in problem_list:
-        cached_compile(problem.reference)
     units = [
         _Table3Unit(
             problem=problem, n_samples=n_samples, sim_samples=sim_samples, seed=seed
@@ -476,7 +467,7 @@ def run_table3(
             problem=unit.problem.id, n_samples=unit.n_samples,
             sim_samples=unit.sim_samples, config=cfg_digest, seed=unit.seed,
         ),
-        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
+        ctx=ctx, jobs=jobs, progress=progress, on_error=on_error,
     )
     result = Table3Result(failures=failures)
     counts = [outcome for _, outcome in completed]
@@ -648,8 +639,8 @@ class SimFixExtensionResult:
 
 
 @dataclass(frozen=True)
-class _SimFixUnit:
-    """One per-problem §5-extension work unit."""
+class _RepairUnit:
+    """One per-problem work unit of the §5 extension or of Table 4."""
 
     problem: Problem
     samples_per_problem: int
@@ -657,8 +648,12 @@ class _SimFixUnit:
     max_iterations: int
     seed: int
 
+    def key_parts(self) -> dict:
+        """The fields of the unit's journal key."""
+        return {**vars(self), "problem": self.problem.id}
 
-def _simfix_problem_counts(unit: _SimFixUnit) -> tuple[str, int, int]:
+
+def _simfix_problem_counts(unit: _RepairUnit) -> tuple[str, int, int]:
     """Mutate and debug one problem; returns ``(difficulty, attempted,
     fixed)``."""
     from ..agents.simfix import SimDebugAgent
@@ -695,7 +690,6 @@ def run_simfix_extension(
     seed: int = 0,
     progress=None,
     jobs: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> SimFixExtensionResult:
@@ -705,21 +699,12 @@ def run_simfix_extension(
     failed problems instead of aborting; ``ctx`` journals per-problem
     counts for resume."""
     units = [
-        _SimFixUnit(
-            problem=problem, samples_per_problem=samples_per_problem,
-            sim_samples=sim_samples, max_iterations=max_iterations, seed=seed,
-        )
+        _RepairUnit(problem, samples_per_problem, sim_samples, max_iterations, seed)
         for problem in problems
     ]
     completed, failures = run_stage(
-        "simfix", _simfix_problem_counts, units,
-        lambda unit: dict(
-            problem=unit.problem.id,
-            samples_per_problem=unit.samples_per_problem,
-            sim_samples=unit.sim_samples, max_iterations=unit.max_iterations,
-            seed=unit.seed,
-        ),
-        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
+        "simfix", _simfix_problem_counts, units, _RepairUnit.key_parts,
+        ctx=ctx, jobs=jobs, progress=progress, on_error=on_error,
     )
     result = SimFixExtensionResult(failures=failures)
     counts: dict[str, list[int]] = {"easy": [0, 0], "hard": [0, 0]}
@@ -825,19 +810,8 @@ class Table4Result:
         return table + "\n" + extra
 
 
-@dataclass(frozen=True)
-class _Table4Unit:
-    """One per-problem Table-4 work unit."""
-
-    problem: Problem
-    samples_per_problem: int
-    sim_samples: int
-    max_iterations: int
-    seed: int
-
-
 def _table4_problem_rows(
-    unit: _Table4Unit,
+    unit: _RepairUnit,
 ) -> list[tuple[str, bool, str, int, Optional[bool]]]:
     """Mutate and engine-repair one problem; one row per attempted
     trial: ``(bug_class, fixed, fixed_by, templates_tried, loc_hit)``
@@ -904,7 +878,6 @@ def run_table4(
     seed: int = 0,
     progress=None,
     jobs: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Table4Result:
@@ -916,21 +889,12 @@ def run_table4(
     attribution, and localization accuracy.  Deterministic: the same
     seed yields the same :meth:`Table4Result.digest`."""
     units = [
-        _Table4Unit(
-            problem=problem, samples_per_problem=samples_per_problem,
-            sim_samples=sim_samples, max_iterations=max_iterations, seed=seed,
-        )
+        _RepairUnit(problem, samples_per_problem, sim_samples, max_iterations, seed)
         for problem in problems
     ]
     completed, failures = run_stage(
-        "table4", _table4_problem_rows, units,
-        lambda unit: dict(
-            problem=unit.problem.id,
-            samples_per_problem=unit.samples_per_problem,
-            sim_samples=unit.sim_samples, max_iterations=unit.max_iterations,
-            seed=unit.seed,
-        ),
-        ctx=ctx, runner=runner, jobs=jobs, progress=progress, on_error=on_error,
+        "table4", _table4_problem_rows, units, _RepairUnit.key_parts,
+        ctx=ctx, jobs=jobs, progress=progress, on_error=on_error,
     )
     result = Table4Result(failures=failures)
     counts: dict[str, list[int]] = {}

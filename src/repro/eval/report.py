@@ -184,8 +184,9 @@ def run_full_report(
 
     The whole run executes under a fresh content-addressed compile cache
     (its counters land in ``report.telemetry``); ``jobs``
-    fans every driver's work units across that many workers (0 = all
-    CPUs) without changing any result.  ``on_error="collect"`` turns on
+    fans every driver's work units across one pool of that many worker
+    processes (0 = all CPUs) without changing any result; the pool is
+    shut down before this returns.  ``on_error="collect"`` turns on
     failure isolation: failed work units are recorded per stage in
     ``report.failures`` instead of aborting the whole report.
 
@@ -240,6 +241,7 @@ def run_full_report(
             state.write_report(report.to_json())
         return report
     finally:
+        ctx.close()
         if state is not None:
             state.close()
 

@@ -21,15 +21,15 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal, Optional
+from typing import Any, Callable, ContextManager, Literal, Optional
 
 from ..core.fixer import RTLFixer
 from ..core.rulefix import rule_fix
 from ..dataset.curate import SyntaxDataset
 from ..dataset.problem import Problem
 from ..runtime import (
-    ParallelRunner,
     RunContext,
     WorkFailure,
     cached_compile,
@@ -66,7 +66,8 @@ class FixExperimentResult:
 @dataclass(frozen=True)
 class _FixTrial:
     """One (entry, trial) work unit: the configured fixer (picklable, so
-    a process worker gets its own copy), the entry, and the trial."""
+    a process worker gets its own copy, once per chunk), the entry, and
+    the trial."""
 
     fixer: RTLFixer
     code: str
@@ -86,13 +87,19 @@ def _run_fix_trial(unit: _FixTrial) -> tuple[bool, int]:
     return outcome.success, outcome.iterations
 
 
+def driver_context(ctx: Optional[RunContext]) -> ContextManager[RunContext]:
+    """``ctx`` itself, or -- for a driver called without one -- a fresh
+    :class:`~repro.runtime.RunContext` whose worker pool closes when the
+    ``with`` block ends."""
+    return RunContext() if ctx is None else nullcontext(ctx)
+
+
 def run_stage(
     stage: str,
     fn: Callable[[Any], Any],
     units: list,
     key_parts: Callable[[Any], dict],
     ctx: Optional[RunContext] = None,
-    runner: Optional[ParallelRunner] = None,
     jobs: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     unit_progress: Optional[Callable[[int, int, Any], None]] = None,
@@ -102,28 +109,25 @@ def run_stage(
 
     Each unit is journaled under ``unit_key(stage, **key_parts(unit))``
     (computed only when ``ctx`` has run state), so a resumed run replays
-    it instead of re-executing.  ``runner`` defaults to a
-    :class:`~repro.runtime.ParallelRunner` over ``jobs`` workers.
+    it instead of re-executing.  The units run on ``ctx``'s runner over
+    ``jobs`` workers (without ``ctx``, on a pool of the call's own).
     ``progress(done, total)`` fires per completed unit;
     ``unit_progress(done, total, unit)`` replaces it for drivers that
     report per unit.  Returns the ``(unit, outcome)`` pairs that
     completed, in submission order, and the failures collected under
     ``on_error="collect"``.
     """
-    if ctx is None:
-        ctx = RunContext()
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
-    keys = None
-    if ctx.state is not None:
-        keys = [unit_key(stage, **key_parts(unit)) for unit in units]
     tick = unit_progress
     if tick is None and progress is not None:
         tick = lambda done, total, unit: progress(done, total)  # noqa: E731
-    outcomes = ctx.map(
-        runner, fn, units, keys=keys, stage=stage, progress=tick,
-        on_error=on_error,
-    )
+    with driver_context(ctx) as ctx:
+        keys = None
+        if ctx.state is not None:
+            keys = [unit_key(stage, **key_parts(unit)) for unit in units]
+        outcomes = ctx.map(
+            fn, units, keys=keys, stage=stage, progress=tick,
+            on_error=on_error, jobs=jobs,
+        )
     completed, failures = [], []
     for unit, outcome in zip(units, outcomes):
         if isinstance(outcome, WorkFailure):
@@ -139,7 +143,6 @@ def run_fix_experiment(
     repeats: int = 10,
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
     stage: str = "fix",
@@ -148,12 +151,11 @@ def run_fix_experiment(
 
     ``progress`` fires per *trial* as ``progress(done, total)`` (long
     runs surface liveness at the finest granularity).  ``jobs`` (default:
-    serial) fans trials across a :class:`~repro.runtime.ParallelRunner`;
-    pass ``runner`` to control the backend.  Every trial derives its
-    randomness from the explicit ``(seed + trial)`` key and runs
+    serial) fans trials across worker processes.  Every trial derives
+    its randomness from the explicit ``(seed + trial)`` key and runs
     :meth:`RTLFixer.with_seed` of it -- same config, re-seeded injected
-    model, same database -- on every backend, so parallel results are
-    bit-identical to serial ones.
+    model, same database -- in or out of process, so parallel results
+    are bit-identical to serial ones.
 
     ``on_error`` selects failure handling: ``"raise"`` aborts on the
     first failed trial, ``"collect"`` records failed trials as
@@ -189,8 +191,8 @@ def run_fix_experiment(
         )
 
     completed, result.failures = run_stage(
-        stage, _run_fix_trial, units, key_parts, ctx=ctx, runner=runner,
-        jobs=jobs, progress=progress, on_error=on_error,
+        stage, _run_fix_trial, units, key_parts, ctx=ctx, jobs=jobs,
+        progress=progress, on_error=on_error,
     )
     counts = [0] * len(entries)
     for unit, (success, iterations) in completed:

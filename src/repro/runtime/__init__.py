@@ -9,10 +9,11 @@ The pillars every experiment driver in :mod:`repro.eval` is built on:
   re-elaborating identical sources; it is one use of :class:`Memo`, the
   bounded single-flight store every memo in the codebase shares;
 * :class:`ParallelRunner` -- an ordered, deterministic ``map`` over
-  independent work units across serial / thread / process backends,
-  selected via ``RTLFixerConfig.jobs`` or the CLI ``--jobs`` flag, with
-  failure isolation (``on_error="collect"`` -> :class:`WorkFailure`
-  records) or prompt aborts (``on_error="raise"`` cancels pending work);
+  independent work units, in process or on a worker-process pool fed
+  chunks of units, selected by the drivers' ``jobs=`` or the CLI
+  ``--jobs`` flag, with failure isolation (``on_error="collect"`` ->
+  :class:`WorkFailure` records) or prompt aborts (``on_error="raise"``
+  cancels pending work);
 * :class:`RetryPolicy` + :class:`FaultInjector`, applied by one
   :class:`Guard` around the LLM and compiler seams -- bounded retries
   with deterministic, seeded exponential backoff, and deterministic

@@ -222,7 +222,7 @@ class UnitCounters:
     process unit under :meth:`counting` and sends this back with the
     unit's outcome; the parent :meth:`book` s it into its own, unit by
     unit in submission order, so a run counts the same at any job count.
-    Serial and thread units count into the run's ledgers directly.
+    Serial units count into the run's ledgers directly.
     """
 
     #: The unit's compile-cache and verdict-cache lookups (``None`` when

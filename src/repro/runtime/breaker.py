@@ -38,15 +38,13 @@ Skipped trials are journaled with a ``skipped`` marker, never replayed:
 a resumed run re-executes them (like journaled real failures), because
 the outage that caused the skip is expected to have cleared.
 
-Concurrency: the breaker was built for the serial dispatch loop in
-:mod:`repro.runtime.executor`, but the repair service
-(:mod:`repro.service`) drives it from many concurrent handlers.  All
-state transitions are therefore guarded by a reentrant lock, and
-:meth:`admit` offers the *atomic* allow-and-sample-probe operation the
-concurrent callers need -- the executor's two-step ``allow()`` /
-``probing`` dance is safe only because its dispatch loop is serial;
-two concurrent handlers interleaving it could both believe they hold
-the half-open probe (double-dispatch) or lose a trip.
+Concurrency: the repair service (:mod:`repro.service`) drives the
+breaker from many concurrent handlers, so every state transition holds
+a reentrant lock, and dispatchers (the service and
+:mod:`repro.runtime.executor`) call :meth:`admit`, the *atomic*
+allow-and-sample-probe step: two handlers each calling :meth:`allow`
+and then reading :attr:`probing` could both believe they hold the
+half-open probe (double-dispatch) or lose a trip.
 """
 
 from __future__ import annotations
@@ -115,12 +113,8 @@ class CircuitBreaker:
 
         While open, denials are tallied; every ``probe_interval``-th
         denial converts into a half-open probe instead.  While a probe
-        is in flight (half-open) all other trials are denied.
-
-        Serial callers only: concurrent callers must use :meth:`admit`,
-        which also reports *atomically* whether the admitted unit is
-        the probe (sampling :attr:`probing` after ``allow`` returns is
-        racy under concurrency).
+        is in flight (half-open) all other trials are denied.  To learn
+        whether the admitted trial is the probe, use :meth:`admit`.
         """
         allowed, _ = self.admit()
         return allowed
@@ -150,9 +144,7 @@ class CircuitBreaker:
     @property
     def probing(self) -> bool:
         """True while a half-open probe is dispatched but not yet
-        recorded.  Executors sample this right after :meth:`allow`
-        returns True to learn whether the unit they are about to run is
-        the probe, and pass that back via ``probe=`` when recording."""
+        recorded (the executor holds dispatch until it settles)."""
         with self._lock:
             return self.state == HALF_OPEN and self._probe_outstanding
 

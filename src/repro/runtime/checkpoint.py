@@ -22,8 +22,9 @@ This layers resumability on top of :mod:`repro.runtime.journal`:
 * :class:`RunState` owns a run directory (journal, checkpoint manifest,
   final report) and answers "is this trial already done?";
 * :class:`RunContext` bundles the run state with the graceful-shutdown
-  flag and the circuit breaker, and provides the **durable map**: the
-  resume-aware wrapper every experiment driver routes its
+  flag, the circuit breaker and the run's one
+  :class:`~repro.runtime.ParallelRunner`, and provides the **durable
+  map**: the resume-aware wrapper every experiment driver routes its
   :meth:`~repro.runtime.ParallelRunner.map` calls through.  Completed
   trials are replayed from the journal; only the remainder dispatches;
   every fresh result is journaled the moment it reaches the parent.
@@ -46,7 +47,7 @@ import os
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import CheckpointError
-from .executor import ParallelRunner, WorkFailure
+from .executor import ParallelRunner, WorkFailure, resolve_jobs
 from .journal import Journal
 from .persist import atomic_write_json, atomic_write_text
 
@@ -312,7 +313,8 @@ class RunContext:
     ``breaker`` gates dispatch on outage detection, ``should_stop`` is
     the graceful-shutdown flag.  ``RunContext()`` (all defaults) is a
     no-op context: drivers route unconditionally through :meth:`map`
-    and pay nothing when durability is off.
+    and pay nothing when durability is off.  The context owns the run's
+    worker pool until :meth:`close` (or the end of its ``with`` block).
     """
 
     state: Optional[RunState] = None
@@ -322,77 +324,87 @@ class RunContext:
     replayed: int = 0
     #: Trials actually dispatched this session.
     executed: int = 0
+    _runner: Optional[ParallelRunner] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
+
+    def close(self) -> None:
+        """Shut the run's worker pool down."""
+        if self._runner is not None:
+            self._runner.close()
+            self._runner = None
+
+    def __enter__(self) -> "RunContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def map(
         self,
-        runner: ParallelRunner,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         keys: Optional[Sequence[str]] = None,
         stage: str = "",
         on_error: str = "raise",
         progress: Optional[Callable[[int, int, Any], None]] = None,
+        jobs: Optional[int] = None,
     ) -> list:
-        """Resume-aware :meth:`~repro.runtime.ParallelRunner.map`.
+        """Resume-aware :meth:`~repro.runtime.ParallelRunner.map` over
+        ``jobs`` workers.  Every map shares the context's runner, so its
+        pool's workers keep their caches from stage to stage; a
+        different ``jobs`` replaces it.
 
         With run state and ``keys`` (one content-addressed key per
         item), journaled trials are replayed in place and only the
         remainder dispatches; fresh results (including collected
         :class:`~repro.runtime.WorkFailure` records, re-indexed to their
         global slots) are journaled as they complete.  Without state it
-        degrades to a plain ``runner.map`` that still honours the
-        breaker and the shutdown flag.
+        degrades to a plain map that still honours the breaker and the
+        shutdown flag.
         """
         items = list(items)
-        if self.state is None or keys is None:
-            results = runner.map(
-                fn, items, progress=progress, on_error=on_error,
-                should_stop=self.should_stop, breaker=self.breaker,
-            )
-            self.executed += len(items)
-            return results
-
-        keys = list(keys)
-        if len(keys) != len(items):
+        state = self.state if keys is not None else None
+        if state is not None and len(keys) != len(items):
             raise CheckpointError(
                 f"durable map needs one key per item "
                 f"(got {len(keys)} keys for {len(items)} items)"
             )
-        state = self.state
         results: list[Any] = [None] * len(items)
-        todo_items: list[Any] = []
-        todo_indices: list[int] = []
-        for index, (item, key) in enumerate(zip(items, keys)):
-            if state.completed(key):
-                results[index] = state.result(key)
+        #: Global indices of the items still to run.
+        todo: list[int] = []
+        for index in range(len(items)):
+            if state is not None and state.completed(keys[index]):
+                results[index] = state.result(keys[index])
                 self.replayed += 1
             else:
-                todo_items.append(item)
-                todo_indices.append(index)
+                todo.append(index)
 
         def reindex(local: int, result: Any) -> Any:
             """Map a todo-local WorkFailure back to its global slot."""
             if isinstance(result, WorkFailure):
-                return dataclasses.replace(result, index=todo_indices[local])
+                return dataclasses.replace(result, index=todo[local])
             return result
 
         def on_result(local: int, item: Any, result: Any) -> None:
             """Journal one fresh result at its commit point."""
-            global_index = todo_indices[local]
-            remapped = reindex(local, result)
+            result = reindex(local, result)
             state.record(
-                keys[global_index], remapped, stage=stage,
-                skipped=getattr(remapped, "skipped", False),
+                keys[todo[local]], result, stage=stage,
+                skipped=getattr(result, "skipped", False),
             )
 
-        mapped = runner.map(
-            fn, todo_items, progress=progress, on_error=on_error,
-            on_result=on_result, should_stop=self.should_stop,
-            breaker=self.breaker,
+        if self._runner is None or self._runner.jobs != resolve_jobs(jobs):
+            self.close()
+            self._runner = ParallelRunner(jobs)
+        mapped = self._runner.map(
+            fn, [items[index] for index in todo], progress=progress,
+            on_error=on_error, on_result=on_result if state is not None else None,
+            should_stop=self.should_stop, breaker=self.breaker,
         )
-        self.executed += len(todo_items)
+        self.executed += len(todo)
         for local, result in enumerate(mapped):
-            results[todo_indices[local]] = reindex(local, result)
+            results[todo[local]] = reindex(local, result)
         return results
 
     def stats(self) -> dict:

@@ -9,19 +9,16 @@ fan-out embarrassingly parallel and, crucially, *order-free*:
 :class:`ParallelRunner` reassembles results by submission index, so a
 parallel run is bit-identical to a serial run at the same seed.
 
-Backends:
-
-* ``serial``  -- in-process loop (the default for ``jobs <= 1``);
-* ``process`` -- ``ProcessPoolExecutor`` (the default for ``jobs > 1``:
-  the work is CPU-bound pure Python, so real speedup needs processes;
-  work units must be picklable and are reconstructed from configuration
-  in the worker);
-* ``thread``  -- ``ThreadPoolExecutor`` (no pickling; useful when the
-  work releases the GIL or when sharing the in-process compile cache
-  matters more than core scaling).
-
-The worker count comes from the experiment drivers' ``jobs=`` argument
-/ the CLI ``--jobs`` flag; ``jobs=0`` means "all CPUs".
+``jobs`` alone picks how a map runs (``jobs=0`` means "all CPUs"): in
+process at ``jobs <= 1``, else on a ``ProcessPoolExecutor`` (the work
+is CPU-bound pure Python; units must be picklable).  The pool opens at
+the runner's first parallel map and lasts until
+:meth:`ParallelRunner.close`, so workers keep their caches from map to
+map; a run's :class:`~repro.runtime.RunContext` owns one runner.
+Workers keep the runtime scope they forked under, and exit once the
+process that opened the pool is gone.  Units travel in chunks
+(:func:`chunk_size`), so what a chunk's units share, such as a
+configured fixer, is pickled once per chunk.
 
 Failure handling (``on_error``):
 
@@ -37,15 +34,12 @@ Failure handling (``on_error``):
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import time
 import traceback as _traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional, TypeVar, Union
 
@@ -58,13 +52,12 @@ if TYPE_CHECKING:  # typing only
 T = TypeVar("T")
 R = TypeVar("R")
 
-Backend = Literal["auto", "serial", "thread", "process"]
 OnError = Literal["raise", "collect"]
 
 #: ``progress(done, total, item)`` -- invoked after every completed work
 #: unit with the just-finished input item (per-trial liveness for long
-#: runs; completion order is nondeterministic under parallel backends,
-#: result order is not).
+#: runs; completion order is nondeterministic in a process pool, result
+#: order is not).
 ProgressFn = Callable[[int, int, object], None]
 
 #: ``on_result(index, item, result)`` -- invoked in the *parent* process
@@ -81,14 +74,25 @@ StopFn = Callable[[], bool]
 
 _REPR_LIMIT = 200
 
+#: Most work units one future carries (see :func:`chunk_size`).
+MAX_CHUNK = 32
+
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _short_repr(item: object) -> str:
+    text = repr(item)
+    return text if len(text) <= _REPR_LIMIT else text[: _REPR_LIMIT - 3] + "..."
+
 
 @dataclass(frozen=True)
 class WorkFailure:
     """One failed work unit, recorded instead of raised.
 
     Equality ignores the traceback and item repr (they differ in
-    formatting between backends); ``(index, error_type, message)`` is
-    the deterministic identity a fixed seed must reproduce.
+    formatting between serial and process runs); ``(index, error_type,
+    message)`` is the deterministic identity a fixed seed must reproduce.
     """
 
     #: Submission index of the failed unit (its slot in the result list).
@@ -110,30 +114,22 @@ class WorkFailure:
     @classmethod
     def from_exception(cls, index: int, item: object, exc: BaseException) -> "WorkFailure":
         """Build a failure record from a caught worker exception."""
-        item_repr = repr(item)
-        if len(item_repr) > _REPR_LIMIT:
-            item_repr = item_repr[: _REPR_LIMIT - 3] + "..."
         return cls(
             index=index,
             error_type=type(exc).__name__,
             message=str(exc),
-            item_repr=item_repr,
-            traceback="".join(
-                _traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ),
+            item_repr=_short_repr(item),
+            traceback="".join(_traceback.format_exception(exc)),
         )
 
     @classmethod
     def skipped_unit(cls, index: int, item: object) -> "WorkFailure":
         """A SKIPPED slot for a unit the open circuit breaker denied."""
-        item_repr = repr(item)
-        if len(item_repr) > _REPR_LIMIT:
-            item_repr = item_repr[: _REPR_LIMIT - 3] + "..."
         return cls(
             index=index,
             error_type="CircuitOpenError",
             message="circuit breaker open: trial skipped (fail-fast)",
-            item_repr=item_repr,
+            item_repr=_short_repr(item),
             skipped=True,
         )
 
@@ -148,30 +144,64 @@ def isolable(exc: BaseException) -> bool:
     :class:`WorkFailure`.
 
     Only ordinary :class:`Exception` s are isolable.  Control-flow
-    exceptions -- :class:`KeyboardInterrupt`, :class:`SystemExit`,
+    exceptions (:class:`KeyboardInterrupt`, :class:`SystemExit`,
     :class:`GeneratorExit`, anything else deriving from
-    :class:`BaseException` directly -- must always propagate: converting
-    a Ctrl-C into a per-unit failure record would turn a user abort into
-    a silently-degraded experiment.  (The check is explicit rather than
-    relying on ``except Exception`` so the intent survives refactoring
-    and multiply-inheriting exception types.)
+    :class:`BaseException` directly) always propagate: a Ctrl-C turned
+    into a failure record would silently degrade the experiment.
     """
     return isinstance(exc, Exception) and not isinstance(
         exc, (KeyboardInterrupt, SystemExit, GeneratorExit)
     )
 
 
-def _run_counted(fn: Callable[[T], R], item: T) -> tuple[R, UnitCounters]:
-    """Run one work unit in a process worker: returns the result with
-    the unit's :class:`~repro.runtime.accounting.UnitCounters`.  A
-    raising unit's counters ride on its exception as ``unit_counters``."""
-    counters = UnitCounters()
-    try:
-        with counters.counting():
-            return fn(item), counters
-    except BaseException as exc:
-        exc.unit_counters = counters
-        raise
+class _RemoteTraceback(Exception):
+    """A process worker's formatted traceback, chained as the cause of
+    the exception it came home with."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _run_chunk(fn: Callable[[T], R], chunk: list[T], stop_on_failure: bool) -> list:
+    """Run a chunk of work units in a process worker: one ``(ok, result
+    or (exception, traceback), UnitCounters)`` per unit that ran.  The
+    chunk stops after a failure the parent will raise
+    (``stop_on_failure``, or a non-isolable exception)."""
+    outcomes = []
+    for item in chunk:
+        counters = UnitCounters()
+        try:
+            with counters.counting():
+                result = fn(item)
+        except BaseException as exc:
+            text = "".join(_traceback.format_exception(exc))
+            outcomes.append((False, (exc, text), counters))
+            if stop_on_failure or not isolable(exc):
+                break
+        else:
+            outcomes.append((True, result, counters))
+    return outcomes
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once ``parent`` is gone (a killed
+    parent cannot shut its pool down, and idle workers would wait on the
+    call queue forever)."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def chunk_size(total: int, jobs: int) -> int:
+    """Units per future for a map of ``total`` units over ``jobs``
+    workers: about eight chunks per worker, so the work still spreads
+    evenly, and at most :data:`MAX_CHUNK`, so a long map pays the
+    per-future pickling and IPC once per chunk rather than per unit."""
+    return max(1, min(MAX_CHUNK, total // (8 * jobs)))
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -187,24 +217,28 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 class ParallelRunner:
-    """Fans independent work units across an executor, deterministically.
+    """Fans independent work units across processes, deterministically.
 
-    >>> runner = ParallelRunner(jobs=4)
-    >>> runner.map(evaluate, units)   # results in submission order
+    >>> with ParallelRunner(jobs=4) as runner:
+    ...     runner.map(evaluate, units)   # results in submission order
     """
 
-    def __init__(self, jobs: Optional[int] = None, backend: Backend = "auto"):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = resolve_jobs(jobs)
-        if backend == "auto":
-            backend = "serial" if self.jobs <= 1 else "process"
-        if backend not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend: Backend = backend
+        self._pool: Optional[ProcessPoolExecutor] = None
 
-    @property
-    def is_serial(self) -> bool:
-        """True when work will run inline in the calling process."""
-        return self.backend == "serial" or self.jobs <= 1
+    def close(self) -> None:
+        """Shut the worker pool down once its running chunks finish; a
+        later parallel map opens a new one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "ParallelRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def map(
         self,
@@ -218,29 +252,23 @@ class ParallelRunner:
     ) -> list[Union[R, WorkFailure]]:
         """Apply ``fn`` to every item; results keep submission order.
 
-        Work units are scheduled eagerly and collected as they complete
-        (so ``progress`` reports real liveness), but the returned list
-        is indexed by submission order -- identical to the serial path
-        regardless of completion interleaving.  Parallel backends keep a
-        bounded dispatch window (``2 x jobs``) in flight rather than
-        enqueueing everything up front, so stopping really stops.
-
-        ``on_error="raise"`` propagates the first worker exception after
-        cancelling all still-pending units (a failed run aborts promptly
-        instead of draining the queue).  ``on_error="collect"`` isolates
-        failures: the failing unit's slot holds a :class:`WorkFailure`
-        and every other unit still runs.
+        Units are collected as they complete (so ``progress`` reports
+        real liveness), but the returned list is indexed by submission
+        order, whatever the completion order.  A process map keeps a
+        bounded window (``2 x jobs`` chunks) in flight, so stopping
+        really stops.  ``on_error="raise"`` propagates the first worker
+        exception after cancelling every pending chunk;
+        ``on_error="collect"`` puts a :class:`WorkFailure` in the failing
+        unit's slot and runs every other unit.
 
         ``on_result`` fires in the parent as each unit's outcome is
         known (the durable journal's commit point).  ``should_stop`` is
         polled before every dispatch: once true, no further unit starts,
         in-flight units drain (reaching ``on_result``), then
         :class:`~repro.errors.RunInterrupted` is raised.  ``breaker``
-        gates dispatch: a unit denied by an open breaker never runs --
-        its slot gets a SKIPPED :class:`WorkFailure` -- and every real
-        outcome is reported back via ``record_success`` /
-        ``record_failure``.  The breaker requires ``on_error="collect"``
-        (fail-fast slots are collected records, not exceptions).
+        gates dispatch: a denied unit never runs and gets a SKIPPED
+        :class:`WorkFailure`, and every real outcome is recorded with
+        it.  The breaker requires ``on_error="collect"``.
         """
         if on_error not in ("raise", "collect"):
             raise ValueError(f"on_error must be raise|collect, got {on_error!r}")
@@ -251,175 +279,71 @@ class ParallelRunner:
             )
         items = list(items)
         total = len(items)
+        slots: list[Union[R, WorkFailure, None]] = [None] * total
+        #: Submission indices of dispatched half-open probes: only the
+        #: probe's own outcome may settle the breaker out of half-open.
+        probes: set[int] = set()
+        done = 0
+        stopping = False
 
-        def finish(index: int, done: int, result: Union[R, WorkFailure]) -> None:
-            """Publish one completed/skipped unit to the hooks."""
+        def stopped() -> bool:
+            """Poll the stop flag (once true, it stays true)."""
+            nonlocal stopping
+            stopping = stopping or (should_stop is not None and should_stop())
+            return stopping
+
+        def publish(index: int, result: Union[R, WorkFailure]) -> None:
+            """Fill one slot and tell the hooks."""
+            nonlocal done
+            slots[index] = result
+            done += 1
             if on_result is not None:
                 on_result(index, items[index], result)
             if progress is not None:
                 progress(done, total, items[index])
 
-        if self.is_serial or total <= 1:
-            return self._map_serial(
-                fn, items, on_error, finish, should_stop, breaker
-            )
-        return self._map_pool(fn, items, on_error, finish, should_stop, breaker)
+        def admit(index: int) -> bool:
+            """Gate one unit through the breaker; a denied unit's
+            SKIPPED slot is published here."""
+            if breaker is None:
+                return True
+            allowed, probe = breaker.admit()
+            if not allowed:
+                publish(index, WorkFailure.skipped_unit(index, items[index]))
+            elif probe:
+                probes.add(index)
+            return allowed
 
-    def _map_serial(
-        self,
-        fn: Callable[[T], R],
-        items: list[T],
-        on_error: OnError,
-        finish: Callable[[int, int, Union[R, WorkFailure]], None],
-        should_stop: Optional[StopFn],
-        breaker: Optional["CircuitBreaker"],
-    ) -> list[Union[R, WorkFailure]]:
-        """In-process map with dispatch gating (the reference semantics)."""
-        results: list[Union[R, WorkFailure]] = []
-        for index, item in enumerate(items):
-            if should_stop is not None and should_stop():
-                raise RunInterrupted(
-                    f"shutdown requested after {index}/{len(items)} unit(s)",
-                    done=index, total=len(items),
-                )
-            if breaker is not None and not breaker.allow():
-                skipped = WorkFailure.skipped_unit(index, item)
-                results.append(skipped)
-                finish(index, index + 1, skipped)
-                continue
-            # Sample probe-ness at dispatch: allow() just transitioned to
-            # half-open iff this unit is the probe.
-            probe = breaker is not None and breaker.probing
-            try:
-                result: Union[R, WorkFailure] = fn(item)
-            except BaseException as exc:
-                if breaker is not None:
-                    breaker.record_failure(exc, probe=probe)
-                if on_error == "raise" or not isolable(exc):
-                    raise
-                result = WorkFailure.from_exception(index, item, exc)
-            else:
+        def settle(index: int, ok: bool, value: object) -> None:
+            """Record one unit's outcome with the breaker and publish it
+            (or raise it)."""
+            probe = index in probes
+            probes.discard(index)
+            if ok:
                 if breaker is not None:
                     breaker.record_success(probe=probe)
-            results.append(result)
-            finish(index, index + 1, result)
-        return results
+                publish(index, value)  # type: ignore[arg-type]
+                return
+            exc: BaseException = value  # type: ignore[assignment]
+            if breaker is not None:
+                breaker.record_failure(exc, probe=probe)
+            if on_error == "raise" or not isolable(exc):
+                raise exc
+            publish(index, WorkFailure.from_exception(index, items[index], exc))
 
-    def _map_pool(
-        self,
-        fn: Callable[[T], R],
-        items: list[T],
-        on_error: OnError,
-        finish: Callable[[int, int, Union[R, WorkFailure]], None],
-        should_stop: Optional[StopFn],
-        breaker: Optional["CircuitBreaker"],
-    ) -> list[Union[R, WorkFailure]]:
-        """Pool-backed map: bounded dispatch window, drain-on-stop.
-
-        Thread workers count into the run's caches and ledgers
-        themselves.  Process workers count into their own copies, so
-        each unit's counters come back with its outcome and are booked
-        into the run's in submission order: what a serial run counts.
-        """
-        total = len(items)
-        counted = self.backend == "process"
-        executor_cls = ProcessPoolExecutor if counted else ThreadPoolExecutor
-        #: Process-run units' counters, by submission index.
-        unit_counters: dict[int, UnitCounters] = {}
-        slots: list[Union[R, WorkFailure, None]] = [None] * total
-        workers = min(self.jobs, total)
-        window = workers * 2
-        pending: dict[Future, int] = {}
-        #: Submission indices of dispatched half-open probes: only the
-        #: probe's own outcome may settle the breaker out of half-open.
-        probe_indices: set[int] = set()
-        next_index = 0
-        done = 0
-        stopping = False
-
-        with executor_cls(max_workers=workers) as pool:
-
-            def submit_more() -> None:
-                """Keep the dispatch window full, honouring the gates."""
-                nonlocal next_index, done, stopping
-                while next_index < total and len(pending) < window:
-                    if stopping or (should_stop is not None and should_stop()):
-                        stopping = True
-                        return
-                    if breaker is not None and breaker.probing:
-                        # A probe is in flight: hold further dispatch (and
-                        # further skipping) until its outcome settles the
-                        # breaker one way or the other.
-                        return
-                    index = next_index
-                    next_index += 1
-                    if breaker is not None and not breaker.allow():
-                        skipped = WorkFailure.skipped_unit(index, items[index])
-                        slots[index] = skipped
-                        done += 1
-                        finish(index, done, skipped)
-                        continue
-                    if breaker is not None and breaker.probing:
-                        # allow() just converted this unit into the probe.
-                        probe_indices.add(index)
-                    if counted:
-                        future = pool.submit(_run_counted, fn, items[index])
+        if self.jobs <= 1 or total <= 1:
+            for index, item in enumerate(items):
+                if stopped():
+                    break
+                if admit(index):
+                    try:
+                        result = fn(item)
+                    except BaseException as exc:
+                        settle(index, False, exc)
                     else:
-                        future = pool.submit(fn, items[index])
-                    pending[future] = index
-
-            submit_more()
-            try:
-                while pending:
-                    completed, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in completed:
-                        index = pending.pop(future)
-                        is_probe = index in probe_indices
-                        probe_indices.discard(index)
-                        if future.cancelled():
-                            continue  # un-run unit dropped during a stop
-                        try:
-                            result: Union[R, WorkFailure] = future.result()
-                        except BaseException as exc:
-                            if counted and hasattr(exc, "unit_counters"):
-                                unit_counters[index] = exc.unit_counters
-                            if breaker is not None:
-                                breaker.record_failure(exc, probe=is_probe)
-                            if on_error == "raise" or not isolable(exc):
-                                raise
-                            result = WorkFailure.from_exception(
-                                index, items[index], exc
-                            )
-                        else:
-                            if counted:
-                                result, unit_counters[index] = result
-                            if breaker is not None:
-                                breaker.record_success(probe=is_probe)
-                        slots[index] = result
-                        done += 1
-                        finish(index, done, result)
-                    submit_more()
-                    if stopping:
-                        # Drop what never started; in-flight units drain
-                        # through the loop above and reach on_result.
-                        for future in list(pending):
-                            if future.cancel():
-                                pending.pop(future)
-            except BaseException:
-                # Abort promptly: drop every not-yet-started unit so the
-                # pool shutdown only waits on the (few) in-flight ones,
-                # then let the failure propagate (cancel_futures
-                # semantics -- see the PR 2 executor bugfix).
-                for future in pending:
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            finally:
-                # Whatever ended the loop (an error, a stop), every unit
-                # that ran has its counters here: book them as a serial
-                # run would have.
-                for index in sorted(unit_counters):
-                    unit_counters[index].book()
+                        settle(index, True, result)
+        else:
+            self._run_pool(fn, items, on_error, stopped, admit, settle, breaker)
         if stopping:
             raise RunInterrupted(
                 f"shutdown requested after {done}/{total} unit(s)",
@@ -435,3 +359,97 @@ class ParallelRunner:
                 "slots filled after dispatch loop exit"
             )
         return slots  # type: ignore[return-value]
+
+    def _run_pool(
+        self,
+        fn: Callable[[T], R],
+        items: list[T],
+        on_error: OnError,
+        stopped: Callable[[], bool],
+        admit: Callable[[int], bool],
+        settle: Callable[[int, bool, object], None],
+        breaker: Optional["CircuitBreaker"],
+    ) -> None:
+        """Run the units on the pool in chunks, each unit still
+        admitted, settled and published on its own.  Workers count into
+        their own copies of the run's caches and ledgers, so each unit's
+        counters come home with its outcome and are booked in submission
+        order: what a serial run counts."""
+        if self._pool is None:
+            # Fork, whatever the platform default: workers must inherit
+            # the caller's runtime scope (caches, ledgers, routing).
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, mp_context=multiprocessing.get_context("fork"),
+                initializer=_exit_with_parent, initargs=(os.getpid(),),
+            )
+        pool = self._pool
+        total = len(items)
+        size = chunk_size(total, self.jobs)
+        #: Units' counters, by submission index.
+        unit_counters: dict[int, UnitCounters] = {}
+        #: Each in-flight chunk's submission indices.
+        pending: dict[Future, list[int]] = {}
+        next_index = 0
+
+        def submit_more() -> None:
+            """Keep the dispatch window full, honouring the gates."""
+            nonlocal next_index
+            while next_index < total and len(pending) < 2 * self.jobs:
+                if stopped():
+                    # Drop what never started; in-flight chunks drain
+                    # through the loop below and reach on_result.
+                    for future in list(pending):
+                        if future.cancel():
+                            pending.pop(future)
+                    return
+                chunk: list[int] = []
+                # While a half-open probe is in flight, hold further
+                # dispatch (and further skipping) until its outcome
+                # settles the breaker.  A probe is always a chunk of
+                # one: a closed breaker admits without probing, so only
+                # denials come before it.
+                while (next_index < total and len(chunk) < size
+                       and not (breaker is not None and breaker.probing)):
+                    if admit(next_index):
+                        chunk.append(next_index)
+                    next_index += 1
+                if not chunk:
+                    return
+                future = pool.submit(
+                    _run_chunk, fn, [items[i] for i in chunk], on_error == "raise"
+                )
+                pending[future] = chunk
+
+        try:
+            submit_more()
+            while pending:
+                completed, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in completed:
+                    chunk = pending.pop(future)
+                    try:
+                        outcomes = future.result()
+                    except BaseException as exc:
+                        # The chunk as a whole failed (a worker died, a
+                        # result would not pickle): so did each unit.
+                        outcomes = [(False, (exc, ""), None)] * len(chunk)
+                    for index, (ok, value, counters) in zip(chunk, outcomes):
+                        if counters is not None:
+                            unit_counters[index] = counters
+                        if not ok:
+                            value, text = value
+                            if text:
+                                value.__cause__ = _RemoteTraceback(text)
+                        settle(index, ok, value)
+                submit_more()
+        except BaseException:
+            # Abort promptly: drop every not-yet-started chunk and wait
+            # only for the (few) running ones; a later map opens a new
+            # pool.  Then let the failure propagate.
+            self.close()
+            raise
+        finally:
+            # Whatever ended the loop (an error, a stop), every unit
+            # that ran has its counters here: book them as a serial
+            # run would have.
+            for index in sorted(unit_counters):
+                unit_counters[index].book()

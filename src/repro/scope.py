@@ -22,11 +22,11 @@ The fields (:data:`FIELDS`) and their home modules:
 Design decisions:
 
 * **Process-wide state.**  The record is one module global swapped
-  under one lock, deliberately *not* a ContextVar: thread-backend
-  :class:`~repro.runtime.ParallelRunner` workers and the repair
-  service's executor threads must count into the caller's scoped caches
-  and ledgers, and fork-started process workers inherit the record
-  with the rest of the address space.
+  under one lock, deliberately *not* a ContextVar: the repair
+  service's executor threads must count into the caches and ledgers
+  the server scoped, and a ContextVar does not propagate through
+  ``run_in_executor``.  Fork-started process workers inherit the record
+  with the rest of the address space, as it was when they forked.
 * **The deadline stays separate.**  :mod:`repro.service.deadline` keeps
   its own ContextVar: a deadline belongs to one request, and concurrent
   requests run on different threads.

@@ -241,7 +241,6 @@ class TestDurableMap:
     def test_resume_skips_completed(self, tmp_path):
         """Second run over the same keys replays the journal and calls
         the work function zero times."""
-        runner = ParallelRunner(jobs=1)
         items = list(range(5))
         keys = [unit_key("sq", x=i) for i in items]
         calls = []
@@ -252,13 +251,13 @@ class TestDurableMap:
 
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
-            first = ctx.map(runner, square, items, keys=keys, stage="sq")
+            first = ctx.map(square, items, keys=keys, stage="sq")
         assert first == [0, 1, 4, 9, 16]
         assert len(calls) == 5
 
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
-            second = ctx.map(runner, square, items, keys=keys, stage="sq")
+            second = ctx.map(square, items, keys=keys, stage="sq")
         assert second == first
         assert len(calls) == 5  # nothing re-executed
         assert ctx.replayed == 5 and ctx.executed == 0
@@ -279,7 +278,7 @@ class TestDurableMap:
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
             results = ctx.map(
-                ParallelRunner(jobs=1), square, items, keys=keys, stage="sq"
+                square, items, keys=keys, stage="sq"
             )
         assert results == [i * i for i in items]
         assert sorted(calls) == [1, 3, 5]
@@ -301,7 +300,7 @@ class TestDurableMap:
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
             results = ctx.map(
-                ParallelRunner(jobs=1), sometimes, items, keys=keys,
+                sometimes, items, keys=keys,
                 stage="f", on_error="collect",
             )
         failure = results[2]
@@ -324,7 +323,7 @@ class TestDurableMap:
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
             first = ctx.map(
-                ParallelRunner(jobs=1), flaky, items, keys=keys,
+                flaky, items, keys=keys,
                 stage="f", on_error="collect",
             )
         assert isinstance(first[1], WorkFailure)
@@ -334,7 +333,7 @@ class TestDurableMap:
             assert not state.completed(keys[1])
             ctx = RunContext(state=state)
             resumed = ctx.map(
-                ParallelRunner(jobs=1), flaky, items, keys=keys,
+                flaky, items, keys=keys,
                 stage="f", on_error="collect",
             )
         assert resumed == [0, 10, 20]
@@ -373,11 +372,11 @@ class TestDurableMap:
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state, should_stop=lambda: flag["stop"])
             with pytest.raises(RunInterrupted):
-                ctx.map(ParallelRunner(jobs=1), square, items, keys=keys)
+                ctx.map(square, items, keys=keys)
 
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
-            results = ctx.map(ParallelRunner(jobs=1), square, items, keys=keys)
+            results = ctx.map(square, items, keys=keys)
         assert results == [i * i for i in items]
         assert 0 < ctx.replayed < len(items)
         assert ctx.replayed + ctx.executed == len(items)
@@ -385,7 +384,7 @@ class TestDurableMap:
     def test_stateless_context_is_plain_map(self):
         ctx = RunContext()
         results = ctx.map(
-            ParallelRunner(jobs=1), lambda x: x + 1, [1, 2, 3]
+            lambda x: x + 1, [1, 2, 3]
         )
         assert results == [2, 3, 4]
         assert ctx.executed == 3 and ctx.replayed == 0
@@ -394,7 +393,7 @@ class TestDurableMap:
         with RunState(str(tmp_path / "run")) as state:
             ctx = RunContext(state=state)
             with pytest.raises(CheckpointError, match="one key per item"):
-                ctx.map(ParallelRunner(jobs=1), str, [1, 2], keys=["only-one"])
+                ctx.map(str, [1, 2], keys=["only-one"])
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +568,11 @@ class TestCircuitBreaker:
         wedge the breaker half-open and leave undispatched units as
         silent None slots in the result list."""
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=1)
-
-        def failing(x):
-            if x == 0:
-                raise RuntimeError("down")
-            raise TransientError("hiccup")
-
-        results = ParallelRunner(jobs=4, backend="thread").map(
-            failing, list(range(12)), on_error="collect", breaker=breaker
-        )
+        with ParallelRunner(jobs=4) as runner:
+            results = runner.map(
+                _down_then_transient, list(range(12)), on_error="collect",
+                breaker=breaker,
+            )
         assert len(results) == 12
         assert all(isinstance(r, WorkFailure) for r in results)  # no Nones
 
@@ -702,3 +697,11 @@ class TestCacheCoalescing:
             memo.get_or_compute("key", flaky)
         assert memo.get_or_compute("key", flaky) == "value"  # no stuck event
         assert len(attempts) == 2
+
+
+def _down_then_transient(x: int) -> int:
+    """Worker whose first unit trips a breaker and every later one fails
+    transiently (top-level so process-pool workers can pickle it)."""
+    if x == 0:
+        raise RuntimeError("down")
+    raise TransientError("hiccup")

@@ -31,15 +31,18 @@ from repro.rag.guidance_data import build_default_database
 from repro.runtime import (
     GARBAGE_CODE,
     CircuitBreaker,
+    CompileCache,
     FaultInjector,
     FaultSpec,
     Guard,
     ParallelRunner,
     RetryPolicy,
     WorkFailure,
+    cached_compile,
     call_with_retry,
     guidance_key,
 )
+from repro.runtime.executor import chunk_size
 from repro.scope import scoped
 
 pytestmark = pytest.mark.chaos
@@ -304,11 +307,11 @@ class TestChaosWrappers:
 
 
 class TestCollectMode:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_collect_isolates_worker_crashes(self, backend):
-        runner = ParallelRunner(jobs=3, backend=backend)
-        results = runner.map(_fail_on_multiples_of_three, list(range(10)),
-                             on_error="collect")
+    @pytest.mark.parametrize("jobs", [1, 3], ids=["serial", "process"])
+    def test_collect_isolates_worker_crashes(self, jobs):
+        with ParallelRunner(jobs=jobs) as runner:
+            results = runner.map(_fail_on_multiples_of_three, list(range(10)),
+                                 on_error="collect")
         failures = [r for r in results if isinstance(r, WorkFailure)]
         values = [r for r in results if not isinstance(r, WorkFailure)]
         assert [f.index for f in failures] == [0, 3, 6, 9]
@@ -318,16 +321,16 @@ class TestCollectMode:
 
     def test_collect_reports_progress_for_failures_too(self):
         events = []
-        runner = ParallelRunner(jobs=2, backend="thread")
-        runner.map(
-            _fail_on_multiples_of_three, list(range(6)),
-            progress=lambda d, t, item: events.append((d, t)),
-            on_error="collect",
-        )
+        with ParallelRunner(jobs=2) as runner:
+            runner.map(
+                _fail_on_multiples_of_three, list(range(6)),
+                progress=lambda d, t, item: events.append((d, t)),
+                on_error="collect",
+            )
         assert [d for d, _ in events] == list(range(1, 7))
 
     def test_collect_failures_carry_diagnostics(self):
-        runner = ParallelRunner(jobs=1, backend="serial")
+        runner = ParallelRunner(jobs=1)
         [failure] = runner.map(_fail_on_multiples_of_three, [3], on_error="collect")
         assert isinstance(failure, WorkFailure)
         assert "RuntimeError" in failure.describe()
@@ -341,9 +344,9 @@ class TestCollectMode:
     def test_process_collect_survives_retry_exhaustion(self):
         """A RetryExhaustedError raised in a process worker must come
         home as that unit's failure record, not break the pool."""
-        runner = ParallelRunner(jobs=2, backend="process")
-        results = runner.map(_exhaust_on_multiples_of_four, list(range(40)),
-                             on_error="collect")
+        with ParallelRunner(jobs=2) as runner:
+            results = runner.map(_exhaust_on_multiples_of_four, list(range(40)),
+                                 on_error="collect")
         failures = [r for r in results if isinstance(r, WorkFailure)]
         assert [f.index for f in failures] == list(range(0, 40, 4))
         assert {f.error_type for f in failures} == {"RetryExhaustedError"}
@@ -352,10 +355,38 @@ class TestCollectMode:
         ]
 
     def test_raise_mode_unchanged(self):
-        with pytest.raises(RuntimeError):
-            ParallelRunner(jobs=2, backend="thread").map(
-                _fail_on_multiples_of_three, [3, 1, 2]
-            )
+        with ParallelRunner(jobs=2) as runner, pytest.raises(RuntimeError):
+            runner.map(_fail_on_multiples_of_three, [3, 1, 2])
+
+    def test_process_chunks_match_serial(self):
+        """A process map ships units in chunks, yet publishes, fails and
+        books them unit by unit, as the serial map does."""
+        items = list(range(100))
+        size = chunk_size(len(items), 2)
+        assert size > 1 and len(items) >= 3 * size
+        runs = []
+        for jobs in (1, 2):
+            cache, published, ticks = CompileCache(), [], []
+            with scoped(compile_cache=cache), ParallelRunner(jobs=jobs) as runner:
+                slots = runner.map(
+                    _compile_then_fail_on_sevens, items, on_error="collect",
+                    on_result=lambda index, item, result: published.append(index),
+                    progress=lambda done, total, item: ticks.append((done, total)),
+                )
+            stats = cache.stats
+            runs.append(dict(
+                slots=slots,
+                failures=[r.index for r in slots if isinstance(r, WorkFailure)],
+                published=sorted(published),
+                ticks=ticks,
+                lookups=stats.hits + stats.misses + stats.coalesced + stats.uncacheable,
+            ))
+        serial, parallel = runs
+        assert serial["failures"] == list(range(0, 100, 7))
+        assert serial["published"] == items
+        assert serial["ticks"] == [(done, 100) for done in range(1, 101)]
+        assert serial["lookups"] == 100
+        assert parallel == serial
 
 
 def _sample_errors() -> list:
@@ -410,10 +441,9 @@ class TestPromptAbort:
     draining the whole queue before surfacing the failure."""
 
     def test_failure_aborts_without_draining_queue(self):
-        runner = ParallelRunner(jobs=2, backend="thread")
         items = [("fail", 0.0)] + [("sleep", 0.2)] * 20
         started = time.monotonic()
-        with pytest.raises(RuntimeError):
+        with ParallelRunner(jobs=2) as runner, pytest.raises(RuntimeError):
             runner.map(_fail_or_sleep, items)
         elapsed = time.monotonic() - started
         # Draining would cost ~20*0.2/2 = 2s; cancellation leaves only
@@ -421,8 +451,8 @@ class TestPromptAbort:
         assert elapsed < 1.5
 
     def test_success_path_still_bit_identical(self):
-        runner = ParallelRunner(jobs=3, backend="thread")
-        assert runner.map(_square, range(20)) == [i * i for i in range(20)]
+        with ParallelRunner(jobs=3) as runner:
+            assert runner.map(_square, range(20)) == [i * i for i in range(20)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +559,14 @@ class TestChaosExperimentRun:
             for f in first.failures
         )
 
-    @pytest.mark.parametrize("backend,jobs", [("thread", 3), ("process", 4)])
-    def test_parallel_chaos_matches_serial(self, tiny_dataset, backend, jobs):
+    @pytest.mark.parametrize("jobs", [4], ids=["process-4"])
+    def test_parallel_chaos_matches_serial(self, tiny_dataset, jobs):
         fixer = self._chaos_fixer()
         serial = run_fix_experiment(
             tiny_dataset, fixer, repeats=2, on_error="collect"
         )
         parallel = run_fix_experiment(
-            tiny_dataset, fixer, repeats=2, on_error="collect",
-            runner=ParallelRunner(jobs=jobs, backend=backend),
+            tiny_dataset, fixer, repeats=2, on_error="collect", jobs=jobs,
         )
         assert parallel.failures == serial.failures  # exactly the same units
         assert parallel.fixed_counts == serial.fixed_counts
@@ -664,7 +693,7 @@ class TestSandboxChaos:
         from repro.sim.testbench import run_differential
 
         injector = FaultInjector(seed=3, sim=FaultSpec(rate=0.4))
-        runner = ParallelRunner(jobs=1, backend="serial")
+        runner = ParallelRunner(jobs=1)
 
         def trial(seed: int) -> bool:
             return run_differential(design, design, samples=8, seed=seed).passed
@@ -763,6 +792,15 @@ def _exhaust_on_multiples_of_four(x: int) -> int:
     if x % 4 == 0:
         raise RetryExhaustedError(f"unit {x} exhausted", attempts=3,
                                   last_error=InjectedFault("down"))
+    return x * x
+
+
+def _compile_then_fail_on_sevens(x: int) -> int:
+    """Worker that compiles through the scoped cache, then crashes on
+    multiples of seven."""
+    cached_compile(f"module m{x % 5}(input a, output y);\nassign y = a;\nendmodule\n")
+    if x % 7 == 0:
+        raise RuntimeError(f"unit {x} poisoned")
     return x * x
 
 

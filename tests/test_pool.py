@@ -37,7 +37,6 @@ from repro.runtime import (
     GARBAGE_CODE,
     CircuitBreaker,
     FaultSpec,
-    ParallelRunner,
     RunContext,
     TokenCounter,
     estimate_tokens,
@@ -341,13 +340,12 @@ class TestPooledDeterminism:
         assert pooled.transcript.render() == direct.transcript.render()
         assert pooled.final_code == direct.final_code
 
-    @pytest.mark.parametrize("backend,jobs", [("thread", 2), ("process", 2)])
-    def test_pooled_parallel_matches_serial(self, tiny_dataset, backend, jobs):
+    @pytest.mark.parametrize("jobs", [2], ids=["process-2"])
+    def test_pooled_parallel_matches_serial(self, tiny_dataset, jobs):
         with scoped(llm_routing=RoutingSpec.parse(POOL, escalate_after=2)):
             serial = run_fix_experiment(tiny_dataset, RTLFixer(), repeats=1)
             parallel = run_fix_experiment(
-                tiny_dataset, RTLFixer(), repeats=1,
-                runner=ParallelRunner(jobs=jobs, backend=backend),
+                tiny_dataset, RTLFixer(), repeats=1, jobs=jobs,
             )
         assert parallel.fixed_counts == serial.fixed_counts
         assert parallel.iterations == serial.iterations

@@ -1,12 +1,18 @@
 """Smoke test for the one-call reproduction report (small scale)."""
 
+import itertools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.errors import RunInterrupted
 from repro.eval import ReportScale, run_full_report
+from repro.eval import runner as eval_runner
 from repro.eval.report import FullReport
 from repro.llm.pool import RoutingSpec
+from repro.runtime import executor
 from repro.scope import scoped
 from repro.sim.limits import SimLimits
 
@@ -70,7 +76,7 @@ class TestFullReport:
         assert isinstance(report, FullReport)
 
 
-def _run_telemetry(jobs):
+def _run_telemetry(jobs, **options):
     """A tiny pooled report under a 6-cycle simulation budget."""
     scale = ReportScale(
         dataset_size=4, dataset_samples_per_problem=2, repeats=1,
@@ -81,7 +87,7 @@ def _run_telemetry(jobs):
         "cheap=gpt-3.5-sim,strong=gpt-4-sim", escalate_after=2
     )
     with scoped(sim_limits=SimLimits(max_cycles=6)):
-        return run_full_report(scale=scale, jobs=jobs, routing=routing).telemetry
+        return run_full_report(scale=scale, jobs=jobs, routing=routing, **options)
 
 
 def _lookups(stats):
@@ -95,13 +101,15 @@ class TestTelemetry:
         caches and ledgers; the run's telemetry must still be what a
         serial run counts (the hit/miss split may differ: each worker
         holds its own caches)."""
-        serial, parallel = _run_telemetry(1), _run_telemetry(2)
+        serial_report, parallel_report = _run_telemetry(1), _run_telemetry(2)
+        serial, parallel = serial_report.telemetry, parallel_report.telemetry
         for cache in ("compile_cache", "verdict_cache"):
             assert _lookups(parallel[cache]) == _lookups(serial[cache]), cache
         assert serial["sandbox"]["limit_verdicts"] > 0
         assert parallel["sandbox"] == serial["sandbox"]
         assert serial["llm"]["calls"] > 0
         assert parallel["llm"] == serial["llm"]
+        assert parallel_report.to_json() == serial_report.to_json()
 
     def test_one_line_per_section(self, report):
         lines = report.summary_lines()
@@ -110,3 +118,41 @@ class TestTelemetry:
         ]
         assert f"misses={report.telemetry['compile_cache']['misses']}" in lines[0]
         assert "\n".join(lines) in report.to_markdown()
+
+
+class _CountingPool(ProcessPoolExecutor):
+    """A process pool that counts how many were opened."""
+
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+def _poisoned_trial(unit):
+    raise RuntimeError("poisoned trial")
+
+
+class TestOnePoolPerReport:
+    """A parallel report runs on one worker pool and leaves no worker
+    process behind, however it ends."""
+
+    def test_one_pool_for_every_stage(self, monkeypatch):
+        monkeypatch.setattr(_CountingPool, "opened", 0)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _CountingPool)
+        _run_telemetry(2)
+        assert _CountingPool.opened == 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_a_raising_unit(self, monkeypatch):
+        monkeypatch.setattr(eval_runner, "_run_fix_trial", _poisoned_trial)
+        with pytest.raises(RuntimeError, match="poisoned trial"):
+            _run_telemetry(2, on_error="raise")
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_an_interrupt(self):
+        polls = itertools.count()
+        with pytest.raises(RunInterrupted):
+            _run_telemetry(2, should_stop=lambda: next(polls) >= 3)
+        assert multiprocessing.active_children() == []

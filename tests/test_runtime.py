@@ -221,30 +221,35 @@ class TestParallelRunner:
             resolve_jobs(-1)
 
     def test_auto_backend_selection(self):
-        assert ParallelRunner(jobs=1).is_serial
-        runner = ParallelRunner(jobs=4)
-        assert runner.backend == "process" and not runner.is_serial
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=2, backend="fibers")
+        """``jobs`` alone picks in-process or worker processes."""
+        assert set(ParallelRunner(jobs=1).map(_pid, range(4))) == {os.getpid()}
+        with ParallelRunner(jobs=2) as runner:
+            assert os.getpid() not in runner.map(_pid, range(4))
 
     def test_map_preserves_submission_order(self):
-        for backend in ("serial", "thread", "process"):
-            runner = ParallelRunner(jobs=3, backend=backend)
-            assert runner.map(_square, range(20)) == [i * i for i in range(20)]
+        for jobs in (1, 3):
+            with ParallelRunner(jobs=jobs) as runner:
+                assert runner.map(_square, range(20)) == [i * i for i in range(20)]
 
     def test_progress_reports_every_unit(self):
         events = []
-        runner = ParallelRunner(jobs=2, backend="thread")
-        runner.map(_square, range(7), progress=lambda d, t, item: events.append((d, t)))
+        with ParallelRunner(jobs=2) as runner:
+            runner.map(
+                _square, range(7), progress=lambda d, t, item: events.append((d, t))
+            )
         assert [d for d, _ in events] == list(range(1, 8))
         assert all(t == 7 for _, t in events)
 
     def test_worker_exceptions_propagate(self):
-        runner = ParallelRunner(jobs=2, backend="thread")
-        with pytest.raises(ZeroDivisionError):
-            runner.map(_reciprocal, [1, 0, 2])
+        with ParallelRunner(jobs=2) as runner:
+            with pytest.raises(ZeroDivisionError):
+                runner.map(_reciprocal, [1, 0, 2])
+
+    def test_one_pool_serves_every_map(self):
+        """Every map runs on the same two worker processes."""
+        with ParallelRunner(jobs=2) as runner:
+            pids = set(runner.map(_pid, range(8))) | set(runner.map(_pid, range(8)))
+        assert len(pids) <= 2
 
 
 class TestDeterminism:
@@ -253,24 +258,18 @@ class TestDeterminism:
     def test_fix_experiment_parallel_matches_serial(self, tiny_dataset):
         fixer = RTLFixer()
         serial = run_fix_experiment(tiny_dataset, fixer, repeats=2)
-        parallel = run_fix_experiment(
-            tiny_dataset, fixer, repeats=2,
-            runner=ParallelRunner(jobs=4, backend="process"),
-        )
+        parallel = run_fix_experiment(tiny_dataset, fixer, repeats=2, jobs=4)
         assert parallel.fixed_counts == serial.fixed_counts
         assert parallel.iterations == serial.iterations
         assert parallel.rate == serial.rate
         assert parallel.label == serial.label and parallel.trials == serial.trials
 
-    def test_fix_experiment_thread_backend_matches_serial(self, tiny_dataset):
+    def test_fix_experiment_oneshot_parallel_matches_serial(self, tiny_dataset):
         fixer = RTLFixer(prompting="oneshot", compiler="iverilog", use_rag=False)
         serial = run_fix_experiment(tiny_dataset, fixer, repeats=2)
-        threaded = run_fix_experiment(
-            tiny_dataset, fixer, repeats=2,
-            runner=ParallelRunner(jobs=3, backend="thread"),
-        )
-        assert threaded.fixed_counts == serial.fixed_counts
-        assert threaded.iterations == serial.iterations
+        parallel = run_fix_experiment(tiny_dataset, fixer, repeats=2, jobs=3)
+        assert parallel.fixed_counts == serial.fixed_counts
+        assert parallel.iterations == serial.iterations
 
     def test_table2_parallel_matches_serial(self, tiny_problems):
         serial = run_table2(tiny_problems, n_samples=4, sim_samples=8)
@@ -303,8 +302,7 @@ class TestPerTrialProgress:
         events = []
         fixer = RTLFixer()
         run_fix_experiment(
-            tiny_dataset, fixer, repeats=2,
-            runner=ParallelRunner(jobs=4, backend="process"),
+            tiny_dataset, fixer, repeats=2, jobs=4,
             progress=lambda done, total: events.append((done, total)),
         )
         total = len(tiny_dataset) * 2
@@ -422,3 +420,8 @@ def _square(x: int) -> int:
 def _reciprocal(x: int) -> float:
     """1/x, used to exercise worker-exception propagation."""
     return 1 / x
+
+
+def _pid(_: int) -> int:
+    """The process a unit ran in."""
+    return os.getpid()

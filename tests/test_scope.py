@@ -1,15 +1,18 @@
 """Semantics of the process-wide runtime scope.
 
 The ambient caches, ledgers and simulation settings are process-wide
-state, not per-context state: thread-pool workers must see what the
-caller scoped, leaving a scope restores only the fields it set, and a
-disabling scope nested inside an enabling one restores the outer value.
+state, not per-context state: threads the caller starts (the repair
+service's executor threads) must see what it scoped, leaving a scope
+restores only the fields it set, and a disabling scope nested inside an
+enabling one restores the outer value.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.diagnostics import compile_source
-from repro.runtime import CompileCache, ParallelRunner, cached_compile
+from repro.runtime import CompileCache, cached_compile
 from repro.runtime.cache import DEFAULT_CACHE, get_active_cache
 from repro.scope import current, scoped
 from repro.sim import DEFAULT_SIM_LIMITS, SimLimits, make_simulator, run_differential
@@ -42,14 +45,16 @@ def _lookups(stats) -> int:
 
 
 class TestThreadWorkersSeeTheCallersScope:
-    def test_thread_backend_counts_into_scoped_caches(self):
+    def test_threads_count_into_scoped_caches(self):
         compile_cache = CompileCache()
         verdicts = VerdictCache()
         default_compiles = _lookups(DEFAULT_CACHE.stats)
         default_verdicts = _lookups(DEFAULT_VERDICT_CACHE.stats)
-        runner = ParallelRunner(jobs=2, backend="thread")
         with scoped(compile_cache=compile_cache, verdict_cache=verdicts):
-            results = runner.map(_compile_and_simulate, [ADDER, XOR, ADDER, XOR])
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(
+                    pool.map(_compile_and_simulate, [ADDER, XOR, ADDER, XOR])
+                )
         assert results == [True] * 4
         assert compile_cache.stats.misses >= 2
         assert _lookups(compile_cache.stats) + compile_cache.stats.coalesced == 4
