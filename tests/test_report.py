@@ -1,9 +1,11 @@
 """Smoke test for the one-call reproduction report (small scale)."""
 
+import hashlib
 import itertools
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -90,18 +92,30 @@ def _run_telemetry(jobs, **options):
         return run_full_report(scale=scale, jobs=jobs, routing=routing, **options)
 
 
+#: sha256 of ``to_json()`` of :func:`_run_telemetry`'s report, the same
+#: at every job count.  Rewrite it only for an intended change to a
+#: report result.
+REPORT_DIGEST = Path(__file__).parent / "data" / "report_tiny_digest.sha256"
+
+
+@pytest.fixture(scope="module")
+def telemetry_reports():
+    """The tiny report at ``jobs=1`` and at ``jobs=2``."""
+    return _run_telemetry(1), _run_telemetry(2)
+
+
 def _lookups(stats):
     return (stats["hits"] + stats["misses"] + stats["coalesced_waits"]
             + stats["uncacheable"])
 
 
 class TestTelemetry:
-    def test_process_worker_counts_come_home(self):
+    def test_process_worker_counts_come_home(self, telemetry_reports):
         """A process worker counts into its own copies of the run's
         caches and ledgers; the run's telemetry must still be what a
         serial run counts (the hit/miss split may differ: each worker
         holds its own caches)."""
-        serial_report, parallel_report = _run_telemetry(1), _run_telemetry(2)
+        serial_report, parallel_report = telemetry_reports
         serial, parallel = serial_report.telemetry, parallel_report.telemetry
         for cache in ("compile_cache", "verdict_cache"):
             assert _lookups(parallel[cache]) == _lookups(serial[cache]), cache
@@ -110,6 +124,11 @@ class TestTelemetry:
         assert serial["llm"]["calls"] > 0
         assert parallel["llm"] == serial["llm"]
         assert parallel_report.to_json() == serial_report.to_json()
+
+    def test_report_json_is_pinned(self, telemetry_reports):
+        pinned = REPORT_DIGEST.read_text().strip()
+        for report in telemetry_reports:
+            assert hashlib.sha256(report.to_json().encode()).hexdigest() == pinned
 
     def test_one_line_per_section(self, report):
         lines = report.summary_lines()
