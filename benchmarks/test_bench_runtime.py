@@ -584,7 +584,7 @@ def test_repair_engine_workload(benchmark):
     headline numbers in BENCH_repair.json."""
     import random as _random
 
-    from repro.dataset.mutate import force_behavior_change, mutate_logic
+    from repro.dataset.mutate import draw_logic_bug
     from repro.dataset.problem import ProblemSet
     from repro.diagnostics import Compiler
     from repro.eval.experiments import run_table4
@@ -599,11 +599,10 @@ def test_repair_engine_workload(benchmark):
         t_localize = 0.0
         for problem in problems:
             rng = _random.Random(f"bench-repair|{problem.id}")
-            buggy = mutate_logic(problem.reference, rng)
-            if buggy == problem.reference:
-                buggy = force_behavior_change(problem.reference)
-                if buggy is None:
-                    continue
+            drawn = draw_logic_bug(problem.reference, rng)
+            if drawn is None:
+                continue
+            buggy = drawn[0]
             compiler = Compiler()
             reference = compiler.compile(problem.reference).elaborated
             if reference is None:

@@ -159,3 +159,17 @@ def mutate_logic(code: str, rng: random.Random, attempts: int = 12) -> str:
     Falls back to the original code when nothing applies (the sample
     then just happens to be correct)."""
     return mutate_logic_labeled(code, rng, attempts)[0]
+
+
+def draw_logic_bug(code: str, rng: random.Random) -> Optional[tuple[str, str]]:
+    """One seeded logic bug in ``code``: ``(mutant, bug_class)``, or None.
+
+    A random :func:`mutate_logic_labeled` draw; when it leaves the code
+    unchanged, :func:`force_behavior_change` (class
+    ``"forced_inversion"``), and None when that cannot apply either.
+    Draws from ``rng`` are :func:`mutate_logic_labeled`'s."""
+    mutant, bug_class = mutate_logic_labeled(code, rng)
+    if mutant != code:
+        return mutant, bug_class
+    forced = force_behavior_change(code)
+    return None if forced is None else (forced, "forced_inversion")

@@ -5,6 +5,15 @@ method that prints the same rows the paper reports.  The benchmarks in
 ``benchmarks/`` call these with full-size parameters; tests use scaled-
 down ones.
 
+Each family of per-sample work has one copy: Table 3 is Table 2's
+per-problem flow over the RTLLM corpus (:func:`run_table3` folds its
+rates from :func:`run_table2`'s outcomes); Figure 7 is a fold over a
+:class:`~repro.eval.runner.FixExperimentResult`
+(:meth:`Figure7Result.from_run`), which the full report applies to Table
+1's headline cell instead of running trials of its own; and the §5
+extension and Table 4 draw their logic bugs through one
+:meth:`_RepairUnit.visible_bugs`.
+
 Every driver accepts ``jobs=``: per-problem / per-trial work units fan
 out across that many worker processes, with results reassembled in
 submission order so parallel runs are bit-identical to serial ones at
@@ -16,13 +25,15 @@ through the content-addressed compile cache (:mod:`repro.runtime.cache`).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..core.config import RTLFixerConfig
 from ..core.fixer import RTLFixer
 from ..dataset.curate import SyntaxDataset, build_syntax_dataset
 from ..dataset.generate import GenerationModel
+from ..dataset.mutate import draw_logic_bug
 from ..dataset.problem import Problem, ProblemSet
 from ..diagnostics import compile_source
 from ..runtime import (
@@ -404,41 +415,6 @@ class Table3Result:
         )
 
 
-@dataclass(frozen=True)
-class _Table3Unit:
-    """One per-problem Table 3 work unit."""
-
-    problem: Problem
-    n_samples: int
-    sim_samples: int
-    seed: int
-
-
-def _table3_problem_counts(unit: _Table3Unit) -> tuple[int, int, int, int, int]:
-    """Evaluate one RTLLM problem; returns ``(total, syntax_ok_before,
-    syntax_ok_after, c_before, c_after)``."""
-    fixer = RTLFixer()  # ReAct + RAG + Quartus, stock database
-    model = GenerationModel(temperature=0.4, seed=unit.seed)
-    problem = unit.problem
-    total = syntax_ok_before = syntax_ok_after = c_before = c_after = 0
-    for sample in model.sample_n(problem, unit.n_samples, "rtllm"):
-        total += 1
-        verdict = evaluate_sample(sample.raw, problem, samples=unit.sim_samples)
-        if verdict != "syntax":
-            syntax_ok_before += 1
-            syntax_ok_after += 1
-            if verdict == "pass":
-                c_before += 1
-                c_after += 1
-            continue
-        fix = fixer.fix(sample.raw, description=problem.human_desc)
-        if fix.success:
-            syntax_ok_after += 1
-            if evaluate_code(fix.final_code, problem, samples=unit.sim_samples) == "pass":
-                c_after += 1
-    return total, syntax_ok_before, syntax_ok_after, c_before, c_after
-
-
 def run_table3(
     problems: ProblemSet,
     n_samples: int = 10,
@@ -450,43 +426,33 @@ def run_table3(
     ctx: Optional[RunContext] = None,
 ) -> Table3Result:
     """Generalization to the RTLLM-style corpus *without* any new RAG
-    entries (§4.2, Table 3).  ``jobs`` fans problems across workers;
-    ``on_error="collect"`` isolates failed problems instead of aborting;
-    ``ctx`` journals per-problem counts for resume."""
-    problem_list = list(problems)
-    units = [
-        _Table3Unit(
-            problem=problem, n_samples=n_samples, sim_samples=sim_samples, seed=seed
-        )
-        for problem in problem_list
-    ]
-    cfg_digest = config_digest(RTLFixerConfig())  # the stock Table 3 fixer
-    completed, failures = run_stage(
-        "table3", _table3_problem_counts, units,
-        lambda unit: dict(
-            problem=unit.problem.id, n_samples=unit.n_samples,
-            sim_samples=unit.sim_samples, config=cfg_digest, seed=unit.seed,
-        ),
-        ctx=ctx, jobs=jobs, progress=progress, on_error=on_error,
+    entries (§4.2, Table 3).
+
+    This is Table 2's flow over ``benchmarks=("rtllm",)`` with the stock
+    (ReAct + RAG + Quartus) fixer: :func:`run_table2` runs the
+    per-problem units, and the four rates are folded from their
+    :class:`ProblemOutcome` s.  A sample counts as syntax-successful
+    after fixing unless Table 2 books it as still failing syntax.
+    ``progress`` receives ``(done, total)`` per completed problem;
+    ``jobs``, ``on_error`` and ``ctx`` are :func:`run_table2`'s."""
+    tick = None
+    if progress is not None:
+        tick = lambda benchmark, done, total: progress(done, total)  # noqa: E731
+    table2 = run_table2(
+        problems, n_samples=n_samples, benchmarks=("rtllm",),
+        sim_samples=sim_samples, seed=seed, progress=tick, jobs=jobs,
+        on_error=on_error, ctx=ctx,
     )
-    result = Table3Result(failures=failures)
-    counts = [outcome for _, outcome in completed]
-    if not counts:
+    result = Table3Result(failures=table2.failures)
+    outcomes = table2.outcomes["rtllm"]
+    total = sum(o.n for o in outcomes)
+    if not total:
         return result
-
-    total = sum(c[0] for c in counts)
-    syntax_ok_before = sum(c[1] for c in counts)
-    syntax_ok_after = sum(c[2] for c in counts)
-    per_problem_pass = [(n_samples, c[3], c[4]) for c in counts]
-
-    result.syntax_before = syntax_ok_before / total if total else 0.0
-    result.syntax_after = syntax_ok_after / total if total else 0.0
-    result.pass1_before = sum(
-        pass_at_k_single(n, c, 1) for n, c, _ in per_problem_pass
-    ) / len(per_problem_pass)
-    result.pass1_after = sum(
-        pass_at_k_single(n, c, 1) for n, _, c in per_problem_pass
-    ) / len(per_problem_pass)
+    compiled_before = sum(o.correct_original + o.sim_original for o in outcomes)
+    result.syntax_before = compiled_before / total
+    result.syntax_after = sum(o.n - o.syntax_fixed for o in outcomes) / total
+    result.pass1_before = table2.pass_at("rtllm", "all", 1, fixed=False)
+    result.pass1_after = table2.pass_at("rtllm", "all", 1, fixed=True)
     return result
 
 
@@ -501,6 +467,19 @@ class Figure7Result:
     histogram: dict[int, int] = field(default_factory=dict)
     #: failed trials under ``on_error="collect"`` (not in the histogram).
     failures: list[WorkFailure] = field(default_factory=list)
+
+    @classmethod
+    def from_run(cls, run: FixExperimentResult, trials: int) -> "Figure7Result":
+        """The histogram of ``run``'s trials ``0..trials-1``: their
+        successful repairs (a success in 0 iterations already compiled,
+        so it is not one), counted entry by entry, and their failures."""
+        result = cls(
+            failures=[f for f in run.failures if f.index % run.trials < trials]
+        )
+        for trial, iterations in zip(run.success_trials, run.iterations):
+            if trial < trials and iterations > 0:
+                result.histogram[iterations] = result.histogram.get(iterations, 0) + 1
+        return result
 
     @property
     def total(self) -> int:
@@ -536,18 +515,18 @@ def run_figure7(
     on_error: str = "raise",
     ctx: Optional[RunContext] = None,
 ) -> Figure7Result:
-    """Histogram of ReAct iterations needed per successful fix."""
-    fixer = RTLFixer()  # the paper's headline config
+    """Histogram of ReAct iterations needed per successful fix, over
+    ``repeats`` trials of the paper's headline config.
+
+    The full report runs no trials for it: it folds the first trials of
+    Table 1's ``("react", "quartus", True)`` cell, the same config, with
+    :meth:`Figure7Result.from_run`.  This driver is that fold over a run
+    of its own."""
     run = run_fix_experiment(
-        dataset, fixer, repeats=repeats, progress=progress, jobs=jobs,
+        dataset, RTLFixer(), repeats=repeats, progress=progress, jobs=jobs,
         on_error=on_error, ctx=ctx, stage="figure7",
     )
-    result = Figure7Result(failures=list(run.failures))
-    for iterations in run.iterations:
-        if iterations <= 0:
-            continue  # already compiling, not a repair
-        result.histogram[iterations] = result.histogram.get(iterations, 0) + 1
-    return result
+    return Figure7Result.from_run(run, repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +631,34 @@ class _RepairUnit:
         """The fields of the unit's journal key."""
         return {**vars(self), "problem": self.problem.id}
 
+    def visible_bugs(self, salt: str) -> Iterator[tuple[str, str]]:
+        """The unit's seeded logic bugs that show in simulation, as
+        ``(buggy, bug_class)``: one
+        :func:`~repro.dataset.mutate.draw_logic_bug` per sample from an
+        rng keyed by ``salt``, the seed and the problem, minus the draws
+        that find no bug and the accidentally equivalent (or broken)
+        mutants."""
+        rng = random.Random(f"{salt}|{self.seed}|{self.problem.id}")
+        for _ in range(self.samples_per_problem):
+            drawn = draw_logic_bug(self.problem.reference, rng)
+            if drawn is None:
+                continue
+            verdict = evaluate_code(drawn[0], self.problem, samples=self.sim_samples)
+            if verdict == "sim":
+                yield drawn
+
 
 def _simfix_problem_counts(unit: _RepairUnit) -> tuple[str, int, int]:
     """Mutate and debug one problem; returns ``(difficulty, attempted,
     fixed)``."""
     from ..agents.simfix import SimDebugAgent
-    from ..dataset.mutate import force_behavior_change, mutate_logic
-    import random as _random
 
     agent = SimDebugAgent(
         max_iterations=unit.max_iterations, sim_samples=unit.sim_samples
     )
     problem = unit.problem
-    rng = _random.Random(f"simfix|{unit.seed}|{problem.id}")
     attempted = fixed = 0
-    for trial in range(unit.samples_per_problem):
-        buggy = mutate_logic(problem.reference, rng)
-        if buggy == problem.reference:
-            forced = force_behavior_change(problem.reference)
-            if forced is None:
-                continue
-            buggy = forced
-        verdict = evaluate_code(buggy, problem, samples=unit.sim_samples)
-        if verdict != "sim":
-            continue  # accidentally equivalent (or broken) mutant
+    for buggy, _ in unit.visible_bugs("simfix"):
         run = agent.run(buggy, problem.reference, difficulty=problem.difficulty)
         attempted += 1
         fixed += int(run.success)
@@ -816,24 +799,11 @@ def _table4_problem_rows(
     """Mutate and engine-repair one problem; one row per attempted
     trial: ``(bug_class, fixed, fixed_by, templates_tried, loc_hit)``
     where ``loc_hit`` is None when the localizer stayed silent."""
-    import random as _random
-
-    from ..dataset.mutate import force_behavior_change, mutate_logic_labeled
     from ..repair import build_functional_engine
 
     problem = unit.problem
-    rng = _random.Random(f"table4|{unit.seed}|{problem.id}")
     rows: list[tuple[str, bool, str, int, Optional[bool]]] = []
-    for trial in range(unit.samples_per_problem):
-        buggy, bug_class = mutate_logic_labeled(problem.reference, rng)
-        if buggy == problem.reference:
-            forced = force_behavior_change(problem.reference)
-            if forced is None:
-                continue
-            buggy, bug_class = forced, "forced_inversion"
-        verdict = evaluate_code(buggy, problem, samples=unit.sim_samples)
-        if verdict != "sim":
-            continue  # accidentally equivalent (or broken) mutant
+    for buggy, bug_class in unit.visible_bugs("table4"):
         engine = build_functional_engine(
             problem.reference,
             difficulty=problem.difficulty,

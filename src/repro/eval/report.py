@@ -38,9 +38,9 @@ from .experiments import (
     PAPER_TABLE1,
     PAPER_TABLE2,
     PAPER_TABLE3,
+    Figure7Result,
     figure5_logs,
     figure6_failure_case,
-    run_figure7,
     run_simfix_extension,
     run_table1,
     run_table2,
@@ -327,10 +327,11 @@ def _run_experiments(
     }
     report.rendered["table3"] = t3.render()
 
-    tick("Figure 7")
-    f7 = run_figure7(
-        dataset, repeats=max(1, scale.repeats // 2), jobs=jobs, on_error=on_error,
-        ctx=ctx,
+    # Figure 7 runs no trials of its own: it folds the first
+    # max(1, repeats // 2) trials of Table 1's headline cell (ReAct +
+    # RAG + Quartus, the paper's config).
+    f7 = Figure7Result.from_run(
+        t1.details[("react", "quartus", True)], max(1, scale.repeats // 2)
     )
     report.failures["figure7"] = len(f7.failures)
     report.figure7 = dict(f7.histogram)

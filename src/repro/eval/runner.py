@@ -45,14 +45,20 @@ Verdict = Literal["pass", "syntax", "sim"]
 
 @dataclass
 class FixExperimentResult:
-    """Per-entry fix counts for one configuration."""
+    """Per-entry fix counts for one configuration, plus the iterations
+    and trial index of each successful trial, so a view over some of the
+    trials (Figure 7 over the first ones) needs no second run."""
 
     label: str
     trials: int
     #: entry index -> number of trials that fixed it
     fixed_counts: list[int] = field(default_factory=list)
-    #: iterations used in each *successful* trial (feeds Fig. 7)
+    #: iterations used in each *successful* trial, entry-major (feeds
+    #: Fig. 7)
     iterations: list[int] = field(default_factory=list)
+    #: the trial index of each entry of ``iterations``, so Fig. 7 can
+    #: keep the first trials of a run
+    success_trials: list[int] = field(default_factory=list)
     #: failed work units under ``on_error="collect"``, ordered by unit
     #: index (``entry * trials + trial``).  A failed trial counts as
     #: not-fixed in ``rate`` -- failure isolation must not inflate it.
@@ -199,6 +205,7 @@ def run_fix_experiment(
         if success:
             counts[unit.entry] += 1
             result.iterations.append(iterations)
+            result.success_trials.append(unit.trial)
     result.fixed_counts = counts
     return result
 

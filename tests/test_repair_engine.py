@@ -23,6 +23,7 @@ from repro.dataset.corpus import verilogeval
 from repro.dataset.curate import build_syntax_dataset
 from repro.dataset.mutate import (
     MUTATIONS,
+    draw_logic_bug,
     force_behavior_change,
     mutate_logic,
     mutate_logic_labeled,
@@ -116,11 +117,10 @@ def simfix_records() -> tuple[bytes, ...]:
         for seed in range(2):
             for problem in verilogeval():
                 rng = random.Random(f"repair-diff|{seed}|{problem.id}")
-                buggy = mutate_logic(problem.reference, rng)
-                if buggy == problem.reference:
-                    buggy = force_behavior_change(problem.reference)
-                    if buggy is None:
-                        continue
+                drawn = draw_logic_bug(problem.reference, rng)
+                if drawn is None:
+                    continue
+                buggy = drawn[0]
                 agent = SimDebugAgent(model=SimulatedLogicDebugger(seed=seed))
                 digest = result_digest(
                     agent.run(buggy, problem.reference, problem.difficulty)
@@ -528,6 +528,18 @@ class TestTable4:
         mutated, bug_class = mutate_logic_labeled(reference, labeled_rng)
         assert mutated == mutate_logic(reference, plain_rng)
         assert isinstance(bug_class, str) and bug_class
+
+    def test_drawn_bug_is_the_labeled_draw_or_the_forced_inversion(self):
+        reference = list(verilogeval())[2].reference
+        assert draw_logic_bug(reference, random.Random("tag")) == (
+            mutate_logic_labeled(reference, random.Random("tag"))
+        )
+        # No mutation site: only the deterministic inversion applies.
+        wire = "module m(input a, output y);\n  assign y = a;\nendmodule\n"
+        assert draw_logic_bug(wire, random.Random(0)) == (
+            force_behavior_change(wire), "forced_inversion"
+        )
+        assert draw_logic_bug("module m; endmodule", random.Random(0)) is None
 
     def test_run_table4_deterministic_and_templates_fix(self):
         from repro.dataset.problem import ProblemSet
