@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 from ..core.config import RTLFixerConfig
 from ..core.fixer import RTLFixer
-from ..dataset.curate import SyntaxDataset, build_syntax_dataset
+from ..dataset.curate import SyntaxDataset, SyntaxEntry, build_syntax_dataset
 from ..dataset.generate import GenerationModel
 from ..dataset.mutate import draw_logic_bug
 from ..dataset.problem import Problem, ProblemSet
@@ -575,13 +575,34 @@ endmodule
 """
 
 
-def figure6_failure_case(repeats: int = 10) -> dict:
+def figure6_failure_case(
+    repeats: int = 10,
+    jobs: Optional[int] = None,
+    on_error: str = "raise",
+    ctx: Optional[RunContext] = None,
+) -> dict:
     """The index-arithmetic failure case: RTLFixer's fix rate on it is
-    far below average (the paper reports the agent cannot fix it)."""
-    log = compile_source(FIG6_CODE, flavor="quartus").log
-    fixer = RTLFixer()
-    wins = sum(fixer.with_seed(s).fix(FIG6_CODE).success for s in range(repeats))
-    return {"log": log, "fix_rate": wins / repeats}
+    far below average (the paper reports the agent cannot fix it).
+
+    Its ``repeats`` trials (seeds ``0..repeats-1``) are a one-entry
+    :func:`run_fix_experiment`, the journal stage ``figure6``, so
+    ``jobs``, ``on_error`` and ``ctx`` mean what they mean there.
+    Returns the Quartus ``log``, the ``fix_rate`` (a failed trial counts
+    as not fixed) and the ``failures`` collected under
+    ``on_error="collect"``."""
+    entry = SyntaxEntry(
+        problem_id="figure6", benchmark="human", description="",
+        code=FIG6_CODE, categories=(),
+    )
+    run = run_fix_experiment(
+        SyntaxDataset([entry]), RTLFixer(), repeats=repeats, jobs=jobs,
+        on_error=on_error, ctx=ctx, stage="figure6",
+    )
+    return {
+        "log": compile_source(FIG6_CODE, flavor="quartus").log,
+        "fix_rate": run.rate,
+        "failures": run.failures,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,11 @@ def _run_experiments(
 
     tick("Figures 5/6")
     report.figure5 = figure5_logs()
-    report.figure6 = figure6_failure_case(repeats=max(4, scale.repeats))
+    figure6 = figure6_failure_case(
+        repeats=max(4, scale.repeats), jobs=jobs, on_error=on_error, ctx=ctx
+    )
+    report.failures["figure6"] = len(figure6.pop("failures"))
+    report.figure6 = figure6
     report.rendered["figure6"] = (
         report.figure6["log"] + f"\nfix rate: {report.figure6['fix_rate']:.2f}"
     )

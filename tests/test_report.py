@@ -1,5 +1,6 @@
 """Smoke test for the one-call reproduction report (small scale)."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ from repro.eval import ReportScale, run_full_report
 from repro.eval import runner as eval_runner
 from repro.eval.report import FullReport
 from repro.llm.pool import RoutingSpec
-from repro.runtime import executor
+from repro.runtime import FaultSpec, executor
 from repro.scope import scoped
 from repro.sim.limits import SimLimits
 
@@ -175,3 +176,25 @@ class TestOnePoolPerReport:
         with pytest.raises(RunInterrupted):
             _run_telemetry(2, should_stop=lambda: next(polls) >= 3)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.chaos
+class TestModelOutage:
+    """With every model call failing, ``on_error="collect"`` still
+    returns a report: each stage, Figure 6 included, counts its failed
+    trials instead of raising."""
+
+    def test_figure6_trials_are_isolated(self):
+        scale = ReportScale(
+            dataset_size=4, dataset_samples_per_problem=2, repeats=1,
+            n_samples=1, sim_samples=4, include_gpt4=False,
+            simfix_samples_per_problem=1, table4_samples_per_problem=1,
+        )
+        routing = dataclasses.replace(
+            RoutingSpec.parse("cheap=gpt-3.5-sim"),
+            chaos={"cheap": FaultSpec(rate=1.0)},
+        )
+        report = run_full_report(scale=scale, routing=routing, on_error="collect")
+        assert report.failures["figure6"] == 4  # max(4, repeats) trials
+        assert report.figure6["fix_rate"] == 0.0
+        assert "index -17" in report.figure6["log"]
