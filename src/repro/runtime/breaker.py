@@ -14,7 +14,7 @@ machine per run:
 * **closed** (normal): trials flow; consecutive *counted* failures are
   tallied, any success resets the tally;
 * **open** (tripped, after ``failure_threshold`` consecutive counted
-  failures): :meth:`allow` denies trials, which the executor records as
+  failures): :meth:`admit` denies trials, which the executor records as
   journaled SKIPPED :class:`~repro.runtime.WorkFailure` slots -- the run
   finishes fast instead of grinding through the outage;
 * **half-open** (probing): after ``probe_interval`` denials one probe
@@ -41,10 +41,10 @@ the outage that caused the skip is expected to have cleared.
 Concurrency: the repair service (:mod:`repro.service`) drives the
 breaker from many concurrent handlers, so every state transition holds
 a reentrant lock, and dispatchers (the service and
-:mod:`repro.runtime.executor`) call :meth:`admit`, the *atomic*
-allow-and-sample-probe step: two handlers each calling :meth:`allow`
-and then reading :attr:`probing` could both believe they hold the
-half-open probe (double-dispatch) or lose a trip.
+:mod:`repro.runtime.executor`) call :meth:`admit`, which decides
+whether a trial may dispatch *and* whether it is the half-open probe
+in one step, so two handlers can never both believe they hold the
+probe (double-dispatch) or lose a trip.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class CircuitBreaker:
     """Trip after N consecutive counted failures; fail the rest fast.
 
     >>> breaker = CircuitBreaker(failure_threshold=3)
-    >>> breaker.allow()            # closed: dispatch the trial
-    >>> breaker.record_failure(exc)  # tally (or ignore a bare transient)
+    >>> allowed, probe = breaker.admit()  # closed: (True, False)
+    >>> breaker.record_failure(exc, probe=probe)  # tally it (or not)
     >>> breaker.state
     """
 
@@ -108,23 +108,15 @@ class CircuitBreaker:
         """
         return not isinstance(exc, TransientError)
 
-    def allow(self) -> bool:
-        """Whether the next trial may dispatch (False = skip it).
-
-        While open, denials are tallied; every ``probe_interval``-th
-        denial converts into a half-open probe instead.  While a probe
-        is in flight (half-open) all other trials are denied.  To learn
-        whether the admitted trial is the probe, use :meth:`admit`.
-        """
-        allowed, _ = self.admit()
-        return allowed
-
     def admit(self) -> tuple[bool, bool]:
         """Atomic dispatch decision: ``(allowed, is_probe)``.
 
-        Equivalent to :meth:`allow` plus sampling :attr:`probing`, but
-        as one locked transition, so two concurrent handlers can never
-        both conclude they hold the half-open probe.  Callers that
+        ``allowed`` is False when the next trial must be skipped.  While
+        open, denials are tallied; every ``probe_interval``-th denial
+        converts into a half-open probe instead.  While a probe is in
+        flight (half-open) all other trials are denied.  One locked
+        transition, so two concurrent handlers can never both conclude
+        they hold the half-open probe.  Callers that
         receive ``is_probe=True`` **must** settle the probe by passing
         ``probe=True`` to exactly one ``record_*`` call, or the breaker
         stays half-open and starves dispatch.

@@ -455,17 +455,17 @@ class TestCircuitBreaker:
     def test_half_open_probe_recovers(self):
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=2)
         breaker.record_failure(RuntimeError("x"))
-        assert not breaker.allow()  # denial 1
-        assert breaker.allow()  # denial 2 converts to a half-open probe
+        assert not breaker.admit()[0]  # denial 1
+        assert breaker.admit()[0]  # denial 2 converts to a half-open probe
         assert breaker.state == "half_open"
         breaker.record_success()
         assert breaker.state == "closed"
-        assert breaker.allow()
+        assert breaker.admit()[0]
 
     def test_half_open_probe_failure_reopens(self):
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=1)
         breaker.record_failure(RuntimeError("x"))
-        assert breaker.allow()  # immediate probe
+        assert breaker.admit()[0]  # immediate probe
         breaker.record_failure(RuntimeError("still down"))
         assert breaker.state == "open"
         assert breaker.trips == 2
@@ -473,7 +473,7 @@ class TestCircuitBreaker:
     def test_no_probe_when_disabled(self):
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=None)
         breaker.record_failure(RuntimeError("x"))
-        assert not any(breaker.allow() for _ in range(100))
+        assert not any(breaker.admit()[0] for _ in range(100))
 
     def test_executor_skips_fail_fast(self):
         """Once tripped, remaining units become SKIPPED slots without
@@ -510,12 +510,12 @@ class TestCircuitBreaker:
         leave it wedged half-open forever (which starves dispatch)."""
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=1)
         breaker.record_failure(RuntimeError("x"))
-        assert breaker.allow()  # immediate probe
+        assert breaker.admit()[0]  # immediate probe
         assert breaker.probing
         breaker.record_failure(TransientError("hiccup"))
         assert breaker.state == "open"  # settled, not stuck half_open
         assert breaker.consecutive_failures == 1  # transient not tallied
-        assert breaker.allow()  # probing resumes on the next interval
+        assert breaker.admit()[0]  # probing resumes on the next interval
 
     def test_non_probe_failure_while_probing_only_tallies(self):
         """While a half-open probe is in flight, a counted failure from
@@ -523,7 +523,7 @@ class TestCircuitBreaker:
         discard the probe's pending outcome."""
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=1)
         breaker.record_failure(RuntimeError("x"))
-        assert breaker.allow()  # probe dispatched
+        assert breaker.admit()[0]  # probe dispatched
         trips = breaker.trips
         breaker.record_failure(RuntimeError("straggler"), probe=False)
         assert breaker.state == "half_open"
@@ -536,7 +536,7 @@ class TestCircuitBreaker:
         not close the breaker; the probe still settles the state."""
         breaker = CircuitBreaker(failure_threshold=1, probe_interval=1)
         breaker.record_failure(RuntimeError("x"))
-        assert breaker.allow()
+        assert breaker.admit()[0]
         breaker.record_success(probe=False)
         assert breaker.state == "half_open" and breaker.probing
         assert breaker.consecutive_failures == 0
