@@ -162,12 +162,9 @@ def mutate_logic(code: str, rng: random.Random, attempts: int = 12) -> str:
 
 
 def draw_logic_bug(code: str, rng: random.Random) -> Optional[tuple[str, str]]:
-    """One seeded logic bug in ``code``: ``(mutant, bug_class)``, or None.
-
-    A random :func:`mutate_logic_labeled` draw; when it leaves the code
-    unchanged, :func:`force_behavior_change` (class
-    ``"forced_inversion"``), and None when that cannot apply either.
-    Draws from ``rng`` are :func:`mutate_logic_labeled`'s."""
+    """``(mutant, bug_class)``: a :func:`mutate_logic_labeled` draw, or
+    when that leaves ``code`` unchanged the ``"forced_inversion"`` of
+    :func:`force_behavior_change`; None when neither applies."""
     mutant, bug_class = mutate_logic_labeled(code, rng)
     if mutant != code:
         return mutant, bug_class

@@ -5,14 +5,10 @@ method that prints the same rows the paper reports.  The benchmarks in
 ``benchmarks/`` call these with full-size parameters; tests use scaled-
 down ones.
 
-Each family of per-sample work has one copy: Table 3 is Table 2's
-per-problem flow over the RTLLM corpus (:func:`run_table3` folds its
-rates from :func:`run_table2`'s outcomes); Figure 7 is a fold over a
-:class:`~repro.eval.runner.FixExperimentResult`
-(:meth:`Figure7Result.from_run`), which the full report applies to Table
-1's headline cell instead of running trials of its own; and the §5
-extension and Table 4 draw their logic bugs through one
-:meth:`_RepairUnit.visible_bugs`.
+Each kind of per-sample work has one copy: Table 3 folds Table 2's
+units over RTLLM, Figure 7 folds a fix experiment's runs
+(:meth:`Figure7Result.from_run`, in the report over Table 1's headline
+cell), and §5 and Table 4 share :meth:`_RepairUnit.visible_bugs`.
 
 Every driver accepts ``jobs=``: per-problem / per-trial work units fan
 out across that many worker processes, with results reassembled in
@@ -426,15 +422,10 @@ def run_table3(
     ctx: Optional[RunContext] = None,
 ) -> Table3Result:
     """Generalization to the RTLLM-style corpus *without* any new RAG
-    entries (§4.2, Table 3).
-
-    This is Table 2's flow over ``benchmarks=("rtllm",)`` with the stock
-    (ReAct + RAG + Quartus) fixer: :func:`run_table2` runs the
-    per-problem units, and the four rates are folded from their
-    :class:`ProblemOutcome` s.  A sample counts as syntax-successful
-    after fixing unless Table 2 books it as still failing syntax.
-    ``progress`` receives ``(done, total)`` per completed problem;
-    ``jobs``, ``on_error`` and ``ctx`` are :func:`run_table2`'s."""
+    entries (§4.2, Table 3): :func:`run_table2` over
+    ``benchmarks=("rtllm",)`` with the stock ReAct + RAG + Quartus
+    fixer, its outcomes folded into the four rates.  ``progress``
+    receives ``(done, total)`` per completed problem."""
     tick = None
     if progress is not None:
         tick = lambda benchmark, done, total: progress(done, total)  # noqa: E731
@@ -516,12 +507,8 @@ def run_figure7(
     ctx: Optional[RunContext] = None,
 ) -> Figure7Result:
     """Histogram of ReAct iterations needed per successful fix, over
-    ``repeats`` trials of the paper's headline config.
-
-    The full report runs no trials for it: it folds the first trials of
-    Table 1's ``("react", "quartus", True)`` cell, the same config, with
-    :meth:`Figure7Result.from_run`.  This driver is that fold over a run
-    of its own."""
+    ``repeats`` trials of the paper's headline config (the full report
+    folds Table 1's cell of that config instead)."""
     run = run_fix_experiment(
         dataset, RTLFixer(), repeats=repeats, progress=progress, jobs=jobs,
         on_error=on_error, ctx=ctx, stage="figure7",
@@ -583,17 +570,9 @@ def figure6_failure_case(
 ) -> dict:
     """The index-arithmetic failure case: RTLFixer's fix rate on it is
     far below average (the paper reports the agent cannot fix it).
-
-    Its ``repeats`` trials (seeds ``0..repeats-1``) are a one-entry
-    :func:`run_fix_experiment`, the journal stage ``figure6``, so
-    ``jobs``, ``on_error`` and ``ctx`` mean what they mean there.
-    Returns the Quartus ``log``, the ``fix_rate`` (a failed trial counts
-    as not fixed) and the ``failures`` collected under
-    ``on_error="collect"``."""
-    entry = SyntaxEntry(
-        problem_id="figure6", benchmark="human", description="",
-        code=FIG6_CODE, categories=(),
-    )
+    Its trials are a one-entry :func:`run_fix_experiment` (stage
+    ``figure6``); ``failures`` lists those failed under ``"collect"``."""
+    entry = SyntaxEntry("figure6", "human", "", FIG6_CODE, categories=())
     run = run_fix_experiment(
         SyntaxDataset([entry]), RTLFixer(), repeats=repeats, jobs=jobs,
         on_error=on_error, ctx=ctx, stage="figure6",
@@ -653,12 +632,8 @@ class _RepairUnit:
         return {**vars(self), "problem": self.problem.id}
 
     def visible_bugs(self, salt: str) -> Iterator[tuple[str, str]]:
-        """The unit's seeded logic bugs that show in simulation, as
-        ``(buggy, bug_class)``: one
-        :func:`~repro.dataset.mutate.draw_logic_bug` per sample from an
-        rng keyed by ``salt``, the seed and the problem, minus the draws
-        that find no bug and the accidentally equivalent (or broken)
-        mutants."""
+        """``(buggy, bug_class)`` per sample whose drawn logic bug shows
+        in simulation (not accidentally equivalent, nor broken)."""
         rng = random.Random(f"{salt}|{self.seed}|{self.problem.id}")
         for _ in range(self.samples_per_problem):
             drawn = draw_logic_bug(self.problem.reference, rng)
@@ -715,9 +690,7 @@ def run_simfix_extension(
     for _, (difficulty, attempted, fixed) in completed:
         counts[difficulty][0] += attempted
         counts[difficulty][1] += fixed
-
-    for difficulty, (attempted, fixed) in counts.items():
-        result.by_difficulty[difficulty] = (attempted, fixed)
+    result.by_difficulty = {name: tuple(tally) for name, tally in counts.items()}
     return result
 
 
@@ -899,9 +872,7 @@ def run_table4(
             if loc_hit is not None:
                 result.localization_total += 1
                 result.localization_hits += int(loc_hit)
-
-    for bug_class, (attempted, template_fixed, llm_fixed) in counts.items():
-        result.by_class[bug_class] = (attempted, template_fixed, llm_fixed)
+    result.by_class = {name: tuple(tally) for name, tally in counts.items()}
     return result
 
 

@@ -87,6 +87,7 @@ class FullReport:
     table4: dict = field(default_factory=dict)
     #: stage -> number of failed work units (nonzero only under
     #: ``on_error="collect"``; an aborting run never gets here).
+    #: ``figure7`` counts the failed Table-1 trials its histogram folds.
     failures: dict = field(default_factory=dict)
     #: The run's telemetry, one dict per section: ``compile_cache`` and
     #: ``verdict_cache`` (the caches' counters), ``sandbox`` (limit and
@@ -101,8 +102,9 @@ class FullReport:
 
     @property
     def failed_units(self) -> int:
-        """Total failed work units across every experiment stage."""
-        return sum(self.failures.values())
+        """Total failed work units across every experiment stage, each
+        once: Figure 7's failures are trials of Table 1's."""
+        return sum(self.failures.values()) - self.failures.get("figure7", 0)
 
     @property
     def breaker_tripped(self) -> bool:
@@ -327,9 +329,8 @@ def _run_experiments(
     }
     report.rendered["table3"] = t3.render()
 
-    # Figure 7 runs no trials of its own: it folds the first
-    # max(1, repeats // 2) trials of Table 1's headline cell (ReAct +
-    # RAG + Quartus, the paper's config).
+    # Figure 7 runs no trials of its own: it folds the first trials of
+    # Table 1's headline (ReAct + RAG + Quartus) cell.
     f7 = Figure7Result.from_run(
         t1.details[("react", "quartus", True)], max(1, scale.repeats // 2)
     )

@@ -45,19 +45,16 @@ Verdict = Literal["pass", "syntax", "sim"]
 
 @dataclass
 class FixExperimentResult:
-    """Per-entry fix counts for one configuration, plus the iterations
-    and trial index of each successful trial, so a view over some of the
-    trials (Figure 7 over the first ones) needs no second run."""
+    """Per-entry fix counts for one configuration, and the iterations
+    and trial of each success (so Fig. 7 can read the first trials)."""
 
     label: str
     trials: int
     #: entry index -> number of trials that fixed it
     fixed_counts: list[int] = field(default_factory=list)
-    #: iterations used in each *successful* trial, entry-major (feeds
-    #: Fig. 7)
+    #: iterations used in each *successful* trial, entry-major
     iterations: list[int] = field(default_factory=list)
-    #: the trial index of each entry of ``iterations``, so Fig. 7 can
-    #: keep the first trials of a run
+    #: the trial index of each of those successes
     success_trials: list[int] = field(default_factory=list)
     #: failed work units under ``on_error="collect"``, ordered by unit
     #: index (``entry * trials + trial``).  A failed trial counts as

@@ -196,5 +196,11 @@ class TestModelOutage:
         )
         report = run_full_report(scale=scale, routing=routing, on_error="collect")
         assert report.failures["figure6"] == 4  # max(4, repeats) trials
+        # Figure 7's failed trials are Table 1's, so the total counts
+        # them once.
+        assert 0 < report.failures["figure7"] <= report.failures["table1"]
+        assert report.failed_units == (
+            sum(report.failures.values()) - report.failures["figure7"]
+        )
         assert report.figure6["fix_rate"] == 0.0
         assert "index -17" in report.figure6["log"]
